@@ -219,8 +219,9 @@ def _gh_fit_report(data: np.ndarray) -> dict:
 
 def cmd_fit(args) -> int:
     data = read_dataset(args.data)
+    # fits draw no random numbers; the seed only labels the report
     seed = _resolve_seed(args)
-    config = infer.FitConfig(seed=seed, scaling=args.scaling or "isf")
+    config = infer.FitConfig(scaling=args.scaling or "isf")
     if args.all and args.family:
         raise UsageError("give either --family or --all, not both")
     if not args.all and not args.family:

@@ -1,19 +1,26 @@
 """Likelihood fitting, information-criterion ranking, and calibrated tests.
 
 Families are fit by maximum likelihood over an unconstrained
-reparameterization (log sigma, bounded-tanh delta, log nu) with a custom
-Nelder-Mead simplex and seeded restarts.  The two-piece normal family has an
-exact profile-likelihood path: for fixed mu the optimal scale and asymmetry
-are closed-form, so the fit reduces to a one-dimensional search over mu.
+reparameterization (log sigma, bounded-tanh delta, log nu).  Each simplex
+family has one negative log-likelihood kernel, which evaluates a batch of
+parameter rows against standardized data rows, and one batched Nelder-Mead
+simplex drives every kernel: a fit runs all of its start points in one batch,
+and a bootstrap test refits all replicates and their starts in one batch.
+The start points are structural (moment, quantile and frontier starts) and
+deterministic, so fits draw no random numbers.  The normal family has a
+closed form, and the two-piece normal family an exact profile-likelihood
+path: for fixed mu the optimal scale and asymmetry are closed-form, so the
+fit reduces to a one-dimensional search over mu.
 """
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.special import log_ndtr, ndtri, stdtr
+from scipy.special import gammaln, log_ndtr, ndtri, stdtr
 
 from .base import (
     LOG_SQRT_TWO_PI,
@@ -67,6 +74,11 @@ NESTED_PAIRS = frozenset(
     }
 )
 
+# pairs whose alternative gets the fitted null as an extra start; for the
+# other normal-null pairs the alternative's own first start already sits at
+# the normal MLE after standardization
+_EMBEDDED_PAIRS = frozenset({("t", "skew_t"), ("normal", "twopiece_normal")})
+
 _LOG_TWO = math.log(2.0)
 
 # delta is optimized through delta = cap * tanh(slope * t / cap): unbounded in
@@ -86,6 +98,18 @@ _FRONTIER_TOL = 1e-4
 # even when interior starts stall on the ridge.
 _CHASE_T = 170.0
 
+# cap on the row x point elements of one kernel evaluation and of one chunk
+# of bootstrap replicates, so memory stays bounded at any n and B
+_BATCH_ELEMENTS = 1 << 20
+
+
+def _rows_per_batch(n: int) -> int:
+    return max(1, _BATCH_ELEMENTS // n)
+
+
+# ---------------------------------------------------------------------------
+# the simplex
+
 
 class SimplexResult(NamedTuple):
     x: np.ndarray
@@ -100,342 +124,353 @@ def nelder_mead(fn, x0, steps, xatol=1e-8, fatol=1e-8, maxiter=400):
     steps gives the per-coordinate offsets of the initial simplex.  NaN
     objective values are treated as +inf.  Convergence requires both the
     simplex spread (max-norm) and the value spread to fall below tolerance.
+    This is the one-problem case of the batched simplex that fits use.
     """
     x0 = np.asarray(x0, dtype=float)
-    d = x0.size
     steps = np.asarray(steps, dtype=float)
-    if steps.size != d:
-        raise ValueError(f"got {steps.size} steps for {d} parameters")
+    if steps.size != x0.size:
+        raise ValueError(f"got {steps.size} steps for {x0.size} parameters")
+    x, fun, iters, conv = _batch_nelder_mead(
+        lambda t, rows: np.array([fn(v) for v in t], dtype=float),
+        _simplex(x0[None, :], steps),
+        xatol,
+        fatol,
+        maxiter,
+    )
+    return SimplexResult(x[0], float(fun[0]), int(iters[0]), bool(conv[0]))
 
-    def ev(v):
-        val = fn(v)
-        return val if val == val else math.inf
 
-    verts = np.tile(x0, (d + 1, 1))
-    for i in range(d):
-        verts[i + 1, i] += steps[i]
-    fv = np.array([ev(v) for v in verts])
+def _simplex(points, steps):
+    """Initial simplexes (m, d + 1, d): each point, then one step per coordinate."""
+    d = points.shape[1]
+    offsets = np.vstack((np.zeros(d), np.diag(steps)))
+    return points[:, None, :] + offsets
 
-    iters = 0
-    converged = False
-    while iters < maxiter:
-        order = np.argsort(fv, kind="stable")
-        verts = verts[order]
-        fv = fv[order]
-        if (
-            np.max(np.abs(verts[1:] - verts[0])) <= xatol
-            and fv[-1] - fv[0] <= fatol
-        ):
-            converged = True
+
+def _batch_nelder_mead(fn, simplex, xatol, fatol, maxiter):
+    """Nelder-Mead over a batch of independent problems of equal dimension.
+
+    simplex (m, d + 1, d) holds each problem's initial vertices.  fn(T, rows)
+    evaluates parameter rows T (k, d) for problem indices rows; NaN values
+    count as +inf.  Converged problems are frozen and drop out of subsequent
+    evaluations.  Returns per-problem best point, value, iteration count and
+    convergence flag.
+    """
+
+    def ev(t, rows):
+        f = fn(t, rows)
+        return np.where(np.isnan(f), np.inf, f)
+
+    verts = np.array(simplex, dtype=float)
+    m, _, d = verts.shape
+    all_rows = np.arange(m)
+    fv = ev(verts.reshape(-1, d), np.repeat(all_rows, d + 1)).reshape(m, d + 1)
+
+    active = np.ones(m, dtype=bool)
+    conv = np.zeros(m, dtype=bool)
+    iters = np.zeros(m, dtype=int)
+    it = 0
+    while it < maxiter and active.any():
+        rows = np.where(active)[0]
+        va = verts[rows]
+        fa = fv[rows]
+        order = np.argsort(fa, axis=1, kind="stable")
+        va = np.take_along_axis(va, order[:, :, None], axis=1)
+        fa = np.take_along_axis(fa, order, axis=1)
+        verts[rows] = va
+        fv[rows] = fa
+        spread_x = np.max(np.abs(va[:, 1:, :] - va[:, :1, :]), axis=(1, 2))
+        spread_f = fa[:, -1] - fa[:, 0]
+        done = (spread_x <= xatol) & (spread_f <= fatol)
+        if done.any():
+            conv[rows[done]] = True
+            active[rows[done]] = False
+            keep = ~done
+            rows, va, fa = rows[keep], va[keep], fa[keep]
+        if rows.size == 0:
             break
-        centroid = verts[:-1].mean(axis=0)
-        direction = centroid - verts[-1]
-        xr = centroid + direction
-        fr = ev(xr)
-        if fr < fv[0]:
-            xe = centroid + 2.0 * direction
-            fe = ev(xe)
-            if fe < fr:
-                verts[-1], fv[-1] = xe, fe
-            else:
-                verts[-1], fv[-1] = xr, fr
-        elif fr < fv[-2]:
-            verts[-1], fv[-1] = xr, fr
-        else:
-            shrink = False
-            if fr < fv[-1]:
-                xc = centroid + 0.5 * direction
-                fc = ev(xc)
-                if fc <= fr:
-                    verts[-1], fv[-1] = xc, fc
-                else:
-                    shrink = True
-            else:
-                xc = centroid - 0.5 * direction
-                fc = ev(xc)
-                if fc < fv[-1]:
-                    verts[-1], fv[-1] = xc, fc
-                else:
-                    shrink = True
-            if shrink:
-                for j in range(1, d + 1):
-                    verts[j] = verts[0] + 0.5 * (verts[j] - verts[0])
-                    fv[j] = ev(verts[j])
-        iters += 1
 
-    best = int(np.argmin(fv))
-    return SimplexResult(verts[best].copy(), float(fv[best]), iters, converged)
+        centroid = va[:, :-1, :].mean(axis=1)
+        direction = centroid - va[:, -1, :]
+        xr = centroid + direction
+        fr = ev(xr, rows)
+        new_x = xr
+        new_f = fr.copy()
+
+        lt_best = fr < fa[:, 0]
+        idx = np.where(lt_best)[0]
+        if idx.size:
+            xe = centroid[idx] + 2.0 * direction[idx]
+            fe = ev(xe, rows[idx])
+            take = fe < fr[idx]
+            sel = idx[take]
+            new_x[sel] = xe[take]
+            new_f[sel] = fe[take]
+        accept = lt_best | (fr < fa[:, -2])
+
+        idx = np.where(~accept)[0]
+        shrink = np.array([], dtype=int)
+        if idx.size:
+            outside = fr[idx] < fa[idx, -1]
+            xc = np.where(
+                outside[:, None],
+                centroid[idx] + 0.5 * direction[idx],
+                centroid[idx] - 0.5 * direction[idx],
+            )
+            fc = ev(xc, rows[idx])
+            ok = np.where(outside, fc <= fr[idx], fc < fa[idx, -1])
+            sel = idx[ok]
+            new_x[sel] = xc[ok]
+            new_f[sel] = fc[ok]
+            accept[sel] = True
+            shrink = idx[~ok]
+
+        acc = np.where(accept)[0]
+        va[acc, -1, :] = new_x[acc]
+        fa[acc, -1] = new_f[acc]
+        if shrink.size:
+            va[shrink, 1:, :] = va[shrink, :1, :] + 0.5 * (
+                va[shrink, 1:, :] - va[shrink, :1, :]
+            )
+            flat = va[shrink, 1:, :].reshape(-1, d)
+            fa[shrink, 1:] = ev(flat, np.repeat(rows[shrink], d)).reshape(-1, d)
+        verts[rows] = va
+        fv[rows] = fa
+        iters[rows] += 1
+        it += 1
+
+    best = np.argmin(fv, axis=1)
+    return verts[all_rows, best, :], fv[all_rows, best], iters, conv
 
 
 # ---------------------------------------------------------------------------
-# parameter maps between the optimizer space and natural parameters
+# parameter maps between the optimizer space and natural parameters; each
+# takes a float or an array
 
 
-def _dec_bounded(t: float, cap: float) -> float:
-    return cap * math.tanh(_MAP_SLOPE * t / cap)
+def _dec_bounded(t, cap: float):
+    return cap * np.tanh(_MAP_SLOPE * t / cap)
 
 
-def _enc_bounded(delta: float, cap: float) -> float:
-    u = min(max(delta / cap, -1.0 + 1e-15), 1.0 - 1e-15)
-    return cap / _MAP_SLOPE * math.atanh(u)
+def _enc_bounded(delta, cap: float):
+    u = np.clip(delta / cap, -1.0 + 1e-15, 1.0 - 1e-15)
+    return cap / _MAP_SLOPE * np.arctanh(u)
 
 
-def _dec_log(t: float, lo: float, hi: float) -> float:
-    return math.exp(min(max(t, math.log(lo)), math.log(hi)))
+def _dec_log(t, lo: float, hi: float):
+    return np.exp(np.clip(t, math.log(lo), math.log(hi)))
 
 
-def _enc_log(v: float, lo: float, hi: float) -> float:
-    return math.log(min(max(v, lo), hi))
+def _enc_log(v, lo: float, hi: float):
+    return np.log(np.clip(v, lo, hi))
 
 
-def _dec_eps(t: float) -> float:
-    return _EPS_CAP * math.tanh(t)
+def _dec_eps(t):
+    return _EPS_CAP * np.tanh(t)
 
 
-def _enc_eps(delta: float) -> float:
-    u = min(max(delta / _EPS_CAP, -1.0 + 1e-12), 1.0 - 1e-12)
-    return math.atanh(u)
+def _enc_eps(delta):
+    u = np.clip(delta / _EPS_CAP, -1.0 + 1e-12, 1.0 - 1e-12)
+    return np.arctanh(u)
 
 
-def _sigma_of(ls: float) -> float:
-    return math.exp(min(max(ls, -200.0), 200.0))
+def _sigma_of(ls):
+    return np.exp(np.clip(ls, -200.0, 200.0))
 
 
-def _t_const(nu: float) -> float:
+def _t_const(nu):
+    return gammaln(0.5 * (nu + 1.0)) - gammaln(0.5 * nu) - 0.5 * np.log(nu * math.pi)
+
+
+# ---------------------------------------------------------------------------
+# negative log-likelihoods, one kernel per simplex family: parameter rows
+# t (k, d) in optimizer coordinates against standardized data rows w (k, n)
+
+
+def _z(t, w):
+    return (w - t[:, :1]) * np.exp(-t[:, 1:2])
+
+
+def _nll_logistic(t, w, cfg):
+    z = np.abs(_z(t, w))
+    return w.shape[1] * t[:, 1] + np.sum(z + 2.0 * np.log1p(np.exp(-z)), axis=1)
+
+
+def _nll_t(t, w, cfg):
+    nu = _dec_log(t[:, 2], _NU_LO, _NU_HI)
+    z = _z(t, w)
+    tail = np.sum(np.log1p(z * z / nu[:, None]), axis=1)
+    return w.shape[1] * (t[:, 1] - _t_const(nu)) + 0.5 * (nu + 1.0) * tail
+
+
+def _nll_skew_normal(t, w, cfg, penalized=False):
+    delta = _dec_bounded(t[:, 2], _SKEW_CAP)
+    z = _z(t, w)
+    val = (
+        w.shape[1] * (t[:, 1] + LOG_SQRT_TWO_PI - _LOG_TWO)
+        + 0.5 * np.einsum("ij,ij->i", z, z)
+        - np.sum(log_ndtr(delta[:, None] * z), axis=1)
+    )
+    if penalized:
+        val += cfg.penalty_c1 * np.log1p(cfg.penalty_c2 * delta * delta)
+    return val
+
+
+def _nll_skew_t(t, w, cfg):
+    nu = _dec_log(t[:, 2], _NU_LO, _NU_HI)
+    delta = _dec_bounded(t[:, 3], _SKEW_CAP)
+    z = _z(t, w)
+    q = z * z
+    arg = delta[:, None] * z * np.sqrt((nu[:, None] + 1.0) / (q + nu[:, None]))
+    tilt = np.sum(np.log(stdtr(nu[:, None] + 1.0, arg)), axis=1)
+    tail = np.sum(np.log1p(q / nu[:, None]), axis=1)
     return (
-        math.lgamma(0.5 * (nu + 1.0))
-        - math.lgamma(0.5 * nu)
-        - 0.5 * math.log(nu * math.pi)
+        w.shape[1] * (t[:, 1] - _LOG_TWO - _t_const(nu))
+        + 0.5 * (nu + 1.0) * tail
+        - tilt
     )
 
 
-def _guard(mu: float, ls: float) -> bool:
-    return abs(mu) > 1e6 or abs(ls) > 200.0
+def _nll_sas(t, w, cfg):
+    delta = _dec_bounded(t[:, 2], _SAS_CAP)
+    eta = _dec_log(t[:, 3], _ETA_LO, _ETA_HI)
+    z = _z(t, w)
+    u = eta[:, None] * np.arcsinh(z) + delta[:, None]
+    y = np.sinh(u)
+    au = np.abs(u)
+    log_cosh = au + np.log1p(np.exp(-2.0 * au)) - _LOG_TWO
+    return (
+        w.shape[1] * (t[:, 1] + LOG_SQRT_TWO_PI - np.log(eta))
+        + 0.5 * np.einsum("ij,ij->i", y, y)
+        - np.sum(log_cosh, axis=1)
+        + 0.5 * np.sum(np.log1p(z * z), axis=1)
+    )
+
+
+def _nll_two_piece(t, w, cfg):
+    """Two-piece normal (d = 3) or two-piece t (d = 4, nu third)."""
+    if cfg.scaling == "epsilon":
+        delta = _dec_eps(t[:, -1])
+        s_l, s_r, log_a = 1.0 / (1.0 - delta), 1.0 / (1.0 + delta), 0.0
+    else:
+        delta = _dec_log(t[:, -1], _ISF_LO, _ISF_HI)
+        s_l, s_r = delta, 1.0 / delta
+        log_a = np.log(2.0 / (delta + 1.0 / delta))
+    z = _z(t, w)
+    v = np.where(z < 0.0, s_l[:, None], s_r[:, None]) * z
+    n = w.shape[1]
+    if t.shape[1] == 4:
+        nu = _dec_log(t[:, 2], _NU_LO, _NU_HI)
+        tail = np.sum(np.log1p(v * v / nu[:, None]), axis=1)
+        return n * (t[:, 1] - log_a - _t_const(nu)) + 0.5 * (nu + 1.0) * tail
+    return n * (t[:, 1] + LOG_SQRT_TWO_PI - log_a) + 0.5 * np.einsum("ij,ij->i", v, v)
 
 
 # ---------------------------------------------------------------------------
-# negative log-likelihoods on standardized data, one closure per family
+# structural start points for standardized data rows w (m, n): each entry is
+# an (m, d) array of points or an (m, d + 1, d) array of initial simplexes
 
 
-def _obj_logistic(w, cfg):
-    n = w.size
-
-    def fn(t):
-        mu, ls = t
-        if _guard(mu, ls):
-            return math.inf
-        z = np.abs(w - mu) * math.exp(-ls)
-        return n * ls + float(np.sum(z + 2.0 * np.log1p(np.exp(-z))))
-
-    return fn
+def _points(m: int, *cols):
+    return np.column_stack([np.broadcast_to(np.asarray(c, dtype=float), (m,)) for c in cols])
 
 
-def _obj_t(w, cfg):
-    n = w.size
-
-    def fn(t):
-        mu, ls, tn = t
-        if _guard(mu, ls):
-            return math.inf
-        nu = _dec_log(tn, _NU_LO, _NU_HI)
-        z = (w - mu) * math.exp(-ls)
-        tail = float(np.sum(np.log1p(z * z / nu)))
-        return n * (ls - _t_const(nu)) + 0.5 * (nu + 1.0) * tail
-
-    return fn
-
-
-def _obj_skew_normal(w, cfg, penalized=False):
-    n = w.size
-    c1, c2 = cfg.penalty_c1, cfg.penalty_c2
-
-    def fn(t):
-        mu, ls, td = t
-        if _guard(mu, ls):
-            return math.inf
-        delta = _dec_bounded(td, _SKEW_CAP)
-        z = (w - mu) * math.exp(-ls)
-        val = (
-            n * (ls + LOG_SQRT_TWO_PI - _LOG_TWO)
-            + 0.5 * float(z @ z)
-            - float(np.sum(log_ndtr(delta * z)))
-        )
-        if penalized:
-            val += c1 * math.log1p(c2 * delta * delta)
-        return val
-
-    return fn
-
-
-def _obj_skew_t(w, cfg):
-    n = w.size
-
-    def fn(t):
-        mu, ls, tn, td = t
-        if _guard(mu, ls):
-            return math.inf
-        nu = _dec_log(tn, _NU_LO, _NU_HI)
-        delta = _dec_bounded(td, _SKEW_CAP)
-        z = (w - mu) * math.exp(-ls)
-        q = z * z
-        arg = delta * z * np.sqrt((nu + 1.0) / (q + nu))
-        with np.errstate(divide="ignore"):
-            tilt = float(np.sum(np.log(stdtr(nu + 1.0, arg))))
-        if not math.isfinite(tilt):
-            return math.inf
-        tail = float(np.sum(np.log1p(q / nu)))
-        return n * (ls - _LOG_TWO - _t_const(nu)) + 0.5 * (nu + 1.0) * tail - tilt
-
-    return fn
-
-
-def _obj_sas(w, cfg):
-    n = w.size
-
-    def fn(t):
-        mu, ls, td, te = t
-        if _guard(mu, ls):
-            return math.inf
-        delta = _dec_bounded(td, _SAS_CAP)
-        eta = _dec_log(te, _ETA_LO, _ETA_HI)
-        z = (w - mu) * math.exp(-ls)
-        with np.errstate(over="ignore"):
-            u = eta * np.arcsinh(z) + delta
-            y = np.sinh(u)
-            au = np.abs(u)
-            log_cosh = au + np.log1p(np.exp(-2.0 * au)) - _LOG_TWO
-            val = n * (ls + LOG_SQRT_TWO_PI - math.log(eta)) + float(
-                0.5 * (y @ y) - np.sum(log_cosh) + 0.5 * np.sum(np.log1p(z * z))
-            )
-        return val if math.isfinite(val) else math.inf
-
-    return fn
-
-
-def _obj_two_piece(w, cfg, with_nu):
-    n = w.size
-    epsilon = cfg.scaling == "epsilon"
-
-    def fn(t):
-        if with_nu:
-            mu, ls, tn, td = t
-            nu = _dec_log(tn, _NU_LO, _NU_HI)
-        else:
-            mu, ls, td = t
-        if _guard(mu, ls):
-            return math.inf
-        if epsilon:
-            delta = _dec_eps(td)
-            s_l, s_r = 1.0 / (1.0 - delta), 1.0 / (1.0 + delta)
-            a = 1.0
-        else:
-            delta = _dec_log(td, _ISF_LO, _ISF_HI)
-            s_l, s_r = delta, 1.0 / delta
-            a = 2.0 / (delta + 1.0 / delta)
-        z = (w - mu) * math.exp(-ls)
-        v = np.where(z < 0.0, s_l, s_r) * z
-        if with_nu:
-            tail = float(np.sum(np.log1p(v * v / nu)))
-            return n * (ls - math.log(a) - _t_const(nu)) + 0.5 * (nu + 1.0) * tail
-        return n * (ls + LOG_SQRT_TWO_PI - math.log(a)) + 0.5 * float(v @ v)
-
-    return fn
-
-
-# ---------------------------------------------------------------------------
-# start points (in optimizer coordinates, for standardized data)
-
-
-def _skewness(w) -> float:
-    return float(np.mean(w**3))
+def _skewness_sign(w):
+    return np.where(np.mean(w**3, axis=1) >= 0.0, 1.0, -1.0)
 
 
 def _skew_normal_moment_start(w):
-    """Method-of-moments inversion for a skew-normal start point."""
-    g1 = _skewness(w)
+    """Method-of-moments inversion: mu, log sigma and t of delta per row."""
+    g1 = np.mean(w**3, axis=1)
     b = math.sqrt(2.0 / math.pi)
-    a1 = min(abs(g1), 0.99)
+    a1 = np.minimum(np.abs(g1), 0.99)
     c = (2.0 * a1 / (4.0 - math.pi)) ** (1.0 / 3.0)
-    m = c / math.sqrt(1.0 + c * c)
-    mb = min(m / b, 0.995)
-    d0 = math.copysign(mb / math.sqrt(1.0 - mb * mb), g1)
-    md = b * d0 / math.sqrt(1.0 + d0 * d0)
-    s0 = 1.0 / math.sqrt(max(1.0 - md * md, 1e-3))
-    return -s0 * md, math.log(s0), d0
+    mm = c / np.sqrt(1.0 + c * c)
+    mb = np.minimum(mm / b, 0.995)
+    d0 = np.copysign(mb / np.sqrt(1.0 - mb * mb), g1)
+    md = b * d0 / np.sqrt(1.0 + d0 * d0)
+    s0 = 1.0 / np.sqrt(np.maximum(1.0 - md * md, 1e-3))
+    return -s0 * md, np.log(s0), _enc_bounded(d0, _SKEW_CAP)
 
 
-def _chase_start(w, sign: float):
-    """mu, log sigma of the half-normal limit the likelihood ridge runs to."""
-    mu_c = float(np.min(w)) if sign > 0 else float(np.max(w))
-    s_c = math.sqrt(float(np.mean((w - mu_c) ** 2)))
-    return mu_c, math.log(max(s_c, 1e-12))
+def _chase_start(w):
+    """mu, log sigma and t of delta at the half-normal limit the ridge runs to."""
+    sign = _skewness_sign(w)
+    mu_c = np.where(sign > 0.0, w.min(axis=1), w.max(axis=1))
+    s_c = np.sqrt(np.mean((w - mu_c[:, None]) ** 2, axis=1))
+    return mu_c, np.log(np.maximum(s_c, 1e-12)), sign * _CHASE_T
 
 
 def _starts_logistic(w, cfg):
-    med = float(np.median(w))
-    return [np.array([med, math.log(0.551)])]
+    return [_points(w.shape[0], np.median(w, axis=1), math.log(0.551))]
 
 
 def _starts_t(w, cfg):
-    med = float(np.median(w))
+    m = w.shape[0]
+    med = np.median(w, axis=1)
     return [
-        np.array([med, math.log(0.75), math.log(4.0)]),
-        np.array([med, math.log(0.92), math.log(12.0)]),
+        _points(m, med, math.log(0.75), math.log(4.0)),
+        _points(m, med, math.log(0.92), math.log(12.0)),
     ]
 
 
 def _starts_skew_normal(w, cfg):
-    m0, ls0, d0 = _skew_normal_moment_start(w)
-    sign = 1.0 if _skewness(w) >= 0.0 else -1.0
-    mu_c, ls_c = _chase_start(w, sign)
-    return [
-        np.array([0.0, 0.0, 0.0]),
-        np.array([m0, ls0, _enc_bounded(d0, _SKEW_CAP)]),
-        np.array([mu_c, ls_c, sign * _CHASE_T]),
-    ]
+    """The folded moment/null simplex, the frontier chase, the null point.
+
+    The first run folds the moment-based start and the exact null point into
+    one simplex: the moment vertex shortens travel while the null vertex
+    pins the best value at or below the normal fit from the outset.
+    """
+    m = w.shape[0]
+    moment = _points(m, *_skew_normal_moment_start(w))
+    folded = _simplex(moment, _FAMILIES["skew_normal"].steps)
+    # last vertex -> the null point, unless it would degenerate the simplex
+    folded[np.max(np.abs(moment), axis=1) > 0.05, -1, :] = 0.0
+    return [folded, _points(m, *_chase_start(w)), np.zeros((m, 3))]
 
 
 def _starts_skew_t(w, cfg):
-    m0, ls0, d0 = _skew_normal_moment_start(w)
-    sign = 1.0 if _skewness(w) >= 0.0 else -1.0
-    mu_c, ls_c = _chase_start(w, sign)
-    td0 = _enc_bounded(d0, _SKEW_CAP)
+    m = w.shape[0]
+    m0, ls0, td0 = _skew_normal_moment_start(w)
+    mu_c, ls_c, td_c = _chase_start(w)
     return [
-        np.array([0.0, 0.0, math.log(5.0), 0.0]),
-        np.array([m0, ls0, math.log(5.0), td0]),
-        np.array([mu_c, ls_c, math.log(5.0), sign * _CHASE_T]),
-        np.array([m0, ls0, math.log(2.0), td0]),
+        _points(m, 0.0, 0.0, math.log(5.0), 0.0),
+        _points(m, m0, ls0, math.log(5.0), td0),
+        _points(m, mu_c, ls_c, math.log(5.0), td_c),
+        _points(m, m0, ls0, math.log(2.0), td0),
     ]
 
 
 def _starts_sas(w, cfg):
-    med = float(np.median(w))
-    sign = 1.0 if _skewness(w) >= 0.0 else -1.0
+    m = w.shape[0]
+    sign = _skewness_sign(w)
     return [
-        np.array([0.0, 0.0, 0.0, 0.0]),
-        np.array([0.0, 0.0, _enc_bounded(-0.7 * sign, _SAS_CAP), 0.0]),
-        np.array([med, math.log(0.8), _enc_bounded(-0.4 * sign, _SAS_CAP), math.log(0.7)]),
+        np.zeros((m, 4)),
+        _points(m, 0.0, 0.0, _enc_bounded(-0.7 * sign, _SAS_CAP), 0.0),
+        _points(
+            m,
+            np.median(w, axis=1),
+            math.log(0.8),
+            _enc_bounded(-0.4 * sign, _SAS_CAP),
+            math.log(0.7),
+        ),
     ]
-
-
-def _two_piece_delta0(w, mu0: float, epsilon: bool) -> float:
-    p_left = float(np.clip(np.mean(w < mu0), 0.05, 0.95))
-    if epsilon:
-        return 1.0 - 2.0 * p_left
-    return math.sqrt(1.0 / p_left - 1.0)
 
 
 def _starts_two_piece(w, cfg, with_nu):
     epsilon = cfg.scaling == "epsilon"
     out = []
     for q in (0.25, 0.5, 0.75):
-        mu0 = float(np.quantile(w, q))
-        d0 = _two_piece_delta0(w, mu0, epsilon)
-        td = _enc_eps(d0) if epsilon else _enc_log(d0, _ISF_LO, _ISF_HI)
-        if with_nu:
-            out.append(np.array([mu0, 0.0, math.log(5.0), td]))
+        mu0 = np.quantile(w, q, axis=1)
+        p_left = np.clip(np.mean(w < mu0[:, None], axis=1), 0.05, 0.95)
+        if epsilon:
+            td = _enc_eps(1.0 - 2.0 * p_left)
         else:
-            out.append(np.array([mu0, 0.0, td]))
+            td = _enc_log(np.sqrt(1.0 / p_left - 1.0), _ISF_LO, _ISF_HI)
+        if with_nu:
+            out.append(_points(w.shape[0], mu0, 0.0, math.log(5.0), td))
+        else:
+            out.append(_points(w.shape[0], mu0, 0.0, td))
     return out
 
 
@@ -444,49 +479,49 @@ def _starts_two_piece(w, cfg, with_nu):
 
 
 def _dec_normal(t, cfg):
-    return {"mu": float(t[0]), "sigma": _sigma_of(t[1])}
+    return {"mu": float(t[0]), "sigma": float(_sigma_of(t[1]))}
 
 
 def _dec_t(t, cfg):
     return {
         "mu": float(t[0]),
-        "sigma": _sigma_of(t[1]),
-        "nu": _dec_log(t[2], _NU_LO, _NU_HI),
+        "sigma": float(_sigma_of(t[1])),
+        "nu": float(_dec_log(t[2], _NU_LO, _NU_HI)),
     }
 
 
 def _dec_skew_normal(t, cfg):
     return {
         "mu": float(t[0]),
-        "sigma": _sigma_of(t[1]),
-        "delta": _dec_bounded(t[2], _SKEW_CAP),
+        "sigma": float(_sigma_of(t[1])),
+        "delta": float(_dec_bounded(t[2], _SKEW_CAP)),
     }
 
 
 def _dec_skew_t(t, cfg):
     return {
         "mu": float(t[0]),
-        "sigma": _sigma_of(t[1]),
-        "nu": _dec_log(t[2], _NU_LO, _NU_HI),
-        "delta": _dec_bounded(t[3], _SKEW_CAP),
+        "sigma": float(_sigma_of(t[1])),
+        "nu": float(_dec_log(t[2], _NU_LO, _NU_HI)),
+        "delta": float(_dec_bounded(t[3], _SKEW_CAP)),
     }
 
 
 def _dec_sas(t, cfg):
     return {
         "mu": float(t[0]),
-        "sigma": _sigma_of(t[1]),
-        "delta": _dec_bounded(t[2], _SAS_CAP),
-        "eta": _dec_log(t[3], _ETA_LO, _ETA_HI),
+        "sigma": float(_sigma_of(t[1])),
+        "delta": float(_dec_bounded(t[2], _SAS_CAP)),
+        "eta": float(_dec_log(t[3], _ETA_LO, _ETA_HI)),
     }
 
 
 def _dec_two_piece(t, cfg):
-    td = float(t[-1])
+    td = t[-1]
     delta = _dec_eps(td) if cfg.scaling == "epsilon" else _dec_log(td, _ISF_LO, _ISF_HI)
-    out = {"mu": float(t[0]), "sigma": _sigma_of(t[1]), "delta": delta}
+    out = {"mu": float(t[0]), "sigma": float(_sigma_of(t[1])), "delta": float(delta)}
     if len(t) == 4:
-        out["nu"] = _dec_log(t[2], _NU_LO, _NU_HI)
+        out["nu"] = float(_dec_log(t[2], _NU_LO, _NU_HI))
     return out
 
 
@@ -548,104 +583,92 @@ def _boundary_two_piece(params) -> bool:
     delta = params["delta"]
     if params.get("scaling", "isf") == "epsilon":
         return 1.0 - abs(delta) <= _FRONTIER_TOL
-    return delta <= _ISF_LO or delta >= _ISF_HI
+    # on the log scale, where exp(log(cap)) may land an ulp inside the cap
+    return abs(math.log(delta)) >= math.log(_ISF_HI) - _FRONTIER_TOL
 
 
 @dataclass(frozen=True)
 class _Family:
     name: str
     n_free: int
-    param_names: tuple
-    objective: Callable
+    nll: Optional[Callable]
     decode: Callable
-    starts: Callable
+    starts: Optional[Callable]
     steps: tuple
-    jitter: tuple
     boundary: Callable
 
 
 _FAMILIES = {
-    "normal": _Family(
-        "normal", 2, ("mu", "sigma"), None, _dec_normal, None, (), (), _boundary_none
-    ),
+    "normal": _Family("normal", 2, None, _dec_normal, None, (), _boundary_none),
     "logistic": _Family(
         "logistic",
         2,
-        ("mu", "sigma"),
-        _obj_logistic,
+        _nll_logistic,
         _dec_normal,
         _starts_logistic,
         (0.25, 0.25),
-        (0.4, 0.3),
         _boundary_none,
     ),
     "t": _Family(
         "t",
         3,
-        ("mu", "sigma", "nu"),
-        _obj_t,
+        _nll_t,
         _dec_t,
         _starts_t,
         (0.25, 0.25, 0.5),
-        (0.4, 0.3, 0.8),
         _boundary_none,
     ),
     "skew_normal": _Family(
         "skew_normal",
         3,
-        ("mu", "sigma", "delta"),
-        _obj_skew_normal,
+        _nll_skew_normal,
         _dec_skew_normal,
         _starts_skew_normal,
         (0.25, 0.25, 0.6),
-        (0.4, 0.3, 0.8),
         _boundary_skew,
     ),
     "skew_t": _Family(
         "skew_t",
         4,
-        ("mu", "sigma", "nu", "delta"),
-        _obj_skew_t,
+        _nll_skew_t,
         _dec_skew_t,
         _starts_skew_t,
         (0.25, 0.25, 0.5, 0.6),
-        (0.4, 0.3, 0.8, 0.8),
         _boundary_skew,
     ),
     "sas_normal": _Family(
         "sas_normal",
         4,
-        ("mu", "sigma", "delta", "eta"),
-        _obj_sas,
+        _nll_sas,
         _dec_sas,
         _starts_sas,
         (0.25, 0.25, 0.5, 0.3),
-        (0.4, 0.3, 0.6, 0.5),
         _boundary_sas,
     ),
     "twopiece_normal": _Family(
         "twopiece_normal",
         3,
-        ("mu", "sigma", "delta"),
-        lambda w, cfg: _obj_two_piece(w, cfg, with_nu=False),
+        _nll_two_piece,
         _dec_two_piece,
-        lambda w, cfg: _starts_two_piece(w, cfg, with_nu=False),
+        partial(_starts_two_piece, with_nu=False),
         (0.25, 0.25, 0.5),
-        (0.4, 0.3, 0.6),
         _boundary_two_piece,
     ),
     "twopiece_t": _Family(
         "twopiece_t",
         4,
-        ("mu", "sigma", "nu", "delta"),
-        lambda w, cfg: _obj_two_piece(w, cfg, with_nu=True),
+        _nll_two_piece,
         _dec_two_piece,
-        lambda w, cfg: _starts_two_piece(w, cfg, with_nu=True),
+        partial(_starts_two_piece, with_nu=True),
         (0.25, 0.25, 0.5, 0.5),
-        (0.4, 0.3, 0.8, 0.6),
         _boundary_two_piece,
     ),
 }
+
+# the penalty c1*ln(1 + c2*delta^2) is a term of the skew-normal kernel
+_PENALIZED_SKEW_NORMAL = replace(
+    _FAMILIES["skew_normal"], nll=partial(_nll_skew_normal, penalized=True)
+)
 
 
 # ---------------------------------------------------------------------------
@@ -656,9 +679,10 @@ _FAMILIES = {
 class FitConfig:
     """Optimizer settings shared by fit_mle and lr_test.
 
-    restarts caps the number of simplex runs drawn from the family's start
-    list (jittered copies fill the list when it is shorter).  scaling picks
-    the two-piece parameterization.  two_piece_profile switches the two-piece
+    restarts caps the number of simplex runs taken from the front of the
+    family's structural start list; there are no random starts, so a fit is
+    a deterministic function of its data and config.  scaling picks the
+    two-piece parameterization.  two_piece_profile switches the two-piece
     normal fit to the exact profile-likelihood path.
     """
 
@@ -666,7 +690,6 @@ class FitConfig:
     xatol: float = 1e-8
     fatol: float = 1e-8
     maxiter: Optional[int] = None
-    seed: int = 0
     scaling: str = "isf"
     penalty_c1: float = 1.0
     penalty_c2: float = 1.0 / 3.0
@@ -777,49 +800,48 @@ def log_likelihood(family: str, params: dict, data) -> float:
 # fitting
 
 
-def _result(family, params, loglik, n, n_free, converged, iterations, boundary):
-    aic = 2.0 * n_free - 2.0 * loglik
-    bic = n_free * math.log(n) - 2.0 * loglik
-    return FitResult(
-        family=family,
-        params=params,
-        loglik=loglik,
-        aic=aic,
-        bic=bic,
-        n=n,
-        converged=converged,
-        iterations=iterations,
-        boundary_flag=boundary,
-    )
+def _standardize(x):
+    """Standardize each data row of x (m, n): w = (x * 2**-e - m0) / s0.
+
+    The exact power-of-two prescaling puts max |x| in [0.5, 1), so the sums
+    and squares behind m0 and s0 neither overflow nor underflow at any
+    floating-point scale of the data.  Returns (w, e, m0, s0) per row; a row
+    with s0 == 0 gets w = 0.
+    """
+    e = np.frexp(np.max(np.abs(x), axis=1))[1]
+    xs = np.ldexp(x, -e[:, None])
+    m0 = xs.mean(axis=1)
+    s0 = xs.std(axis=1)
+    w = (xs - m0[:, None]) / np.where(s0 > 0.0, s0, 1.0)[:, None]
+    return w, e, m0, s0
 
 
-def _fit_normal(x: np.ndarray) -> FitResult:
-    n = x.size
-    mu = float(np.mean(x))
-    sigma = math.sqrt(float(np.mean((x - mu) ** 2)))
-    loglik = -n * (LOG_SQRT_TWO_PI + math.log(sigma) + 0.5)
-    return _result(
-        "normal",
-        {"mu": mu, "sigma": sigma},
-        loglik,
-        n,
-        2,
-        converged=True,
-        iterations=0,
-        boundary=False,
-    )
+def _to_w_units(params: dict, e, m0, s0) -> dict:
+    out = dict(params)
+    out["mu"] = (float(np.ldexp(params["mu"], -e)) - m0) / s0
+    out["sigma"] = float(np.ldexp(params["sigma"], -e)) / s0
+    return out
 
 
-def _fit_two_piece_profile(x: np.ndarray, cfg: FitConfig) -> FitResult:
-    """Exact two-piece normal MLE via the profile likelihood in mu.
+def _from_w_units(params: dict, e, m0, s0) -> dict:
+    out = dict(params)
+    out["mu"] = float(np.ldexp(m0 + s0 * params["mu"], e))
+    out["sigma"] = float(np.ldexp(s0 * params["sigma"], e))
+    return out
+
+
+def _two_piece_profile(w: np.ndarray, cfg: FitConfig):
+    """Exact two-piece normal MLE of one data row via the profile likelihood in mu.
 
     For fixed mu, with L and R the left/right sums of squared deviations,
     the inverse-scale-factor optimum is delta = (R/L)^(1/6) and
     sigma^2 = (delta^2 L + R / delta^2) / n, both closed form.  The profile
     is maximized over a candidate grid (all data points, midpoints, and the
-    sample mean) and refined with golden-section search.
+    sample mean) and refined with golden-section search.  Returns the optimum
+    in optimizer coordinates, its negative log-likelihood and the number of
+    profile evaluations.
     """
-    xs = np.sort(x)
+    xs = np.sort(w)
     n = xs.size
     s1 = np.concatenate(([0.0], np.cumsum(xs)))
     s2 = np.concatenate(([0.0], np.cumsum(xs * xs)))
@@ -886,49 +908,98 @@ def _fit_two_piece_profile(x: np.ndarray, cfg: FitConfig) -> FitResult:
         delta = (d2 - 1.0) / (d2 + 1.0)
         delta = min(max(delta, -_EPS_CAP), _EPS_CAP)
         sigma = sigma_isf / math.sqrt(1.0 - delta * delta)
+        td = _enc_eps(delta)
     else:
-        delta, sigma = delta_isf, sigma_isf
+        sigma = sigma_isf
+        td = _enc_log(delta_isf, _ISF_LO, _ISF_HI)
+    return np.array([mu_hat, math.log(sigma), td]), -ll_best, evals[0]
 
-    params = {"mu": mu_hat, "sigma": sigma, "delta": delta, "scaling": cfg.scaling}
-    loglik = log_likelihood("twopiece_normal", params, x)
-    return _result(
-        "twopiece_normal",
-        params,
-        loglik,
-        n,
-        3,
-        converged=True,
-        iterations=int(evals[0]),
-        boundary=_boundary_two_piece(params),
+
+class _RowFits(NamedTuple):
+    t: np.ndarray  # (m, d) best point per data row, optimizer coordinates
+    nll: np.ndarray  # (m,) its negative log-likelihood in standardized units
+    iterations: np.ndarray  # (m,) simplex steps summed over the row's runs
+    converged: np.ndarray  # (m,) convergence flag of the best run
+
+
+def _fit_rows(spec: _Family, w: np.ndarray, cfg: FitConfig, extra=()) -> _RowFits:
+    """Fit spec to every standardized data row of w (m, n) at once.
+
+    The normal family is closed form and the two-piece normal profile runs
+    per row.  Simplex families run, for every row, the points in extra
+    (each (m, d)) and then the first cfg.restarts structural starts, all in
+    one batched simplex; each row keeps its first best run.
+    """
+    m, n = w.shape
+    if spec.nll is None:
+        mu = w.mean(axis=1)
+        ls = 0.5 * np.log(np.mean((w - mu[:, None]) ** 2, axis=1))
+        nll = n * (LOG_SQRT_TWO_PI + ls + 0.5)
+        return _RowFits(
+            np.column_stack((mu, ls)), nll, np.zeros(m, dtype=int), np.ones(m, dtype=bool)
+        )
+    if spec.name == "twopiece_normal" and cfg.two_piece_profile:
+        t, nll, evals = zip(*(_two_piece_profile(row, cfg) for row in w))
+        return _RowFits(np.array(t), np.array(nll), np.array(evals), np.ones(m, dtype=bool))
+
+    starts = [*extra, *spec.starts(w, cfg)[: cfg.restarts]]
+    k = len(starts)
+    d = spec.n_free
+    simplex = np.stack(
+        [s if s.ndim == 3 else _simplex(s, spec.steps) for s in starts], axis=1
     )
+    per = _rows_per_batch(n)
+
+    def fn(t, rows):
+        # problem p fits data row p // k
+        val = np.concatenate(
+            [
+                spec.nll(t[i : i + per], w[rows[i : i + per] // k], cfg)
+                for i in range(0, len(rows), per)
+            ]
+        )
+        bad = (np.abs(t[:, 0]) > 1e6) | (np.abs(t[:, 1]) > 200.0) | ~np.isfinite(val)
+        return np.where(bad, np.inf, val)
+
+    maxiter = cfg.maxiter if cfg.maxiter is not None else 400 * d
+    with np.errstate(all="ignore"):
+        x, fun, iters, conv = _batch_nelder_mead(
+            fn, simplex.reshape(m * k, d + 1, d), cfg.xatol, cfg.fatol, maxiter
+        )
+    pick = np.arange(m) * k + np.argmin(fun.reshape(m, k), axis=1)
+    return _RowFits(x[pick], fun[pick], iters.reshape(m, k).sum(axis=1), conv[pick])
 
 
-def _to_w_units(params: dict, m0: float, s0: float) -> dict:
-    out = dict(params)
-    out["mu"] = (float(params["mu"]) - m0) / s0
-    out["sigma"] = float(params["sigma"]) / s0
-    return out
-
-
-def _run_simplex(spec, w, cfg, objective, extra_encoded):
-    structural = spec.starts(w, cfg)
-    runs = list(extra_encoded)
-    runs.extend(structural[: cfg.restarts])
-    if len(structural) < cfg.restarts:
-        rng = make_rng(cfg.seed)
-        ref = structural[min(1, len(structural) - 1)]
-        scales = np.asarray(spec.jitter)
-        for _ in range(cfg.restarts - len(structural)):
-            runs.append(ref + rng.normal(0.0, 1.0, ref.size) * scales)
-    maxiter = cfg.maxiter if cfg.maxiter is not None else 400 * spec.n_free
-    best = None
-    total_iter = 0
-    for t0 in runs:
-        res = nelder_mead(objective, t0, spec.steps, cfg.xatol, cfg.fatol, maxiter)
-        total_iter += res.iterations
-        if best is None or res.fun < best.fun:
-            best = res
-    return best, total_iter
+def _fit(spec: _Family, data, cfg: FitConfig, extra_starts=()) -> FitResult:
+    """The fit path of fit_mle and fit_mle_penalized_skew_normal."""
+    x = _as_data(data)
+    min_n = spec.n_free + 1
+    if x.size < min_n:
+        raise ValueError(f"{spec.name} fit needs at least {min_n} observations, got {x.size}")
+    w, (e,), (m0,), (s0,) = _standardize(x[None, :])
+    if s0 == 0.0:
+        raise ValueError("degenerate sample: zero variance")
+    extra = [
+        _enc_common(_to_w_units(p, e, m0, s0), cfg, spec.name)[None, :]
+        for p in extra_starts
+    ]
+    fit = _fit_rows(spec, w, cfg, extra)
+    params = _from_w_units(spec.decode(fit.t[0], cfg), e, m0, s0)
+    if spec.name in ("twopiece_normal", "twopiece_t"):
+        params["scaling"] = cfg.scaling
+    loglik = log_likelihood(spec.name, params, x)
+    n = x.size
+    return FitResult(
+        family=spec.name,
+        params=params,
+        loglik=loglik,
+        aic=2.0 * spec.n_free - 2.0 * loglik,
+        bic=spec.n_free * math.log(n) - 2.0 * loglik,
+        n=n,
+        converged=bool(fit.converged[0]),
+        iterations=int(fit.iterations[0]),
+        boundary_flag=spec.boundary(params),
+    )
 
 
 def fit_mle(
@@ -940,54 +1011,16 @@ def fit_mle(
     """Maximum-likelihood fit of one family.
 
     Data are standardized internally, so results are location-scale
-    equivariant.  extra_starts, if given, are parameter dicts (natural units)
-    added as additional optimizer starting points.
+    equivariant at any floating-point scale.  extra_starts, if given, are
+    parameter dicts (natural units) run as additional optimizer starting
+    points before the structural ones.
     """
-    cfg = config if config is not None else FitConfig()
     if family not in _FAMILIES:
         raise ValueError(
             f"unknown family {family!r}; expected one of {', '.join(FAMILY_ORDER)}"
         )
-    x = _as_data(data)
-    spec = _FAMILIES[family]
-    min_n = spec.n_free + 1
-    if x.size < min_n:
-        raise ValueError(f"{family} fit needs at least {min_n} observations, got {x.size}")
-    s0 = float(np.std(x))
-    if s0 == 0.0:
-        raise ValueError("degenerate sample: zero variance")
-
-    if family == "normal":
-        return _fit_normal(x)
-    if family == "twopiece_normal" and cfg.two_piece_profile:
-        return _fit_two_piece_profile(x, cfg)
-
-    m0 = float(np.mean(x))
-    w = (x - m0) / s0
-    extra_encoded = []
-    if extra_starts:
-        for p in extra_starts:
-            extra_encoded.append(_enc_common(_to_w_units(p, m0, s0), cfg, family))
-    objective = spec.objective(w, cfg)
-    best, total_iter = _run_simplex(spec, w, cfg, objective, extra_encoded)
-
-    params_w = spec.decode(best.x, cfg)
-    params = dict(params_w)
-    params["mu"] = m0 + s0 * params_w["mu"]
-    params["sigma"] = s0 * params_w["sigma"]
-    if family in ("twopiece_normal", "twopiece_t"):
-        params["scaling"] = cfg.scaling
-    loglik = log_likelihood(family, params, x)
-    return _result(
-        family,
-        params,
-        loglik,
-        x.size,
-        spec.n_free,
-        converged=best.converged,
-        iterations=total_iter,
-        boundary=spec.boundary(params),
-    )
+    cfg = config if config is not None else FitConfig()
+    return _fit(_FAMILIES[family], data, cfg, extra_starts or ())
 
 
 def fit_mle_penalized_skew_normal(data, config: Optional[FitConfig] = None) -> FitResult:
@@ -998,32 +1031,7 @@ def fit_mle_penalized_skew_normal(data, config: Optional[FitConfig] = None) -> F
     criteria built from it) is the unpenalized value at the penalized optimum.
     """
     cfg = config if config is not None else FitConfig()
-    x = _as_data(data)
-    spec = _FAMILIES["skew_normal"]
-    if x.size < spec.n_free + 1:
-        raise ValueError(f"skew_normal fit needs at least {spec.n_free + 1} observations")
-    s0 = float(np.std(x))
-    if s0 == 0.0:
-        raise ValueError("degenerate sample: zero variance")
-    m0 = float(np.mean(x))
-    w = (x - m0) / s0
-    objective = _obj_skew_normal(w, cfg, penalized=True)
-    best, total_iter = _run_simplex(spec, w, cfg, objective, [])
-    params_w = spec.decode(best.x, cfg)
-    params = dict(params_w)
-    params["mu"] = m0 + s0 * params_w["mu"]
-    params["sigma"] = s0 * params_w["sigma"]
-    loglik = log_likelihood("skew_normal", params, x)
-    return _result(
-        "skew_normal",
-        params,
-        loglik,
-        x.size,
-        spec.n_free,
-        converged=best.converged,
-        iterations=total_iter,
-        boundary=spec.boundary(params),
-    )
+    return _fit(_PENALIZED_SKEW_NORMAL, data, cfg)
 
 
 def fit_gh_quantile(data) -> GhQuantileFit:
@@ -1084,265 +1092,36 @@ def model_select(fits: Sequence[FitResult], criterion: str = "aic"):
 
 
 # ---------------------------------------------------------------------------
-# vectorized refitting for the normal-vs-skew-normal bootstrap
-#
-# Calibrating that pair needs hundreds of skew-normal refits per test.  Run
-# them as one batch: vertices for every replicate move in lock step, so each
-# simplex step costs one vectorized objective evaluation instead of a Python
-# loop over replicates.
-
-
-def _batch_nelder_mead(fn, x0, steps, xatol, fatol, maxiter):
-    """Nelder-Mead over a batch of independent problems of equal dimension.
-
-    fn(T, rows) evaluates parameter rows T (k, d) for problem indices rows.
-    Returns per-problem best point, value, and convergence flag.  Converged
-    problems are frozen and drop out of subsequent evaluations.
-    """
-    if x0.ndim == 3:
-        verts = x0.copy()
-        m, _, d = verts.shape
-    else:
-        m, d = x0.shape
-        verts = np.repeat(x0[:, None, :], d + 1, axis=1)
-        for i in range(d):
-            verts[:, i + 1, i] += steps[i]
-    all_rows = np.arange(m)
-    fv = np.empty((m, d + 1))
-    for j in range(d + 1):
-        fv[:, j] = fn(verts[:, j, :], all_rows)
-    fv = np.where(np.isnan(fv), np.inf, fv)
-
-    active = np.ones(m, dtype=bool)
-    conv = np.zeros(m, dtype=bool)
-    it = 0
-    while it < maxiter and active.any():
-        rows = np.where(active)[0]
-        va = verts[rows]
-        fa = fv[rows]
-        order = np.argsort(fa, axis=1, kind="stable")
-        va = np.take_along_axis(va, order[:, :, None], axis=1)
-        fa = np.take_along_axis(fa, order, axis=1)
-        verts[rows] = va
-        fv[rows] = fa
-        spread_x = np.max(np.abs(va[:, 1:, :] - va[:, :1, :]), axis=(1, 2))
-        spread_f = fa[:, -1] - fa[:, 0]
-        done = (spread_x <= xatol) & (spread_f <= fatol)
-        if done.any():
-            conv[rows[done]] = True
-            active[rows[done]] = False
-            keep = ~done
-            rows, va, fa = rows[keep], va[keep], fa[keep]
-        if rows.size == 0:
-            break
-
-        centroid = va[:, :-1, :].mean(axis=1)
-        direction = centroid - va[:, -1, :]
-        xr = centroid + direction
-        fr = fn(xr, rows)
-        fr = np.where(np.isnan(fr), np.inf, fr)
-        new_x = xr
-        new_f = fr.copy()
-
-        lt_best = fr < fa[:, 0]
-        idx = np.where(lt_best)[0]
-        if idx.size:
-            xe = centroid[idx] + 2.0 * direction[idx]
-            fe = fn(xe, rows[idx])
-            fe = np.where(np.isnan(fe), np.inf, fe)
-            take = fe < fr[idx]
-            sel = idx[take]
-            new_x[sel] = xe[take]
-            new_f[sel] = fe[take]
-        accept = lt_best | (fr < fa[:, -2])
-
-        idx = np.where(~accept)[0]
-        shrink = np.array([], dtype=int)
-        if idx.size:
-            outside = fr[idx] < fa[idx, -1]
-            xc = np.where(
-                outside[:, None],
-                centroid[idx] + 0.5 * direction[idx],
-                centroid[idx] - 0.5 * direction[idx],
-            )
-            fc = fn(xc, rows[idx])
-            fc = np.where(np.isnan(fc), np.inf, fc)
-            ok = np.where(outside, fc <= fr[idx], fc < fa[idx, -1])
-            sel = idx[ok]
-            new_x[sel] = xc[ok]
-            new_f[sel] = fc[ok]
-            accept[sel] = True
-            shrink = idx[~ok]
-
-        acc = np.where(accept)[0]
-        va[acc, -1, :] = new_x[acc]
-        fa[acc, -1] = new_f[acc]
-        if shrink.size:
-            va[shrink, 1:, :] = va[shrink, :1, :] + 0.5 * (
-                va[shrink, 1:, :] - va[shrink, :1, :]
-            )
-            flat = va[shrink, 1:, :].reshape(-1, d)
-            fshr = fn(flat, np.repeat(rows[shrink], d))
-            fa[shrink, 1:] = np.where(np.isnan(fshr), np.inf, fshr).reshape(-1, d)
-        verts[rows] = va
-        fv[rows] = fa
-        it += 1
-
-    best = np.argmin(fv, axis=1)
-    fun = fv[all_rows, best]
-    x_best = verts[all_rows, best, :]
-    return x_best, fun, conv
-
-
-def _batch_skn_objective(w_rows):
-    n = w_rows.shape[1]
-    const = LOG_SQRT_TWO_PI - _LOG_TWO
-
-    def fn(t, rows):
-        mu = t[:, 0]
-        ls = t[:, 1]
-        delta = _SKEW_CAP * np.tanh(_MAP_SLOPE * t[:, 2] / _SKEW_CAP)
-        with np.errstate(over="ignore", invalid="ignore"):
-            z = (w_rows[rows] - mu[:, None]) * np.exp(-np.clip(ls, -200.0, 200.0))[:, None]
-            val = (
-                n * (ls + const)
-                + 0.5 * np.einsum("ij,ij->i", z, z)
-                - np.sum(log_ndtr(delta[:, None] * z), axis=1)
-            )
-        bad = (np.abs(mu) > 1e6) | (np.abs(ls) > 200.0) | ~np.isfinite(val)
-        return np.where(bad, np.inf, val)
-
-    return fn
-
-
-def _batch_skn_starts(w_rows, cfg, steps):
-    """Initial simplexes mirroring the skew-normal structural start points.
-
-    The first run folds the moment-based start and the exact null point into
-    one simplex: the moment vertex shortens travel while the null vertex
-    pins the best value at or below the normal fit from the outset.  Extra
-    restarts add the frontier-chase start and a plain null-start simplex.
-    """
-    m = w_rows.shape[0]
-    d = 3
-    g1 = np.mean(w_rows**3, axis=1)
-    b = math.sqrt(2.0 / math.pi)
-    a1 = np.minimum(np.abs(g1), 0.99)
-    c = (2.0 * a1 / (4.0 - math.pi)) ** (1.0 / 3.0)
-    mm = c / np.sqrt(1.0 + c * c)
-    mb = np.minimum(mm / b, 0.995)
-    d0 = np.copysign(mb / np.sqrt(1.0 - mb * mb), g1)
-    md = b * d0 / np.sqrt(1.0 + d0 * d0)
-    s0 = 1.0 / np.sqrt(np.maximum(1.0 - md * md, 1e-3))
-    td0 = _SKEW_CAP / _MAP_SLOPE * np.arctanh(np.clip(d0 / _SKEW_CAP, -1 + 1e-15, 1 - 1e-15))
-    moment = np.column_stack((-s0 * md, np.log(s0), td0))
-
-    simplex = np.repeat(moment[:, None, :], d + 1, axis=1)
-    for i in range(d):
-        simplex[:, i + 1, i] += steps[i]
-    # last vertex -> the null point, unless it would degenerate the simplex
-    apart = np.max(np.abs(moment), axis=1) > 0.05
-    simplex[apart, d, :] = 0.0
-
-    runs = [simplex]
-    if cfg.restarts >= 2:
-        sign = np.where(g1 >= 0.0, 1.0, -1.0)
-        mu_c = np.where(sign > 0.0, w_rows.min(axis=1), w_rows.max(axis=1))
-        s_c = np.sqrt(np.mean((w_rows - mu_c[:, None]) ** 2, axis=1))
-        runs.append(
-            np.column_stack((mu_c, np.log(np.maximum(s_c, 1e-12)), sign * _CHASE_T))
-        )
-    if cfg.restarts >= 3:
-        runs.append(np.zeros((m, 3)))
-    return runs
-
-
-def _batch_skn_lr_stats(x_rows, cfg):
-    """LR statistics of skew-normal vs closed-form normal for each data row.
-
-    Rows are standardized so the normal null log-likelihood is the same known
-    constant for every row and the scale terms cancel from the statistic.
-    Returns (stats, ok) where ok marks rows whose refit produced a finite
-    statistic.
-    """
-    m, n = x_rows.shape
-    s0 = x_rows.std(axis=1)
-    ok = s0 > 0.0
-    w = np.zeros_like(x_rows)
-    safe = np.where(ok, s0, 1.0)
-    w[:] = (x_rows - x_rows.mean(axis=1)[:, None]) / safe[:, None]
-    fn = _batch_skn_objective(w)
-    spec = _FAMILIES["skew_normal"]
-    maxiter = cfg.maxiter if cfg.maxiter is not None else 400 * spec.n_free
-    best_fun = np.full(m, np.inf)
-    for start in _batch_skn_starts(w, cfg, spec.steps):
-        _, fun, _ = _batch_nelder_mead(
-            fn, start, spec.steps, cfg.xatol, cfg.fatol, maxiter
-        )
-        best_fun = np.minimum(best_fun, fun)
-    ll_alt = -best_fun
-    ll_null = -n * (LOG_SQRT_TWO_PI + 0.5)
-    stats = np.maximum(0.0, 2.0 * (ll_alt - ll_null))
-    ok &= np.isfinite(stats)
-    return stats, ok
-
-
-def _lr_normal_vs_skew_normal(x, b, gen, cfg):
-    n = x.size
-    null_fit = _fit_normal(x)
-    null_dist = distribution_for("normal", null_fit.params)
-    rows = np.empty((b + 1, n))
-    rows[0] = x
-    for i, child in enumerate(gen.spawn(b)):
-        rows[i + 1] = null_dist.sample(n, child)
-    stats, ok = _batch_skn_lr_stats(rows, cfg)
-    if not ok[0]:
-        raise NumericsError("skew-normal fit of the observed data failed")
-    observed = float(stats[0])
-    failures = int(np.sum(~ok[1:]))
-    if failures > 0.05 * b:
-        raise NumericsError(
-            f"{failures} of {b} bootstrap refits failed; cannot calibrate the test"
-        )
-    exceed = int(np.sum(stats[1:][ok[1:]] >= observed))
-    p_value = (1.0 + exceed) / (b + 1.0)
-    return TestResult(
-        statistic=observed,
-        p_value=p_value,
-        replicates=b,
-        method="parametric_bootstrap",
-        failures=failures,
-    )
-
-
-# ---------------------------------------------------------------------------
 # bootstrap-calibrated likelihood-ratio test
 
 
 def _null_embed(null_family, alt_family, params, cfg):
     """Starting points that reproduce the fitted null inside the alternative.
 
-    For the normal-null pairs the alternative's own first start already sits
-    at the normal MLE after standardization, so no extra start is needed.
+    The alternative's coordinates beyond the null's are zero at the null
+    (delta = 0, or ISF delta = 1); the null's parameters fill the rest.
     """
-    if (null_family, alt_family) == ("t", "skew_t"):
-        return [
-            {
-                "mu": params["mu"],
-                "sigma": params["sigma"],
-                "nu": params["nu"],
-                "delta": 0.0,
-            }
-        ]
-    if alt_family == "twopiece_normal":
-        return [
-            {
-                "mu": params["mu"],
-                "sigma": params["sigma"],
-                "delta": 1.0 if cfg.scaling == "isf" else 0.0,
-            }
-        ]
-    return []
+    if (null_family, alt_family) not in _EMBEDDED_PAIRS:
+        return []
+    alt = _FAMILIES[alt_family]
+    return [{**alt.decode(np.zeros(alt.n_free), cfg), **params}]
+
+
+def _bootstrap_stats(null_family, alt_family, rows, cfg):
+    """LR statistics 2 (loglik_alt - loglik_null) of each data row.
+
+    Both families are fit on the same standardized rows, so the scale terms
+    cancel from the statistic.  NaN marks a row whose refit failed.
+    """
+    w, _, _, s0 = _standardize(rows)
+    null_spec, alt_spec = _FAMILIES[null_family], _FAMILIES[alt_family]
+    null = _fit_rows(null_spec, w, cfg)
+    extra = []
+    if (null_family, alt_family) in _EMBEDDED_PAIRS:
+        pad = alt_spec.n_free - null_spec.n_free
+        extra.append(np.pad(null.t, ((0, 0), (0, pad))))
+    alt = _fit_rows(alt_spec, w, cfg, extra)
+    return np.where(s0 > 0.0, 2.0 * (null.nll - alt.nll), np.nan)
 
 
 def lr_test(
@@ -1359,7 +1138,8 @@ def lr_test(
     distribution is estimated by refitting both families on b_reps samples
     drawn from the fitted null; p = (1 + #{boot >= observed}) / (b_reps + 1).
     Each replicate gets an independent child generator spawned from rng, so
-    results are reproducible for a given seed and config.
+    results are reproducible for a given seed and config.  Replicates are
+    refit in batches of bounded size.
     """
     if (null_family, alt_family) not in NESTED_PAIRS:
         allowed = ", ".join(f"{a} < {b}" for a, b in sorted(NESTED_PAIRS))
@@ -1374,9 +1154,6 @@ def lr_test(
     cfg = config if config is not None else FitConfig()
     gen = rng if rng is not None else make_rng(0)
 
-    if (null_family, alt_family) == ("normal", "skew_normal"):
-        return _lr_normal_vs_skew_normal(x, b, gen, cfg)
-
     null_fit = fit_mle(null_family, x, cfg)
     alt_fit = fit_mle(
         alt_family, x, cfg, extra_starts=_null_embed(null_family, alt_family, null_fit.params, cfg)
@@ -1385,28 +1162,26 @@ def lr_test(
 
     null_dist = distribution_for(null_family, null_fit.params)
     n = x.size
-    exceed = 0
-    failures = 0
-    for child in gen.spawn(b):
-        xb = null_dist.sample(n, child)
-        try:
-            nf = fit_mle(null_family, xb, cfg)
-            af = fit_mle(
-                alt_family, xb, cfg, extra_starts=_null_embed(null_family, alt_family, nf.params, cfg)
+    children = gen.spawn(b)
+    per = _rows_per_batch(n)
+    stats = np.concatenate(
+        [
+            _bootstrap_stats(
+                null_family,
+                alt_family,
+                np.array([null_dist.sample(n, child) for child in children[i : i + per]]),
+                cfg,
             )
-            stat = 2.0 * (af.loglik - nf.loglik)
-        except (ValueError, NumericsError):
-            failures += 1
-            continue
-        if not math.isfinite(stat):
-            failures += 1
-            continue
-        if max(0.0, stat) >= observed:
-            exceed += 1
+            for i in range(0, b, per)
+        ]
+    )
+    ok = np.isfinite(stats)
+    failures = int(b - np.count_nonzero(ok))
     if failures > 0.05 * b:
         raise NumericsError(
             f"{failures} of {b} bootstrap refits failed; cannot calibrate the test"
         )
+    exceed = int(np.count_nonzero(np.maximum(stats[ok], 0.0) >= observed))
     p_value = (1.0 + exceed) / (b + 1.0)
     return TestResult(
         statistic=observed,

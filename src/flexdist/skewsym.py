@@ -18,6 +18,8 @@ from .base import (
     LocationScale,
     MatrixParams,
     SymmetricBase,
+    _KRONROD_NODES,
+    _KRONROD_WEIGHTS,
     _maybe_scalar,
     golden_section_max,
     integrate,
@@ -26,24 +28,6 @@ from .base import (
     student_base,
     student_pdf_k,
 )
-
-_KNODES = np.array([
-    -0.991455371120813, -0.949107912342759, -0.864864423359769,
-    -0.741531185599394, -0.586087235467691, -0.405845151377397,
-    -0.207784955007898, 0.0,
-    0.207784955007898, 0.405845151377397, 0.586087235467691,
-    0.741531185599394, 0.864864423359769, 0.949107912342759,
-    0.991455371120813,
-])
-_KWEIGHTS = np.array([
-    0.022935322010529, 0.063092092629979, 0.104790010322250,
-    0.140653259715525, 0.169004726639267, 0.190350578064785,
-    0.204432940075298, 0.209482141084728,
-    0.204432940075298, 0.190350578064785, 0.169004726639267,
-    0.140653259715525, 0.104790010322250, 0.063092092629979,
-    0.022935322010529,
-])
-
 
 @dataclass(frozen=True)
 class SkewingFunction:
@@ -278,7 +262,11 @@ class SkewT:
         if xs.size == 1:
             out = np.array([self._cdf_scalar(xs[0])])
         else:
-            out = self._cdf_sorted_panels(xs)
+            # the limits at -inf and +inf; panels integrate the finite points
+            out = np.where(xs > 0.0, 1.0, np.where(xs < 0.0, 0.0, np.nan))
+            finite = np.isfinite(xs)
+            if finite.any():
+                out[finite] = self._cdf_sorted_panels(xs[finite])
         return _maybe_scalar(out if not scalar else out[0], scalar)
 
     def _cdf_scalar(self, x: float) -> float:
@@ -296,9 +284,9 @@ class SkewT:
         a, b = s[:-1], s[1:]
         half = 0.5 * (b - a)
         mid = 0.5 * (a + b)
-        nodes = mid[:, None] + half[:, None] * _KNODES[None, :]
+        nodes = mid[:, None] + half[:, None] * _KRONROD_NODES[None, :]
         fx = self.pdf(nodes.ravel()).reshape(nodes.shape)
-        inc = half * (fx @ _KWEIGHTS)
+        inc = half * (fx @ _KRONROD_WEIGHTS)
         cum = np.empty_like(s)
         cum[0] = first
         np.cumsum(inc, out=cum[1:])

@@ -70,6 +70,42 @@ def test_gh_has_no_evaluatable_density():
                                                                  abs=1e-12)
 
 
+# ------------------------------------------------------------------- simplex
+
+def test_nelder_mead_shifted_quadratic():
+    res = infer.nelder_mead(
+        lambda v: (v[0] - 1.5) ** 2 + 2.0 * (v[1] + 0.5) ** 2 + 3.0,
+        [0.0, 0.0], [0.5, 0.5])
+    assert isinstance(res, infer.SimplexResult)
+    assert res.converged
+    assert 0 < res.iterations < 400
+    assert res.x == pytest.approx([1.5, -0.5], abs=1e-6)
+    assert res.fun == pytest.approx(3.0, abs=1e-10)
+
+
+def test_nelder_mead_treats_nan_as_infinite():
+    # NaN left of 0: a NaN vertex must lose every comparison
+    def fn(v):
+        return math.nan if v[0] < 0.0 else (v[0] - 2.0) ** 2
+
+    res = infer.nelder_mead(fn, [0.5], [-1.0], maxiter=200)
+    assert res.converged
+    assert res.x[0] == pytest.approx(2.0, abs=1e-6)
+    assert math.isfinite(res.fun)
+    # with no steps taken the NaN vertex is still there and must not win
+    first = infer.nelder_mead(fn, [0.5], [-1.0], maxiter=0)
+    assert (first.x[0], first.fun, first.iterations) == (0.5, 2.25, 0)
+
+
+def test_nelder_mead_stops_at_maxiter():
+    res = infer.nelder_mead(lambda v: float(v @ v), [3.0, -2.0], [0.1, 0.1],
+                            maxiter=5)
+    assert res.iterations == 5
+    assert not res.converged
+    with pytest.raises(ValueError):
+        infer.nelder_mead(lambda v: 0.0, [0.0, 0.0], [0.1])
+
+
 # ------------------------------------------------------------------- fitting
 
 def test_fit_normal_closed_form():
@@ -245,24 +281,26 @@ def test_penalized_reports_unpenalized_loglik():
 
 def test_fit_equivariance_under_affine_maps():
     data = skewsym.SkewNormal(1.0, 2.0, 1.5).sample(400, base.make_rng(5))
-    a, b = 2.5, -4.0
-    shifted = a * data + b
-    for fam in ("normal", "skew_normal", "twopiece_normal", "sas_normal"):
-        f0 = infer.fit_mle(fam, data)
-        f1 = infer.fit_mle(fam, shifted)
-        assert f1.params["mu"] == pytest.approx(
-            a * f0.params["mu"] + b, abs=1e-4)
-        assert f1.params["sigma"] == pytest.approx(
-            a * f0.params["sigma"], abs=1e-4)
-        shape_keys = [k for k in f0.params
-                      if k not in ("mu", "sigma", "scaling")]
-        for key in shape_keys:
-            assert f1.params[key] == pytest.approx(f0.params[key], abs=1e-4)
+    fits = {fam: infer.fit_mle(fam, data) for fam in infer.FAMILY_ORDER}
+    # the scales 1e200 and 1e-200 overflow or underflow a naive variance
+    for a, b in ((2.5, -4.0), (1e200, 0.0), (1e-200, 0.0)):
+        shifted = a * data + b
+        for fam, f0 in fits.items():
+            f1 = infer.fit_mle(fam, shifted)
+            assert f1.params["mu"] == pytest.approx(
+                a * f0.params["mu"] + b, rel=1e-6, abs=0.0), (fam, a)
+            assert f1.params["sigma"] == pytest.approx(
+                a * f0.params["sigma"], rel=1e-6, abs=0.0), (fam, a)
+            shape_keys = [k for k in f0.params
+                          if k not in ("mu", "sigma", "scaling")]
+            for key in shape_keys:
+                assert f1.params[key] == pytest.approx(
+                    f0.params[key], abs=1e-4), (fam, a, key)
 
 
 def test_fit_reproducibility_bit_identical():
     data = skewsym.SkewNormal(0.0, 1.0, 2.0).sample(500, base.make_rng(30))
-    cfg = infer.FitConfig(seed=7)
+    cfg = infer.FitConfig()
     f0 = infer.fit_mle("skew_normal", data, cfg)
     f1 = infer.fit_mle("skew_normal", data, cfg)
     assert f0 == f1
@@ -405,11 +443,56 @@ def test_lr_test_p_value_granularity():
 def test_lr_test_reproducible():
     rng = base.make_rng(44)
     data = rng.standard_normal(80)
-    r0 = infer.lr_test(data, "normal", "skew_normal", 99,
-                       rng=base.make_rng(9))
-    r1 = infer.lr_test(data, "normal", "skew_normal", 99,
-                       rng=base.make_rng(9))
-    assert r0 == r1
+    for null, alt in sorted(infer.NESTED_PAIRS):
+        r0 = infer.lr_test(data, null, alt, 99, rng=base.make_rng(9))
+        r1 = infer.lr_test(data, null, alt, 99, rng=base.make_rng(9))
+        assert r0 == r1, (null, alt)
+
+
+# scripts/lr_size_study.py's loose settings for many refits
+FAST = infer.FitConfig(restarts=1, xatol=3e-4, fatol=1e-4, maxiter=250)
+
+
+def _refit_loop_p_value(data, null, alt, b, rng, cfg):
+    """Reference p-value: fit_mle on each bootstrap replicate in turn."""
+    def embed(params):
+        if (null, alt) == ("t", "skew_t"):
+            return [{**params, "delta": 0.0}]
+        if alt == "twopiece_normal":
+            return [{**params, "delta": 1.0}]
+        return []
+
+    nf = infer.fit_mle(null, data, cfg)
+    af = infer.fit_mle(alt, data, cfg, extra_starts=embed(nf.params))
+    observed = max(0.0, 2.0 * (af.loglik - nf.loglik))
+    dist = infer.distribution_for(null, nf.params)
+    exceed = 0
+    for child in rng.spawn(b):
+        xb = dist.sample(data.size, child)
+        nb = infer.fit_mle(null, xb, cfg)
+        ab = infer.fit_mle(alt, xb, cfg, extra_starts=embed(nb.params))
+        exceed += max(0.0, 2.0 * (ab.loglik - nb.loglik)) >= observed
+    return (1.0 + exceed) / (b + 1.0)
+
+
+@pytest.mark.parametrize("null, alt", sorted(infer.NESTED_PAIRS))
+def test_lr_test_matches_refit_loop(null, alt):
+    data = skewsym.SkewNormal(0.0, 1.0, 1.0).sample(60, base.make_rng(48))
+    res = infer.lr_test(data, null, alt, 99, rng=base.make_rng(49),
+                        config=FAST)
+    ref = _refit_loop_p_value(data, null, alt, 99, base.make_rng(49), FAST)
+    assert abs(res.p_value - ref) <= 1.0 / 100.0 + 1e-12
+
+
+@pytest.mark.parametrize("null, alt", sorted(infer.NESTED_PAIRS))
+def test_lr_test_chunked_replicates_match(null, alt, monkeypatch):
+    data = base.make_rng(50).standard_normal(60)
+    whole = infer.lr_test(data, null, alt, 99, rng=base.make_rng(51),
+                          config=FAST)
+    monkeypatch.setattr(infer, "_BATCH_ELEMENTS", 3 * data.size)
+    chunked = infer.lr_test(data, null, alt, 99, rng=base.make_rng(51),
+                            config=FAST)
+    assert chunked == whole
 
 
 def test_lr_test_two_piece_power_at_strong_skew():

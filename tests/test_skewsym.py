@@ -155,6 +155,13 @@ def test_skew_t_vector_cdf_matches_scalar():
     assert np.max(np.abs(batch - singles)) < 1e-9
 
 
+def test_skew_t_vector_cdf_infinite_points():
+    d = skewsym.SkewT(0.0, 1.0, 2.0, 2.0)
+    out = d.cdf(np.array([-np.inf, 0.0, np.inf]))
+    assert out[0] == 0.0 and out[2] == 1.0
+    assert out[1] == pytest.approx(d.cdf(0.0), abs=1e-12)
+
+
 def test_skew_t_pdf_dimension_mismatch():
     mp2 = base.MatrixParams(np.zeros(2), np.eye(2))
     with pytest.raises(ValueError):
