@@ -18,7 +18,7 @@ import numpy as np
 
 from flexdist.infer import FitConfig, lr_test
 
-# loose simplex tolerances: each replicate is refit hundreds of times and
+# loose optimizer tolerances: each replicate is refit hundreds of times and
 # the LR statistic only needs ~1e-3 accuracy to rank against its bootstrap
 FAST = FitConfig(restarts=1, xatol=3e-4, fatol=1e-4, maxiter=250)
 

@@ -1,16 +1,19 @@
 """Likelihood fitting, information-criterion ranking, and calibrated tests.
 
 Families are fit by maximum likelihood over an unconstrained
-reparameterization (log sigma, bounded-tanh delta, log nu).  Each simplex
+reparameterization (log sigma, bounded-tanh delta, log nu).  Each optimized
 family has one negative log-likelihood kernel, which evaluates a batch of
-parameter rows against standardized data rows, and one batched Nelder-Mead
-simplex drives every kernel: a fit runs all of its start points in one batch,
-and a bootstrap test refits all replicates and their starts in one batch.
-The start points are structural (moment, quantile and frontier starts) and
-deterministic, so fits draw no random numbers.  The normal family has a
-closed form, and the two-piece normal family an exact profile-likelihood
-path: for fixed mu the optimal scale and asymmetry are closed-form, so the
-fit reduces to a one-dimensional search over mu.
+parameter rows against standardized data rows and returns the values with
+their analytic scores (the skew-t differences its one partial without a
+closed form).  One batched quasi-Newton optimizer (BFGS with a backtracking
+line search) drives every kernel: a fit runs all of its start points in one
+batch, and a bootstrap test refits all replicates and their starts in one
+batch.  The start points are structural (moment, quantile and frontier
+starts) and deterministic, so fits draw no random numbers.  The normal
+family has a closed form, and the two-piece normal family an exact
+profile-likelihood path: for fixed mu the optimal scale and asymmetry are
+closed-form, so the fit reduces to a one-dimensional search over mu.  The
+Nelder-Mead simplex (nelder_mead) is a public utility; no fit uses it.
 """
 
 import math
@@ -20,7 +23,7 @@ from functools import partial
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.special import gammaln, log_ndtr, ndtri, stdtr
+from scipy.special import digamma, gammaln, log_ndtr, ndtri, stdtr
 
 from .base import (
     LOG_SQRT_TWO_PI,
@@ -98,6 +101,19 @@ _FRONTIER_TOL = 1e-4
 # even when interior starts stall on the ridge.
 _CHASE_T = 170.0
 
+# the line search's sufficient-decrease constant, and its cap on the max-norm
+# (optimizer coordinates) of a trial step taken before any accepted step has
+# scaled the BFGS matrix
+_ARMIJO = 1e-4
+_MAX_STEP = 1.0
+# steps in a row that each lower the value by at most fatol before a fit
+# stops on a flat ridge
+_STALLS = 5
+
+# relative step of the forward difference for the skew-t's one partial
+# without a closed form: log T_k(a) in the degrees of freedom k at fixed a
+_DOF_STEP = 1e-7
+
 # cap on the row x point elements of one kernel evaluation and of one chunk
 # of bootstrap replicates, so memory stays bounded at any n and B
 _BATCH_ELEMENTS = 1 << 20
@@ -124,7 +140,7 @@ def nelder_mead(fn, x0, steps, xatol=1e-8, fatol=1e-8, maxiter=400):
     steps gives the per-coordinate offsets of the initial simplex.  NaN
     objective values are treated as +inf.  Convergence requires both the
     simplex spread (max-norm) and the value spread to fall below tolerance.
-    This is the one-problem case of the batched simplex that fits use.
+    This is the one-problem case of the batched simplex; no fit uses it.
     """
     x0 = np.asarray(x0, dtype=float)
     steps = np.asarray(steps, dtype=float)
@@ -244,12 +260,144 @@ def _batch_nelder_mead(fn, simplex, xatol, fatol, maxiter):
 
 
 # ---------------------------------------------------------------------------
+# the quasi-Newton optimizer every fit runs
+
+
+def _batch_bfgs(fn, x0, xatol, fatol, maxiter):
+    """BFGS with a backtracking line search over a batch of independent problems.
+
+    x0 (m, d) holds each problem's start.  fn(T, rows) returns the values
+    (k,) and scores (k, d) of parameter rows T (k, d) for problem indices
+    rows; a non-finite value or score counts as +inf.  A problem converges
+    when an accepted step has max-norm at most xatol and lowers the value by
+    at most fatol, when _STALLS steps in a row lower it by at most fatol
+    (a flat ridge), or when neither its search direction nor steepest
+    descent holds a lower value at steps down to xatol.  Converged problems
+    are frozen, and each problem's arithmetic is its own, so its result does
+    not depend on its batch-mates.  Returns per-problem best point, value,
+    iteration count and convergence flag.
+    """
+
+    def ev(t, rows):
+        f, g = fn(t, rows)
+        bad = ~(np.isfinite(f) & np.isfinite(g).all(axis=1))
+        return np.where(bad, np.inf, f), np.where(bad[:, None], 0.0, g)
+
+    x = np.array(x0, dtype=float)
+    m, d = x.shape
+    eye = np.eye(d)
+    f, g = ev(x, np.arange(m))
+    h = np.tile(eye, (m, 1, 1))  # inverse-Hessian approximations
+    fresh = np.ones(m, dtype=bool)  # h not yet scaled by an accepted step
+    active = np.isfinite(f)
+    conv = np.zeros(m, dtype=bool)
+    iters = np.zeros(m, dtype=int)
+    stalls = np.zeros(m, dtype=int)  # consecutive steps lowering f by <= fatol
+    it = 0
+    while it < maxiter and active.any():
+        rows = np.where(active)[0]
+        gr = g[rows]
+        p = -np.sum(h[rows] * gr[:, None, :], axis=2)
+        slope = np.sum(p * gr, axis=1)
+        uphill = ~(slope < 0.0)
+        if uphill.any():
+            h[rows[uphill]] = eye
+            fresh[rows[uphill]] = True
+            p[uphill] = -gr[uphill]
+            slope[uphill] = -np.sum(gr[uphill] ** 2, axis=1)
+        size = np.max(np.abs(p), axis=1)
+        # an unscaled step has no measured curvature behind its length
+        alpha = np.where(
+            fresh[rows], np.minimum(1.0, _MAX_STEP / np.maximum(size, 1e-300)), 1.0
+        )
+        first = alpha * size
+
+        # backtracking search for a sufficient decrease, shrinking each trial
+        # step by safeguarded quadratic interpolation; (xt, ft, gt) ends as
+        # the accepted point, or else the shortest trial
+        xt = x[rows].copy()
+        ft = np.full(rows.size, np.inf)
+        gt = np.zeros_like(p)
+        found = np.zeros(rows.size, dtype=bool)
+        pending = np.where(size > 0.0)[0]
+        while pending.size:
+            r = rows[pending]
+            a = alpha[pending]
+            xt[pending] = x[r] + a[:, None] * p[pending]
+            ft[pending], gt[pending] = ev(xt[pending], r)
+            fa = ft[pending]
+            ok = (fa < f[r]) & (fa <= f[r] + _ARMIJO * a * slope[pending])
+            found[pending[ok]] = True
+            pending, a, fa, r = pending[~ok], a[~ok], fa[~ok], r[~ok]
+            sl = slope[pending]
+            quad = -sl * a * a / (2.0 * (fa - f[r] - sl * a))
+            alpha[pending] = np.where(
+                np.isfinite(fa), np.clip(quad, 0.1 * a, 0.5 * a), 0.1 * a
+            )
+            pending = pending[alpha[pending] * size[pending] > xatol]
+
+        iters[rows] += 1
+        it += 1
+        s = xt - x[rows]
+        y = gt - gr
+        sy = np.sum(s * y, axis=1)
+        yy = np.sum(y * y, axis=1)
+        curved = sy > 1e-12 * np.sqrt(np.sum(s * s, axis=1) * yy)
+        lost = ~found
+        # a failed search whose shortest trial still rose by more than fatol
+        # ran into a wall, such as a kink where a data point changes sides:
+        # its curvature turns the next direction along the wall
+        wall = lost & curved & np.isfinite(ft) & (ft - f[rows] > fatol)
+        stop = lost & ~wall & ((first <= xatol) | fresh[rows])
+        retry = lost & ~wall & ~stop
+
+        r = rows[found]
+        flat = f[r] - ft[found] <= fatol
+        stalls[r] = np.where(flat, stalls[r] + 1, 0)
+        done = flat & ((np.max(np.abs(s[found]), axis=1) <= xatol) | (stalls[r] >= _STALLS))
+        x[r], f[r], g[r] = xt[found], ft[found], gt[found]
+        conv[r[done]] = True
+        active[r[done]] = False
+        conv[rows[stop]] = True
+        active[rows[stop]] = False
+        h[rows[retry]] = eye
+        fresh[rows[retry]] = True
+
+        upd = (found & curved) | wall
+        scale = found[upd] & fresh[rows[upd]]
+        r, s, y, sy, yy = rows[upd], s[upd], y[upd], sy[upd], yy[upd]
+        hr = h[r]
+        # before the first update from an accepted step, scale h to the
+        # curvature that step saw
+        hr[scale] *= (sy / yy)[scale, None, None]
+        hy = np.sum(hr * y[:, None, :], axis=2)
+        rho = 1.0 / sy
+        outer = s[:, :, None] * hy[:, None, :]
+        h[r] = (
+            hr
+            - rho[:, None, None] * (outer + outer.transpose(0, 2, 1))
+            + (rho + rho * rho * np.sum(y * hy, axis=1))[:, None, None]
+            * s[:, :, None]
+            * s[:, None, :]
+        )
+        fresh[r[scale]] = False
+
+    return x, f, iters, conv
+
+
+# ---------------------------------------------------------------------------
 # parameter maps between the optimizer space and natural parameters; each
-# takes a float or an array
+# takes a float or an array.  The _d forms also return the slope in t that
+# the scores chain through.
 
 
 def _dec_bounded(t, cap: float):
     return cap * np.tanh(_MAP_SLOPE * t / cap)
+
+
+def _dec_bounded_d(t, cap: float):
+    th = np.tanh(_MAP_SLOPE * t / cap)
+    return cap * th, _MAP_SLOPE * (1.0 - th * th)
 
 
 def _enc_bounded(delta, cap: float):
@@ -261,12 +409,23 @@ def _dec_log(t, lo: float, hi: float):
     return np.exp(np.clip(t, math.log(lo), math.log(hi)))
 
 
+def _dec_log_d(t, lo: float, hi: float):
+    # outside the box the clip holds the value, so the slope is zero there
+    v = _dec_log(t, lo, hi)
+    return v, np.where((t >= math.log(lo)) & (t <= math.log(hi)), v, 0.0)
+
+
 def _enc_log(v, lo: float, hi: float):
     return np.log(np.clip(v, lo, hi))
 
 
 def _dec_eps(t):
     return _EPS_CAP * np.tanh(t)
+
+
+def _dec_eps_d(t):
+    th = np.tanh(t)
+    return _EPS_CAP * th, _EPS_CAP * (1.0 - th * th)
 
 
 def _enc_eps(delta):
@@ -282,93 +441,170 @@ def _t_const(nu):
     return gammaln(0.5 * (nu + 1.0)) - gammaln(0.5 * nu) - 0.5 * np.log(nu * math.pi)
 
 
+def _t_const_d(nu):
+    return 0.5 * (digamma(0.5 * (nu + 1.0)) - digamma(0.5 * nu) - 1.0 / nu)
+
+
 # ---------------------------------------------------------------------------
-# negative log-likelihoods, one kernel per simplex family: parameter rows
-# t (k, d) in optimizer coordinates against standardized data rows w (k, n)
+# negative log-likelihoods, one kernel per optimized family: parameter rows
+# t (k, d) in optimizer coordinates against standardized data rows w (k, n).
+# Each returns the values (k,) and the scores (k, d), their partials in t.
 
 
 def _z(t, w):
     return (w - t[:, :1]) * np.exp(-t[:, 1:2])
 
 
+def _loc_scale_score(gz, z, t):
+    """Partials in mu and log sigma of n log sigma + sum g(z), given gz = g'(z)."""
+    return -np.exp(-t[:, 1]) * np.sum(gz, axis=1), z.shape[1] - np.sum(gz * z, axis=1)
+
+
+def _t_tail(v, nu):
+    """-n C(nu) + (nu + 1)/2 sum log1p(v^2 / nu) over each row of v (k, n).
+
+    Returns the values, their slopes in each v and their partials in nu.
+    """
+    q = v * v
+    nuc = nu[:, None]
+    tail = np.sum(np.log1p(q / nuc), axis=1)
+    val = 0.5 * (nu + 1.0) * tail - v.shape[1] * _t_const(nu)
+    d_nu = (
+        0.5 * tail
+        - 0.5 * (nu + 1.0) / nu * np.sum(q / (nuc + q), axis=1)
+        - v.shape[1] * _t_const_d(nu)
+    )
+    return val, (nuc + 1.0) * v / (nuc + q), d_nu
+
+
 def _nll_logistic(t, w, cfg):
-    z = np.abs(_z(t, w))
-    return w.shape[1] * t[:, 1] + np.sum(z + 2.0 * np.log1p(np.exp(-z)), axis=1)
+    z = _z(t, w)
+    az = np.abs(z)
+    val = w.shape[1] * t[:, 1] + np.sum(az + 2.0 * np.log1p(np.exp(-az)), axis=1)
+    return val, np.column_stack(_loc_scale_score(np.tanh(0.5 * z), z, t))
 
 
 def _nll_t(t, w, cfg):
-    nu = _dec_log(t[:, 2], _NU_LO, _NU_HI)
+    nu, d_nu = _dec_log_d(t[:, 2], _NU_LO, _NU_HI)
     z = _z(t, w)
-    tail = np.sum(np.log1p(z * z / nu[:, None]), axis=1)
-    return w.shape[1] * (t[:, 1] - _t_const(nu)) + 0.5 * (nu + 1.0) * tail
+    tail, gz, g_nu = _t_tail(z, nu)
+    return (
+        w.shape[1] * t[:, 1] + tail,
+        np.column_stack((*_loc_scale_score(gz, z, t), g_nu * d_nu)),
+    )
 
 
 def _nll_skew_normal(t, w, cfg, penalized=False):
-    delta = _dec_bounded(t[:, 2], _SKEW_CAP)
+    delta, d_delta = _dec_bounded_d(t[:, 2], _SKEW_CAP)
     z = _z(t, w)
+    s = delta[:, None] * z
+    log_cdf = log_ndtr(s)
     val = (
         w.shape[1] * (t[:, 1] + LOG_SQRT_TWO_PI - _LOG_TWO)
         + 0.5 * np.einsum("ij,ij->i", z, z)
-        - np.sum(log_ndtr(delta[:, None] * z), axis=1)
+        - np.sum(log_cdf, axis=1)
     )
+    # the Mills ratio phi(s) / Phi(s), taken through log_ndtr so it stays
+    # finite where Phi(s) underflows
+    mills = np.exp(-0.5 * s * s - LOG_SQRT_TWO_PI - log_cdf)
+    g_delta = -np.sum(z * mills, axis=1)
     if penalized:
-        val += cfg.penalty_c1 * np.log1p(cfg.penalty_c2 * delta * delta)
-    return val
+        c2d2 = cfg.penalty_c2 * delta * delta
+        val += cfg.penalty_c1 * np.log1p(c2d2)
+        g_delta += 2.0 * cfg.penalty_c1 * cfg.penalty_c2 * delta / (1.0 + c2d2)
+    gz = z - delta[:, None] * mills
+    return val, np.column_stack((*_loc_scale_score(gz, z, t), g_delta * d_delta))
 
 
 def _nll_skew_t(t, w, cfg):
-    nu = _dec_log(t[:, 2], _NU_LO, _NU_HI)
-    delta = _dec_bounded(t[:, 3], _SKEW_CAP)
+    nu, d_nu = _dec_log_d(t[:, 2], _NU_LO, _NU_HI)
+    delta, d_delta = _dec_bounded_d(t[:, 3], _SKEW_CAP)
     z = _z(t, w)
     q = z * z
-    arg = delta[:, None] * z * np.sqrt((nu[:, None] + 1.0) / (q + nu[:, None]))
-    tilt = np.sum(np.log(stdtr(nu[:, None] + 1.0, arg)), axis=1)
-    tail = np.sum(np.log1p(q / nu[:, None]), axis=1)
-    return (
-        w.shape[1] * (t[:, 1] - _LOG_TWO - _t_const(nu))
-        + 0.5 * (nu + 1.0) * tail
-        - tilt
+    nuc = nu[:, None]
+    k = nuc + 1.0
+    root = np.sqrt(k / (q + nuc))
+    a = delta[:, None] * z * root
+    log_cdf = np.log(stdtr(k, a))
+    tail, gz, g_nu = _t_tail(z, nu)
+    val = w.shape[1] * (t[:, 1] - _LOG_TWO) + tail - np.sum(log_cdf, axis=1)
+    # the skewing factor log T_k(a): its slope in a is rho = t_k(a) / T_k(a);
+    # its partial in k at fixed a has no closed form and is differenced
+    rho = np.exp(_t_const(k) - 0.5 * (k + 1.0) * np.log1p(a * a / k) - log_cdf)
+    step = _DOF_STEP * k
+    d_k = (np.log(stdtr(k + step, a)) - log_cdf) / step
+    gz = gz - rho * delta[:, None] * root * nuc / (q + nuc)
+    g_delta = -np.sum(rho * z * root, axis=1)
+    g_nu = g_nu - np.sum(rho * a * (q - 1.0) / (2.0 * k * (q + nuc)) + d_k, axis=1)
+    return val, np.column_stack(
+        (*_loc_scale_score(gz, z, t), g_nu * d_nu, g_delta * d_delta)
     )
 
 
 def _nll_sas(t, w, cfg):
-    delta = _dec_bounded(t[:, 2], _SAS_CAP)
-    eta = _dec_log(t[:, 3], _ETA_LO, _ETA_HI)
+    delta, d_delta = _dec_bounded_d(t[:, 2], _SAS_CAP)
+    eta, d_eta = _dec_log_d(t[:, 3], _ETA_LO, _ETA_HI)
     z = _z(t, w)
-    u = eta[:, None] * np.arcsinh(z) + delta[:, None]
+    asinh_z = np.arcsinh(z)
+    u = eta[:, None] * asinh_z + delta[:, None]
     y = np.sinh(u)
     au = np.abs(u)
     log_cosh = au + np.log1p(np.exp(-2.0 * au)) - _LOG_TWO
-    return (
-        w.shape[1] * (t[:, 1] + LOG_SQRT_TWO_PI - np.log(eta))
+    r2 = 1.0 + z * z
+    n = w.shape[1]
+    val = (
+        n * (t[:, 1] + LOG_SQRT_TWO_PI - np.log(eta))
         + 0.5 * np.einsum("ij,ij->i", y, y)
         - np.sum(log_cosh, axis=1)
         + 0.5 * np.sum(np.log1p(z * z), axis=1)
+    )
+    # slope in u of y^2 / 2 - log cosh u (Jones & Pewsey 2009)
+    gu = y * np.cosh(u) - np.tanh(u)
+    gz = gu * eta[:, None] / np.sqrt(r2) + z / r2
+    g_delta = np.sum(gu, axis=1)
+    g_eta = np.sum(gu * asinh_z, axis=1) - n / eta
+    return val, np.column_stack(
+        (*_loc_scale_score(gz, z, t), g_delta * d_delta, g_eta * d_eta)
     )
 
 
 def _nll_two_piece(t, w, cfg):
     """Two-piece normal (d = 3) or two-piece t (d = 4, nu third)."""
     if cfg.scaling == "epsilon":
-        delta = _dec_eps(t[:, -1])
+        delta, d_delta = _dec_eps_d(t[:, -1])
         s_l, s_r, log_a = 1.0 / (1.0 - delta), 1.0 / (1.0 + delta), 0.0
+        # partials in delta of log s_l, log s_r and log_a
+        ds_l, ds_r, d_log_a = s_l, -s_r, 0.0
     else:
-        delta = _dec_log(t[:, -1], _ISF_LO, _ISF_HI)
+        delta, d_delta = _dec_log_d(t[:, -1], _ISF_LO, _ISF_HI)
         s_l, s_r = delta, 1.0 / delta
         log_a = np.log(2.0 / (delta + 1.0 / delta))
+        ds_l, ds_r = 1.0 / delta, -1.0 / delta
+        d_log_a = (1.0 - delta * delta) / (delta * (delta * delta + 1.0))
     z = _z(t, w)
-    v = np.where(z < 0.0, s_l[:, None], s_r[:, None]) * z
+    left = z < 0.0
+    s = np.where(left, s_l[:, None], s_r[:, None])
+    v = s * z
     n = w.shape[1]
     if t.shape[1] == 4:
-        nu = _dec_log(t[:, 2], _NU_LO, _NU_HI)
-        tail = np.sum(np.log1p(v * v / nu[:, None]), axis=1)
-        return n * (t[:, 1] - log_a - _t_const(nu)) + 0.5 * (nu + 1.0) * tail
-    return n * (t[:, 1] + LOG_SQRT_TWO_PI - log_a) + 0.5 * np.einsum("ij,ij->i", v, v)
+        nu, d_nu = _dec_log_d(t[:, 2], _NU_LO, _NU_HI)
+        tail, gv, g_nu = _t_tail(v, nu)
+        val = n * (t[:, 1] - log_a) + tail
+        shape = (g_nu * d_nu,)
+    else:
+        val = n * (t[:, 1] + LOG_SQRT_TWO_PI - log_a) + 0.5 * np.einsum("ij,ij->i", v, v)
+        gv, shape = v, ()
+    ds = np.where(left, ds_l[:, None], ds_r[:, None])
+    g_delta = np.sum(gv * v * ds, axis=1) - n * d_log_a
+    return val, np.column_stack(
+        (*_loc_scale_score(gv * s, z, t), *shape, g_delta * d_delta)
+    )
 
 
 # ---------------------------------------------------------------------------
 # structural start points for standardized data rows w (m, n): each entry is
-# an (m, d) array of points or an (m, d + 1, d) array of initial simplexes
+# an (m, d) array of points, or an (m, j, d) stack whose first point is run
+# and whose other points bound that run's result from above
 
 
 def _points(m: int, *cols):
@@ -415,18 +651,17 @@ def _starts_t(w, cfg):
 
 
 def _starts_skew_normal(w, cfg):
-    """The folded moment/null simplex, the frontier chase, the null point.
+    """The moment start floored by the null point, then the frontier chase.
 
-    The first run folds the moment-based start and the exact null point into
-    one simplex: the moment vertex shortens travel while the null vertex
-    pins the best value at or below the normal fit from the outset.
+    The first start runs from the method-of-moments point and ends no higher
+    than the exact null point, so even a one-start fit never ends above the
+    normal fit.  No run starts at the null itself: standardized data have
+    sum(z) = 0, so the skew-normal score vanishes there and a
+    derivative-based run would never leave it.
     """
     m = w.shape[0]
     moment = _points(m, *_skew_normal_moment_start(w))
-    folded = _simplex(moment, _FAMILIES["skew_normal"].steps)
-    # last vertex -> the null point, unless it would degenerate the simplex
-    folded[np.max(np.abs(moment), axis=1) > 0.05, -1, :] = 0.0
-    return [folded, _points(m, *_chase_start(w)), np.zeros((m, 3))]
+    return [np.stack((moment, np.zeros((m, 3))), axis=1), _points(m, *_chase_start(w))]
 
 
 def _starts_skew_t(w, cfg):
@@ -458,7 +693,15 @@ def _starts_sas(w, cfg):
 
 
 def _starts_two_piece(w, cfg, with_nu):
+    """Three quantile starts, then the frontier chase.
+
+    The chase puts mu at the sample extreme the skewness points away from
+    and the asymmetry at its cap, so that the wide side holds all the data:
+    the frontier optimum of samples like the all-positive one lies there.
+    """
+    m = w.shape[0]
     epsilon = cfg.scaling == "epsilon"
+    nu = (math.log(5.0),) if with_nu else ()
     out = []
     for q in (0.25, 0.5, 0.75):
         mu0 = np.quantile(w, q, axis=1)
@@ -467,10 +710,13 @@ def _starts_two_piece(w, cfg, with_nu):
             td = _enc_eps(1.0 - 2.0 * p_left)
         else:
             td = _enc_log(np.sqrt(1.0 / p_left - 1.0), _ISF_LO, _ISF_HI)
-        if with_nu:
-            out.append(_points(w.shape[0], mu0, 0.0, math.log(5.0), td))
-        else:
-            out.append(_points(w.shape[0], mu0, 0.0, td))
+        out.append(_points(m, mu0, 0.0, *nu, td))
+    mu_c, ls_c, _ = _chase_start(w)
+    sign = _skewness_sign(w)
+    # log of the wide side's scale over sigma at the cap
+    wide = _LOG_TWO if epsilon else math.log(_ISF_HI)
+    td = sign * (_enc_eps(_EPS_CAP) if epsilon else wide)
+    out.append(_points(m, mu_c, ls_c - wide, *nu, td))
     return out
 
 
@@ -594,19 +840,17 @@ class _Family:
     nll: Optional[Callable]
     decode: Callable
     starts: Optional[Callable]
-    steps: tuple
     boundary: Callable
 
 
 _FAMILIES = {
-    "normal": _Family("normal", 2, None, _dec_normal, None, (), _boundary_none),
+    "normal": _Family("normal", 2, None, _dec_normal, None, _boundary_none),
     "logistic": _Family(
         "logistic",
         2,
         _nll_logistic,
         _dec_normal,
         _starts_logistic,
-        (0.25, 0.25),
         _boundary_none,
     ),
     "t": _Family(
@@ -615,7 +859,6 @@ _FAMILIES = {
         _nll_t,
         _dec_t,
         _starts_t,
-        (0.25, 0.25, 0.5),
         _boundary_none,
     ),
     "skew_normal": _Family(
@@ -624,7 +867,6 @@ _FAMILIES = {
         _nll_skew_normal,
         _dec_skew_normal,
         _starts_skew_normal,
-        (0.25, 0.25, 0.6),
         _boundary_skew,
     ),
     "skew_t": _Family(
@@ -633,7 +875,6 @@ _FAMILIES = {
         _nll_skew_t,
         _dec_skew_t,
         _starts_skew_t,
-        (0.25, 0.25, 0.5, 0.6),
         _boundary_skew,
     ),
     "sas_normal": _Family(
@@ -642,7 +883,6 @@ _FAMILIES = {
         _nll_sas,
         _dec_sas,
         _starts_sas,
-        (0.25, 0.25, 0.5, 0.3),
         _boundary_sas,
     ),
     "twopiece_normal": _Family(
@@ -651,7 +891,6 @@ _FAMILIES = {
         _nll_two_piece,
         _dec_two_piece,
         partial(_starts_two_piece, with_nu=False),
-        (0.25, 0.25, 0.5),
         _boundary_two_piece,
     ),
     "twopiece_t": _Family(
@@ -660,7 +899,6 @@ _FAMILIES = {
         _nll_two_piece,
         _dec_two_piece,
         partial(_starts_two_piece, with_nu=True),
-        (0.25, 0.25, 0.5, 0.5),
         _boundary_two_piece,
     ),
 }
@@ -679,11 +917,15 @@ _PENALIZED_SKEW_NORMAL = replace(
 class FitConfig:
     """Optimizer settings shared by fit_mle and lr_test.
 
-    restarts caps the number of simplex runs taken from the front of the
-    family's structural start list; there are no random starts, so a fit is
-    a deterministic function of its data and config.  scaling picks the
-    two-piece parameterization.  two_piece_profile switches the two-piece
-    normal fit to the exact profile-likelihood path.
+    restarts caps the number of optimizer starts taken from the front of
+    the family's structural start list; there are no random starts, so a fit
+    is a deterministic function of its data and config.  A run stops when a
+    step's max-norm is at most xatol and it lowers the negative
+    log-likelihood by at most fatol, when several steps in a row each lower
+    it by at most fatol, or after maxiter iterations (default 400 per free
+    parameter).  scaling picks the two-piece parameterization.
+    two_piece_profile switches the two-piece normal fit to the exact
+    profile-likelihood path.
     """
 
     restarts: int = 5
@@ -708,6 +950,13 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class FitResult:
+    """One fitted family.
+
+    iterations counts optimizer iterations: quasi-Newton steps summed over
+    the fit's starts, golden-section evaluations on the two-piece normal
+    profile path, and 0 for the normal family's closed form.
+    """
+
     family: str
     params: dict
     loglik: float
@@ -839,7 +1088,7 @@ def _two_piece_profile(w: np.ndarray, cfg: FitConfig):
     is maximized over a candidate grid (all data points, midpoints, and the
     sample mean) and refined with golden-section search.  Returns the optimum
     in optimizer coordinates, its negative log-likelihood and the number of
-    profile evaluations.
+    golden-section evaluations.
     """
     xs = np.sort(w)
     n = xs.size
@@ -849,12 +1098,10 @@ def _two_piece_profile(w: np.ndarray, cfg: FitConfig):
     s1_list = s1.tolist()
     s2_list = s2.tolist()
     s1n, s2n = s1_list[n], s2_list[n]
-    evals = [0]
     sixth = 1.0 / 6.0
     const = 0.5 * n + n * LOG_SQRT_TWO_PI
 
     def at(mu: float):
-        evals[0] += 1
         k = bisect_left(xs_list, mu)
         left = max(s2_list[k] - 2.0 * mu * s1_list[k] + k * mu * mu, 0.0)
         right = max((s2n - s2_list[k]) - 2.0 * mu * (s1n - s1_list[k]) + (n - k) * mu * mu, 0.0)
@@ -886,7 +1133,6 @@ def _two_piece_profile(w: np.ndarray, cfg: FitConfig):
                 n * np.log(2.0 / (delta + 1.0 / delta)) - 0.5 * n * np.log(var) - const,
                 -np.inf,
             )
-        evals[0] += mu.size
         return ll
 
     mids = 0.5 * (xs[:-1] + xs[1:])
@@ -896,9 +1142,14 @@ def _two_piece_profile(w: np.ndarray, cfg: FitConfig):
     lo = cands[max(i - 1, 0)]
     hi = cands[min(i + 1, cands.size - 1)]
     span = max(float(xs[-1] - xs[0]), 1e-12)
-    mu_hat = golden_section_max(
-        lambda m: at(m)[0], float(lo), float(hi), tol=1e-7 * span
-    )
+    evals = 0
+
+    def search(mu: float) -> float:
+        nonlocal evals
+        evals += 1
+        return at(mu)[0]
+
+    mu_hat = golden_section_max(search, float(lo), float(hi), tol=1e-7 * span)
     if at(mu_hat)[0] < ll_c[i]:
         mu_hat = float(cands[i])
     ll_best, delta_isf, sigma_isf = at(mu_hat)
@@ -912,23 +1163,23 @@ def _two_piece_profile(w: np.ndarray, cfg: FitConfig):
     else:
         sigma = sigma_isf
         td = _enc_log(delta_isf, _ISF_LO, _ISF_HI)
-    return np.array([mu_hat, math.log(sigma), td]), -ll_best, evals[0]
+    return np.array([mu_hat, math.log(sigma), td]), -ll_best, evals
 
 
 class _RowFits(NamedTuple):
     t: np.ndarray  # (m, d) best point per data row, optimizer coordinates
     nll: np.ndarray  # (m,) its negative log-likelihood in standardized units
-    iterations: np.ndarray  # (m,) simplex steps summed over the row's runs
-    converged: np.ndarray  # (m,) convergence flag of the best run
+    iterations: np.ndarray  # (m,) optimizer iterations summed over the row's starts
+    converged: np.ndarray  # (m,) convergence flag of the best start
 
 
 def _fit_rows(spec: _Family, w: np.ndarray, cfg: FitConfig, extra=()) -> _RowFits:
     """Fit spec to every standardized data row of w (m, n) at once.
 
     The normal family is closed form and the two-piece normal profile runs
-    per row.  Simplex families run, for every row, the points in extra
+    per row.  The other families run, for every row, the points in extra
     (each (m, d)) and then the first cfg.restarts structural starts, all in
-    one batched simplex; each row keeps its first best run.
+    one batched quasi-Newton run.  Each row keeps its first best start.
     """
     m, n = w.shape
     if spec.nll is None:
@@ -945,29 +1196,38 @@ def _fit_rows(spec: _Family, w: np.ndarray, cfg: FitConfig, extra=()) -> _RowFit
     starts = [*extra, *spec.starts(w, cfg)[: cfg.restarts]]
     k = len(starts)
     d = spec.n_free
-    simplex = np.stack(
-        [s if s.ndim == 3 else _simplex(s, spec.steps) for s in starts], axis=1
-    )
     per = _rows_per_batch(n)
 
     def fn(t, rows):
-        # problem p fits data row p // k
-        val = np.concatenate(
-            [
-                spec.nll(t[i : i + per], w[rows[i : i + per] // k], cfg)
-                for i in range(0, len(rows), per)
-            ]
+        # parameter row i against data row rows[i], `per` rows at a time
+        val, score = (
+            np.concatenate(part)
+            for part in zip(
+                *(spec.nll(t[i : i + per], w[rows[i : i + per]], cfg)
+                  for i in range(0, len(rows), per))
+            )
         )
-        bad = (np.abs(t[:, 0]) > 1e6) | (np.abs(t[:, 1]) > 200.0) | ~np.isfinite(val)
-        return np.where(bad, np.inf, val)
+        bad = (np.abs(t[:, 0]) > 1e6) | (np.abs(t[:, 1]) > 200.0)
+        return np.where(bad, np.inf, val), score
 
     maxiter = cfg.maxiter if cfg.maxiter is not None else 400 * d
+    rows = np.arange(m)
     with np.errstate(all="ignore"):
-        x, fun, iters, conv = _batch_nelder_mead(
-            fn, simplex.reshape(m * k, d + 1, d), cfg.xatol, cfg.fatol, maxiter
+        x0 = np.stack([s if s.ndim == 2 else s[:, 0] for s in starts], axis=1)
+        x, fun, iters, conv = _batch_bfgs(
+            lambda t, rows: fn(t, rows // k), x0.reshape(m * k, d), cfg.xatol, cfg.fatol, maxiter
         )
-    pick = np.arange(m) * k + np.argmin(fun.reshape(m, k), axis=1)
-    return _RowFits(x[pick], fun[pick], iters.reshape(m, k).sum(axis=1), conv[pick])
+        x, fun = x.reshape(m, k, d), fun.reshape(m, k)
+        for j, s in enumerate(starts):
+            # a stacked start's other points bound its result from above
+            for point in np.moveaxis(s[:, 1:], 1, 0) if s.ndim == 3 else ():
+                val = fn(point, rows)[0]
+                lower = val < fun[:, j]
+                x[lower, j], fun[lower, j] = point[lower], val[lower]
+    best = np.argmin(fun, axis=1)
+    return _RowFits(
+        x[rows, best], fun[rows, best], iters.reshape(m, k).sum(axis=1), conv.reshape(m, k)[rows, best]
+    )
 
 
 def _fit(spec: _Family, data, cfg: FitConfig, extra_starts=()) -> FitResult:

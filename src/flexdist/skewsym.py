@@ -18,6 +18,8 @@ from .base import (
     LocationScale,
     MatrixParams,
     SymmetricBase,
+    _GAUSS_SLICE,
+    _GAUSS_WEIGHTS,
     _KRONROD_NODES,
     _KRONROD_WEIGHTS,
     _maybe_scalar,
@@ -28,6 +30,18 @@ from .base import (
     student_base,
     student_pdf_k,
 )
+
+# absolute error bound of the skew-t CDF's quadrature, per integral
+_CDF_TOL = 1e-10
+
+
+def _per_level(invert, p):
+    """Apply a scalar quantile inversion to each level; a float in gives a float out."""
+    levels = np.asarray(p, dtype=float)
+    if levels.ndim == 0:
+        return invert(float(levels))
+    return np.array([invert(float(q)) for q in levels.ravel()]).reshape(levels.shape)
+
 
 @dataclass(frozen=True)
 class SkewingFunction:
@@ -205,9 +219,10 @@ class SkewNormal:
         out = np.clip(ndtr(z) - 2.0 * owens_t(z, self.delta), 0.0, 1.0)
         return _maybe_scalar(out if not scalar else out[0], scalar)
 
-    def quantile(self, p: float) -> float:
-        return invert_cdf(self.cdf, p, self.mu - 3.0 * self.sigma,
-                          self.mu + 3.0 * self.sigma)
+    def quantile(self, p):
+        return _per_level(
+            lambda q: invert_cdf(self.cdf, q, self.mu - 3.0 * self.sigma,
+                                 self.mu + 3.0 * self.sigma), p)
 
     def mode(self) -> float:
         return golden_section_max(self.log_pdf, self.mu - 10.0 * self.sigma,
@@ -253,7 +268,7 @@ class SkewT:
     @cached_property
     def _total_mass(self) -> float:
         # quadrature normalization cached per instance; analytically 1
-        return integrate(self.pdf, -np.inf, np.inf, tol=1e-10)
+        return integrate(self.pdf, -np.inf, np.inf, tol=_CDF_TOL)
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -270,14 +285,18 @@ class SkewT:
         return _maybe_scalar(out if not scalar else out[0], scalar)
 
     def _cdf_scalar(self, x: float) -> float:
+        if math.isnan(x):
+            return math.nan
         if not np.isfinite(x):
             return 0.0 if x < 0 else 1.0
-        val = integrate(self.pdf, -np.inf, x, tol=1e-10) / self._total_mass
+        val = integrate(self.pdf, -np.inf, x, tol=_CDF_TOL) / self._total_mass
         return min(max(val, 0.0), 1.0)
 
     def _cdf_sorted_panels(self, xs: np.ndarray) -> np.ndarray:
-        # one adaptive pass for the left tail, then fixed Kronrod panels
-        # between consecutive sorted points (vectorized)
+        # one adaptive pass for the left tail, then one Kronrod panel per gap
+        # between consecutive sorted points (vectorized); a panel whose
+        # embedded Gauss estimate disagrees by more than the tolerance is
+        # integrated adaptively instead
         order = np.argsort(xs, kind="stable")
         s = xs[order]
         first = self._cdf_scalar(s[0]) * self._total_mass
@@ -287,6 +306,9 @@ class SkewT:
         nodes = mid[:, None] + half[:, None] * _KRONROD_NODES[None, :]
         fx = self.pdf(nodes.ravel()).reshape(nodes.shape)
         inc = half * (fx @ _KRONROD_WEIGHTS)
+        err = np.abs(inc - half * (fx[:, _GAUSS_SLICE] @ _GAUSS_WEIGHTS))
+        for i in np.nonzero(err > _CDF_TOL)[0]:
+            inc[i] = integrate(self.pdf, a[i], b[i], tol=_CDF_TOL)
         cum = np.empty_like(s)
         cum[0] = first
         np.cumsum(inc, out=cum[1:])
@@ -295,9 +317,10 @@ class SkewT:
         out[order] = np.clip(cum / self._total_mass, 0.0, 1.0)
         return out
 
-    def quantile(self, p: float) -> float:
-        return invert_cdf(self._cdf_scalar, p, self.mu - 3.0 * self.sigma,
-                          self.mu + 3.0 * self.sigma)
+    def quantile(self, p):
+        return _per_level(
+            lambda q: invert_cdf(self._cdf_scalar, q, self.mu - 3.0 * self.sigma,
+                                 self.mu + 3.0 * self.sigma), p)
 
     def mode(self) -> float:
         return golden_section_max(self.log_pdf, self.mu - 10.0 * self.sigma,

@@ -268,6 +268,7 @@ def _load_lr_size_study():
     return mod
 
 
+@pytest.mark.slow
 def test_criterion_6_lr_test_size():
     study = _load_lr_size_study()
     t0 = time.perf_counter()
@@ -318,6 +319,7 @@ INVARIANT_FILES = [
 ]
 
 
+@pytest.mark.slow
 def test_criterion_9_invariant_suite():
     r = subprocess.run(
         [sys.executable, "-m", "pytest", *INVARIANT_FILES, "-q",

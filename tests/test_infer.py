@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from flexdist import base, infer, skewsym, transform, twopiece
 
@@ -151,6 +153,8 @@ def test_fit_two_piece_isf_consistency():
     assert fit.params["scaling"] == "isf"
     assert abs(fit.params["delta"] - 2.0) < 0.3
     assert fit.converged
+    # golden-section evaluations only, not the candidate grid
+    assert 0 < fit.iterations <= 100
 
 
 def test_fit_two_piece_epsilon_scaling():
@@ -530,3 +534,124 @@ def test_test_result_fields():
     assert res.statistic >= 0.0
     assert 0.0 <= res.p_value <= 1.0
     assert res.failures <= 4   # under the 5% abort threshold
+
+
+# ------------------------------------------------------- quasi-Newton fitting
+
+def _log_box(lo, hi):
+    """A coordinate of a clipped log map: inside its box or beyond either end."""
+    a, b = math.log(lo), math.log(hi)
+    return st.one_of(st.floats(a + 0.05, b - 0.05), st.floats(b + 0.05, b + 3.0),
+                     st.floats(a - 3.0, a - 0.05))
+
+
+NU = _log_box(0.5, 200.0)
+SKEW = st.floats(-30.0, 30.0)
+# kernel, scaling and strategies of the shape coordinates after mu, log sigma
+SCORE_CASES = {
+    "logistic": ("logistic", "isf", ()),
+    "t": ("t", "isf", (NU,)),
+    "skew_normal": ("skew_normal", "isf", (SKEW,)),
+    "penalized_skew_normal": (None, "isf", (SKEW,)),
+    "skew_t": ("skew_t", "isf", (NU, SKEW)),
+    "sas_normal": ("sas_normal", "isf", (
+        st.floats(-5.0, 5.0),
+        st.one_of(st.floats(-1.5, 1.5),
+                  st.floats(math.log(1e-3) - 3.0, math.log(1e-3) - 0.05)))),
+    "twopiece_normal_isf": ("twopiece_normal", "isf", (_log_box(1e-4, 1e4),)),
+    "twopiece_normal_epsilon": ("twopiece_normal", "epsilon", (st.floats(-3.0, 3.0),)),
+    "twopiece_t_isf": ("twopiece_t", "isf", (NU, _log_box(1e-4, 1e4))),
+    "twopiece_t_epsilon": ("twopiece_t", "epsilon", (NU, st.floats(-3.0, 3.0))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCORE_CASES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_kernel_score_matches_central_differences(case, data):
+    family, scaling, shape = SCORE_CASES[case]
+    spec = (infer._FAMILIES[family] if family is not None
+            else infer._PENALIZED_SKEW_NORMAL)
+    cfg = infer.FitConfig(scaling=scaling)
+    w = np.array([data.draw(st.lists(st.floats(-4.0, 4.0), min_size=5,
+                                     max_size=30))])
+    t = np.array([[data.draw(c) for c in
+                   (st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), *shape)]])
+    h = 1e-6
+    # the two-piece kernels change curvature where a point meets mu, by a
+    # factor up to 1e16 at the ISF cap
+    assume(np.min(np.abs(w - t[0, 0])) > 1e-3)
+    with np.errstate(all="ignore"):
+        f, g = spec.nll(t, w, cfg)
+        assume(np.isfinite(f[0]))
+        for j in range(t.shape[1]):
+            e = np.zeros_like(t)
+            e[0, j] = h
+            num = (spec.nll(t + e, w, cfg)[0][0]
+                   - spec.nll(t - e, w, cfg)[0][0]) / (2 * h)
+            # central-difference rounding is about 2e-10 |f|
+            assert g[0, j] == pytest.approx(
+                num, rel=1e-4, abs=1e-7 * (1.0 + abs(f[0]))), j
+
+
+# the simplex steps fits used before the quasi-Newton optimizer
+SIMPLEX_STEPS = {
+    "logistic": (0.25, 0.25),
+    "t": (0.25, 0.25, 0.5),
+    "skew_normal": (0.25, 0.25, 0.6),
+    "skew_t": (0.25, 0.25, 0.5, 0.6),
+    "sas_normal": (0.25, 0.25, 0.5, 0.3),
+    "twopiece_normal": (0.25, 0.25, 0.5),
+    "twopiece_t": (0.25, 0.25, 0.5, 0.5),
+}
+
+
+def _simplex_reference(spec, w, cfg):
+    """Best value per data row of the batched simplex over spec's kernel and starts."""
+    starts = spec.starts(w, cfg)[:cfg.restarts]
+    m, k, d = w.shape[0], len(starts), spec.n_free
+    simplexes = []
+    for s in starts:
+        sim = infer._simplex(s if s.ndim == 2 else s[:, 0], SIMPLEX_STEPS[spec.name])
+        if s.ndim == 3:   # a stacked start's other points are its last vertices
+            sim[:, d + 2 - s.shape[1]:] = s[:, 1:]
+        simplexes.append(sim)
+
+    def fn(t, rows):
+        val = spec.nll(t, w[rows // k], cfg)[0]
+        bad = (np.abs(t[:, 0]) > 1e6) | (np.abs(t[:, 1]) > 200.0) | ~np.isfinite(val)
+        return np.where(bad, np.inf, val)
+
+    with np.errstate(all="ignore"):
+        _, fun, _, _ = infer._batch_nelder_mead(
+            fn, np.stack(simplexes, axis=1).reshape(m * k, d + 1, d),
+            cfg.xatol, cfg.fatol, 400 * d)
+    return fun.reshape(m, k).min(axis=1)
+
+
+def test_fits_reach_the_simplex_reference():
+    # the gamma sample's two-piece t optimum lies against a kink in mu
+    rng = base.make_rng(1000)
+    n = 200
+    x = np.array([rng.standard_normal(n),
+                  base.student_base(3.0).sample(n, rng),
+                  skewsym.SkewNormal(0.0, 1.0, 4.0).sample(n, rng),
+                  rng.gamma(2.0, size=n),
+                  np.abs(rng.standard_normal(n)) + 0.1])
+    assert infer.fit_mle("skew_normal", x[-1]).boundary_flag   # a frontier sample
+    w = infer._standardize(x)[0]
+    for scaling in ("isf", "epsilon"):
+        cfg = infer.FitConfig(scaling=scaling, two_piece_profile=False)
+        specs = [infer._FAMILIES[f] for f in SIMPLEX_STEPS]
+        if scaling == "isf":
+            specs.append(infer._PENALIZED_SKEW_NORMAL)
+        else:
+            specs = [s for s in specs if s.name.startswith("twopiece")]
+        for spec in specs:
+            new = infer._fit_rows(spec, w, cfg).nll
+            ref = _simplex_reference(spec, w, cfg)
+            assert np.all(new <= ref + 1e-6), (spec.name, scaling, new - ref)
+    # one start is enough to end at or below the null point
+    null = infer._fit_rows(infer._FAMILIES["normal"], w, FAST).nll
+    one = infer._fit_rows(infer._FAMILIES["skew_normal"], w, FAST).nll
+    assert np.all(one <= null)

@@ -148,11 +148,47 @@ def test_skew_t_cdf_quantile_roundtrip():
 
 
 def test_skew_t_vector_cdf_matches_scalar():
-    d = skewsym.SkewT(0.0, 1.0, 3.0, 2.0)
-    xs = np.array([-2.0, -0.5, 0.0, 1.0, 2.5])
-    batch = d.cdf(xs)
-    singles = np.array([d.cdf(float(x)) for x in xs])
-    assert np.max(np.abs(batch - singles)) < 1e-9
+    # the sparse points leave gaps one Kronrod panel cannot integrate
+    for d, xs in ((skewsym.SkewT(0.0, 1.0, 3.0, 2.0),
+                   np.array([-2.0, -0.5, 0.0, 1.0, 2.5])),
+                  (skewsym.SkewT(0.0, 1.0, 2.0, 2.0),
+                   np.array([-10.0, 0.3, 10.0]))):
+        batch = d.cdf(xs)
+        singles = np.array([d.cdf(float(x)) for x in xs])
+        assert np.max(np.abs(batch - singles)) < 1e-9
+
+
+def test_skew_t_vector_cdf_dense_points_keep_one_panel(monkeypatch):
+    d = skewsym.SkewT(0.0, 1.0, 2.0, 2.0)
+    d.cdf(0.0)  # caches the total mass
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:3])
+        return base.integrate(*args, **kwargs)
+
+    monkeypatch.setattr(skewsym, "integrate", counting)
+    d.cdf(np.linspace(-5.0, 5.0, 2001))
+    assert calls == [(-np.inf, -5.0)]   # the left tail only
+
+
+def test_skew_cdf_nan_is_nan():
+    for d in (skewsym.SkewNormal(0.0, 1.0, 2.0),
+              skewsym.SkewT(0.0, 1.0, 2.0, 2.0)):
+        assert math.isnan(d.cdf(math.nan))
+        out = d.cdf(np.array([math.nan, 0.0]))
+        assert math.isnan(out[0]) and out[1] == pytest.approx(d.cdf(0.0))
+
+
+def test_skew_quantile_accepts_arrays():
+    for d in (skewsym.SkewNormal(0.5, 2.0, -3.0),
+              skewsym.SkewT(0.5, 2.0, 5.0, -1.0)):
+        levels = np.array([[0.05, 0.5], [0.9, 0.99]])
+        out = d.quantile(levels)
+        assert out.shape == levels.shape
+        for q, x in zip(levels.ravel(), out.ravel()):
+            assert x == d.quantile(float(q))
+        assert isinstance(d.quantile(0.3), float)
 
 
 def test_skew_t_vector_cdf_infinite_points():
