@@ -47,6 +47,18 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(int(seed))
 
 
+def quantile_levels(p) -> np.ndarray:
+    """p as a float array, after the quantile-domain rule every family follows.
+
+    Levels 0 and 1 give the ends of the support (-inf and +inf where it is
+    unbounded), a NaN level gives NaN, and a level outside [0, 1] raises.
+    """
+    q = np.asarray(p, dtype=float)
+    if np.any((q < 0.0) | (q > 1.0)):
+        raise ValueError("quantile levels must lie in [0, 1]")
+    return q
+
+
 def _maybe_scalar(arr, scalar_input):
     if scalar_input:
         return float(arr)
@@ -163,11 +175,9 @@ class SymmetricBase:
         return _maybe_scalar(out if not scalar else out[0], scalar)
 
     def quantile(self, p):
-        p = np.asarray(p, dtype=float)
+        p = quantile_levels(p)
         scalar = p.ndim == 0
         q = np.atleast_1d(p)
-        if np.any((q < 0.0) | (q > 1.0)):
-            raise ValueError("quantile levels must lie in [0, 1]")
         if self.kind == NORMAL:
             out = special.ndtri(q)
         elif self.kind == STUDENT_T:
@@ -177,7 +187,7 @@ class SymmetricBase:
             with np.errstate(divide="ignore"):
                 w = special.betaincinv(0.5 * nu, 0.5, 2.0 * tail)
                 mag = np.sqrt(nu * (1.0 - w) / np.where(w > 0.0, w, 1.0))
-                mag = np.where(w > 0.0, mag, np.inf)
+                mag = np.where(w == 0.0, np.inf, mag)
             out = np.where(q < 0.5, -mag, mag)
             out = np.where(q == 0.5, 0.0, out)
         else:
@@ -291,6 +301,35 @@ def student_pdf_k(x, mp: MatrixParams, nu: float):
     out = np.exp(log_c - 0.5 * (nu + k) * np.log1p(q / nu))
     if single:
         return float(out[0])
+    return out
+
+
+_TINY = np.finfo(float).tiny
+
+
+def log_stdtr(df, t):
+    """log of the Student t CDF with df degrees of freedom, at array t.
+
+    Where scipy's stdtr underflows below the smallest normal float (only in
+    the far lower tail) the log comes from the series of the regularized
+    incomplete beta, T(t) = I_x(p, 1/2) / 2 with x = df / (df + t^2) and
+    p = df / 2:
+        log T = p log x + log(1 - x) / 2 - log 2 - log p - log B(p, 1/2)
+                + log 2F1(p + 1/2, 1; p + 1; x),
+    so the result stays finite wherever the CDF is positive.
+    """
+    cdf = special.stdtr(df, t)
+    with np.errstate(divide="ignore"):
+        out = np.log(cdf)
+        tail = cdf < _TINY
+        if tail.any():
+            k, a = (np.broadcast_to(v, cdf.shape)[tail] for v in (df, t))
+            x = k / (k + a * a)
+            p = 0.5 * k
+            out[tail] = (
+                p * np.log(x) + 0.5 * np.log1p(-x) - math.log(2.0) - np.log(p)
+                - special.betaln(p, 0.5) + np.log(special.hyp2f1(p + 0.5, 1.0, p + 1.0, x))
+            )
     return out
 
 

@@ -8,7 +8,13 @@ their analytic scores (the skew-t differences its one partial without a
 closed form).  One batched quasi-Newton optimizer (BFGS with a backtracking
 line search) drives every kernel: a fit runs all of its start points in one
 batch, and a bootstrap test refits all replicates and their starts in one
-batch.  The start points are structural (moment, quantile and frontier
+batch.  Each run's inverse-Hessian approximation starts from the diagonal of
+the inverse outer product of the per-observation scores at its start point
+(the BHHH matrix, Berndt, Hall, Hall & Hausman 1974): each coordinate's
+estimated sampling variance, which puts the very differently scaled
+coordinates on one footing.  Where that outer product is not finite or its
+condition number exceeds _OPG_COND, the run starts from the identity.  The
+start points are structural (moment, quantile and frontier
 starts) and deterministic, so fits draw no random numbers.  The normal
 family has a closed form, and the two-piece normal family an exact
 profile-likelihood path: for fixed mu the optimal scale and asymmetry are
@@ -23,7 +29,7 @@ from functools import partial
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.special import digamma, gammaln, log_ndtr, ndtri, stdtr
+from scipy.special import digamma, gammaln, log_ndtr, ndtri
 
 from .base import (
     LOG_SQRT_TWO_PI,
@@ -31,6 +37,7 @@ from .base import (
     LocationScale,
     NumericsError,
     golden_section_max,
+    log_stdtr,
     logistic_base,
     make_rng,
     normal_base,
@@ -117,6 +124,10 @@ _DOF_STEP = 1e-7
 # cap on the row x point elements of one kernel evaluation and of one chunk
 # of bootstrap replicates, so memory stays bounded at any n and B
 _BATCH_ELEMENTS = 1 << 20
+
+# largest condition number of an outer product of scores that seeds BFGS;
+# a run whose matrix is worse (or not finite) starts from the identity
+_OPG_COND = 1e12
 
 
 def _rows_per_batch(n: int) -> int:
@@ -263,16 +274,24 @@ def _batch_nelder_mead(fn, simplex, xatol, fatol, maxiter):
 # the quasi-Newton optimizer every fit runs
 
 
-def _batch_bfgs(fn, x0, xatol, fatol, maxiter):
+def _batch_bfgs(fn, x0, h0, xatol, fatol, maxiter):
     """BFGS with a backtracking line search over a batch of independent problems.
 
     x0 (m, d) holds each problem's start.  fn(T, rows) returns the values
     (k,) and scores (k, d) of parameter rows T (k, d) for problem indices
-    rows; a non-finite value or score counts as +inf.  A problem converges
-    when an accepted step has max-norm at most xatol and lowers the value by
-    at most fatol, when _STALLS steps in a row lower it by at most fatol
-    (a flat ridge), or when neither its search direction nor steepest
-    descent holds a lower value at steps down to xatol.  Converged problems
+    rows; a non-finite value or score counts as +inf.  h0 = (h, seeded) gives
+    each problem's initial inverse-Hessian approximation h (m, d, d), as
+    _opg_seed returns it.  A seeded problem takes its first trial step at
+    full length along -h g.  An unseeded one, whose h must be the identity,
+    caps its first trial step at max-norm _MAX_STEP and scales the identity
+    by the curvature its first accepted step sees, as every problem does
+    after a restart from the identity: a problem restarts there when its
+    search direction points uphill or its line search fails away from a
+    wall.  A problem converges when an accepted step has max-norm at most
+    xatol and lowers the value by at most fatol, when _STALLS steps in a row
+    lower it by at most fatol (a flat ridge), or when neither its search
+    direction nor steepest descent holds a lower value at steps down to
+    xatol.  Converged problems
     are frozen, and each problem's arithmetic is its own, so its result does
     not depend on its batch-mates.  Returns per-problem best point, value,
     iteration count and convergence flag.
@@ -287,8 +306,8 @@ def _batch_bfgs(fn, x0, xatol, fatol, maxiter):
     m, d = x.shape
     eye = np.eye(d)
     f, g = ev(x, np.arange(m))
-    h = np.tile(eye, (m, 1, 1))  # inverse-Hessian approximations
-    fresh = np.ones(m, dtype=bool)  # h not yet scaled by an accepted step
+    h = np.array(h0[0], dtype=float)  # inverse-Hessian approximations
+    fresh = ~h0[1]  # h is the identity, not yet scaled by an accepted step
     active = np.isfinite(f)
     conv = np.zeros(m, dtype=bool)
     iters = np.zeros(m, dtype=int)
@@ -383,6 +402,38 @@ def _batch_bfgs(fn, x0, xatol, fatol, maxiter):
         fresh[r[scale]] = False
 
     return x, f, iters, conv
+
+
+def _opg_seed(nll, w, t, rows, cfg):
+    """BFGS seeds from the outer product of per-observation scores (BHHH).
+
+    Parameter row i of t (p, d) belongs to data row rows[i] of w (m, n).  A
+    kernel evaluated on one data point returns that point's score, so each
+    problem's scores S (n, d) come from one kernel pass over single points,
+    at most _BATCH_ELEMENTS of them per call.  Returns (h, seeded): h
+    (p, d, d) holds the diagonal of (S'S)^-1, each coordinate's estimated
+    sampling variance, where seeded, and the identity where S'S is not
+    finite or its condition number exceeds _OPG_COND.
+
+    Only the diagonal is kept.  Far from the optimum the full (S'S)^-1 is a
+    poor Hessian: on some samples its steps run onto the skew-normal's
+    stationary null point, or past the clip of log nu into the flat region
+    beyond it, and the fit ends at a worse local optimum.
+    """
+    p, d = t.shape
+    n = w.shape[1]
+    per = _rows_per_batch(n)
+    opg = np.empty((p, d, d))
+    for i in range(0, p, per):
+        part = t[i : i + per]
+        score = nll(np.repeat(part, n, axis=0), w[rows[i : i + per]].reshape(-1, 1), cfg)[1]
+        score = score.reshape(part.shape[0], n, d)
+        opg[i : i + per] = np.einsum("kni,knj->kij", score, score)
+    seeded = np.isfinite(opg).all(axis=(1, 2))
+    seeded[seeded] = np.linalg.cond(opg[seeded]) <= _OPG_COND
+    h = np.tile(np.eye(d), (p, 1, 1))
+    h[seeded] *= np.diagonal(np.linalg.inv(opg[seeded]), axis1=1, axis2=2)[:, None, :]
+    return h, seeded
 
 
 # ---------------------------------------------------------------------------
@@ -525,14 +576,14 @@ def _nll_skew_t(t, w, cfg):
     k = nuc + 1.0
     root = np.sqrt(k / (q + nuc))
     a = delta[:, None] * z * root
-    log_cdf = np.log(stdtr(k, a))
+    log_cdf = log_stdtr(k, a)
     tail, gz, g_nu = _t_tail(z, nu)
     val = w.shape[1] * (t[:, 1] - _LOG_TWO) + tail - np.sum(log_cdf, axis=1)
     # the skewing factor log T_k(a): its slope in a is rho = t_k(a) / T_k(a);
     # its partial in k at fixed a has no closed form and is differenced
     rho = np.exp(_t_const(k) - 0.5 * (k + 1.0) * np.log1p(a * a / k) - log_cdf)
     step = _DOF_STEP * k
-    d_k = (np.log(stdtr(k + step, a)) - log_cdf) / step
+    d_k = (log_stdtr(k + step, a) - log_cdf) / step
     gz = gz - rho * delta[:, None] * root * nuc / (q + nuc)
     g_delta = -np.sum(rho * z * root, axis=1)
     g_nu = g_nu - np.sum(rho * a * (q - 1.0) / (2.0 * k * (q + nuc)) + d_k, axis=1)
@@ -604,20 +655,24 @@ def _nll_two_piece(t, w, cfg):
 # ---------------------------------------------------------------------------
 # structural start points for standardized data rows w (m, n): each entry is
 # an (m, d) array of points, or an (m, j, d) stack whose first point is run
-# and whose other points bound that run's result from above
+# and whose other points bound that run's result from above.  The skewed
+# starts take the rows' third moments g1 = mean(w^3), computed once per list.
 
 
 def _points(m: int, *cols):
     return np.column_stack([np.broadcast_to(np.asarray(c, dtype=float), (m,)) for c in cols])
 
 
-def _skewness_sign(w):
-    return np.where(np.mean(w**3, axis=1) >= 0.0, 1.0, -1.0)
+def _third_moment(w):
+    return np.mean(w**3, axis=1)
 
 
-def _skew_normal_moment_start(w):
+def _skewness_sign(g1):
+    return np.where(g1 >= 0.0, 1.0, -1.0)
+
+
+def _skew_normal_moment_start(g1):
     """Method-of-moments inversion: mu, log sigma and t of delta per row."""
-    g1 = np.mean(w**3, axis=1)
     b = math.sqrt(2.0 / math.pi)
     a1 = np.minimum(np.abs(g1), 0.99)
     c = (2.0 * a1 / (4.0 - math.pi)) ** (1.0 / 3.0)
@@ -629,9 +684,8 @@ def _skew_normal_moment_start(w):
     return -s0 * md, np.log(s0), _enc_bounded(d0, _SKEW_CAP)
 
 
-def _chase_start(w):
+def _chase_start(w, sign):
     """mu, log sigma and t of delta at the half-normal limit the ridge runs to."""
-    sign = _skewness_sign(w)
     mu_c = np.where(sign > 0.0, w.min(axis=1), w.max(axis=1))
     s_c = np.sqrt(np.mean((w - mu_c[:, None]) ** 2, axis=1))
     return mu_c, np.log(np.maximum(s_c, 1e-12)), sign * _CHASE_T
@@ -660,14 +714,17 @@ def _starts_skew_normal(w, cfg):
     derivative-based run would never leave it.
     """
     m = w.shape[0]
-    moment = _points(m, *_skew_normal_moment_start(w))
-    return [np.stack((moment, np.zeros((m, 3))), axis=1), _points(m, *_chase_start(w))]
+    g1 = _third_moment(w)
+    moment = _points(m, *_skew_normal_moment_start(g1))
+    chase = _points(m, *_chase_start(w, _skewness_sign(g1)))
+    return [np.stack((moment, np.zeros((m, 3))), axis=1), chase]
 
 
 def _starts_skew_t(w, cfg):
     m = w.shape[0]
-    m0, ls0, td0 = _skew_normal_moment_start(w)
-    mu_c, ls_c, td_c = _chase_start(w)
+    g1 = _third_moment(w)
+    m0, ls0, td0 = _skew_normal_moment_start(g1)
+    mu_c, ls_c, td_c = _chase_start(w, _skewness_sign(g1))
     return [
         _points(m, 0.0, 0.0, math.log(5.0), 0.0),
         _points(m, m0, ls0, math.log(5.0), td0),
@@ -678,7 +735,7 @@ def _starts_skew_t(w, cfg):
 
 def _starts_sas(w, cfg):
     m = w.shape[0]
-    sign = _skewness_sign(w)
+    sign = _skewness_sign(_third_moment(w))
     return [
         np.zeros((m, 4)),
         _points(m, 0.0, 0.0, _enc_bounded(-0.7 * sign, _SAS_CAP), 0.0),
@@ -711,8 +768,8 @@ def _starts_two_piece(w, cfg, with_nu):
         else:
             td = _enc_log(np.sqrt(1.0 / p_left - 1.0), _ISF_LO, _ISF_HI)
         out.append(_points(m, mu0, 0.0, *nu, td))
-    mu_c, ls_c, _ = _chase_start(w)
-    sign = _skewness_sign(w)
+    sign = _skewness_sign(_third_moment(w))
+    mu_c, ls_c, _ = _chase_start(w, sign)
     # log of the wide side's scale over sigma at the cap
     wide = _LOG_TWO if epsilon else math.log(_ISF_HI)
     td = sign * (_enc_eps(_EPS_CAP) if epsilon else wide)
@@ -1179,7 +1236,8 @@ def _fit_rows(spec: _Family, w: np.ndarray, cfg: FitConfig, extra=()) -> _RowFit
     The normal family is closed form and the two-piece normal profile runs
     per row.  The other families run, for every row, the points in extra
     (each (m, d)) and then the first cfg.restarts structural starts, all in
-    one batched quasi-Newton run.  Each row keeps its first best start.
+    one batched quasi-Newton run seeded by _opg_seed at every start.  Each
+    row keeps its first best start.
     """
     m, n = w.shape
     if spec.nll is None:
@@ -1213,9 +1271,10 @@ def _fit_rows(spec: _Family, w: np.ndarray, cfg: FitConfig, extra=()) -> _RowFit
     maxiter = cfg.maxiter if cfg.maxiter is not None else 400 * d
     rows = np.arange(m)
     with np.errstate(all="ignore"):
-        x0 = np.stack([s if s.ndim == 2 else s[:, 0] for s in starts], axis=1)
+        x0 = np.stack([s if s.ndim == 2 else s[:, 0] for s in starts], axis=1).reshape(m * k, d)
+        h0 = _opg_seed(spec.nll, w, x0, np.arange(m * k) // k, cfg)
         x, fun, iters, conv = _batch_bfgs(
-            lambda t, rows: fn(t, rows // k), x0.reshape(m * k, d), cfg.xatol, cfg.fatol, maxiter
+            lambda t, rows: fn(t, rows // k), x0, h0, cfg.xatol, cfg.fatol, maxiter
         )
         x, fun = x.reshape(m, k, d), fun.reshape(m, k)
         for j, s in enumerate(starts):

@@ -26,7 +26,9 @@ from .base import (
     golden_section_max,
     integrate,
     invert_cdf,
+    log_stdtr,
     normal_base,
+    quantile_levels,
     student_base,
     student_pdf_k,
 )
@@ -36,11 +38,21 @@ _CDF_TOL = 1e-10
 
 
 def _per_level(invert, p):
-    """Apply a scalar quantile inversion to each level; a float in gives a float out."""
-    levels = np.asarray(p, dtype=float)
+    """Apply a scalar quantile inversion to each level inside (0, 1).
+
+    Levels 0, 1 and NaN follow base.quantile_levels; a float in gives a
+    float out.
+    """
+    levels = quantile_levels(p)
+
+    def one(q):
+        if 0.0 < q < 1.0:
+            return invert(q)
+        return -math.inf if q == 0.0 else math.inf if q == 1.0 else math.nan
+
     if levels.ndim == 0:
-        return invert(float(levels))
-    return np.array([invert(float(q)) for q in levels.ravel()]).reshape(levels.shape)
+        return one(float(levels))
+    return np.array([one(float(q)) for q in levels.ravel()]).reshape(levels.shape)
 
 
 @dataclass(frozen=True)
@@ -107,11 +119,15 @@ def _t_cdf(x, nu: float):
     return student_base(nu).cdf(x)
 
 
+def _skew_t_arg(z, nu: float, delta: float):
+    # argument of the skew-t's skewing factor T_{nu+1}(.)
+    z = np.asarray(z, dtype=float)
+    return delta * z * np.sqrt((nu + 1.0) / (z * z + nu))
+
+
 def _skew_t_tilt(z, nu: float, delta: float):
     # univariate skewing factor of the skew-t: T_{nu+1}(delta z sqrt((nu+1)/(z^2+nu)))
-    z = np.asarray(z, dtype=float)
-    arg = delta * z * np.sqrt((nu + 1.0) / (z * z + nu))
-    return _t_cdf(arg, nu + 1.0)
+    return _t_cdf(_skew_t_arg(z, nu, delta), nu + 1.0)
 
 
 def skew_t_pdf(x, mp: MatrixParams, nu: float, delta):
@@ -259,7 +275,7 @@ class SkewT:
         z = (np.atleast_1d(x) - self.mu) / self.sigma
         tb = student_base(self.nu)
         out = (math.log(2.0) - math.log(self.sigma) + tb.log_pdf(z)
-               + np.log(_skew_t_tilt(z, self.nu, self.delta)))
+               + log_stdtr(self.nu + 1.0, _skew_t_arg(z, self.nu, self.delta)))
         return _maybe_scalar(out if not scalar else out[0], scalar)
 
     def pdf(self, x):

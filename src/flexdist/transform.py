@@ -20,6 +20,7 @@ from .base import (
     UnsupportedDensityError,
     _maybe_scalar,
     golden_section_max,
+    quantile_levels,
     student_pdf_k,
 )
 
@@ -241,11 +242,9 @@ def transform_pdf(x, p: TransformParams):
 
 def transform_quantile(p_level, params: TransformParams):
     """mu + sigma * H^(-1)(base quantile); exact for every kind."""
-    p_level = np.asarray(p_level, dtype=float)
+    p_level = quantile_levels(p_level)
     scalar = p_level.ndim == 0
     q = np.atleast_1d(p_level)
-    if np.any((q <= 0.0) | (q >= 1.0)):
-        raise ValueError("quantile levels must lie strictly inside (0, 1)")
     out = params.loc.mu + params.loc.sigma * params.tr.inverse(
         params.base.quantile(q))
     return _maybe_scalar(out if not scalar else out[0], scalar)

@@ -19,6 +19,7 @@ from .base import (
     SymmetricBase,
     _maybe_scalar,
     find_root,
+    quantile_levels,
 )
 
 EPSILON_EDGE = 1.0 - 1e-9  # |delta| at or beyond this is rejected
@@ -113,16 +114,14 @@ class TwoPieceParams:
         return _maybe_scalar(out if not scalar else out[0], scalar)
 
     def quantile(self, q):
-        q = np.asarray(q, dtype=float)
+        q = quantile_levels(q)
         scalar = q.ndim == 0
         qq = np.atleast_1d(q)
-        if np.any((qq <= 0.0) | (qq >= 1.0)):
-            raise ValueError("quantile levels must lie strictly inside (0, 1)")
         sl, sr, a = self.scheme.s_left, self.scheme.s_right, self.scheme.a
         left_mass = sr / (sl + sr)
+        # each side inverts its own tail mass, by the symmetry of the base
         lower = self.base.quantile(np.minimum(qq * sl / a, 0.5)) / sl
-        upper = self.base.quantile(
-            np.clip(0.5 + (qq - left_mass) * sr / a, 0.5, 1.0)) / sr
+        upper = -self.base.quantile(np.minimum((1.0 - qq) * sr / a, 0.5)) / sr
         out = self.loc.mu + self.loc.sigma * np.where(qq < left_mass, lower, upper)
         return _maybe_scalar(out if not scalar else out[0], scalar)
 

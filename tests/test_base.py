@@ -271,3 +271,30 @@ def test_quantile_domain_checks():
         nb.quantile(1.1)
     assert nb.quantile(0.0) == -math.inf
     assert nb.quantile(1.0) == math.inf
+
+
+def _mp_log_t_cdf(df, t):
+    import mpmath
+
+    with mpmath.workdps(40):
+        df, t = mpmath.mpf(df), mpmath.mpf(t)
+        x = df / (df + t * t)
+        return float(mpmath.log(mpmath.betainc(df / 2, 0.5, 0, x, regularized=True) / 2))
+
+
+def test_log_stdtr_lower_tail_matches_mpmath():
+    # stdtr underflows at the first two points; at the third it does not
+    for df, t in ((201.0, -800.0), (201.0, -476.4), (1e4, -46.95), (3.0, -1e5),
+                  (2.5, -40.0)):
+        got = float(base.log_stdtr(np.array([df]), np.array([t]))[0])
+        assert got == pytest.approx(_mp_log_t_cdf(df, t), rel=1e-14), (df, t)
+
+
+def test_log_stdtr_is_log_of_stdtr_where_it_is_normal():
+    from scipy import special
+
+    df = np.array([0.7, 3.0, 201.0])[:, None]
+    t = np.linspace(-30.0, 30.0, 61)[None, :]
+    assert np.array_equal(base.log_stdtr(df, t), np.log(special.stdtr(df, t)))
+    assert base.log_stdtr(np.array([5.0]), np.array([-np.inf]))[0] == -math.inf
+    assert np.isnan(base.log_stdtr(np.array([5.0]), np.array([np.nan]))[0])

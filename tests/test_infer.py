@@ -72,6 +72,44 @@ def test_gh_has_no_evaluatable_density():
                                                                  abs=1e-12)
 
 
+# every family of the catalogue, both two-piece scalings included
+CATALOGUE = [
+    ("normal", {"mu": 0.5, "sigma": 2.0}),
+    ("logistic", {"mu": 0.5, "sigma": 2.0}),
+    ("t", {"mu": 0.5, "sigma": 2.0, "nu": 2.0}),
+    ("skew_normal", {"mu": 0.5, "sigma": 2.0, "delta": 2.0}),
+    ("skew_t", {"mu": 0.5, "sigma": 2.0, "nu": 2.0, "delta": 2.0}),
+    ("sas_normal", {"mu": 0.5, "sigma": 2.0, "delta": -1.0, "eta": 0.5}),
+    ("gh_normal", {"mu": 0.5, "sigma": 2.0, "g": 0.5, "h": 0.2}),
+    ("k_normal", {"mu": 0.5, "sigma": 2.0, "eta": 0.5}),
+    ("twopiece_normal", {"mu": 0.5, "sigma": 2.0, "delta": 2.0, "scaling": "isf"}),
+    ("twopiece_normal", {"mu": 0.5, "sigma": 2.0, "delta": 0.6, "scaling": "epsilon"}),
+    ("twopiece_t", {"mu": 0.5, "sigma": 2.0, "nu": 2.0, "delta": 0.5, "scaling": "isf"}),
+    ("twopiece_t", {"mu": 0.5, "sigma": 2.0, "nu": 2.0, "delta": -0.5,
+                    "scaling": "epsilon"}),
+]
+
+
+def test_quantile_domain_rule_across_the_catalogue():
+    # levels 0 and 1 give the ends of the support, NaN gives NaN, and a
+    # level outside [0, 1] raises, for scalars and arrays alike
+    assert {f for f, _ in CATALOGUE} >= set(infer.FAMILY_ORDER)
+    for family, params in CATALOGUE:
+        d = infer.distribution_for(family, params)
+        assert d.quantile(0.0) == -math.inf, family
+        assert d.quantile(1.0) == math.inf, family
+        assert math.isnan(d.quantile(math.nan)), family
+        out = d.quantile(np.array([0.0, 0.25, math.nan, 1.0]))
+        assert out[0] == -math.inf and out[3] == math.inf, family
+        assert math.isnan(out[2]) and math.isfinite(out[1]), family
+        assert d.cdf(out[1]) == pytest.approx(0.25, abs=1e-9), family
+        for bad in (-0.1, 1.5, -math.inf, math.inf):
+            with pytest.raises(ValueError):
+                d.quantile(bad)
+            with pytest.raises(ValueError):
+                d.quantile(np.array([0.5, bad]))
+
+
 # ------------------------------------------------------------------- simplex
 
 def test_nelder_mead_shifted_quadratic():
@@ -583,7 +621,7 @@ def test_kernel_score_matches_central_differences(case, data):
     assume(np.min(np.abs(w - t[0, 0])) > 1e-3)
     with np.errstate(all="ignore"):
         f, g = spec.nll(t, w, cfg)
-        assume(np.isfinite(f[0]))
+        assert np.isfinite(f[0])
         for j in range(t.shape[1]):
             e = np.zeros_like(t)
             e[0, j] = h
@@ -655,3 +693,80 @@ def test_fits_reach_the_simplex_reference():
     null = infer._fit_rows(infer._FAMILIES["normal"], w, FAST).nll
     one = infer._fit_rows(infer._FAMILIES["skew_normal"], w, FAST).nll
     assert np.all(one <= null)
+
+
+# ------------------------------------------------------------- the BHHH seed
+
+def _opg_loop(spec, w, t, rows, cfg):
+    """Reference outer products of scores: the kernel on one data point at a time."""
+    out = []
+    for ti, r in zip(t, rows):
+        opg = np.zeros((t.shape[1], t.shape[1]))
+        for point in w[r]:
+            s = spec.nll(ti[None, :], np.array([[point]]), cfg)[1][0]
+            opg += np.outer(s, s)
+        out.append(opg)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("family", ["skew_t", "twopiece_t"])
+def test_opg_seed_matches_a_per_point_loop(family, monkeypatch):
+    rng = base.make_rng(60)
+    x = np.array([skewsym.SkewT(0.0, 1.0, 4.0, 3.0).sample(40, rng),
+                  _isf_sample(40, 2.0, seed=61)])
+    w = infer._standardize(x)[0]
+    spec, cfg = infer._FAMILIES[family], infer.FitConfig()
+    starts = spec.starts(w, cfg)
+    k = len(starts)
+    t = np.stack([s if s.ndim == 2 else s[:, 0] for s in starts], axis=1)
+    t = t.reshape(-1, spec.n_free)
+    rows = np.arange(t.shape[0]) // k
+    # three problems' points per kernel call, so the chunks split the rows
+    monkeypatch.setattr(infer, "_BATCH_ELEMENTS", 3 * w.shape[1])
+    with np.errstate(all="ignore"):
+        h, seeded = infer._opg_seed(spec.nll, w, t, rows, cfg)
+        ref = _opg_loop(spec, w, t, rows, cfg)
+    # the frontier chase, the skew-t's third start and the two-piece's last,
+    # sits where the asymmetry's score all but vanishes: its outer product is
+    # singular and it keeps the identity
+    chase = np.arange(t.shape[0]) % k == (2 if family == "skew_t" else k - 1)
+    assert np.array_equal(seeded, ~chase)
+    eye = np.eye(spec.n_free)
+    assert np.array_equal(h[chase], np.broadcast_to(eye, (chase.sum(), *eye.shape)))
+    variances = np.diagonal(np.linalg.inv(ref[~chase]), axis1=1, axis2=2)
+    assert np.allclose(h[~chase], eye * variances[:, None, :], rtol=1e-8, atol=0.0)
+
+
+def _rosenbrock(t, rows):
+    a, b = t[:, :-1], t[:, 1:]
+    f = np.sum(100.0 * (b - a * a) ** 2 + (1.0 - a) ** 2, axis=1)
+    g = np.zeros_like(t)
+    g[:, :-1] += -400.0 * a * (b - a * a) - 2.0 * (1.0 - a)
+    g[:, 1:] += 200.0 * (b - a * a)
+    return f, g
+
+
+def test_batch_bfgs_unseeded_problems_keep_the_identity_run():
+    # recorded from the optimizer before it took seeds, when every problem
+    # started from the identity; the arithmetic is IEEE-exact, so the match
+    # is bit for bit
+    x0 = np.array([[-1.2, 1.0, 0.5], [0.0, 0.0, 0.0], [2.0, -1.5, 3.0]])
+    h0 = (np.tile(np.eye(3), (3, 1, 1)), np.zeros(3, dtype=bool))
+    x, f, iters, conv = infer._batch_bfgs(_rosenbrock, x0, h0, 1e-10, 1e-14, 2000)
+    assert [[v.hex() for v in row] for row in x] == [
+        ["0x1.ffffffffffe0dp-1", "0x1.ffffffffffd03p-1", "0x1.ffffffffffa13p-1"],
+        ["0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000001p+0"],
+        ["0x1.ffffffffffd74p-1", "0x1.ffffffffffb5bp-1", "0x1.ffffffffff6c0p-1"],
+    ]
+    assert [v.hex() for v in f] == [
+        "0x1.7f4d680000000p-84", "0x1.9000000000000p-98", "0x1.831fe80000000p-85"]
+    assert iters.tolist() == [57, 36, 57]
+    assert conv.all()
+
+
+def test_bhhh_seed_cuts_optimizer_iterations():
+    # iterations summed over the starts when every start began from the
+    # identity: 103 (sas_normal) and 109 (skew_t) on this sample
+    x = base.make_rng(2024).gamma(2.0, size=200)
+    assert infer.fit_mle("sas_normal", x).iterations < 103
+    assert infer.fit_mle("skew_t", x).iterations < 109

@@ -337,3 +337,22 @@ def test_sfa_demo_rejects_bad_scales():
         skewsym.sfa_composite_error_demo(100, 0.0, 1.0, base.make_rng(0))
     with pytest.raises(ValueError):
         skewsym.sfa_composite_error_demo(100, 1.0, -1.0, base.make_rng(0))
+
+
+def test_skew_t_log_pdf_far_tail_matches_mpmath():
+    import mpmath
+
+    # the skewing factor T_201(-800) underflows in double precision
+    with mpmath.workdps(40):
+        nu, delta, x = mpmath.mpf(200), mpmath.mpf(100), mpmath.mpf(-8)
+        k = nu + 1
+        a = delta * x * mpmath.sqrt(k / (x * x + nu))
+        log_t = (mpmath.loggamma((nu + 1) / 2) - mpmath.loggamma(nu / 2)
+                 - mpmath.log(nu * mpmath.pi) / 2
+                 - (nu + 1) / 2 * mpmath.log(1 + x * x / nu))
+        log_cdf = mpmath.log(
+            mpmath.betainc(k / 2, 0.5, 0, k / (k + a * a), regularized=True) / 2)
+        ref = float(mpmath.log(2) + log_t + log_cdf)
+    got = skewsym.SkewT(0.0, 1.0, 200.0, 100.0).log_pdf(-8.0)
+    assert got == pytest.approx(ref, rel=1e-13)
+    assert ref == pytest.approx(-814.97, abs=0.01)
