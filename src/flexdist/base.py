@@ -8,6 +8,8 @@ bracketed root finding, golden-section maximization and seeded generators.
 """
 from __future__ import annotations
 
+import functools
+import inspect
 import math
 from dataclasses import dataclass, field
 
@@ -59,10 +61,25 @@ def quantile_levels(p) -> np.ndarray:
     return q
 
 
-def _maybe_scalar(arr, scalar_input):
-    if scalar_input:
-        return float(arr)
-    return arr
+def scalar_or_array(fn):
+    """Let an array function of x (its first argument after self for a
+    method) take a float too.
+
+    fn receives x, which callers pass by position, as a float array of at
+    least one dimension; a 0-d x gets a float back.  Whether fn is a method
+    is settled here, at decoration, so a call costs one conversion and no
+    inspection.
+    """
+    pos = 1 if next(iter(inspect.signature(fn).parameters)) == "self" else 0
+
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        x = np.asarray(args[pos], dtype=float)
+        if x.ndim:
+            return fn(*args[:pos], x, *args[pos + 1:], **kwargs)
+        return float(fn(*args[:pos], x[None], *args[pos + 1:], **kwargs)[0])
+
+    return wrapper
 
 
 @dataclass(frozen=True)
@@ -137,10 +154,8 @@ class SymmetricBase:
 
     # ---- density -------------------------------------------------------
 
-    def log_pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        z = np.atleast_1d(x)
+    @scalar_or_array
+    def log_pdf(self, z):
         if self.kind == NORMAL:
             # z*z may overflow to inf for absurd inputs; -inf is the right answer
             with np.errstate(over="ignore"):
@@ -153,17 +168,15 @@ class SymmetricBase:
         else:
             a = np.abs(z)
             out = -a - 2.0 * np.log1p(np.exp(-a))
-        return _maybe_scalar(out if not scalar else out[0], scalar)
+        return out
 
     def pdf(self, x):
         return np.exp(self.log_pdf(x))
 
     # ---- cdf / quantile ------------------------------------------------
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        z = np.atleast_1d(x)
+    @scalar_or_array
+    def cdf(self, z):
         if self.kind == NORMAL:
             out = special.ndtr(z)
         elif self.kind == STUDENT_T:
@@ -172,12 +185,11 @@ class SymmetricBase:
             out = np.where(z >= 0.0, 1.0 - 0.5 * w, 0.5 * w)
         else:
             out = special.expit(z)
-        return _maybe_scalar(out if not scalar else out[0], scalar)
+        return out
 
-    def quantile(self, p):
-        p = quantile_levels(p)
-        scalar = p.ndim == 0
-        q = np.atleast_1d(p)
+    @scalar_or_array
+    def quantile(self, q):
+        q = quantile_levels(q)
         if self.kind == NORMAL:
             out = special.ndtri(q)
         elif self.kind == STUDENT_T:
@@ -193,7 +205,7 @@ class SymmetricBase:
         else:
             with np.errstate(divide="ignore"):
                 out = special.logit(q)
-        return _maybe_scalar(out if not scalar else out[0], scalar)
+        return out
 
     # ---- distribution interface ----------------------------------------
 
@@ -235,22 +247,17 @@ class LocatedBase:
     base: SymmetricBase
     loc: LocationScale
 
+    @scalar_or_array
     def log_pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        z = (np.atleast_1d(x) - self.loc.mu) / self.loc.sigma
-        out = self.base.log_pdf(z) - math.log(self.loc.sigma)
-        return _maybe_scalar(out if not scalar else out[0], scalar)
+        z = (x - self.loc.mu) / self.loc.sigma
+        return self.base.log_pdf(z) - math.log(self.loc.sigma)
 
     def pdf(self, x):
         return np.exp(self.log_pdf(x))
 
+    @scalar_or_array
     def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        z = (np.atleast_1d(x) - self.loc.mu) / self.loc.sigma
-        out = self.base.cdf(z)
-        return _maybe_scalar(out if not scalar else out[0], scalar)
+        return self.base.cdf((x - self.loc.mu) / self.loc.sigma)
 
     def quantile(self, p):
         return self.loc.mu + self.loc.sigma * self.base.quantile(p)
@@ -265,13 +272,11 @@ class LocatedBase:
         return self.loc.mu + self.loc.sigma * self.base.sample(n, rng)
 
 
+@scalar_or_array
 def normal_pdf(x, ls: LocationScale):
     """Normal density with location mu and scale sigma."""
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    z = (np.atleast_1d(x) - ls.mu) / ls.sigma
-    out = np.exp(-0.5 * z * z) / (SQRT_TWO_PI * ls.sigma)
-    return _maybe_scalar(out if not scalar else out[0], scalar)
+    z = (x - ls.mu) / ls.sigma
+    return np.exp(-0.5 * z * z) / (SQRT_TWO_PI * ls.sigma)
 
 
 def student_pdf_k(x, mp: MatrixParams, nu: float):

@@ -33,22 +33,12 @@ class UsageError(Exception):
     """Bad flags, bad parameter values, or unreadable data: exit code 2."""
 
 
-# accepted shape flags per family; mu and sigma are always required
-_FAMILY_FLAGS = {
-    "normal": (),
-    "logistic": (),
-    "t": ("nu",),
-    "skew_normal": ("delta",),
-    "skew_t": ("nu", "delta"),
-    "sas_normal": ("delta", "eta"),
-    "gh_normal": ("g", "h"),
-    "k_normal": ("eta",),
-    "twopiece_normal": ("delta", "scaling"),
-    "twopiece_t": ("nu", "delta", "scaling"),
-}
-_SHAPE_FLAGS = ("delta", "eta", "nu", "g", "h")
+# accepted shape flags per family, from the family table; mu and sigma are
+# always required, and a scaled family also takes --scaling
+_FAMILY_FLAGS = {name: tuple(s.name for s in f.shapes) for name, f in infer._FAMILIES.items()}
+_SHAPE_FLAGS = tuple(sorted({flag for flags in _FAMILY_FLAGS.values() for flag in flags}))
 
-_FIT_FAMILIES = infer.FAMILY_ORDER + ("gh_normal",)
+_FIT_FAMILIES = tuple(name for name, f in infer._FAMILIES.items() if f.mle or f.quantile_fit)
 
 
 def _resolve_seed(args) -> int:
@@ -82,7 +72,7 @@ def _family_params(args) -> dict:
             params[name] = value
         elif value is not None:
             raise UsageError(f"family {family!r} does not accept --{name}")
-    if "scaling" in accepted:
+    if infer._FAMILIES[family].scaled:
         params["scaling"] = args.scaling or "isf"
     elif args.scaling is not None:
         raise UsageError(f"family {family!r} does not accept --scaling")
@@ -209,11 +199,11 @@ def _fit_to_dict(fit: infer.FitResult) -> dict:
     return asdict(fit)
 
 
-def _gh_fit_report(data: np.ndarray) -> dict:
-    fit = infer.fit_gh_quantile(data)
-    return {"family": "gh_normal", "method": "quantile",
-            "params": {"mu": fit.mu, "sigma": fit.sigma,
-                       "g": fit.g, "h": fit.h},
+def _quantile_fit_report(family: str, data: np.ndarray) -> dict:
+    fit = infer._FAMILIES[family].quantile_fit(data)
+    names = ("mu", "sigma") + _FAMILY_FLAGS[family]
+    return {"family": family, "method": "quantile",
+            "params": {name: getattr(fit, name) for name in names},
             "n": fit.n}
 
 
@@ -236,8 +226,8 @@ def cmd_fit(args) -> int:
             raise UsageError(f"cannot fit family {family!r}; "
                              f"choose from {known}")
         try:
-            if family == "gh_normal":
-                report["fits"][family] = _gh_fit_report(data)
+            if infer._FAMILIES[family].quantile_fit:
+                report["fits"][family] = _quantile_fit_report(family, data)
             else:
                 fit = infer.fit_mle(family, data, config)
                 report["fits"][family] = _fit_to_dict(fit)
@@ -300,18 +290,17 @@ def cmd_sfa_demo(args) -> int:
     seed = _resolve_seed(args)
     demo = skewsym.sfa_composite_error_demo(args.n, args.sigma_v,
                                             args.sigma_u, make_rng(seed))
-    preferred = ("skew_normal"
-                 if demo.skew_normal_fit.aic < demo.normal_fit.aic
-                 else "normal")
+    normal, skew = demo.normal_fit, demo.skew_normal_fit
+    preferred = skew if skew.aic < normal.aic else normal
     report = {"schema": "flexdist-sfa/1", "n": args.n,
               "sigma_v": args.sigma_v, "sigma_u": args.sigma_u,
               "seed": seed,
-              "normal": _fit_to_dict(demo.normal_fit),
-              "skew_normal": _fit_to_dict(demo.skew_normal_fit),
+              normal.family: _fit_to_dict(normal),
+              skew.family: _fit_to_dict(skew),
               "lr_statistic": demo.lr_statistic,
               "delta_hat": demo.delta_hat,
               "delta_negative": bool(demo.delta_hat < 0.0),
-              "preferred_by_aic": preferred}
+              "preferred_by_aic": preferred.family}
     _print_json(report, args.output)
     return 0
 
@@ -373,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     test = subs.add_parser(
         "test", help="parametric-bootstrap likelihood-ratio test (JSON)")
     test.add_argument("data", help="dataset file, one value per line")
-    test.add_argument("--null", default="normal",
+    test.add_argument("--null", default=infer.SKEW_NORMAL_PAIR[0],
                       help="null family (default normal)")
     test.add_argument("--alt", required=True, help="alternative family")
     test.add_argument("--reps", type=int, default=199,

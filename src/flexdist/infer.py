@@ -20,6 +20,15 @@ family has a closed form, and the two-piece normal family an exact
 profile-likelihood path: for fixed mu the optimal scale and asymmetry are
 closed-form, so the fit reduces to a one-dimensional search over mu.  The
 Nelder-Mead simplex (nelder_mead) is a public utility; no fit uses it.
+
+One table, _FAMILIES, describes every family, the eight fit by maximum
+likelihood and gh_normal and k_normal.  An entry holds the family's shape
+parameters in report order, each with the map between its optimizer
+coordinate and its natural value (a clipped log box, a capped tanh, or the
+epsilon tanh), the distribution constructor, the kernel and starts, and the
+shape whose cap sets boundary_flag.  distribution_for, FAMILY_ORDER, the
+generic decode, encode and boundary rule, and the CLI's family flags all
+read it.
 """
 
 import math
@@ -64,20 +73,13 @@ __all__ = [
     "lr_test",
 ]
 
-FAMILY_ORDER = (
-    "normal",
-    "logistic",
-    "t",
-    "skew_normal",
-    "skew_t",
-    "sas_normal",
-    "twopiece_normal",
-    "twopiece_t",
-)
+# the paper's central pair: the composed-error demo fits both families, and
+# the penalized fit is the skew-normal's
+SKEW_NORMAL_PAIR = ("normal", "skew_normal")
 
 NESTED_PAIRS = frozenset(
     {
-        ("normal", "skew_normal"),
+        SKEW_NORMAL_PAIR,
         ("normal", "sas_normal"),
         ("normal", "twopiece_normal"),
         ("t", "skew_t"),
@@ -91,16 +93,9 @@ _EMBEDDED_PAIRS = frozenset({("t", "skew_t"), ("normal", "twopiece_normal")})
 
 _LOG_TWO = math.log(2.0)
 
-# delta is optimized through delta = cap * tanh(slope * t / cap): unbounded in
-# t, bounded by the cap, slope `_MAP_SLOPE` at the origin.  The caps act as the
-# practical frontier for the boundary_flag rule.
-_SKEW_CAP = 200.0
-_SAS_CAP = 50.0
+# slope at the origin of the capped tanh maps (see _TanhCap)
 _MAP_SLOPE = 10.0
-_EPS_CAP = 1.0 - 1e-6
-_ISF_LO, _ISF_HI = 1e-4, 1e4
-_NU_LO, _NU_HI = 0.5, 200.0
-_ETA_LO, _ETA_HI = 1e-3, 1e3
+# distance to a cap within which a fitted shape sets boundary_flag
 _FRONTIER_TOL = 1e-4
 
 # t-value that puts delta within ~2e-5 of the +-200 cap; used as a dedicated
@@ -437,51 +432,95 @@ def _opg_seed(nll, w, t, rows, cfg):
 
 
 # ---------------------------------------------------------------------------
-# parameter maps between the optimizer space and natural parameters; each
-# takes a float or an array.  The _d forms also return the slope in t that
-# the scores chain through.
+# coordinate maps between the optimizer's t and a natural shape parameter.
+# decode takes a float or an array and returns the value with its slope in t,
+# which the scores chain through; encode inverts it inside the box; at_cap
+# says whether a fitted value lies on the frontier that boundary_flag reports.
 
 
-def _dec_bounded(t, cap: float):
-    return cap * np.tanh(_MAP_SLOPE * t / cap)
+class _Map:
+    def of(self, scaling: str) -> "_Map":
+        """The map under a two-piece scaling; most maps serve both."""
+        return self
 
 
-def _dec_bounded_d(t, cap: float):
-    th = np.tanh(_MAP_SLOPE * t / cap)
-    return cap * th, _MAP_SLOPE * (1.0 - th * th)
+@dataclass(frozen=True)
+class _LogBox(_Map):
+    """v = exp(t) clipped to the box [lo, hi]; outside it the slope is zero."""
+
+    lo: float
+    hi: float
+
+    def decode(self, t):
+        v = np.exp(np.clip(t, math.log(self.lo), math.log(self.hi)))
+        return v, np.where((t >= math.log(self.lo)) & (t <= math.log(self.hi)), v, 0.0)
+
+    def encode(self, v):
+        return np.log(np.clip(v, self.lo, self.hi))
+
+    def at_cap(self, v) -> bool:
+        # for a box symmetric on the log scale (lo = 1/hi), compared there,
+        # where exp(log(cap)) may land an ulp inside the cap
+        return abs(math.log(v)) >= math.log(self.hi) - _FRONTIER_TOL
 
 
-def _enc_bounded(delta, cap: float):
-    u = np.clip(delta / cap, -1.0 + 1e-15, 1.0 - 1e-15)
-    return cap / _MAP_SLOPE * np.arctanh(u)
+@dataclass(frozen=True)
+class _TanhCap(_Map):
+    """delta = cap * tanh(_MAP_SLOPE * t / cap): unbounded in t, bounded by cap."""
+
+    cap: float
+
+    def decode(self, t):
+        th = np.tanh(_MAP_SLOPE * t / self.cap)
+        return self.cap * th, _MAP_SLOPE * (1.0 - th * th)
+
+    def encode(self, delta):
+        u = np.clip(delta / self.cap, -1.0 + 1e-15, 1.0 - 1e-15)
+        return self.cap / _MAP_SLOPE * np.arctanh(u)
+
+    def at_cap(self, delta) -> bool:
+        return self.cap - abs(delta) <= _FRONTIER_TOL
 
 
-def _dec_log(t, lo: float, hi: float):
-    return np.exp(np.clip(t, math.log(lo), math.log(hi)))
+@dataclass(frozen=True)
+class _EpsilonTanh(_Map):
+    """delta = cap * tanh(t) with a cap just below 1: the epsilon asymmetry.
+
+    Not a _TanhCap with slope cap, whose cap * t / cap rounds.
+    """
+
+    cap: float
+
+    def decode(self, t):
+        th = np.tanh(t)
+        return self.cap * th, self.cap * (1.0 - th * th)
+
+    def encode(self, delta):
+        return np.arctanh(np.clip(delta / self.cap, -1.0 + 1e-12, 1.0 - 1e-12))
+
+    def at_cap(self, delta) -> bool:
+        # against 1, the edge of the scaling's domain, not against the cap
+        return 1.0 - abs(delta) <= _FRONTIER_TOL
 
 
-def _dec_log_d(t, lo: float, hi: float):
-    # outside the box the clip holds the value, so the slope is zero there
-    v = _dec_log(t, lo, hi)
-    return v, np.where((t >= math.log(lo)) & (t <= math.log(hi)), v, 0.0)
+@dataclass(frozen=True)
+class _ByScaling(_Map):
+    """The two-piece asymmetry, whose map follows FitConfig.scaling."""
+
+    isf: _Map
+    epsilon: _Map
+
+    def of(self, scaling):
+        return getattr(self, scaling)
 
 
-def _enc_log(v, lo: float, hi: float):
-    return np.log(np.clip(v, lo, hi))
-
-
-def _dec_eps(t):
-    return _EPS_CAP * np.tanh(t)
-
-
-def _dec_eps_d(t):
-    th = np.tanh(t)
-    return _EPS_CAP * th, _EPS_CAP * (1.0 - th * th)
-
-
-def _enc_eps(delta):
-    u = np.clip(delta / _EPS_CAP, -1.0 + 1e-12, 1.0 - 1e-12)
-    return np.arctanh(u)
+_NU = _LogBox(0.5, 200.0)
+_ETA = _LogBox(1e-3, 1e3)
+_ISF = _LogBox(1e-4, 1e4)
+_SKEW = _TanhCap(200.0)
+_SAS = _TanhCap(50.0)
+_EPSILON = _EpsilonTanh(1.0 - 1e-6)
+_TWO_PIECE = _ByScaling(_ISF, _EPSILON)
 
 
 def _sigma_of(ls):
@@ -536,7 +575,7 @@ def _nll_logistic(t, w, cfg):
 
 
 def _nll_t(t, w, cfg):
-    nu, d_nu = _dec_log_d(t[:, 2], _NU_LO, _NU_HI)
+    nu, d_nu = _NU.decode(t[:, 2])
     z = _z(t, w)
     tail, gz, g_nu = _t_tail(z, nu)
     return (
@@ -546,7 +585,7 @@ def _nll_t(t, w, cfg):
 
 
 def _nll_skew_normal(t, w, cfg, penalized=False):
-    delta, d_delta = _dec_bounded_d(t[:, 2], _SKEW_CAP)
+    delta, d_delta = _SKEW.decode(t[:, 2])
     z = _z(t, w)
     s = delta[:, None] * z
     log_cdf = log_ndtr(s)
@@ -568,8 +607,8 @@ def _nll_skew_normal(t, w, cfg, penalized=False):
 
 
 def _nll_skew_t(t, w, cfg):
-    nu, d_nu = _dec_log_d(t[:, 2], _NU_LO, _NU_HI)
-    delta, d_delta = _dec_bounded_d(t[:, 3], _SKEW_CAP)
+    nu, d_nu = _NU.decode(t[:, 2])
+    delta, d_delta = _SKEW.decode(t[:, 3])
     z = _z(t, w)
     q = z * z
     nuc = nu[:, None]
@@ -593,8 +632,8 @@ def _nll_skew_t(t, w, cfg):
 
 
 def _nll_sas(t, w, cfg):
-    delta, d_delta = _dec_bounded_d(t[:, 2], _SAS_CAP)
-    eta, d_eta = _dec_log_d(t[:, 3], _ETA_LO, _ETA_HI)
+    delta, d_delta = _SAS.decode(t[:, 2])
+    eta, d_eta = _ETA.decode(t[:, 3])
     z = _z(t, w)
     asinh_z = np.arcsinh(z)
     u = eta[:, None] * asinh_z + delta[:, None]
@@ -621,13 +660,12 @@ def _nll_sas(t, w, cfg):
 
 def _nll_two_piece(t, w, cfg):
     """Two-piece normal (d = 3) or two-piece t (d = 4, nu third)."""
+    delta, d_delta = _TWO_PIECE.of(cfg.scaling).decode(t[:, -1])
     if cfg.scaling == "epsilon":
-        delta, d_delta = _dec_eps_d(t[:, -1])
         s_l, s_r, log_a = 1.0 / (1.0 - delta), 1.0 / (1.0 + delta), 0.0
         # partials in delta of log s_l, log s_r and log_a
         ds_l, ds_r, d_log_a = s_l, -s_r, 0.0
     else:
-        delta, d_delta = _dec_log_d(t[:, -1], _ISF_LO, _ISF_HI)
         s_l, s_r = delta, 1.0 / delta
         log_a = np.log(2.0 / (delta + 1.0 / delta))
         ds_l, ds_r = 1.0 / delta, -1.0 / delta
@@ -638,7 +676,7 @@ def _nll_two_piece(t, w, cfg):
     v = s * z
     n = w.shape[1]
     if t.shape[1] == 4:
-        nu, d_nu = _dec_log_d(t[:, 2], _NU_LO, _NU_HI)
+        nu, d_nu = _NU.decode(t[:, 2])
         tail, gv, g_nu = _t_tail(v, nu)
         val = n * (t[:, 1] - log_a) + tail
         shape = (g_nu * d_nu,)
@@ -681,7 +719,7 @@ def _skew_normal_moment_start(g1):
     d0 = np.copysign(mb / np.sqrt(1.0 - mb * mb), g1)
     md = b * d0 / np.sqrt(1.0 + d0 * d0)
     s0 = 1.0 / np.sqrt(np.maximum(1.0 - md * md, 1e-3))
-    return -s0 * md, np.log(s0), _enc_bounded(d0, _SKEW_CAP)
+    return -s0 * md, np.log(s0), _SKEW.encode(d0)
 
 
 def _chase_start(w, sign):
@@ -738,12 +776,12 @@ def _starts_sas(w, cfg):
     sign = _skewness_sign(_third_moment(w))
     return [
         np.zeros((m, 4)),
-        _points(m, 0.0, 0.0, _enc_bounded(-0.7 * sign, _SAS_CAP), 0.0),
+        _points(m, 0.0, 0.0, _SAS.encode(-0.7 * sign), 0.0),
         _points(
             m,
             np.median(w, axis=1),
             math.log(0.8),
-            _enc_bounded(-0.4 * sign, _SAS_CAP),
+            _SAS.encode(-0.4 * sign),
             math.log(0.7),
         ),
     ]
@@ -764,206 +802,17 @@ def _starts_two_piece(w, cfg, with_nu):
         mu0 = np.quantile(w, q, axis=1)
         p_left = np.clip(np.mean(w < mu0[:, None], axis=1), 0.05, 0.95)
         if epsilon:
-            td = _enc_eps(1.0 - 2.0 * p_left)
+            td = _EPSILON.encode(1.0 - 2.0 * p_left)
         else:
-            td = _enc_log(np.sqrt(1.0 / p_left - 1.0), _ISF_LO, _ISF_HI)
+            td = _ISF.encode(np.sqrt(1.0 / p_left - 1.0))
         out.append(_points(m, mu0, 0.0, *nu, td))
     sign = _skewness_sign(_third_moment(w))
     mu_c, ls_c, _ = _chase_start(w, sign)
     # log of the wide side's scale over sigma at the cap
-    wide = _LOG_TWO if epsilon else math.log(_ISF_HI)
-    td = sign * (_enc_eps(_EPS_CAP) if epsilon else wide)
+    wide = _LOG_TWO if epsilon else math.log(_ISF.hi)
+    td = sign * (_EPSILON.encode(_EPSILON.cap) if epsilon else wide)
     out.append(_points(m, mu_c, ls_c - wide, *nu, td))
     return out
-
-
-# ---------------------------------------------------------------------------
-# coordinate decoding/encoding
-
-
-def _dec_normal(t, cfg):
-    return {"mu": float(t[0]), "sigma": float(_sigma_of(t[1]))}
-
-
-def _dec_t(t, cfg):
-    return {
-        "mu": float(t[0]),
-        "sigma": float(_sigma_of(t[1])),
-        "nu": float(_dec_log(t[2], _NU_LO, _NU_HI)),
-    }
-
-
-def _dec_skew_normal(t, cfg):
-    return {
-        "mu": float(t[0]),
-        "sigma": float(_sigma_of(t[1])),
-        "delta": float(_dec_bounded(t[2], _SKEW_CAP)),
-    }
-
-
-def _dec_skew_t(t, cfg):
-    return {
-        "mu": float(t[0]),
-        "sigma": float(_sigma_of(t[1])),
-        "nu": float(_dec_log(t[2], _NU_LO, _NU_HI)),
-        "delta": float(_dec_bounded(t[3], _SKEW_CAP)),
-    }
-
-
-def _dec_sas(t, cfg):
-    return {
-        "mu": float(t[0]),
-        "sigma": float(_sigma_of(t[1])),
-        "delta": float(_dec_bounded(t[2], _SAS_CAP)),
-        "eta": float(_dec_log(t[3], _ETA_LO, _ETA_HI)),
-    }
-
-
-def _dec_two_piece(t, cfg):
-    td = t[-1]
-    delta = _dec_eps(td) if cfg.scaling == "epsilon" else _dec_log(td, _ISF_LO, _ISF_HI)
-    out = {"mu": float(t[0]), "sigma": float(_sigma_of(t[1])), "delta": float(delta)}
-    if len(t) == 4:
-        out["nu"] = float(_dec_log(t[2], _NU_LO, _NU_HI))
-    return out
-
-
-def _enc_common(params, cfg, family):
-    mu = float(params["mu"])
-    ls = math.log(float(params["sigma"]))
-    if family == "logistic":
-        return np.array([mu, ls])
-    if family == "t":
-        return np.array([mu, ls, _enc_log(params["nu"], _NU_LO, _NU_HI)])
-    if family == "skew_normal":
-        return np.array([mu, ls, _enc_bounded(params["delta"], _SKEW_CAP)])
-    if family == "skew_t":
-        return np.array(
-            [
-                mu,
-                ls,
-                _enc_log(params["nu"], _NU_LO, _NU_HI),
-                _enc_bounded(params["delta"], _SKEW_CAP),
-            ]
-        )
-    if family == "sas_normal":
-        return np.array(
-            [
-                mu,
-                ls,
-                _enc_bounded(params["delta"], _SAS_CAP),
-                _enc_log(params["eta"], _ETA_LO, _ETA_HI),
-            ]
-        )
-    if family in ("twopiece_normal", "twopiece_t"):
-        if cfg.scaling == "epsilon":
-            td = _enc_eps(params["delta"])
-        else:
-            td = _enc_log(params["delta"], _ISF_LO, _ISF_HI)
-        if family == "twopiece_t":
-            return np.array([mu, ls, _enc_log(params["nu"], _NU_LO, _NU_HI), td])
-        return np.array([mu, ls, td])
-    raise ValueError(f"cannot encode parameters for family {family!r}")
-
-
-# ---------------------------------------------------------------------------
-# boundary rules (on the final natural parameters)
-
-
-def _boundary_none(params) -> bool:
-    return False
-
-
-def _boundary_skew(params) -> bool:
-    return _SKEW_CAP - abs(params["delta"]) <= _FRONTIER_TOL
-
-
-def _boundary_sas(params) -> bool:
-    return _SAS_CAP - abs(params["delta"]) <= _FRONTIER_TOL
-
-
-def _boundary_two_piece(params) -> bool:
-    delta = params["delta"]
-    if params.get("scaling", "isf") == "epsilon":
-        return 1.0 - abs(delta) <= _FRONTIER_TOL
-    # on the log scale, where exp(log(cap)) may land an ulp inside the cap
-    return abs(math.log(delta)) >= math.log(_ISF_HI) - _FRONTIER_TOL
-
-
-@dataclass(frozen=True)
-class _Family:
-    name: str
-    n_free: int
-    nll: Optional[Callable]
-    decode: Callable
-    starts: Optional[Callable]
-    boundary: Callable
-
-
-_FAMILIES = {
-    "normal": _Family("normal", 2, None, _dec_normal, None, _boundary_none),
-    "logistic": _Family(
-        "logistic",
-        2,
-        _nll_logistic,
-        _dec_normal,
-        _starts_logistic,
-        _boundary_none,
-    ),
-    "t": _Family(
-        "t",
-        3,
-        _nll_t,
-        _dec_t,
-        _starts_t,
-        _boundary_none,
-    ),
-    "skew_normal": _Family(
-        "skew_normal",
-        3,
-        _nll_skew_normal,
-        _dec_skew_normal,
-        _starts_skew_normal,
-        _boundary_skew,
-    ),
-    "skew_t": _Family(
-        "skew_t",
-        4,
-        _nll_skew_t,
-        _dec_skew_t,
-        _starts_skew_t,
-        _boundary_skew,
-    ),
-    "sas_normal": _Family(
-        "sas_normal",
-        4,
-        _nll_sas,
-        _dec_sas,
-        _starts_sas,
-        _boundary_sas,
-    ),
-    "twopiece_normal": _Family(
-        "twopiece_normal",
-        3,
-        _nll_two_piece,
-        _dec_two_piece,
-        partial(_starts_two_piece, with_nu=False),
-        _boundary_two_piece,
-    ),
-    "twopiece_t": _Family(
-        "twopiece_t",
-        4,
-        _nll_two_piece,
-        _dec_two_piece,
-        partial(_starts_two_piece, with_nu=True),
-        _boundary_two_piece,
-    ),
-}
-
-# the penalty c1*ln(1 + c2*delta^2) is a term of the skew-normal kernel
-_PENALIZED_SKEW_NORMAL = replace(
-    _FAMILIES["skew_normal"], nll=partial(_nll_skew_normal, penalized=True)
-)
 
 
 # ---------------------------------------------------------------------------
@@ -1044,46 +893,153 @@ class GhQuantileFit:
 
 
 # ---------------------------------------------------------------------------
+# the g-and-h letter-value fit
+
+
+def fit_gh_quantile(data) -> GhQuantileFit:
+    """Letter-value estimates of the g-and-h parameters.
+
+    g comes from the median of depth-wise log half-spread ratios; h and sigma
+    come from regressing the log corrected full spreads on z_p^2 / 2.  This
+    sidesteps the family's unavailable closed-form density.
+    """
+    x = _as_data(data)
+    if x.size < 50:
+        raise ValueError(f"letter-value fit needs at least 50 observations, got {x.size}")
+    med = float(np.median(x))
+    ps = np.array([0.75, 0.875, 0.9375, 0.96875])
+    zp = ndtri(ps)
+    upper = np.quantile(x, ps)
+    lower = np.quantile(x, 1.0 - ps)
+    uhs = upper - med
+    lhs = med - lower
+    if np.any(uhs <= 0.0) or np.any(lhs <= 0.0):
+        raise ValueError("tied letter values: half-spreads must be positive at every depth")
+    g = float(np.median(np.log(uhs / lhs) / zp))
+    spread = upper - lower
+    if abs(g) < 1e-8:
+        corr = 1.0 / (2.0 * zp)
+    else:
+        corr = g / (np.exp(g * zp) - np.exp(-g * zp))
+    y = np.log(spread * corr)
+    slope, intercept = np.polyfit(0.5 * zp * zp, y, 1)
+    return GhQuantileFit(
+        mu=med, sigma=float(math.exp(intercept)), g=g, h=float(slope), n=int(x.size)
+    )
+
+
+# ---------------------------------------------------------------------------
+# the family table
+
+
+def _two_piece(loc, delta, nu=None, scaling="isf"):
+    scheme = EpsilonScaling(delta) if scaling == "epsilon" else IsfScaling(delta)
+    return TwoPieceParams(normal_base() if nu is None else student_base(nu), loc, scheme)
+
+
+class _Shape(NamedTuple):
+    name: str
+    map: Optional[_Map] = None  # None where no likelihood fit optimizes it
+    col: Optional[int] = None  # its optimizer coordinate
+
+
+@dataclass(frozen=True)
+class _Family:
+    """One family: its parameters, and how to build, fit and report it.
+
+    Every family has a location mu and a scale sigma, optimized as mu and
+    log sigma in coordinates 0 and 1.  shapes holds the other parameters in
+    report order, each with its map and coordinate.  make builds the
+    distribution from a LocationScale and the shapes as keywords, plus the
+    scaling where scaled (the two-piece families, whose reports carry it).
+    nll and starts are an optimized family's kernel and start list; the
+    normal family has neither, having a closed form.  boundary names the
+    shape whose cap sets boundary_flag.  mle is False for the families no
+    likelihood fit covers; quantile_fit is a letter-value fit.
+    """
+
+    name: str
+    make: Callable
+    shapes: tuple = ()
+    nll: Optional[Callable] = None
+    starts: Optional[Callable] = None
+    boundary: Optional[str] = None
+    scaled: bool = False
+    mle: bool = True
+    quantile_fit: Optional[Callable] = None
+
+    @property
+    def n_free(self) -> int:
+        return 2 + len(self.shapes)
+
+    def decode(self, t, cfg: FitConfig) -> dict:
+        """Natural parameters, in report order, of optimizer coordinates t."""
+        out = {"mu": float(t[0]), "sigma": float(_sigma_of(t[1]))}
+        for s in self.shapes:
+            out[s.name] = float(s.map.of(cfg.scaling).decode(t[s.col])[0])
+        return out
+
+    def encode(self, params: dict, cfg: FitConfig) -> np.ndarray:
+        t = [float(params["mu"]), math.log(float(params["sigma"]))] + [0.0] * len(self.shapes)
+        for s in self.shapes:
+            t[s.col] = s.map.of(cfg.scaling).encode(params[s.name])
+        return np.array(t)
+
+    def at_boundary(self, params: dict, cfg: FitConfig) -> bool:
+        if self.boundary is None:
+            return False
+        shape = next(s for s in self.shapes if s.name == self.boundary)
+        return shape.map.of(cfg.scaling).at_cap(params[self.boundary])
+
+
+_FAMILIES = {f.name: f for f in (
+    _Family("normal", lambda loc: LocatedBase(normal_base(), loc)),
+    _Family("logistic", lambda loc: LocatedBase(logistic_base(), loc),
+            nll=_nll_logistic, starts=_starts_logistic),
+    _Family("t", lambda loc, nu: LocatedBase(student_base(nu), loc),
+            (_Shape("nu", _NU, 2),), _nll_t, _starts_t),
+    _Family("skew_normal", lambda loc, delta: SkewNormal(loc.mu, loc.sigma, delta),
+            (_Shape("delta", _SKEW, 2),), _nll_skew_normal, _starts_skew_normal, "delta"),
+    _Family("skew_t", lambda loc, nu, delta: SkewT(loc.mu, loc.sigma, nu, delta),
+            (_Shape("nu", _NU, 2), _Shape("delta", _SKEW, 3)), _nll_skew_t, _starts_skew_t,
+            "delta"),
+    _Family("sas_normal",
+            lambda loc, delta, eta: TransformParams(normal_base(), loc, SasTransform(delta, eta)),
+            (_Shape("delta", _SAS, 2), _Shape("eta", _ETA, 3)), _nll_sas, _starts_sas, "delta"),
+    _Family("twopiece_normal", _two_piece, (_Shape("delta", _TWO_PIECE, 2),), _nll_two_piece,
+            partial(_starts_two_piece, with_nu=False), "delta", scaled=True),
+    # reports delta before nu, but optimizes log nu before delta
+    _Family("twopiece_t", _two_piece, (_Shape("delta", _TWO_PIECE, 3), _Shape("nu", _NU, 2)),
+            _nll_two_piece, partial(_starts_two_piece, with_nu=True), "delta", scaled=True),
+    _Family("gh_normal",
+            lambda loc, g, h: TransformParams(normal_base(), loc, GhTransform(g, h)),
+            (_Shape("g"), _Shape("h")), mle=False, quantile_fit=fit_gh_quantile),
+    _Family("k_normal", lambda loc, eta: TransformParams(normal_base(), loc, KTransform(eta)),
+            (_Shape("eta"),), mle=False),
+)}
+
+FAMILY_ORDER = tuple(name for name, f in _FAMILIES.items() if f.mle)
+
+# the penalty c1*ln(1 + c2*delta^2) is a term of the skew-normal kernel
+_PENALIZED_SKEW_NORMAL = replace(
+    _FAMILIES[SKEW_NORMAL_PAIR[1]], nll=partial(_nll_skew_normal, penalized=True)
+)
+
+
+# ---------------------------------------------------------------------------
 # distribution construction and likelihood
 
 
 def distribution_for(family: str, params: dict):
     """Build the distribution object named by family from a parameter dict."""
-    mu = float(params["mu"])
-    sigma = float(params["sigma"])
-    loc = LocationScale(mu, sigma)
-    if family == "normal":
-        return LocatedBase(normal_base(), loc)
-    if family == "logistic":
-        return LocatedBase(logistic_base(), loc)
-    if family == "t":
-        return LocatedBase(student_base(float(params["nu"])), loc)
-    if family == "skew_normal":
-        return SkewNormal(mu, sigma, float(params["delta"]))
-    if family == "skew_t":
-        return SkewT(mu, sigma, float(params["nu"]), float(params["delta"]))
-    if family == "sas_normal":
-        return TransformParams(
-            normal_base(), loc, SasTransform(float(params["delta"]), float(params["eta"]))
-        )
-    if family == "gh_normal":
-        return TransformParams(
-            normal_base(), loc, GhTransform(float(params["g"]), float(params["h"]))
-        )
-    if family == "k_normal":
-        return TransformParams(normal_base(), loc, KTransform(float(params["eta"])))
-    if family in ("twopiece_normal", "twopiece_t"):
-        delta = float(params["delta"])
-        if params.get("scaling", "isf") == "epsilon":
-            scheme = EpsilonScaling(delta)
-        else:
-            scheme = IsfScaling(delta)
-        if family == "twopiece_t":
-            base = student_base(float(params["nu"]))
-        else:
-            base = normal_base()
-        return TwoPieceParams(base, loc, scheme)
-    raise ValueError(f"unknown family {family!r}")
+    spec = _FAMILIES.get(family)
+    if spec is None:
+        raise ValueError(f"unknown family {family!r}")
+    loc = LocationScale(float(params["mu"]), float(params["sigma"]))
+    shape = {s.name: float(params[s.name]) for s in spec.shapes}
+    if spec.scaled:
+        shape["scaling"] = params.get("scaling", "isf")
+    return spec.make(loc, **shape)
 
 
 def _as_data(data) -> np.ndarray:
@@ -1163,11 +1119,11 @@ def _two_piece_profile(w: np.ndarray, cfg: FitConfig):
         left = max(s2_list[k] - 2.0 * mu * s1_list[k] + k * mu * mu, 0.0)
         right = max((s2n - s2_list[k]) - 2.0 * mu * (s1n - s1_list[k]) + (n - k) * mu * mu, 0.0)
         if left <= 0.0:
-            delta = _ISF_HI
+            delta = _ISF.hi
         elif right <= 0.0:
-            delta = _ISF_LO
+            delta = _ISF.lo
         else:
-            delta = min(max((right / left) ** sixth, _ISF_LO), _ISF_HI)
+            delta = min(max((right / left) ** sixth, _ISF.lo), _ISF.hi)
         var = (delta * delta * left + right / (delta * delta)) / n
         if var <= 0.0:
             return -math.inf, delta, 0.0
@@ -1181,9 +1137,9 @@ def _two_piece_profile(w: np.ndarray, cfg: FitConfig):
             (s2[n] - s2[k]) - 2.0 * mu * (s1[n] - s1[k]) + (n - k) * mu * mu, 0.0
         )
         with np.errstate(divide="ignore", invalid="ignore"):
-            delta = np.clip((right / left) ** sixth, _ISF_LO, _ISF_HI)
-            delta = np.where(left <= 0.0, _ISF_HI, delta)
-            delta = np.where(right <= 0.0, _ISF_LO, delta)
+            delta = np.clip((right / left) ** sixth, _ISF.lo, _ISF.hi)
+            delta = np.where(left <= 0.0, _ISF.hi, delta)
+            delta = np.where(right <= 0.0, _ISF.lo, delta)
             var = (delta**2 * left + right / delta**2) / n
             ll = np.where(
                 var > 0.0,
@@ -1214,12 +1170,12 @@ def _two_piece_profile(w: np.ndarray, cfg: FitConfig):
     if cfg.scaling == "epsilon":
         d2 = delta_isf * delta_isf
         delta = (d2 - 1.0) / (d2 + 1.0)
-        delta = min(max(delta, -_EPS_CAP), _EPS_CAP)
+        delta = min(max(delta, -_EPSILON.cap), _EPSILON.cap)
         sigma = sigma_isf / math.sqrt(1.0 - delta * delta)
-        td = _enc_eps(delta)
+        td = _EPSILON.encode(delta)
     else:
         sigma = sigma_isf
-        td = _enc_log(delta_isf, _ISF_LO, _ISF_HI)
+        td = _ISF.encode(delta_isf)
     return np.array([mu_hat, math.log(sigma), td]), -ll_best, evals
 
 
@@ -1298,13 +1254,10 @@ def _fit(spec: _Family, data, cfg: FitConfig, extra_starts=()) -> FitResult:
     w, (e,), (m0,), (s0,) = _standardize(x[None, :])
     if s0 == 0.0:
         raise ValueError("degenerate sample: zero variance")
-    extra = [
-        _enc_common(_to_w_units(p, e, m0, s0), cfg, spec.name)[None, :]
-        for p in extra_starts
-    ]
+    extra = [spec.encode(_to_w_units(p, e, m0, s0), cfg)[None, :] for p in extra_starts]
     fit = _fit_rows(spec, w, cfg, extra)
     params = _from_w_units(spec.decode(fit.t[0], cfg), e, m0, s0)
-    if spec.name in ("twopiece_normal", "twopiece_t"):
+    if spec.scaled:
         params["scaling"] = cfg.scaling
     loglik = log_likelihood(spec.name, params, x)
     n = x.size
@@ -1317,7 +1270,7 @@ def _fit(spec: _Family, data, cfg: FitConfig, extra_starts=()) -> FitResult:
         n=n,
         converged=bool(fit.converged[0]),
         iterations=int(fit.iterations[0]),
-        boundary_flag=spec.boundary(params),
+        boundary_flag=spec.at_boundary(params, cfg),
     )
 
 
@@ -1334,7 +1287,7 @@ def fit_mle(
     parameter dicts (natural units) run as additional optimizer starting
     points before the structural ones.
     """
-    if family not in _FAMILIES:
+    if family not in FAMILY_ORDER:
         raise ValueError(
             f"unknown family {family!r}; expected one of {', '.join(FAMILY_ORDER)}"
         )
@@ -1351,38 +1304,6 @@ def fit_mle_penalized_skew_normal(data, config: Optional[FitConfig] = None) -> F
     """
     cfg = config if config is not None else FitConfig()
     return _fit(_PENALIZED_SKEW_NORMAL, data, cfg)
-
-
-def fit_gh_quantile(data) -> GhQuantileFit:
-    """Letter-value estimates of the g-and-h parameters.
-
-    g comes from the median of depth-wise log half-spread ratios; h and sigma
-    come from regressing the log corrected full spreads on z_p^2 / 2.  This
-    sidesteps the family's unavailable closed-form density.
-    """
-    x = _as_data(data)
-    if x.size < 50:
-        raise ValueError(f"letter-value fit needs at least 50 observations, got {x.size}")
-    med = float(np.median(x))
-    ps = np.array([0.75, 0.875, 0.9375, 0.96875])
-    zp = ndtri(ps)
-    upper = np.quantile(x, ps)
-    lower = np.quantile(x, 1.0 - ps)
-    uhs = upper - med
-    lhs = med - lower
-    if np.any(uhs <= 0.0) or np.any(lhs <= 0.0):
-        raise ValueError("tied letter values: half-spreads must be positive at every depth")
-    g = float(np.median(np.log(uhs / lhs) / zp))
-    spread = upper - lower
-    if abs(g) < 1e-8:
-        corr = 1.0 / (2.0 * zp)
-    else:
-        corr = g / (np.exp(g * zp) - np.exp(-g * zp))
-    y = np.log(spread * corr)
-    slope, intercept = np.polyfit(0.5 * zp * zp, y, 1)
-    return GhQuantileFit(
-        mu=med, sigma=float(math.exp(intercept)), g=g, h=float(slope), n=int(x.size)
-    )
 
 
 # ---------------------------------------------------------------------------

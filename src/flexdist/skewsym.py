@@ -22,13 +22,13 @@ from .base import (
     _GAUSS_WEIGHTS,
     _KRONROD_NODES,
     _KRONROD_WEIGHTS,
-    _maybe_scalar,
     golden_section_max,
     integrate,
     invert_cdf,
     log_stdtr,
     normal_base,
     quantile_levels,
+    scalar_or_array,
     student_base,
     student_pdf_k,
 )
@@ -40,8 +40,7 @@ _CDF_TOL = 1e-10
 def _per_level(invert, p):
     """Apply a scalar quantile inversion to each level inside (0, 1).
 
-    Levels 0, 1 and NaN follow base.quantile_levels; a float in gives a
-    float out.
+    Levels 0, 1 and NaN follow base.quantile_levels.
     """
     levels = quantile_levels(p)
 
@@ -50,8 +49,6 @@ def _per_level(invert, p):
             return invert(q)
         return -math.inf if q == 0.0 else math.inf if q == 1.0 else math.nan
 
-    if levels.ndim == 0:
-        return one(float(levels))
     return np.array([one(float(q)) for q in levels.ravel()]).reshape(levels.shape)
 
 
@@ -88,13 +85,11 @@ class SkewSymParams:
             raise ValueError("delta must be finite")
 
 
+@scalar_or_array
 def skew_symmetric_pdf(x, p: SkewSymParams, pi: SkewingFunction):
     """Univariate skew-symmetric density 2/sigma f(z) Pi(z, delta)."""
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    z = (np.atleast_1d(x) - p.loc.mu) / p.loc.sigma
-    out = 2.0 / p.loc.sigma * p.base.pdf(z) * pi.pi(z, p.delta)
-    return _maybe_scalar(out if not scalar else out[0], scalar)
+    z = (x - p.loc.mu) / p.loc.sigma
+    return 2.0 / p.loc.sigma * p.base.pdf(z) * pi.pi(z, p.delta)
 
 
 def skew_symmetric_pdf_k(x, mp: MatrixParams, nu: float, delta, pi: SkewingFunction):
@@ -108,11 +103,6 @@ def skew_symmetric_pdf_k(x, mp: MatrixParams, nu: float, delta, pi: SkewingFunct
     det_factor = 1.0 / math.sqrt(np.linalg.det(mp.sigma_mat))
     f = student_pdf_k(y, MatrixParams(np.zeros(mp.k), np.eye(mp.k)), nu)
     return 2.0 * det_factor * f * float(pi.pi(y, delta))
-
-
-def skew_normal_pdf(x, mu: float, sigma: float, delta: float):
-    """Skew-normal density 2/sigma phi(z) Phi(delta z)."""
-    return SkewNormal(mu, sigma, delta).pdf(x)
 
 
 def _t_cdf(x, nu: float):
@@ -212,29 +202,29 @@ class SkewNormal:
         if not np.isfinite(self.delta):
             raise ValueError("delta must be finite")
 
+    @scalar_or_array
     def log_pdf(self, x):
         from scipy.special import log_ndtr
 
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        z = (np.atleast_1d(x) - self.mu) / self.sigma
+        z = (x - self.mu) / self.sigma
         out = (math.log(2.0) - math.log(self.sigma)
                - 0.5 * z * z - 0.5 * math.log(2.0 * math.pi)
                + log_ndtr(self.delta * z))
-        return _maybe_scalar(out if not scalar else out[0], scalar)
+        # at z = +-inf, delta * z is NaN when delta = 0
+        out[np.isinf(z)] = -np.inf
+        return out
 
     def pdf(self, x):
         return np.exp(self.log_pdf(x))
 
+    @scalar_or_array
     def cdf(self, x):
         from scipy.special import ndtr, owens_t
 
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        z = (np.atleast_1d(x) - self.mu) / self.sigma
-        out = np.clip(ndtr(z) - 2.0 * owens_t(z, self.delta), 0.0, 1.0)
-        return _maybe_scalar(out if not scalar else out[0], scalar)
+        z = (x - self.mu) / self.sigma
+        return np.clip(ndtr(z) - 2.0 * owens_t(z, self.delta), 0.0, 1.0)
 
+    @scalar_or_array
     def quantile(self, p):
         return _per_level(
             lambda q: invert_cdf(self.cdf, q, self.mu - 3.0 * self.sigma,
@@ -269,14 +259,15 @@ class SkewT:
         if not np.isfinite(self.delta):
             raise ValueError("delta must be finite")
 
+    @scalar_or_array
     def log_pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        z = (np.atleast_1d(x) - self.mu) / self.sigma
+        z = (x - self.mu) / self.sigma
         tb = student_base(self.nu)
         out = (math.log(2.0) - math.log(self.sigma) + tb.log_pdf(z)
                + log_stdtr(self.nu + 1.0, _skew_t_arg(z, self.nu, self.delta)))
-        return _maybe_scalar(out if not scalar else out[0], scalar)
+        # at z = +-inf the skewing argument is inf * 0
+        out[np.isinf(z)] = -np.inf
+        return out
 
     def pdf(self, x):
         return np.exp(self.log_pdf(x))
@@ -286,19 +277,16 @@ class SkewT:
         # quadrature normalization cached per instance; analytically 1
         return integrate(self.pdf, -np.inf, np.inf, tol=_CDF_TOL)
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        xs = np.atleast_1d(x).astype(float)
+    @scalar_or_array
+    def cdf(self, xs):
         if xs.size == 1:
-            out = np.array([self._cdf_scalar(xs[0])])
-        else:
-            # the limits at -inf and +inf; panels integrate the finite points
-            out = np.where(xs > 0.0, 1.0, np.where(xs < 0.0, 0.0, np.nan))
-            finite = np.isfinite(xs)
-            if finite.any():
-                out[finite] = self._cdf_sorted_panels(xs[finite])
-        return _maybe_scalar(out if not scalar else out[0], scalar)
+            return np.array([self._cdf_scalar(xs[0])])
+        # the limits at -inf and +inf; panels integrate the finite points
+        out = np.where(xs > 0.0, 1.0, np.where(xs < 0.0, 0.0, np.nan))
+        finite = np.isfinite(xs)
+        if finite.any():
+            out[finite] = self._cdf_sorted_panels(xs[finite])
+        return out
 
     def _cdf_scalar(self, x: float) -> float:
         if math.isnan(x):
@@ -333,6 +321,7 @@ class SkewT:
         out[order] = np.clip(cum / self._total_mass, 0.0, 1.0)
         return out
 
+    @scalar_or_array
     def quantile(self, p):
         return _per_level(
             lambda q: invert_cdf(self._cdf_scalar, q, self.mu - 3.0 * self.sigma,
@@ -386,6 +375,7 @@ def sfa_composite_error_demo(n: int, sigma_v: float, sigma_u: float,
     v = sigma_v * nb.sample(n, rng)
     u = sigma_u * np.abs(nb.sample(n, rng))
     eps = v - u
-    normal_fit = infer.fit_mle("normal", eps)
-    sn_fit = infer.fit_mle("skew_normal", eps)
+    null, alt = infer.SKEW_NORMAL_PAIR
+    normal_fit = infer.fit_mle(null, eps)
+    sn_fit = infer.fit_mle(alt, eps)
     return SfaDemo(sample=eps, normal_fit=normal_fit, skew_normal_fit=sn_fit)

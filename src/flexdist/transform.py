@@ -18,74 +18,60 @@ from .base import (
     MatrixParams,
     SymmetricBase,
     UnsupportedDensityError,
-    _maybe_scalar,
     golden_section_max,
     quantile_levels,
+    scalar_or_array,
     student_pdf_k,
 )
 
 GH_SMALL_G = 1e-8  # below this |g| the analytic g -> 0 limit branch is used
 
 
+@scalar_or_array
 def sas_forward(x, delta: float, eta: float):
     """H(x) = sinh(eta * arcsinh(x) + delta); strictly increasing for eta > 0."""
     if eta <= 0.0:
         raise ValueError(f"eta must be positive, got {eta}")
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    out = np.sinh(eta * np.arcsinh(np.atleast_1d(x)) + delta)
-    return _maybe_scalar(out if not scalar else out[0], scalar)
+    return np.sinh(eta * np.arcsinh(x) + delta)
 
 
+@scalar_or_array
 def sas_inverse(x, delta: float, eta: float):
     if eta <= 0.0:
         raise ValueError(f"eta must be positive, got {eta}")
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    out = np.sinh((np.arcsinh(np.atleast_1d(x)) - delta) / eta)
-    return _maybe_scalar(out if not scalar else out[0], scalar)
+    return np.sinh((np.arcsinh(x) - delta) / eta)
 
 
+@scalar_or_array
 def sas_log_jacobian(x, delta: float, eta: float):
     """log H'(x) with H'(x) = eta cosh(eta arcsinh(x) + delta) / sqrt(1+x^2)."""
     if eta <= 0.0:
         raise ValueError(f"eta must be positive, got {eta}")
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    z = np.atleast_1d(x)
-    w = eta * np.arcsinh(z) + delta
+    w = eta * np.arcsinh(x) + delta
     # log cosh without overflow for large |w|
     log_cosh = np.abs(w) + np.log1p(np.exp(-2.0 * np.abs(w))) - math.log(2.0)
-    out = math.log(eta) + log_cosh - 0.5 * np.log1p(z * z)
-    return _maybe_scalar(out if not scalar else out[0], scalar)
+    return math.log(eta) + log_cosh - 0.5 * np.log1p(x * x)
 
 
+@scalar_or_array
 def gh_inverse(x, g: float, h: float):
     """Tukey's H^(-1)(x) = (1/g)(exp(gx) - 1) exp(hx^2/2), limit x exp(hx^2/2) at g=0."""
     if h < 0.0:
         raise ValueError(f"h must be nonnegative, got {h}")
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    z = np.atleast_1d(x)
     with np.errstate(over="ignore"):
-        tail = np.exp(0.5 * h * z * z)
+        tail = np.exp(0.5 * h * x * x)
         if abs(g) < GH_SMALL_G:
-            out = z * tail
-        else:
-            out = np.expm1(g * z) / g * tail
-    return _maybe_scalar(out if not scalar else out[0], scalar)
+            return x * tail
+        return np.expm1(g * x) / g * tail
 
 
+@scalar_or_array
 def k_inverse(x, eta: float):
     """H^(-1)(x) = x (1+x^2)^eta; odd, increasing, pure tail inflation."""
     if eta < 0.0:
         raise ValueError(f"eta must be nonnegative, got {eta}")
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    z = np.atleast_1d(x)
     with np.errstate(over="ignore"):
-        out = z * np.power(1.0 + z * z, eta)
-    return _maybe_scalar(out if not scalar else out[0], scalar)
+        return x * np.power(1.0 + x * x, eta)
 
 
 def _monotone_solve(inverse_fn, target, lo0=-60.0, hi0=60.0, iters=90):
@@ -106,7 +92,8 @@ def _monotone_solve(inverse_fn, target, lo0=-60.0, hi0=60.0, iters=90):
         below = inverse_fn(mid) < t
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
+    # a NaN target compares false everywhere and would end at lo0
+    return np.where(np.isnan(t), np.nan, 0.5 * (lo + hi))
 
 
 @dataclass(frozen=True)
@@ -152,12 +139,10 @@ class GhTransform:
     def inverse(self, x):
         return gh_inverse(x, self.g, self.h)
 
+    @scalar_or_array
     def forward(self, x):
         # numeric: monotone bisection against the closed-form inverse
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        out = _monotone_solve(self.inverse, np.atleast_1d(x))
-        return _maybe_scalar(out if not scalar else out[0], scalar)
+        return _monotone_solve(self.inverse, x)
 
     def log_jacobian(self, x):
         raise UnsupportedDensityError(
@@ -179,11 +164,9 @@ class KTransform:
     def inverse(self, x):
         return k_inverse(x, self.eta)
 
+    @scalar_or_array
     def forward(self, x):
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        out = _monotone_solve(self.inverse, np.atleast_1d(x))
-        return _maybe_scalar(out if not scalar else out[0], scalar)
+        return _monotone_solve(self.inverse, x)
 
     def log_jacobian(self, x):
         raise UnsupportedDensityError(
@@ -200,26 +183,24 @@ class TransformParams:
 
     # -- distribution interface -------------------------------------------
 
+    @scalar_or_array
     def log_pdf(self, x):
         if not self.tr.invertible_density:
             raise UnsupportedDensityError(
                 f"{type(self.tr).__name__} supports no density evaluation")
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        z = (np.atleast_1d(x) - self.loc.mu) / self.loc.sigma
+        z = (x - self.loc.mu) / self.loc.sigma
         out = (self.base.log_pdf(self.tr.forward(z)) + self.tr.log_jacobian(z)
                - math.log(self.loc.sigma))
-        return _maybe_scalar(out if not scalar else out[0], scalar)
+        # at z = +-inf the SAS log jacobian is inf - inf
+        out[np.isinf(z)] = -np.inf
+        return out
 
     def pdf(self, x):
         return np.exp(self.log_pdf(x))
 
+    @scalar_or_array
     def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        z = (np.atleast_1d(x) - self.loc.mu) / self.loc.sigma
-        out = self.base.cdf(self.tr.forward(z))
-        return _maybe_scalar(out if not scalar else out[0], scalar)
+        return self.base.cdf(self.tr.forward((x - self.loc.mu) / self.loc.sigma))
 
     def quantile(self, p):
         return transform_quantile(p, self)
@@ -235,19 +216,11 @@ class TransformParams:
         return sample_transform(n, self, rng)
 
 
-def transform_pdf(x, p: TransformParams):
-    """Density sigma^(-1) f(H(z)) H'(z); defined only for invertible kinds."""
-    return p.pdf(x)
-
-
-def transform_quantile(p_level, params: TransformParams):
+@scalar_or_array
+def transform_quantile(q, params: TransformParams):
     """mu + sigma * H^(-1)(base quantile); exact for every kind."""
-    p_level = quantile_levels(p_level)
-    scalar = p_level.ndim == 0
-    q = np.atleast_1d(p_level)
-    out = params.loc.mu + params.loc.sigma * params.tr.inverse(
-        params.base.quantile(q))
-    return _maybe_scalar(out if not scalar else out[0], scalar)
+    q = quantile_levels(q)
+    return params.loc.mu + params.loc.sigma * params.tr.inverse(params.base.quantile(q))
 
 
 def sample_transform(n: int, params: TransformParams,

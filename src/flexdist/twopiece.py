@@ -17,9 +17,9 @@ import numpy as np
 from .base import (
     LocationScale,
     SymmetricBase,
-    _maybe_scalar,
     find_root,
     quantile_levels,
+    scalar_or_array,
 )
 
 EPSILON_EDGE = 1.0 - 1e-9  # |delta| at or beyond this is rejected
@@ -90,40 +90,34 @@ class TwoPieceParams:
     loc: LocationScale
     scheme: "EpsilonScaling | IsfScaling"
 
+    @scalar_or_array
     def log_pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        z = (np.atleast_1d(x) - self.loc.mu) / self.loc.sigma
+        z = (x - self.loc.mu) / self.loc.sigma
         s = np.where(z < 0.0, self.scheme.s_left, self.scheme.s_right)
-        out = (math.log(self.scheme.a) - math.log(self.loc.sigma)
-               + self.base.log_pdf(s * z))
-        return _maybe_scalar(out if not scalar else out[0], scalar)
+        return (math.log(self.scheme.a) - math.log(self.loc.sigma)
+                + self.base.log_pdf(s * z))
 
     def pdf(self, x):
         return np.exp(self.log_pdf(x))
 
+    @scalar_or_array
     def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        z = (np.atleast_1d(x) - self.loc.mu) / self.loc.sigma
+        z = (x - self.loc.mu) / self.loc.sigma
         sl, sr, a = self.scheme.s_left, self.scheme.s_right, self.scheme.a
         left_mass = sr / (sl + sr)
         below = (a / sl) * self.base.cdf(sl * z)
         above = left_mass + (a / sr) * (self.base.cdf(sr * z) - 0.5)
-        out = np.where(z < 0.0, below, above)
-        return _maybe_scalar(out if not scalar else out[0], scalar)
+        return np.where(z < 0.0, below, above)
 
+    @scalar_or_array
     def quantile(self, q):
-        q = quantile_levels(q)
-        scalar = q.ndim == 0
-        qq = np.atleast_1d(q)
+        qq = quantile_levels(q)
         sl, sr, a = self.scheme.s_left, self.scheme.s_right, self.scheme.a
         left_mass = sr / (sl + sr)
         # each side inverts its own tail mass, by the symmetry of the base
         lower = self.base.quantile(np.minimum(qq * sl / a, 0.5)) / sl
         upper = -self.base.quantile(np.minimum((1.0 - qq) * sr / a, 0.5)) / sr
-        out = self.loc.mu + self.loc.sigma * np.where(qq < left_mass, lower, upper)
-        return _maybe_scalar(out if not scalar else out[0], scalar)
+        return self.loc.mu + self.loc.sigma * np.where(qq < left_mass, lower, upper)
 
     def mode(self) -> float:
         # branch rescaling leaves the peak of a unimodal base at mu
@@ -134,18 +128,6 @@ class TwoPieceParams:
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return sample_two_piece(n, self, rng)
-
-
-def two_piece_pdf(x, p: TwoPieceParams):
-    return p.pdf(x)
-
-
-def two_piece_cdf(x, p: TwoPieceParams):
-    return p.cdf(x)
-
-
-def two_piece_quantile(q, p: TwoPieceParams):
-    return p.quantile(q)
 
 
 def sample_two_piece(n: int, p: TwoPieceParams,
@@ -224,14 +206,10 @@ def arctan_tilt_transform(c: float) -> ScaleTransform:
     return ScaleTransform(h, name=f"arctan_tilt({c})")
 
 
-def scale_transformed_pdf(x, base: SymmetricBase, st: ScaleTransform):
+@scalar_or_array
+def scale_transformed_pdf(z, base: SymmetricBase, st: ScaleTransform):
     """Density 2 f(H^(-1)(x)); normalization follows from the H condition."""
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    z = np.atleast_1d(x)
-    inv = np.array([st.inverse(v) for v in z])
-    out = 2.0 * base.pdf(inv)
-    return _maybe_scalar(out if not scalar else out[0], scalar)
+    return 2.0 * base.pdf(np.array([st.inverse(v) for v in z]))
 
 
 @dataclass(frozen=True)
@@ -242,9 +220,7 @@ class ScaleTransformed:
     loc: LocationScale
     st: ScaleTransform
 
+    @scalar_or_array
     def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        z = (np.atleast_1d(x) - self.loc.mu) / self.loc.sigma
-        out = scale_transformed_pdf(z, self.base, self.st) / self.loc.sigma
-        return _maybe_scalar(out if not scalar else np.atleast_1d(out)[0], scalar)
+        z = (x - self.loc.mu) / self.loc.sigma
+        return scale_transformed_pdf(z, self.base, self.st) / self.loc.sigma

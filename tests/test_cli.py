@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from flexdist import cli, infer
 from tests import subprocess_env
 
 SQRT_TWO_THIRDS = 0.816496580927726  # sqrt(2/3), mpmath 40-digit
@@ -93,15 +94,48 @@ def test_curve_gh_has_no_density():
     assert "density" in r.stderr
 
 
-def test_curve_missing_shape_flag():
-    r = run("curve", "--family", "skew_normal")
-    assert r.returncode == 2
-    assert "--delta" in r.stderr
+# every family's own shape flags, with values that make a valid distribution
+FAMILY_FLAGS = {
+    "normal": {},
+    "logistic": {},
+    "t": {"nu": 3},
+    "skew_normal": {"delta": 1},
+    "skew_t": {"nu": 3, "delta": 1},
+    "sas_normal": {"delta": 0.5, "eta": 1.5},
+    "gh_normal": {"g": 0.5, "h": 0.2},
+    "k_normal": {"eta": 0.5},
+    "twopiece_normal": {"delta": 2},
+    "twopiece_t": {"nu": 3, "delta": 2},
+}
+SHAPE_FLAGS = ("delta", "eta", "g", "h", "nu")
 
 
-def test_curve_forbidden_shape_flag():
-    r = run("curve", "--family", "normal", "--delta", "1")
-    assert r.returncode == 2
+def _flags(params):
+    return [f"--{name}={value}" for name, value in params.items()]
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_FLAGS))
+def test_curve_missing_shape_flag(family, capsys):
+    assert set(FAMILY_FLAGS) == set(infer._FAMILIES)
+    own = FAMILY_FLAGS[family]
+    # with all of its flags the family is accepted
+    assert cli.main(["sample", "--family", family, *_flags(own), "-n", "1", "--seed", "0"]) == 0
+    for name in own:
+        rest = {k: v for k, v in own.items() if k != name}
+        assert cli.main(["curve", "--family", family, *_flags(rest)]) == 2
+        assert f"requires --{name}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_FLAGS))
+def test_curve_forbidden_shape_flag(family, capsys):
+    own = FAMILY_FLAGS[family]
+    others = {name: 1 for name in SHAPE_FLAGS if name not in own}
+    if not infer._FAMILIES[family].scaled:
+        others["scaling"] = "isf"
+    for name, value in others.items():
+        argv = ["curve", "--family", family, *_flags(own), f"--{name}={value}"]
+        assert cli.main(argv) == 2
+        assert f"does not accept --{name}" in capsys.readouterr().err
 
 
 def test_curve_negative_sigma():

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -108,6 +109,116 @@ def test_quantile_domain_rule_across_the_catalogue():
                 d.quantile(bad)
             with pytest.raises(ValueError):
                 d.quantile(np.array([0.5, bad]))
+
+
+@pytest.mark.parametrize(
+    "family, params",
+    CATALOGUE + [("skew_normal", {"mu": 0.5, "sigma": 2.0, "delta": 0.0})],
+    ids=lambda v: v if isinstance(v, str) else "-".join(str(p) for p in v.values()))
+def test_non_finite_points(family, params):
+    # the density vanishes at +-inf and the cdf reaches its limits there;
+    # NaN gives NaN, for scalars and arrays alike
+    assert {f for f, _ in CATALOGUE} == set(infer._FAMILIES)
+    d = infer.distribution_for(family, params)
+    ends = np.array([-np.inf, np.inf])
+    with np.errstate(all="ignore"):
+        if family not in ("gh_normal", "k_normal"):   # no density to evaluate
+            assert d.log_pdf(-np.inf) == -np.inf and d.log_pdf(np.inf) == -np.inf
+            assert np.array_equal(d.log_pdf(ends), [-np.inf, -np.inf])
+            assert np.array_equal(d.pdf(ends), [0.0, 0.0])
+        out = d.cdf(np.array([-np.inf, np.inf, np.nan]))
+        assert out[0] == 0.0 and out[1] == 1.0 and np.isnan(out[2])
+        assert d.cdf(-np.inf) == 0.0 and d.cdf(np.inf) == 1.0
+        assert math.isnan(d.cdf(np.nan))
+
+
+# ------------------------------------------------------- the coordinate maps
+
+REPORT_ORDER = {
+    "normal": ("mu", "sigma"),
+    "logistic": ("mu", "sigma"),
+    "t": ("mu", "sigma", "nu"),
+    "skew_normal": ("mu", "sigma", "delta"),
+    "skew_t": ("mu", "sigma", "nu", "delta"),
+    "sas_normal": ("mu", "sigma", "delta", "eta"),
+    "twopiece_normal": ("mu", "sigma", "delta"),
+    "twopiece_t": ("mu", "sigma", "delta", "nu"),
+}
+
+
+def _reference_boundary(family, params):
+    """The per-family boundary rules the family table replaced."""
+    delta = params.get("delta")
+    if family in ("skew_normal", "skew_t"):
+        return 200.0 - abs(delta) <= 1e-4
+    if family == "sas_normal":
+        return 50.0 - abs(delta) <= 1e-4
+    if family in ("twopiece_normal", "twopiece_t"):
+        if params.get("scaling", "isf") == "epsilon":
+            return 1.0 - abs(delta) <= 1e-4
+        return abs(math.log(delta)) >= math.log(1e4) - 1e-4
+    return False
+
+
+def _near_cap(family, scaling, e, sign):
+    """A frontier shape's value e inside its cap (on the log scale for ISF)."""
+    if family.startswith("twopiece") and scaling == "epsilon":
+        # kept inside the map's cap, 1 - 1e-6, while the rule's edge is 1
+        return sign * (1.0 - 2e-6 - e)
+    if family.startswith("twopiece"):
+        return math.exp(sign * (math.log(1e4) - e))
+    return sign * ((200.0 if family.startswith("skew") else 50.0) - e)
+
+
+def _shape_values(family, name, scaling):
+    """Natural values inside the box of one shape, half of them near its cap."""
+    if name == "nu":
+        return st.floats(0.5, 200.0)
+    if name == "eta":
+        return st.floats(1e-3, 1e3)
+    near = st.builds(partial(_near_cap, family, scaling), st.floats(0.0, 3e-4),
+                     st.sampled_from((-1.0, 1.0)))
+    if family.startswith("twopiece") and scaling == "epsilon":
+        return st.floats(-0.9999, 0.9999, allow_subnormal=False) | near
+    if family.startswith("twopiece"):
+        return st.floats(-math.log(1e4), math.log(1e4)).map(math.exp) | near
+    cap = 200.0 if family.startswith("skew") else 50.0
+    return st.floats(-cap, cap, allow_subnormal=False) | near
+
+
+@pytest.mark.parametrize("scaling", ["isf", "epsilon"])
+@pytest.mark.parametrize("family", sorted(REPORT_ORDER))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_coordinate_maps_round_trip_and_flag_the_frontier(family, scaling, data):
+    assert set(REPORT_ORDER) == set(infer.FAMILY_ORDER)
+    spec, cfg = infer._FAMILIES[family], infer.FitConfig(scaling=scaling)
+    params = {"mu": data.draw(st.floats(-1e3, 1e3)), "sigma": data.draw(st.floats(1e-3, 1e3))}
+    for name in REPORT_ORDER[family][2:]:
+        params[name] = data.draw(_shape_values(family, name, scaling), label=name)
+    back = spec.decode(spec.encode(params, cfg), cfg)
+    assert tuple(back) == REPORT_ORDER[family]
+    for name, value in params.items():
+        assert back[name] == pytest.approx(value, rel=1e-12, abs=0.0), name
+    if spec.scaled:
+        params["scaling"] = scaling
+    assert spec.at_boundary(params, cfg) == _reference_boundary(family, params)
+
+
+@pytest.mark.parametrize("scaling", ["isf", "epsilon"])
+@pytest.mark.parametrize("family", ["skew_normal", "skew_t", "sas_normal",
+                                    "twopiece_normal", "twopiece_t"])
+def test_boundary_flag_near_each_cap(family, scaling):
+    # a grid fine enough to separate the epsilon rule's edge 1 from its cap
+    spec, cfg = infer._FAMILIES[family], infer.FitConfig(scaling=scaling)
+    flags = set()
+    for e in np.linspace(0.0, 3e-4, 601):
+        for sign in (-1.0, 1.0):
+            params = {"delta": _near_cap(family, scaling, float(e), sign), "scaling": scaling}
+            flag = spec.at_boundary(params, cfg)
+            assert flag == _reference_boundary(family, params), (e, sign)
+            flags.add(flag)
+    assert flags == {False, True}
 
 
 # ------------------------------------------------------------------- simplex

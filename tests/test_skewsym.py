@@ -62,17 +62,16 @@ def test_skew_symmetric_pdf_oracle_point():
 def test_skew_normal_pdf_wrapper_consistency():
     for delta in (0.0, 1.0, -2.5):
         for mu, sigma in ((0.0, 1.0), (1.5, 0.7)):
-            direct = skewsym.skew_normal_pdf(GRID, mu, sigma, delta)
+            direct = skewsym.SkewNormal(mu, sigma, delta).pdf(GRID)
             via = skewsym.skew_symmetric_pdf(
                 GRID, _params(mu, sigma, delta), PI_NORMAL)
             assert np.max(np.abs(direct - via)) < 1e-15
 
 
 def test_skew_normal_pdf_oracle_points():
-    assert skewsym.skew_normal_pdf(0.0, 0.0, 1.0, 5.0) == pytest.approx(
-        PHI_0, abs=1e-15)
-    assert skewsym.skew_normal_pdf(-2.0, 0.0, 1.0, 5.0) == pytest.approx(
-        SN_M2_5, rel=1e-10)
+    d = skewsym.SkewNormal(0.0, 1.0, 5.0)
+    assert d.pdf(0.0) == pytest.approx(PHI_0, abs=1e-15)
+    assert d.pdf(-2.0) == pytest.approx(SN_M2_5, rel=1e-10)
 
 
 def test_skew_normal_figure_parameters_normalize():
@@ -96,8 +95,9 @@ def test_skew_normal_rejects_bad_scale():
 @settings(max_examples=120, deadline=None)
 def test_skewing_identity_pointwise(x, delta):
     # pdf(x; delta) + pdf(-x; delta) = 2 phi(x): the complementary-mass law
-    left = skewsym.skew_normal_pdf(x, 0.0, 1.0, delta)
-    right = skewsym.skew_normal_pdf(-x, 0.0, 1.0, delta)
+    d = skewsym.SkewNormal(0.0, 1.0, delta)
+    left = d.pdf(x)
+    right = d.pdf(-x)
     ref = 2.0 * base.normal_pdf(x, base.LocationScale(0.0, 1.0))
     assert left + right == pytest.approx(ref, rel=1e-12, abs=1e-300)
 

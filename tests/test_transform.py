@@ -84,7 +84,7 @@ def test_sas_transform_validation():
 
 def test_transform_pdf_identity_matches_normal():
     p = _sas_params(0.0, 1.0)
-    vals = transform.transform_pdf(GRID, p)
+    vals = p.pdf(GRID)
     ref = base.normal_pdf(GRID, STD_LOC)
     assert np.max(np.abs(vals - ref)) < 1e-14
 
@@ -110,7 +110,7 @@ def test_transform_pdf_rejects_gh_and_k():
         with pytest.raises(base.UnsupportedDensityError):
             p.pdf(0.0)
         with pytest.raises(base.UnsupportedDensityError):
-            transform.transform_pdf(0.0, p)
+            p.pdf(GRID)
 
 
 def test_gh_inverse_identity_and_origin():

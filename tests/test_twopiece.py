@@ -203,13 +203,6 @@ def test_sampler_ks_against_cdf():
         assert res.pvalue > 0.01
 
 
-def test_module_level_wrappers_delegate():
-    p = _isf(2.0)
-    assert twopiece.two_piece_pdf(0.5, p) == p.pdf(0.5)
-    assert twopiece.two_piece_cdf(0.5, p) == p.cdf(0.5)
-    assert twopiece.two_piece_quantile(0.5, p) == p.quantile(0.5)
-
-
 def test_moment_order_bound_passthrough():
     assert _isf(2.0).moment_order_bound() == np.inf
     assert _isf(2.0, b=base.student_base(2.0)).moment_order_bound() == 2.0
