@@ -75,8 +75,14 @@ def k_inverse(x, eta: float):
 
 
 def _monotone_solve(inverse_fn, target, lo0=-60.0, hi0=60.0, iters=90):
-    """Vectorized bisection for inverse_fn(z) = target, inverse_fn increasing."""
-    t = np.atleast_1d(np.asarray(target, dtype=float))
+    """Vectorized bisection for inverse_fn(z) = target, inverse_fn increasing.
+
+    A target of +-inf maps to +-inf and a NaN target to NaN; neither is
+    bracketed, so the finite targets' bits do not depend on them.
+    """
+    target = np.atleast_1d(np.asarray(target, dtype=float))
+    finite = np.isfinite(target)
+    t = np.where(finite, target, 0.0)
     lo = np.full_like(t, lo0)
     hi = np.full_like(t, hi0)
     # widen until bracketed (rarely needed; inverse maps usually explode fast)
@@ -92,8 +98,7 @@ def _monotone_solve(inverse_fn, target, lo0=-60.0, hi0=60.0, iters=90):
         below = inverse_fn(mid) < t
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
-    # a NaN target compares false everywhere and would end at lo0
-    return np.where(np.isnan(t), np.nan, 0.5 * (lo + hi))
+    return np.where(finite, 0.5 * (lo + hi), target)
 
 
 @dataclass(frozen=True)

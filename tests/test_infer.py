@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -61,6 +62,19 @@ def test_log_likelihood_rejects_bad_data():
 def test_distribution_for_rejects_unknown_family():
     with pytest.raises(ValueError):
         infer.distribution_for("weibull", {"mu": 0.0, "sigma": 1.0})
+
+
+@pytest.mark.parametrize("family", ["twopiece_normal", "twopiece_t"])
+def test_distribution_for_checks_the_two_piece_scaling(family):
+    params = {"mu": 0.0, "sigma": 1.0, "delta": 0.5, "nu": 4.0}
+    isf = infer.distribution_for(family, params)   # absent: isf
+    assert isinstance(isf.scheme, twopiece.IsfScaling)
+    for scaling, scheme in (("isf", twopiece.IsfScaling),
+                            ("epsilon", twopiece.EpsilonScaling)):
+        d = infer.distribution_for(family, {**params, "scaling": scaling})
+        assert isinstance(d.scheme, scheme)
+    with pytest.raises(ValueError, match="isf or epsilon"):
+        infer.distribution_for(family, {**params, "scaling": "epsilom"})
 
 
 def test_gh_has_no_evaluatable_density():
@@ -848,7 +862,7 @@ def test_opg_seed_matches_a_per_point_loop(family, monkeypatch):
     assert np.allclose(h[~chase], eye * variances[:, None, :], rtol=1e-8, atol=0.0)
 
 
-def _rosenbrock(t, rows):
+def _rosenbrock(t, rows, want=None):
     a, b = t[:, :-1], t[:, 1:]
     f = np.sum(100.0 * (b - a * a) ** 2 + (1.0 - a) ** 2, axis=1)
     g = np.zeros_like(t)
@@ -873,6 +887,94 @@ def test_batch_bfgs_unseeded_problems_keep_the_identity_run():
         "0x1.7f4d680000000p-84", "0x1.9000000000000p-98", "0x1.831fe80000000p-85"]
     assert iters.tolist() == [57, 36, 57]
     assert conv.all()
+
+
+# ------------------------------------------- scores only where they are read
+
+def test_skew_t_fits_match_fits_with_full_scores(monkeypatch):
+    # normal data drive log nu past its clip, where the nu slope is zero
+    rng = base.make_rng(901)
+    n = 2000
+    # five problems per kernel call, so the chunks split the predicates
+    monkeypatch.setattr(infer, "_BATCH_ELEMENTS", 5 * n)
+    w = infer._standardize(np.array([rng.standard_normal(n),
+                                     rng.standard_t(3.0, size=n),
+                                     rng.gamma(2.0, size=n)]))[0]
+    spec, cfg = infer._FAMILIES["skew_t"], infer.FitConfig()
+    full = replace(spec, nll=lambda t, w, cfg, want=None: spec.nll(t, w, cfg))
+    got, ref = infer._fit_rows(spec, w, cfg), infer._fit_rows(full, w, cfg)
+    assert infer._NU.decode(got.t[0, 2])[1] == 0.0
+    for a, b in zip(got, ref):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_bfgs_reads_no_score_it_did_not_want(monkeypatch):
+    # a kernel free to return any finite score on unwanted rows: two-piece t
+    # searches on these samples end against walls, whose scores are read
+    spec = infer._FAMILIES["twopiece_t"]
+
+    def lazy(t, w, cfg, want=None):
+        f, g = spec.nll(t, w, cfg)
+        if want is not None:
+            g[~want(f)] = 1.0
+        return f, g
+
+    rng = base.make_rng(5)
+    w = infer._standardize(np.array([rng.gamma(2.0, size=50) for _ in range(6)]))[0]
+    monkeypatch.setattr(infer, "_BATCH_ELEMENTS", 7 * w.shape[1])
+    cfg = infer.FitConfig()
+    got, ref = infer._fit_rows(replace(spec, nll=lazy), w, cfg), infer._fit_rows(spec, w, cfg)
+    for a, b in zip(got, ref):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_skew_t_differences_only_wanted_live_rows(monkeypatch):
+    calls = []
+
+    def log_stdtr(df, a):
+        calls.append(a)
+        return base.log_stdtr(df, a)
+
+    monkeypatch.setattr(infer, "log_stdtr", log_stdtr)
+    rng = base.make_rng(910)
+    w = np.tile(rng.standard_normal(30), (8, 1))
+    # log nu: inside the box, beyond its upper and below its lower end
+    t = np.column_stack((rng.normal(0.0, 0.3, 8), rng.normal(0.0, 0.3, 8),
+                         [1.0, 2.0, 6.0, 7.0, 0.5, -1.0, 3.0, 5.5],
+                         rng.normal(0.0, 0.5, 8)))
+    slope = infer._NU.decode(t[:, 2])[1] != 0.0
+    assert not slope.all() and slope.any()
+    cfg = infer.FitConfig()
+    f, g = infer._nll_skew_t(t, w, cfg)
+    assert len(calls) == 2 and np.array_equal(calls[1], calls[0][slope])
+    for picked in ([0, 2, 5, 6], [2, 3], []):
+        wanted = np.isin(np.arange(8), picked)
+        calls.clear()
+        fw, gw = infer._nll_skew_t(t, w, cfg, want=lambda v: wanted)
+        live = slope & wanted
+        assert len(calls) == 1 + live.any()
+        if live.any():
+            assert np.array_equal(calls[1], calls[0][live])
+        assert fw.tobytes() == f.tobytes()
+        assert gw[wanted].tobytes() == g[wanted].tobytes()
+        # where the nu slope is zero the score is exact on every row
+        assert np.array_equal(gw[~slope], g[~slope])
+        assert np.array_equal(np.delete(gw, 2, axis=1), np.delete(g, 2, axis=1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_skew_t_score_is_finite_wherever_its_value_is(data):
+    # a trial's acceptance is judged from its value alone: with a score
+    # non-finite at a finite value, an unwanted row would count as +inf with
+    # its full score and as finite without it
+    w = np.array([data.draw(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=20))])
+    t = np.array([[data.draw(st.floats(-1e6, 1e6)), data.draw(st.floats(-200.0, 200.0)),
+                   data.draw(st.floats(-50.0, 50.0)), data.draw(st.floats(-1e3, 1e3))]])
+    with np.errstate(all="ignore"):
+        f, g = infer._nll_skew_t(t, w, infer.FitConfig())
+    assume(np.isfinite(f[0]))
+    assert np.isfinite(g).all()
 
 
 def test_bhhh_seed_cuts_optimizer_iterations():

@@ -162,6 +162,21 @@ def test_k_transform_validation():
     transform.KTransform(0.0)
 
 
+@pytest.mark.parametrize("tr", [transform.GhTransform(0.5, 0.2),
+                                transform.GhTransform(-0.3, 0.0),
+                                transform.KTransform(0.5)])
+def test_numeric_forward_maps_infinite_targets_to_infinity(tr):
+    assert tr.forward(math.inf) == math.inf
+    assert tr.forward(-math.inf) == -math.inf
+    assert math.isnan(tr.forward(math.nan))
+    finite = np.array([-3.0, 0.0, 0.7, 12.0])
+    mixed = np.array([-math.inf, -3.0, 0.0, math.nan, 0.7, 12.0, math.inf])
+    out = tr.forward(mixed)
+    assert out[0] == -math.inf and out[-1] == math.inf and math.isnan(out[3])
+    # the finite targets are solved as they are without the others
+    assert np.array_equal(out[[1, 2, 4, 5]], tr.forward(finite))
+
+
 def test_transform_quantile_gh_median_is_mu():
     for g, h in ((0.0, 0.0), (0.5, 0.2), (-2.0, 0.7)):
         p = transform.TransformParams(NORMAL, base.LocationScale(3.0, 2.0),
