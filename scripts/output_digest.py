@@ -28,18 +28,14 @@ from pathlib import Path
 
 import numpy as np
 
-FAMILIES = ("normal", "logistic", "t", "skew_normal", "skew_t", "sas_normal",
-            "twopiece_normal", "twopiece_t", "gh_normal")
-SCALED = ("twopiece_normal", "twopiece_t")
-PAIRS = (("normal", "skew_normal"), ("normal", "sas_normal"),
-         ("normal", "twopiece_normal"), ("t", "skew_t"))
+DATA_SEED = 20260101
 TEST_REPS = 99
 TEST_SEED = 7
 
 
-def datasets(seed: int) -> dict:
+def datasets() -> dict:
     """Name -> sample, drawn with numpy alone so any checkout reads the same data."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(DATA_SEED)
     out = {}
     for n in (200, 10_000):
         u0, u1 = np.abs(rng.standard_normal(n)), rng.standard_normal(n)
@@ -52,17 +48,22 @@ def datasets(seed: int) -> dict:
     return out
 
 
-def commands(names):
+def commands(cli, names):
+    """The CLI calls on each dataset, with the families and nested pairs
+    read from the checkout's own family table."""
+    infer = cli.infer
     for name in names:
         data = f"{name}.txt"
         for scaling in ("isf", "epsilon"):
             yield ["fit", data, "--all", "--scaling", scaling]
-        for family in FAMILIES:
-            for scaling in ("isf", "epsilon") if family in SCALED else (None,):
+        for family in cli._FIT_FAMILIES:
+            scaled = infer._FAMILIES[family].scaled
+            for scaling in ("isf", "epsilon") if scaled else (None,):
                 yield ["fit", data, "--family", family] + (
                     ["--scaling", scaling] if scaling else [])
         if name.endswith("_200"):
-            for null, alt in PAIRS:
+            # sorted: a frozenset's order differs between processes
+            for null, alt in sorted(infer.NESTED_PAIRS):
                 yield ["test", data, "--null", null, "--alt", alt,
                        "--reps", str(TEST_REPS), "--seed", str(TEST_SEED)]
 
@@ -79,7 +80,6 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--src", type=Path, default=Path(__file__).resolve().parents[1] / "src",
                     help="the src directory of the checkout to digest (default: this one)")
-    ap.add_argument("--seed", type=int, default=20260101, help="dataset seed")
     args = ap.parse_args(argv)
     sys.path.insert(0, str(args.src.resolve()))
     import flexdist.cli as cli
@@ -91,10 +91,10 @@ def main(argv=None) -> int:
         # relative dataset paths, so the reports' "data" fields do not
         # depend on where the data were written
         os.chdir(tmp)
-        samples = datasets(args.seed)
+        samples = datasets()
         for name, x in samples.items():
             Path(f"{name}.txt").write_text("".join(f"{v!r}\n" for v in x.tolist()))
-        for argv_ in commands(samples):
+        for argv_ in commands(cli, samples):
             digest = hashlib.sha256(run(cli, argv_)).hexdigest()
             total.update(digest.encode())
             print(digest, " ".join(argv_), flush=True)

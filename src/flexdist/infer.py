@@ -272,14 +272,9 @@ def _batch_nelder_mead(fn, simplex, xatol, fatol, maxiter):
 def _batch_bfgs(fn, x0, h0, xatol, fatol, maxiter):
     """BFGS with a backtracking line search over a batch of independent problems.
 
-    x0 (m, d) holds each problem's start.  fn(T, rows, want) returns the
-    values (k,) and scores (k, d) of parameter rows T (k, d) for problem
-    indices rows; a non-finite value or score counts as +inf.  want is None
-    or a predicate want(values, at=slice(None)) that marks, among the rows
-    T[at], those whose score will be read.  A score need be exact only on
-    wanted rows, and finite wherever its value is.  A line-search trial
-    wants the rows that pass its sufficient-decrease test; the start and a
-    failed search's wall candidate are scored in full.  h0 = (h, seeded) gives
+    x0 (m, d) holds each problem's start.  fn(T, rows) returns the values
+    (k,) and scores (k, d) of parameter rows T (k, d) for problem indices
+    rows; a non-finite value or score counts as +inf.  h0 = (h, seeded) gives
     each problem's initial inverse-Hessian approximation h (m, d, d), as
     _opg_seed returns it.  A seeded problem takes its first trial step at
     full length along -h g.  An unseeded one, whose h must be the identity,
@@ -297,8 +292,8 @@ def _batch_bfgs(fn, x0, h0, xatol, fatol, maxiter):
     iteration count and convergence flag.
     """
 
-    def ev(t, rows, want=None):
-        f, g = fn(t, rows, want)
+    def ev(t, rows):
+        f, g = fn(t, rows)
         bad = ~(np.isfinite(f) & np.isfinite(g).all(axis=1))
         return np.where(bad, np.inf, f), np.where(bad[:, None], 0.0, g)
 
@@ -343,14 +338,9 @@ def _batch_bfgs(fn, x0, h0, xatol, fatol, maxiter):
             r = rows[pending]
             a = alpha[pending]
             xt[pending] = x[r] + a[:, None] * p[pending]
-            f0, bound = f[r], f[r] + _ARMIJO * a * slope[pending]
-
-            def accepts(v, at=slice(None)):
-                return (v < f0[at]) & (v <= bound[at])
-
-            ft[pending], gt[pending] = ev(xt[pending], r, accepts)
+            ft[pending], gt[pending] = ev(xt[pending], r)
             fa = ft[pending]
-            ok = (fa < f0) & (fa <= bound)
+            ok = (fa < f[r]) & (fa <= f[r] + _ARMIJO * a * slope[pending])
             found[pending[ok]] = True
             pending, a, fa, r = pending[~ok], a[~ok], fa[~ok], r[~ok]
             sl = slope[pending]
@@ -359,12 +349,6 @@ def _batch_bfgs(fn, x0, h0, xatol, fatol, maxiter):
                 np.isfinite(fa), np.clip(quad, 0.1 * a, 0.5 * a), 0.1 * a
             )
             pending = pending[alpha[pending] * size[pending] > xatol]
-
-        # a failed search's shortest trial was scored only where wanted, but
-        # the wall rule below reads its score: a candidate is scored in full
-        cand = ~found & np.isfinite(ft) & (ft - f[rows] > fatol)
-        if cand.any():
-            ft[cand], gt[cand] = ev(xt[cand], rows[cand])
 
         iters[rows] += 1
         it += 1
@@ -555,9 +539,6 @@ def _t_const_d(nu):
 # negative log-likelihoods, one kernel per optimized family: parameter rows
 # t (k, d) in optimizer coordinates against standardized data rows w (k, n).
 # Each returns the values (k,) and the scores (k, d), their partials in t.
-# want, if given, maps the values to a mask of the rows whose scores the
-# caller reads: a score is exact on wanted rows only, and finite wherever
-# its value is.  Only the skew-t kernel skips work on the other rows.
 
 
 def _z(t, w):
@@ -586,14 +567,14 @@ def _t_tail(v, nu):
     return val, (nuc + 1.0) * v / (nuc + q), d_nu
 
 
-def _nll_logistic(t, w, cfg, want=None):
+def _nll_logistic(t, w, cfg):
     z = _z(t, w)
     az = np.abs(z)
     val = w.shape[1] * t[:, 1] + np.sum(az + 2.0 * np.log1p(np.exp(-az)), axis=1)
     return val, np.column_stack(_loc_scale_score(np.tanh(0.5 * z), z, t))
 
 
-def _nll_t(t, w, cfg, want=None):
+def _nll_t(t, w, cfg):
     nu, d_nu = _NU.decode(t[:, 2])
     z = _z(t, w)
     tail, gz, g_nu = _t_tail(z, nu)
@@ -603,7 +584,7 @@ def _nll_t(t, w, cfg, want=None):
     )
 
 
-def _nll_skew_normal(t, w, cfg, want=None, penalized=False):
+def _nll_skew_normal(t, w, cfg, penalized=False):
     delta, d_delta = _SKEW.decode(t[:, 2])
     z = _z(t, w)
     s = delta[:, None] * z
@@ -625,7 +606,7 @@ def _nll_skew_normal(t, w, cfg, want=None, penalized=False):
     return val, np.column_stack((*_loc_scale_score(gz, z, t), g_delta * d_delta))
 
 
-def _nll_skew_t(t, w, cfg, want=None):
+def _nll_skew_t(t, w, cfg):
     nu, d_nu = _NU.decode(t[:, 2])
     delta, d_delta = _SKEW.decode(t[:, 3])
     z = _z(t, w)
@@ -640,11 +621,9 @@ def _nll_skew_t(t, w, cfg, want=None):
     # the skewing factor log T_k(a): its slope in a is rho = t_k(a) / T_k(a);
     # its partial in k at fixed a has no closed form and is differenced
     rho = np.exp(_t_const(k) - 0.5 * (k + 1.0) * np.log1p(a * a / k) - log_cdf)
-    # differenced only on rows whose nu slope is nonzero and whose score is
-    # wanted: a second stdtr pass, which every other row would discard
+    # differenced only on rows whose nu slope is nonzero: a second stdtr
+    # pass, which every other row would multiply by zero
     live = d_nu != 0.0
-    if want is not None:
-        live &= want(val)
     d_k = np.zeros_like(a)
     if live.any():
         k_l, step = k[live], _DOF_STEP * k[live]
@@ -657,7 +636,7 @@ def _nll_skew_t(t, w, cfg, want=None):
     )
 
 
-def _nll_sas(t, w, cfg, want=None):
+def _nll_sas(t, w, cfg):
     delta, d_delta = _SAS.decode(t[:, 2])
     eta, d_eta = _ETA.decode(t[:, 3])
     z = _z(t, w)
@@ -684,7 +663,7 @@ def _nll_sas(t, w, cfg, want=None):
     )
 
 
-def _nll_two_piece(t, w, cfg, want=None):
+def _nll_two_piece(t, w, cfg):
     """Two-piece normal (d = 3) or two-piece t (d = 4, nu third)."""
     delta, d_delta = _TWO_PIECE.of(cfg.scaling).decode(t[:, -1])
     if cfg.scaling == "epsilon":
@@ -1244,13 +1223,12 @@ def _fit_rows(spec: _Family, w: np.ndarray, cfg: FitConfig, extra=()) -> _RowFit
     d = spec.n_free
     per = _rows_per_batch(n)
 
-    def fn(t, rows, want=None):
+    def fn(t, rows):
         # parameter row i against data row rows[i], `per` rows at a time
         val, score = (
             np.concatenate(part)
             for part in zip(
-                *(spec.nll(t[i : i + per], w[rows[i : i + per]], cfg,
-                           want=None if want is None else partial(want, at=slice(i, i + per)))
+                *(spec.nll(t[i : i + per], w[rows[i : i + per]], cfg)
                   for i in range(0, len(rows), per))
             )
         )
@@ -1263,7 +1241,7 @@ def _fit_rows(spec: _Family, w: np.ndarray, cfg: FitConfig, extra=()) -> _RowFit
         x0 = np.stack([s if s.ndim == 2 else s[:, 0] for s in starts], axis=1).reshape(m * k, d)
         h0 = _opg_seed(spec.nll, w, x0, np.arange(m * k) // k, cfg)
         x, fun, iters, conv = _batch_bfgs(
-            lambda t, rows, want: fn(t, rows // k, want), x0, h0, cfg.xatol, cfg.fatol, maxiter
+            lambda t, rows: fn(t, rows // k), x0, h0, cfg.xatol, cfg.fatol, maxiter
         )
         x, fun = x.reshape(m, k, d), fun.reshape(m, k)
         for j, s in enumerate(starts):

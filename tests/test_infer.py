@@ -862,7 +862,7 @@ def test_opg_seed_matches_a_per_point_loop(family, monkeypatch):
     assert np.allclose(h[~chase], eye * variances[:, None, :], rtol=1e-8, atol=0.0)
 
 
-def _rosenbrock(t, rows, want=None):
+def _rosenbrock(t, rows):
     a, b = t[:, :-1], t[:, 1:]
     f = np.sum(100.0 * (b - a * a) ** 2 + (1.0 - a) ** 2, axis=1)
     g = np.zeros_like(t)
@@ -889,92 +889,91 @@ def test_batch_bfgs_unseeded_problems_keep_the_identity_run():
     assert conv.all()
 
 
-# ------------------------------------------- scores only where they are read
+# ------------------------- the dof difference only where the nu slope is not 0
 
-def test_skew_t_fits_match_fits_with_full_scores(monkeypatch):
+class _UnitSlopeNu:
+    """The nu map with a unit slope where it clips: the same nu, but every
+    row counts as live, so the skew-t kernel differences every row."""
+
+    def __init__(self, nu_map):
+        self.nu_map = nu_map
+
+    def decode(self, t):
+        nu, slope = self.nu_map.decode(t)
+        return nu, np.where(slope == 0.0, 1.0, slope)
+
+
+def _skew_t_full_pass(t, w, cfg):
+    """The skew-t kernel with its differenced stdtr pass on every row and the
+    nu score multiplied by the true slope, zero where log nu is clipped."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(infer, "_NU", _UnitSlopeNu(infer._NU))
+        f, g = infer._nll_skew_t(t, w, cfg)
+    g[:, 2] *= np.where(infer._NU.decode(t[:, 2])[1] == 0.0, 0.0, 1.0)
+    return f, g
+
+
+def test_skew_t_fits_match_fits_with_the_full_difference_pass(monkeypatch):
     # normal data drive log nu past its clip, where the nu slope is zero
     rng = base.make_rng(901)
     n = 2000
-    # five problems per kernel call, so the chunks split the predicates
+    # five problems per kernel call, so the batch is chunked
     monkeypatch.setattr(infer, "_BATCH_ELEMENTS", 5 * n)
     w = infer._standardize(np.array([rng.standard_normal(n),
                                      rng.standard_t(3.0, size=n),
                                      rng.gamma(2.0, size=n)]))[0]
     spec, cfg = infer._FAMILIES["skew_t"], infer.FitConfig()
-    full = replace(spec, nll=lambda t, w, cfg, want=None: spec.nll(t, w, cfg))
+    full = replace(spec, nll=_skew_t_full_pass)
     got, ref = infer._fit_rows(spec, w, cfg), infer._fit_rows(full, w, cfg)
     assert infer._NU.decode(got.t[0, 2])[1] == 0.0
     for a, b in zip(got, ref):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-def test_bfgs_reads_no_score_it_did_not_want(monkeypatch):
-    # a kernel free to return any finite score on unwanted rows: two-piece t
-    # searches on these samples end against walls, whose scores are read
-    spec = infer._FAMILIES["twopiece_t"]
-
-    def lazy(t, w, cfg, want=None):
-        f, g = spec.nll(t, w, cfg)
-        if want is not None:
-            g[~want(f)] = 1.0
-        return f, g
-
-    rng = base.make_rng(5)
-    w = infer._standardize(np.array([rng.gamma(2.0, size=50) for _ in range(6)]))[0]
-    monkeypatch.setattr(infer, "_BATCH_ELEMENTS", 7 * w.shape[1])
-    cfg = infer.FitConfig()
-    got, ref = infer._fit_rows(replace(spec, nll=lazy), w, cfg), infer._fit_rows(spec, w, cfg)
-    for a, b in zip(got, ref):
-        assert a.tobytes() == b.tobytes()
-
-
-def test_skew_t_differences_only_wanted_live_rows(monkeypatch):
+def test_skew_t_differences_only_rows_with_a_nu_slope(monkeypatch):
     calls = []
 
     def log_stdtr(df, a):
         calls.append(a)
         return base.log_stdtr(df, a)
 
-    monkeypatch.setattr(infer, "log_stdtr", log_stdtr)
     rng = base.make_rng(910)
     w = np.tile(rng.standard_normal(30), (8, 1))
-    # log nu: inside the box, beyond its upper and below its lower end
-    t = np.column_stack((rng.normal(0.0, 0.3, 8), rng.normal(0.0, 0.3, 8),
-                         [1.0, 2.0, 6.0, 7.0, 0.5, -1.0, 3.0, 5.5],
-                         rng.normal(0.0, 0.5, 8)))
-    slope = infer._NU.decode(t[:, 2])[1] != 0.0
-    assert not slope.all() and slope.any()
     cfg = infer.FitConfig()
-    f, g = infer._nll_skew_t(t, w, cfg)
-    assert len(calls) == 2 and np.array_equal(calls[1], calls[0][slope])
-    for picked in ([0, 2, 5, 6], [2, 3], []):
-        wanted = np.isin(np.arange(8), picked)
+    for log_nu in ([1.0, 2.0, 6.0, 7.0, 0.5, -1.0, 3.0, 5.5], [6.0, 7.0], [1.0, 3.0]):
+        # log nu: inside the box, beyond its upper and below its lower end
+        m = len(log_nu)
+        t = np.column_stack((rng.normal(0.0, 0.3, m), rng.normal(0.0, 0.3, m),
+                             log_nu, rng.normal(0.0, 0.5, m)))
+        live = infer._NU.decode(t[:, 2])[1] != 0.0
+        ref_f, ref_g = _skew_t_full_pass(t, w[:m], cfg)
         calls.clear()
-        fw, gw = infer._nll_skew_t(t, w, cfg, want=lambda v: wanted)
-        live = slope & wanted
+        with monkeypatch.context() as mp:
+            mp.setattr(infer, "log_stdtr", log_stdtr)
+            f, g = infer._nll_skew_t(t, w[:m], cfg)
         assert len(calls) == 1 + live.any()
         if live.any():
             assert np.array_equal(calls[1], calls[0][live])
-        assert fw.tobytes() == f.tobytes()
-        assert gw[wanted].tobytes() == g[wanted].tobytes()
-        # where the nu slope is zero the score is exact on every row
-        assert np.array_equal(gw[~slope], g[~slope])
-        assert np.array_equal(np.delete(gw, 2, axis=1), np.delete(g, 2, axis=1))
+        assert f.tobytes() == ref_f.tobytes()
+        assert g[live].tobytes() == ref_g[live].tobytes()
+        # a clipped row's nu score is a zero of either sign
+        assert np.array_equal(g, ref_g)
 
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_skew_t_score_is_finite_wherever_its_value_is(data):
-    # a trial's acceptance is judged from its value alone: with a score
-    # non-finite at a finite value, an unwanted row would count as +inf with
-    # its full score and as finite without it
+    # with and without the differenced pass: skipping it where the nu slope
+    # is zero never makes finite a score that would have counted as +inf
     w = np.array([data.draw(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=20))])
     t = np.array([[data.draw(st.floats(-1e6, 1e6)), data.draw(st.floats(-200.0, 200.0)),
                    data.draw(st.floats(-50.0, 50.0)), data.draw(st.floats(-1e3, 1e3))]])
+    cfg = infer.FitConfig()
     with np.errstate(all="ignore"):
-        f, g = infer._nll_skew_t(t, w, infer.FitConfig())
+        f, g = infer._nll_skew_t(t, w, cfg)
+        ref_g = _skew_t_full_pass(t, w, cfg)[1]
     assume(np.isfinite(f[0]))
-    assert np.isfinite(g).all()
+    assert np.isfinite(g).all() and np.isfinite(ref_g).all()
 
 
 def test_bhhh_seed_cuts_optimizer_iterations():
