@@ -491,6 +491,9 @@ def invert_cdf(cdf, p: float, lo: float, hi: float, tol: float = 1e-12) -> float
     """Solve cdf(x) = p with automatic geometric bracket expansion."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"quantile level must lie in (0, 1), got {p}")
+    # the bracket test, find_root's sign check and brentq's first calls all
+    # evaluate the bracket ends
+    cdf = functools.lru_cache(maxsize=None)(cdf)
     span = max(hi - lo, 1e-8)
     for _ in range(200):
         if cdf(lo) <= p <= cdf(hi):

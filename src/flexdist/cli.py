@@ -195,10 +195,6 @@ def cmd_figures(args) -> int:
     return 0
 
 
-def _fit_to_dict(fit: infer.FitResult) -> dict:
-    return asdict(fit)
-
-
 def _quantile_fit_report(family: str, data: np.ndarray) -> dict:
     fit = infer._FAMILIES[family].quantile_fit(data)
     names = ("mu", "sigma") + _FAMILY_FLAGS[family]
@@ -230,7 +226,7 @@ def cmd_fit(args) -> int:
                 report["fits"][family] = _quantile_fit_report(family, data)
             else:
                 fit = infer.fit_mle(family, data, config)
-                report["fits"][family] = _fit_to_dict(fit)
+                report["fits"][family] = asdict(fit)
         except ValueError as exc:
             raise UsageError(str(exc))
     else:
@@ -242,7 +238,7 @@ def cmd_fit(args) -> int:
                 errors[family] = str(exc)
                 continue
             fits.append(fit)
-            report["fits"][family] = _fit_to_dict(fit)
+            report["fits"][family] = asdict(fit)
         if not fits:
             raise UsageError("no family could be fitted: "
                              + "; ".join(errors.values()))
@@ -295,8 +291,8 @@ def cmd_sfa_demo(args) -> int:
     report = {"schema": "flexdist-sfa/1", "n": args.n,
               "sigma_v": args.sigma_v, "sigma_u": args.sigma_u,
               "seed": seed,
-              normal.family: _fit_to_dict(normal),
-              skew.family: _fit_to_dict(skew),
+              normal.family: asdict(normal),
+              skew.family: asdict(skew),
               "lr_statistic": demo.lr_statistic,
               "delta_hat": demo.delta_hat,
               "delta_negative": bool(demo.delta_hat < 0.0),

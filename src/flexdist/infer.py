@@ -14,21 +14,22 @@ the inverse outer product of the per-observation scores at its start point
 estimated sampling variance, which puts the very differently scaled
 coordinates on one footing.  Where that outer product is not finite or its
 condition number exceeds _OPG_COND, the run starts from the identity.  The
-start points are structural (moment, quantile and frontier
-starts) and deterministic, so fits draw no random numbers.  The normal
-family has a closed form, and the two-piece normal family an exact
-profile-likelihood path: for fixed mu the optimal scale and asymmetry are
-closed-form, so the fit reduces to a one-dimensional search over mu.  The
-Nelder-Mead simplex (nelder_mead) is a public utility; no fit uses it.
+start points are structural (moment, quantile and frontier starts) and
+deterministic, so fits draw no random numbers.  Two families are fit
+exactly, without the optimizer: the normal family has a closed form, and the
+two-piece normal family an exact profile-likelihood path, where for fixed mu
+the optimal scale and asymmetry are closed-form, so the fit reduces to a
+one-dimensional search over mu.  nelder_mead, a thin adapter over scipy's
+Nelder-Mead simplex, is a public utility; no fit uses it.
 
 One table, _FAMILIES, describes every family, the eight fit by maximum
 likelihood and gh_normal and k_normal.  An entry holds the family's shape
 parameters in report order, each with the map between its optimizer
 coordinate and its natural value (a clipped log box, a capped tanh, or the
-epsilon tanh), the distribution constructor, the kernel and starts, and the
-shape whose cap sets boundary_flag.  distribution_for, FAMILY_ORDER, the
-generic decode, encode and boundary rule, and the CLI's family flags all
-read it.
+epsilon tanh), the distribution constructor, the kernel and starts, the
+exact fitter where there is one, and the shape whose cap sets
+boundary_flag.  distribution_for, FAMILY_ORDER, the generic decode, encode
+and boundary rule, and the CLI's family flags all read it.
 """
 
 import math
@@ -116,6 +117,10 @@ _STALLS = 5
 # without a closed form: log T_k(a) in the degrees of freedom k at fixed a
 _DOF_STEP = 1e-7
 
+# the constants of the penalized skew-normal fit's penalty c1*ln(1 + c2*delta^2)
+_PENALTY_C1 = 1.0
+_PENALTY_C2 = 1.0 / 3.0
+
 # cap on the row x point elements of one kernel evaluation and of one chunk
 # of bootstrap replicates, so memory stays bounded at any n and B
 _BATCH_ELEMENTS = 1 << 20
@@ -130,7 +135,7 @@ def _rows_per_batch(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# the simplex
+# the simplex, a public utility that no fit runs
 
 
 class SimplexResult(NamedTuple):
@@ -141,128 +146,23 @@ class SimplexResult(NamedTuple):
 
 
 def nelder_mead(fn, x0, steps, xatol=1e-8, fatol=1e-8, maxiter=400):
-    """Minimize fn from x0 with a plain Nelder-Mead simplex.
+    """Minimize fn from x0 with scipy's Nelder-Mead simplex.
 
     steps gives the per-coordinate offsets of the initial simplex.  NaN
     objective values are treated as +inf.  Convergence requires both the
     simplex spread (max-norm) and the value spread to fall below tolerance.
-    This is the one-problem case of the batched simplex; no fit uses it.
     """
-    x0 = np.asarray(x0, dtype=float)
-    steps = np.asarray(steps, dtype=float)
+    from scipy.optimize import minimize
+
+    x0, steps = np.asarray(x0, dtype=float), np.asarray(steps, dtype=float)
     if steps.size != x0.size:
         raise ValueError(f"got {steps.size} steps for {x0.size} parameters")
-    x, fun, iters, conv = _batch_nelder_mead(
-        lambda t, rows: np.array([fn(v) for v in t], dtype=float),
-        _simplex(x0[None, :], steps),
-        xatol,
-        fatol,
-        maxiter,
-    )
-    return SimplexResult(x[0], float(fun[0]), int(iters[0]), bool(conv[0]))
-
-
-def _simplex(points, steps):
-    """Initial simplexes (m, d + 1, d): each point, then one step per coordinate."""
-    d = points.shape[1]
-    offsets = np.vstack((np.zeros(d), np.diag(steps)))
-    return points[:, None, :] + offsets
-
-
-def _batch_nelder_mead(fn, simplex, xatol, fatol, maxiter):
-    """Nelder-Mead over a batch of independent problems of equal dimension.
-
-    simplex (m, d + 1, d) holds each problem's initial vertices.  fn(T, rows)
-    evaluates parameter rows T (k, d) for problem indices rows; NaN values
-    count as +inf.  Converged problems are frozen and drop out of subsequent
-    evaluations.  Returns per-problem best point, value, iteration count and
-    convergence flag.
-    """
-
-    def ev(t, rows):
-        f = fn(t, rows)
-        return np.where(np.isnan(f), np.inf, f)
-
-    verts = np.array(simplex, dtype=float)
-    m, _, d = verts.shape
-    all_rows = np.arange(m)
-    fv = ev(verts.reshape(-1, d), np.repeat(all_rows, d + 1)).reshape(m, d + 1)
-
-    active = np.ones(m, dtype=bool)
-    conv = np.zeros(m, dtype=bool)
-    iters = np.zeros(m, dtype=int)
-    it = 0
-    while it < maxiter and active.any():
-        rows = np.where(active)[0]
-        va = verts[rows]
-        fa = fv[rows]
-        order = np.argsort(fa, axis=1, kind="stable")
-        va = np.take_along_axis(va, order[:, :, None], axis=1)
-        fa = np.take_along_axis(fa, order, axis=1)
-        verts[rows] = va
-        fv[rows] = fa
-        spread_x = np.max(np.abs(va[:, 1:, :] - va[:, :1, :]), axis=(1, 2))
-        spread_f = fa[:, -1] - fa[:, 0]
-        done = (spread_x <= xatol) & (spread_f <= fatol)
-        if done.any():
-            conv[rows[done]] = True
-            active[rows[done]] = False
-            keep = ~done
-            rows, va, fa = rows[keep], va[keep], fa[keep]
-        if rows.size == 0:
-            break
-
-        centroid = va[:, :-1, :].mean(axis=1)
-        direction = centroid - va[:, -1, :]
-        xr = centroid + direction
-        fr = ev(xr, rows)
-        new_x = xr
-        new_f = fr.copy()
-
-        lt_best = fr < fa[:, 0]
-        idx = np.where(lt_best)[0]
-        if idx.size:
-            xe = centroid[idx] + 2.0 * direction[idx]
-            fe = ev(xe, rows[idx])
-            take = fe < fr[idx]
-            sel = idx[take]
-            new_x[sel] = xe[take]
-            new_f[sel] = fe[take]
-        accept = lt_best | (fr < fa[:, -2])
-
-        idx = np.where(~accept)[0]
-        shrink = np.array([], dtype=int)
-        if idx.size:
-            outside = fr[idx] < fa[idx, -1]
-            xc = np.where(
-                outside[:, None],
-                centroid[idx] + 0.5 * direction[idx],
-                centroid[idx] - 0.5 * direction[idx],
-            )
-            fc = ev(xc, rows[idx])
-            ok = np.where(outside, fc <= fr[idx], fc < fa[idx, -1])
-            sel = idx[ok]
-            new_x[sel] = xc[ok]
-            new_f[sel] = fc[ok]
-            accept[sel] = True
-            shrink = idx[~ok]
-
-        acc = np.where(accept)[0]
-        va[acc, -1, :] = new_x[acc]
-        fa[acc, -1] = new_f[acc]
-        if shrink.size:
-            va[shrink, 1:, :] = va[shrink, :1, :] + 0.5 * (
-                va[shrink, 1:, :] - va[shrink, :1, :]
-            )
-            flat = va[shrink, 1:, :].reshape(-1, d)
-            fa[shrink, 1:] = ev(flat, np.repeat(rows[shrink], d)).reshape(-1, d)
-        verts[rows] = va
-        fv[rows] = fa
-        iters[rows] += 1
-        it += 1
-
-    best = np.argmin(fv, axis=1)
-    return verts[all_rows, best, :], fv[all_rows, best], iters, conv
+    simplex = x0 + np.vstack((np.zeros(x0.size), np.diag(steps)))
+    # scipy counts its start as iteration 1
+    opts = {"initial_simplex": simplex, "xatol": xatol, "fatol": fatol, "maxiter": maxiter + 1}
+    res = minimize(lambda v: np.where(np.isnan(f := fn(v)), np.inf, f), x0,
+                   method="Nelder-Mead", options=opts)
+    return SimplexResult(res.x, float(res.fun), int(res.nit) - 1, bool(res.success))
 
 
 # ---------------------------------------------------------------------------
@@ -599,9 +499,9 @@ def _nll_skew_normal(t, w, cfg, penalized=False):
     mills = np.exp(-0.5 * s * s - LOG_SQRT_TWO_PI - log_cdf)
     g_delta = -np.sum(z * mills, axis=1)
     if penalized:
-        c2d2 = cfg.penalty_c2 * delta * delta
-        val += cfg.penalty_c1 * np.log1p(c2d2)
-        g_delta += 2.0 * cfg.penalty_c1 * cfg.penalty_c2 * delta / (1.0 + c2d2)
+        c2d2 = _PENALTY_C2 * delta * delta
+        val += _PENALTY_C1 * np.log1p(c2d2)
+        g_delta += 2.0 * _PENALTY_C1 * _PENALTY_C2 * delta / (1.0 + c2d2)
     gz = z - delta[:, None] * mills
     return val, np.column_stack((*_loc_scale_score(gz, z, t), g_delta * d_delta))
 
@@ -839,8 +739,6 @@ class FitConfig:
     log-likelihood by at most fatol, when several steps in a row each lower
     it by at most fatol, or after maxiter iterations (default 400 per free
     parameter).  scaling picks the two-piece parameterization.
-    two_piece_profile switches the two-piece normal fit to the exact
-    profile-likelihood path.
     """
 
     restarts: int = 5
@@ -848,9 +746,6 @@ class FitConfig:
     fatol: float = 1e-8
     maxiter: Optional[int] = None
     scaling: str = "isf"
-    penalty_c1: float = 1.0
-    penalty_c2: float = 1.0 / 3.0
-    two_piece_profile: bool = True
 
     def __post_init__(self):
         if self.restarts < 1:
@@ -859,8 +754,6 @@ class FitConfig:
             raise ValueError("tolerances must be positive")
         if self.scaling not in _SCALINGS:
             raise ValueError(f"unknown scaling {self.scaling!r}")
-        if self.penalty_c1 < 0.0 or self.penalty_c2 <= 0.0:
-            raise ValueError("penalty constants must be positive")
 
 
 @dataclass(frozen=True)
@@ -938,169 +831,23 @@ def fit_gh_quantile(data) -> GhQuantileFit:
 
 
 # ---------------------------------------------------------------------------
-# the family table
+# exact fits of every data row, without the optimizer
 
 
-def _two_piece(loc, delta, nu=None, scaling="isf"):
-    if scaling not in _SCALINGS:
-        raise ValueError(f"unknown two-piece scaling {scaling!r}; expected isf or epsilon")
-    sym = normal_base() if nu is None else student_base(nu)
-    return TwoPieceParams(sym, loc, _SCALINGS[scaling](delta))
+class _RowFits(NamedTuple):
+    t: np.ndarray  # (m, d) best point per data row, optimizer coordinates
+    nll: np.ndarray  # (m,) its negative log-likelihood in standardized units
+    iterations: np.ndarray  # (m,) optimizer iterations summed over the row's starts
+    converged: np.ndarray  # (m,) convergence flag of the best start
 
 
-class _Shape(NamedTuple):
-    name: str
-    map: Optional[_Map] = None  # None where no likelihood fit optimizes it
-    col: Optional[int] = None  # its optimizer coordinate
-
-
-@dataclass(frozen=True)
-class _Family:
-    """One family: its parameters, and how to build, fit and report it.
-
-    Every family has a location mu and a scale sigma, optimized as mu and
-    log sigma in coordinates 0 and 1.  shapes holds the other parameters in
-    report order, each with its map and coordinate.  make builds the
-    distribution from a LocationScale and the shapes as keywords, plus the
-    scaling where scaled (the two-piece families, whose reports carry it).
-    nll and starts are an optimized family's kernel and start list; the
-    normal family has neither, having a closed form.  boundary names the
-    shape whose cap sets boundary_flag.  mle is False for the families no
-    likelihood fit covers; quantile_fit is a letter-value fit.
-    """
-
-    name: str
-    make: Callable
-    shapes: tuple = ()
-    nll: Optional[Callable] = None
-    starts: Optional[Callable] = None
-    boundary: Optional[str] = None
-    scaled: bool = False
-    mle: bool = True
-    quantile_fit: Optional[Callable] = None
-
-    @property
-    def n_free(self) -> int:
-        return 2 + len(self.shapes)
-
-    def decode(self, t, cfg: FitConfig) -> dict:
-        """Natural parameters, in report order, of optimizer coordinates t."""
-        out = {"mu": float(t[0]), "sigma": float(_sigma_of(t[1]))}
-        for s in self.shapes:
-            out[s.name] = float(s.map.of(cfg.scaling).decode(t[s.col])[0])
-        return out
-
-    def encode(self, params: dict, cfg: FitConfig) -> np.ndarray:
-        t = [float(params["mu"]), math.log(float(params["sigma"]))] + [0.0] * len(self.shapes)
-        for s in self.shapes:
-            t[s.col] = s.map.of(cfg.scaling).encode(params[s.name])
-        return np.array(t)
-
-    def at_boundary(self, params: dict, cfg: FitConfig) -> bool:
-        if self.boundary is None:
-            return False
-        shape = next(s for s in self.shapes if s.name == self.boundary)
-        return shape.map.of(cfg.scaling).at_cap(params[self.boundary])
-
-
-_FAMILIES = {f.name: f for f in (
-    _Family("normal", lambda loc: LocatedBase(normal_base(), loc)),
-    _Family("logistic", lambda loc: LocatedBase(logistic_base(), loc),
-            nll=_nll_logistic, starts=_starts_logistic),
-    _Family("t", lambda loc, nu: LocatedBase(student_base(nu), loc),
-            (_Shape("nu", _NU, 2),), _nll_t, _starts_t),
-    _Family("skew_normal", lambda loc, delta: SkewNormal(loc.mu, loc.sigma, delta),
-            (_Shape("delta", _SKEW, 2),), _nll_skew_normal, _starts_skew_normal, "delta"),
-    _Family("skew_t", lambda loc, nu, delta: SkewT(loc.mu, loc.sigma, nu, delta),
-            (_Shape("nu", _NU, 2), _Shape("delta", _SKEW, 3)), _nll_skew_t, _starts_skew_t,
-            "delta"),
-    _Family("sas_normal",
-            lambda loc, delta, eta: TransformParams(normal_base(), loc, SasTransform(delta, eta)),
-            (_Shape("delta", _SAS, 2), _Shape("eta", _ETA, 3)), _nll_sas, _starts_sas, "delta"),
-    _Family("twopiece_normal", _two_piece, (_Shape("delta", _TWO_PIECE, 2),), _nll_two_piece,
-            partial(_starts_two_piece, with_nu=False), "delta", scaled=True),
-    # reports delta before nu, but optimizes log nu before delta
-    _Family("twopiece_t", _two_piece, (_Shape("delta", _TWO_PIECE, 3), _Shape("nu", _NU, 2)),
-            _nll_two_piece, partial(_starts_two_piece, with_nu=True), "delta", scaled=True),
-    _Family("gh_normal",
-            lambda loc, g, h: TransformParams(normal_base(), loc, GhTransform(g, h)),
-            (_Shape("g"), _Shape("h")), mle=False, quantile_fit=fit_gh_quantile),
-    _Family("k_normal", lambda loc, eta: TransformParams(normal_base(), loc, KTransform(eta)),
-            (_Shape("eta"),), mle=False),
-)}
-
-FAMILY_ORDER = tuple(name for name, f in _FAMILIES.items() if f.mle)
-
-# the penalty c1*ln(1 + c2*delta^2) is a term of the skew-normal kernel
-_PENALIZED_SKEW_NORMAL = replace(
-    _FAMILIES[SKEW_NORMAL_PAIR[1]], nll=partial(_nll_skew_normal, penalized=True)
-)
-
-
-# ---------------------------------------------------------------------------
-# distribution construction and likelihood
-
-
-def distribution_for(family: str, params: dict):
-    """Build the distribution object named by family from a parameter dict."""
-    spec = _FAMILIES.get(family)
-    if spec is None:
-        raise ValueError(f"unknown family {family!r}")
-    loc = LocationScale(float(params["mu"]), float(params["sigma"]))
-    shape = {s.name: float(params[s.name]) for s in spec.shapes}
-    if spec.scaled:
-        shape["scaling"] = params.get("scaling", "isf")
-    return spec.make(loc, **shape)
-
-
-def _as_data(data) -> np.ndarray:
-    x = np.asarray(data, dtype=float).ravel()
-    if x.size == 0:
-        raise ValueError("empty data")
-    if not np.isfinite(x).all():
-        raise ValueError("data must be finite (no NaN or infinity)")
-    return x
-
-
-def log_likelihood(family: str, params: dict, data) -> float:
-    """Sum of log densities; -inf when any point has zero density."""
-    x = _as_data(data)
-    dist = distribution_for(family, params)
-    return float(np.sum(dist.log_pdf(x)))
-
-
-# ---------------------------------------------------------------------------
-# fitting
-
-
-def _standardize(x):
-    """Standardize each data row of x (m, n): w = (x * 2**-e - m0) / s0.
-
-    The exact power-of-two prescaling puts max |x| in [0.5, 1), so the sums
-    and squares behind m0 and s0 neither overflow nor underflow at any
-    floating-point scale of the data.  Returns (w, e, m0, s0) per row; a row
-    with s0 == 0 gets w = 0.
-    """
-    e = np.frexp(np.max(np.abs(x), axis=1))[1]
-    xs = np.ldexp(x, -e[:, None])
-    m0 = xs.mean(axis=1)
-    s0 = xs.std(axis=1)
-    w = (xs - m0[:, None]) / np.where(s0 > 0.0, s0, 1.0)[:, None]
-    return w, e, m0, s0
-
-
-def _to_w_units(params: dict, e, m0, s0) -> dict:
-    out = dict(params)
-    out["mu"] = (float(np.ldexp(params["mu"], -e)) - m0) / s0
-    out["sigma"] = float(np.ldexp(params["sigma"], -e)) / s0
-    return out
-
-
-def _from_w_units(params: dict, e, m0, s0) -> dict:
-    out = dict(params)
-    out["mu"] = float(np.ldexp(m0 + s0 * params["mu"], e))
-    out["sigma"] = float(np.ldexp(s0 * params["sigma"], e))
-    return out
+def _normal_rows(w: np.ndarray, cfg: FitConfig) -> _RowFits:
+    """The normal family's closed form."""
+    m, n = w.shape
+    mu = w.mean(axis=1)
+    ls = 0.5 * np.log(np.mean((w - mu[:, None]) ** 2, axis=1))
+    nll = n * (LOG_SQRT_TWO_PI + ls + 0.5)
+    return _RowFits(np.column_stack((mu, ls)), nll, np.zeros(m, dtype=int), np.ones(m, dtype=bool))
 
 
 def _two_piece_profile(w: np.ndarray, cfg: FitConfig):
@@ -1190,34 +937,194 @@ def _two_piece_profile(w: np.ndarray, cfg: FitConfig):
     return np.array([mu_hat, math.log(sigma), td]), -ll_best, evals
 
 
-class _RowFits(NamedTuple):
-    t: np.ndarray  # (m, d) best point per data row, optimizer coordinates
-    nll: np.ndarray  # (m,) its negative log-likelihood in standardized units
-    iterations: np.ndarray  # (m,) optimizer iterations summed over the row's starts
-    converged: np.ndarray  # (m,) convergence flag of the best start
+def _two_piece_rows(w: np.ndarray, cfg: FitConfig) -> _RowFits:
+    t, nll, evals = zip(*(_two_piece_profile(row, cfg) for row in w))
+    return _RowFits(np.array(t), np.array(nll), np.array(evals), np.ones(w.shape[0], dtype=bool))
+
+
+# ---------------------------------------------------------------------------
+# the family table
+
+
+def _two_piece(loc, delta, nu=None, scaling="isf"):
+    if scaling not in _SCALINGS:
+        raise ValueError(f"unknown two-piece scaling {scaling!r}; expected isf or epsilon")
+    sym = normal_base() if nu is None else student_base(nu)
+    return TwoPieceParams(sym, loc, _SCALINGS[scaling](delta))
+
+
+class _Shape(NamedTuple):
+    name: str
+    map: Optional[_Map] = None  # None where no likelihood fit optimizes it
+    col: Optional[int] = None  # its optimizer coordinate
+
+
+@dataclass(frozen=True)
+class _Family:
+    """One family: its parameters, and how to build, fit and report it.
+
+    Every family has a location mu and a scale sigma, optimized as mu and
+    log sigma in coordinates 0 and 1.  shapes holds the other parameters in
+    report order, each with its map and coordinate.  make builds the
+    distribution from a LocationScale and the shapes as keywords, plus the
+    scaling where scaled (the two-piece families, whose reports carry it).
+    nll and starts are the optimizer's kernel and start list; exact, where
+    set, fits every data row without the optimizer instead (the normal
+    family, which has no kernel, and the two-piece normal's profile).
+    boundary names the shape whose cap sets boundary_flag.  mle is False for
+    the families no likelihood fit covers; quantile_fit is a letter-value fit.
+    """
+
+    name: str
+    make: Callable
+    shapes: tuple = ()
+    nll: Optional[Callable] = None
+    starts: Optional[Callable] = None
+    boundary: Optional[str] = None
+    scaled: bool = False
+    mle: bool = True
+    quantile_fit: Optional[Callable] = None
+    exact: Optional[Callable] = None
+
+    @property
+    def n_free(self) -> int:
+        return 2 + len(self.shapes)
+
+    def decode(self, t, cfg: FitConfig) -> dict:
+        """Natural parameters, in report order, of optimizer coordinates t."""
+        out = {"mu": float(t[0]), "sigma": float(_sigma_of(t[1]))}
+        for s in self.shapes:
+            out[s.name] = float(s.map.of(cfg.scaling).decode(t[s.col])[0])
+        return out
+
+    def encode(self, params: dict, cfg: FitConfig) -> np.ndarray:
+        t = [float(params["mu"]), math.log(float(params["sigma"]))] + [0.0] * len(self.shapes)
+        for s in self.shapes:
+            t[s.col] = s.map.of(cfg.scaling).encode(params[s.name])
+        return np.array(t)
+
+    def at_boundary(self, params: dict, cfg: FitConfig) -> bool:
+        if self.boundary is None:
+            return False
+        shape = next(s for s in self.shapes if s.name == self.boundary)
+        return shape.map.of(cfg.scaling).at_cap(params[self.boundary])
+
+
+_FAMILIES = {f.name: f for f in (
+    _Family("normal", lambda loc: LocatedBase(normal_base(), loc), exact=_normal_rows),
+    _Family("logistic", lambda loc: LocatedBase(logistic_base(), loc),
+            nll=_nll_logistic, starts=_starts_logistic),
+    _Family("t", lambda loc, nu: LocatedBase(student_base(nu), loc),
+            (_Shape("nu", _NU, 2),), _nll_t, _starts_t),
+    _Family("skew_normal", lambda loc, delta: SkewNormal(loc.mu, loc.sigma, delta),
+            (_Shape("delta", _SKEW, 2),), _nll_skew_normal, _starts_skew_normal, "delta"),
+    _Family("skew_t", lambda loc, nu, delta: SkewT(loc.mu, loc.sigma, nu, delta),
+            (_Shape("nu", _NU, 2), _Shape("delta", _SKEW, 3)), _nll_skew_t, _starts_skew_t,
+            "delta"),
+    _Family("sas_normal",
+            lambda loc, delta, eta: TransformParams(normal_base(), loc, SasTransform(delta, eta)),
+            (_Shape("delta", _SAS, 2), _Shape("eta", _ETA, 3)), _nll_sas, _starts_sas, "delta"),
+    _Family("twopiece_normal", _two_piece, (_Shape("delta", _TWO_PIECE, 2),), _nll_two_piece,
+            partial(_starts_two_piece, with_nu=False), "delta", scaled=True,
+            exact=_two_piece_rows),
+    # reports delta before nu, but optimizes log nu before delta
+    _Family("twopiece_t", _two_piece, (_Shape("delta", _TWO_PIECE, 3), _Shape("nu", _NU, 2)),
+            _nll_two_piece, partial(_starts_two_piece, with_nu=True), "delta", scaled=True),
+    _Family("gh_normal",
+            lambda loc, g, h: TransformParams(normal_base(), loc, GhTransform(g, h)),
+            (_Shape("g"), _Shape("h")), mle=False, quantile_fit=fit_gh_quantile),
+    _Family("k_normal", lambda loc, eta: TransformParams(normal_base(), loc, KTransform(eta)),
+            (_Shape("eta"),), mle=False),
+)}
+
+FAMILY_ORDER = tuple(name for name, f in _FAMILIES.items() if f.mle)
+
+# the penalty c1*ln(1 + c2*delta^2) is a term of the skew-normal kernel
+_PENALIZED_SKEW_NORMAL = replace(
+    _FAMILIES[SKEW_NORMAL_PAIR[1]], nll=partial(_nll_skew_normal, penalized=True)
+)
+
+
+# ---------------------------------------------------------------------------
+# distribution construction and likelihood
+
+
+def distribution_for(family: str, params: dict):
+    """Build the distribution object named by family from a parameter dict."""
+    spec = _FAMILIES.get(family)
+    if spec is None:
+        raise ValueError(f"unknown family {family!r}")
+    missing = [k for k in ("mu", "sigma", *(s.name for s in spec.shapes)) if k not in params]
+    if missing:
+        raise ValueError(f"{family} parameters lack {', '.join(missing)}")
+    loc = LocationScale(float(params["mu"]), float(params["sigma"]))
+    shape = {s.name: float(params[s.name]) for s in spec.shapes}
+    if spec.scaled:
+        shape["scaling"] = params.get("scaling", "isf")
+    return spec.make(loc, **shape)
+
+
+def _as_data(data) -> np.ndarray:
+    x = np.asarray(data, dtype=float).ravel()
+    if x.size == 0:
+        raise ValueError("empty data")
+    if not np.isfinite(x).all():
+        raise ValueError("data must be finite (no NaN or infinity)")
+    return x
+
+
+def log_likelihood(family: str, params: dict, data) -> float:
+    """Sum of log densities; -inf when any point has zero density."""
+    x = _as_data(data)
+    dist = distribution_for(family, params)
+    return float(np.sum(dist.log_pdf(x)))
+
+
+# ---------------------------------------------------------------------------
+# fitting
+
+
+def _standardize(x):
+    """Standardize each data row of x (m, n): w = (x * 2**-e - m0) / s0.
+
+    The exact power-of-two prescaling puts max |x| in [0.5, 1), so the sums
+    and squares behind m0 and s0 neither overflow nor underflow at any
+    floating-point scale of the data.  Returns (w, e, m0, s0) per row; a row
+    with s0 == 0 gets w = 0.
+    """
+    e = np.frexp(np.max(np.abs(x), axis=1))[1]
+    xs = np.ldexp(x, -e[:, None])
+    m0 = xs.mean(axis=1)
+    s0 = xs.std(axis=1)
+    w = (xs - m0[:, None]) / np.where(s0 > 0.0, s0, 1.0)[:, None]
+    return w, e, m0, s0
+
+
+def _to_w_units(params: dict, e, m0, s0) -> dict:
+    out = dict(params)
+    out["mu"] = (float(np.ldexp(params["mu"], -e)) - m0) / s0
+    out["sigma"] = float(np.ldexp(params["sigma"], -e)) / s0
+    return out
+
+
+def _from_w_units(params: dict, e, m0, s0) -> dict:
+    out = dict(params)
+    out["mu"] = float(np.ldexp(m0 + s0 * params["mu"], e))
+    out["sigma"] = float(np.ldexp(s0 * params["sigma"], e))
+    return out
 
 
 def _fit_rows(spec: _Family, w: np.ndarray, cfg: FitConfig, extra=()) -> _RowFits:
     """Fit spec to every standardized data row of w (m, n) at once.
 
-    The normal family is closed form and the two-piece normal profile runs
-    per row.  The other families run, for every row, the points in extra
-    (each (m, d)) and then the first cfg.restarts structural starts, all in
-    one batched quasi-Newton run seeded by _opg_seed at every start.  Each
-    row keeps its first best start.
+    A family with an exact fitter runs it.  The others run, for every row,
+    the points in extra (each (m, d)) and then the first cfg.restarts
+    structural starts, all in one batched quasi-Newton run seeded by
+    _opg_seed at every start.  Each row keeps its first best start.
     """
+    if spec.exact is not None:
+        return spec.exact(w, cfg)
     m, n = w.shape
-    if spec.nll is None:
-        mu = w.mean(axis=1)
-        ls = 0.5 * np.log(np.mean((w - mu[:, None]) ** 2, axis=1))
-        nll = n * (LOG_SQRT_TWO_PI + ls + 0.5)
-        return _RowFits(
-            np.column_stack((mu, ls)), nll, np.zeros(m, dtype=int), np.ones(m, dtype=bool)
-        )
-    if spec.name == "twopiece_normal" and cfg.two_piece_profile:
-        t, nll, evals = zip(*(_two_piece_profile(row, cfg) for row in w))
-        return _RowFits(np.array(t), np.array(nll), np.array(evals), np.ones(m, dtype=bool))
-
     starts = [*extra, *spec.starts(w, cfg)[: cfg.restarts]]
     k = len(starts)
     d = spec.n_free
@@ -1434,10 +1341,4 @@ def lr_test(
         )
     exceed = int(np.count_nonzero(np.maximum(stats[ok], 0.0) >= observed))
     p_value = (1.0 + exceed) / (b + 1.0)
-    return TestResult(
-        statistic=observed,
-        p_value=p_value,
-        replicates=b,
-        method="parametric_bootstrap",
-        failures=failures,
-    )
+    return TestResult(statistic=observed, p_value=p_value, replicates=b, failures=failures)

@@ -250,6 +250,20 @@ def test_invert_cdf_matches_quantile():
         assert x == pytest.approx(nb.quantile(p), abs=1e-9)
 
 
+def test_invert_cdf_evaluates_each_point_once():
+    # the bracket [-1, 1] must grow to hold the 0.999 quantile
+    nb = base.normal_base()
+    seen = []
+
+    def cdf(x):
+        seen.append(x)
+        return nb.cdf(x)
+
+    x = base.invert_cdf(cdf, 0.999, -1.0, 1.0)
+    assert x == pytest.approx(nb.quantile(0.999), abs=1e-9)
+    assert len(seen) == len(set(seen))
+
+
 @given(st.floats(-30.0, 30.0))
 def test_pdf_symmetry_property(x):
     for b in (base.normal_base(), base.student_base(3.0), base.logistic_base()):

@@ -47,6 +47,15 @@ def parse_csv(text):
     return rows
 
 
+def test_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize takes a fifth of a second to import; only the code
+    # paths that need it import it
+    code = "import sys, flexdist.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=subprocess_env(), check=True)
+    assert out.stdout.strip() == "False"
+
+
 # ---------------------------------------------------------------- curve
 
 

@@ -64,6 +64,13 @@ def test_distribution_for_rejects_unknown_family():
         infer.distribution_for("weibull", {"mu": 0.0, "sigma": 1.0})
 
 
+def test_missing_parameters_raise_value_error():
+    with pytest.raises(ValueError, match="lack nu$"):
+        infer.distribution_for("t", {"mu": 0.0, "sigma": 1.0})
+    with pytest.raises(ValueError, match="lack sigma, delta$"):
+        infer.log_likelihood("skew_normal", {"mu": 0.0}, [0.0])
+
+
 @pytest.mark.parametrize("family", ["twopiece_normal", "twopiece_t"])
 def test_distribution_for_checks_the_two_piece_scaling(family):
     params = {"mu": 0.0, "sigma": 1.0, "delta": 0.5, "nu": 4.0}
@@ -335,11 +342,11 @@ def test_fit_two_piece_epsilon_scaling():
 def test_fit_two_piece_profile_matches_simplex():
     data = _isf_sample(3_000, 2.0, seed=15)
     prof = infer.fit_mle("twopiece_normal", data)
-    simplex = infer.fit_mle("twopiece_normal", data,
-                            infer.FitConfig(two_piece_profile=False))
-    assert prof.loglik >= simplex.loglik - 1e-6
+    spec = replace(infer._FAMILIES["twopiece_normal"], exact=None)
+    bfgs = infer._fit(spec, data, infer.FitConfig())
+    assert prof.loglik >= bfgs.loglik - 1e-6
     for key in ("mu", "sigma", "delta"):
-        assert prof.params[key] == pytest.approx(simplex.params[key],
+        assert prof.params[key] == pytest.approx(bfgs.params[key],
                                                  abs=2e-3)
 
 
@@ -395,8 +402,6 @@ def test_fit_config_validation():
         infer.FitConfig(xatol=0.0)
     with pytest.raises(ValueError):
         infer.FitConfig(scaling="both")
-    with pytest.raises(ValueError):
-        infer.FitConfig(penalty_c1=-1.0)
 
 
 def test_boundary_pathology_all_positive_sample():
@@ -770,26 +775,30 @@ SIMPLEX_STEPS = {
 
 
 def _simplex_reference(spec, w, cfg):
-    """Best value per data row of the batched simplex over spec's kernel and starts."""
-    starts = spec.starts(w, cfg)[:cfg.restarts]
-    m, k, d = w.shape[0], len(starts), spec.n_free
-    simplexes = []
-    for s in starts:
-        sim = infer._simplex(s if s.ndim == 2 else s[:, 0], SIMPLEX_STEPS[spec.name])
-        if s.ndim == 3:   # a stacked start's other points are its last vertices
-            sim[:, d + 2 - s.shape[1]:] = s[:, 1:]
-        simplexes.append(sim)
+    """Best value per data row of scipy's Nelder-Mead over spec's kernel and starts."""
+    from scipy.optimize import minimize
 
-    def fn(t, rows):
-        val = spec.nll(t, w[rows // k], cfg)[0]
-        bad = (np.abs(t[:, 0]) > 1e6) | (np.abs(t[:, 1]) > 200.0) | ~np.isfinite(val)
-        return np.where(bad, np.inf, val)
+    d = spec.n_free
+    offsets = np.vstack((np.zeros(d), np.diag(SIMPLEX_STEPS[spec.name])))
+    best = np.full(w.shape[0], np.inf)
+    for s in spec.starts(w, cfg)[:cfg.restarts]:
+        for i in range(w.shape[0]):
+            sim = (s[i] if s.ndim == 2 else s[i, 0]) + offsets
+            if s.ndim == 3:   # a stacked start's other points are its last vertices
+                sim[d + 2 - s.shape[1]:] = s[i, 1:]
 
-    with np.errstate(all="ignore"):
-        _, fun, _, _ = infer._batch_nelder_mead(
-            fn, np.stack(simplexes, axis=1).reshape(m * k, d + 1, d),
-            cfg.xatol, cfg.fatol, 400 * d)
-    return fun.reshape(m, k).min(axis=1)
+            def fn(v, row=w[i:i + 1]):
+                val = spec.nll(v[None, :], row, cfg)[0][0]
+                bad = abs(v[0]) > 1e6 or abs(v[1]) > 200.0 or not np.isfinite(val)
+                return np.inf if bad else val
+
+            with np.errstate(all="ignore"):
+                # scipy counts its start as iteration 1
+                res = minimize(fn, sim[0], method="Nelder-Mead", options={
+                    "initial_simplex": sim, "xatol": cfg.xatol, "fatol": cfg.fatol,
+                    "maxiter": 400 * d + 1})
+            best[i] = min(best[i], res.fun)
+    return best
 
 
 def test_fits_reach_the_simplex_reference():
@@ -804,8 +813,8 @@ def test_fits_reach_the_simplex_reference():
     assert infer.fit_mle("skew_normal", x[-1]).boundary_flag   # a frontier sample
     w = infer._standardize(x)[0]
     for scaling in ("isf", "epsilon"):
-        cfg = infer.FitConfig(scaling=scaling, two_piece_profile=False)
-        specs = [infer._FAMILIES[f] for f in SIMPLEX_STEPS]
+        cfg = infer.FitConfig(scaling=scaling)
+        specs = [replace(infer._FAMILIES[f], exact=None) for f in SIMPLEX_STEPS]
         if scaling == "isf":
             specs.append(infer._PENALIZED_SKEW_NORMAL)
         else:
