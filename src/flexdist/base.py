@@ -468,23 +468,36 @@ def find_root(g, lo: float, hi: float, tol: float = 1e-12) -> float:
     return float(brentq(g, lo, hi, xtol=tol, rtol=8.881784197001252e-16))
 
 
-def golden_section_max(f, lo: float, hi: float, tol: float = 1e-8) -> float:
-    """Argmax of a unimodal f on [lo, hi] by golden-section search."""
+def golden_section_max(f, lo, hi, tol=1e-8, args=()):
+    """Argmax of a unimodal f on [lo, hi] by golden-section search.
+
+    lo, hi and tol may be arrays, one bracket per row, searched at once:
+    f(x, *args) maps an array holding one point per row still searching to
+    their values, with args (per-row data along their last axis) cut to
+    those rows.  A row stops once its bracket is within its tol, and takes
+    the steps it would take alone.  A float bracket gives a float.
+    """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = float(lo), float(hi)
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
+    a, b = np.atleast_1d(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    tol = np.broadcast_to(tol, a.shape)
+    step = invphi * (b - a)
+    c, d = b - step, a + step
+    fc, fd = f(c, *args), f(d, *args)
+    argmax, rows = np.empty_like(a), np.arange(a.size)
+    while rows.size:
+        if not (live := (b - a) > tol).all():
+            argmax[rows[~live]] = 0.5 * (a + b)[~live]
+            rows, a, b, c, d, fc, fd, tol, *args = (
+                v[..., live] for v in (rows, a, b, c, d, fc, fd, tol, *args))
+            continue
+        up = fc > fd  # keep [a, d] and move c in, else keep [c, b] and move d in
+        a, b = np.where(up, a, c), np.where(up, d, b)
+        step = invphi * (b - a)
+        x = np.where(up, b - step, a + step)
+        fx = f(x, *args)
+        c, d = np.where(up, x, d), np.where(up, c, x)
+        fc, fd = np.where(up, fx, fd), np.where(up, fc, fx)
+    return float(argmax[0]) if np.ndim(lo) == 0 else argmax
 
 
 def invert_cdf(cdf, p: float, lo: float, hi: float, tol: float = 1e-12) -> float:

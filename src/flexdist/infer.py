@@ -19,8 +19,9 @@ deterministic, so fits draw no random numbers.  Two families are fit
 exactly, without the optimizer: the normal family has a closed form, and the
 two-piece normal family an exact profile-likelihood path, where for fixed mu
 the optimal scale and asymmetry are closed-form, so the fit reduces to a
-one-dimensional search over mu.  nelder_mead, a thin adapter over scipy's
-Nelder-Mead simplex, is a public utility; no fit uses it.
+one-dimensional search over mu, batched over the data rows.  nelder_mead,
+a thin adapter over scipy's Nelder-Mead simplex, is a public utility; no fit
+uses it.
 
 One table, _FAMILIES, describes every family, the eight fit by maximum
 likelihood and gh_normal and k_normal.  An entry holds the family's shape
@@ -33,7 +34,6 @@ and boundary rule, and the CLI's family flags all read it.
 """
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -88,9 +88,9 @@ NESTED_PAIRS = frozenset(
 )
 
 # pairs whose alternative gets the fitted null as an extra start; for the
-# other normal-null pairs the alternative's own first start already sits at
-# the normal MLE after standardization
-_EMBEDDED_PAIRS = frozenset({("t", "skew_t"), ("normal", "twopiece_normal")})
+# other pairs the alternative's own first start already sits at the normal
+# MLE after standardization, or the alternative is fit exactly
+_EMBEDDED_PAIRS = frozenset({("t", "skew_t")})
 
 _LOG_TWO = math.log(2.0)
 
@@ -850,96 +850,77 @@ def _normal_rows(w: np.ndarray, cfg: FitConfig) -> _RowFits:
     return _RowFits(np.column_stack((mu, ls)), nll, np.zeros(m, dtype=int), np.ones(m, dtype=bool))
 
 
-def _two_piece_profile(w: np.ndarray, cfg: FitConfig):
-    """Exact two-piece normal MLE of one data row via the profile likelihood in mu.
+def _two_piece_rows(w: np.ndarray, cfg: FitConfig) -> _RowFits:
+    """Exact two-piece normal MLE of every data row via the profile likelihood in mu.
 
     For fixed mu, with L and R the left/right sums of squared deviations,
     the inverse-scale-factor optimum is delta = (R/L)^(1/6) and
-    sigma^2 = (delta^2 L + R / delta^2) / n, both closed form.  The profile
-    is maximized over a candidate grid (all data points, midpoints, and the
-    sample mean) and refined with golden-section search.  Returns the optimum
-    in optimizer coordinates, its negative log-likelihood and the number of
-    golden-section evaluations.
+    sigma^2 = (delta^2 L + R / delta^2) / n, both closed form.  All rows at
+    once, the profile is maximized over each row's candidate grid (its data
+    points, their midpoints and its mean) and refined by golden-section
+    search between the best grid point's neighbours.  A row's iterations are
+    its golden-section evaluations.
     """
-    xs = np.sort(w)
-    n = xs.size
-    s1 = np.concatenate(([0.0], np.cumsum(xs)))
-    s2 = np.concatenate(([0.0], np.cumsum(xs * xs)))
-    xs_list = xs.tolist()
-    s1_list = s1.tolist()
-    s2_list = s2.tolist()
-    s1n, s2n = s1_list[n], s2_list[n]
-    sixth = 1.0 / 6.0
-    const = 0.5 * n + n * LOG_SQRT_TWO_PI
+    m, n = w.shape
+    per = _rows_per_batch(2 * n)
+    if m > per:  # at most _BATCH_ELEMENTS grid points at once
+        parts = [_two_piece_rows(w[i : i + per], cfg) for i in range(0, m, per)]
+        return _RowFits(*map(np.concatenate, zip(*parts)))
+    r, j = np.arange(m), np.arange(n)
+    xs = np.sort(w, axis=1)
+    s1, s2 = (np.pad(np.cumsum(v, axis=1), ((0, 0), (1, 0))) for v in (xs, xs * xs))
 
-    def at(mu: float):
-        k = bisect_left(xs_list, mu)
-        left = max(s2_list[k] - 2.0 * mu * s1_list[k] + k * mu * mu, 0.0)
-        right = max((s2n - s2_list[k]) - 2.0 * mu * (s1n - s1_list[k]) + (n - k) * mu * mu, 0.0)
-        if left <= 0.0:
-            delta = _ISF.hi
-        elif right <= 0.0:
-            delta = _ISF.lo
-        else:
-            delta = min(max((right / left) ** sixth, _ISF.lo), _ISF.hi)
-        var = (delta * delta * left + right / (delta * delta)) / n
-        if var <= 0.0:
-            return -math.inf, delta, 0.0
-        ll = n * math.log(2.0 / (delta + 1.0 / delta)) - 0.5 * n * math.log(var) - const
-        return ll, delta, math.sqrt(var)
+    def sums(k):
+        # count, sum and sum of squares of the k (m, p) points below mu and of the others
+        s1k, s2k = s1[r[:, None], k], s2[r[:, None], k]
+        return np.array([[k, n - k], [s1k, s1[:, n:] - s1k], [s2k, s2[:, n:] - s2k]])
 
-    def profile_grid(mu):
-        k = np.searchsorted(xs, mu, side="left")
-        left = np.maximum(s2[k] - 2.0 * mu * s1[k] + k * mu * mu, 0.0)
-        right = np.maximum(
-            (s2[n] - s2[k]) - 2.0 * mu * (s1[n] - s1[k]) + (n - k) * mu * mu, 0.0
-        )
-        with np.errstate(divide="ignore", invalid="ignore"):
-            delta = np.clip((right / left) ** sixth, _ISF.lo, _ISF.hi)
-            delta = np.where(left <= 0.0, _ISF.hi, delta)
-            delta = np.where(right <= 0.0, _ISF.lo, delta)
-            var = (delta**2 * left + right / delta**2) / n
-            ll = np.where(
-                var > 0.0,
-                n * np.log(2.0 / (delta + 1.0 / delta)) - 0.5 * n * np.log(var) - const,
-                -np.inf,
-            )
-        return ll
+    def profile(mu, count, total, squares):
+        # log-likelihood, delta and sigma^2 at mu; NaN where every point equals mu
+        left, right = np.maximum(squares - 2.0 * mu * total + count * mu * mu, 0.0)
+        delta = np.minimum(np.maximum((right / left) ** (1.0 / 6.0), _ISF.lo), _ISF.hi)
+        d2 = delta * delta
+        var = (d2 * left + right / d2) / n
+        ll = n * np.log(2.0 / (delta + 1.0 / delta)) - 0.5 * n * np.log(var)
+        return ll - (0.5 * n + n * LOG_SQRT_TWO_PI), delta, var
 
-    mids = 0.5 * (xs[:-1] + xs[1:])
-    cands = np.unique(np.concatenate((xs, mids, [np.mean(xs)])))
-    ll_c = profile_grid(cands)
-    i = int(np.argmax(ll_c))
-    lo = cands[max(i - 1, 0)]
-    hi = cands[min(i + 1, cands.size - 1)]
-    span = max(float(xs[-1] - xs[0]), 1e-12)
-    evals = 0
+    # the grid, and each grid point's count of data points strictly below it:
+    # for a data point the start of its run of ties
+    mids = 0.5 * (xs[:, :-1] + xs[:, 1:])
+    grid = np.concatenate((xs, mids, np.mean(xs, axis=1, keepdims=True)), axis=1)
+    first = np.maximum.accumulate(np.where(np.diff(xs, axis=1, prepend=-np.inf) > 0, j, 0), axis=1)
+    k = np.concatenate((first, np.where(mids > xs[:, :-1], j[1:], first[:, :-1]),
+                        np.count_nonzero(xs < grid[:, -1:], axis=1, keepdims=True)), axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ll = profile(grid, *sums(k))[0]
+        i = np.argmax(ll, axis=1)
+        best, ll_best = grid[r, i], ll[r, i]
+        # no data point lies strictly between best and either neighbour, so in
+        # the bracket the count below mu is k[r, i] up to best and k_hi beyond
+        lo = np.max(np.where(grid < best[:, None], grid, xs[:, :1]), axis=1)
+        hi = np.min(np.where(grid > best[:, None], grid, xs[:, -1:]), axis=1)
+        k_hi = np.count_nonzero(xs <= best[:, None], axis=1)
+        sides = np.moveaxis(sums(np.column_stack((k[r, i], k_hi))), -1, 0)
 
-    def search(mu: float) -> float:
-        nonlocal evals
-        evals += 1
-        return at(mu)[0]
+        def bracketed(mu, best, sides):
+            return profile(mu, *np.where(mu > best, sides[1], sides[0]))
 
-    mu_hat = golden_section_max(search, float(lo), float(hi), tol=1e-7 * span)
-    if at(mu_hat)[0] < ll_c[i]:
-        mu_hat = float(cands[i])
-    ll_best, delta_isf, sigma_isf = at(mu_hat)
+        def search(mu, rows, best, sides):
+            evals[rows] += 1
+            return bracketed(mu, best, sides)[0]
 
-    if cfg.scaling == "epsilon":
-        d2 = delta_isf * delta_isf
-        delta = (d2 - 1.0) / (d2 + 1.0)
-        delta = min(max(delta, -_EPSILON.cap), _EPSILON.cap)
-        sigma = sigma_isf / math.sqrt(1.0 - delta * delta)
-        td = _EPSILON.encode(delta)
-    else:
-        sigma = sigma_isf
-        td = _ISF.encode(delta_isf)
-    return np.array([mu_hat, math.log(sigma), td]), -ll_best, evals
-
-
-def _two_piece_rows(w: np.ndarray, cfg: FitConfig) -> _RowFits:
-    t, nll, evals = zip(*(_two_piece_profile(row, cfg) for row in w))
-    return _RowFits(np.array(t), np.array(nll), np.array(evals), np.ones(w.shape[0], dtype=bool))
+        evals = np.zeros(m, dtype=int)
+        span = np.maximum(xs[:, -1] - xs[:, 0], 1e-12)
+        mu = golden_section_max(search, lo, hi, 1e-7 * span, (r, best, sides))
+        mu = np.where(bracketed(mu, best, sides)[0] < ll_best, best, mu)
+        ll, delta, var = bracketed(mu, best, sides)
+        sigma = np.sqrt(var)
+        if cfg.scaling == "epsilon":
+            d2 = delta * delta
+            delta = np.clip((d2 - 1.0) / (d2 + 1.0), -_EPSILON.cap, _EPSILON.cap)
+            sigma = sigma / np.sqrt(1.0 - delta * delta)
+        t = np.column_stack((mu, np.log(sigma), _TWO_PIECE.of(cfg.scaling).encode(delta)))
+    return _RowFits(t, -ll, evals, np.ones(m, dtype=bool))
 
 
 # ---------------------------------------------------------------------------
@@ -1257,7 +1238,7 @@ def _null_embed(null_family, alt_family, params, cfg):
     """Starting points that reproduce the fitted null inside the alternative.
 
     The alternative's coordinates beyond the null's are zero at the null
-    (delta = 0, or ISF delta = 1); the null's parameters fill the rest.
+    (skew_t's delta = 0); the null's fitted params fill the rest.
     """
     if (null_family, alt_family) not in _EMBEDDED_PAIRS:
         return []
@@ -1271,13 +1252,18 @@ def _bootstrap_stats(null_family, alt_family, rows, cfg):
     Both families are fit on the same standardized rows, so the scale terms
     cancel from the statistic.  NaN marks a row whose refit failed.
     """
-    w, _, _, s0 = _standardize(rows)
+    w, e, m0, s0 = _standardize(rows)
     null_spec, alt_spec = _FAMILIES[null_family], _FAMILIES[alt_family]
     null = _fit_rows(null_spec, w, cfg)
     extra = []
     if (null_family, alt_family) in _EMBEDDED_PAIRS:
-        pad = alt_spec.n_free - null_spec.n_free
-        extra.append(np.pad(null.t, ((0, 0), (0, pad))))
+        # each row's null start takes fit_mle's path: natural units, _null_embed, and back
+        units = list(zip(e, m0, s0))
+        nulls = [_from_w_units(null_spec.decode(t, cfg), *u) for t, u in zip(null.t, units)]
+        extra.append(np.array([
+            alt_spec.encode(_to_w_units(_null_embed(null_family, alt_family, p, cfg)[0], *u), cfg)
+            for p, u in zip(nulls, units)
+        ]))
     alt = _fit_rows(alt_spec, w, cfg, extra)
     return np.where(s0 > 0.0, 2.0 * (null.nll - alt.nll), np.nan)
 

@@ -104,7 +104,7 @@ class TwoPieceParams:
     def cdf(self, x):
         z = (x - self.loc.mu) / self.loc.sigma
         sl, sr, a = self.scheme.s_left, self.scheme.s_right, self.scheme.a
-        left_mass = sr / (sl + sr)
+        left_mass, _ = side_masses(self.scheme)
         below = (a / sl) * self.base.cdf(sl * z)
         above = left_mass + (a / sr) * (self.base.cdf(sr * z) - 0.5)
         return np.where(z < 0.0, below, above)
@@ -113,7 +113,7 @@ class TwoPieceParams:
     def quantile(self, q):
         qq = quantile_levels(q)
         sl, sr, a = self.scheme.s_left, self.scheme.s_right, self.scheme.a
-        left_mass = sr / (sl + sr)
+        left_mass, _ = side_masses(self.scheme)
         # each side inverts its own tail mass, by the symmetry of the base
         lower = self.base.quantile(np.minimum(qq * sl / a, 0.5)) / sl
         upper = -self.base.quantile(np.minimum((1.0 - qq) * sr / a, 0.5)) / sr

@@ -241,6 +241,13 @@ def test_golden_section_max():
     nb = base.normal_base()
     assert base.golden_section_max(nb.log_pdf, -10.0, 10.0) == pytest.approx(
         0.0, abs=1e-7)
+    # one bracket per row: each row as alone, its data cut to the rows left
+    lo, hi = np.array([0.0, -3.0, 1.0]), np.array([5.0, 4.0, 1.5])
+    tol, centre = np.array([1e-8, 1e-3, 1e-12]), np.array([2.0, -1.0, 1.2])
+    rows = base.golden_section_max(lambda x, c: -(x - c) ** 2, lo, hi, tol, (centre,))
+    for i in range(3):
+        alone = base.golden_section_max(lambda x: -(x - centre[i]) ** 2, lo[i], hi[i], tol[i])
+        assert rows[i] == alone
 
 
 def test_invert_cdf_matches_quantile():

@@ -350,6 +350,110 @@ def test_fit_two_piece_profile_matches_simplex():
                                                  abs=2e-3)
 
 
+def _two_piece_reference(row, cfg):
+    """Reference profile fit of one row, in scalar arithmetic: the closed form,
+    bisect for the count below mu, and a scalar golden-section search.
+    Returns mu, nll, golden-section evaluations, delta and sigma."""
+    from bisect import bisect_left
+
+    xs = np.sort(row)
+    n = xs.size
+    xl = xs.tolist()
+    s1 = np.concatenate(([0.0], np.cumsum(xs))).tolist()
+    s2 = np.concatenate(([0.0], np.cumsum(xs * xs))).tolist()
+    isf = infer._ISF
+
+    def at(mu):
+        k = bisect_left(xl, mu)
+        left = max(s2[k] - 2.0 * mu * s1[k] + k * mu * mu, 0.0)
+        right = max((s2[n] - s2[k]) - 2.0 * mu * (s1[n] - s1[k]) + (n - k) * mu * mu, 0.0)
+        if left <= 0.0:
+            delta = isf.hi
+        elif right <= 0.0:
+            delta = isf.lo
+        else:
+            delta = min(max((right / left) ** (1.0 / 6.0), isf.lo), isf.hi)
+        var = (delta * delta * left + right / (delta * delta)) / n
+        ll = (n * math.log(2.0 / (delta + 1.0 / delta)) - 0.5 * n * math.log(var)
+              - (0.5 * n + n * base.LOG_SQRT_TWO_PI))
+        return ll, delta, math.sqrt(var)
+
+    cands = np.unique(np.concatenate((xs, 0.5 * (xs[:-1] + xs[1:]), [np.mean(xs)])))
+    ll_c = [at(float(c))[0] for c in cands]
+    i = int(np.argmax(ll_c))
+    # the scalar golden-section search
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    tol = 1e-7 * max(float(xs[-1] - xs[0]), 1e-12)
+    a, b = float(cands[max(i - 1, 0)]), float(cands[min(i + 1, cands.size - 1)])
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    fc, fd = at(c)[0], at(d)[0]
+    evals = 2
+    while b - a > tol:
+        evals += 1
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = at(c)[0]
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = at(d)[0]
+    mu = 0.5 * (a + b)
+    if at(mu)[0] < ll_c[i]:
+        mu = float(cands[i])
+    ll, delta, sigma = at(mu)
+    if cfg.scaling == "epsilon":
+        d2 = delta * delta
+        delta = min(max((d2 - 1.0) / (d2 + 1.0), -infer._EPSILON.cap), infer._EPSILON.cap)
+        sigma /= math.sqrt(1.0 - delta * delta)
+    return mu, -ll, evals, delta, sigma
+
+
+def _two_piece_rows_battery(n, rng):
+    """Rows of n points: normal, gamma, all-positive, all-negative, rounded
+    to 0.1 (ties) and t_3, standardized as fits standardize them."""
+    x = np.array([rng.standard_normal(n), rng.gamma(2.0, size=n),
+                  np.abs(rng.standard_normal(n)) + 0.1,
+                  -np.abs(rng.standard_normal(n)) - 0.1,
+                  np.round(rng.standard_normal(n), 1),
+                  base.student_base(3.0).sample(n, rng)])
+    return infer._standardize(x)[0]
+
+
+@pytest.mark.parametrize("scaling", ["isf", "epsilon"])
+def test_two_piece_profile_matches_the_per_row_reference(scaling):
+    cfg = infer.FitConfig(scaling=scaling)
+    spec = infer._FAMILIES["twopiece_normal"]
+    rng = base.make_rng(1100)
+    for n in (3, 4, 9, 60, 400, 3000):
+        w = _two_piece_rows_battery(n, rng)
+        fit = infer._fit_rows(spec, w, cfg)
+        for i, row in enumerate(w):
+            mu, nll, evals, delta, sigma = _two_piece_reference(row, cfg)
+            span = row.max() - row.min()
+            assert abs(fit.t[i, 0] - mu) <= 1e-7 * span, (n, i)
+            assert abs(fit.nll[i] - nll) <= 1e-9, (n, i)
+            assert fit.iterations[i] == evals, (n, i)
+            params = spec.decode(fit.t[i], cfg)
+            assert params["sigma"] == pytest.approx(sigma, rel=1e-9, abs=1e-12), (n, i)
+            assert params["delta"] == pytest.approx(delta, rel=1e-9), (n, i)
+    # the all-positive row's asymmetry lies at its cap
+    x = np.abs(base.make_rng(1101).standard_normal(200)) + 0.1
+    assert infer.fit_mle("twopiece_normal", x, cfg).boundary_flag
+
+
+@pytest.mark.parametrize("scaling", ["isf", "epsilon"])
+def test_two_piece_rows_fit_each_row_as_alone(scaling):
+    cfg = infer.FitConfig(scaling=scaling)
+    spec = infer._FAMILIES["twopiece_normal"]
+    w = _two_piece_rows_battery(80, base.make_rng(1102))
+    batch = infer._fit_rows(spec, w, cfg)
+    for i in range(w.shape[0]):
+        alone = infer._fit_rows(spec, w[i:i + 1], cfg)
+        assert np.array_equal(batch.t[i], alone.t[0]), i
+        assert batch.nll[i] == alone.nll[0] and batch.iterations[i] == alone.iterations[0], i
+
+
 def test_fit_t_recovers_tail_index():
     rng = base.make_rng(16)
     data = base.student_base(4.0).sample(6_000, rng)
@@ -665,6 +769,22 @@ def test_lr_test_chunked_replicates_match(null, alt, monkeypatch):
     chunked = infer.lr_test(data, null, alt, 99, rng=base.make_rng(51),
                             config=FAST)
     assert chunked == whole
+
+
+@pytest.mark.parametrize("null, alt", sorted(infer.NESTED_PAIRS))
+def test_bootstrap_stats_match_fit_mle_per_replicate(null, alt):
+    # each replicate's embedded null start reaches the optimizer as a fit_mle
+    # refit builds it, so the loose config's early stops agree
+    data = skewsym.SkewNormal(0.0, 1.0, 1.0).sample(60, base.make_rng(48))
+    nf = infer.fit_mle(null, data, FAST)
+    dist = infer.distribution_for(null, nf.params)
+    rows = np.array([dist.sample(data.size, c) for c in base.make_rng(49).spawn(99)])
+    stats = infer._bootstrap_stats(null, alt, rows, FAST)
+    for xb, stat in zip(rows, stats):
+        nb = infer.fit_mle(null, xb, FAST)
+        ab = infer.fit_mle(alt, xb, FAST,
+                           extra_starts=infer._null_embed(null, alt, nb.params, FAST))
+        assert abs(stat - 2.0 * (ab.loglik - nb.loglik)) <= 1e-9
 
 
 def test_lr_test_two_piece_power_at_strong_skew():
