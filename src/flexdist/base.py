@@ -500,22 +500,56 @@ def golden_section_max(f, lo, hi, tol=1e-8, args=()):
     return float(argmax[0]) if np.ndim(lo) == 0 else argmax
 
 
-def invert_cdf(cdf, p: float, lo: float, hi: float, tol: float = 1e-12) -> float:
-    """Solve cdf(x) = p with automatic geometric bracket expansion."""
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"quantile level must lie in (0, 1), got {p}")
-    # the bracket test, find_root's sign check and brentq's first calls all
-    # evaluate the bracket ends
-    cdf = functools.lru_cache(maxsize=None)(cdf)
-    span = max(hi - lo, 1e-8)
-    for _ in range(200):
-        if cdf(lo) <= p <= cdf(hi):
-            break
-        if cdf(lo) > p:
-            lo -= span
-        if cdf(hi) < p:
-            hi += span
-        span *= 2.0
-    else:
-        raise BracketError(f"could not bracket quantile level {p}")
-    return find_root(lambda x: cdf(x) - p, lo, hi, tol=tol)
+def invert_cdf(cdf, pdf, p, x0: float, scale: float, maxiter: int = 200):
+    """Quantiles of a continuous law: cdf(x) = p solved for every level at once.
+
+    cdf and pdf map an array of points to their values point by point, so
+    each level's iterates are its own and a level gives the same bits alone
+    or in an array.  Levels 0, 1 and NaN follow quantile_levels.
+
+    Each level starts at x0 with an unbounded bracket, which every evaluation
+    narrows.  Its Newton steps solve log F(x) = log p for p <= 1/2, and
+    log(1 - F(x)) = log(1 - p) above, so that a far tail level is reached in
+    a few steps.  A level takes its step when it moves at most its span
+    (scale at first, doubled whenever it cuts a step short) and stays inside
+    the bracket, and bisects the bracket otherwise.  A level stops once its
+    step or its bracket is within four ulps of x (or of scale near zero),
+    and a NaN cdf value gives NaN; a level that has not stopped after
+    maxiter steps raises NumericsError.
+    """
+    levels = quantile_levels(p)
+    flat = levels.ravel()
+    out = np.where(flat == 0.0, -np.inf, np.where(flat == 1.0, np.inf, np.nan))
+    idx = np.flatnonzero((flat > 0.0) & (flat < 1.0))
+    q = flat[idx]
+    x = np.full(q.shape, float(x0))
+    lo, hi = np.full(q.shape, -np.inf), np.full(q.shape, np.inf)
+    span = np.full(q.shape, float(scale))
+    eps = 4.0 * np.finfo(float).eps
+    for _ in range(maxiter):
+        if not idx.size:
+            return out.reshape(levels.shape)
+        f = cdf(x)
+        err = f - q
+        lo, hi = np.where(err < 0.0, x, lo), np.where(err > 0.0, x, hi)
+        upper = q > 0.5
+        tail, level = np.where(upper, 1.0 - f, f), np.where(upper, 1.0 - q, q)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.where(upper, -tail, tail) * np.log(tail / level) / pdf(x)
+        far = ~(np.abs(step) <= span)  # a NaN step counts as far
+        step = np.where(far, np.copysign(span, err), step)
+        span = np.where(far, 2.0 * span, span)
+        new = x - step
+        # a step moves toward the root's side, so a step that leaves the
+        # bracket meets its finite end, and one below an ulp leaves x as is
+        with np.errstate(invalid="ignore"):
+            new = np.where((lo < new) & (new < hi) | (new == x), new, 0.5 * (lo + hi))
+        ulps = eps * np.maximum(np.abs(new), scale)
+        stuck = np.isnan(err)
+        done = stuck | (np.abs(new - x) <= ulps) | (hi - lo <= ulps) | np.isinf(new)
+        out[idx[done]] = np.where(stuck, np.nan, new)[done]
+        keep = ~done
+        idx, q, x, lo, hi, span = (v[keep] for v in (idx, q, new, lo, hi, span))
+    if idx.size:
+        raise NumericsError(f"quantile levels {q} did not converge in {maxiter} steps")
+    return out.reshape(levels.shape)

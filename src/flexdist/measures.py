@@ -33,8 +33,11 @@ def ag_skewness(d: Distribution) -> float:
 
 
 def quantile_kurtosis(d: Distribution) -> float:
-    """Octile spread ratio ((q7-q5) + (q3-q1)) / (q6-q2), location/scale free."""
-    q = [float(d.quantile(i / 8.0)) for i in range(1, 8)]
+    """Octile spread ratio ((q7-q5) + (q3-q1)) / (q6-q2), location/scale free.
+
+    d.quantile is asked once, for the array of the seven octile levels.
+    """
+    q = [float(v) for v in np.broadcast_to(d.quantile(np.arange(1, 8) / 8.0), (7,))]
     spread = q[5] - q[1]
     if spread <= 0.0:
         raise ValueError("degenerate interoctile spread")

@@ -252,23 +252,39 @@ def test_golden_section_max():
 
 def test_invert_cdf_matches_quantile():
     nb = base.normal_base()
-    for p in (0.025, 0.5, 0.975):
-        x = base.invert_cdf(nb.cdf, p, -1.0, 1.0)
-        assert x == pytest.approx(nb.quantile(p), abs=1e-9)
+    levels = np.array([0.025, 0.5, 0.975])
+    x = base.invert_cdf(nb.cdf, nb.pdf, levels, 0.0, 1.0)
+    assert np.max(np.abs(x - nb.quantile(levels))) <= 1e-9
+    # each level's iterates are its own: an array call gives the scalar bits
+    for q, xq in zip(levels, x):
+        assert base.invert_cdf(nb.cdf, nb.pdf, q, 0.0, 1.0)[()] == xq
+    edges = base.invert_cdf(nb.cdf, nb.pdf, np.array([0.0, 1.0, np.nan]), 0.0, 1.0)
+    assert edges[0] == -np.inf and edges[1] == np.inf and np.isnan(edges[2])
+    with pytest.raises(ValueError):
+        base.invert_cdf(nb.cdf, nb.pdf, 1.5, 0.0, 1.0)
 
 
 def test_invert_cdf_evaluates_each_point_once():
-    # the bracket [-1, 1] must grow to hold the 0.999 quantile
+    # a span of 0.1 from -1 must grow to reach the 0.999 quantile; the level
+    # never asks for the same point twice
     nb = base.normal_base()
     seen = []
 
     def cdf(x):
-        seen.append(x)
+        seen.extend(x.tolist())
         return nb.cdf(x)
 
-    x = base.invert_cdf(cdf, 0.999, -1.0, 1.0)
+    x = base.invert_cdf(cdf, nb.pdf, 0.999, -1.0, 0.1)
     assert x == pytest.approx(nb.quantile(0.999), abs=1e-9)
     assert len(seen) == len(set(seen))
+
+
+def test_invert_cdf_nan_and_unconverged_levels():
+    nb = base.normal_base()
+    nan_cdf = lambda x: np.full_like(x, np.nan)  # noqa: E731
+    assert np.isnan(base.invert_cdf(nan_cdf, nb.pdf, 0.3, 0.0, 1.0))
+    with pytest.raises(base.NumericsError):
+        base.invert_cdf(nb.cdf, nb.pdf, 0.3, 50.0, 1e-3, maxiter=5)
 
 
 @given(st.floats(-30.0, 30.0))

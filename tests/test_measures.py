@@ -1,4 +1,6 @@
 import math
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -169,3 +171,27 @@ def test_moment_skew_normal_matches_closed_form():
     d = skewsym.SkewNormal(0.0, 1.0, delta)
     expected = delta / math.sqrt(1.0 + delta * delta) * math.sqrt(2.0 / math.pi)
     assert measures.moment(d, 1) == pytest.approx(expected, abs=1e-8)
+
+
+# scripts/shape_measures.py's table, as it prints it: AG skewness and octile
+# kurtosis at four decimals
+SHAPE_TABLE = """\
+family            params                                   AG skew  oct kurt
+normal            -                                         0.0000    1.2331
+t                 nu=5                                      0.0000    1.3269
+t                 nu=2                                      0.0000    1.5167
+skew_normal       delta=1                                   0.0379    1.2369
+skew_normal       delta=5                                   0.4184    1.2068
+skew_t            nu=2, delta=2                             0.3312    1.5044
+sas_normal        delta=-0.5, eta=0.5                       0.3768    1.7441
+sas_normal        delta=-1.0, eta=0.5                       0.6552    1.7441
+twopiece_normal   delta=2, scaling=isf                      0.6000    1.1735
+twopiece_normal   delta=0.5, scaling=epsilon                0.5000    1.1823
+twopiece_t        nu=2, delta=2, scaling=isf                0.6000    1.4368
+"""
+
+
+def test_shape_measures_script_table(capsys):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "shape_measures.py"
+    assert runpy.run_path(str(script))["main"]() == 0
+    assert capsys.readouterr().out == SHAPE_TABLE

@@ -1,12 +1,18 @@
+import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import special, stats
 
 from flexdist import base, skewsym
+from tests import subprocess_env
 
 # Frozen oracle values, computed once with mpmath at 40 digits.
 PHI_0 = 0.3989422804014327                 # phi(0)
@@ -15,6 +21,11 @@ SN_M2_5 = 8.228064589257313e-25            # 2 phi(2) Phi(-10)
 T2_AT_0 = 0.3535533905932738               # Gamma(1.5)/(sqrt(2 pi) Gamma(1))
 
 GRID = np.linspace(-6.0, 6.0, 49)
+
+# Rows (nu, delta, x, tail) of the skew-t's smaller tail, F(x) for x <= 0 and
+# 1 - F(x) for x > 0, frozen from _skew_t_tail_mpmath below.
+SKEW_T_TAILS = json.loads(
+    (Path(__file__).with_name("skew_t_cdf_mpmath.json")).read_text())
 
 NORMAL = base.normal_base()
 PI_NORMAL = skewsym.cdf_linear(NORMAL)
@@ -155,12 +166,13 @@ def test_skew_t_vector_cdf_matches_scalar():
                    np.array([-10.0, 0.3, 10.0]))):
         batch = d.cdf(xs)
         singles = np.array([d.cdf(float(x)) for x in xs])
-        assert np.max(np.abs(batch - singles)) < 1e-9
+        assert np.max(np.abs(batch - singles)) < 1e-12
 
 
 def test_skew_t_vector_cdf_dense_points_keep_one_panel(monkeypatch):
+    # the left tail comes from the mixture and every gap takes one panel, so
+    # no adaptive quadrature runs at all
     d = skewsym.SkewT(0.0, 1.0, 2.0, 2.0)
-    d.cdf(0.0)  # caches the total mass
     calls = []
 
     def counting(*args, **kwargs):
@@ -169,7 +181,7 @@ def test_skew_t_vector_cdf_dense_points_keep_one_panel(monkeypatch):
 
     monkeypatch.setattr(skewsym, "integrate", counting)
     d.cdf(np.linspace(-5.0, 5.0, 2001))
-    assert calls == [(-np.inf, -5.0)]   # the left tail only
+    assert calls == []
 
 
 def test_skew_cdf_nan_is_nan():
@@ -189,6 +201,16 @@ def test_skew_quantile_accepts_arrays():
         for q, x in zip(levels.ravel(), out.ravel()):
             assert x == d.quantile(float(q))
         assert isinstance(d.quantile(0.3), float)
+
+
+def test_skew_quantiles_do_not_import_scipy_optimize():
+    code = ("import sys; from flexdist import skewsym; "
+            "skewsym.SkewNormal(0.0, 1.0, 2.0).quantile([0.1, 0.9]); "
+            "skewsym.SkewT(0.0, 1.0, 2.0, 2.0).quantile([0.1, 0.9]); "
+            "print('scipy.optimize' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=subprocess_env(), check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_skew_t_vector_cdf_infinite_points():
@@ -356,3 +378,91 @@ def test_skew_t_log_pdf_far_tail_matches_mpmath():
     got = skewsym.SkewT(0.0, 1.0, 200.0, 100.0).log_pdf(-8.0)
     assert got == pytest.approx(ref, rel=1e-13)
     assert ref == pytest.approx(-814.97, abs=0.01)
+
+
+def _sn_cdf_mpmath(z, delta):
+    """F_SN(z) = 2 int_{-inf}^z phi(t) Phi(delta t) dt at 30 digits.
+
+    The integral runs over t = z - u / lam, lam the log integrand's slope at
+    z, split at u = 0.5, 2, 8, 30 and 100: a plain split of t misreads the
+    far tails.
+    """
+    with mpmath.workdps(30):
+        z, delta = mpmath.mpf(z), mpmath.mpf(delta)
+        log_f = lambda t: mpmath.log(2 * mpmath.npdf(t) * mpmath.ncdf(delta * t))  # noqa: E731
+        lam = -z + delta * mpmath.npdf(delta * z) / mpmath.ncdf(delta * z)
+        top = log_f(z)
+        rest = mpmath.quad(lambda u: mpmath.exp(log_f(z - u / lam) - top),
+                           [0, 0.5, 2, 8, 30, 100, mpmath.inf])
+        return mpmath.exp(top) * rest / lam
+
+
+def test_skew_normal_lower_tail_matches_mpmath():
+    # where Phi(z) - 2 T(z, delta) cancels: at delta = 1, z = -5 it was 1.5e-8
+    # off, at delta = 2, z = -5 off by a factor 1.4e9, and 0 at delta = 5,
+    # z = -3, where F = 4.1e-55
+    for delta in (0.3, 1.0, 2.0, 5.0, 20.0):
+        for z in (-0.5, -1.0, -3.0, -5.0, -9.0, -20.0):
+            ref = _sn_cdf_mpmath(z, delta)
+            if ref < mpmath.mpf(1e-300):
+                continue
+            got = skewsym.SkewNormal(0.0, 1.0, delta).cdf(z)
+            rel = float(abs(got - ref) / ref)
+            assert rel <= (1e-13 if ref >= 1e-30 else 5e-13), (delta, z, rel)
+
+
+def test_skew_normal_cdf_keeps_the_direct_form_where_it_keeps_its_digits():
+    z = np.linspace(-8.0, 8.0, 161)
+    for delta in (-5.0, -1.0, 0.0, 0.5, 2.0, 5.0):
+        direct = special.ndtr(z) - 2.0 * special.owens_t(z, delta)
+        kept = (z >= 0.0) | (direct >= 1e-2 * special.ndtr(z))
+        got = skewsym.SkewNormal(0.0, 1.0, delta).cdf(z)
+        assert np.array_equal(got[kept], np.clip(direct, 0.0, 1.0)[kept])
+
+
+def _skew_t_tail_mpmath(x, nu, delta):
+    """F(x) for x <= 0 and 1 - F(x) for x > 0, at 30 digits.
+
+    The density is integrated over the smaller tail, split at x (1 + j / nu)
+    for j = 1, 4, 16 and at 2x, 4x, 16x, 256x, 65536x, and scaled by its
+    value at x so that mpmath's absolute tolerance is a relative one.
+    """
+    with mpmath.workdps(30):
+        y, nu, d = mpmath.mpf(x), mpmath.mpf(nu), mpmath.mpf(delta)
+        if y == 0:
+            return mpmath.mpf(1) / 2 - mpmath.atan(d) / mpmath.pi
+        if y > 0:
+            y, d = -y, -d  # 1 - F(x; delta) = F(-x; -delta)
+
+        def pdf(v):
+            k = nu + 1
+            t = (mpmath.exp(mpmath.loggamma(k / 2) - mpmath.loggamma(nu / 2))
+                 / mpmath.sqrt(nu * mpmath.pi) * (1 + v * v / nu) ** (-k / 2))
+            a = d * v * mpmath.sqrt(k / (v * v + nu))
+            half = mpmath.betainc(k / 2, 0.5, 0, k / (k + a * a), regularized=True) / 2
+            return 2 * t * (half if a < 0 else 1 - half)
+
+        scale = pdf(y)
+        n = max(nu, 1)
+        cuts = [1 + mpmath.mpf(j) / (n + 1) for j in (1, 4, 16)] + [2, 4, 16, 256, 65536]
+        points = [-mpmath.inf] + [y * c for c in reversed(cuts)] + [y]
+        return mpmath.quad(lambda v: pdf(v) / scale, points) * scale
+
+
+def test_skew_t_cdf_table_is_mpmath():
+    for nu, delta, x in ((2.0, 2.0, -1.0), (0.5, -5.0, 50.0), (200.0, 5.0, -8.0)):
+        row = next(r for r in SKEW_T_TAILS if r[:3] == [nu, delta, x])
+        assert float(_skew_t_tail_mpmath(x, nu, delta)) == pytest.approx(row[3], rel=1e-15)
+
+
+def test_skew_t_cdf_matches_mpmath():
+    # nu in {0.5, 1, 2, 3, 30, 200}, delta in {-5, 0, 2, 5}, x in {0, +-0.2,
+    # +-1, +-3, +-8, +-20, +-50}; the smaller tail comes from the law
+    # reflected so that it is a lower tail, F(x; delta) = 1 - F(-x; -delta)
+    assert len(SKEW_T_TAILS) == 6 * 4 * 13
+    for nu, delta, x, tail in SKEW_T_TAILS:
+        cdf = skewsym.SkewT(0.0, 1.0, nu, delta).cdf(x)
+        assert abs(cdf - (tail if x <= 0.0 else 1.0 - tail)) <= 1e-13
+        got = skewsym.SkewT(0.0, 1.0, nu, delta if x <= 0.0 else -delta).cdf(-abs(x))
+        rel = abs(got - tail) / tail
+        assert rel <= (1e-10 if tail >= 1e-30 else 1e-6), (nu, delta, x, rel)
