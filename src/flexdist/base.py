@@ -500,7 +500,11 @@ def golden_section_max(f, lo, hi, tol=1e-8, args=()):
     return float(argmax[0]) if np.ndim(lo) == 0 else argmax
 
 
-def invert_cdf(cdf, pdf, p, x0: float, scale: float, maxiter: int = 200):
+# steps each level of invert_cdf may take
+_INVERT_STEPS = 200
+
+
+def invert_cdf(cdf, pdf, p, x0: float, scale: float):
     """Quantiles of a continuous law: cdf(x) = p solved for every level at once.
 
     cdf and pdf map an array of points to their values point by point, so
@@ -513,9 +517,9 @@ def invert_cdf(cdf, pdf, p, x0: float, scale: float, maxiter: int = 200):
     a few steps.  A level takes its step when it moves at most its span
     (scale at first, doubled whenever it cuts a step short) and stays inside
     the bracket, and bisects the bracket otherwise.  A level stops once its
-    step or its bracket is within four ulps of x (or of scale near zero),
-    and a NaN cdf value gives NaN; a level that has not stopped after
-    maxiter steps raises NumericsError.
+    Newton step or its bracket is within four ulps of x (or of scale near
+    zero), and a NaN cdf value gives NaN; a level that has not stopped after
+    _INVERT_STEPS steps raises NumericsError.
     """
     levels = quantile_levels(p)
     flat = levels.ravel()
@@ -526,7 +530,7 @@ def invert_cdf(cdf, pdf, p, x0: float, scale: float, maxiter: int = 200):
     lo, hi = np.full(q.shape, -np.inf), np.full(q.shape, np.inf)
     span = np.full(q.shape, float(scale))
     eps = 4.0 * np.finfo(float).eps
-    for _ in range(maxiter):
+    for _ in range(_INVERT_STEPS):
         if not idx.size:
             return out.reshape(levels.shape)
         f = cdf(x)
@@ -546,10 +550,12 @@ def invert_cdf(cdf, pdf, p, x0: float, scale: float, maxiter: int = 200):
             new = np.where((lo < new) & (new < hi) | (new == x), new, 0.5 * (lo + hi))
         ulps = eps * np.maximum(np.abs(new), scale)
         stuck = np.isnan(err)
-        done = stuck | (np.abs(new - x) <= ulps) | (hi - lo <= ulps) | np.isinf(new)
+        # a step cut short to the span is no sign of convergence
+        settled = ~far & (np.abs(new - x) <= ulps)
+        done = stuck | settled | (hi - lo <= ulps) | np.isinf(new)
         out[idx[done]] = np.where(stuck, np.nan, new)[done]
         keep = ~done
         idx, q, x, lo, hi, span = (v[keep] for v in (idx, q, new, lo, hi, span))
     if idx.size:
-        raise NumericsError(f"quantile levels {q} did not converge in {maxiter} steps")
+        raise NumericsError(f"quantile levels {q} did not converge in {_INVERT_STEPS} steps")
     return out.reshape(levels.shape)

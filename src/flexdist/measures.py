@@ -1,10 +1,12 @@
 """Shape functionals over a unified distribution interface.
 
 Any object exposing pdf(x), cdf(x), quantile(p) and mode() can be fed to
-these measures; every family parameter record in the package implements
-that surface.  Skewness is the mode-based 1 - 2 F(mode) functional,
-kurtosis an octile spread ratio, and raw moments come from quadrature
-with an explicit infinity flag for t-based tails.
+these measures, where quantile takes an array of levels (and may answer
+with one value for all of them); every family parameter record in the
+package implements that surface.  Skewness is the mode-based
+1 - 2 F(mode) functional, kurtosis an octile spread ratio, and raw
+moments come from quadrature with an explicit infinity flag for t-based
+tails.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ class Distribution(Protocol):
 
     def cdf(self, x): ...
 
-    def quantile(self, p): ...
+    def quantile(self, p): ...  # p: an array of levels
 
     def mode(self) -> float: ...
 

@@ -9,10 +9,12 @@ degrees of freedom instead of a plain linear one.
 The univariate skew-t CDF comes from its normal-chi^2 scale mixture
 (_ScaleMixture), integrated on the smaller tail.  Against mpmath, its
 absolute error is at most 1e-13, and the smaller tail keeps a relative
-error of 1e-10 down to 1e-30 and of 1e-6 down to 1e-300.  On an array, one
-Kronrod panel per gap between sorted points adds to the mixture's value at
-the smallest point.  Both skew families take their quantiles from one
-batched Newton solve, base.invert_cdf.
+error of 1e-10 down to 1e-30 and of 1e-6 down to 1e-300.  It takes
+1e-3 <= nu <= 1e8, where its table of F_SN stays below 9e5 nodes.  On an
+array, one Kronrod panel per gap between sorted points adds to the
+mixture's value at the smallest point, five times faster than the mixture
+at every point.  Both skew families take their quantiles from one batched
+Newton solve, base.invert_cdf.
 """
 from __future__ import annotations
 
@@ -27,6 +29,7 @@ from .base import (
     LOG_SQRT_TWO_PI,
     LocationScale,
     MatrixParams,
+    NumericsError,
     SymmetricBase,
     _GAUSS_SLICE,
     _GAUSS_WEIGHTS,
@@ -59,6 +62,10 @@ _TAIL_BEND = 0.35
 _MIX_DROP = 40.0
 _MIX_T_MAX = 8.0
 _MIX_LOG_FLOOR = -800.0
+# the nu the rule takes; its table has 9e5 nodes at either end
+_MIX_NU_MIN, _MIX_NU_MAX = 1e-3, 1e8
+# nodes x points that _ScaleMixture sums at once
+_MIX_BLOCK = 2 ** 20
 
 
 def _sn_cdf(z, delta, log=False):
@@ -69,7 +76,9 @@ def _sn_cdf(z, delta, log=False):
     40-node Gauss-Laguerre rule in log space, in t = z - u / lam with lam the
     log integrand's slope at z, so it keeps its relative accuracy down to
     the smallest floats.  Everywhere else the difference is returned as is.
+    z may have any shape.
     """
+    shape, z = z.shape, z.ravel()
     phi = special.ndtr(z)
     direct = phi - 2.0 * special.owens_t(z, delta)
     out = np.clip(direct, 0.0, 1.0)
@@ -94,7 +103,38 @@ def _sn_cdf(z, delta, log=False):
             logf = top - np.log(lam) + np.log((np.exp(rest) * _LAGUERRE_WEIGHTS).sum(axis=1))
         logf[np.isnan(logf)] = -np.inf  # z so far out that t * t overflows
         out[tail] = logf if log else np.exp(logf)
-    return out
+    return out.reshape(shape)
+
+
+def _drop_point(nu: float, r: float) -> float:
+    """Where the log-gamma density g of r = log S drops e^-_MIX_DROP below
+    its peak at r = 0, on the side of r.
+
+    The drop nu r - (nu / 2) expm1(2 r) + _MIX_DROP is concave in r, so
+    Newton's method from any r of the right sign reaches the root without
+    crossing 0.
+    """
+    for _ in range(200):
+        slope = -nu * math.expm1(2.0 * r)
+        step = (nu * r - 0.5 * nu * math.expm1(2.0 * r) + _MIX_DROP) / slope
+        r -= step
+        if abs(step) <= 1e-9 * abs(r):
+            return r
+    raise NumericsError(f"no e^-{_MIX_DROP:g} point of the scale density at nu = {nu}")
+
+
+def _log_gamma_peak(a: float) -> float:
+    """log g(0) of the log-gamma density g(r) = 2 a^a e^(2 a r - a e^2r) / Gamma(a).
+
+    That is log 2 - a + a log a - log Gamma(a); for a >= 20 the Stirling
+    series of log Gamma(a) takes the place of the two large terms that
+    cancel.
+    """
+    if a < 20.0:
+        return math.log(2.0) - a + a * math.log(a) - special.gammaln(a)
+    b = 1.0 / (a * a)
+    series = (1 / 12 - b * (1 / 360 - b * (1 / 1260 - b * (1 / 1680 - b / 1188)))) / a
+    return math.log(2.0) + 0.5 * math.log(a) - LOG_SQRT_TWO_PI - series
 
 
 class _ScaleMixture:
@@ -111,43 +151,51 @@ class _ScaleMixture:
     sits.  A point is summed in log space, scaled by its largest term, over
     the whole table, which makes its value independent of the other points.
     For y > 0, F(y) = 1 - F(-y; -delta): the rule always integrates F_SN
-    itself on the smaller tail, so no subtraction cancels.
+    itself on the smaller tail, so no subtraction cancels.  The table has
+    about 45 / h + _MIX_DROP / (h nu) nodes, hence the bounds on nu.
     """
 
     def __init__(self, nu: float, delta: float):
+        if not _MIX_NU_MIN <= nu <= _MIX_NU_MAX:
+            raise ValueError(f"the skew-t cdf takes {_MIX_NU_MIN:g} <= nu <= "
+                             f"{_MIX_NU_MAX:g}, got {nu}")
         self.nu, self.delta = nu, delta
         self.h = min(0.05, 0.5 / math.sqrt(nu))
-        a = 0.5 * nu
-        self.log_g0 = math.log(2.0) + a * math.log(a) - special.gammaln(a)
-        # g's e^-_MIX_DROP points about its peak at r = 0, by fixed point
-        lo, hi = -_MIX_DROP / nu, 0.5 * math.log1p(_MIX_DROP / a)
-        for _ in range(4):
-            lo = (a * math.expm1(2.0 * lo) - _MIX_DROP) / nu
-            hi = 0.5 * math.log1p(_MIX_DROP / a + 2.0 * hi)
+        self.log_g0 = _log_gamma_peak(0.5 * nu)
+        lo = _drop_point(nu, -math.sqrt(_MIX_DROP / nu))
+        hi = _drop_point(nu, 0.5 * math.log1p(2.0 * _MIX_DROP / nu))
         # below |z| = e^t_flat, F_SN(z) is F_SN(0) to 1e-17; so is F(y) for
         # |y| below self.flat, where every node has y S below it
         t_flat = -_MIX_DROP - math.log1p(2.0 * abs(delta))
-        self.t_min = t_flat - (hi - lo)
+        self.k_min = math.floor((t_flat - (hi - lo)) / self.h)
         self.flat = math.exp(t_flat - hi)
         self.tables = {}
 
     def _table(self, delta):
+        # log F_SN(-e^t) at t = (k_min + j) h, j = 0, 1, ...
         if delta not in self.tables:
-            k = np.arange(math.floor(self.t_min / self.h), math.ceil(_MIX_T_MAX / self.h) + 1)
-            t = k * self.h
+            t = np.arange(self.k_min, math.ceil(_MIX_T_MAX / self.h) + 1) * self.h
             log_f = _sn_cdf(-np.exp(t), delta, log=True)
-            end = np.flatnonzero(log_f > _MIX_LOG_FLOOR)[-1] + 1
-            self.tables[delta] = (t[:end], log_f[:end])
+            self.tables[delta] = log_f[:np.flatnonzero(log_f > _MIX_LOG_FLOOR)[-1] + 1]
         return self.tables[delta]
 
     def _lower(self, y, delta):
-        # F(y; delta) at y < 0
-        t, log_f = self._table(delta)
-        r = t - np.log(-y)[:, None]
-        a = 0.5 * self.nu
-        terms = log_f + self.log_g0 + self.nu * r - a * np.exp(2.0 * r)
-        top = terms.max(axis=1)
-        return self.h * np.exp(top) * np.exp(terms - top[:, None]).sum(axis=1)
+        # F(y; delta) at y < 0, a block of points at a time.  A node's r is
+        # (k - m) h - f with log|y| = m h + f, so it carries no rounding of
+        # t or log|y| at their size; log g(r) = log_g0 - (nu/2)(e^2r - 1 - 2r)
+        log_f = self._table(delta)
+        j = np.arange(log_f.size)
+        out = np.empty_like(y)
+        rows = max(1, _MIX_BLOCK // log_f.size)
+        for i in range(0, y.size, rows):
+            log_y = np.log(-y[i:i + rows])
+            m = np.round(log_y / self.h)
+            f = log_y - m * self.h
+            r = (j + (self.k_min - m)[:, None]) * self.h - f[:, None]
+            terms = log_f + self.log_g0 - 0.5 * self.nu * (np.expm1(2.0 * r) - 2.0 * r)
+            top = terms.max(axis=1)
+            out[i:i + rows] = self.h * np.exp(top) * np.exp(terms - top[:, None]).sum(axis=1)
+        return out
 
     def cdf(self, z):
         """F at standardized points z, point by point."""

@@ -284,7 +284,8 @@ def test_invert_cdf_nan_and_unconverged_levels():
     nan_cdf = lambda x: np.full_like(x, np.nan)  # noqa: E731
     assert np.isnan(base.invert_cdf(nan_cdf, nb.pdf, 0.3, 0.0, 1.0))
     with pytest.raises(base.NumericsError):
-        base.invert_cdf(nb.cdf, nb.pdf, 0.3, 50.0, 1e-3, maxiter=5)
+        # from 1e100, a span of 1e-100 needs about 600 doublings to move x
+        base.invert_cdf(nb.cdf, nb.pdf, 0.3, 1e100, 1e-100)
 
 
 @given(st.floats(-30.0, 30.0))

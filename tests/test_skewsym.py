@@ -466,3 +466,35 @@ def test_skew_t_cdf_matches_mpmath():
         got = skewsym.SkewT(0.0, 1.0, nu, delta if x <= 0.0 else -delta).cdf(-abs(x))
         rel = abs(got - tail) / tail
         assert rel <= (1e-10 if tail >= 1e-30 else 1e-6), (nu, delta, x, rel)
+
+
+def test_skew_t_cdf_at_large_nu():
+    # just above the rule's flat radius F(y) is F(0) to 1e-18; the scale
+    # density's e^-40 points must be found for any nu, and its log must not
+    # carry the rounding of terms of size nu
+    f0 = 0.5 - math.atan(2.0) / math.pi
+    for nu in (1e4, 1e6):
+        d = skewsym.SkewT(0.0, 1.0, nu, 2.0)
+        y = 1.01 * d._mixture.flat
+        for x in (-y, y):
+            assert abs(d.cdf(x) - f0) <= 1e-14, (nu, x)
+    tail = float(_skew_t_tail_mpmath(-3.0, 1e4, 2.0))
+    got = skewsym.SkewT(0.0, 1.0, 1e4, 2.0).cdf(-3.0)
+    assert abs(got - tail) <= 1e-12 * tail
+
+
+def test_skew_t_cdf_rejects_nu_outside_its_rule():
+    for nu in (5e-4, 2e8):
+        with pytest.raises(ValueError):
+            skewsym.SkewT(0.0, 1.0, nu, 2.0).cdf(0.3)
+
+
+def test_skew_cdfs_take_any_shape():
+    # -3 and -6 lie where the skew-normal's direct form cancels
+    x = np.array([[-3.0, -0.5], [1.0, -6.0]])
+    sn = skewsym.SkewNormal(0.0, 1.0, 2.0)
+    assert np.array_equal(sn.cdf(x).ravel(), [sn.cdf(float(v)) for v in x.ravel()])
+    st_ = skewsym.SkewT(0.0, 1.0, 2.0, 2.0)
+    out = st_.cdf(x)
+    assert out.shape == x.shape
+    assert np.max(np.abs(out.ravel() - [st_.cdf(float(v)) for v in x.ravel()])) <= 1e-12
