@@ -1,9 +1,10 @@
-"""Print SHA-256 digests of the CLI's fit and test reports on seeded data.
+"""Print SHA-256 digests of the CLI's reports, curves and draws on seeded data.
 
 Runs ``flexdist.cli.main`` in-process on fixed datasets and prints one
 digest per command, then a total over all of them.  Two checkouts whose
-totals agree wrote byte-identical reports, exit codes and error messages,
-so the script checks that a change left every result's bits as they were:
+totals agree wrote byte-identical reports, curves, draws, exit codes and
+error messages, so the script checks that a change left every result's bits
+as they were:
 
     python scripts/output_digest.py                      # this checkout
     python scripts/output_digest.py --src ../other/src   # another checkout
@@ -13,8 +14,11 @@ n = 200 and n = 10^4, plus one all-positive sample on which the skew-normal
 fit ends at its frontier.  The commands are ``fit --all`` under both
 two-piece scalings, ``fit --family F`` for every fittable family (both
 scalings where the family has them), and ``test`` for the four nested pairs
-at ``--reps 99`` on the n = 200 datasets.  A run takes about half a
-minute on two cores.
+at ``--reps 99`` on the n = 200 datasets.  The distribution layer follows:
+``figures`` (its 24 curve files), and ``curve`` and ``sample -n 1000`` for
+every family of the table at the shapes in SHAPES, under both scalings
+where the family has them (``curve`` of a family without a density digests
+its error).  A run takes about 40 seconds on two cores.
 """
 
 import argparse
@@ -31,6 +35,15 @@ import numpy as np
 DATA_SEED = 20260101
 TEST_REPS = 99
 TEST_SEED = 7
+SAMPLE_N = 1000
+# shape flags per family for curve and sample; delta = 0.5 suits the
+# two-piece families under both scalings
+SHAPES = {
+    "normal": [], "logistic": [], "t": ["--nu", "2"], "skew_normal": ["--delta", "2"],
+    "skew_t": ["--nu", "2", "--delta", "2"], "sas_normal": ["--delta", "-1", "--eta", "0.5"],
+    "gh_normal": ["--g", "0.5", "--h", "0.2"], "k_normal": ["--eta", "0.5"],
+    "twopiece_normal": ["--delta", "0.5"], "twopiece_t": ["--nu", "2", "--delta", "0.5"],
+}
 
 
 def datasets() -> dict:
@@ -49,8 +62,9 @@ def datasets() -> dict:
 
 
 def commands(cli, names):
-    """The CLI calls on each dataset, with the families and nested pairs
-    read from the checkout's own family table."""
+    """The CLI calls on each dataset, then on the distribution layer alone,
+    with the families and nested pairs read from the checkout's own family
+    table."""
     infer = cli.infer
     for name in names:
         data = f"{name}.txt"
@@ -66,14 +80,24 @@ def commands(cli, names):
             for null, alt in sorted(infer.NESTED_PAIRS):
                 yield ["test", data, "--null", null, "--alt", alt,
                        "--reps", str(TEST_REPS), "--seed", str(TEST_SEED)]
+    yield ["figures", "--output-dir", "figures"]
+    for family, spec in infer._FAMILIES.items():
+        for scaling in ("isf", "epsilon") if spec.scaled else (None,):
+            flags = ["--family", family, *SHAPES[family]] + (
+                ["--scaling", scaling] if scaling else [])
+            yield ["curve", *flags]
+            yield ["sample", *flags, "-n", str(SAMPLE_N), "--seed", str(TEST_SEED)]
 
 
 def run(cli, argv) -> bytes:
-    """Exit code, report and standard error of one in-process CLI call."""
+    """Exit code, report and standard error of one in-process CLI call,
+    followed by the files that figures names on its standard output."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
-    return f"{code}\n{out.getvalue()}\n{err.getvalue()}".encode()
+    files = out.getvalue().splitlines() if argv[0] == "figures" else []
+    return "\n".join([str(code), out.getvalue(), err.getvalue(),
+                      *(Path(f).read_text() for f in files)]).encode()
 
 
 def main(argv=None) -> int:

@@ -162,9 +162,11 @@ class SymmetricBase:
                 out = -0.5 * z * z - LOG_SQRT_TWO_PI
         elif self.kind == STUDENT_T:
             nu = self.nu
-            c = (special.gammaln(0.5 * (nu + 1.0)) - special.gammaln(0.5 * nu)
-                 - 0.5 * math.log(nu * math.pi))
-            out = c - 0.5 * (nu + 1.0) * np.log1p(z * z / nu)
+            tail = np.log1p(z * z / nu)
+            # where z * z / nu overflows, log1p of it is 2 log|z| - log nu
+            far = np.isinf(tail)
+            tail[far] = 2.0 * np.log(np.abs(z[far])) - math.log(nu)
+            out = _log_t_norm(nu) - 0.5 * (nu + 1.0) * tail
         else:
             a = np.abs(z)
             out = -a - 2.0 * np.log1p(np.exp(-a))
@@ -226,6 +228,20 @@ class SymmetricBase:
         tiny = 1e-300
         np.clip(u, tiny, 1.0 - 1e-16, out=u)
         return self.quantile(u)
+
+
+def _log_t_norm(nu: float) -> float:
+    """log Gamma((nu + 1) / 2) - log Gamma(nu / 2) - log(nu pi) / 2, the log of
+    the Student t density's constant.  From a = nu / 2 = 20 on, where the two
+    log-gammas of size a log a cancel, it is R(a) - log sqrt(2 pi) with the
+    asymptotic series R(a) = sum over even n of (2^(1-n) - 2) B_n / (n (n - 1)
+    a^(n-1)) of log Gamma(a + 1/2) - log Gamma(a) - log(a) / 2."""
+    a = 0.5 * nu
+    if a < 20.0:
+        return special.gammaln(a + 0.5) - special.gammaln(a) - 0.5 * math.log(nu * math.pi)
+    b = 1.0 / (a * a)
+    r = 1 / 192 + b * (-1 / 640 + b * (17 / 14336 + b * (-31 / 18432 + b * 691 / 180224)))
+    return (b * r - 1 / 8) / a - LOG_SQRT_TWO_PI
 
 
 def normal_base() -> SymmetricBase:
@@ -309,7 +325,7 @@ def student_pdf_k(x, mp: MatrixParams, nu: float):
     return out
 
 
-_TINY = np.finfo(float).tiny
+_TINY, _BIG = np.finfo(float).tiny, np.finfo(float).max
 
 
 def log_stdtr(df, t):
@@ -515,11 +531,11 @@ def invert_cdf(cdf, pdf, p, x0: float, scale: float):
     narrows.  Its Newton steps solve log F(x) = log p for p <= 1/2, and
     log(1 - F(x)) = log(1 - p) above, so that a far tail level is reached in
     a few steps.  A level takes its step when it moves at most its span
-    (scale at first, doubled whenever it cuts a step short) and stays inside
-    the bracket, and bisects the bracket otherwise.  A level stops once its
-    Newton step or its bracket is within four ulps of x (or of scale near
-    zero), and a NaN cdf value gives NaN; a level that has not stopped after
-    _INVERT_STEPS steps raises NumericsError.
+    (scale at first, times max(2, span / scale) whenever it cuts a step
+    short) and stays inside the bracket, and bisects the bracket otherwise.
+    A level stops once its Newton step or its bracket is within four ulps of
+    x (or of scale near zero), and a NaN cdf value gives NaN; a level that
+    has not stopped after _INVERT_STEPS steps raises NumericsError.
     """
     levels = quantile_levels(p)
     flat = levels.ravel()
@@ -538,15 +554,17 @@ def invert_cdf(cdf, pdf, p, x0: float, scale: float):
         lo, hi = np.where(err < 0.0, x, lo), np.where(err > 0.0, x, hi)
         upper = q > 0.5
         tail, level = np.where(upper, 1.0 - f, f), np.where(upper, 1.0 - q, q)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # a far iterate's density may overflow on its way to a finite value
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             step = np.where(upper, -tail, tail) * np.log(tail / level) / pdf(x)
         far = ~(np.abs(step) <= span)  # a NaN step counts as far
         step = np.where(far, np.copysign(span, err), step)
-        span = np.where(far, 2.0 * span, span)
-        new = x - step
-        # a step moves toward the root's side, so a step that leaves the
-        # bracket meets its finite end, and one below an ulp leaves x as is
-        with np.errstate(invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            # after k cuts the span is about 2^(2^k) scales, up to the largest float
+            span = np.where(far, np.minimum(span * np.maximum(2.0, span / scale), _BIG), span)
+            new = x - step
+            # a step moves toward the root's side, so a step that leaves the
+            # bracket meets its finite end, and one below an ulp leaves x as is
             new = np.where((lo < new) & (new < hi) | (new == x), new, 0.5 * (lo + hi))
         ulps = eps * np.maximum(np.abs(new), scale)
         stuck = np.isnan(err)

@@ -6,15 +6,12 @@ z = (x - mu)/sigma; the k-variate form is
 The skew-t variant feeds an inflated argument into a t CDF with nu + k
 degrees of freedom instead of a plain linear one.
 
-The univariate skew-t CDF comes from its normal-chi^2 scale mixture
-(_ScaleMixture), integrated on the smaller tail.  Against mpmath, its
-absolute error is at most 1e-13, and the smaller tail keeps a relative
-error of 1e-10 down to 1e-30 and of 1e-6 down to 1e-300.  It takes
-1e-3 <= nu <= 1e8, where its table of F_SN stays below 9e5 nodes.  On an
-array, one Kronrod panel per gap between sorted points adds to the
-mixture's value at the smallest point, five times faster than the mixture
-at every point.  Both skew families take their quantiles from one batched
-Newton solve, base.invert_cdf.
+The univariate skew-t CDF sums, at each point, that point's window of its
+normal-chi^2 scale mixture (_ScaleMixture) on the smaller tail.  Against
+mpmath its absolute error is at most 1e-15, and the smaller tail keeps a
+relative error of 1e-14 down to 1e-30 and of 5e-14 down to 1e-300.  It
+takes 1e-3 <= nu <= 1e8.  Both skew families take their quantiles from one
+batched Newton solve, base.invert_cdf.
 """
 from __future__ import annotations
 
@@ -31,12 +28,7 @@ from .base import (
     MatrixParams,
     NumericsError,
     SymmetricBase,
-    _GAUSS_SLICE,
-    _GAUSS_WEIGHTS,
-    _KRONROD_NODES,
-    _KRONROD_WEIGHTS,
     golden_section_max,
-    integrate,
     invert_cdf,
     log_stdtr,
     normal_base,
@@ -44,9 +36,6 @@ from .base import (
     student_base,
     student_pdf_k,
 )
-
-# absolute error bound of each Kronrod panel of the skew-t's array CDF
-_CDF_TOL = 1e-10
 
 # Gauss-Laguerre rule of the skew-normal CDF's lower tail
 _LAGUERRE_NODES, _LAGUERRE_WEIGHTS = np.polynomial.laguerre.laggauss(40)
@@ -106,21 +95,20 @@ def _sn_cdf(z, delta, log=False):
     return out.reshape(shape)
 
 
-def _drop_point(nu: float, r: float) -> float:
-    """Where the log-gamma density g of r = log S drops e^-_MIX_DROP below
-    its peak at r = 0, on the side of r.
+def _drop_point(nu: float, r: float, drop: float = _MIX_DROP) -> float:
+    """Where the log-gamma density g of r = log S drops e^-drop below its
+    peak at r = 0, on the side of r.
 
-    The drop nu r - (nu / 2) expm1(2 r) + _MIX_DROP is concave in r, so
-    Newton's method from any r of the right sign reaches the root without
-    crossing 0.
+    The drop nu r - (nu / 2) expm1(2 r) + drop is concave in r, so Newton's
+    method from any r of the right sign reaches the root without crossing 0.
     """
     for _ in range(200):
         slope = -nu * math.expm1(2.0 * r)
-        step = (nu * r - 0.5 * nu * math.expm1(2.0 * r) + _MIX_DROP) / slope
+        step = (nu * r - 0.5 * nu * math.expm1(2.0 * r) + drop) / slope
         r -= step
         if abs(step) <= 1e-9 * abs(r):
             return r
-    raise NumericsError(f"no e^-{_MIX_DROP:g} point of the scale density at nu = {nu}")
+    raise NumericsError(f"no e^-{drop:g} point of the scale density at nu = {nu}")
 
 
 def _log_gamma_peak(a: float) -> float:
@@ -137,22 +125,30 @@ def _log_gamma_peak(a: float) -> float:
     return math.log(2.0) + 0.5 * math.log(a) - LOG_SQRT_TWO_PI - series
 
 
+def _expm1_minus(x, top=17):
+    """e^x - 1 - x at array x, |x| < 1/2, from its Taylor series to x^top / top!:
+    to a unit roundoff at top = 17, and below |x| = 0.05 at top = 10."""
+    poly = 1.0 / math.factorial(top)
+    for n in range(top - 1, 1, -1):
+        poly = poly * x + 1.0 / math.factorial(n)
+    return poly * x * x
+
+
 class _ScaleMixture:
     """The skew-t CDF from its normal-chi^2 scale mixture.
 
     Y = Z / S with Z ~ SN(delta) and S = sqrt(V / nu), V ~ chi^2_nu
     (Azzalini & Capitanio 2003), so F(y) = E[F_SN(y S)].  For y < 0 this is
-    the integral over r = log S of F_SN(-e^(t)) g(r), t = log|y| + r, with
-    g the log-gamma density of r.  It is taken by the trapezoid rule on the
-    lattice t = k h, h = min(0.05, 0.5 / sqrt(nu)): log F_SN is tabulated
-    once on that lattice (one table per sign of delta), from where F_SN
-    equals F_SN(0) to where it drops below e^-800, so each point costs one
-    log g per node and the nodes follow the integrand's peak wherever it
-    sits.  A point is summed in log space, scaled by its largest term, over
-    the whole table, which makes its value independent of the other points.
-    For y > 0, F(y) = 1 - F(-y; -delta): the rule always integrates F_SN
-    itself on the smaller tail, so no subtraction cancels.  The table has
-    about 45 / h + _MIX_DROP / (h nu) nodes, hence the bounds on nu.
+    the integral over r = log S of F_SN(-e^t) g(r), t = log|y| + r, with g
+    the log-gamma density of r, taken by the trapezoid rule on the lattice
+    t = k h, h = min(0.05, 0.5 / sqrt(nu)).  log F_SN is tabulated once per
+    sign of delta, from where it is log F_SN(0) down to _MIX_LOG_FLOOR, on
+    about 45 / h + _MIX_DROP / (h nu) nodes, hence the bounds on nu.  For
+    y > 0, F(y) = 1 - F(-y; -delta): the rule always takes the smaller tail.
+    A point sums the window of nodes where log g(r) >= log g(0) - D, with
+    D = _MIX_DROP plus the fall of log F_SN from the table's first node to
+    the point's node at r = 0 (to _MIX_LOG_FLOOR beyond the table), so a
+    node left out lies e^-_MIX_DROP below g(0) times F_SN at r = 0.
     """
 
     def __init__(self, nu: float, delta: float):
@@ -161,7 +157,8 @@ class _ScaleMixture:
                              f"{_MIX_NU_MAX:g}, got {nu}")
         self.nu, self.delta = nu, delta
         self.h = min(0.05, 0.5 / math.sqrt(nu))
-        self.log_g0 = _log_gamma_peak(0.5 * nu)
+        # log of the rule's weight h g(0)
+        self.log_hg0 = math.log(self.h) + _log_gamma_peak(0.5 * nu)
         lo = _drop_point(nu, -math.sqrt(_MIX_DROP / nu))
         hi = _drop_point(nu, 0.5 * math.log1p(2.0 * _MIX_DROP / nu))
         # below |z| = e^t_flat, F_SN(z) is F_SN(0) to 1e-17; so is F(y) for
@@ -169,45 +166,78 @@ class _ScaleMixture:
         t_flat = -_MIX_DROP - math.log1p(2.0 * abs(delta))
         self.k_min = math.floor((t_flat - (hi - lo)) / self.h)
         self.flat = math.exp(t_flat - hi)
-        self.tables = {}
+        # log g(0) - log g(k h) and (nu/2) expm1(2 k h) at index k + zero,
+        # for every k within the largest drop D of a point with finite log|y|
+        drop = _MIX_DROP - _MIX_LOG_FLOOR
+        top = math.ceil(math.log(np.finfo(float).max) / self.h) - self.k_min
+        self.zero = min(math.ceil(-_drop_point(nu, -math.sqrt(drop / nu), drop) / self.h), top)
+        k_pos = math.ceil(_drop_point(nu, 0.5 * math.log1p(2.0 * drop / nu), drop) / self.h)
+        x = 2.0 * self.h * np.arange(-self.zero, k_pos + 2)
+        self.q = 0.5 * nu * np.expm1(x)
+        self.g = self.q - 0.5 * nu * x
+        near = np.abs(x) < 0.5
+        self.g[near] = 0.5 * nu * _expm1_minus(x[near])
+        self.lattices = {}
 
-    def _table(self, delta):
-        # log F_SN(-e^t) at t = (k_min + j) h, j = 0, 1, ...
-        if delta not in self.tables:
-            t = np.arange(self.k_min, math.ceil(_MIX_T_MAX / self.h) + 1) * self.h
-            log_f = _sn_cdf(-np.exp(t), delta, log=True)
-            self.tables[delta] = log_f[:np.flatnonzero(log_f > _MIX_LOG_FLOOR)[-1] + 1]
-        return self.tables[delta]
-
-    def _lower(self, y, delta):
-        # F(y; delta) at y < 0, a block of points at a time.  A node's r is
-        # (k - m) h - f with log|y| = m h + f, so it carries no rounding of
-        # t or log|y| at their size; log g(r) = log_g0 - (nu/2)(e^2r - 1 - 2r)
-        log_f = self._table(delta)
-        j = np.arange(log_f.size)
-        out = np.empty_like(y)
-        rows = max(1, _MIX_BLOCK // log_f.size)
-        for i in range(0, y.size, rows):
-            log_y = np.log(-y[i:i + rows])
-            m = np.round(log_y / self.h)
-            f = log_y - m * self.h
-            r = (j + (self.k_min - m)[:, None]) * self.h - f[:, None]
-            terms = log_f + self.log_g0 - 0.5 * self.nu * (np.expm1(2.0 * r) - 2.0 * r)
-            top = terms.max(axis=1)
-            out[i:i + rows] = self.h * np.exp(top) * np.exp(terms - top[:, None]).sum(axis=1)
-        return out
+    def _lattice(self, delta):
+        # log F_SN(-e^t) at t = (k_min + j) h, and lo[i] <= k <= hi[i], the
+        # window of a point whose node at r = 0 has j = i (i = n beyond it)
+        if delta in self.lattices:
+            return self.lattices[delta]
+        t = np.arange(self.k_min, math.ceil(_MIX_T_MAX / self.h) + 1) * self.h
+        log_f = _sn_cdf(-np.exp(t), delta, log=True)
+        log_f = log_f[:np.flatnonzero(log_f > _MIX_LOG_FLOOR)[-1] + 1]
+        drop = _MIX_DROP + log_f[0] - np.append(log_f, _MIX_LOG_FLOOR)
+        # as |f| <= h / 2 below, node k < 0 is in a window of drop D when g
+        # at k + 1 is <= D, and node k > 0 when g at k - 1 is
+        lo = -np.minimum(np.searchsorted(self.g[self.zero::-1], drop, "right"), self.zero)
+        hi = np.searchsorted(self.g[self.zero:-1], drop, "right")
+        self.lattices[delta] = log_f, lo, hi
+        return self.lattices[delta]
 
     def cdf(self, z):
-        """F at standardized points z, point by point."""
-        out = np.where(z < 0.0, 0.0, np.where(z > 0.0, 1.0, np.nan))
-        flat = np.abs(z) < self.flat
-        out[flat] = 0.5 - math.atan(self.delta) / math.pi
-        live = np.isfinite(z) & ~flat
-        left, right = live & (z < 0.0), live & (z > 0.0)
-        if left.any():
-            out[left] = self._lower(z[left], self.delta)
-        if right.any():
-            out[right] = 1.0 - self._lower(-z[right], -self.delta)
+        """F at standardized points z, point by point, summed over the points
+        of one tail and one node at r = 0 at a time.  A node's r is k h - f,
+        log|y| = m h + f, and log g(r) = log g(0) - g_k - q_k expm1(-2 f) -
+        (nu/2)(e^-2f - 1 + 2 f) keeps its digits where r is near 0."""
+        # 0 and 1 at -inf and +inf, NaN at NaN
+        out = np.heaviside(z, np.nan)
+        a = np.abs(z)
+        out[a < self.flat] = 0.5 - math.atan(self.delta) / math.pi
+        live = np.flatnonzero((a >= self.flat) & (a < np.inf))
+        if not live.size:
+            return out
+        log_y = np.log(a.ravel()[live])
+        m = np.rint(log_y / self.h)
+        # sorted by the key 2 i + upper: the node at r = 0, then the tail
+        key = 2 * (m - self.k_min).astype(np.intp) + (z.ravel()[live] > 0.0)
+        order = np.argsort(key, kind="stable")
+        live, log_y, m, key = live[order], log_y[order], m[order], key[order]
+        x = 2.0 * (m * self.h - log_y)  # -2 f, at most h <= 0.05 in size
+        b = np.expm1(x)
+        c = np.exp(self.log_hg0 - 0.5 * self.nu * _expm1_minus(x, top=10))
+        tail = np.zeros_like(x)
+        bounds = [0, *(np.flatnonzero(key[1:] != key[:-1]) + 1).tolist(), key.size]
+        for s0, s1 in zip(bounds, bounds[1:]):
+            at, up = divmod(int(key[s0]), 2)
+            log_f, lo, hi = self._lattice(-self.delta if up else self.delta)
+            n = log_f.size
+            j0 = max(at + int(lo[min(at, n)]), 0)
+            j1 = min(at + int(hi[min(at, n)]) + 1, n)
+            if j0 >= j1:
+                continue  # every node lies e^-800 below 1
+            ks = slice(j0 - at + self.zero, j1 - at + self.zero)
+            # scaled by the largest term at f = 0, which f moves by |q_k b|
+            base = log_f[j0:j1] - self.g[ks]
+            peak = base.max()
+            base -= peak
+            step = max(1, _MIX_BLOCK // (j1 - j0))
+            for p in range(s0, s1, step):
+                rows = slice(p, min(p + step, s1))
+                u = np.multiply.outer(b[rows], self.q[ks])
+                np.subtract(base, u, out=u)
+                tail[rows] = c[rows] * math.exp(peak) * np.exp(u, out=u).sum(axis=1)
+        out.ravel()[live] = np.where(key % 2, 1.0 - tail, tail)
         return out
 
 
@@ -264,19 +294,11 @@ def skew_symmetric_pdf_k(x, mp: MatrixParams, nu: float, delta, pi: SkewingFunct
     return 2.0 * det_factor * f * float(pi.pi(y, delta))
 
 
-def _t_cdf(x, nu: float):
-    return student_base(nu).cdf(x)
-
-
 def _skew_t_arg(z, nu: float, delta: float):
-    # argument of the skew-t's skewing factor T_{nu+1}(.)
-    z = np.asarray(z, dtype=float)
+    # argument of the skew-t's skewing factor T_{nu+1}(.); z is held within
+    # 1e150, where z * z cannot overflow and the argument is at its limit
+    z = np.minimum(np.maximum(np.asarray(z, dtype=float), -1e150), 1e150)
     return delta * z * np.sqrt((nu + 1.0) / (z * z + nu))
-
-
-def _skew_t_tilt(z, nu: float, delta: float):
-    # univariate skewing factor of the skew-t: T_{nu+1}(delta z sqrt((nu+1)/(z^2+nu)))
-    return _t_cdf(_skew_t_arg(z, nu, delta), nu + 1.0)
 
 
 def skew_t_pdf(x, mp: MatrixParams, nu: float, delta):
@@ -299,7 +321,7 @@ def skew_t_pdf(x, mp: MatrixParams, nu: float, delta):
     q = float(y @ y)
     s_inv = 1.0 / np.sqrt(np.diag(mp.sigma_mat))
     arg = float(delta @ (s_inv * diff)) * math.sqrt((nu + k) / (q + nu))
-    return 2.0 * student_pdf_k(x, mp, nu) * float(_t_cdf(arg, nu + k))
+    return 2.0 * student_pdf_k(x, mp, nu) * float(student_base(nu + k).cdf(arg))
 
 
 def sample_skew_symmetric(n: int, p: SkewSymParams, pi: SkewingFunction,
@@ -343,13 +365,28 @@ def sample_skew_t_k(n: int, mp: MatrixParams, nu: float, delta,
     s_inv = 1.0 / np.sqrt(np.diag(mp.sigma_mat))
     q = np.sum(z * z, axis=1)
     arg = (diff * s_inv) @ delta * np.sqrt((nu + k) / (q + nu))
-    keep = u < _t_cdf(arg, nu + k)
+    keep = u < student_base(nu + k).cdf(arg)
     signed = np.where(keep[:, None], diff, -diff)
     return mp.mu_vec + signed
 
 
+class _SkewLaw:
+    """The density, quantiles and mode of a law with mu, sigma, log_pdf and cdf."""
+
+    def pdf(self, x):
+        return np.exp(self.log_pdf(x))
+
+    @scalar_or_array
+    def quantile(self, p):
+        return invert_cdf(self.cdf, self.pdf, p, self.mu, self.sigma)
+
+    def mode(self) -> float:
+        return golden_section_max(self.log_pdf, self.mu - 10.0 * self.sigma,
+                                  self.mu + 10.0 * self.sigma)
+
+
 @dataclass(frozen=True)
-class SkewNormal:
+class SkewNormal(_SkewLaw):
     """Univariate skew-normal with location mu, scale sigma, skewness delta."""
 
     mu: float = 0.0
@@ -363,30 +400,17 @@ class SkewNormal:
 
     @scalar_or_array
     def log_pdf(self, x):
-        from scipy.special import log_ndtr
-
         z = (x - self.mu) / self.sigma
         out = (math.log(2.0) - math.log(self.sigma)
                - 0.5 * z * z - 0.5 * math.log(2.0 * math.pi)
-               + log_ndtr(self.delta * z))
+               + special.log_ndtr(self.delta * z))
         # at z = +-inf, delta * z is NaN when delta = 0
         out[np.isinf(z)] = -np.inf
         return out
 
-    def pdf(self, x):
-        return np.exp(self.log_pdf(x))
-
     @scalar_or_array
     def cdf(self, x):
         return _sn_cdf((x - self.mu) / self.sigma, self.delta)
-
-    @scalar_or_array
-    def quantile(self, p):
-        return invert_cdf(self.cdf, self.pdf, p, self.mu, self.sigma)
-
-    def mode(self) -> float:
-        return golden_section_max(self.log_pdf, self.mu - 10.0 * self.sigma,
-                                  self.mu + 10.0 * self.sigma)
 
     def moment_order_bound(self) -> float:
         return math.inf
@@ -398,7 +422,7 @@ class SkewNormal:
 
 
 @dataclass(frozen=True)
-class SkewT:
+class SkewT(_SkewLaw):
     """Univariate skew-t; the skewing factor uses nu+1 degrees of freedom."""
 
     mu: float = 0.0
@@ -423,60 +447,13 @@ class SkewT:
         out[np.isinf(z)] = -np.inf
         return out
 
-    def pdf(self, x):
-        return np.exp(self.log_pdf(x))
-
     @cached_property
     def _mixture(self) -> _ScaleMixture:
         return _ScaleMixture(self.nu, self.delta)
 
-    def _mixture_cdf(self, x):
-        # point by point, for scalars, the panels' first point and quantiles
+    @scalar_or_array
+    def cdf(self, x):
         return self._mixture.cdf((x - self.mu) / self.sigma)
-
-    @scalar_or_array
-    def cdf(self, xs):
-        if xs.size == 1:
-            return self._mixture_cdf(xs)
-        # the limits at -inf and +inf; panels integrate the finite points
-        out = np.where(xs > 0.0, 1.0, np.where(xs < 0.0, 0.0, np.nan))
-        finite = np.isfinite(xs)
-        if finite.any():
-            out[finite] = self._cdf_sorted_panels(xs[finite])
-        return out
-
-    def _cdf_sorted_panels(self, xs: np.ndarray) -> np.ndarray:
-        # the mixture at the smallest point, then one Kronrod panel per gap
-        # between consecutive sorted points (vectorized); a panel whose
-        # embedded Gauss estimate disagrees by more than the tolerance is
-        # integrated adaptively instead
-        order = np.argsort(xs, kind="stable")
-        s = xs[order]
-        first = self._mixture_cdf(s[:1])[0]
-        a, b = s[:-1], s[1:]
-        half = 0.5 * (b - a)
-        mid = 0.5 * (a + b)
-        nodes = mid[:, None] + half[:, None] * _KRONROD_NODES[None, :]
-        fx = self.pdf(nodes.ravel()).reshape(nodes.shape)
-        inc = half * (fx @ _KRONROD_WEIGHTS)
-        err = np.abs(inc - half * (fx[:, _GAUSS_SLICE] @ _GAUSS_WEIGHTS))
-        for i in np.nonzero(err > _CDF_TOL)[0]:
-            inc[i] = integrate(self.pdf, a[i], b[i], tol=_CDF_TOL)
-        cum = np.empty_like(s)
-        cum[0] = first
-        np.cumsum(inc, out=cum[1:])
-        cum[1:] += first
-        out = np.empty_like(cum)
-        out[order] = np.clip(cum, 0.0, 1.0)
-        return out
-
-    @scalar_or_array
-    def quantile(self, p):
-        return invert_cdf(self._mixture_cdf, self.pdf, p, self.mu, self.sigma)
-
-    def mode(self) -> float:
-        return golden_section_max(self.log_pdf, self.mu - 10.0 * self.sigma,
-                                  self.mu + 10.0 * self.sigma)
 
     def moment_order_bound(self) -> float:
         return self.nu
@@ -486,7 +463,7 @@ class SkewT:
             raise ValueError("sample size must be nonnegative")
         z = student_base(self.nu).sample(n, rng)
         u = rng.random(n)
-        keep = u < _skew_t_tilt(z, self.nu, self.delta)
+        keep = u < student_base(self.nu + 1.0).cdf(_skew_t_arg(z, self.nu, self.delta))
         return self.mu + self.sigma * np.where(keep, z, -z)
 
 

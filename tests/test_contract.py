@@ -28,6 +28,7 @@ CASES = [pytest.param(infer.distribution_for(family, {"mu": 0.3, "sigma": 1.7, *
          for family, shapes in SHAPES.items() for shape in shapes]
 
 LEVELS = st.lists(st.floats(1e-6, 1.0 - 1e-6), min_size=1, max_size=8)
+POINTS = st.lists(st.floats(-60.0, 60.0), min_size=1, max_size=8)
 
 
 def test_every_family_is_covered():
@@ -50,3 +51,16 @@ def test_quantile_contract(d, levels):
     # non-decreasing in p, for levels apart by more than the cdf's rounding
     grid = np.unique(np.round(p, 12))
     assert np.all(np.diff(d.quantile(grid)) >= 0.0)
+
+
+@pytest.mark.parametrize("d", CASES)
+@given(points=POINTS)
+@settings(max_examples=40, deadline=None)
+def test_cdf_contract(d, points):
+    x = np.array(points)
+    # an array call gives each point the bits of its scalar call
+    assert np.array_equal(d.cdf(x), [d.cdf(float(v)) for v in x])
+    # non-decreasing on sorted points, for points apart by more than the
+    # cdf's rounding
+    grid = np.unique(np.round(x, 6))
+    assert np.all(np.diff(d.cdf(grid)) >= 0.0)

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -159,29 +160,13 @@ def test_skew_t_cdf_quantile_roundtrip():
 
 
 def test_skew_t_vector_cdf_matches_scalar():
-    # the sparse points leave gaps one Kronrod panel cannot integrate
     for d, xs in ((skewsym.SkewT(0.0, 1.0, 3.0, 2.0),
                    np.array([-2.0, -0.5, 0.0, 1.0, 2.5])),
                   (skewsym.SkewT(0.0, 1.0, 2.0, 2.0),
                    np.array([-10.0, 0.3, 10.0]))):
         batch = d.cdf(xs)
         singles = np.array([d.cdf(float(x)) for x in xs])
-        assert np.max(np.abs(batch - singles)) < 1e-12
-
-
-def test_skew_t_vector_cdf_dense_points_keep_one_panel(monkeypatch):
-    # the left tail comes from the mixture and every gap takes one panel, so
-    # no adaptive quadrature runs at all
-    d = skewsym.SkewT(0.0, 1.0, 2.0, 2.0)
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args[1:3])
-        return base.integrate(*args, **kwargs)
-
-    monkeypatch.setattr(skewsym, "integrate", counting)
-    d.cdf(np.linspace(-5.0, 5.0, 2001))
-    assert calls == []
+        assert np.array_equal(batch, singles)
 
 
 def test_skew_cdf_nan_is_nan():
@@ -462,10 +447,10 @@ def test_skew_t_cdf_matches_mpmath():
     assert len(SKEW_T_TAILS) == 6 * 4 * 13
     for nu, delta, x, tail in SKEW_T_TAILS:
         cdf = skewsym.SkewT(0.0, 1.0, nu, delta).cdf(x)
-        assert abs(cdf - (tail if x <= 0.0 else 1.0 - tail)) <= 1e-13
+        assert abs(cdf - (tail if x <= 0.0 else 1.0 - tail)) <= 2.5e-14
         got = skewsym.SkewT(0.0, 1.0, nu, delta if x <= 0.0 else -delta).cdf(-abs(x))
         rel = abs(got - tail) / tail
-        assert rel <= (1e-10 if tail >= 1e-30 else 1e-6), (nu, delta, x, rel)
+        assert rel <= (4.1e-14 if tail >= 1e-30 else 7.7e-14), (nu, delta, x, rel)
 
 
 def test_skew_t_cdf_at_large_nu():
@@ -483,6 +468,29 @@ def test_skew_t_cdf_at_large_nu():
     assert abs(got - tail) <= 1e-12 * tail
 
 
+def test_skew_t_array_roundtrip_at_large_nu():
+    # an array cdf that integrated the density missed p by 7.7e-9 here
+    d = skewsym.SkewT(0.3, 1.7, 1e8, 2.0)
+    p = np.array([1e-12, 1e-6, 0.01, 0.3, 0.5, 0.7, 0.99, 1.0 - 1e-6])
+    assert np.max(np.abs(d.cdf(d.quantile(p)) - p)) <= 1e-12
+
+
+def test_skew_t_far_quantiles_converge():
+    # quantiles 1e149 and 4e199 scales out, which a span that only doubles
+    # per cut step does not reach in 200 steps
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d = skewsym.SkewT(0.0, 1.0, 2.0, 2.0)
+        x = d.quantile(1e-300)
+        assert -1.5e149 < x < -1.3e149
+        assert d.cdf(x) == pytest.approx(1e-300, rel=1e-13)
+        d = skewsym.SkewT(0.0, 1.0, 0.5, -5.0)
+        p = np.logspace(-100.0, math.log10(3e-30), 15)
+        x = d.quantile(p)
+        assert x[0] < -1e199 and np.all(np.diff(x) > 0.0)
+        assert np.max(np.abs(d.cdf(x) - p) / p) <= 1e-13
+
+
 def test_skew_t_cdf_rejects_nu_outside_its_rule():
     for nu in (5e-4, 2e8):
         with pytest.raises(ValueError):
@@ -497,4 +505,4 @@ def test_skew_cdfs_take_any_shape():
     st_ = skewsym.SkewT(0.0, 1.0, 2.0, 2.0)
     out = st_.cdf(x)
     assert out.shape == x.shape
-    assert np.max(np.abs(out.ravel() - [st_.cdf(float(v)) for v in x.ravel()])) <= 1e-12
+    assert np.array_equal(out.ravel(), [st_.cdf(float(v)) for v in x.ravel()])
