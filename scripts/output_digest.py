@@ -17,8 +17,7 @@ scalings where the family has them), and ``test`` for the four nested pairs
 at ``--reps 99`` on the n = 200 datasets.  The distribution layer follows:
 ``figures`` (its 24 curve files), and ``curve`` and ``sample -n 1000`` for
 every family of the table at the shapes in SHAPES, under both scalings
-where the family has them (``curve`` of a family without a density digests
-its error).  A run takes about 40 seconds on two cores.
+where the family has them.  A run takes about 40 seconds on two cores.
 """
 
 import argparse

@@ -40,10 +40,6 @@ class BracketError(NumericsError):
     """Root bracketing failed: no sign change over the supplied interval."""
 
 
-class UnsupportedDensityError(ValueError):
-    """The requested family has no closed-form density to evaluate."""
-
-
 def make_rng(seed: int) -> np.random.Generator:
     """Return a 64-bit seeded generator; equal seeds give equal streams."""
     return np.random.default_rng(int(seed))
@@ -130,8 +126,15 @@ class MatrixParams:
         return (vecs * np.sqrt(vals)) @ vecs.T
 
 
+class Density:
+    """A law's pdf, from its log_pdf."""
+
+    def pdf(self, x):
+        return np.exp(self.log_pdf(x))
+
+
 @dataclass(frozen=True)
-class SymmetricBase:
+class SymmetricBase(Density):
     """A univariate density symmetric about zero.
 
     kind is one of "normal", "student_t", "logistic"; nu is the degrees of
@@ -154,26 +157,17 @@ class SymmetricBase:
 
     # ---- density -------------------------------------------------------
 
+    @property
+    def log_density(self):
+        """The kind's per-point log-density and the shapes it takes after z."""
+        if self.kind == STUDENT_T:
+            return t_logf, (self.nu,)
+        return (normal_logf if self.kind == NORMAL else logistic_logf), ()
+
     @scalar_or_array
     def log_pdf(self, z):
-        if self.kind == NORMAL:
-            # z*z may overflow to inf for absurd inputs; -inf is the right answer
-            with np.errstate(over="ignore"):
-                out = -0.5 * z * z - LOG_SQRT_TWO_PI
-        elif self.kind == STUDENT_T:
-            nu = self.nu
-            tail = np.log1p(z * z / nu)
-            # where z * z / nu overflows, log1p of it is 2 log|z| - log nu
-            far = np.isinf(tail)
-            tail[far] = 2.0 * np.log(np.abs(z[far])) - math.log(nu)
-            out = _log_t_norm(nu) - 0.5 * (nu + 1.0) * tail
-        else:
-            a = np.abs(z)
-            out = -a - 2.0 * np.log1p(np.exp(-a))
-        return out
-
-    def pdf(self, x):
-        return np.exp(self.log_pdf(x))
+        logf, shapes = self.log_density
+        return logf(z, *shapes)
 
     # ---- cdf / quantile ------------------------------------------------
 
@@ -230,18 +224,63 @@ class SymmetricBase:
         return self.quantile(u)
 
 
-def _log_t_norm(nu: float) -> float:
+# ---------------------------------------------------------------------------
+# Per-point log-densities at standardized z: log f(z), or given grad (one
+# row mask per shape) its partials in z and each shape too.  A distribution
+# passes float shapes; a fit, z (k, n) with (k, 1) columns of shapes and masks.
+
+
+def log1p_square(z, nu=1.0):
+    """log(1 + z^2 / nu) at array z, finite wherever z is: where z^2 / nu
+    overflows it is 2 log|z| - log nu."""
+    with np.errstate(over="ignore"):
+        out = np.log1p(z * z / nu)
+    if np.max(out, initial=0.0) == np.inf:
+        far = np.isinf(out)
+        out[far] = (2.0 * np.log(np.abs(np.broadcast_to(z, out.shape)[far]))
+                    - np.log(np.broadcast_to(nu, out.shape)[far]))
+    return out
+
+
+def _log_t_norm(nu):
     """log Gamma((nu + 1) / 2) - log Gamma(nu / 2) - log(nu pi) / 2, the log of
-    the Student t density's constant.  From a = nu / 2 = 20 on, where the two
-    log-gammas of size a log a cancel, it is R(a) - log sqrt(2 pi) with the
-    asymptotic series R(a) = sum over even n of (2^(1-n) - 2) B_n / (n (n - 1)
-    a^(n-1)) of log Gamma(a + 1/2) - log Gamma(a) - log(a) / 2."""
-    a = 0.5 * nu
-    if a < 20.0:
-        return special.gammaln(a + 0.5) - special.gammaln(a) - 0.5 * math.log(nu * math.pi)
+    the Student t density's constant, at float or array nu.  From a = nu / 2 =
+    20 on, where the two log-gammas of size a log a cancel, it is R(a) - log
+    sqrt(2 pi) with the asymptotic series R(a) = sum over even n of (2^(1-n) -
+    2) B_n / (n (n - 1) a^(n-1)) of log Gamma(a + 1/2) - log Gamma(a) - log(a) / 2."""
+    a = 0.5 * np.asarray(nu, dtype=float)
+    direct = special.gammaln(a + 0.5) - special.gammaln(a) - 0.5 * np.log(nu * math.pi)
+    if (a < 20.0).all():
+        return direct
     b = 1.0 / (a * a)
     r = 1 / 192 + b * (-1 / 640 + b * (17 / 14336 + b * (-31 / 18432 + b * 691 / 180224)))
-    return (b * r - 1 / 8) / a - LOG_SQRT_TWO_PI
+    return np.where(a < 20.0, direct, (b * r - 1 / 8) / a - LOG_SQRT_TWO_PI)
+
+
+def normal_logf(z, grad=None):
+    # z * z overflows to inf for |z| beyond 1e154, where -inf is the answer
+    with np.errstate(over="ignore"):
+        val = -0.5 * z * z - LOG_SQRT_TWO_PI
+    return val if grad is None else (val, -z)
+
+
+def logistic_logf(z, grad=None):
+    a = np.abs(z)
+    val = -2.0 * np.log1p(np.exp(-a)) - a
+    return val if grad is None else (val, np.tanh(-0.5 * z))
+
+
+def t_logf(z, nu, grad=None):
+    """The Student t with nu degrees of freedom.  The partials need z * z finite."""
+    tail = log1p_square(z, nu)
+    val = _log_t_norm(nu) - 0.5 * (nu + 1.0) * tail
+    if grad is None:
+        return val
+    q = z * z
+    nq = nu + q
+    d_norm = 0.5 * (special.digamma(0.5 * (nu + 1.0)) - special.digamma(0.5 * nu) - 1.0 / nu)
+    d_nu = d_norm - 0.5 * tail + 0.5 * (nu + 1.0) / nu * (q / nq)
+    return val, -(nu + 1.0) * z / nq, d_nu
 
 
 def normal_base() -> SymmetricBase:
@@ -257,7 +296,7 @@ def logistic_base() -> SymmetricBase:
 
 
 @dataclass(frozen=True)
-class LocatedBase:
+class LocatedBase(Density):
     """A symmetric base shifted to mu and stretched by sigma."""
 
     base: SymmetricBase
@@ -267,9 +306,6 @@ class LocatedBase:
     def log_pdf(self, x):
         z = (x - self.loc.mu) / self.loc.sigma
         return self.base.log_pdf(z) - math.log(self.loc.sigma)
-
-    def pdf(self, x):
-        return np.exp(self.log_pdf(x))
 
     @scalar_or_array
     def cdf(self, x):
@@ -398,34 +434,20 @@ def _gk_panel(f, a, b):
 
 
 def _wrap_infinite(f, a, b):
-    """Map f over (a, b) with infinite endpoints onto a finite t-interval."""
+    """Map f over (a, b) with infinite endpoints onto a finite t-interval by
+    x = c + tan(t), c = 0 over the whole line and the finite end otherwise."""
     neg_inf = math.isinf(a) and a < 0
     pos_inf = math.isinf(b) and b > 0
-    if neg_inf and pos_inf:
-        def g(t):
-            x = math.tan(t)
-            fx = f(x)
-            if fx == 0.0:
-                return 0.0
-            return fx * (1.0 + x * x)
-        return g, -HALF_PI, HALF_PI
-    if pos_inf:
-        def g(t):
-            x = a + math.tan(t)
-            fx = f(x)
-            if fx == 0.0:
-                return 0.0
-            return fx * (1.0 + math.tan(t) ** 2)
-        return g, 0.0, HALF_PI
-    if neg_inf:
-        def g(t):
-            x = b + math.tan(t)
-            fx = f(x)
-            if fx == 0.0:
-                return 0.0
-            return fx * (1.0 + math.tan(t) ** 2)
-        return g, -HALF_PI, 0.0
-    return f, a, b
+    if not (neg_inf or pos_inf):
+        return f, a, b
+    c = 0.0 if neg_inf and pos_inf else (a if pos_inf else b)
+
+    def g(t):
+        s = math.tan(t)
+        fx = f(c + s)
+        return 0.0 if fx == 0.0 else fx * (1.0 + s * s)
+
+    return g, -HALF_PI if neg_inf else 0.0, HALF_PI if pos_inf else 0.0
 
 
 def integrate(f, a: float, b: float, tol: float = 1e-10,
@@ -520,6 +542,17 @@ def golden_section_max(f, lo, hi, tol=1e-8, args=()):
 _INVERT_STEPS = 200
 
 
+def midpoint(lo, hi):
+    """The bisection point of brackets [lo, hi]: sign sqrt(lo hi) where both
+    ends are finite, share a sign and differ by more than a factor of 2, so
+    a bracket spanning orders of magnitude shrinks fast; (lo + hi) / 2 else."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        a, b = np.abs(lo), np.abs(hi)
+        wide = (np.sign(lo) == np.sign(hi)) & (np.maximum(a, b) > 2.0 * np.minimum(a, b))
+        wide &= np.isfinite(lo) & np.isfinite(hi)
+        return np.where(wide, np.sign(lo) * np.sqrt(a) * np.sqrt(b), 0.5 * (lo + hi))
+
+
 def invert_cdf(cdf, pdf, p, x0: float, scale: float):
     """Quantiles of a continuous law: cdf(x) = p solved for every level at once.
 
@@ -532,10 +565,11 @@ def invert_cdf(cdf, pdf, p, x0: float, scale: float):
     log(1 - F(x)) = log(1 - p) above, so that a far tail level is reached in
     a few steps.  A level takes its step when it moves at most its span
     (scale at first, times max(2, span / scale) whenever it cuts a step
-    short) and stays inside the bracket, and bisects the bracket otherwise.
-    A level stops once its Newton step or its bracket is within four ulps of
-    x (or of scale near zero), and a NaN cdf value gives NaN; a level that
-    has not stopped after _INVERT_STEPS steps raises NumericsError.
+    short) and stays inside the bracket, and bisects the bracket otherwise
+    (see midpoint).  A level stops once its Newton step or its bracket is
+    within four ulps of x (or of scale near zero), or its cdf value equals
+    it, and a NaN cdf value gives NaN; a level that has not stopped after
+    _INVERT_STEPS steps raises NumericsError.
     """
     levels = quantile_levels(p)
     flat = levels.ravel()
@@ -565,13 +599,15 @@ def invert_cdf(cdf, pdf, p, x0: float, scale: float):
             new = x - step
             # a step moves toward the root's side, so a step that leaves the
             # bracket meets its finite end, and one below an ulp leaves x as is
-            new = np.where((lo < new) & (new < hi) | (new == x), new, 0.5 * (lo + hi))
+            new = np.where((lo < new) & (new < hi) | (new == x), new, midpoint(lo, hi))
         ulps = eps * np.maximum(np.abs(new), scale)
         stuck = np.isnan(err)
-        # a step cut short to the span is no sign of convergence
+        # a step cut short to the span is no sign of convergence; a level
+        # whose cdf value is exact stops at x, also where its density underflows
         settled = ~far & (np.abs(new - x) <= ulps)
-        done = stuck | settled | (hi - lo <= ulps) | np.isinf(new)
-        out[idx[done]] = np.where(stuck, np.nan, new)[done]
+        hit = err == 0.0
+        done = stuck | hit | settled | (hi - lo <= ulps) | np.isinf(new)
+        out[idx[done]] = np.where(stuck, np.nan, np.where(hit, x, new))[done]
         keep = ~done
         idx, q, x, lo, hi, span = (v[keep] for v in (idx, q, new, lo, hi, span))
     if idx.size:

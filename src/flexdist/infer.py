@@ -1,14 +1,17 @@
 """Likelihood fitting, information-criterion ranking, and calibrated tests.
 
 Families are fit by maximum likelihood over an unconstrained
-reparameterization (log sigma, bounded-tanh delta, log nu).  Each optimized
-family has one negative log-likelihood kernel, which evaluates a batch of
-parameter rows against standardized data rows and returns the values with
-their analytic scores (the skew-t differences its one partial without a
-closed form).  One batched quasi-Newton optimizer (BFGS with a backtracking
-line search) drives every kernel: a fit runs all of its start points in one
-batch, and a bootstrap test refits all replicates and their starts in one
-batch.  Each run's inverse-Hessian approximation starts from the diagonal of
+reparameterization (log sigma, bounded-tanh delta, log nu).  One kernel,
+_Family.nll, serves every optimized family: it evaluates a batch of
+parameter rows against standardized data rows by summing the family's
+per-point log-density logf, the function its distribution's log_pdf calls
+too, and chains logf's partials in z and in each natural shape through the
+location-scale step and the coordinate maps' slopes into analytic scores
+(the skew-t differences its one partial without a closed form).  One
+batched quasi-Newton optimizer (BFGS with a backtracking line search) drives
+the kernel: a fit runs all of its start points in one batch, and a
+bootstrap test refits all replicates and their starts in one batch.  Each
+run's inverse-Hessian approximation starts from the diagonal of
 the inverse outer product of the per-observation scores at its start point
 (the BHHH matrix, Berndt, Hall, Hall & Hausman 1974): each coordinate's
 estimated sampling variance, which puts the very differently scaled
@@ -27,8 +30,8 @@ One table, _FAMILIES, describes every family, the eight fit by maximum
 likelihood and gh_normal and k_normal.  An entry holds the family's shape
 parameters in report order, each with the map between its optimizer
 coordinate and its natural value (a clipped log box, a capped tanh, or the
-epsilon tanh), the distribution constructor, the kernel and starts, the
-exact fitter where there is one, and the shape whose cap sets
+epsilon tanh), the distribution constructor, the log-density and starts,
+the exact fitter where there is one, and the shape whose cap sets
 boundary_flag.  distribution_for, FAMILY_ORDER, the generic decode, encode
 and boundary rule, and the CLI's family flags all read it.
 """
@@ -39,7 +42,7 @@ from functools import partial
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.special import digamma, gammaln, log_ndtr, ndtri
+from scipy.special import ndtri
 
 from .base import (
     LOG_SQRT_TWO_PI,
@@ -47,15 +50,16 @@ from .base import (
     LocationScale,
     NumericsError,
     golden_section_max,
-    log_stdtr,
     logistic_base,
+    logistic_logf,
     make_rng,
     normal_base,
     student_base,
+    t_logf,
 )
-from .skewsym import SkewNormal, SkewT
-from .transform import GhTransform, KTransform, SasTransform, TransformParams
-from .twopiece import EpsilonScaling, IsfScaling, TwoPieceParams
+from .skewsym import SkewNormal, SkewT, skew_normal_logf, skew_t_logf
+from .transform import GhTransform, KTransform, SasTransform, TransformParams, sas_logf
+from .twopiece import EpsilonScaling, IsfScaling, TwoPieceParams, two_piece_logf
 
 __all__ = [
     "FAMILY_ORDER",
@@ -112,10 +116,6 @@ _MAX_STEP = 1.0
 # steps in a row that each lower the value by at most fatol before a fit
 # stops on a flat ridge
 _STALLS = 5
-
-# relative step of the forward difference for the skew-t's one partial
-# without a closed form: log T_k(a) in the degrees of freedom k at fixed a
-_DOF_STEP = 1e-7
 
 # the constants of the penalized skew-normal fit's penalty c1*ln(1 + c2*delta^2)
 _PENALTY_C1 = 1.0
@@ -299,16 +299,17 @@ def _batch_bfgs(fn, x0, h0, xatol, fatol, maxiter):
     return x, f, iters, conv
 
 
-def _opg_seed(nll, w, t, rows, cfg):
+def _opg_seed(spec, w, t, rows, cfg):
     """BFGS seeds from the outer product of per-observation scores (BHHH).
 
-    Parameter row i of t (p, d) belongs to data row rows[i] of w (m, n).  A
-    kernel evaluated on one data point returns that point's score, so each
-    problem's scores S (n, d) come from one kernel pass over single points,
-    at most _BATCH_ELEMENTS of them per call.  Returns (h, seeded): h
-    (p, d, d) holds the diagonal of (S'S)^-1, each coordinate's estimated
-    sampling variance, where seeded, and the identity where S'S is not
-    finite or its condition number exceeds _OPG_COND.
+    Parameter row i of t (p, d) belongs to data row rows[i] of w (m, n).
+    Each problem's scores S (n, d), one row per data point, are the partials
+    in t of log sigma - logf(z) point by point (the penalty belongs to no
+    point), from one pass of spec.terms over at most _BATCH_ELEMENTS points
+    at a time.  Returns (h, seeded): h (p, d, d) holds the diagonal of
+    (S'S)^-1, each coordinate's estimated sampling variance, where seeded,
+    and the identity where S'S is not finite or its condition number
+    exceeds _OPG_COND.
 
     Only the diagonal is kept.  Far from the optimum the full (S'S)^-1 is a
     poor Hessian: on some samples its steps run onto the skew-normal's
@@ -316,13 +317,15 @@ def _opg_seed(nll, w, t, rows, cfg):
     beyond it, and the fit ends at a worse local optimum.
     """
     p, d = t.shape
-    n = w.shape[1]
-    per = _rows_per_batch(n)
+    per = _rows_per_batch(w.shape[1])
     opg = np.empty((p, d, d))
     for i in range(0, p, per):
-        part = t[i : i + per]
-        score = nll(np.repeat(part, n, axis=0), w[rows[i : i + per]].reshape(-1, 1), cfg)[1]
-        score = score.reshape(part.shape[0], n, d)
+        ti = t[i : i + per]
+        z, _, dz, parts, _, slopes = spec.terms(ti, w[rows[i : i + per]], cfg)
+        score = np.empty(z.shape + (d,))
+        score[..., 0], score[..., 1] = np.exp(-ti[:, 1:2]) * dz, 1.0 + dz * z
+        for s, part, slope in zip(spec.shapes, parts, slopes):
+            score[..., s.col] = -part * slope[:, None]
         opg[i : i + per] = np.einsum("kni,knj->kij", score, score)
     seeded = np.isfinite(opg).all(axis=(1, 2))
     seeded[seeded] = np.linalg.cond(opg[seeded]) <= _OPG_COND
@@ -427,172 +430,16 @@ def _sigma_of(ls):
     return np.exp(np.clip(ls, -200.0, 200.0))
 
 
-def _t_const(nu):
-    return gammaln(0.5 * (nu + 1.0)) - gammaln(0.5 * nu) - 0.5 * np.log(nu * math.pi)
-
-
-def _t_const_d(nu):
-    return 0.5 * (digamma(0.5 * (nu + 1.0)) - digamma(0.5 * nu) - 1.0 / nu)
-
-
 # ---------------------------------------------------------------------------
-# negative log-likelihoods, one kernel per optimized family: parameter rows
-# t (k, d) in optimizer coordinates against standardized data rows w (k, n).
-# Each returns the values (k,) and the scores (k, d), their partials in t.
+# the negative log-likelihood of every optimized family, summed from its
+# per-point log-density logf: parameter rows t (k, d) in optimizer
+# coordinates against standardized data rows w (k, n)
 
 
-def _z(t, w):
-    return (w - t[:, :1]) * np.exp(-t[:, 1:2])
-
-
-def _loc_scale_score(gz, z, t):
-    """Partials in mu and log sigma of n log sigma + sum g(z), given gz = g'(z)."""
-    return -np.exp(-t[:, 1]) * np.sum(gz, axis=1), z.shape[1] - np.sum(gz * z, axis=1)
-
-
-def _t_tail(v, nu):
-    """-n C(nu) + (nu + 1)/2 sum log1p(v^2 / nu) over each row of v (k, n).
-
-    Returns the values, their slopes in each v and their partials in nu.
-    """
-    q = v * v
-    nuc = nu[:, None]
-    tail = np.sum(np.log1p(q / nuc), axis=1)
-    val = 0.5 * (nu + 1.0) * tail - v.shape[1] * _t_const(nu)
-    d_nu = (
-        0.5 * tail
-        - 0.5 * (nu + 1.0) / nu * np.sum(q / (nuc + q), axis=1)
-        - v.shape[1] * _t_const_d(nu)
-    )
-    return val, (nuc + 1.0) * v / (nuc + q), d_nu
-
-
-def _nll_logistic(t, w, cfg):
-    z = _z(t, w)
-    az = np.abs(z)
-    val = w.shape[1] * t[:, 1] + np.sum(az + 2.0 * np.log1p(np.exp(-az)), axis=1)
-    return val, np.column_stack(_loc_scale_score(np.tanh(0.5 * z), z, t))
-
-
-def _nll_t(t, w, cfg):
-    nu, d_nu = _NU.decode(t[:, 2])
-    z = _z(t, w)
-    tail, gz, g_nu = _t_tail(z, nu)
-    return (
-        w.shape[1] * t[:, 1] + tail,
-        np.column_stack((*_loc_scale_score(gz, z, t), g_nu * d_nu)),
-    )
-
-
-def _nll_skew_normal(t, w, cfg, penalized=False):
-    delta, d_delta = _SKEW.decode(t[:, 2])
-    z = _z(t, w)
-    s = delta[:, None] * z
-    log_cdf = log_ndtr(s)
-    val = (
-        w.shape[1] * (t[:, 1] + LOG_SQRT_TWO_PI - _LOG_TWO)
-        + 0.5 * np.einsum("ij,ij->i", z, z)
-        - np.sum(log_cdf, axis=1)
-    )
-    # the Mills ratio phi(s) / Phi(s), taken through log_ndtr so it stays
-    # finite where Phi(s) underflows
-    mills = np.exp(-0.5 * s * s - LOG_SQRT_TWO_PI - log_cdf)
-    g_delta = -np.sum(z * mills, axis=1)
-    if penalized:
-        c2d2 = _PENALTY_C2 * delta * delta
-        val += _PENALTY_C1 * np.log1p(c2d2)
-        g_delta += 2.0 * _PENALTY_C1 * _PENALTY_C2 * delta / (1.0 + c2d2)
-    gz = z - delta[:, None] * mills
-    return val, np.column_stack((*_loc_scale_score(gz, z, t), g_delta * d_delta))
-
-
-def _nll_skew_t(t, w, cfg):
-    nu, d_nu = _NU.decode(t[:, 2])
-    delta, d_delta = _SKEW.decode(t[:, 3])
-    z = _z(t, w)
-    q = z * z
-    nuc = nu[:, None]
-    k = nuc + 1.0
-    root = np.sqrt(k / (q + nuc))
-    a = delta[:, None] * z * root
-    log_cdf = log_stdtr(k, a)
-    tail, gz, g_nu = _t_tail(z, nu)
-    val = w.shape[1] * (t[:, 1] - _LOG_TWO) + tail - np.sum(log_cdf, axis=1)
-    # the skewing factor log T_k(a): its slope in a is rho = t_k(a) / T_k(a);
-    # its partial in k at fixed a has no closed form and is differenced
-    rho = np.exp(_t_const(k) - 0.5 * (k + 1.0) * np.log1p(a * a / k) - log_cdf)
-    # differenced only on rows whose nu slope is nonzero: a second stdtr
-    # pass, which every other row would multiply by zero
-    live = d_nu != 0.0
-    d_k = np.zeros_like(a)
-    if live.any():
-        k_l, step = k[live], _DOF_STEP * k[live]
-        d_k[live] = (log_stdtr(k_l + step, a[live]) - log_cdf[live]) / step
-    gz = gz - rho * delta[:, None] * root * nuc / (q + nuc)
-    g_delta = -np.sum(rho * z * root, axis=1)
-    g_nu = g_nu - np.sum(rho * a * (q - 1.0) / (2.0 * k * (q + nuc)) + d_k, axis=1)
-    return val, np.column_stack(
-        (*_loc_scale_score(gz, z, t), g_nu * d_nu, g_delta * d_delta)
-    )
-
-
-def _nll_sas(t, w, cfg):
-    delta, d_delta = _SAS.decode(t[:, 2])
-    eta, d_eta = _ETA.decode(t[:, 3])
-    z = _z(t, w)
-    asinh_z = np.arcsinh(z)
-    u = eta[:, None] * asinh_z + delta[:, None]
-    y = np.sinh(u)
-    au = np.abs(u)
-    log_cosh = au + np.log1p(np.exp(-2.0 * au)) - _LOG_TWO
-    r2 = 1.0 + z * z
-    n = w.shape[1]
-    val = (
-        n * (t[:, 1] + LOG_SQRT_TWO_PI - np.log(eta))
-        + 0.5 * np.einsum("ij,ij->i", y, y)
-        - np.sum(log_cosh, axis=1)
-        + 0.5 * np.sum(np.log1p(z * z), axis=1)
-    )
-    # slope in u of y^2 / 2 - log cosh u (Jones & Pewsey 2009)
-    gu = y * np.cosh(u) - np.tanh(u)
-    gz = gu * eta[:, None] / np.sqrt(r2) + z / r2
-    g_delta = np.sum(gu, axis=1)
-    g_eta = np.sum(gu * asinh_z, axis=1) - n / eta
-    return val, np.column_stack(
-        (*_loc_scale_score(gz, z, t), g_delta * d_delta, g_eta * d_eta)
-    )
-
-
-def _nll_two_piece(t, w, cfg):
-    """Two-piece normal (d = 3) or two-piece t (d = 4, nu third)."""
-    delta, d_delta = _TWO_PIECE.of(cfg.scaling).decode(t[:, -1])
-    if cfg.scaling == "epsilon":
-        s_l, s_r, log_a = 1.0 / (1.0 - delta), 1.0 / (1.0 + delta), 0.0
-        # partials in delta of log s_l, log s_r and log_a
-        ds_l, ds_r, d_log_a = s_l, -s_r, 0.0
-    else:
-        s_l, s_r = delta, 1.0 / delta
-        log_a = np.log(2.0 / (delta + 1.0 / delta))
-        ds_l, ds_r = 1.0 / delta, -1.0 / delta
-        d_log_a = (1.0 - delta * delta) / (delta * (delta * delta + 1.0))
-    z = _z(t, w)
-    left = z < 0.0
-    s = np.where(left, s_l[:, None], s_r[:, None])
-    v = s * z
-    n = w.shape[1]
-    if t.shape[1] == 4:
-        nu, d_nu = _NU.decode(t[:, 2])
-        tail, gv, g_nu = _t_tail(v, nu)
-        val = n * (t[:, 1] - log_a) + tail
-        shape = (g_nu * d_nu,)
-    else:
-        val = n * (t[:, 1] + LOG_SQRT_TWO_PI - log_a) + 0.5 * np.einsum("ij,ij->i", v, v)
-        gv, shape = v, ()
-    ds = np.where(left, ds_l[:, None], ds_r[:, None])
-    g_delta = np.sum(gv * v * ds, axis=1) - n * d_log_a
-    return val, np.column_stack(
-        (*_loc_scale_score(gv * s, z, t), *shape, g_delta * d_delta)
-    )
+def _skew_normal_penalty(delta):
+    """The penalized skew-normal fit's c1 ln(1 + c2 delta^2), and its partial in delta."""
+    c2d2 = _PENALTY_C2 * delta * delta
+    return _PENALTY_C1 * np.log1p(c2d2), (2.0 * _PENALTY_C1 * _PENALTY_C2 * delta / (1.0 + c2d2),)
 
 
 # ---------------------------------------------------------------------------
@@ -607,7 +454,7 @@ def _points(m: int, *cols):
 
 
 def _third_moment(w):
-    return np.mean(w**3, axis=1)
+    return np.mean(w * w * w, axis=1)
 
 
 def _skewness_sign(g1):
@@ -802,8 +649,9 @@ def fit_gh_quantile(data) -> GhQuantileFit:
     """Letter-value estimates of the g-and-h parameters.
 
     g comes from the median of depth-wise log half-spread ratios; h and sigma
-    come from regressing the log corrected full spreads on z_p^2 / 2.  This
-    sidesteps the family's unavailable closed-form density.
+    come from regressing the log corrected full spreads on z_p^2 / 2.  The
+    family's density needs a numeric solve of H per point, which this fit,
+    built on quantiles alone, does without.
     """
     x = _as_data(data)
     if x.size < 50:
@@ -949,27 +797,60 @@ class _Family:
     report order, each with its map and coordinate.  make builds the
     distribution from a LocationScale and the shapes as keywords, plus the
     scaling where scaled (the two-piece families, whose reports carry it).
-    nll and starts are the optimizer's kernel and start list; exact, where
-    set, fits every data row without the optimizer instead (the normal
-    family, which has no kernel, and the two-piece normal's profile).
-    boundary names the shape whose cap sets boundary_flag.  mle is False for
-    the families no likelihood fit covers; quantile_fit is a letter-value fit.
+    logf is the family's per-point log-density, which the distribution
+    built by make evaluates too: logf(z, *shapes) at standardized points z,
+    the shapes in report order, plus the scaling where scaled.  starts is
+    the optimizer's start list, and penalty, where set, a term of the
+    negative log-likelihood in the shapes.  exact, where set, fits every
+    data row without the optimizer instead (the normal family, which has no
+    logf, and the two-piece normal's profile).  boundary names the shape
+    whose cap sets boundary_flag.  mle is False for the families no
+    likelihood fit covers; quantile_fit is a letter-value fit.
     """
 
     name: str
     make: Callable
     shapes: tuple = ()
-    nll: Optional[Callable] = None
+    logf: Optional[Callable] = None
     starts: Optional[Callable] = None
     boundary: Optional[str] = None
     scaled: bool = False
     mle: bool = True
     quantile_fit: Optional[Callable] = None
     exact: Optional[Callable] = None
+    penalty: Optional[Callable] = None
 
     @property
     def n_free(self) -> int:
         return 2 + len(self.shapes)
+
+    def terms(self, t, w, cfg: FitConfig):
+        """z (k, n) of data rows w under parameter rows t (k, d), logf(z) and
+        its partials in z and each shape, and each shape's (k,) values and
+        slopes in t; a shape's partial is asked for where its slope is not 0."""
+        decoded = [s.map.of(cfg.scaling).decode(t[:, s.col]) for s in self.shapes]
+        values, slopes = [v for v, _ in decoded], [m for _, m in decoded]
+        z = (w - t[:, :1]) * np.exp(-t[:, 1:2])
+        scaling = {"scaling": cfg.scaling} if self.scaled else {}
+        grad = tuple(m[:, None] != 0.0 for m in slopes)
+        logf, dz, *d = self.logf(z, *(v[:, None] for v in values), grad=grad, **scaling)
+        return z, logf, dz, d, values, slopes
+
+    def nll(self, t, w, cfg: FitConfig):
+        """The values (k,) of n log sigma - sum logf(z) over each data row,
+        plus the penalty, and the scores (k, d), their partials in t."""
+        z, logf, dz, d, values, slopes = self.terms(t, w, cfg)
+        val = w.shape[1] * t[:, 1] - logf.sum(axis=1)
+        g = [-p.sum(axis=1) for p in d]
+        if self.penalty is not None:
+            p, dp = self.penalty(*values)
+            val, g = val + p, [a + b for a, b in zip(g, dp)]
+        score = np.empty(t.shape)
+        score[:, 0] = np.exp(-t[:, 1]) * dz.sum(axis=1)
+        score[:, 1] = w.shape[1] + np.einsum("ij,ij->i", dz, z)
+        for s, gs, slope in zip(self.shapes, g, slopes):
+            score[:, s.col] = gs * slope
+        return val, score
 
     def decode(self, t, cfg: FitConfig) -> dict:
         """Natural parameters, in report order, of optimizer coordinates t."""
@@ -994,23 +875,24 @@ class _Family:
 _FAMILIES = {f.name: f for f in (
     _Family("normal", lambda loc: LocatedBase(normal_base(), loc), exact=_normal_rows),
     _Family("logistic", lambda loc: LocatedBase(logistic_base(), loc),
-            nll=_nll_logistic, starts=_starts_logistic),
+            logf=logistic_logf, starts=_starts_logistic),
     _Family("t", lambda loc, nu: LocatedBase(student_base(nu), loc),
-            (_Shape("nu", _NU, 2),), _nll_t, _starts_t),
+            (_Shape("nu", _NU, 2),), t_logf, _starts_t),
     _Family("skew_normal", lambda loc, delta: SkewNormal(loc.mu, loc.sigma, delta),
-            (_Shape("delta", _SKEW, 2),), _nll_skew_normal, _starts_skew_normal, "delta"),
+            (_Shape("delta", _SKEW, 2),), skew_normal_logf, _starts_skew_normal, "delta"),
     _Family("skew_t", lambda loc, nu, delta: SkewT(loc.mu, loc.sigma, nu, delta),
-            (_Shape("nu", _NU, 2), _Shape("delta", _SKEW, 3)), _nll_skew_t, _starts_skew_t,
+            (_Shape("nu", _NU, 2), _Shape("delta", _SKEW, 3)), skew_t_logf, _starts_skew_t,
             "delta"),
     _Family("sas_normal",
             lambda loc, delta, eta: TransformParams(normal_base(), loc, SasTransform(delta, eta)),
-            (_Shape("delta", _SAS, 2), _Shape("eta", _ETA, 3)), _nll_sas, _starts_sas, "delta"),
-    _Family("twopiece_normal", _two_piece, (_Shape("delta", _TWO_PIECE, 2),), _nll_two_piece,
+            (_Shape("delta", _SAS, 2), _Shape("eta", _ETA, 3)), sas_logf, _starts_sas, "delta"),
+    _Family("twopiece_normal", _two_piece, (_Shape("delta", _TWO_PIECE, 2),), two_piece_logf,
             partial(_starts_two_piece, with_nu=False), "delta", scaled=True,
             exact=_two_piece_rows),
     # reports delta before nu, but optimizes log nu before delta
     _Family("twopiece_t", _two_piece, (_Shape("delta", _TWO_PIECE, 3), _Shape("nu", _NU, 2)),
-            _nll_two_piece, partial(_starts_two_piece, with_nu=True), "delta", scaled=True),
+            partial(two_piece_logf, base=t_logf), partial(_starts_two_piece, with_nu=True),
+            "delta", scaled=True),
     _Family("gh_normal",
             lambda loc, g, h: TransformParams(normal_base(), loc, GhTransform(g, h)),
             (_Shape("g"), _Shape("h")), mle=False, quantile_fit=fit_gh_quantile),
@@ -1020,10 +902,7 @@ _FAMILIES = {f.name: f for f in (
 
 FAMILY_ORDER = tuple(name for name, f in _FAMILIES.items() if f.mle)
 
-# the penalty c1*ln(1 + c2*delta^2) is a term of the skew-normal kernel
-_PENALIZED_SKEW_NORMAL = replace(
-    _FAMILIES[SKEW_NORMAL_PAIR[1]], nll=partial(_nll_skew_normal, penalized=True)
-)
+_PENALIZED_SKEW_NORMAL = replace(_FAMILIES[SKEW_NORMAL_PAIR[1]], penalty=_skew_normal_penalty)
 
 
 # ---------------------------------------------------------------------------
@@ -1127,7 +1006,7 @@ def _fit_rows(spec: _Family, w: np.ndarray, cfg: FitConfig, extra=()) -> _RowFit
     rows = np.arange(m)
     with np.errstate(all="ignore"):
         x0 = np.stack([s if s.ndim == 2 else s[:, 0] for s in starts], axis=1).reshape(m * k, d)
-        h0 = _opg_seed(spec.nll, w, x0, np.arange(m * k) // k, cfg)
+        h0 = _opg_seed(spec, w, x0, np.arange(m * k) // k, cfg)
         x, fun, iters, conv = _batch_bfgs(
             lambda t, rows: fn(t, rows // k), x0, h0, cfg.xatol, cfg.fatol, maxiter
         )

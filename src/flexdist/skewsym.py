@@ -24,6 +24,7 @@ from scipy import special
 
 from .base import (
     LOG_SQRT_TWO_PI,
+    Density,
     LocationScale,
     MatrixParams,
     NumericsError,
@@ -32,9 +33,11 @@ from .base import (
     invert_cdf,
     log_stdtr,
     normal_base,
+    normal_logf,
     scalar_or_array,
     student_base,
     student_pdf_k,
+    t_logf,
 )
 
 # Gauss-Laguerre rule of the skew-normal CDF's lower tail
@@ -51,6 +54,10 @@ _TAIL_BEND = 0.35
 _MIX_DROP = 40.0
 _MIX_T_MAX = 8.0
 _MIX_LOG_FLOOR = -800.0
+_LOG_TWO = math.log(2.0)
+# relative step of the forward difference of log T_k(a) in its degrees of
+# freedom k at fixed a, the skew-t's one partial without a closed form
+_DOF_STEP = 1e-7
 # the nu the rule takes; its table has 9e5 nodes at either end
 _MIX_NU_MIN, _MIX_NU_MAX = 1e-3, 1e8
 # nodes x points that _ScaleMixture sums at once
@@ -76,7 +83,6 @@ def _sn_cdf(z, delta, log=False):
             out = np.log(out)
     tail = np.flatnonzero((z < 0.0) & (direct < _TAIL_CANCEL * phi))
     if tail.size:
-        log_pdf = SkewNormal(0.0, 1.0, delta).log_pdf
         zt = z[tail]
         x = delta * zt
         mills = np.exp(-0.5 * x * x - LOG_SQRT_TWO_PI - special.log_ndtr(x))
@@ -85,8 +91,8 @@ def _sn_cdf(z, delta, log=False):
         ok = bend < _TAIL_BEND
         zt, lam, tail = zt[ok], lam[ok], tail[ok]
         with np.errstate(over="ignore", invalid="ignore"):
-            top = log_pdf(zt)
-            rest = (log_pdf(zt[:, None] - _LAGUERRE_NODES / lam[:, None])
+            top = skew_normal_logf(zt, delta)
+            rest = (skew_normal_logf(zt[:, None] - _LAGUERRE_NODES / lam[:, None], delta)
                     - top[:, None] + _LAGUERRE_NODES)
             # a row sum, not a matrix product, so each point's bits are its own
             logf = top - np.log(lam) + np.log((np.exp(rest) * _LAGUERRE_WEIGHTS).sum(axis=1))
@@ -294,11 +300,56 @@ def skew_symmetric_pdf_k(x, mp: MatrixParams, nu: float, delta, pi: SkewingFunct
     return 2.0 * det_factor * f * float(pi.pi(y, delta))
 
 
-def _skew_t_arg(z, nu: float, delta: float):
-    # argument of the skew-t's skewing factor T_{nu+1}(.); z is held within
-    # 1e150, where z * z cannot overflow and the argument is at its limit
-    z = np.minimum(np.maximum(np.asarray(z, dtype=float), -1e150), 1e150)
-    return delta * z * np.sqrt((nu + 1.0) / (z * z + nu))
+def _skew_t_arg(z, nu, delta):
+    """The skewing argument a = delta z root, root = sqrt((nu + 1) / (z^2 +
+    nu)), and z held within 1e150, where a is at its limit."""
+    z = np.minimum(np.maximum(z, -1e150), 1e150)
+    root = np.sqrt((nu + 1.0) / (z * z + nu))
+    return delta * z * root, root, z
+
+
+# the two skew-symmetric log-densities, in the form of base.normal_logf
+
+
+def skew_normal_logf(z, delta, grad=None):
+    """log 2 phi(z) Phi(delta z)."""
+    s = delta * z
+    log_cdf = special.log_ndtr(s)
+    val = _LOG_TWO + normal_logf(z) + log_cdf
+    # at z = +-inf, delta * z is NaN when delta = 0
+    val[np.isinf(z)] = -np.inf
+    if grad is None:
+        return val
+    # the Mills ratio phi(s) / Phi(s), taken through log_ndtr so it stays
+    # finite where Phi(s) underflows
+    mills = np.exp(-0.5 * s * s - LOG_SQRT_TWO_PI - log_cdf)
+    return val, -z + delta * mills, z * mills
+
+
+def skew_t_logf(z, nu, delta, grad=None):
+    """log 2 t_nu(z) T_{nu+1}(a), a from _skew_t_arg.  The partial of log
+    T_k(a) in k has no closed form: a forward difference, a second stdtr
+    pass, taken on the rows of grad's nu mask alone, so the partial in nu
+    holds there only."""
+    a, root, zc = _skew_t_arg(z, nu, delta)
+    k = nu + 1.0
+    log_cdf = log_stdtr(k, a)
+    if grad is None:
+        return _LOG_TWO + t_logf(z, nu) + log_cdf
+    t, t_dz, t_dnu = t_logf(z, nu, grad)
+    val = _LOG_TWO + t + log_cdf
+    # the slope of log T_k(a) in a, rho = t_k(a) / T_k(a)
+    rho = np.exp(t_logf(a, k) - log_cdf)
+    rows = grad[0][:, 0]
+    d_k = np.zeros_like(a)
+    if rows.any():
+        k_l = k[rows]
+        step = _DOF_STEP * k_l
+        d_k[rows] = (log_stdtr(k_l + step, a[rows]) - log_cdf[rows]) / step
+    q = zc * zc
+    d_z = t_dz + rho * delta * root * nu / (q + nu)
+    d_nu = t_dnu + (rho * a * (q - 1.0) / (2.0 * k * (q + nu)) + d_k)
+    return val, d_z, d_nu, rho * zc * root
 
 
 def skew_t_pdf(x, mp: MatrixParams, nu: float, delta):
@@ -370,11 +421,8 @@ def sample_skew_t_k(n: int, mp: MatrixParams, nu: float, delta,
     return mp.mu_vec + signed
 
 
-class _SkewLaw:
+class _SkewLaw(Density):
     """The density, quantiles and mode of a law with mu, sigma, log_pdf and cdf."""
-
-    def pdf(self, x):
-        return np.exp(self.log_pdf(x))
 
     @scalar_or_array
     def quantile(self, p):
@@ -400,13 +448,7 @@ class SkewNormal(_SkewLaw):
 
     @scalar_or_array
     def log_pdf(self, x):
-        z = (x - self.mu) / self.sigma
-        out = (math.log(2.0) - math.log(self.sigma)
-               - 0.5 * z * z - 0.5 * math.log(2.0 * math.pi)
-               + special.log_ndtr(self.delta * z))
-        # at z = +-inf, delta * z is NaN when delta = 0
-        out[np.isinf(z)] = -np.inf
-        return out
+        return skew_normal_logf((x - self.mu) / self.sigma, self.delta) - math.log(self.sigma)
 
     @scalar_or_array
     def cdf(self, x):
@@ -439,13 +481,7 @@ class SkewT(_SkewLaw):
 
     @scalar_or_array
     def log_pdf(self, x):
-        z = (x - self.mu) / self.sigma
-        tb = student_base(self.nu)
-        out = (math.log(2.0) - math.log(self.sigma) + tb.log_pdf(z)
-               + log_stdtr(self.nu + 1.0, _skew_t_arg(z, self.nu, self.delta)))
-        # at z = +-inf the skewing argument is inf * 0
-        out[np.isinf(z)] = -np.inf
-        return out
+        return skew_t_logf((x - self.mu) / self.sigma, self.nu, self.delta) - math.log(self.sigma)
 
     @cached_property
     def _mixture(self) -> _ScaleMixture:
@@ -463,7 +499,7 @@ class SkewT(_SkewLaw):
             raise ValueError("sample size must be nonnegative")
         z = student_base(self.nu).sample(n, rng)
         u = rng.random(n)
-        keep = u < student_base(self.nu + 1.0).cdf(_skew_t_arg(z, self.nu, self.delta))
+        keep = u < student_base(self.nu + 1.0).cdf(_skew_t_arg(z, self.nu, self.delta)[0])
         return self.mu + self.sigma * np.where(keep, z, -z)
 
 

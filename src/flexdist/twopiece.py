@@ -15,9 +15,11 @@ from typing import Callable
 import numpy as np
 
 from .base import (
+    Density,
     LocationScale,
     SymmetricBase,
     find_root,
+    normal_logf,
     quantile_levels,
     scalar_or_array,
 )
@@ -27,8 +29,21 @@ EPSILON_EDGE = 1.0 - 1e-9  # |delta| at or beyond this is rejected
 _CONDITION_GRID = np.linspace(-8.0, 8.0, 41)
 
 
+def scales(delta, kind: str):
+    """(s_left, s_right, a) of the scaling kind at float or array delta."""
+    if kind == "epsilon":
+        return 1.0 / (1.0 - delta), 1.0 / (1.0 + delta), 1.0
+    return delta, 1.0 / delta, 2.0 / (delta + 1.0 / delta)
+
+
+class _Scaling:
+    s_left = property(lambda self: scales(self.delta, self.kind)[0])
+    s_right = property(lambda self: scales(self.delta, self.kind)[1])
+    a = property(lambda self: scales(self.delta, self.kind)[2])
+
+
 @dataclass(frozen=True)
-class EpsilonScaling:
+class EpsilonScaling(_Scaling):
     """s_left = 1/(1-delta), s_right = 1/(1+delta); a(delta) = 1."""
 
     delta: float
@@ -38,23 +53,11 @@ class EpsilonScaling:
             raise ValueError(
                 f"epsilon scaling needs |delta| < {EPSILON_EDGE}, got {self.delta}")
 
-    @property
-    def s_left(self) -> float:
-        return 1.0 / (1.0 - self.delta)
-
-    @property
-    def s_right(self) -> float:
-        return 1.0 / (1.0 + self.delta)
-
-    @property
-    def a(self) -> float:
-        return 1.0
-
     kind = "epsilon"
 
 
 @dataclass(frozen=True)
-class IsfScaling:
+class IsfScaling(_Scaling):
     """s_left = delta, s_right = 1/delta; a(delta) = 2/(delta + 1/delta)."""
 
     delta: float
@@ -63,19 +66,26 @@ class IsfScaling:
         if not (np.isfinite(self.delta) and self.delta > 0.0):
             raise ValueError(f"ISF scaling needs delta > 0, got {self.delta}")
 
-    @property
-    def s_left(self) -> float:
-        return self.delta
-
-    @property
-    def s_right(self) -> float:
-        return 1.0 / self.delta
-
-    @property
-    def a(self) -> float:
-        return 2.0 / (self.delta + 1.0 / self.delta)
-
     kind = "isf"
+
+
+def two_piece_logf(z, delta, *shapes, scaling="isf", base=normal_logf, grad=None):
+    """log a f(s z), s = s_left below 0 and s_right above, for the scaling's
+    s_left, s_right and a at delta and the base log-density f (normal unless
+    given, its shapes after delta), in the form of base.normal_logf."""
+    s_l, s_r, a = scales(delta, scaling)
+    left = z < 0.0
+    s = np.where(left, s_l, s_r)
+    v = s * z
+    f = base(v, *shapes, grad=None if grad is None else grad[1:])
+    if grad is None:
+        return np.log(a) + f
+    f, dv, *d_base = f
+    # partials in delta of log s_left, log s_right and log a
+    ds_l, ds_r, d_log_a = ((s_l, -s_r, 0.0) if scaling == "epsilon" else (
+        1.0 / delta, -1.0 / delta, (1.0 - delta * delta) / (delta * (delta * delta + 1.0))))
+    ds = np.where(left, ds_l, ds_r)
+    return np.log(a) + f, dv * s, dv * v * ds + d_log_a, *d_base
 
 
 def side_masses(scheme) -> tuple[float, float]:
@@ -85,7 +95,7 @@ def side_masses(scheme) -> tuple[float, float]:
 
 
 @dataclass(frozen=True)
-class TwoPieceParams:
+class TwoPieceParams(Density):
     base: SymmetricBase
     loc: LocationScale
     scheme: "EpsilonScaling | IsfScaling"
@@ -93,12 +103,9 @@ class TwoPieceParams:
     @scalar_or_array
     def log_pdf(self, x):
         z = (x - self.loc.mu) / self.loc.sigma
-        s = np.where(z < 0.0, self.scheme.s_left, self.scheme.s_right)
-        return (math.log(self.scheme.a) - math.log(self.loc.sigma)
-                + self.base.log_pdf(s * z))
-
-    def pdf(self, x):
-        return np.exp(self.log_pdf(x))
+        logf, shapes = self.base.log_density
+        return (two_piece_logf(z, self.scheme.delta, *shapes, scaling=self.scheme.kind,
+                               base=logf) - math.log(self.loc.sigma))
 
     @scalar_or_array
     def cdf(self, x):

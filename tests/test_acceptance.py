@@ -59,7 +59,7 @@ def full_mass(pdf):
 
 
 def normalization_catalog():
-    """41 parameter combinations spanning every family with a density."""
+    """46 parameter combinations spanning every family."""
     combos = []
     for d in (0, 1, 2, 5):
         combos.append(("skew_normal", {"mu": 0, "sigma": 1, "delta": d}))
@@ -68,6 +68,10 @@ def normalization_catalog():
             combos.append(("skew_t", {"mu": 0, "sigma": 1, "nu": nu, "delta": d}))
     for d, e in ((0, 1), (-0.5, 0.5), (-1, 0.5), (-1.5, 0.5), (-1, 1), (-1.5, 1.5)):
         combos.append(("sas_normal", {"mu": 0, "sigma": 1, "delta": d, "eta": e}))
+    for g, h in ((0.5, 0.2), (0, 0.3), (-0.5, 0)):
+        combos.append(("gh_normal", {"mu": 0, "sigma": 1, "g": g, "h": h}))
+    for e in (0, 0.5):
+        combos.append(("k_normal", {"mu": 0, "sigma": 1, "eta": e}))
     for fam in ("twopiece_normal", "twopiece_t"):
         nu = {"nu": 2} if fam == "twopiece_t" else {}
         for d in (0.5, 1, 2, 5):

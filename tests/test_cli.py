@@ -97,10 +97,17 @@ def test_curve_output_file(tmp_path):
     assert len(rows) == 11
 
 
-def test_curve_gh_has_no_density():
-    r = run("curve", "--family", "gh_normal", "--g", "0.5", "--h", "0.2")
-    assert r.returncode == 2
-    assert "density" in r.stderr
+@pytest.mark.parametrize("family, flags", [("gh_normal", {"g": 0.5, "h": 0.2}),
+                                           ("k_normal", {"eta": 0.5})])
+def test_curve_of_the_numeric_inverse_families(family, flags):
+    r = run("curve", "--family", family, *(f"--{k}={v}" for k, v in flags.items()),
+            "--points", "41", "--x-min", "-4", "--x-max", "4")
+    assert r.returncode == 0
+    rows = parse_csv(r.stdout)
+    dist = infer.distribution_for(family, {"mu": 0.0, "sigma": 1.0, **flags})
+    xs = np.array([x for x, _ in rows])
+    assert [d for _, d in rows] == dist.pdf(xs).tolist()
+    assert all(d > 0.0 for _, d in rows)
 
 
 # every family's own shape flags, with values that make a valid distribution

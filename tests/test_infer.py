@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import dataclass, fields, replace
 from functools import partial
 
 import numpy as np
@@ -84,16 +84,6 @@ def test_distribution_for_checks_the_two_piece_scaling(family):
         infer.distribution_for(family, {**params, "scaling": "epsilom"})
 
 
-def test_gh_has_no_evaluatable_density():
-    spec = {"mu": 0.0, "sigma": 1.0, "g": 0.5, "h": 0.2}
-    d = infer.distribution_for("gh_normal", spec)
-    with pytest.raises(base.UnsupportedDensityError):
-        infer.log_likelihood("gh_normal", spec, [0.0])
-    # quantiles still work: the gh family is quantile-only by design
-    assert transform.transform_quantile(0.5, d) == pytest.approx(0.0,
-                                                                 abs=1e-12)
-
-
 # every family of the catalogue, both two-piece scalings included
 CATALOGUE = [
     ("normal", {"mu": 0.5, "sigma": 2.0}),
@@ -143,10 +133,10 @@ def test_non_finite_points(family, params):
     d = infer.distribution_for(family, params)
     ends = np.array([-np.inf, np.inf])
     with np.errstate(all="ignore"):
-        if family not in ("gh_normal", "k_normal"):   # no density to evaluate
-            assert d.log_pdf(-np.inf) == -np.inf and d.log_pdf(np.inf) == -np.inf
-            assert np.array_equal(d.log_pdf(ends), [-np.inf, -np.inf])
-            assert np.array_equal(d.pdf(ends), [0.0, 0.0])
+        assert d.log_pdf(-np.inf) == -np.inf and d.log_pdf(np.inf) == -np.inf
+        assert np.array_equal(d.log_pdf(ends), [-np.inf, -np.inf])
+        assert np.array_equal(d.pdf(ends), [0.0, 0.0])
+        assert np.isnan(d.log_pdf(np.nan))
         out = d.cdf(np.array([-np.inf, np.inf, np.nan]))
         assert out[0] == 0.0 and out[1] == 1.0 and np.isnan(out[2])
         assert d.cdf(-np.inf) == 0.0 and d.cdf(np.inf) == 1.0
@@ -882,6 +872,36 @@ def test_kernel_score_matches_central_differences(case, data):
                 num, rel=1e-4, abs=1e-7 * (1.0 + abs(f[0]))), j
 
 
+@pytest.mark.parametrize("case", sorted(SCORE_CASES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_logf_partials_match_central_differences(case, data):
+    # each family's per-point partials, which the BHHH seed reads point by point
+    family, scaling, shape = SCORE_CASES[case]
+    spec = infer._FAMILIES[family or "skew_normal"]
+    scaled = {"scaling": scaling} if spec.scaled else {}
+
+    def logf(z, values, grad=None):
+        return spec.logf(z, *(np.array([[v]]) for v in values), grad=grad, **scaled)
+
+    z = np.array([data.draw(st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=10))])
+    assume(np.min(np.abs(z)) > 1e-3)   # the two-piece kink at 0
+    coords = [data.draw(c) for c in shape]   # in optimizer order, after mu and log sigma
+    values = [float(s.map.of(scaling).decode(coords[s.col - 2])[0]) for s in spec.shapes]
+    h = 1e-6
+    with np.errstate(all="ignore"):
+        val, dz, *d = logf(z, values, grad=(np.array([[True]]),) * len(values))
+        tol = 1e-7 * (1.0 + np.abs(val))
+        num = (logf(z + h, values) - logf(z - h, values)) / (2 * h)
+        assert np.all(np.abs(dz - num) <= 1e-4 * np.abs(num) + tol)
+        for j, v in enumerate(values):
+            step = h * max(abs(v), 1e-3)
+            up, down = list(values), list(values)
+            up[j], down[j] = v + step, v - step
+            num = (logf(z, up) - logf(z, down)) / (2 * step)
+            assert np.all(np.abs(d[j] - num) <= 1e-4 * np.abs(num) + tol), spec.shapes[j].name
+
+
 # the simplex steps fits used before the quasi-Newton optimizer
 SIMPLEX_STEPS = {
     "logistic": (0.25, 0.25),
@@ -978,7 +998,7 @@ def test_opg_seed_matches_a_per_point_loop(family, monkeypatch):
     # three problems' points per kernel call, so the chunks split the rows
     monkeypatch.setattr(infer, "_BATCH_ELEMENTS", 3 * w.shape[1])
     with np.errstate(all="ignore"):
-        h, seeded = infer._opg_seed(spec.nll, w, t, rows, cfg)
+        h, seeded = infer._opg_seed(spec, w, t, rows, cfg)
         ref = _opg_loop(spec, w, t, rows, cfg)
     # the frontier chase, the skew-t's third start and the two-piece's last,
     # sits where the asymmetry's score all but vanishes: its outer product is
@@ -1022,24 +1042,34 @@ def test_batch_bfgs_unseeded_problems_keep_the_identity_run():
 
 class _UnitSlopeNu:
     """The nu map with a unit slope where it clips: the same nu, but every
-    row counts as live, so the skew-t kernel differences every row."""
+    row counts as live, so the skew-t's logf differences every row."""
 
     def __init__(self, nu_map):
         self.nu_map = nu_map
+
+    def of(self, scaling):
+        return self
 
     def decode(self, t):
         nu, slope = self.nu_map.decode(t)
         return nu, np.where(slope == 0.0, 1.0, slope)
 
 
-def _skew_t_full_pass(t, w, cfg):
-    """The skew-t kernel with its differenced stdtr pass on every row and the
-    nu score multiplied by the true slope, zero where log nu is clipped."""
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(infer, "_NU", _UnitSlopeNu(infer._NU))
-        f, g = infer._nll_skew_t(t, w, cfg)
-    g[:, 2] *= np.where(infer._NU.decode(t[:, 2])[1] == 0.0, 0.0, 1.0)
-    return f, g
+@dataclass(frozen=True)
+class _FullPass(infer._Family):
+    """The skew-t family with its differenced stdtr pass on every row, in the
+    kernel and the BHHH seed alike, and the nu partial chained through the
+    true slope, zero where log nu is clipped."""
+
+    def terms(self, t, w, cfg):
+        unit = replace(self, shapes=tuple(
+            s._replace(map=_UnitSlopeNu(s.map)) if s.name == "nu" else s for s in self.shapes))
+        *out, _ = infer._Family.terms(unit, t, w, cfg)
+        return *out, [s.map.decode(t[:, s.col])[1] for s in self.shapes]
+
+
+SKEW_T = infer._FAMILIES["skew_t"]
+FULL_PASS = _FullPass(**{f.name: getattr(SKEW_T, f.name) for f in fields(SKEW_T)})
 
 
 def test_skew_t_fits_match_fits_with_the_full_difference_pass(monkeypatch):
@@ -1051,9 +1081,8 @@ def test_skew_t_fits_match_fits_with_the_full_difference_pass(monkeypatch):
     w = infer._standardize(np.array([rng.standard_normal(n),
                                      rng.standard_t(3.0, size=n),
                                      rng.gamma(2.0, size=n)]))[0]
-    spec, cfg = infer._FAMILIES["skew_t"], infer.FitConfig()
-    full = replace(spec, nll=_skew_t_full_pass)
-    got, ref = infer._fit_rows(spec, w, cfg), infer._fit_rows(full, w, cfg)
+    cfg = infer.FitConfig()
+    got, ref = infer._fit_rows(SKEW_T, w, cfg), infer._fit_rows(FULL_PASS, w, cfg)
     assert infer._NU.decode(got.t[0, 2])[1] == 0.0
     for a, b in zip(got, ref):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
@@ -1075,11 +1104,12 @@ def test_skew_t_differences_only_rows_with_a_nu_slope(monkeypatch):
         t = np.column_stack((rng.normal(0.0, 0.3, m), rng.normal(0.0, 0.3, m),
                              log_nu, rng.normal(0.0, 0.5, m)))
         live = infer._NU.decode(t[:, 2])[1] != 0.0
-        ref_f, ref_g = _skew_t_full_pass(t, w[:m], cfg)
+        ref_f, ref_g = FULL_PASS.nll(t, w[:m], cfg)
         calls.clear()
         with monkeypatch.context() as mp:
-            mp.setattr(infer, "log_stdtr", log_stdtr)
-            f, g = infer._nll_skew_t(t, w[:m], cfg)
+            mp.setattr(skewsym, "log_stdtr", log_stdtr)
+            f, g = SKEW_T.nll(t, w[:m], cfg)
+        # one pass for the values, and one differenced pass on the live rows
         assert len(calls) == 1 + live.any()
         if live.any():
             assert np.array_equal(calls[1], calls[0][live])
@@ -1099,8 +1129,8 @@ def test_skew_t_score_is_finite_wherever_its_value_is(data):
                    data.draw(st.floats(-50.0, 50.0)), data.draw(st.floats(-1e3, 1e3))]])
     cfg = infer.FitConfig()
     with np.errstate(all="ignore"):
-        f, g = infer._nll_skew_t(t, w, cfg)
-        ref_g = _skew_t_full_pass(t, w, cfg)[1]
+        f, g = SKEW_T.nll(t, w, cfg)
+        ref_g = FULL_PASS.nll(t, w, cfg)[1]
     assume(np.isfinite(f[0]))
     assert np.isfinite(g).all() and np.isfinite(ref_g).all()
 

@@ -491,6 +491,22 @@ def test_skew_t_far_quantiles_converge():
         assert np.max(np.abs(d.cdf(x) - p) / p) <= 1e-13
 
 
+@pytest.mark.parametrize("nu", [0.5, 1.0, 2.0, 3.0, 30.0])
+def test_skew_t_quantiles_where_the_density_underflows(nu):
+    # out past 1e158 scales the density is 0: the bracket spans hundreds of
+    # orders of magnitude and shrinks geometrically, and a level whose cdf
+    # value is exact stops there
+    levels = np.logspace(-300.0, -1.0, 60)
+    edge = np.finfo(float).max
+    for delta in (-5.0, 0.0, 5.0):
+        d = skewsym.SkewT(0.0, 1.0, nu, delta)
+        x = d.quantile(levels)
+        far = np.isinf(x)
+        # a quantile beyond the largest float is -inf, and only there
+        assert np.all(x[far] == -np.inf) and np.all(levels[far] < d.cdf(-edge))
+        assert np.max(np.abs(d.cdf(x[~far]) / levels[~far] - 1.0)) <= 1e-10
+
+
 def test_skew_t_cdf_rejects_nu_outside_its_rule():
     for nu in (5e-4, 2e8):
         with pytest.raises(ValueError):

@@ -104,13 +104,70 @@ def test_transform_pdf_symmetric_iff_delta_zero():
     assert np.max(np.abs(skewed.pdf(GRID) - skewed.pdf(-GRID))) > 1e-3
 
 
-def test_transform_pdf_rejects_gh_and_k():
-    for tr in (transform.GhTransform(0.5, 0.2), transform.KTransform(0.5)):
-        p = transform.TransformParams(NORMAL, STD_LOC, tr)
-        with pytest.raises(base.UnsupportedDensityError):
-            p.pdf(0.0)
-        with pytest.raises(base.UnsupportedDensityError):
-            p.pdf(GRID)
+NUMERIC_INVERSES = [transform.GhTransform(0.5, 0.2), transform.GhTransform(0.0, 0.3),
+                    transform.GhTransform(-0.3, 0.1), transform.GhTransform(-1.0, 0.0),
+                    transform.GhTransform(0.7, 0.0), transform.KTransform(0.5),
+                    transform.KTransform(0.0), transform.KTransform(2.0)]
+
+
+@pytest.mark.parametrize("tr", NUMERIC_INVERSES, ids=repr)
+def test_gh_and_k_pdf_is_the_cdf_slope(tr):
+    p = transform.TransformParams(NORMAL, base.LocationScale(0.3, 1.7), tr)
+    xs = np.linspace(-4.0, 4.0, 81)
+    h = 1e-5
+    slope = (p.cdf(xs + h) - p.cdf(xs - h)) / (2.0 * h)
+    dens = p.pdf(xs)
+    # central-difference error and cdf rounding, relative to the density
+    ok = dens > 1e-6
+    assert np.max(np.abs(slope[ok] / dens[ok] - 1.0)) < 1e-6
+    assert np.array_equal(dens, [p.pdf(float(x)) for x in xs])
+    # log H' against the slope of H, inside the support
+    up, down = tr.forward(xs + h), tr.forward(xs - h)
+    inside = np.isfinite(up) & np.isfinite(down)
+    assert inside.sum() >= 40
+    assert np.allclose(np.exp(tr.log_jacobian(xs[inside])),
+                       (up[inside] - down[inside]) / (2.0 * h), rtol=1e-6)
+
+
+@pytest.mark.parametrize("tr", NUMERIC_INVERSES, ids=repr)
+def test_gh_and_k_pdf_normalizes(tr):
+    p = transform.TransformParams(NORMAL, STD_LOC, tr)
+    mass = base.integrate(p.pdf, -np.inf, 0.0, tol=1e-11) + base.integrate(p.pdf, 0.0, np.inf,
+                                                                          tol=1e-11)
+    assert mass == pytest.approx(1.0, abs=1e-9)
+
+
+def test_numeric_forward_brackets_every_finite_target():
+    # beyond 60 doublings of the first bracket, H(1e40) = 1e20 for K(0.5)
+    assert transform.KTransform(0.5).forward(1e40) == pytest.approx(1e20, rel=1e-14)
+    assert transform.KTransform(0.0).forward(1e30) == pytest.approx(1e30, rel=1e-14)
+    assert transform.KTransform(0.0).forward(-1e300) == pytest.approx(-1e300, rel=1e-14)
+    g = transform.GhTransform(0.5, 0.2)
+    for x in (1e30, 1e300, -1e300):
+        assert g.inverse(g.forward(x)) == pytest.approx(x, rel=1e-12)
+
+
+def test_bounded_gh_support_ends_in_infinity():
+    # with h = 0 and g < 0, H^(-1) rises to 1/|g| and no further
+    tr = transform.GhTransform(-1.0, 0.0)
+    out = tr.forward(np.array([-1e300, 0.5, 1.0 - 2.0 ** -52, 1.0, 2.0]))
+    assert np.isfinite(out[:3]).all() and out[3] == out[4] == math.inf
+    assert out[1] == pytest.approx(math.log(2.0), rel=1e-14)
+    p = transform.TransformParams(NORMAL, STD_LOC, tr)
+    assert np.array_equal(p.log_pdf(np.array([1.0, 2.0])), [-math.inf, -math.inf])
+    assert np.array_equal(p.cdf(np.array([1.0, 2.0])), [1.0, 1.0])
+    assert transform.GhTransform(0.7, 0.0).forward(-1.0 / 0.7) == -math.inf
+
+
+def test_gh_moments_diverge_from_order_one_over_h():
+    from flexdist import measures
+
+    p = transform.TransformParams(NORMAL, STD_LOC, transform.GhTransform(0.5, 0.25))
+    assert p.moment_order_bound() == 4.0
+    assert measures.moment(p, 4) == math.inf
+    assert math.isfinite(measures.moment(p, 1))
+    assert transform.TransformParams(NORMAL, STD_LOC, transform.GhTransform(
+        0.5, 0.0)).moment_order_bound() == math.inf
 
 
 def test_gh_inverse_identity_and_origin():
