@@ -11,7 +11,9 @@ as they were:
 
 The datasets are normal, t_3, skew-normal (delta = 4) and gamma(2) draws at
 n = 200 and n = 10^4, plus one all-positive sample on which the skew-normal
-fit ends at its frontier.  The commands are ``fit --all`` under both
+and two-piece fits end at their frontier, and its reflection, the
+all-negative sample, on which the two-piece location lands on the sample
+maximum rather than the minimum.  The commands are ``fit --all`` under both
 two-piece scalings, ``fit --family F`` for every fittable family (both
 scalings where the family has them), and ``test`` for the four nested pairs
 at ``--reps 99`` on the n = 200 datasets.  The distribution layer follows:
@@ -57,6 +59,7 @@ def datasets() -> dict:
         out[f"skew_normal_{n}"] = c * u0 + np.sqrt(1.0 - c * c) * u1
         out[f"gamma_{n}"] = rng.gamma(2.0, size=n)
     out["positive_200"] = np.abs(rng.standard_normal(200)) + 0.1
+    out["negative_200"] = -out["positive_200"]
     return out
 
 

@@ -1,7 +1,8 @@
 """Likelihood fitting, information-criterion ranking, and calibrated tests.
 
 Families are fit by maximum likelihood over an unconstrained
-reparameterization (log sigma, bounded-tanh delta, log nu).  One kernel,
+reparameterization (log sigma, a capped tanh of a skewing delta, log nu, and
+for both two-piece scalings the log of the ISF side-scale ratio).  One kernel,
 _Family.nll, serves every optimized family: it evaluates a batch of
 parameter rows against standardized data rows by summing the family's
 per-point log-density logf, the function its distribution's log_pdf calls
@@ -22,18 +23,19 @@ deterministic, so fits draw no random numbers.  Two families are fit
 exactly, without the optimizer: the normal family has a closed form, and the
 two-piece normal family an exact profile-likelihood path, where for fixed mu
 the optimal scale and asymmetry are closed-form, so the fit reduces to a
-one-dimensional search over mu, batched over the data rows.  nelder_mead,
-a thin adapter over scipy's Nelder-Mead simplex, is a public utility; no fit
-uses it.
+one-dimensional search over mu, batched over the data rows.  A two-piece fit
+runs in ISF coordinates under either scaling: the scaling sets only the cap
+on the asymmetry and the form of the report.  nelder_mead, a thin adapter
+over scipy's Nelder-Mead simplex, is a public utility; no fit uses it.
 
 One table, _FAMILIES, describes every family, the eight fit by maximum
 likelihood and gh_normal and k_normal.  An entry holds the family's shape
 parameters in report order, each with the map between its optimizer
-coordinate and its natural value (a clipped log box, a capped tanh, or the
-epsilon tanh), the distribution constructor, the log-density and starts,
-the exact fitter where there is one, and the shape whose cap sets
-boundary_flag.  distribution_for, FAMILY_ORDER, the generic decode, encode
-and boundary rule, and the CLI's family flags all read it.
+coordinate and its natural value (a clipped log box or a capped tanh), the
+distribution constructor, the log-density and starts, the exact fitter where
+there is one, and the shape whose cap sets boundary_flag.  distribution_for,
+FAMILY_ORDER, the generic decode, encode and boundary rule, and the CLI's
+family flags all read it.
 """
 
 import math
@@ -95,8 +97,6 @@ NESTED_PAIRS = frozenset(
 # other pairs the alternative's own first start already sits at the normal
 # MLE after standardization, or the alternative is fit exactly
 _EMBEDDED_PAIRS = frozenset({("t", "skew_t")})
-
-_LOG_TWO = math.log(2.0)
 
 # slope at the origin of the capped tanh maps (see _TanhCap)
 _MAP_SLOPE = 10.0
@@ -341,14 +341,8 @@ def _opg_seed(spec, w, t, rows, cfg):
 # says whether a fitted value lies on the frontier that boundary_flag reports.
 
 
-class _Map:
-    def of(self, scaling: str) -> "_Map":
-        """The map under a two-piece scaling; most maps serve both."""
-        return self
-
-
 @dataclass(frozen=True)
-class _LogBox(_Map):
+class _LogBox:
     """v = exp(t) clipped to the box [lo, hi]; outside it the slope is zero."""
 
     lo: float
@@ -368,7 +362,7 @@ class _LogBox(_Map):
 
 
 @dataclass(frozen=True)
-class _TanhCap(_Map):
+class _TanhCap:
     """delta = cap * tanh(_MAP_SLOPE * t / cap): unbounded in t, bounded by cap."""
 
     cap: float
@@ -385,45 +379,19 @@ class _TanhCap(_Map):
         return self.cap - abs(delta) <= _FRONTIER_TOL
 
 
-@dataclass(frozen=True)
-class _EpsilonTanh(_Map):
-    """delta = cap * tanh(t) with a cap just below 1: the epsilon asymmetry.
-
-    Not a _TanhCap with slope cap, whose cap * t / cap rounds.
-    """
-
-    cap: float
-
-    def decode(self, t):
-        th = np.tanh(t)
-        return self.cap * th, self.cap * (1.0 - th * th)
-
-    def encode(self, delta):
-        return np.arctanh(np.clip(delta / self.cap, -1.0 + 1e-12, 1.0 - 1e-12))
-
-    def at_cap(self, delta) -> bool:
-        # against 1, the edge of the scaling's domain, not against the cap
-        return 1.0 - abs(delta) <= _FRONTIER_TOL
-
-
-@dataclass(frozen=True)
-class _ByScaling(_Map):
-    """The two-piece asymmetry, whose map follows FitConfig.scaling."""
-
-    isf: _Map
-    epsilon: _Map
-
-    def of(self, scaling):
-        return getattr(self, scaling)
-
-
 _NU = _LogBox(0.5, 200.0)
 _ETA = _LogBox(1e-3, 1e3)
-_ISF = _LogBox(1e-4, 1e4)
 _SKEW = _TanhCap(200.0)
 _SAS = _TanhCap(50.0)
-_EPSILON = _EpsilonTanh(1.0 - 1e-6)
-_TWO_PIECE = _ByScaling(_ISF, _EPSILON)
+# Both two-piece scalings are fit in one coordinate, t = log of the ISF
+# side-scale ratio delta_ISF, and differ only in its box.  Epsilon's delta is
+# tanh t and its sigma sigma_ISF cosh t, so its cap c on |delta| is the ratio
+# box [sqrt((1 - c)/(1 + c)), sqrt((1 + c)/(1 - c))], |t| <= artanh(c).
+_ISF = _LogBox(1e-4, 1e4)
+_EPSILON_CAP = 1.0 - 1e-6
+_EPSILON = _LogBox(math.sqrt((1.0 - _EPSILON_CAP) / (1.0 + _EPSILON_CAP)),
+                   math.sqrt((1.0 + _EPSILON_CAP) / (1.0 - _EPSILON_CAP)))
+_ASYMMETRY = {"isf": _ISF, "epsilon": _EPSILON}
 
 
 def _sigma_of(ls):
@@ -547,23 +515,18 @@ def _starts_two_piece(w, cfg, with_nu):
     the frontier optimum of samples like the all-positive one lies there.
     """
     m = w.shape[0]
-    epsilon = cfg.scaling == "epsilon"
+    box = _ASYMMETRY[cfg.scaling]
     nu = (math.log(5.0),) if with_nu else ()
     out = []
     for q in (0.25, 0.5, 0.75):
         mu0 = np.quantile(w, q, axis=1)
         p_left = np.clip(np.mean(w < mu0[:, None], axis=1), 0.05, 0.95)
-        if epsilon:
-            td = _EPSILON.encode(1.0 - 2.0 * p_left)
-        else:
-            td = _ISF.encode(np.sqrt(1.0 / p_left - 1.0))
-        out.append(_points(m, mu0, 0.0, *nu, td))
+        out.append(_points(m, mu0, 0.0, *nu, box.encode(np.sqrt(1.0 / p_left - 1.0))))
     sign = _skewness_sign(_third_moment(w))
     mu_c, ls_c, _ = _chase_start(w, sign)
     # log of the wide side's scale over sigma at the cap
-    wide = _LOG_TWO if epsilon else math.log(_ISF.hi)
-    td = sign * (_EPSILON.encode(_EPSILON.cap) if epsilon else wide)
-    out.append(_points(m, mu_c, ls_c - wide, *nu, td))
+    wide = math.log(box.hi)
+    out.append(_points(m, mu_c, ls_c - wide, *nu, sign * wide))
     return out
 
 
@@ -585,7 +548,9 @@ class FitConfig:
     step's max-norm is at most xatol and it lowers the negative
     log-likelihood by at most fatol, when several steps in a row each lower
     it by at most fatol, or after maxiter iterations (default 400 per free
-    parameter).  scaling picks the two-piece parameterization.
+    parameter).  scaling, isf or epsilon, picks only the cap on the two-piece
+    asymmetry and the form of the reported sigma and delta: both scalings
+    fit the same laws in the same ISF coordinates.
     """
 
     restarts: int = 5
@@ -701,13 +666,14 @@ def _normal_rows(w: np.ndarray, cfg: FitConfig) -> _RowFits:
 def _two_piece_rows(w: np.ndarray, cfg: FitConfig) -> _RowFits:
     """Exact two-piece normal MLE of every data row via the profile likelihood in mu.
 
-    For fixed mu, with L and R the left/right sums of squared deviations,
-    the inverse-scale-factor optimum is delta = (R/L)^(1/6) and
-    sigma^2 = (delta^2 L + R / delta^2) / n, both closed form.  All rows at
-    once, the profile is maximized over each row's candidate grid (its data
-    points, their midpoints and its mean) and refined by golden-section
-    search between the best grid point's neighbours.  A row's iterations are
-    its golden-section evaluations.
+    For fixed mu, with L and R the sums of squared deviations of the points
+    below and above mu, the inverse-scale-factor optimum is delta = (R/L)^(1/6),
+    clipped to the box of cfg.scaling's cap, and sigma^2 = (delta^2 L + R /
+    delta^2) / n, both closed form.  All rows at once, the profile is
+    maximized over each row's candidate grid (its data points, their
+    midpoints and its mean) and refined by golden-section search between the
+    best grid point's neighbours.  A row's iterations are its golden-section
+    evaluations.
     """
     m, n = w.shape
     per = _rows_per_batch(2 * n)
@@ -715,43 +681,58 @@ def _two_piece_rows(w: np.ndarray, cfg: FitConfig) -> _RowFits:
         parts = [_two_piece_rows(w[i : i + per], cfg) for i in range(0, m, per)]
         return _RowFits(*map(np.concatenate, zip(*parts)))
     r, j = np.arange(m), np.arange(n)
+    box = _ASYMMETRY[cfg.scaling]
     xs = np.sort(w, axis=1)
-    s1, s2 = (np.pad(np.cumsum(v, axis=1), ((0, 0), (1, 0))) for v in (xs, xs * xs))
+    # sums of the first k points of each row (p) and of all but its first k
+    # (q), each accumulated from its own end of the sample
+    p1, p2 = (np.pad(np.cumsum(v, axis=1), ((0, 0), (1, 0))) for v in (xs, xs * xs))
+    q1, q2 = (np.pad(np.cumsum(v[:, ::-1], axis=1)[:, ::-1], ((0, 0), (0, 1)))
+              for v in (xs, xs * xs))
 
-    def sums(k):
-        # count, sum and sum of squares of the k (m, p) points below mu and of the others
-        s1k, s2k = s1[r[:, None], k], s2[r[:, None], k]
-        return np.array([[k, n - k], [s1k, s1[:, n:] - s1k], [s2k, s2[:, n:] - s2k]])
+    def sums(below, above):
+        # count, sum and sum of squares of the first `below` (m, p) points of
+        # each row, those below mu, and of all but its first `above`, those
+        # above mu: a point equal to mu adds nothing and lies on neither side,
+        # so an empty side sums to exactly 0 at either end of the sample
+        rows = r[:, None]
+        return np.array([[below, n - above], [p1[rows, below], q1[rows, above]],
+                         [p2[rows, below], q2[rows, above]]])
 
     def profile(mu, count, total, squares):
         # log-likelihood, delta and sigma^2 at mu; NaN where every point equals mu
         left, right = np.maximum(squares - 2.0 * mu * total + count * mu * mu, 0.0)
-        delta = np.minimum(np.maximum((right / left) ** (1.0 / 6.0), _ISF.lo), _ISF.hi)
+        delta = np.minimum(np.maximum((right / left) ** (1.0 / 6.0), box.lo), box.hi)
         d2 = delta * delta
         var = (d2 * left + right / d2) / n
         ll = n * np.log(2.0 / (delta + 1.0 / delta)) - 0.5 * n * np.log(var)
         return ll - (0.5 * n + n * LOG_SQRT_TWO_PI), delta, var
 
-    # the grid, and each grid point's count of data points strictly below it:
-    # for a data point the start of its run of ties
+    # the grid, and each grid point's counts of data points below it and at
+    # or below it: for a data point the start and the end of its run of ties
     mids = 0.5 * (xs[:, :-1] + xs[:, 1:])
     grid = np.concatenate((xs, mids, np.mean(xs, axis=1, keepdims=True)), axis=1)
     first = np.maximum.accumulate(np.where(np.diff(xs, axis=1, prepend=-np.inf) > 0, j, 0), axis=1)
-    k = np.concatenate((first, np.where(mids > xs[:, :-1], j[1:], first[:, :-1]),
-                        np.count_nonzero(xs < grid[:, -1:], axis=1, keepdims=True)), axis=1)
+    last = np.minimum.accumulate(
+        np.where(np.diff(xs, axis=1, append=np.inf) > 0, j + 1, n)[:, ::-1], axis=1)[:, ::-1]
+    below = np.concatenate((first, np.where(mids > xs[:, :-1], j[1:], first[:, :-1]),
+                            np.count_nonzero(xs < grid[:, -1:], axis=1, keepdims=True)), axis=1)
+    upto = np.concatenate((last, np.where(mids < xs[:, 1:], j[1:], last[:, 1:]),
+                           np.count_nonzero(xs <= grid[:, -1:], axis=1, keepdims=True)), axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ll = profile(grid, *sums(k))[0]
+        ll = profile(grid, *sums(below, upto))[0]
         i = np.argmax(ll, axis=1)
         best, ll_best = grid[r, i], ll[r, i]
         # no data point lies strictly between best and either neighbour, so in
-        # the bracket the count below mu is k[r, i] up to best and k_hi beyond
+        # the bracket the points below mu are the first below[r, i] up to
+        # best and the first upto[r, i] beyond it, and those above mu the rest
         lo = np.max(np.where(grid < best[:, None], grid, xs[:, :1]), axis=1)
         hi = np.min(np.where(grid > best[:, None], grid, xs[:, -1:]), axis=1)
-        k_hi = np.count_nonzero(xs <= best[:, None], axis=1)
-        sides = np.moveaxis(sums(np.column_stack((k[r, i], k_hi))), -1, 0)
+        k = np.column_stack((below[r, i], upto[r, i]))
+        sides = np.moveaxis(sums(k, k), -1, 0)
 
         def bracketed(mu, best, sides):
-            return profile(mu, *np.where(mu > best, sides[1], sides[0]))
+            # at mu = best, best itself lies on neither side
+            return profile(mu, *np.where([mu > best, mu >= best], sides[1], sides[0]))
 
         def search(mu, rows, best, sides):
             evals[rows] += 1
@@ -762,12 +743,7 @@ def _two_piece_rows(w: np.ndarray, cfg: FitConfig) -> _RowFits:
         mu = golden_section_max(search, lo, hi, 1e-7 * span, (r, best, sides))
         mu = np.where(bracketed(mu, best, sides)[0] < ll_best, best, mu)
         ll, delta, var = bracketed(mu, best, sides)
-        sigma = np.sqrt(var)
-        if cfg.scaling == "epsilon":
-            d2 = delta * delta
-            delta = np.clip((d2 - 1.0) / (d2 + 1.0), -_EPSILON.cap, _EPSILON.cap)
-            sigma = sigma / np.sqrt(1.0 - delta * delta)
-        t = np.column_stack((mu, np.log(sigma), _TWO_PIECE.of(cfg.scaling).encode(delta)))
+        t = np.column_stack((mu, np.log(np.sqrt(var)), box.encode(delta)))
     return _RowFits(t, -ll, evals, np.ones(m, dtype=bool))
 
 
@@ -784,7 +760,7 @@ def _two_piece(loc, delta, nu=None, scaling="isf"):
 
 class _Shape(NamedTuple):
     name: str
-    map: Optional[_Map] = None  # None where no likelihood fit optimizes it
+    map: "Optional[_LogBox | _TanhCap]" = None  # None where no likelihood fit optimizes it
     col: Optional[int] = None  # its optimizer coordinate
 
 
@@ -794,12 +770,14 @@ class _Family:
 
     Every family has a location mu and a scale sigma, optimized as mu and
     log sigma in coordinates 0 and 1.  shapes holds the other parameters in
-    report order, each with its map and coordinate.  make builds the
-    distribution from a LocationScale and the shapes as keywords, plus the
-    scaling where scaled (the two-piece families, whose reports carry it).
+    report order, each with its map and coordinate; a scaled family (the
+    two-piece families, whose reports carry the scaling) fits its asymmetry
+    in ISF coordinates under either scaling, boxed by the scaling's cap, and
+    reports it in the scaling's form.  make builds the distribution from a
+    LocationScale and the shapes as keywords, plus the scaling where scaled.
     logf is the family's per-point log-density, which the distribution
     built by make evaluates too: logf(z, *shapes) at standardized points z,
-    the shapes in report order, plus the scaling where scaled.  starts is
+    the shapes in report order; a scaled family's is ISF's.  starts is
     the optimizer's start list, and penalty, where set, a term of the
     negative log-likelihood in the shapes.  exact, where set, fits every
     data row without the optimizer instead (the normal family, which has no
@@ -824,16 +802,19 @@ class _Family:
     def n_free(self) -> int:
         return 2 + len(self.shapes)
 
+    def maps(self, cfg: FitConfig) -> list:
+        """Each shape's map; the two-piece asymmetry's box is cfg.scaling's."""
+        return [_ASYMMETRY[cfg.scaling] if s.map is _ISF else s.map for s in self.shapes]
+
     def terms(self, t, w, cfg: FitConfig):
         """z (k, n) of data rows w under parameter rows t (k, d), logf(z) and
         its partials in z and each shape, and each shape's (k,) values and
         slopes in t; a shape's partial is asked for where its slope is not 0."""
-        decoded = [s.map.of(cfg.scaling).decode(t[:, s.col]) for s in self.shapes]
+        decoded = [m.decode(t[:, s.col]) for s, m in zip(self.shapes, self.maps(cfg))]
         values, slopes = [v for v, _ in decoded], [m for _, m in decoded]
         z = (w - t[:, :1]) * np.exp(-t[:, 1:2])
-        scaling = {"scaling": cfg.scaling} if self.scaled else {}
         grad = tuple(m[:, None] != 0.0 for m in slopes)
-        logf, dz, *d = self.logf(z, *(v[:, None] for v in values), grad=grad, **scaling)
+        logf, dz, *d = self.logf(z, *(v[:, None] for v in values), grad=grad)
         return z, logf, dz, d, values, slopes
 
     def nll(self, t, w, cfg: FitConfig):
@@ -855,21 +836,33 @@ class _Family:
     def decode(self, t, cfg: FitConfig) -> dict:
         """Natural parameters, in report order, of optimizer coordinates t."""
         out = {"mu": float(t[0]), "sigma": float(_sigma_of(t[1]))}
-        for s in self.shapes:
-            out[s.name] = float(s.map.of(cfg.scaling).decode(t[s.col])[0])
+        for s, m in zip(self.shapes, self.maps(cfg)):
+            if m is _EPSILON:
+                # epsilon's delta = tanh t and sigma = sigma_ISF cosh t, each
+                # from t itself: through exp(t), delta = 1e-146 would round to 0
+                u = np.clip(t[s.col], math.log(m.lo), math.log(m.hi))
+                out["sigma"], out[s.name] = float(out["sigma"] * np.cosh(u)), float(np.tanh(u))
+            else:
+                out[s.name] = float(m.decode(t[s.col])[0])
         return out
 
     def encode(self, params: dict, cfg: FitConfig) -> np.ndarray:
         t = [float(params["mu"]), math.log(float(params["sigma"]))] + [0.0] * len(self.shapes)
-        for s in self.shapes:
-            t[s.col] = s.map.of(cfg.scaling).encode(params[s.name])
+        for s, m in zip(self.shapes, self.maps(cfg)):
+            if m is _EPSILON:
+                u = float(np.clip(np.arctanh(params[s.name]), math.log(m.lo), math.log(m.hi)))
+                t[1], t[s.col] = t[1] - math.log(math.cosh(u)), u
+            else:
+                t[s.col] = m.encode(params[s.name])
         return np.array(t)
 
     def at_boundary(self, params: dict, cfg: FitConfig) -> bool:
         if self.boundary is None:
             return False
-        shape = next(s for s in self.shapes if s.name == self.boundary)
-        return shape.map.of(cfg.scaling).at_cap(params[self.boundary])
+        m = next(m for s, m in zip(self.shapes, self.maps(cfg)) if s.name == self.boundary)
+        delta = params[self.boundary]
+        # epsilon's delta against 1, the edge of its domain, not against its cap
+        return 1.0 - abs(delta) <= _FRONTIER_TOL if m is _EPSILON else m.at_cap(delta)
 
 
 _FAMILIES = {f.name: f for f in (
@@ -886,11 +879,11 @@ _FAMILIES = {f.name: f for f in (
     _Family("sas_normal",
             lambda loc, delta, eta: TransformParams(normal_base(), loc, SasTransform(delta, eta)),
             (_Shape("delta", _SAS, 2), _Shape("eta", _ETA, 3)), sas_logf, _starts_sas, "delta"),
-    _Family("twopiece_normal", _two_piece, (_Shape("delta", _TWO_PIECE, 2),), two_piece_logf,
+    _Family("twopiece_normal", _two_piece, (_Shape("delta", _ISF, 2),), two_piece_logf,
             partial(_starts_two_piece, with_nu=False), "delta", scaled=True,
             exact=_two_piece_rows),
     # reports delta before nu, but optimizes log nu before delta
-    _Family("twopiece_t", _two_piece, (_Shape("delta", _TWO_PIECE, 3), _Shape("nu", _NU, 2)),
+    _Family("twopiece_t", _two_piece, (_Shape("delta", _ISF, 3), _Shape("nu", _NU, 2)),
             partial(two_piece_logf, base=t_logf), partial(_starts_two_piece, with_nu=True),
             "delta", scaled=True),
     _Family("gh_normal",

@@ -72,7 +72,10 @@ class IsfScaling(_Scaling):
 def two_piece_logf(z, delta, *shapes, scaling="isf", base=normal_logf, grad=None):
     """log a f(s z), s = s_left below 0 and s_right above, for the scaling's
     s_left, s_right and a at delta and the base log-density f (normal unless
-    given, its shapes after delta), in the form of base.normal_logf."""
+    given, its shapes after delta), in the form of base.normal_logf.  Fits
+    run in ISF coordinates under either scaling, so the partials are ISF's."""
+    if grad is not None and scaling != "isf":
+        raise ValueError("two_piece_logf gives partials under the isf scaling only")
     s_l, s_r, a = scales(delta, scaling)
     left = z < 0.0
     s = np.where(left, s_l, s_r)
@@ -81,10 +84,9 @@ def two_piece_logf(z, delta, *shapes, scaling="isf", base=normal_logf, grad=None
     if grad is None:
         return np.log(a) + f
     f, dv, *d_base = f
-    # partials in delta of log s_left, log s_right and log a
-    ds_l, ds_r, d_log_a = ((s_l, -s_r, 0.0) if scaling == "epsilon" else (
-        1.0 / delta, -1.0 / delta, (1.0 - delta * delta) / (delta * (delta * delta + 1.0))))
-    ds = np.where(left, ds_l, ds_r)
+    # partials in delta of log s_left = -log s_right, and of log a
+    ds = np.where(left, 1.0 / delta, -1.0 / delta)
+    d_log_a = (1.0 - delta * delta) / (delta * (delta * delta + 1.0))
     return np.log(a) + f, dv * s, dv * v * ds + d_log_a, *d_base
 
 

@@ -4,7 +4,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from flexdist import base, infer, skewsym, transform, twopiece
@@ -329,40 +329,56 @@ def test_fit_two_piece_epsilon_scaling():
     assert abs(fit.params["mu"] - 1.0) < 0.15
 
 
-def test_fit_two_piece_profile_matches_simplex():
-    data = _isf_sample(3_000, 2.0, seed=15)
-    prof = infer.fit_mle("twopiece_normal", data)
+# an interior sample, and a frontier one whose optimum puts mu on the sample
+# minimum and the asymmetry on its cap
+TWO_PIECE_SAMPLES = {
+    "interior": lambda: _isf_sample(3_000, 2.0, seed=15),
+    "frontier": lambda: 2.0 + np.abs(np.random.default_rng([91, 3]).standard_normal(200)),
+}
+
+
+@pytest.mark.parametrize("sample", sorted(TWO_PIECE_SAMPLES))
+@pytest.mark.parametrize("scaling", ["isf", "epsilon"])
+def test_fit_two_piece_profile_matches_simplex(scaling, sample):
+    data = TWO_PIECE_SAMPLES[sample]()
+    cfg = infer.FitConfig(scaling=scaling)
+    prof = infer.fit_mle("twopiece_normal", data, cfg)
     spec = replace(infer._FAMILIES["twopiece_normal"], exact=None)
-    bfgs = infer._fit(spec, data, infer.FitConfig())
+    bfgs = infer._fit(spec, data, cfg)
     assert prof.loglik >= bfgs.loglik - 1e-6
+    assert prof.boundary_flag == bfgs.boundary_flag == (sample == "frontier")
     for key in ("mu", "sigma", "delta"):
         assert prof.params[key] == pytest.approx(bfgs.params[key],
                                                  abs=2e-3)
 
 
 def _two_piece_reference(row, cfg):
-    """Reference profile fit of one row, in scalar arithmetic: the closed form,
-    bisect for the count below mu, and a scalar golden-section search.
-    Returns mu, nll, golden-section evaluations, delta and sigma."""
-    from bisect import bisect_left
+    """Reference profile fit of one row, in scalar arithmetic: the closed form
+    under the scaling's box, bisect for the points below and above mu, and a
+    scalar golden-section search.  Returns mu, nll, golden-section
+    evaluations, and delta and sigma in the scaling's form."""
+    from bisect import bisect_left, bisect_right
 
     xs = np.sort(row)
     n = xs.size
     xl = xs.tolist()
-    s1 = np.concatenate(([0.0], np.cumsum(xs))).tolist()
-    s2 = np.concatenate(([0.0], np.cumsum(xs * xs))).tolist()
-    isf = infer._ISF
+    # prefix sums for the points below mu and suffix sums for those above it
+    p1 = np.concatenate(([0.0], np.cumsum(xs))).tolist()
+    p2 = np.concatenate(([0.0], np.cumsum(xs * xs))).tolist()
+    q1 = np.concatenate((np.cumsum(xs[::-1])[::-1], [0.0])).tolist()
+    q2 = np.concatenate((np.cumsum((xs * xs)[::-1])[::-1], [0.0])).tolist()
+    box = infer._ASYMMETRY[cfg.scaling]
 
     def at(mu):
-        k = bisect_left(xl, mu)
-        left = max(s2[k] - 2.0 * mu * s1[k] + k * mu * mu, 0.0)
-        right = max((s2[n] - s2[k]) - 2.0 * mu * (s1[n] - s1[k]) + (n - k) * mu * mu, 0.0)
+        k, j = bisect_left(xl, mu), bisect_right(xl, mu)
+        left = max(p2[k] - 2.0 * mu * p1[k] + k * mu * mu, 0.0)
+        right = max(q2[j] - 2.0 * mu * q1[j] + (n - j) * mu * mu, 0.0)
         if left <= 0.0:
-            delta = isf.hi
+            delta = box.hi
         elif right <= 0.0:
-            delta = isf.lo
+            delta = box.lo
         else:
-            delta = min(max((right / left) ** (1.0 / 6.0), isf.lo), isf.hi)
+            delta = min(max((right / left) ** (1.0 / 6.0), box.lo), box.hi)
         var = (delta * delta * left + right / (delta * delta)) / n
         ll = (n * math.log(2.0 / (delta + 1.0 / delta)) - 0.5 * n * math.log(var)
               - (0.5 * n + n * base.LOG_SQRT_TWO_PI))
@@ -393,9 +409,10 @@ def _two_piece_reference(row, cfg):
         mu = float(cands[i])
     ll, delta, sigma = at(mu)
     if cfg.scaling == "epsilon":
-        d2 = delta * delta
-        delta = min(max((d2 - 1.0) / (d2 + 1.0), -infer._EPSILON.cap), infer._EPSILON.cap)
-        sigma /= math.sqrt(1.0 - delta * delta)
+        # the same law in epsilon's form: delta = tanh t and sigma cosh t at
+        # t = log of the ISF delta
+        t = math.log(delta)
+        delta, sigma = math.tanh(t), sigma * math.cosh(t)
     return mu, -ll, evals, delta, sigma
 
 
@@ -562,6 +579,51 @@ def test_fit_equivariance_under_affine_maps():
             for key in shape_keys:
                 assert f1.params[key] == pytest.approx(
                     f0.params[key], abs=1e-4), (fam, a, key)
+
+
+# laws of the reflection property: 2 + |N(0, 1)| puts the two-piece optimum
+# on the frontier, mu on the sample minimum of x and the maximum of -x
+REFLECTION_LAWS = {
+    "normal": lambda rng, n: rng.standard_normal(n),
+    "t3": lambda rng, n: rng.standard_t(3.0, size=n),
+    "gamma": lambda rng, n: rng.gamma(2.0, size=n),
+    "positive": lambda rng, n: 2.0 + np.abs(rng.standard_normal(n)),
+}
+# every family the likelihood fits, under each scaling it takes, but
+# twopiece_t, whose kinks in mu make its fits depend on the optimizer's path
+REFLECTION_CASES = [(family, scaling) for family in infer.FAMILY_ORDER if family != "twopiece_t"
+                    for scaling in (("isf", "epsilon") if infer._FAMILIES[family].scaled
+                                    else ("isf",))]
+
+
+def _reflected(family, scaling, name, value):
+    """A shape's value in the fit of -x, given its value in the fit of x."""
+    if name in ("nu", "eta"):
+        return value
+    return 1.0 / value if family.startswith("twopiece") and scaling == "isf" else -value
+
+
+@pytest.mark.parametrize("family, scaling", REFLECTION_CASES)
+@settings(max_examples=10, deadline=None)
+@given(law=st.sampled_from(sorted(REFLECTION_LAWS)), seed=st.integers(0, 2**32 - 1),
+       n=st.sampled_from((50, 200)))
+@example(law="positive", seed=3, n=200)
+@example(law="positive", seed=7, n=200)
+def test_fits_reflect_with_the_data(family, scaling, law, seed, n):
+    # fit_mle(-x) gives -mu, the same sigma, the reflected shapes and the
+    # same boundary flag and log-likelihood; the two-piece profile locates mu
+    # to 1e-7 of the sample's range, and its searches of x and -x may end
+    # apart by up to that, which moves sigma and delta by up to about 1e-6
+    x = REFLECTION_LAWS[law](np.random.default_rng([91, seed]), n)
+    cfg = infer.FitConfig(scaling=scaling)
+    fit, flip = infer.fit_mle(family, x, cfg), infer.fit_mle(family, -x, cfg)
+    assert flip.loglik == pytest.approx(fit.loglik, rel=1e-9, abs=0.0)
+    assert flip.boundary_flag == fit.boundary_flag
+    assert flip.params["mu"] == pytest.approx(-fit.params["mu"], rel=0.0, abs=1e-7 * np.ptp(x))
+    assert flip.params["sigma"] == pytest.approx(fit.params["sigma"], rel=1e-6, abs=0.0)
+    for name in REPORT_ORDER[family][2:]:
+        assert flip.params[name] == pytest.approx(
+            _reflected(family, scaling, name, fit.params[name]), rel=1e-6, abs=1e-6), name
 
 
 def test_fit_reproducibility_bit_identical():
@@ -876,18 +938,19 @@ def test_kernel_score_matches_central_differences(case, data):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_logf_partials_match_central_differences(case, data):
-    # each family's per-point partials, which the BHHH seed reads point by point
+    # each family's per-point partials, which the BHHH seed reads point by point;
+    # a two-piece family's logf is ISF's under either scaling, and the
+    # epsilon cases evaluate it at asymmetries inside the epsilon box
     family, scaling, shape = SCORE_CASES[case]
-    spec = infer._FAMILIES[family or "skew_normal"]
-    scaled = {"scaling": scaling} if spec.scaled else {}
+    spec, cfg = infer._FAMILIES[family or "skew_normal"], infer.FitConfig(scaling=scaling)
 
     def logf(z, values, grad=None):
-        return spec.logf(z, *(np.array([[v]]) for v in values), grad=grad, **scaled)
+        return spec.logf(z, *(np.array([[v]]) for v in values), grad=grad)
 
     z = np.array([data.draw(st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=10))])
     assume(np.min(np.abs(z)) > 1e-3)   # the two-piece kink at 0
     coords = [data.draw(c) for c in shape]   # in optimizer order, after mu and log sigma
-    values = [float(s.map.of(scaling).decode(coords[s.col - 2])[0]) for s in spec.shapes]
+    values = [float(m.decode(coords[s.col - 2])[0]) for s, m in zip(spec.shapes, spec.maps(cfg))]
     h = 1e-6
     with np.errstate(all="ignore"):
         val, dz, *d = logf(z, values, grad=(np.array([[True]]),) * len(values))
@@ -1048,9 +1111,6 @@ class _UnitSlopeNu:
 
     def __init__(self, nu_map):
         self.nu_map = nu_map
-
-    def of(self, scaling):
-        return self
 
     def decode(self, t):
         nu, slope = self.nu_map.decode(t)

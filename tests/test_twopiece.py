@@ -162,6 +162,16 @@ def test_epsilon_isf_reparameterization():
     assert p_eps.mode() == pytest.approx(p_isf.mode(), abs=1e-5)
 
 
+def test_logf_partials_are_isf_only():
+    # fits run in ISF coordinates under either scaling, so only ISF's
+    # partials exist; epsilon still gives values
+    z = np.array([-1.0, 0.5])
+    assert np.allclose(twopiece.two_piece_logf(z, 0.5, scaling="epsilon"),
+                       _eps(0.5).log_pdf(z), rtol=0.0, atol=1e-15)
+    with pytest.raises(ValueError, match="isf scaling only"):
+        twopiece.two_piece_logf(z, 0.5, scaling="epsilon", grad=(True,))
+
+
 def test_mode_is_mu():
     for p in (_isf(2.0), _isf(0.3), _eps(0.9), _eps(-0.5),
               _isf(5.0, mu=-2.0, sigma=3.0, b=base.student_base(2.0))):
