@@ -11,7 +11,9 @@ location-scale step and the coordinate maps' slopes into analytic scores
 (the skew-t differences its one partial without a closed form).  One
 batched quasi-Newton optimizer (BFGS with a backtracking line search) drives
 the kernel: a fit runs all of its start points in one batch, and a
-bootstrap test refits all replicates and their starts in one batch.  Each
+bootstrap test refits all replicates and their starts in one batch; where
+two cores are usable and the batch is large, a forked child runs half of its
+problems, with results bit-identical to one process's.  Each
 run's inverse-Hessian approximation starts from the diagonal of
 the inverse outer product of the per-observation scores at its start point
 (the BHHH matrix, Berndt, Hall, Hall & Hausman 1974): each coordinate's
@@ -38,7 +40,13 @@ FAMILY_ORDER, the generic decode, encode and boundary rule, and the CLI's
 family flags all read it.
 """
 
+import contextlib
 import math
+import os
+import pickle
+import signal
+import traceback
+import warnings
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -125,6 +133,15 @@ _PENALTY_C2 = 1.0 / 3.0
 # of bootstrap replicates, so memory stays bounded at any n and B
 _BATCH_ELEMENTS = 1 << 20
 
+# problems x points of one _fit_rows call from which its problems run in two
+# processes.  A split costs 3-20 ms (the fork and copy-on-write faults).
+# Measured on 2 cores, every batch at or above this size ran in 0.53-0.77 of
+# its serial time (bootstrap refits at n = 200, four-start fits at n = 10^4),
+# while below it the split lost on most batches: t and skew_normal at
+# n = 2 000 and 10^4, twopiece_t at n = 2 000, the n = 100 bootstrap refits
+# of t, skew_normal and sas_normal, and the n = 200 single fits
+_SPLIT_ELEMENTS = 1 << 15
+
 # largest condition number of an outer product of scores that seeds BFGS;
 # a run whose matrix is worse (or not finite) starts from the identity
 _OPG_COND = 1e12
@@ -186,10 +203,14 @@ def _batch_bfgs(fn, x0, h0, xatol, fatol, maxiter):
     xatol and lowers the value by at most fatol, when _STALLS steps in a row
     lower it by at most fatol (a flat ridge), or when neither its search
     direction nor steepest descent holds a lower value at steps down to
-    xatol.  Converged problems
-    are frozen, and each problem's arithmetic is its own, so its result does
-    not depend on its batch-mates.  Returns per-problem best point, value,
-    iteration count and convergence flag.
+    xatol.  Converged problems are frozen.  Each problem's arithmetic is its
+    own, as long as fn computes each parameter row's value and score from
+    that row alone, bit for bit (row sums, not einsum, which takes another
+    path for a long row alone than in a batch): then a problem's result does
+    not depend on its batch-mates, and _batch_bfgs_in_two can run the
+    problems in two halves.  Returns per-problem best point, value,
+    iteration count and convergence flag; a counter added later must come
+    back in this tuple too, or the split's child would drop it.
     """
 
     def ev(t, rows):
@@ -297,6 +318,101 @@ def _batch_bfgs(fn, x0, h0, xatol, fatol, maxiter):
         fresh[r[scale]] = False
 
     return x, f, iters, conv
+
+
+def _splits(problems: int, n: int) -> bool:
+    """Whether _fit_rows runs its problems in two processes: two usable
+    cores, os.fork, at least two problems, and problems * n points of at
+    least _SPLIT_ELEMENTS."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return (
+        problems >= 2
+        and problems * n >= _SPLIT_ELEMENTS
+        and hasattr(os, "fork")
+        and affinity is not None
+        and len(affinity(0)) >= 2
+    )
+
+
+def _batch_bfgs_in_two(fn, x0, h0, *args):
+    """_batch_bfgs over the problems of x0 in two processes.
+
+    A forked child runs the odd-numbered problems and sends its whole result
+    back through a pipe while this process runs the even-numbered ones; the
+    halves merge by problem index.  A problem's arithmetic is its own, so
+    every result is bit-identical to the serial run's.  The child calls no
+    BLAS or LAPACK (_batch_bfgs and the kernels are elementwise and row
+    sums), ends with os._exit, so it never flushes inherited stdio or runs
+    atexit handlers, and never outlives the call: it is reaped on return,
+    and killed and reaped first where this process raises.  An exception in
+    the child is raised here, with the child's traceback as its cause; a
+    child that sends nothing raises ChildProcessError.
+    """
+    halves = [np.arange(start, len(x0), 2) for start in (0, 1)]
+
+    def half(idx):
+        return _batch_bfgs(
+            lambda t, rows: fn(t, idx[rows]), x0[idx], (h0[0][idx], h0[1][idx]), *args
+        )
+
+    here = _cpu_now()
+    read, write = os.pipe()
+    with warnings.catch_warnings():
+        # Python 3.12 warns on fork in a process with other OS threads, as
+        # numpy's BLAS pool makes every process here; the child touches no
+        # lock those threads may hold, since it runs no BLAS
+        warnings.filterwarnings(
+            "ignore", r"This process \(pid=\d+\) is multi-threaded", DeprecationWarning
+        )
+        pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(read)
+            if here is not None:
+                # a kernel that does not balance load across CPUs (a cpuset
+                # with sched_load_balance off) can leave the child on this
+                # process's CPU, where the two would take turns
+                with contextlib.suppress(OSError):
+                    os.sched_setaffinity(0, os.sched_getaffinity(0) - {here})
+            try:
+                out = (half(halves[1]), None)
+            except BaseException as exc:
+                out = (exc, RuntimeError("in the child process:\n" + traceback.format_exc()))
+            data = pickle.dumps(out)  # whole, so a failed pickle sends nothing
+            with open(write, "wb") as pipe:
+                pipe.write(data)
+        finally:
+            os._exit(0)
+    os.close(write)
+    got = b""
+    try:
+        with open(read, "rb") as pipe:
+            mine = half(halves[0])
+            got = pipe.read()
+    finally:
+        if not got:
+            os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    if not got:
+        raise ChildProcessError("the BFGS child process ended without a result")
+    theirs, cause = pickle.loads(got)
+    if cause is not None:
+        raise theirs from cause
+    merged = []
+    for a, b in zip(mine, theirs):
+        out = np.empty((len(x0),) + a.shape[1:], dtype=a.dtype)
+        out[halves[0]], out[halves[1]] = a, b
+        merged.append(out)
+    return tuple(merged)
+
+
+def _cpu_now() -> Optional[int]:
+    """The CPU the calling thread last ran on, where /proc tells it."""
+    try:
+        with open("/proc/thread-self/stat") as f:
+            return int(f.read().rsplit(")", 1)[1].split()[36])
+    except (OSError, ValueError, IndexError):
+        return None
 
 
 def _opg_seed(spec, w, t, rows, cfg):
@@ -828,7 +944,9 @@ class _Family:
             val, g = val + p, [a + b for a, b in zip(g, dp)]
         score = np.empty(t.shape)
         score[:, 0] = np.exp(-t[:, 1]) * dz.sum(axis=1)
-        score[:, 1] = w.shape[1] + np.einsum("ij,ij->i", dz, z)
+        # a row sum, not einsum: einsum's path for a long row depends on the
+        # row count, so a row's bits would depend on its batch-mates
+        score[:, 1] = w.shape[1] + (dz * z).sum(axis=1)
         for s, gs, slope in zip(self.shapes, g, slopes):
             score[:, s.col] = gs * slope
         return val, score
@@ -973,7 +1091,10 @@ def _fit_rows(spec: _Family, w: np.ndarray, cfg: FitConfig, extra=()) -> _RowFit
     A family with an exact fitter runs it.  The others run, for every row,
     the points in extra (each (m, d)) and then the first cfg.restarts
     structural starts, all in one batched quasi-Newton run seeded by
-    _opg_seed at every start.  Each row keeps its first best start.
+    _opg_seed at every start.  Where _splits allows it, the run's problems
+    (starts x rows) go through _batch_bfgs_in_two in two processes, after
+    the seeds' linear algebra, with bit-identical results.  Each row keeps
+    its first best start.
     """
     if spec.exact is not None:
         return spec.exact(w, cfg)
@@ -1000,7 +1121,8 @@ def _fit_rows(spec: _Family, w: np.ndarray, cfg: FitConfig, extra=()) -> _RowFit
     with np.errstate(all="ignore"):
         x0 = np.stack([s if s.ndim == 2 else s[:, 0] for s in starts], axis=1).reshape(m * k, d)
         h0 = _opg_seed(spec, w, x0, np.arange(m * k) // k, cfg)
-        x, fun, iters, conv = _batch_bfgs(
+        bfgs = _batch_bfgs_in_two if _splits(m * k, n) else _batch_bfgs
+        x, fun, iters, conv = bfgs(
             lambda t, rows: fn(t, rows // k), x0, h0, cfg.xatol, cfg.fatol, maxiter
         )
         x, fun = x.reshape(m, k, d), fun.reshape(m, k)

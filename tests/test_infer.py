@@ -1,4 +1,7 @@
 import math
+import os
+import signal
+import warnings
 from dataclasses import dataclass, fields, replace
 from functools import partial
 
@@ -1203,3 +1206,161 @@ def test_bhhh_seed_cuts_optimizer_iterations():
     x = base.make_rng(2024).gamma(2.0, size=200)
     assert infer.fit_mle("sas_normal", x).iterations < 103
     assert infer.fit_mle("skew_t", x).iterations < 109
+
+
+# ------------------------------------------------ the fit's two-process split
+
+BFGS_CASES = [(f, s) for f in infer.FAMILY_ORDER if infer._FAMILIES[f].exact is None
+              for s in (("isf", "epsilon") if infer._FAMILIES[f].scaled else ("isf",))]
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the split forks")
+
+
+@pytest.mark.parametrize("family, scaling", BFGS_CASES)
+def test_kernel_rows_do_not_depend_on_their_batch_mates(family, scaling):
+    # at n = 10^4 an einsum row reduction took another path for one row than
+    # for a batch, so a problem's result depended on its batch-mates
+    spec, cfg = infer._FAMILIES[family], infer.FitConfig(scaling=scaling)
+    rng = base.make_rng(70)
+    w = rng.standard_normal((4, 10_000))
+    t = rng.uniform(-0.5, 0.5, (4, spec.n_free))
+    f, g = spec.nll(t, w, cfg)
+    for i in range(4):
+        fi, gi = spec.nll(t[i:i + 1], w[i:i + 1], cfg)
+        assert fi.tobytes() == f[i:i + 1].tobytes() and gi.tobytes() == g[i:i + 1].tobytes(), i
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Every batched fit of two or more problems splits, on any machine;
+    returns the list of forked child pids."""
+    pids = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(infer, "_SPLIT_ELEMENTS", 0)
+    return pids
+
+
+def _assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_fork
+def test_split_fits_are_bit_identical_to_serial_fits(forks, monkeypatch):
+    x = base.make_rng(71).gamma(2.0, size=10_000)
+    for family, scaling in BFGS_CASES:
+        cfg = infer.FitConfig(scaling=scaling)
+        forks.clear()
+        split = infer.fit_mle(family, x, cfg)
+        # the logistic fit runs one start, which has no half to split off
+        assert len(forks) == (family != "logistic")
+        _assert_no_children()
+        with monkeypatch.context() as mp:
+            mp.setattr(infer, "_SPLIT_ELEMENTS", 1 << 62)
+            serial = infer.fit_mle(family, x, cfg)
+        assert len(forks) == (family != "logistic")
+        assert split == serial, (family, scaling)
+
+
+@needs_fork
+@pytest.mark.parametrize("null, alt", sorted(infer.NESTED_PAIRS))
+def test_split_lr_tests_are_identical_to_serial_tests(null, alt, forks, monkeypatch):
+    data = skewsym.SkewNormal(0.0, 1.0, 1.0).sample(100, base.make_rng(72))
+    split = infer.lr_test(data, null, alt, 99, rng=base.make_rng(73))
+    # the normal and two-piece normal fits are exact and never fork
+    assert bool(forks) == (alt != "twopiece_normal")
+    _assert_no_children()
+    with monkeypatch.context() as mp:
+        mp.setattr(infer, "_SPLIT_ELEMENTS", 1 << 62)
+        assert infer.lr_test(data, null, alt, 99, rng=base.make_rng(73)) == split
+
+
+class _KernelFailure(Exception):
+    pass
+
+
+@needs_fork
+def test_an_exception_in_the_child_is_raised_in_the_parent(forks):
+    parent = os.getpid()
+
+    def logf(z, *shapes, grad=None):
+        if os.getpid() != parent:
+            raise _KernelFailure("kernel failed")
+        return base.t_logf(z, *shapes, grad=grad)
+
+    spec = replace(infer._FAMILIES["t"], logf=logf)
+    w = infer._standardize(base.make_rng(74).standard_normal((2, 50)))[0]
+    with pytest.raises(_KernelFailure) as info:
+        infer._fit_rows(spec, w, infer.FitConfig())
+    # the child's traceback comes along as the cause
+    assert "logf" in str(info.value.__cause__)
+    assert len(forks) == 1
+    _assert_no_children()
+
+
+@needs_fork
+def test_a_child_that_dies_raises_child_process_error(forks):
+    # as when the child is killed for memory: it sends nothing
+    parent = os.getpid()
+
+    def logf(z, *shapes, grad=None):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return base.t_logf(z, *shapes, grad=grad)
+
+    spec = replace(infer._FAMILIES["t"], logf=logf)
+    w = infer._standardize(base.make_rng(74).standard_normal((2, 50)))[0]
+    with pytest.raises(ChildProcessError):
+        infer._fit_rows(spec, w, infer.FitConfig())
+    assert len(forks) == 1
+    _assert_no_children()
+
+
+@needs_fork
+@pytest.mark.parametrize("error", [_KernelFailure, KeyboardInterrupt])
+def test_the_child_ends_when_the_parent_raises(error, forks):
+    parent = os.getpid()
+
+    def logf(z, *shapes, grad=None):
+        if forks and os.getpid() == parent:
+            raise error
+        return base.t_logf(z, *shapes, grad=grad)
+
+    spec = replace(infer._FAMILIES["t"], logf=logf)
+    w = infer._standardize(base.make_rng(75).standard_normal((2, 50)))[0]
+    with pytest.raises(error):
+        infer._fit_rows(spec, w, infer.FitConfig())
+    assert len(forks) == 1
+    _assert_no_children()
+
+
+@needs_fork
+def test_a_forced_split_warns_nothing(forks):
+    x = base.make_rng(76).standard_t(4.0, size=200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        infer.fit_mle("skew_t", x)
+    assert len(forks) == 1
+
+
+@pytest.mark.parametrize("cores", ["one", "unknown"])
+def test_fits_run_serially_without_two_usable_cores(cores, monkeypatch):
+    def fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", fork, raising=False)
+    monkeypatch.setattr(infer, "_SPLIT_ELEMENTS", 0)
+    if cores == "one":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    else:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    x = base.make_rng(77).gamma(2.0, size=200)
+    assert infer.fit_mle("skew_t", x).converged
