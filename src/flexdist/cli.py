@@ -222,11 +222,9 @@ def cmd_fit(args) -> int:
             raise UsageError(str(exc))
     else:
         fits, errors = [], {}
-        for family in infer.FAMILY_ORDER:
-            try:
-                fit = infer.fit_mle(family, data, config)
-            except ValueError as exc:
-                errors[family] = str(exc)
+        for family, fit in infer.fit_families(infer.FAMILY_ORDER, data, config).items():
+            if isinstance(fit, ValueError):
+                errors[family] = str(fit)
                 continue
             fits.append(fit)
             report["fits"][family] = asdict(fit)

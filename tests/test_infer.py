@@ -1,6 +1,8 @@
+import json
 import math
 import os
 import signal
+import time
 import warnings
 from dataclasses import dataclass, fields, replace
 from functools import partial
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from flexdist import base, infer, skewsym, transform, twopiece
+from flexdist import base, cli, infer, skewsym, transform, twopiece
 
 # Frozen oracle values, computed once with mpmath at 40 digits.
 LOG_PHI_0 = -0.9189385332046728            # ln(1/sqrt(2 pi))
@@ -1208,7 +1210,7 @@ def test_bhhh_seed_cuts_optimizer_iterations():
     assert infer.fit_mle("skew_t", x).iterations < 109
 
 
-# ------------------------------------------------ the fit's two-process split
+# ------------------------------------------------ the two-process work queue
 
 BFGS_CASES = [(f, s) for f in infer.FAMILY_ORDER if infer._FAMILIES[f].exact is None
               for s in (("isf", "epsilon") if infer._FAMILIES[f].scaled else ("isf",))]
@@ -1230,9 +1232,9 @@ def test_kernel_rows_do_not_depend_on_their_batch_mates(family, scaling):
 
 
 @pytest.fixture
-def forks(monkeypatch):
-    """Every batched fit of two or more problems splits, on any machine;
-    returns the list of forked child pids."""
+def counted_forks(monkeypatch):
+    """Two usable cores on any machine; returns the list of forked child
+    pids."""
     pids = []
     fork = os.fork
 
@@ -1244,8 +1246,15 @@ def forks(monkeypatch):
 
     monkeypatch.setattr(os, "fork", counted)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(infer, "_SPLIT_ELEMENTS", 0)
     return pids
+
+
+@pytest.fixture
+def forks(counted_forks, monkeypatch):
+    """Every batched fit of two or more jobs runs in the queue, on any
+    machine; returns the list of forked child pids."""
+    monkeypatch.setattr(infer, "_SPLIT_ELEMENTS", 0)
+    return counted_forks
 
 
 def _assert_no_children():
@@ -1344,10 +1353,11 @@ def test_the_child_ends_when_the_parent_raises(error, forks):
 
 @needs_fork
 def test_a_forced_split_warns_nothing(forks):
+    # one queue for every family's jobs: a single fork
     x = base.make_rng(76).standard_t(4.0, size=200)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        infer.fit_mle("skew_t", x)
+        infer.fit_families(infer.FAMILY_ORDER, x)
     assert len(forks) == 1
 
 
@@ -1364,3 +1374,99 @@ def test_fits_run_serially_without_two_usable_cores(cores, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     x = base.make_rng(77).gamma(2.0, size=200)
     assert infer.fit_mle("skew_t", x).converged
+    fits = infer.fit_families(infer.FAMILY_ORDER, x)
+    assert all(isinstance(f, infer.FitResult) for f in fits.values())
+
+
+def _claimed(path, i):
+    # O_APPEND makes each short write land whole, whichever process makes it
+    fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+    try:
+        os.write(fd, f"{i} {os.getpid()}\n".encode())
+    finally:
+        os.close(fd)
+    time.sleep(0.02)
+    return i, os.getpid()
+
+
+@needs_fork
+def test_each_queued_job_runs_exactly_once(tmp_path):
+    log = tmp_path / "claims"
+    jobs = [partial(_claimed, log, i) for i in range(20)]
+    done = infer._queue(jobs)
+    _assert_no_children()
+    runs = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+    assert sorted(i for i, _ in runs) == list(range(20))
+    # the results come back in job order, from the process that ran each
+    assert done == sorted(runs)
+    assert len({pid for _, pid in runs}) == 2
+    assert os.getpid() in {pid for _, pid in runs}
+
+
+@needs_fork
+def test_a_queue_of_more_than_255_jobs_is_refused(counted_forks):
+    assert infer._queue([partial(int, i) for i in range(255)]) == list(range(255))
+    assert len(counted_forks) == 1
+    with pytest.raises(ValueError, match="at most 255 jobs"):
+        infer._queue([partial(int, i) for i in range(256)])
+    assert len(counted_forks) == 1
+    _assert_no_children()
+
+
+def _write_sample(path, x):
+    path.write_text("".join(f"{float(v)!r}\n" for v in x))
+
+
+@needs_fork
+def test_fit_all_forks_once_at_large_n_and_never_at_small_n(counted_forks, tmp_path):
+    # the split rule itself: 16 problems x 200 points stay below _SPLIT_ELEMENTS
+    for n, expected in ((10_000, 1), (200, 0)):
+        path = tmp_path / f"x{n}.txt"
+        _write_sample(path, base.make_rng(78).gamma(2.0, size=n))
+        counted_forks.clear()
+        assert cli.main(["fit", str(path), "--all", "--output", str(tmp_path / "r.json")]) == 0
+        assert len(counted_forks) == expected, n
+        _assert_no_children()
+
+
+@needs_fork
+@pytest.mark.parametrize("scaling", ["isf", "epsilon"])
+def test_fit_families_equals_fit_mle_queued_and_serial(scaling, forks, monkeypatch):
+    x = base.make_rng(79).gamma(2.0, size=300)
+    cfg = infer.FitConfig(scaling=scaling)
+    queued = infer.fit_families(infer.FAMILY_ORDER, x, cfg)
+    assert len(forks) == 1
+    _assert_no_children()
+    monkeypatch.setattr(infer, "_SPLIT_ELEMENTS", 1 << 62)
+    serial = infer.fit_families(infer.FAMILY_ORDER, x, cfg)
+    assert len(forks) == 1
+    assert list(queued) == list(serial) == list(infer.FAMILY_ORDER)
+    for family in infer.FAMILY_ORDER:
+        one = infer.fit_mle(family, x, cfg)
+        assert queued[family] == serial[family] == one, family
+
+
+@needs_fork
+@pytest.mark.parametrize("n", [4, 300])
+@pytest.mark.parametrize("scaling", ["isf", "epsilon"])
+def test_fit_all_reports_are_byte_identical_queued_and_serial(n, scaling, forks, monkeypatch,
+                                                             tmp_path):
+    data = tmp_path / "x.txt"
+    _write_sample(data, base.make_rng(80).gamma(2.0, size=n))
+
+    def report(name):
+        out = tmp_path / name
+        argv = ["fit", str(data), "--all", "--scaling", scaling, "--output", str(out)]
+        assert cli.main(argv) == 0
+        return out.read_bytes()
+
+    queued = report("queued.json")
+    assert len(forks) == 1
+    _assert_no_children()
+    monkeypatch.setattr(infer, "_SPLIT_ELEMENTS", 1 << 62)
+    assert report("serial.json") == queued
+    assert len(forks) == 1
+    errors = json.loads(queued).get("errors", {})
+    # the four-parameter families need five points
+    assert list(errors) == (["skew_t", "sas_normal", "twopiece_t"] if n == 4 else [])
+    assert all(msg == f"{f} fit needs at least 5 observations, got 4" for f, msg in errors.items())

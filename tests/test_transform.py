@@ -170,6 +170,53 @@ def test_gh_moments_diverge_from_order_one_over_h():
         0.5, 0.0)).moment_order_bound() == math.inf
 
 
+def _gh_raw_moment(g, h, r):
+    """E[T(Z)^r] of the standard g-and-h for r < 1/h (Martinez & Iglewicz 1984)."""
+    terms = (
+        (-1) ** i * math.comb(r, i) * math.exp(((r - i) * g) ** 2 / (2.0 * (1.0 - r * h)))
+        for i in range(r + 1)
+    )
+    return math.fsum(terms) / (g ** r * math.sqrt(1.0 - r * h))
+
+
+@pytest.mark.parametrize("g, h, mu, sigma", [(0.5, 0.2, 0.0, 1.0), (-0.7, 0.1, 1.5, 0.5),
+                                             (1.0, 0.0, -2.0, 0.5)])
+def test_gh_moments_match_the_closed_form(g, h, mu, sigma):
+    from flexdist import measures
+
+    p = transform.TransformParams(NORMAL, base.LocationScale(mu, sigma),
+                                  transform.GhTransform(g, h))
+    bound = 1.0 / h if h > 0.0 else 6
+    for r in range(1, 6):
+        if r >= bound:
+            assert measures.moment(p, r) == math.inf
+            continue
+        # E[(mu + sigma T)^r], binomially from the standard law's moments
+        expected = math.fsum(math.comb(r, k) * mu ** (r - k) * sigma ** k
+                             * (_gh_raw_moment(g, h, k) if k else 1.0) for k in range(r + 1))
+        assert measures.moment(p, r) == pytest.approx(expected, rel=1e-12, abs=1e-12), r
+
+
+def test_a_moment_whose_integrand_overflows_raises():
+    # under a t base every g-and-h moment with h > 0 diverges, though the
+    # bound min(nu, 1/h) says the second exists; a term counted as 0 would
+    # return a finite number
+    from flexdist import measures
+
+    p = transform.TransformParams(base.student_base(5.0), STD_LOC, transform.GhTransform(0.0, 0.1))
+    with pytest.raises(base.IntegrationError, match="overflows"):
+        measures.moment(p, 2)
+
+
+def test_k_moments_match_the_normal_moments():
+    # X = Z (1 + Z^2) at eta = 1/2: E X^2 = E Z^2 + E Z^4, E X^4 = 3 + 2 * 15 + 105
+    from flexdist import measures
+
+    p = transform.TransformParams(NORMAL, STD_LOC, transform.KTransform(0.5))
+    assert measures.moment(p, 2) == pytest.approx(4.0, rel=1e-12)
+    assert measures.moment(p, 4) == pytest.approx(138.0, rel=1e-12)
+
+
 def test_gh_inverse_identity_and_origin():
     assert np.max(np.abs(transform.gh_inverse(GRID, 0.0, 0.0) - GRID)) == 0.0
     for g, h in ((0.0, 0.0), (0.5, 0.2), (-1.0, 0.5)):
