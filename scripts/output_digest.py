@@ -18,8 +18,8 @@ two-piece scalings, ``fit --family F`` for every fittable family (both
 scalings where the family has them), and ``test`` for the four nested pairs
 at ``--reps 99`` on the n = 200 datasets.  The distribution layer follows:
 ``figures`` (its 24 curve files), and ``curve`` and ``sample -n 1000`` for
-every family of the table at the shapes in SHAPES, under both scalings
-where the family has them.  A run takes about 40 seconds on two cores.
+every family of the table at each of its shapes in SHAPES, under both
+scalings where the family has them.  A run takes about 40 seconds on two cores.
 """
 
 import argparse
@@ -37,13 +37,16 @@ DATA_SEED = 20260101
 TEST_REPS = 99
 TEST_SEED = 7
 SAMPLE_N = 1000
-# shape flags per family for curve and sample; delta = 0.5 suits the
-# two-piece families under both scalings
+# shape flags per family for curve and sample, one list per law; delta =
+# 0.5 suits the two-piece families under both scalings.  The second g-and-h
+# law has a bounded support (g < 0, h = 0) and the second K law far tails,
+# so the numeric H meets its support end and its far tails.
 SHAPES = {
-    "normal": [], "logistic": [], "t": ["--nu", "2"], "skew_normal": ["--delta", "2"],
-    "skew_t": ["--nu", "2", "--delta", "2"], "sas_normal": ["--delta", "-1", "--eta", "0.5"],
-    "gh_normal": ["--g", "0.5", "--h", "0.2"], "k_normal": ["--eta", "0.5"],
-    "twopiece_normal": ["--delta", "0.5"], "twopiece_t": ["--nu", "2", "--delta", "0.5"],
+    "normal": [[]], "logistic": [[]], "t": [["--nu", "2"]], "skew_normal": [["--delta", "2"]],
+    "skew_t": [["--nu", "2", "--delta", "2"]], "sas_normal": [["--delta", "-1", "--eta", "0.5"]],
+    "gh_normal": [["--g", "0.5", "--h", "0.2"], ["--g", "-0.5", "--h", "0"]],
+    "k_normal": [["--eta", "0.5"], ["--eta", "2"]],
+    "twopiece_normal": [["--delta", "0.5"]], "twopiece_t": [["--nu", "2", "--delta", "0.5"]],
 }
 
 
@@ -84,11 +87,12 @@ def commands(cli, names):
                        "--reps", str(TEST_REPS), "--seed", str(TEST_SEED)]
     yield ["figures", "--output-dir", "figures"]
     for family, spec in infer._FAMILIES.items():
-        for scaling in ("isf", "epsilon") if spec.scaled else (None,):
-            flags = ["--family", family, *SHAPES[family]] + (
-                ["--scaling", scaling] if scaling else [])
-            yield ["curve", *flags]
-            yield ["sample", *flags, "-n", str(SAMPLE_N), "--seed", str(TEST_SEED)]
+        for shape in SHAPES[family]:
+            for scaling in ("isf", "epsilon") if spec.scaled else (None,):
+                flags = ["--family", family, *shape] + (
+                    ["--scaling", scaling] if scaling else [])
+                yield ["curve", *flags]
+                yield ["sample", *flags, "-n", str(SAMPLE_N), "--seed", str(TEST_SEED)]
 
 
 def run(cli, argv) -> bytes:

@@ -4,7 +4,11 @@ Everything downstream (skewing, transformation, two-piece scaling) starts
 from a density that is symmetric about zero.  This module provides the
 three stock bases (normal, Student t, logistic) together with the small
 numeric toolkit the rest of the package leans on: adaptive quadrature,
-bracketed root finding, golden-section maximization and seeded generators.
+golden-section maximization, seeded generators, and root finding.  One
+batched solver, solve_increasing, inverts every increasing vectorized map:
+the skew families' cdf (through invert_cdf) and the g-and-h and K H^(-1).
+find_root (scipy's brentq) serves the scalar maps users supply to
+twopiece.ScaleTransform.
 """
 from __future__ import annotations
 
@@ -450,13 +454,20 @@ def _wrap_infinite(f, a, b):
     return g, -HALF_PI if neg_inf else 0.0, HALF_PI if pos_inf else 0.0
 
 
+# the relative error at which integrate stops whatever its tol: the panels'
+# rounding alone keeps a large integral's error estimate above an absolute
+# tol once tol is below some ulps of the integral
+_REL_FLOOR = 128.0 * np.finfo(float).eps
+
+
 def integrate(f, a: float, b: float, tol: float = 1e-10,
               max_intervals: int = 2000) -> float:
-    """Adaptive quadrature of f over [a, b] to absolute tolerance tol.
+    """Adaptive quadrature of f over [a, b] to absolute tolerance tol, or to
+    _REL_FLOOR times the running estimate where that is larger.
 
     Infinite endpoints are handled by the substitution x = tan(t).  Raises
     IntegrationError when the subdivision budget is exhausted before the
-    summed error estimate drops below tol.
+    summed error estimate drops below that bound.
     """
     if math.isnan(a) or math.isnan(b):
         raise ValueError("integration endpoints must not be NaN")
@@ -467,11 +478,11 @@ def integrate(f, a: float, b: float, tol: float = 1e-10,
     g, lo, hi = _wrap_infinite(f, a, b)
     val, err = _gk_panel(g, lo, hi)
     pieces = [(err, lo, hi, val)]
-    total_err = err
-    while total_err > tol:
+    total_err, total = err, val
+    while total_err > (bound := max(tol, _REL_FLOOR * abs(total))):
         if len(pieces) >= max_intervals:
             raise IntegrationError(
-                f"quadrature stalled at error {total_err:.3e} > tol {tol:.3e} "
+                f"quadrature stalled at error {total_err:.3e} > {bound:.3e} "
                 f"after {len(pieces)} intervals")
         worst = max(range(len(pieces)), key=lambda i: pieces[i][0])
         e0, lo0, hi0, v0 = pieces.pop(worst)
@@ -479,12 +490,13 @@ def integrate(f, a: float, b: float, tol: float = 1e-10,
         if mid <= lo0 or mid >= hi0:
             raise IntegrationError(
                 "interval too small to subdivide further; "
-                f"residual error {total_err:.3e} > tol {tol:.3e}")
+                f"residual error {total_err:.3e} > {bound:.3e}")
         v1, e1 = _gk_panel(g, lo0, mid)
         v2, e2 = _gk_panel(g, mid, hi0)
         pieces.append((e1, lo0, mid, v1))
         pieces.append((e2, mid, hi0, v2))
         total_err += e1 + e2 - e0
+        total += v1 + v2 - v0
     return float(sum(p[3] for p in pieces))
 
 
@@ -538,7 +550,7 @@ def golden_section_max(f, lo, hi, tol=1e-8, args=()):
     return float(argmax[0]) if np.ndim(lo) == 0 else argmax
 
 
-# steps each level of invert_cdf may take
+# steps each target of solve_increasing may take
 _INVERT_STEPS = 200
 
 
@@ -553,44 +565,34 @@ def midpoint(lo, hi):
         return np.where(wide, np.sign(lo) * np.sqrt(a) * np.sqrt(b), 0.5 * (lo + hi))
 
 
-def invert_cdf(cdf, pdf, p, x0: float, scale: float):
-    """Quantiles of a continuous law: cdf(x) = p solved for every level at once.
+def solve_increasing(fn, newton, target, x0: float, scale: float):
+    """x with fn(x) = t for each t of a 1-d array target, fn increasing.
 
-    cdf and pdf map an array of points to their values point by point, so
-    each level's iterates are its own and a level gives the same bits alone
-    or in an array.  Levels 0, 1 and NaN follow quantile_levels.
-
-    Each level starts at x0 with an unbounded bracket, which every evaluation
-    narrows.  Its Newton steps solve log F(x) = log p for p <= 1/2, and
-    log(1 - F(x)) = log(1 - p) above, so that a far tail level is reached in
-    a few steps.  A level takes its step when it moves at most its span
-    (scale at first, times max(2, span / scale) whenever it cuts a step
-    short) and stays inside the bracket, and bisects the bracket otherwise
-    (see midpoint).  A level stops once its Newton step or its bracket is
-    within four ulps of x (or of scale near zero), or its cdf value equals
-    it, and a NaN cdf value gives NaN; a level that has not stopped after
-    _INVERT_STEPS steps raises NumericsError.
+    fn maps an array of points to their values point by point, and
+    newton(x, fn(x), t) gives the Newton step that x - step takes, so each
+    target's iterates are its own.  Each starts at x0 with an unbounded
+    bracket, which every evaluation narrows.  A step longer than the span
+    (scale at first, times max(2, span / scale) on each such step) is cut
+    to it, and one that leaves the bracket bisects it (see midpoint).  A
+    target stops once its step or bracket is within four ulps of x (or of
+    scale near zero) or fn hits it; a NaN fn value gives NaN, and a target
+    still moving after _INVERT_STEPS steps raises NumericsError.
     """
-    levels = quantile_levels(p)
-    flat = levels.ravel()
-    out = np.where(flat == 0.0, -np.inf, np.where(flat == 1.0, np.inf, np.nan))
-    idx = np.flatnonzero((flat > 0.0) & (flat < 1.0))
-    q = flat[idx]
-    x = np.full(q.shape, float(x0))
-    lo, hi = np.full(q.shape, -np.inf), np.full(q.shape, np.inf)
-    span = np.full(q.shape, float(scale))
+    t = np.asarray(target, dtype=float)
+    out, idx = np.empty_like(t), np.arange(t.size)
+    x = np.full(t.shape, float(x0))
+    lo, hi = np.full(t.shape, -np.inf), np.full(t.shape, np.inf)
+    span = np.full(t.shape, float(scale))
     eps = 4.0 * np.finfo(float).eps
     for _ in range(_INVERT_STEPS):
         if not idx.size:
-            return out.reshape(levels.shape)
-        f = cdf(x)
-        err = f - q
+            return out
+        f = fn(x)
+        err = f - t
         lo, hi = np.where(err < 0.0, x, lo), np.where(err > 0.0, x, hi)
-        upper = q > 0.5
-        tail, level = np.where(upper, 1.0 - f, f), np.where(upper, 1.0 - q, q)
-        # a far iterate's density may overflow on its way to a finite value
+        # a far iterate's slope may overflow on its way to a finite value
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            step = np.where(upper, -tail, tail) * np.log(tail / level) / pdf(x)
+            step = newton(x, f, t)
         far = ~(np.abs(step) <= span)  # a NaN step counts as far
         step = np.where(far, np.copysign(span, err), step)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -599,17 +601,39 @@ def invert_cdf(cdf, pdf, p, x0: float, scale: float):
             new = x - step
             # a step moves toward the root's side, so a step that leaves the
             # bracket meets its finite end, and one below an ulp leaves x as is
-            new = np.where((lo < new) & (new < hi) | (new == x), new, midpoint(lo, hi))
+            cut = ~((lo < new) & (new < hi) | (new == x))
+        if cut.any():
+            new[cut] = midpoint(lo[cut], hi[cut])
         ulps = eps * np.maximum(np.abs(new), scale)
         stuck = np.isnan(err)
-        # a step cut short to the span is no sign of convergence; a level
-        # whose cdf value is exact stops at x, also where its density underflows
+        # a step cut short to the span is no sign of convergence; a target
+        # whose fn value is exact stops at x, also where its slope underflows
         settled = ~far & (np.abs(new - x) <= ulps)
         hit = err == 0.0
         done = stuck | hit | settled | (hi - lo <= ulps) | np.isinf(new)
-        out[idx[done]] = np.where(stuck, np.nan, np.where(hit, x, new))[done]
-        keep = ~done
-        idx, q, x, lo, hi, span = (v[keep] for v in (idx, q, new, lo, hi, span))
+        if done.any():
+            out[idx[done]] = np.where(stuck, np.nan, np.where(hit, x, new))[done]
+            idx, t, new, lo, hi, span = (v[~done] for v in (idx, t, new, lo, hi, span))
+        x = new
     if idx.size:
-        raise NumericsError(f"quantile levels {q} did not converge in {_INVERT_STEPS} steps")
+        raise NumericsError(f"targets {t} did not converge in {_INVERT_STEPS} steps")
+    return out
+
+
+def invert_cdf(cdf, pdf, p, x0: float, scale: float):
+    """Quantiles of a continuous law: cdf(x) = p by solve_increasing, cdf and
+    pdf array maps.  Levels 0, 1 and NaN follow quantile_levels.  The Newton
+    step solves log F(x) = log p for p <= 1/2, and log(1 - F(x)) = log(1 - p)
+    above, so that a far tail level is reached in a few steps."""
+    levels = quantile_levels(p)
+    flat = levels.ravel()
+    out = np.where(flat == 0.0, -np.inf, np.where(flat == 1.0, np.inf, np.nan))
+    inside = (flat > 0.0) & (flat < 1.0)
+
+    def newton(x, f, q):
+        upper = q > 0.5
+        tail, level = np.where(upper, 1.0 - f, f), np.where(upper, 1.0 - q, q)
+        return np.where(upper, -tail, tail) * np.log(tail / level) / pdf(x)
+
+    out[inside] = solve_increasing(cdf, newton, flat[inside], x0, scale)
     return out.reshape(levels.shape)

@@ -3,8 +3,8 @@
 Three transformations are supported, and each has a density
 sigma^(-1) f(H(z)) H'(z).  The sinh-arcsinh map has closed forms in both
 directions.  The Tukey g-and-h and the K tail map only define H^(-1)
-analytically: their H is solved numerically, and log H'(z) = -log
-(H^(-1))'(H(z)) comes from the closed-form slope of H^(-1).
+analytically: their H is solved by base.solve_increasing, with Newton steps
+on the closed-form slope of H^(-1), and log H'(z) = -log (H^(-1))'(H(z)).
 """
 from __future__ import annotations
 
@@ -14,16 +14,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import (
+    LOGISTIC,
+    NORMAL,
     Density,
     LocationScale,
     MatrixParams,
     SymmetricBase,
     golden_section_max,
     log1p_square,
-    midpoint,
     normal_logf,
     quantile_levels,
     scalar_or_array,
+    solve_increasing,
     student_pdf_k,
 )
 
@@ -97,49 +99,16 @@ def gh_inverse(x, g: float, h: float):
 
 @scalar_or_array
 def k_inverse(x, eta: float):
-    """H^(-1)(x) = x (1+x^2)^eta; odd, increasing, pure tail inflation."""
+    """H^(-1)(x) = x (1+x^2)^eta; odd, increasing, pure tail inflation.
+    Where 1 + x^2 overflows, (1+x^2)^eta is exp(eta log1p_square(x))."""
     if eta < 0.0:
         raise ValueError(f"eta must be nonnegative, got {eta}")
     with np.errstate(over="ignore"):
-        return x * np.power(1.0 + x * x, eta)
-
-
-def _monotone_solve(inverse_fn, target, lo0=-60.0, hi0=60.0, iters=90):
-    """Vectorized bisection for inverse_fn(z) = target, inverse_fn increasing.
-
-    A target of +-inf maps to +-inf and a NaN target to NaN; neither is
-    bracketed, so the finite targets' bits do not depend on them.  A target
-    at or beyond the supremum (infimum) of inverse_fn, where a bounded map
-    ends, maps to +inf (-inf).  The bracket widens by doubling, and after 60
-    doublings to the largest float, whence it is bisected at base.midpoint,
-    geometrically while it spans orders of magnitude.  The bisection stops
-    once no bracket moves.
-    """
-    target = np.atleast_1d(np.asarray(target, dtype=float))
-    top, bottom = inverse_fn(np.array([_BIG, -_BIG]))
-    above, below = target >= top, target <= bottom
-    finite = np.isfinite(target) & ~above & ~below
-    t = np.where(finite, target, 0.0)
-    lo = np.full_like(t, lo0)
-    hi = np.full_like(t, hi0)
-    for i in range(61):
-        bad_lo = inverse_fn(lo) > t
-        bad_hi = inverse_fn(hi) < t
-        if not (bad_lo.any() or bad_hi.any()):
-            break
-        # an end that falls short of its target bounds the root on the other side
-        lo, hi = (np.where(bad_hi, hi, np.where(bad_lo, -_BIG if i == 60 else 2.0 * lo, lo)),
-                  np.where(bad_lo, lo, np.where(bad_hi, _BIG if i == 60 else 2.0 * hi, hi)))
-    far = bool(np.any(np.abs(lo) == _BIG) or np.any(hi == _BIG))
-    for _ in range(iters):
-        mid = midpoint(lo, hi) if far else 0.5 * (lo + hi)
-        if np.all((mid == lo) | (mid == hi)):
-            break
-        below_t = inverse_fn(mid) < t
-        lo = np.where(below_t, mid, lo)
-        hi = np.where(below_t, hi, mid)
-    out = np.where(finite, 0.5 * (lo + hi), target)
-    return np.where(above, np.inf, np.where(below, -np.inf, out))
+        out = x * np.power(1.0 + x * x, eta)
+        far = np.isinf(out) & np.isfinite(x)
+        if far.any():
+            out[far] = x[far] * np.exp(eta * log1p_square(x[far]))
+    return out
 
 
 @dataclass(frozen=True)
@@ -168,6 +137,10 @@ class SasTransform:
         logf, shapes = base.log_density
         return sas_logf(z, self.delta, self.eta, *shapes, base=logf)
 
+    def moment_order_bound(self, base: SymmetricBase) -> float:
+        # H^(-1)(y) grows like |y|^(1 / eta)
+        return base.moment_order_bound() * self.eta
+
 
 class _InverseOnly:
     """A map whose H^(-1) and log slope are closed form: H is solved, and
@@ -175,7 +148,24 @@ class _InverseOnly:
 
     @scalar_or_array
     def forward(self, x):
-        return _monotone_solve(self.inverse, x)
+        # +-inf and NaN map to themselves, and a target at or beyond the end
+        # of a bounded H^(-1) to +-inf; the rest are solved from 0
+        top, bottom = self.inverse(np.array([_BIG, -_BIG]))
+        out = np.where(x >= top, np.inf, np.where(x <= bottom, -np.inf, np.nan))
+        inside = (bottom < x) & (x < top)
+        out[inside] = solve_increasing(self.inverse, self._newton, x[inside], 0.0, 1.0)
+        return out
+
+    def _newton(self, y, v, t):
+        # the step toward v = H^(-1)(y) = t: where v and t share a sign, on
+        # log(v / t) in log |y|, which K's power tails meet in one step; else
+        # (from y = 0) on v - t in y.  The slopes are formed in logs.
+        log_slope = self.log_inverse_slope(y)
+        ratio = v / t
+        elasticity = np.exp(np.log(np.abs(y)) + log_slope - np.log(np.abs(v)))
+        return np.where((ratio > 0.0) & np.isfinite(ratio),
+                        -y * np.expm1(-np.log(ratio) / elasticity),
+                        (v - t) * np.exp(-log_slope))
 
     @scalar_or_array
     def log_jacobian(self, x):
@@ -218,9 +208,18 @@ class GhTransform(_InverseOnly):
             log_h = math.log(h) if h > 0.0 else -math.inf
             return 0.5 * h * y * y + np.logaddexp(v, log_h + log_b)
 
-    def moment_order_bound(self) -> float:
-        # E exp(r h Z^2 / 2) diverges from r h = 1 on
-        return 1.0 / self.h if self.h > 0.0 else math.inf
+    def moment_order_bound(self, base: SymmetricBase) -> float:
+        # H^(-1)(y) grows like exp(h y^2 / 2 + |g y|): against a normal base
+        # E exp(r h Y^2 / 2) diverges from r h = 1 on, against the logistic's
+        # exp(-|y|) E exp(r |g Y|) from r |g| = 1 on (any h > 0 diverges), and
+        # against the t's power tails every order diverges
+        if self.g == 0.0 and self.h == 0.0:
+            return base.moment_order_bound()
+        if base.kind == NORMAL:
+            return 1.0 / self.h if self.h > 0.0 else math.inf
+        if base.kind == LOGISTIC and self.h == 0.0:
+            return 1.0 / abs(self.g)
+        return 0.0
 
 
 @dataclass(frozen=True)
@@ -240,6 +239,10 @@ class KTransform(_InverseOnly):
         """log (H^(-1))'(y) = (eta - 1) log1p(y^2) + log1p((1 + 2 eta) y^2)."""
         return ((self.eta - 1.0) * log1p_square(y)
                 + log1p_square(y, 1.0 / (1.0 + 2.0 * self.eta)))
+
+    def moment_order_bound(self, base: SymmetricBase) -> float:
+        # H^(-1)(y) grows like |y|^(1 + 2 eta)
+        return base.moment_order_bound() / (1.0 + 2.0 * self.eta)
 
 
 @dataclass(frozen=True)
@@ -269,8 +272,7 @@ class TransformParams(Density):
                                   self.loc.mu + 10.0 * self.loc.sigma)
 
     def moment_order_bound(self) -> float:
-        bound = getattr(self.tr, "moment_order_bound", None)
-        return min(self.base.moment_order_bound(), bound() if bound else math.inf)
+        return self.tr.moment_order_bound(self.base)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return sample_transform(n, self, rng)

@@ -143,6 +143,14 @@ def test_integrate_budget_exhaustion_raises():
                        tol=1e-14, max_intervals=8)
 
 
+def test_integrate_stops_at_a_relative_floor():
+    # the error estimate of a 1e12 integral cannot fall below 1e-8: the
+    # quadrature stops at some ulps of its running estimate instead
+    nb = base.normal_base()
+    val = base.integrate(lambda x: 1e12 * nb.pdf(x), -np.inf, np.inf, tol=1e-8)
+    assert val == pytest.approx(1e12, rel=1e-13)
+
+
 def test_find_root_normal_median():
     nb = base.normal_base()
     r = base.find_root(lambda x: nb.cdf(x) - 0.5, -1.0, 1.0)

@@ -157,6 +157,24 @@ def test_moment_infinite_for_heavy_tails():
     assert measures.moment(st, 2) == math.inf
 
 
+# E[X^4] of SAS(mu 0.3, sigma 2, delta -1, eta 0.5) on a normal base, by mpmath
+SAS_FOURTH_MOMENT = 53_345_168.006844126
+
+
+def test_large_moments_meet_a_relative_floor():
+    # about 5e7 and 4e10: an absolute tol of 1e-8 is below the panels' rounding
+    sas = _sas(-1.0, 0.5, mu=0.3, sigma=2.0)
+    assert measures.moment(sas, 4) == pytest.approx(SAS_FOURTH_MOMENT, rel=1e-12)
+    gh = transform.TransformParams(NORMAL, STD_LOC, transform.GhTransform(0.3, 0.24))
+    # Martinez & Iglewicz (1984): sum_i (-1)^i C(4, i) exp(((4 - i) g)^2 / (2 (1 - 4h)))
+    # / (g^4 sqrt(1 - 4h))
+    g, h = 0.3, 0.24
+    closed = math.fsum((-1) ** i * math.comb(4, i) * math.exp(((4 - i) * g) ** 2 / (2.0 * (1.0 - 4 * h)))
+                       for i in range(5)) / (g ** 4 * math.sqrt(1.0 - 4 * h))
+    assert closed == pytest.approx(40_469_543_763.38399, rel=1e-14)
+    assert measures.moment(gh, 4) == pytest.approx(closed, rel=1e-12)
+
+
 def test_moment_rejects_bad_order():
     d = _located(NORMAL)
     with pytest.raises(ValueError):

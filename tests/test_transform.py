@@ -138,13 +138,60 @@ def test_gh_and_k_pdf_normalizes(tr):
 
 
 def test_numeric_forward_brackets_every_finite_target():
-    # beyond 60 doublings of the first bracket, H(1e40) = 1e20 for K(0.5)
+    # far from the start at 0: H(1e40) = 1e20 for K(0.5)
     assert transform.KTransform(0.5).forward(1e40) == pytest.approx(1e20, rel=1e-14)
     assert transform.KTransform(0.0).forward(1e30) == pytest.approx(1e30, rel=1e-14)
     assert transform.KTransform(0.0).forward(-1e300) == pytest.approx(-1e300, rel=1e-14)
     g = transform.GhTransform(0.5, 0.2)
     for x in (1e30, 1e300, -1e300):
         assert g.inverse(g.forward(x)) == pytest.approx(x, rel=1e-12)
+
+
+def test_numeric_forward_evaluates_few_points(monkeypatch):
+    # the analogue of test_invert_cdf_evaluates_each_point_once: on the
+    # solver's targets, near and far, H^(-1) is evaluated a few times a point
+    seen = [0]
+
+    def counting(fn):
+        def wrapped(x, *shape):
+            seen[0] += np.size(x)
+            return fn(x, *shape)
+        return wrapped
+
+    monkeypatch.setattr(transform, "gh_inverse", counting(transform.gh_inverse))
+    monkeypatch.setattr(transform, "k_inverse", counting(transform.k_inverse))
+    far = np.logspace(-300.0, 300.0, 61)
+    for xs in (np.linspace(-4.0, 4.0, 81), np.concatenate([-far, far])):
+        for tr in NUMERIC_INVERSES:
+            seen[0] = 0
+            tr.forward(xs)
+            assert seen[0] <= 12 * xs.size, (tr, xs[0], seen[0] / xs.size)
+
+
+@given(st.floats(-1.0, 1.0), st.floats(0.0, 0.5), st.floats(0.0, 2.0),
+       st.lists(st.tuples(st.booleans(), st.floats(-300.0, 300.0)), min_size=1, max_size=8))
+@settings(max_examples=60, deadline=None)
+def test_numeric_forward_solves_each_target_alone(g, h, eta, targets):
+    xs = np.array([(-1.0 if neg else 1.0) * 10.0 ** e for neg, e in targets])
+    for tr in (transform.GhTransform(g, h), transform.KTransform(eta)):
+        y = tr.forward(xs)
+        # an array gives each target the bits it gets alone
+        assert np.array_equal(y, [tr.forward(float(x)) for x in xs])
+        # inside the support, H^(-1) takes the root back to its target
+        inside = np.isfinite(y)
+        assert inside[np.abs(xs) < 1.0].all()
+        assert np.allclose(tr.inverse(y[inside]), xs[inside], rtol=1e-12, atol=0.0)
+
+
+def test_k_inverse_where_one_plus_x_squared_overflows():
+    # beyond |x| = 1.3e154 (1 + x^2)^eta is formed as exp(eta log(x^2))
+    assert transform.KTransform(0.25).inverse(1e160) == pytest.approx(1e240, rel=1e-14)
+    assert transform.KTransform(0.0).inverse(-1e200) == -1e200
+    assert transform.KTransform(2.0).inverse(1e160) == math.inf
+    # so H solves there too: the root of y |y|^0.5072 = -8.92e296
+    tr = transform.KTransform(0.2536)
+    root = -math.exp(math.log(8.92e296) / 1.5072)
+    assert tr.forward(-8.92e296) == pytest.approx(root, rel=1e-13)
 
 
 def test_bounded_gh_support_ends_in_infinity():
@@ -198,14 +245,58 @@ def test_gh_moments_match_the_closed_form(g, h, mu, sigma):
 
 
 def test_a_moment_whose_integrand_overflows_raises():
-    # under a t base every g-and-h moment with h > 0 diverges, though the
-    # bound min(nu, 1/h) says the second exists; a term counted as 0 would
-    # return a finite number
+    # a moment beyond the float range raises, where a term counted as 0
+    # would return a finite number
     from flexdist import measures
 
-    p = transform.TransformParams(base.student_base(5.0), STD_LOC, transform.GhTransform(0.0, 0.1))
+    huge = transform.TransformParams(NORMAL, base.LocationScale(0.0, 1e100),
+                                     transform.GhTransform(0.0, 0.1))
     with pytest.raises(base.IntegrationError, match="overflows"):
-        measures.moment(p, 2)
+        measures.moment(huge, 4)
+
+
+NU = 5.0
+# (base, transformation, moment order bound): H^(-1) stretches a t base's
+# power tails by its own power, and g-and-h's exponential growth beats them
+ORDER_BOUNDS = [
+    (base.student_base(NU), transform.SasTransform(0.3, 0.5), NU * 0.5),
+    (base.student_base(NU), transform.SasTransform(0.0, 2.0), NU * 2.0),
+    (base.student_base(NU), transform.KTransform(1.0), NU / 3.0),
+    (base.student_base(NU), transform.KTransform(0.0), NU),
+    (base.student_base(NU), transform.GhTransform(0.0, 0.0), NU),
+    (base.student_base(NU), transform.GhTransform(0.0, 0.1), 0.0),
+    (base.student_base(NU), transform.GhTransform(-0.5, 0.0), 0.0),
+    (base.student_base(NU), transform.GhTransform(0.5, 0.2), 0.0),
+    (base.logistic_base(), transform.GhTransform(0.0, 0.1), 0.0),
+    (base.logistic_base(), transform.GhTransform(0.5, 0.2), 0.0),
+    (base.logistic_base(), transform.GhTransform(-0.25, 0.0), 4.0),
+    (base.logistic_base(), transform.GhTransform(0.0, 0.0), math.inf),
+    (base.logistic_base(), transform.SasTransform(0.3, 0.5), math.inf),
+    (base.logistic_base(), transform.KTransform(1.0), math.inf),
+    (NORMAL, transform.GhTransform(0.5, 0.25), 4.0),
+    (NORMAL, transform.GhTransform(0.5, 0.0), math.inf),
+    (NORMAL, transform.SasTransform(0.3, 0.5), math.inf),
+    (NORMAL, transform.KTransform(1.0), math.inf),
+]
+
+
+@pytest.mark.parametrize("b, tr, bound", ORDER_BOUNDS, ids=repr)
+def test_moment_order_bound_takes_the_base_tails(b, tr, bound):
+    assert transform.TransformParams(b, STD_LOC, tr).moment_order_bound() == bound
+
+
+def test_a_divergent_moment_is_inf_at_once():
+    # the order bound answers before any quadrature, which would stall or
+    # overflow on these integrands
+    from flexdist import measures
+
+    t5 = base.student_base(5.0)
+    k = transform.TransformParams(t5, STD_LOC, transform.KTransform(1.0))
+    assert measures.moment(k, 2) == math.inf
+    assert measures.moment(transform.TransformParams(
+        t5, STD_LOC, transform.GhTransform(0.0, 0.1)), 2) == math.inf
+    # the first moment exists (1 < 5/3) and is 0 by symmetry
+    assert measures.moment(k, 1) == pytest.approx(0.0, abs=1e-8)
 
 
 def test_k_moments_match_the_normal_moments():
