@@ -181,7 +181,9 @@ class SymmetricBase(Density):
             out = special.ndtr(z)
         elif self.kind == STUDENT_T:
             nu = self.nu
-            w = special.betainc(0.5 * nu, 0.5, nu / (nu + z * z))
+            # z * z overflows to inf for |z| beyond 1e154, where w = 0 is the answer
+            with np.errstate(over="ignore"):
+                w = special.betainc(0.5 * nu, 0.5, nu / (nu + z * z))
             out = np.where(z >= 0.0, 1.0 - 0.5 * w, 0.5 * w)
         else:
             out = special.expit(z)
@@ -426,7 +428,7 @@ _GAUSS_SLICE = slice(1, 14, 2)
 
 
 def _gk_panel(f, a, b):
-    """One Gauss-Kronrod 7-15 panel; returns (integral, error_estimate)."""
+    """One Gauss-Kronrod 7-15 panel: (integral, error estimate, integral of |f|)."""
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     fx = np.empty(15)
@@ -434,7 +436,7 @@ def _gk_panel(f, a, b):
         fx[i] = f(mid + half * _KRONROD_NODES[i])
     k15 = half * float(np.dot(_KRONROD_WEIGHTS, fx))
     g7 = half * float(np.dot(_GAUSS_WEIGHTS, fx[_GAUSS_SLICE]))
-    return k15, abs(k15 - g7)
+    return k15, abs(k15 - g7), half * float(np.dot(_KRONROD_WEIGHTS, np.abs(fx)))
 
 
 def _wrap_infinite(f, a, b):
@@ -456,14 +458,14 @@ def _wrap_infinite(f, a, b):
 
 # the relative error at which integrate stops whatever its tol: the panels'
 # rounding alone keeps a large integral's error estimate above an absolute
-# tol once tol is below some ulps of the integral
+# tol once tol is below some ulps of the integral of |f|, however f cancels
 _REL_FLOOR = 128.0 * np.finfo(float).eps
 
 
 def integrate(f, a: float, b: float, tol: float = 1e-10,
               max_intervals: int = 2000) -> float:
     """Adaptive quadrature of f over [a, b] to absolute tolerance tol, or to
-    _REL_FLOOR times the running estimate where that is larger.
+    _REL_FLOOR times the running integral of |f| where that is larger.
 
     Infinite endpoints are handled by the substitution x = tan(t).  Raises
     IntegrationError when the subdivision budget is exhausted before the
@@ -476,27 +478,27 @@ def integrate(f, a: float, b: float, tol: float = 1e-10,
     if a > b:
         return -integrate(f, b, a, tol=tol, max_intervals=max_intervals)
     g, lo, hi = _wrap_infinite(f, a, b)
-    val, err = _gk_panel(g, lo, hi)
-    pieces = [(err, lo, hi, val)]
-    total_err, total = err, val
-    while total_err > (bound := max(tol, _REL_FLOOR * abs(total))):
+    val, err, mass = _gk_panel(g, lo, hi)
+    pieces = [(err, lo, hi, val, mass)]
+    total_err, total_mass = err, mass
+    while total_err > (bound := max(tol, _REL_FLOOR * total_mass)):
         if len(pieces) >= max_intervals:
             raise IntegrationError(
                 f"quadrature stalled at error {total_err:.3e} > {bound:.3e} "
                 f"after {len(pieces)} intervals")
         worst = max(range(len(pieces)), key=lambda i: pieces[i][0])
-        e0, lo0, hi0, v0 = pieces.pop(worst)
+        e0, lo0, hi0, _, m0 = pieces.pop(worst)
         mid = 0.5 * (lo0 + hi0)
         if mid <= lo0 or mid >= hi0:
             raise IntegrationError(
                 "interval too small to subdivide further; "
                 f"residual error {total_err:.3e} > {bound:.3e}")
-        v1, e1 = _gk_panel(g, lo0, mid)
-        v2, e2 = _gk_panel(g, mid, hi0)
-        pieces.append((e1, lo0, mid, v1))
-        pieces.append((e2, mid, hi0, v2))
+        v1, e1, m1 = _gk_panel(g, lo0, mid)
+        v2, e2, m2 = _gk_panel(g, mid, hi0)
+        pieces.append((e1, lo0, mid, v1, m1))
+        pieces.append((e2, mid, hi0, v2, m2))
         total_err += e1 + e2 - e0
-        total += v1 + v2 - v0
+        total_mass += m1 + m2 - m0
     return float(sum(p[3] for p in pieces))
 
 

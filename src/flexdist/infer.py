@@ -12,16 +12,17 @@ location-scale step and the coordinate maps' slopes into analytic scores
 batched quasi-Newton optimizer (BFGS with a backtracking line search) drives
 the kernel: a fit runs all of its start points in one batch, fit_families
 runs every family's batch, and a bootstrap test refits all replicates and
-their starts in one batch.  Where two cores are usable and the problems are
-many, this process and a forked child draw the batches' halves from one
-work queue, with results bit-identical to one process's.  Each
-run's inverse-Hessian approximation starts from the diagonal of
-the inverse outer product of the per-observation scores at its start point
-(the BHHH matrix, Berndt, Hall, Hall & Hausman 1974): each coordinate's
-estimated sampling variance, which puts the very differently scaled
-coordinates on one footing.  Where that outer product is not finite or its
-condition number exceeds _OPG_COND, the run starts from the identity.  The
-start points are structural (moment, quantile and frontier starts) and
+their starts in one batch, and its observed statistic by the same row fit,
+run on the observed sample as a batch of one row.  Where two cores are
+usable and the problems are many, this process and a forked child draw the
+batches' halves from one work queue, with results bit-identical to one
+process's.  Each run's inverse-Hessian approximation starts from the
+diagonal of the inverse outer product of the per-observation scores at its
+start point (the BHHH matrix, Berndt, Hall, Hall & Hausman 1974): each
+coordinate's estimated sampling variance, which puts the very differently
+scaled coordinates on one footing.  Where that outer product is not finite
+or its condition number exceeds _OPG_COND, the run starts from the identity.
+The start points are structural (moment, quantile and frontier starts) and
 deterministic, so fits draw no random numbers.  Two families are fit
 exactly, without the optimizer: the normal family has a closed form, and the
 two-piece normal family an exact profile-likelihood path, where for fixed mu
@@ -103,9 +104,9 @@ NESTED_PAIRS = frozenset(
     }
 )
 
-# pairs whose alternative gets the fitted null as an extra start; for the
-# other pairs the alternative's own first start already sits at the normal
-# MLE after standardization, or the alternative is fit exactly
+# pairs whose alternative gets the fitted null at delta = 0 as an extra start;
+# for the other pairs the alternative's own first start already sits at the
+# normal MLE after standardization, or the alternative is fit exactly
 _EMBEDDED_PAIRS = frozenset({("t", "skew_t")})
 
 # slope at the origin of the capped tanh maps (see _TanhCap)
@@ -946,11 +947,12 @@ class _Family:
 
     Every family has a location mu and a scale sigma, optimized as mu and
     log sigma in coordinates 0 and 1.  shapes holds the other parameters in
-    report order, each with its map and coordinate; a scaled family (the
-    two-piece families, whose reports carry the scaling) fits its asymmetry
-    in ISF coordinates under either scaling, boxed by the scaling's cap, and
-    reports it in the scaling's form.  make builds the distribution from a
-    LocationScale and the shapes as keywords, plus the scaling where scaled.
+    report order, each with its map and coordinate; a scaled family (one
+    with a shape mapped by _ISF: the two-piece families, whose reports carry
+    the scaling) fits its asymmetry in ISF coordinates under either scaling,
+    boxed by the scaling's cap, and reports it in the scaling's form.  make
+    builds the distribution from a LocationScale and the shapes as keywords,
+    plus the scaling where scaled.
     logf is the family's per-point log-density, which the distribution
     built by make evaluates too: logf(z, *shapes) at standardized points z,
     the shapes in report order; a scaled family's is ISF's.  starts is
@@ -958,8 +960,8 @@ class _Family:
     negative log-likelihood in the shapes.  exact, where set, fits every
     data row without the optimizer instead (the normal family, which has no
     logf, and the two-piece normal's profile).  boundary names the shape
-    whose cap sets boundary_flag.  mle is False for the families no
-    likelihood fit covers; quantile_fit is a letter-value fit.
+    whose cap sets boundary_flag.  A family with a logf or an exact fitter
+    is fit by maximum likelihood (mle); quantile_fit is a letter-value fit.
     """
 
     name: str
@@ -968,8 +970,6 @@ class _Family:
     logf: Optional[Callable] = None
     starts: Optional[Callable] = None
     boundary: Optional[str] = None
-    scaled: bool = False
-    mle: bool = True
     quantile_fit: Optional[Callable] = None
     exact: Optional[Callable] = None
     penalty: Optional[Callable] = None
@@ -977,6 +977,14 @@ class _Family:
     @property
     def n_free(self) -> int:
         return 2 + len(self.shapes)
+
+    @property
+    def scaled(self) -> bool:
+        return any(s.map is _ISF for s in self.shapes)
+
+    @property
+    def mle(self) -> bool:
+        return self.logf is not None or self.exact is not None
 
     def maps(self, cfg: FitConfig) -> list:
         """Each shape's map; the two-piece asymmetry's box is cfg.scaling's."""
@@ -1058,17 +1066,16 @@ _FAMILIES = {f.name: f for f in (
             lambda loc, delta, eta: TransformParams(normal_base(), loc, SasTransform(delta, eta)),
             (_Shape("delta", _SAS, 2), _Shape("eta", _ETA, 3)), sas_logf, _starts_sas, "delta"),
     _Family("twopiece_normal", _two_piece, (_Shape("delta", _ISF, 2),), two_piece_logf,
-            partial(_starts_two_piece, with_nu=False), "delta", scaled=True,
-            exact=_two_piece_rows),
+            partial(_starts_two_piece, with_nu=False), "delta", exact=_two_piece_rows),
     # reports delta before nu, but optimizes log nu before delta
     _Family("twopiece_t", _two_piece, (_Shape("delta", _ISF, 3), _Shape("nu", _NU, 2)),
             partial(two_piece_logf, base=t_logf), partial(_starts_two_piece, with_nu=True),
-            "delta", scaled=True),
+            "delta"),
     _Family("gh_normal",
             lambda loc, g, h: TransformParams(normal_base(), loc, GhTransform(g, h)),
-            (_Shape("g"), _Shape("h")), mle=False, quantile_fit=fit_gh_quantile),
+            (_Shape("g"), _Shape("h")), quantile_fit=fit_gh_quantile),
     _Family("k_normal", lambda loc, eta: TransformParams(normal_base(), loc, KTransform(eta)),
-            (_Shape("eta"),), mle=False),
+            (_Shape("eta"),)),
 )}
 
 FAMILY_ORDER = tuple(name for name, f in _FAMILIES.items() if f.mle)
@@ -1138,11 +1145,25 @@ def _to_w_units(params: dict, e, m0, s0) -> dict:
     return out
 
 
-def _from_w_units(params: dict, e, m0, s0) -> dict:
-    out = dict(params)
-    out["mu"] = float(np.ldexp(m0 + s0 * params["mu"], e))
-    out["sigma"] = float(np.ldexp(s0 * params["sigma"], e))
-    return out
+def _natural(spec: _Family, t, units, cfg: FitConfig) -> dict:
+    """Natural parameters of a data row's coordinates t and units (e, m0, s0)."""
+    e, m0, s0 = units
+    params = spec.decode(t, cfg)
+    params["mu"] = float(np.ldexp(m0 + s0 * params["mu"], e))
+    params["sigma"] = float(np.ldexp(s0 * params["sigma"], e))
+    if spec.scaled:
+        params["scaling"] = cfg.scaling
+    return params
+
+
+def _sample_error(spec: _Family, n: int, s0) -> Optional[ValueError]:
+    """fit_mle's ValueError, if any, on n points with standardizing scale s0."""
+    if n < spec.n_free + 1:
+        return ValueError(
+            f"{spec.name} fit needs at least {spec.n_free + 1} observations, got {n}")
+    if s0 == 0.0:
+        return ValueError("degenerate sample: zero variance")
+    return None
 
 
 def _plan_rows(spec: _Family, w: np.ndarray, cfg: FitConfig, extra=()):
@@ -1224,23 +1245,17 @@ def _fit_sample(fits: Sequence[tuple], data, cfg: FitConfig) -> list:
     w, (e,), (m0,), (s0,) = _standardize(x[None, :])
     out, plans = [], []
     for spec, extra_starts in fits:
-        if n < spec.n_free + 1:
-            out.append(ValueError(
-                f"{spec.name} fit needs at least {spec.n_free + 1} observations, got {n}"))
-        elif s0 == 0.0:
-            out.append(ValueError("degenerate sample: zero variance"))
-        else:
+        error = _sample_error(spec, n, s0)
+        if error is None:
             extra = [spec.encode(_to_w_units(p, e, m0, s0), cfg)[None, :] for p in extra_starts]
             plans.append(_plan_rows(spec, w, cfg, extra))
-            out.append(spec)
+        out.append(spec if error is None else error)
     rows = iter(_fit_planned(plans, n))
     for i, spec in enumerate(out):
         if isinstance(spec, ValueError):
             continue
         fit = next(rows)
-        params = _from_w_units(spec.decode(fit.t[0], cfg), e, m0, s0)
-        if spec.scaled:
-            params["scaling"] = cfg.scaling
+        params = _natural(spec, fit.t[0], (e, m0, s0), cfg)
         loglik = log_likelihood(spec.name, params, x)
         out[i] = FitResult(
             family=spec.name,
@@ -1345,38 +1360,23 @@ def model_select(fits: Sequence[FitResult], criterion: str = "aic"):
 # bootstrap-calibrated likelihood-ratio test
 
 
-def _null_embed(null_family, alt_family, params, cfg):
-    """Starting points that reproduce the fitted null inside the alternative.
-
-    The alternative's coordinates beyond the null's are zero at the null
-    (skew_t's delta = 0); the null's fitted params fill the rest.
-    """
-    if (null_family, alt_family) not in _EMBEDDED_PAIRS:
-        return []
-    alt = _FAMILIES[alt_family]
-    return [{**alt.decode(np.zeros(alt.n_free), cfg), **params}]
-
-
-def _bootstrap_stats(null_family, alt_family, rows, cfg):
-    """LR statistics 2 (loglik_alt - loglik_null) of each data row.
+def _lr_rows(null_spec, alt_spec, std, cfg):
+    """LR statistics 2 (loglik_alt - loglik_null) of each data row, and the
+    null's _RowFits, from std, _standardize's (w, e, m0, s0) of the rows.
 
     Both families are fit on the same standardized rows, so the scale terms
-    cancel from the statistic.  NaN marks a row whose refit failed.
+    cancel from the statistic.  NaN marks a row whose refit failed.  An
+    embedded pair's null start takes fit_mle's path: natural units, delta 0,
+    and back.
     """
-    w, e, m0, s0 = _standardize(rows)
-    null_spec, alt_spec = _FAMILIES[null_family], _FAMILIES[alt_family]
+    w, *units = std
     null = _fit_rows(null_spec, w, cfg)
-    extra = []
-    if (null_family, alt_family) in _EMBEDDED_PAIRS:
-        # each row's null start takes fit_mle's path: natural units, _null_embed, and back
-        units = list(zip(e, m0, s0))
-        nulls = [_from_w_units(null_spec.decode(t, cfg), *u) for t, u in zip(null.t, units)]
-        extra.append(np.array([
-            alt_spec.encode(_to_w_units(_null_embed(null_family, alt_family, p, cfg)[0], *u), cfg)
-            for p, u in zip(nulls, units)
-        ]))
+    extra = [np.array([
+        alt_spec.encode(_to_w_units({**_natural(null_spec, t, u, cfg), "delta": 0.0}, *u), cfg)
+        for t, u in zip(null.t, zip(*units))
+    ])] if (null_spec.name, alt_spec.name) in _EMBEDDED_PAIRS else []
     alt = _fit_rows(alt_spec, w, cfg, extra)
-    return np.where(s0 > 0.0, 2.0 * (null.nll - alt.nll), np.nan)
+    return np.where(units[2] > 0.0, 2.0 * (null.nll - alt.nll), np.nan), null
 
 
 def lr_test(
@@ -1392,6 +1392,7 @@ def lr_test(
     The statistic is max(0, 2 * (loglik_alt - loglik_null)).  Its null
     distribution is estimated by refitting both families on b_reps samples
     drawn from the fitted null; p = (1 + #{boot >= observed}) / (b_reps + 1).
+    The observed sample is fit as the replicates are, as a batch of one row.
     Each replicate gets an independent child generator spawned from rng, so
     results are reproducible for a given seed and config.  Replicates are
     refit in batches of bounded size.
@@ -1408,28 +1409,22 @@ def lr_test(
     x = _as_data(data)
     cfg = config if config is not None else FitConfig()
     gen = rng if rng is not None else make_rng(0)
-
-    null_fit = fit_mle(null_family, x, cfg)
-    alt_fit = fit_mle(
-        alt_family, x, cfg, extra_starts=_null_embed(null_family, alt_family, null_fit.params, cfg)
-    )
-    observed = max(0.0, 2.0 * (alt_fit.loglik - null_fit.loglik))
-
-    null_dist = distribution_for(null_family, null_fit.params)
     n = x.size
+    specs = _FAMILIES[null_family], _FAMILIES[alt_family]
+    std = _standardize(x[None, :])
+    _, (e,), (m0,), (s0,) = std
+    for spec in specs:
+        if (error := _sample_error(spec, n, s0)) is not None:
+            raise error
+    stats, null = _lr_rows(*specs, std, cfg)
+    observed = max(0.0, float(stats[0]))
+    null_dist = distribution_for(null_family, _natural(specs[0], null.t[0], (e, m0, s0), cfg))
     children = gen.spawn(b)
     per = _rows_per_batch(n)
-    stats = np.concatenate(
-        [
-            _bootstrap_stats(
-                null_family,
-                alt_family,
-                np.array([null_dist.sample(n, child) for child in children[i : i + per]]),
-                cfg,
-            )
-            for i in range(0, b, per)
-        ]
-    )
+    stats = np.concatenate([
+        _lr_rows(*specs, _standardize(np.array([null_dist.sample(n, c) for c in chunk])), cfg)[0]
+        for chunk in (children[i : i + per] for i in range(0, b, per))
+    ])
     ok = np.isfinite(stats)
     failures = int(b - np.count_nonzero(ok))
     if failures > 0.05 * b:

@@ -290,6 +290,17 @@ def test_criterion_6_lr_test_size():
           f"at nominal 5%; {elapsed:.0f}s")
 
 
+@pytest.mark.parametrize("alt", ["skew_normal", "sas_normal", "twopiece_normal"])
+def test_lr_size_study_script_runs(alt, capsys):
+    # criterion 6's script end to end through its command line, at a size
+    # the quick loop affords
+    study = _load_lr_size_study()
+    assert study.main(["--alt", alt, "--reps", "4", "--boot", "99"]) == 0
+    out = capsys.readouterr().out
+    assert f"normal vs {alt}: n=200 reps=4 B=99" in out
+    assert "rejection rate" in out
+
+
 def test_criterion_7_sfa_demo():
     demo = sfa_composite_error_demo(10_000, 1.0, 1.0, make_rng(7))
     assert demo.delta_hat < 0.0

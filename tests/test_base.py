@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -369,3 +370,13 @@ def test_student_log_pdf_is_finite_where_z_squared_overflows():
     got = got[:2]
     ref = [t.log_pdf(1e100) - 1.5 * math.log(1e100), t.log_pdf(1e150) - 1.5 * math.log(1e150)]
     assert got == pytest.approx(ref, rel=1e-14)
+
+
+def test_student_cdf_is_silent_where_z_squared_overflows():
+    # beyond |z| = 1.3e154, z * z overflows to inf and the tail mass is 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert base.student_base(3.0).cdf(1e300) == 1.0
+        assert base.student_base(3.0).cdf(-1e300) == 0.0
+        got = base.student_base(3.0).cdf(np.array([-1e300, -2e154, 1e154, 1e155]))
+    assert got.tolist() == [0.0, 0.0, 1.0, 1.0]

@@ -786,15 +786,18 @@ def test_lr_test_reproducible():
 FAST = infer.FitConfig(restarts=1, xatol=3e-4, fatol=1e-4, maxiter=250)
 
 
+def _embed(null, alt, params):
+    """The fitted null inside the alternative, as a fit_mle extra start."""
+    if (null, alt) == ("t", "skew_t"):
+        return [{**params, "delta": 0.0}]
+    if alt == "twopiece_normal":
+        return [{**params, "delta": 1.0}]
+    return []
+
+
 def _refit_loop_p_value(data, null, alt, b, rng, cfg):
     """Reference p-value: fit_mle on each bootstrap replicate in turn."""
-    def embed(params):
-        if (null, alt) == ("t", "skew_t"):
-            return [{**params, "delta": 0.0}]
-        if alt == "twopiece_normal":
-            return [{**params, "delta": 1.0}]
-        return []
-
+    embed = partial(_embed, null, alt)
     nf = infer.fit_mle(null, data, cfg)
     af = infer.fit_mle(alt, data, cfg, extra_starts=embed(nf.params))
     observed = max(0.0, 2.0 * (af.loglik - nf.loglik))
@@ -828,20 +831,56 @@ def test_lr_test_chunked_replicates_match(null, alt, monkeypatch):
     assert chunked == whole
 
 
+def _lr_rows(null, alt, rows, cfg):
+    return infer._lr_rows(infer._FAMILIES[null], infer._FAMILIES[alt],
+                          infer._standardize(rows), cfg)
+
+
 @pytest.mark.parametrize("null, alt", sorted(infer.NESTED_PAIRS))
-def test_bootstrap_stats_match_fit_mle_per_replicate(null, alt):
+def test_lr_rows_match_fit_mle_per_replicate(null, alt):
     # each replicate's embedded null start reaches the optimizer as a fit_mle
     # refit builds it, so the loose config's early stops agree
     data = skewsym.SkewNormal(0.0, 1.0, 1.0).sample(60, base.make_rng(48))
     nf = infer.fit_mle(null, data, FAST)
     dist = infer.distribution_for(null, nf.params)
     rows = np.array([dist.sample(data.size, c) for c in base.make_rng(49).spawn(99)])
-    stats = infer._bootstrap_stats(null, alt, rows, FAST)
+    stats, _ = _lr_rows(null, alt, rows, FAST)
     for xb, stat in zip(rows, stats):
         nb = infer.fit_mle(null, xb, FAST)
-        ab = infer.fit_mle(alt, xb, FAST,
-                           extra_starts=infer._null_embed(null, alt, nb.params, FAST))
+        ab = infer.fit_mle(alt, xb, FAST, extra_starts=_embed(null, alt, nb.params))
         assert abs(stat - 2.0 * (ab.loglik - nb.loglik)) <= 1e-9
+
+
+@pytest.mark.parametrize("null, alt", sorted(infer.NESTED_PAIRS))
+def test_lr_test_statistic_is_its_row_statistic(null, alt):
+    # the observed statistic and the replicates' come from one row fit, so
+    # boot >= observed compares numbers computed the same way
+    data = base.make_rng(4).standard_normal(200)
+    res = infer.lr_test(data, null, alt, 99, rng=base.make_rng(5))
+    stats, _ = _lr_rows(null, alt, data[None, :], infer.FitConfig())
+    assert res.statistic == max(0.0, float(stats[0]))
+
+
+def _first_fit_error(families, data):
+    for family in families:
+        try:
+            infer.fit_mle(family, data)
+        except ValueError as error:
+            return str(error)
+    raise AssertionError(f"no fit of {families} failed")
+
+
+@pytest.mark.parametrize("null, alt", sorted(infer.NESTED_PAIRS))
+@pytest.mark.parametrize("data, message", [
+    (np.array([0.3, -1.2, 2.5]), "fit needs at least"),
+    (np.full(20, 3.0), "degenerate sample: zero variance"),
+])
+def test_lr_test_raises_fit_mle_errors(null, alt, data, message):
+    expected = _first_fit_error((null, alt), data)
+    assert message in expected
+    with pytest.raises(ValueError) as info:
+        infer.lr_test(data, null, alt, 99)
+    assert str(info.value) == expected
 
 
 def test_lr_test_two_piece_power_at_strong_skew():

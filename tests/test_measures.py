@@ -175,6 +175,14 @@ def test_large_moments_meet_a_relative_floor():
     assert measures.moment(gh, 4) == pytest.approx(closed, rel=1e-12)
 
 
+def test_a_moment_that_cancels_to_zero_meets_a_relative_floor():
+    # the odd moment of a symmetric law is about 0 while its parts are about
+    # sigma^3: the floor scales with the integral of |f|, not with the result
+    sigma = 1000.0
+    sas = _sas(0.0, 0.5, sigma=sigma)
+    assert abs(measures.moment(sas, 3)) <= 1e-12 * sigma ** 3
+
+
 def test_moment_rejects_bad_order():
     d = _located(NORMAL)
     with pytest.raises(ValueError):

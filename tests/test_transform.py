@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -192,6 +193,14 @@ def test_k_inverse_where_one_plus_x_squared_overflows():
     tr = transform.KTransform(0.2536)
     root = -math.exp(math.log(8.92e296) / 1.5072)
     assert tr.forward(-8.92e296) == pytest.approx(root, rel=1e-13)
+
+
+def test_k_cdf_on_a_t_base_is_silent_where_z_squared_overflows():
+    d = transform.TransformParams(base.student_base(3.0), base.LocationScale(0.0, 1.0),
+                                  transform.KTransform(0.25))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert d.cdf(-1e300) == 0.0
 
 
 def test_bounded_gh_support_ends_in_infinity():
