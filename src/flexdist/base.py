@@ -221,9 +221,14 @@ class SymmetricBase(Density):
         return math.inf
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Inverse-transform draws; deterministic for a given generator."""
+        """Draws deterministic for a given generator: the Student t as
+        Z / sqrt(V / nu) with V ~ chi^2_nu drawn first, the normal and the
+        logistic by inverse transform."""
         if n < 0:
             raise ValueError("sample size must be nonnegative")
+        if self.kind == STUDENT_T:
+            v = rng.chisquare(self.nu, n)
+            return rng.standard_normal(n) / np.sqrt(v / self.nu)
         u = rng.random(n)
         tiny = 1e-300
         np.clip(u, tiny, 1.0 - 1e-16, out=u)

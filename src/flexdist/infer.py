@@ -1133,7 +1133,8 @@ def _standardize(x):
     e = np.frexp(np.max(np.abs(x), axis=1))[1]
     xs = np.ldexp(x, -e[:, None])
     m0 = xs.mean(axis=1)
-    s0 = xs.std(axis=1)
+    # the mean of equal values can round away from them, leaving s0 ~ 1e-16
+    s0 = np.where(np.ptp(xs, axis=1) > 0.0, xs.std(axis=1), 0.0)
     w = (xs - m0[:, None]) / np.where(s0 > 0.0, s0, 1.0)[:, None]
     return w, e, m0, s0
 

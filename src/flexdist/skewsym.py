@@ -495,12 +495,12 @@ class SkewT(_SkewLaw):
         return self.nu
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """A skew-normal over sqrt(V / nu), V ~ chi^2_nu drawn first."""
         if n < 0:
             raise ValueError("sample size must be nonnegative")
-        z = student_base(self.nu).sample(n, rng)
-        u = rng.random(n)
-        keep = u < student_base(self.nu + 1.0).cdf(_skew_t_arg(z, self.nu, self.delta)[0])
-        return self.mu + self.sigma * np.where(keep, z, -z)
+        v = rng.chisquare(self.nu, n)
+        z = SkewNormal(delta=self.delta).sample(n, rng)
+        return self.mu + self.sigma * z / np.sqrt(v / self.nu)
 
 
 @dataclass(frozen=True)

@@ -287,7 +287,7 @@ def transform_quantile(q, params: TransformParams):
 
 def sample_transform(n: int, params: TransformParams,
                      rng: np.random.Generator) -> np.ndarray:
-    """Inverse-transform sampler; works for SAS, GH and K alike."""
+    """mu + sigma * H^(-1)(Z) with Z drawn from the base; works for SAS, GH and K alike."""
     if n < 0:
         raise ValueError("sample size must be nonnegative")
     z = params.base.sample(n, rng)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
-from flexdist import infer
+from flexdist import base, infer
 
 # one parameter set per family of infer._FAMILIES; the two-piece families
 # once under each scaling
@@ -104,3 +105,51 @@ def test_log_pdf_is_finite_where_the_density_is_positive(family, d, e, sign):
         assert np.isfinite(out).all()
     else:
         assert not np.isnan(out).any() and (out < np.inf).all()
+
+
+# the laws sampled from the t's representation Z / sqrt(V / nu), one fixed
+# seed each: the t, the skew-t (a skew-normal over sqrt(V / nu)) and the
+# two-piece t (its half-t magnitudes)
+SAMPLER_NUS = (1.0, 2.5, 5.0, 30.0)
+REPRESENTATION_LAWS = [
+    *(("t", {"nu": nu}) for nu in SAMPLER_NUS),
+    *(("skew_t", {"nu": nu, "delta": delta}) for nu in SAMPLER_NUS for delta in (-3.0, 0.0, 2.0)),
+    *(("twopiece_t", {"nu": nu, "delta": delta, "scaling": scaling}) for nu in SAMPLER_NUS
+      for delta, scaling in ((0.5, "isf"), (3.0, "isf"), (-0.5, "epsilon"), (0.9, "epsilon"))),
+]
+KS_N = 20_000
+
+
+def _ks_draws(i, family, shape):
+    d = infer.distribution_for(family, {"mu": 0.3, "sigma": 1.7, **shape})
+    return d, d.sample(KS_N, base.make_rng(4100 + i))
+
+
+@pytest.mark.parametrize("i, family, shape", [
+    pytest.param(i, family, shape, id=f"{family}-" + "-".join(map(str, shape.values())))
+    for i, (family, shape) in enumerate(REPRESENTATION_LAWS)])
+def test_sampler_ks_against_own_cdf(i, family, shape):
+    d, x = _ks_draws(i, family, shape)
+    assert stats.kstest(x, d.cdf).pvalue > 1e-4
+
+
+@pytest.mark.parametrize("nu", SAMPLER_NUS)
+def test_skew_t_sampler_at_zero_delta_is_the_t(nu):
+    i = REPRESENTATION_LAWS.index(("skew_t", {"nu": nu, "delta": 0.0}))
+    _, x = _ks_draws(i, "skew_t", {"nu": nu, "delta": 0.0})
+    assert stats.kstest(x, stats.t(nu, loc=0.3, scale=1.7).cdf).pvalue > 1e-4
+
+
+@pytest.mark.parametrize("family", ["t", "skew_t"])
+@given(nu=st.floats(0.2, 200.0), delta=st.sampled_from((0.0, 1e200, -1e200)),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_t_samplers_are_finite_and_seeded(family, nu, delta, seed):
+    shape = {"nu": nu, "delta": delta} if family == "skew_t" else {"nu": nu}
+    d = infer.distribution_for(family, {"mu": 0.3, "sigma": 1.7, **shape})
+    x = d.sample(2000, base.make_rng(seed))
+    assert x.shape == (2000,) and np.isfinite(x).all()
+    assert np.array_equal(x, d.sample(2000, base.make_rng(seed)))
+    assert d.sample(0, base.make_rng(seed)).shape == (0,)
+    with pytest.raises(ValueError):
+        d.sample(-1, base.make_rng(seed))

@@ -883,6 +883,27 @@ def test_lr_test_raises_fit_mle_errors(null, alt, data, message):
     assert str(info.value) == expected
 
 
+# constant samples whose prescaled mean rounds off the value, so the
+# standard deviation comes out near 1e-16 instead of 0
+ROUNDED_CONSTANTS = [np.full(7, 0.1), np.full(10, 0.3), np.full(200, 1e-300),
+                     np.full(7, -7.7)]
+
+
+@pytest.mark.parametrize("data", ROUNDED_CONSTANTS + [np.full(3, 0.1)],
+                         ids=lambda x: f"{x[0]:g}x{x.size}")
+def test_constant_samples_raise_zero_variance(data):
+    families = ("normal",) if data.size < 5 else ("normal", "sas_normal", "twopiece_normal")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for family in families:
+            with pytest.raises(ValueError, match="degenerate sample: zero variance"):
+                infer.fit_mle(family, data)
+        if data.size >= 5:
+            for null, alt in sorted(infer.NESTED_PAIRS):
+                with pytest.raises(ValueError, match="degenerate sample: zero variance"):
+                    infer.lr_test(data, null, alt, 99)
+
+
 def test_lr_test_two_piece_power_at_strong_skew():
     # ISF delta=3 at n=200 is overwhelming: every replicate rejects at 5%
     rejections = 0
@@ -1055,7 +1076,7 @@ def test_fits_reach_the_simplex_reference():
     rng = base.make_rng(1000)
     n = 200
     x = np.array([rng.standard_normal(n),
-                  base.student_base(3.0).sample(n, rng),
+                  base.student_base(3.0).quantile(rng.random(n)),
                   skewsym.SkewNormal(0.0, 1.0, 4.0).sample(n, rng),
                   rng.gamma(2.0, size=n),
                   np.abs(rng.standard_normal(n)) + 0.1])
