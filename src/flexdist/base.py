@@ -1,9 +1,11 @@
-"""Symmetric base densities and shared numerics.
+"""Symmetric base densities, the location-scale layer and shared numerics.
 
 Everything downstream (skewing, transformation, two-piece scaling) starts
 from a density that is symmetric about zero.  This module provides the
-three stock bases (normal, Student t, logistic) together with the small
-numeric toolkit the rest of the package leans on: adaptive quadrature,
+three stock bases (normal, Student t, logistic); Located, the one
+location-scale layer every law rides, which maps x to z = (x - mu) / sigma
+and back, applies the scalar/array rule and checks the sample size; and
+the small numeric toolkit the rest of the package leans on: adaptive quadrature,
 golden-section maximization, seeded generators, and root finding.  One
 batched solver, solve_increasing, inverts every increasing vectorized map:
 the skew families' cdf (through invert_cdf) and the g-and-h and K H^(-1).
@@ -130,25 +132,61 @@ class MatrixParams:
         return (vecs * np.sqrt(vals)) @ vecs.T
 
 
-class Density:
-    """A law's pdf, from its log_pdf."""
+class Located:
+    """A law in x = mu + sigma z over a standard law in z.
+
+    A law class gives its location and scale as self.loc, its
+    moment_order_bound() and its standard law through the hooks _logf, _cdf
+    and _quantile (array maps in z) and _draw(n, rng) (n standard draws); a
+    law whose mode is not mu also gives _mode_bracket, a bracket in z for
+    the golden-section search of its peak.  log_pdf, pdf, cdf and quantile
+    take a float or an array of points or levels, and a float gives a float.
+    """
+
+    _mode_bracket = None
+
+    @scalar_or_array
+    def log_pdf(self, x):
+        return self._logf((x - self.loc.mu) / self.loc.sigma) - math.log(self.loc.sigma)
 
     def pdf(self, x):
         return np.exp(self.log_pdf(x))
 
+    @scalar_or_array
+    def cdf(self, x):
+        return self._cdf((x - self.loc.mu) / self.loc.sigma)
+
+    @scalar_or_array
+    def quantile(self, p):
+        return self.loc.mu + self.loc.sigma * self._quantile(quantile_levels(p))
+
+    def mode(self) -> float:
+        bracket = self._mode_bracket
+        if bracket is None:
+            return self.loc.mu
+        return self.loc.mu + self.loc.sigma * golden_section_max(self._logf, *bracket)
+
+    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """n draws, deterministic for a given generator."""
+        if n < 0:
+            raise ValueError("sample size must be nonnegative")
+        return self.loc.mu + self.loc.sigma * self._draw(n, rng)
+
 
 @dataclass(frozen=True)
-class SymmetricBase(Density):
+class SymmetricBase(Located):
     """A univariate density symmetric about zero.
 
     kind is one of "normal", "student_t", "logistic"; nu is the degrees of
-    freedom and only meaningful for the Student t.  Instances double as
-    distribution objects (pdf/cdf/quantile/mode/sample) so the shape
-    measures can be evaluated on the bases directly.
+    freedom and only meaningful for the Student t.  Instances are the
+    standard laws of the located ones and double as distribution objects in
+    z (loc (0, 1)), so the shape measures can be evaluated on the bases
+    directly.
     """
 
     kind: str = NORMAL
     nu: float = field(default=math.nan)
+    loc = LocationScale()
 
     def __post_init__(self):
         if self.kind not in _BASE_KINDS:
@@ -159,8 +197,6 @@ class SymmetricBase(Density):
         elif not math.isnan(self.nu):
             raise ValueError(f"nu is only accepted for the student_t base")
 
-    # ---- density -------------------------------------------------------
-
     @property
     def log_density(self):
         """The kind's per-point log-density and the shapes it takes after z."""
@@ -168,51 +204,36 @@ class SymmetricBase(Density):
             return t_logf, (self.nu,)
         return (normal_logf if self.kind == NORMAL else logistic_logf), ()
 
-    @scalar_or_array
-    def log_pdf(self, z):
+    def _logf(self, z):
         logf, shapes = self.log_density
         return logf(z, *shapes)
 
-    # ---- cdf / quantile ------------------------------------------------
-
-    @scalar_or_array
-    def cdf(self, z):
+    def _cdf(self, z):
         if self.kind == NORMAL:
-            out = special.ndtr(z)
-        elif self.kind == STUDENT_T:
-            nu = self.nu
-            # z * z overflows to inf for |z| beyond 1e154, where w = 0 is the answer
-            with np.errstate(over="ignore"):
-                w = special.betainc(0.5 * nu, 0.5, nu / (nu + z * z))
-            out = np.where(z >= 0.0, 1.0 - 0.5 * w, 0.5 * w)
-        else:
-            out = special.expit(z)
-        return out
+            return special.ndtr(z)
+        if self.kind == LOGISTIC:
+            return special.expit(z)
+        nu = self.nu
+        # z * z overflows to inf for |z| beyond 1e154, where w = 0 is the answer
+        with np.errstate(over="ignore"):
+            w = special.betainc(0.5 * nu, 0.5, nu / (nu + z * z))
+        return np.where(z >= 0.0, 1.0 - 0.5 * w, 0.5 * w)
 
-    @scalar_or_array
-    def quantile(self, q):
-        q = quantile_levels(q)
+    def _quantile(self, q):
         if self.kind == NORMAL:
-            out = special.ndtri(q)
-        elif self.kind == STUDENT_T:
-            nu = self.nu
-            tail = np.where(q < 0.5, q, 1.0 - q)
-            # Student t quantile through the inverse regularized beta.
+            return special.ndtri(q)
+        if self.kind == LOGISTIC:
             with np.errstate(divide="ignore"):
-                w = special.betaincinv(0.5 * nu, 0.5, 2.0 * tail)
-                mag = np.sqrt(nu * (1.0 - w) / np.where(w > 0.0, w, 1.0))
-                mag = np.where(w == 0.0, np.inf, mag)
-            out = np.where(q < 0.5, -mag, mag)
-            out = np.where(q == 0.5, 0.0, out)
-        else:
-            with np.errstate(divide="ignore"):
-                out = special.logit(q)
-        return out
-
-    # ---- distribution interface ----------------------------------------
-
-    def mode(self) -> float:
-        return 0.0
+                return special.logit(q)
+        nu = self.nu
+        tail = np.where(q < 0.5, q, 1.0 - q)
+        # Student t quantile through the inverse regularized beta.
+        with np.errstate(divide="ignore"):
+            w = special.betaincinv(0.5 * nu, 0.5, 2.0 * tail)
+            mag = np.sqrt(nu * (1.0 - w) / np.where(w > 0.0, w, 1.0))
+            mag = np.where(w == 0.0, np.inf, mag)
+        out = np.where(q < 0.5, -mag, mag)
+        return np.where(q == 0.5, 0.0, out)
 
     def moment_order_bound(self) -> float:
         """Moments of order >= this bound diverge (inf when all exist)."""
@@ -220,19 +241,16 @@ class SymmetricBase(Density):
             return self.nu
         return math.inf
 
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Draws deterministic for a given generator: the Student t as
-        Z / sqrt(V / nu) with V ~ chi^2_nu drawn first, the normal and the
-        logistic by inverse transform."""
-        if n < 0:
-            raise ValueError("sample size must be nonnegative")
+    def _draw(self, n, rng):
+        """The Student t as Z / sqrt(V / nu) with V ~ chi^2_nu drawn first,
+        the normal and the logistic by inverse transform."""
         if self.kind == STUDENT_T:
             v = rng.chisquare(self.nu, n)
             return rng.standard_normal(n) / np.sqrt(v / self.nu)
         u = rng.random(n)
         tiny = 1e-300
         np.clip(u, tiny, 1.0 - 1e-16, out=u)
-        return self.quantile(u)
+        return self._quantile(u)
 
 
 # ---------------------------------------------------------------------------
@@ -307,32 +325,19 @@ def logistic_base() -> SymmetricBase:
 
 
 @dataclass(frozen=True)
-class LocatedBase(Density):
+class LocatedBase(Located):
     """A symmetric base shifted to mu and stretched by sigma."""
 
     base: SymmetricBase
     loc: LocationScale
 
-    @scalar_or_array
-    def log_pdf(self, x):
-        z = (x - self.loc.mu) / self.loc.sigma
-        return self.base.log_pdf(z) - math.log(self.loc.sigma)
-
-    @scalar_or_array
-    def cdf(self, x):
-        return self.base.cdf((x - self.loc.mu) / self.loc.sigma)
-
-    def quantile(self, p):
-        return self.loc.mu + self.loc.sigma * self.base.quantile(p)
-
-    def mode(self) -> float:
-        return self.loc.mu
+    _logf = property(lambda self: self.base._logf)
+    _cdf = property(lambda self: self.base._cdf)
+    _quantile = property(lambda self: self.base._quantile)
+    _draw = property(lambda self: self.base._draw)
 
     def moment_order_bound(self) -> float:
         return self.base.moment_order_bound()
-
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return self.loc.mu + self.loc.sigma * self.base.sample(n, rng)
 
 
 @scalar_or_array

@@ -294,11 +294,9 @@ def _add_family_flags(sub) -> None:
     sub.add_argument("--family", help="distribution family name")
     sub.add_argument("--mu", type=float, default=0.0, help="location")
     sub.add_argument("--sigma", type=float, default=1.0, help="scale > 0")
-    sub.add_argument("--delta", type=float, help="skewness parameter")
-    sub.add_argument("--eta", type=float, help="tail-weight parameter")
-    sub.add_argument("--nu", type=float, help="degrees of freedom")
-    sub.add_argument("--g", type=float, help="g-and-h skewness")
-    sub.add_argument("--h", type=float, help="g-and-h tail weight")
+    for name in _SHAPE_FLAGS:
+        families = ", ".join(f for f, flags in _FAMILY_FLAGS.items() if name in flags)
+        sub.add_argument(f"--{name}", type=float, help=f"shape of {families}")
     sub.add_argument("--scaling", choices=("isf", "epsilon"),
                      help="two-piece scaling scheme (default isf)")
 

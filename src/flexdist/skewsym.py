@@ -10,8 +10,9 @@ The univariate skew-t CDF sums, at each point, that point's window of its
 normal-chi^2 scale mixture (_ScaleMixture) on the smaller tail.  Against
 mpmath its absolute error is at most 1e-15, and the smaller tail keeps a
 relative error of 1e-14 down to 1e-30 and of 5e-14 down to 1e-300.  It
-takes 1e-3 <= nu <= 1e8.  Both skew families take their quantiles from one
-batched Newton solve, base.invert_cdf.
+takes 1e-3 <= nu <= 1e8.  SkewNormal and SkewT ride base.Located: they give
+their standard law in z, take its quantiles from one batched Newton solve,
+base.invert_cdf, and search for its mode over z in [-10, 10].
 """
 from __future__ import annotations
 
@@ -24,12 +25,11 @@ from scipy import special
 
 from .base import (
     LOG_SQRT_TWO_PI,
-    Density,
+    Located,
     LocationScale,
     MatrixParams,
     NumericsError,
     SymmetricBase,
-    golden_section_max,
     invert_cdf,
     log_stdtr,
     normal_base,
@@ -62,6 +62,7 @@ _DOF_STEP = 1e-7
 _MIX_NU_MIN, _MIX_NU_MAX = 1e-3, 1e8
 # nodes x points that _ScaleMixture sums at once
 _MIX_BLOCK = 2 ** 20
+_NORMAL = normal_base()
 
 
 def _sn_cdf(z, delta, log=False):
@@ -421,16 +422,17 @@ def sample_skew_t_k(n: int, mp: MatrixParams, nu: float, delta,
     return mp.mu_vec + signed
 
 
-class _SkewLaw(Density):
-    """The density, quantiles and mode of a law with mu, sigma, log_pdf and cdf."""
+class _SkewLaw(Located):
+    """A skew law with mu and sigma fields; its quantiles are solved and its
+    mode searched in z."""
 
-    @scalar_or_array
-    def quantile(self, p):
-        return invert_cdf(self.cdf, self.pdf, p, self.mu, self.sigma)
+    _mode_bracket = (-10.0, 10.0)
 
-    def mode(self) -> float:
-        return golden_section_max(self.log_pdf, self.mu - 10.0 * self.sigma,
-                                  self.mu + 10.0 * self.sigma)
+    def __post_init__(self):
+        object.__setattr__(self, "loc", LocationScale(self.mu, self.sigma))
+
+    def _quantile(self, q):
+        return invert_cdf(self._cdf, lambda z: np.exp(self._logf(z)), q, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -442,25 +444,23 @@ class SkewNormal(_SkewLaw):
     delta: float = 0.0
 
     def __post_init__(self):
-        LocationScale(self.mu, self.sigma)
+        super().__post_init__()
         if not np.isfinite(self.delta):
             raise ValueError("delta must be finite")
 
-    @scalar_or_array
-    def log_pdf(self, x):
-        return skew_normal_logf((x - self.mu) / self.sigma, self.delta) - math.log(self.sigma)
+    def _logf(self, z):
+        return skew_normal_logf(z, self.delta)
 
-    @scalar_or_array
-    def cdf(self, x):
-        return _sn_cdf((x - self.mu) / self.sigma, self.delta)
+    def _cdf(self, z):
+        return _sn_cdf(z, self.delta)
 
     def moment_order_bound(self) -> float:
         return math.inf
 
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        p = SkewSymParams(normal_base(), LocationScale(self.mu, self.sigma),
-                          self.delta)
-        return sample_skew_symmetric(n, p, cdf_linear(normal_base()), rng)
+    def _draw(self, n, rng):
+        """Sign flip: Z standard normal, kept when U < Phi(delta Z)."""
+        z = _NORMAL._draw(n, rng)
+        return np.where(rng.random(n) < _NORMAL._cdf(self.delta * z), z, -z)
 
 
 @dataclass(frozen=True)
@@ -473,34 +473,29 @@ class SkewT(_SkewLaw):
     delta: float = 0.0
 
     def __post_init__(self):
-        LocationScale(self.mu, self.sigma)
+        super().__post_init__()
         if not (np.isfinite(self.nu) and self.nu > 0.0):
             raise ValueError(f"nu must be positive, got {self.nu}")
         if not np.isfinite(self.delta):
             raise ValueError("delta must be finite")
 
-    @scalar_or_array
-    def log_pdf(self, x):
-        return skew_t_logf((x - self.mu) / self.sigma, self.nu, self.delta) - math.log(self.sigma)
+    def _logf(self, z):
+        return skew_t_logf(z, self.nu, self.delta)
 
     @cached_property
     def _mixture(self) -> _ScaleMixture:
         return _ScaleMixture(self.nu, self.delta)
 
-    @scalar_or_array
-    def cdf(self, x):
-        return self._mixture.cdf((x - self.mu) / self.sigma)
+    def _cdf(self, z):
+        return self._mixture.cdf(z)
 
     def moment_order_bound(self) -> float:
         return self.nu
 
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+    def _draw(self, n, rng):
         """A skew-normal over sqrt(V / nu), V ~ chi^2_nu drawn first."""
-        if n < 0:
-            raise ValueError("sample size must be nonnegative")
         v = rng.chisquare(self.nu, n)
-        z = SkewNormal(delta=self.delta).sample(n, rng)
-        return self.mu + self.sigma * z / np.sqrt(v / self.nu)
+        return SkewNormal(delta=self.delta)._draw(n, rng) / np.sqrt(v / self.nu)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,8 @@ sigma^(-1) f(H(z)) H'(z).  The sinh-arcsinh map has closed forms in both
 directions.  The Tukey g-and-h and the K tail map only define H^(-1)
 analytically: their H is solved by base.solve_increasing, with Newton steps
 on the closed-form slope of H^(-1), and log H'(z) = -log (H^(-1))'(H(z)).
+TransformParams rides base.Located with the standard law of H^(-1)(Z), Z
+from the base.
 """
 from __future__ import annotations
 
@@ -16,14 +18,12 @@ import numpy as np
 from .base import (
     LOGISTIC,
     NORMAL,
-    Density,
+    Located,
     LocationScale,
     MatrixParams,
     SymmetricBase,
-    golden_section_max,
     log1p_square,
     normal_logf,
-    quantile_levels,
     scalar_or_array,
     solve_increasing,
     student_pdf_k,
@@ -173,7 +173,7 @@ class _InverseOnly:
 
     def logf(self, z, base: SymmetricBase):
         y = self.forward(z)
-        out = base.log_pdf(y) - self.log_inverse_slope(y)
+        out = base._logf(y) - self.log_inverse_slope(y)
         # H is +-inf at z = +-inf and beyond the end of a bounded support
         out[np.isinf(y)] = -np.inf
         return out
@@ -246,52 +246,38 @@ class KTransform(_InverseOnly):
 
 
 @dataclass(frozen=True)
-class TransformParams(Density):
+class TransformParams(Located):
     """Base draw pushed through mu + sigma * H^(-1)(.)."""
 
     base: SymmetricBase
     loc: LocationScale
     tr: "SasTransform | GhTransform | KTransform"
 
-    # -- distribution interface -------------------------------------------
+    def _logf(self, z):
+        return self.tr.logf(z, self.base)
 
-    @scalar_or_array
-    def log_pdf(self, x):
-        z = (x - self.loc.mu) / self.loc.sigma
-        return self.tr.logf(z, self.base) - math.log(self.loc.sigma)
+    def _cdf(self, z):
+        return self.base._cdf(self.tr.forward(z))
 
-    @scalar_or_array
-    def cdf(self, x):
-        return self.base.cdf(self.tr.forward((x - self.loc.mu) / self.loc.sigma))
+    def _quantile(self, q):
+        # exact for every kind
+        return self.tr.inverse(self.base._quantile(q))
 
-    def quantile(self, p):
-        return transform_quantile(p, self)
+    def _draw(self, n, rng):
+        return self.tr.inverse(self.base._draw(n, rng))
 
-    def mode(self) -> float:
-        return golden_section_max(self.log_pdf, self.loc.mu - 10.0 * self.loc.sigma,
-                                  self.loc.mu + 10.0 * self.loc.sigma)
+    @property
+    def _mode_bracket(self):
+        # z = +-10, widened to H^(-1)(+-10) where the base's peak lies beyond
+        # them (SAS puts H^(-1)(0) at sinh(-delta / eta)), but held within
+        # +-1e7, where golden-section steps from the ends round by less than
+        # their tolerance 1e-8
+        with np.errstate(over="ignore"):
+            lo, hi = np.clip(self.tr.inverse(np.array([-10.0, 10.0])), -1e7, 1e7)
+        return min(-10.0, lo), max(10.0, hi)
 
     def moment_order_bound(self) -> float:
         return self.tr.moment_order_bound(self.base)
-
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return sample_transform(n, self, rng)
-
-
-@scalar_or_array
-def transform_quantile(q, params: TransformParams):
-    """mu + sigma * H^(-1)(base quantile); exact for every kind."""
-    q = quantile_levels(q)
-    return params.loc.mu + params.loc.sigma * params.tr.inverse(params.base.quantile(q))
-
-
-def sample_transform(n: int, params: TransformParams,
-                     rng: np.random.Generator) -> np.ndarray:
-    """mu + sigma * H^(-1)(Z) with Z drawn from the base; works for SAS, GH and K alike."""
-    if n < 0:
-        raise ValueError("sample size must be nonnegative")
-    z = params.base.sample(n, rng)
-    return params.loc.mu + params.loc.sigma * params.tr.inverse(z)
 
 
 def transform_pdf_k(x, mp: MatrixParams, nu: float, transforms) -> float:

@@ -4,7 +4,8 @@ The density is a(delta)/sigma * f(s_l z) left of mu and a(delta)/sigma *
 f(s_r z) right of it, glued continuously at mu.  Epsilon scaling keeps
 a(delta) = 1; inverse scale factors (ISF) use s_l = delta = 1/s_r.  A
 separate construction rescales through a map H obeying H(x) - H(-x) = x,
-giving the density 2 f(H^(-1)(x)).
+giving the density 2 f(H^(-1)(x)).  TwoPieceParams rides base.Located with
+the standard law a(delta) f(s z).
 """
 from __future__ import annotations
 
@@ -15,12 +16,11 @@ from typing import Callable
 import numpy as np
 
 from .base import (
-    Density,
+    Located,
     LocationScale,
     SymmetricBase,
     find_root,
     normal_logf,
-    quantile_levels,
     scalar_or_array,
 )
 
@@ -97,59 +97,42 @@ def side_masses(scheme) -> tuple[float, float]:
 
 
 @dataclass(frozen=True)
-class TwoPieceParams(Density):
+class TwoPieceParams(Located):
+    """A two-piece law; branch rescaling leaves the peak of a unimodal base
+    at mu, the default mode."""
+
     base: SymmetricBase
     loc: LocationScale
     scheme: "EpsilonScaling | IsfScaling"
 
-    @scalar_or_array
-    def log_pdf(self, x):
-        z = (x - self.loc.mu) / self.loc.sigma
+    def _logf(self, z):
         logf, shapes = self.base.log_density
-        return (two_piece_logf(z, self.scheme.delta, *shapes, scaling=self.scheme.kind,
-                               base=logf) - math.log(self.loc.sigma))
+        return two_piece_logf(z, self.scheme.delta, *shapes, scaling=self.scheme.kind, base=logf)
 
-    @scalar_or_array
-    def cdf(self, x):
-        z = (x - self.loc.mu) / self.loc.sigma
+    def _cdf(self, z):
         sl, sr, a = self.scheme.s_left, self.scheme.s_right, self.scheme.a
         left_mass, _ = side_masses(self.scheme)
-        below = (a / sl) * self.base.cdf(sl * z)
-        above = left_mass + (a / sr) * (self.base.cdf(sr * z) - 0.5)
+        below = (a / sl) * self.base._cdf(sl * z)
+        above = left_mass + (a / sr) * (self.base._cdf(sr * z) - 0.5)
         return np.where(z < 0.0, below, above)
 
-    @scalar_or_array
-    def quantile(self, q):
-        qq = quantile_levels(q)
+    def _quantile(self, q):
         sl, sr, a = self.scheme.s_left, self.scheme.s_right, self.scheme.a
         left_mass, _ = side_masses(self.scheme)
         # each side inverts its own tail mass, by the symmetry of the base
-        lower = self.base.quantile(np.minimum(qq * sl / a, 0.5)) / sl
-        upper = -self.base.quantile(np.minimum((1.0 - qq) * sr / a, 0.5)) / sr
-        return self.loc.mu + self.loc.sigma * np.where(qq < left_mass, lower, upper)
-
-    def mode(self) -> float:
-        # branch rescaling leaves the peak of a unimodal base at mu
-        return self.loc.mu
+        lower = self.base._quantile(np.minimum(q * sl / a, 0.5)) / sl
+        upper = -self.base._quantile(np.minimum((1.0 - q) * sr / a, 0.5)) / sr
+        return np.where(q < left_mass, lower, upper)
 
     def moment_order_bound(self) -> float:
         return self.base.moment_order_bound()
 
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return sample_two_piece(n, self, rng)
-
-
-def sample_two_piece(n: int, p: TwoPieceParams,
-                     rng: np.random.Generator) -> np.ndarray:
-    """Branch-pick sampler: side chosen by mass, magnitude from the half base."""
-    if n < 0:
-        raise ValueError("sample size must be nonnegative")
-    left_mass, _ = side_masses(p.scheme)
-    pick = rng.random(n)
-    mag = np.abs(p.base.sample(n, rng))
-    left_value = p.loc.mu - p.loc.sigma * mag / p.scheme.s_left
-    right_value = p.loc.mu + p.loc.sigma * mag / p.scheme.s_right
-    return np.where(pick < left_mass, left_value, right_value)
+    def _draw(self, n, rng):
+        """Branch pick: side chosen by mass, magnitude from the half base."""
+        left_mass, _ = side_masses(self.scheme)
+        pick = rng.random(n)
+        mag = np.abs(self.base._draw(n, rng))
+        return np.where(pick < left_mass, -mag / self.scheme.s_left, mag / self.scheme.s_right)
 
 
 @dataclass(frozen=True)

@@ -375,6 +375,14 @@ def test_help_exits_zero():
         assert run(sub, "--help").returncode == 0
 
 
+def test_shape_flag_help_names_its_families():
+    # the shape flags come from the family table, each naming its families
+    text = " ".join(run("sample", "--help").stdout.split())
+    for name in cli._SHAPE_FLAGS:
+        families = ", ".join(f for f, flags in cli._FAMILY_FLAGS.items() if name in flags)
+        assert f"--{name} {name.upper()} shape of {families}" in text
+
+
 def test_unknown_flag_exits_two():
     assert run("curve", "--bogus").returncode == 2
 

@@ -24,11 +24,20 @@ SHAPES = {
     "twopiece_t": [{"nu": 2.0, "delta": 2.0, "scaling": "isf"},
                    {"nu": 2.0, "delta": -0.5, "scaling": "epsilon"}],
 }
-FAMILY_CASES = [pytest.param(family, infer.distribution_for(family, {"mu": 0.3, "sigma": 1.7,
-                                                                     **shape}),
-                             id=f"{family}-{shape.get('scaling', '')}")
-                for family, shapes in SHAPES.items() for shape in shapes]
+LAWS = [(family, shape, f"{family}-{shape.get('scaling', '')}")
+        for family, shapes in SHAPES.items() for shape in shapes]
+MU, SIGMA = 0.3, 1.7
+
+
+def _law(family, shape, mu=MU, sigma=SIGMA):
+    return infer.distribution_for(family, {"mu": mu, "sigma": sigma, **shape})
+
+
+FAMILY_CASES = [pytest.param(family, _law(family, shape), id=i) for family, shape, i in LAWS]
 CASES = [pytest.param(p.values[1], id=p.id) for p in FAMILY_CASES]
+# each law at (MU, SIGMA) with its twin at (0, 1)
+TWIN_CASES = [pytest.param(_law(family, shape), _law(family, shape, 0.0, 1.0), id=i)
+              for family, shape, i in LAWS]
 # every family the likelihood fits, under each scaling it takes
 MLE_CASES = [(family, scaling) for family in infer.FAMILY_ORDER if infer._FAMILIES[family].logf
              for scaling in (("isf", "epsilon") if infer._FAMILIES[family].scaled else ("isf",))]
@@ -44,6 +53,38 @@ def test_every_family_is_covered():
     assert set(SHAPES) == set(infer._FAMILIES)
     for family, spec in infer._FAMILIES.items():
         assert len(SHAPES[family]) == (2 if spec.scaled else 1)
+
+
+@pytest.mark.parametrize("d", CASES)
+def test_float_in_float_out_and_sample_sizes(d):
+    for method, arg in (("log_pdf", 0.4), ("pdf", 0.4), ("cdf", 0.4), ("quantile", 0.3)):
+        out = getattr(d, method)(arg)
+        assert isinstance(out, float), method
+        assert out == getattr(d, method)(np.array([arg]))[0], method
+    assert d.sample(0, base.make_rng(1)).shape == (0,)
+    with pytest.raises(ValueError):
+        d.sample(-1, base.make_rng(1))
+
+
+@pytest.mark.parametrize("d, twin", TWIN_CASES)
+def test_location_scale_step_is_exact(d, twin):
+    # every law is its (0, 1) twin through x = mu + sigma z, to the bit
+    x = np.linspace(-12.0, 12.0, 49)
+    z = (x - MU) / SIGMA
+    with np.errstate(all="ignore"):
+        assert np.array_equal(d.log_pdf(x), twin.log_pdf(z) - np.log(SIGMA))
+    assert np.array_equal(d.cdf(x), twin.cdf(z))
+    p = np.linspace(0.0, 1.0, 21)
+    assert np.array_equal(d.quantile(p), MU + SIGMA * twin.quantile(p))
+    assert d.mode() == MU + SIGMA * twin.mode()
+
+
+@pytest.mark.parametrize("family, shape", [pytest.param(f, s, id=i) for f, s, i in LAWS])
+def test_mode_far_from_zero(family, shape):
+    # the peak is searched in z, so an absolute tolerance far below an ulp
+    # of mu cannot stall it
+    d, twin = _law(family, shape, 1e9, 3.0), _law(family, shape, 0.0, 1.0)
+    assert d.mode() == 1e9 + 3.0 * twin.mode()
 
 
 @pytest.mark.parametrize("d", CASES)

@@ -26,7 +26,7 @@ def _isf_sample(n, delta, seed, mu=0.0, sigma=1.0):
     p = twopiece.TwoPieceParams(base.normal_base(),
                                 base.LocationScale(mu, sigma),
                                 twopiece.IsfScaling(delta))
-    return twopiece.sample_two_piece(n, p, base.make_rng(seed))
+    return p.sample(n, base.make_rng(seed))
 
 
 # ---------------------------------------------------------------- likelihood
@@ -326,7 +326,7 @@ def test_fit_two_piece_epsilon_scaling():
     p = twopiece.TwoPieceParams(base.normal_base(),
                                 base.LocationScale(1.0, 2.0),
                                 twopiece.EpsilonScaling(0.6))
-    data = twopiece.sample_two_piece(8_000, p, base.make_rng(14))
+    data = p.sample(8_000, base.make_rng(14))
     cfg = infer.FitConfig(scaling="epsilon")
     fit = infer.fit_mle("twopiece_normal", data, cfg)
     assert fit.params["scaling"] == "epsilon"
@@ -494,7 +494,7 @@ def test_fit_sas_recovers_shape():
     p = transform.TransformParams(base.normal_base(),
                                   base.LocationScale(0.0, 1.0),
                                   transform.SasTransform(-1.0, 0.5))
-    data = transform.sample_transform(4_000, p, base.make_rng(19))
+    data = p.sample(4_000, base.make_rng(19))
     fit = infer.fit_mle("sas_normal", data)
     assert abs(fit.params["delta"] + 1.0) < 0.25
     assert abs(fit.params["eta"] - 0.5) < 0.15
@@ -645,7 +645,7 @@ def test_fit_gh_quantile_normal_limit():
     p = transform.TransformParams(base.normal_base(),
                                   base.LocationScale(0.0, 1.0),
                                   transform.GhTransform(0.0, 0.0))
-    data = transform.sample_transform(10_000, p, base.make_rng(40))
+    data = p.sample(10_000, base.make_rng(40))
     fit = infer.fit_gh_quantile(data)
     assert abs(fit.g) < 0.1
     assert abs(fit.h) < 0.05
@@ -658,7 +658,7 @@ def test_fit_gh_quantile_recovers_parameters():
     p = transform.TransformParams(base.normal_base(),
                                   base.LocationScale(0.0, 1.0),
                                   transform.GhTransform(0.5, 0.2))
-    data = transform.sample_transform(10_000, p, base.make_rng(41))
+    data = p.sample(10_000, base.make_rng(41))
     fit = infer.fit_gh_quantile(data)
     assert abs(fit.g - 0.5) < 0.1
     assert abs(fit.h - 0.2) < 0.1
@@ -669,7 +669,7 @@ def test_fit_gh_quantile_reflection_flips_g():
     p = transform.TransformParams(base.normal_base(),
                                   base.LocationScale(0.0, 1.0),
                                   transform.GhTransform(0.5, 0.2))
-    data = transform.sample_transform(5_000, p, rng)
+    data = p.sample(5_000, rng)
     fit = infer.fit_gh_quantile(data)
     flipped = infer.fit_gh_quantile(-data)
     assert flipped.g == pytest.approx(-fit.g, abs=1e-12)

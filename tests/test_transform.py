@@ -385,21 +385,21 @@ def test_transform_quantile_gh_median_is_mu():
     for g, h in ((0.0, 0.0), (0.5, 0.2), (-2.0, 0.7)):
         p = transform.TransformParams(NORMAL, base.LocationScale(3.0, 2.0),
                                       transform.GhTransform(g, h))
-        assert transform.transform_quantile(0.5, p) == pytest.approx(
+        assert p.quantile(0.5) == pytest.approx(
             3.0, abs=1e-12)
 
 
 def test_transform_quantile_gh_normal_limit():
     p = transform.TransformParams(NORMAL, base.LocationScale(1.0, 2.0),
                                   transform.GhTransform(0.0, 0.0))
-    assert transform.transform_quantile(0.975, p) == pytest.approx(
+    assert p.quantile(0.975) == pytest.approx(
         1.0 + 2.0 * Z_975, rel=1e-9)
 
 
 def test_transform_quantile_sas_identity_equals_base():
     p = _sas_params(0.0, 1.0)
     for level in (0.05, 0.25, 0.5, 0.9):
-        assert transform.transform_quantile(level, p) == pytest.approx(
+        assert p.quantile(level) == pytest.approx(
             float(NORMAL.quantile(level)), abs=1e-12)
 
 
@@ -408,7 +408,7 @@ def test_transform_quantile_sas_agrees_with_cdf_inversion():
     levels = np.array([0.1, 0.5, 0.9])
     numeric = base.invert_cdf(p.cdf, p.pdf, levels, 0.5, 1.5)
     for level, x in zip(levels, numeric):
-        q = transform.transform_quantile(level, p)
+        q = p.quantile(level)
         assert q == pytest.approx(x, abs=1e-8)
         assert float(p.cdf(q)) == pytest.approx(level, abs=1e-10)
 
@@ -417,14 +417,14 @@ def test_transform_quantile_rejects_bad_levels():
     p = _sas_params(0.0, 1.0)
     for bad in (-0.2, 1.7):
         with pytest.raises(ValueError):
-            transform.transform_quantile(bad, p)
-    assert transform.transform_quantile(0.0, p) == -math.inf
-    assert transform.transform_quantile(1.0, p) == math.inf
+            p.quantile(bad)
+    assert p.quantile(0.0) == -math.inf
+    assert p.quantile(1.0) == math.inf
 
 
 def test_sample_transform_identity_ks():
     p = _sas_params(0.0, 1.0)
-    x = transform.sample_transform(100_000, p, base.make_rng(11))
+    x = p.sample(100_000, base.make_rng(11))
     res = stats.kstest(x, "norm")
     assert res.pvalue > 0.05
 
@@ -432,7 +432,7 @@ def test_sample_transform_identity_ks():
 def test_sample_transform_gh_median():
     p = transform.TransformParams(NORMAL, STD_LOC,
                                   transform.GhTransform(0.5, 0.0))
-    x = transform.sample_transform(100_000, p, base.make_rng(12))
+    x = p.sample(100_000, base.make_rng(12))
     iqr = np.quantile(x, 0.75) - np.quantile(x, 0.25)
     assert abs(np.median(x)) < 3.0 * iqr / np.sqrt(x.size)
 
@@ -440,29 +440,43 @@ def test_sample_transform_gh_median():
 def test_sample_transform_gh_quantiles_match():
     p = transform.TransformParams(NORMAL, STD_LOC,
                                   transform.GhTransform(0.5, 0.2))
-    x = transform.sample_transform(100_000, p, base.make_rng(13))
+    x = p.sample(100_000, base.make_rng(13))
     for level in (0.1, 0.5, 0.9):
-        band = (transform.transform_quantile(level + 0.01, p)
-                - transform.transform_quantile(level - 0.01, p))
+        band = p.quantile(level + 0.01) - p.quantile(level - 0.01)
         emp = np.quantile(x, level)
-        true = transform.transform_quantile(level, p)
+        true = p.quantile(level)
         assert abs(emp - true) < band, level
 
 
 def test_sample_transform_seed_reproducibility():
     p = _sas_params(-1.0, 0.5)
-    a = transform.sample_transform(64, p, base.make_rng(5))
-    b = transform.sample_transform(64, p, base.make_rng(5))
+    a = p.sample(64, base.make_rng(5))
+    b = p.sample(64, base.make_rng(5))
     assert np.array_equal(a, b)
     with pytest.raises(ValueError):
-        transform.sample_transform(-2, p, base.make_rng(5))
+        p.sample(-2, base.make_rng(5))
 
 
 def test_sas_sampler_ks_against_class_cdf():
     p = _sas_params(-1.0, 0.5)
-    x = transform.sample_transform(50_000, p, base.make_rng(14))
+    x = p.sample(50_000, base.make_rng(14))
     res = stats.kstest(x, lambda t: p.cdf(t))
     assert res.pvalue > 0.01
+
+
+@pytest.mark.parametrize("delta", [-5.0, 5.0])
+def test_sas_mode_far_beyond_ten_scales(delta):
+    # at eta = 0.5 the peak lies near z = -+962, where a search over mu +- 10
+    # sigma stopped at its edge
+    p = _sas_params(delta, 0.5, mu=0.3, sigma=1.7)
+    m = p.mode()
+    grid = 0.3 + 1.7 * np.linspace(-2000.0, 2000.0, 40_001)
+    assert abs(m - grid[np.argmax(p.log_pdf(grid))]) <= 1.7 * 0.1
+    assert p.log_pdf(m) >= np.max(p.log_pdf(grid))
+    # AG skewness 1 - 2 Phi(H(z)) at the mode's z
+    z = (m - 0.3) / 1.7
+    ag = 1.0 - 2.0 * stats.norm.cdf(np.sinh(0.5 * np.arcsinh(z) + delta))
+    assert abs(ag) > 0.85 and np.sign(ag) == -np.sign(delta)
 
 
 def test_transform_mode_and_moment_bound():

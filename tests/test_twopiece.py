@@ -185,7 +185,7 @@ def test_mode_is_mu():
 
 def test_sampler_below_mu_fraction():
     p = _isf(2.0, mu=1.0, sigma=2.0)
-    x = twopiece.sample_two_piece(100_000, p, base.make_rng(21))
+    x = p.sample(100_000, base.make_rng(21))
     frac = np.mean(x < 1.0)
     se = math.sqrt(0.2 * 0.8 / x.size)
     assert abs(frac - 0.2) < 3.0 * se
@@ -193,17 +193,17 @@ def test_sampler_below_mu_fraction():
 
 def test_sampler_symmetric_balance():
     p = _isf(1.0)
-    x = twopiece.sample_two_piece(100_000, p, base.make_rng(22))
+    x = p.sample(100_000, base.make_rng(22))
     assert abs(np.mean(x < 0.0) - 0.5) < 3.0 / math.sqrt(x.size)
 
 
 def test_sampler_seed_reproducibility():
     p = _eps(0.4)
-    a = twopiece.sample_two_piece(128, p, base.make_rng(5))
-    b = twopiece.sample_two_piece(128, p, base.make_rng(5))
+    a = p.sample(128, base.make_rng(5))
+    b = p.sample(128, base.make_rng(5))
     assert np.array_equal(a, b)
     with pytest.raises(ValueError):
-        twopiece.sample_two_piece(-1, p, base.make_rng(5))
+        p.sample(-1, base.make_rng(5))
 
 
 def test_sampler_ks_against_cdf():
