@@ -376,17 +376,6 @@ def skew_t_pdf(x, mp: MatrixParams, nu: float, delta):
     return 2.0 * student_pdf_k(x, mp, nu) * float(student_base(nu + k).cdf(arg))
 
 
-def sample_skew_symmetric(n: int, p: SkewSymParams, pi: SkewingFunction,
-                          rng: np.random.Generator) -> np.ndarray:
-    """Sign-flip sampler: Z from the base, kept when U < Pi(Z, delta)."""
-    if n < 0:
-        raise ValueError("sample size must be nonnegative")
-    z = p.base.sample(n, rng)
-    u = rng.random(n)
-    keep = u < pi.pi(z, p.delta)
-    return p.loc.mu + p.loc.sigma * np.where(keep, z, -z)
-
-
 def _sample_spherical_t(n: int, k: int, nu: float, rng: np.random.Generator):
     g = rng.standard_normal((n, k))
     chi = rng.chisquare(nu, n)

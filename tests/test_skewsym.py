@@ -244,28 +244,25 @@ def test_skew_symmetric_pdf_k_matches_univariate():
 
 def test_sampler_sign_balance_at_zero_delta():
     rng = base.make_rng(101)
-    x = skewsym.sample_skew_symmetric(100_000, _params(), PI_NORMAL, rng)
+    x = skewsym.SkewNormal(0.0, 1.0, 0.0).sample(100_000, rng)
     frac_pos = np.mean(x > 0.0)
     assert abs(frac_pos - 0.5) < 3.0 / math.sqrt(x.size)
 
 
 def test_sampler_positive_skew_for_positive_delta():
     rng = base.make_rng(202)
-    x = skewsym.sample_skew_symmetric(100_000, _params(delta=5.0),
-                                      PI_NORMAL, rng)
+    x = skewsym.SkewNormal(0.0, 1.0, 5.0).sample(100_000, rng)
     centered = x - x.mean()
     assert np.mean(centered ** 3) > 0.0
 
 
 def test_sampler_seed_reproducibility():
-    a = skewsym.sample_skew_symmetric(50, _params(delta=2.0), PI_NORMAL,
-                                      base.make_rng(7))
-    b = skewsym.sample_skew_symmetric(50, _params(delta=2.0), PI_NORMAL,
-                                      base.make_rng(7))
+    d = skewsym.SkewNormal(0.0, 1.0, 2.0)
+    a = d.sample(50, base.make_rng(7))
+    b = d.sample(50, base.make_rng(7))
     assert np.array_equal(a, b)
     with pytest.raises(ValueError):
-        skewsym.sample_skew_symmetric(-1, _params(), PI_NORMAL,
-                                      base.make_rng(0))
+        skewsym.SkewNormal(0.0, 1.0, 0.0).sample(-1, base.make_rng(0))
 
 
 def test_skew_normal_sample_ks_against_cdf():
