@@ -3,14 +3,15 @@
 Everything downstream (skewing, transformation, two-piece scaling) starts
 from a density that is symmetric about zero.  This module provides the
 three stock bases (normal, Student t, logistic); Located, the one
-location-scale layer every law rides, which maps x to z = (x - mu) / sigma
-and back, applies the scalar/array rule and checks the sample size; and
-the small numeric toolkit the rest of the package leans on: adaptive quadrature,
-golden-section maximization, seeded generators, and root finding.  One
-batched solver, solve_increasing, inverts every increasing vectorized map:
-the skew families' cdf (through invert_cdf) and the g-and-h and K H^(-1).
-find_root (scipy's brentq) serves the scalar maps users supply to
-twopiece.ScaleTransform.
+location-scale layer every univariate law rides, which maps x to
+z = (x - mu) / sigma and back, applies the scalar/array rule and checks the
+sample size; MatrixParams, its k-variate counterpart in
+y = Sigma^(-1/2)(x - mu); and the small numeric toolkit the rest of the
+package leans on: adaptive quadrature, golden-section maximization, seeded
+generators, and root finding.  One batched solver, solve_increasing,
+inverts every increasing vectorized map: the skew families' cdf (through
+invert_cdf) and the g-and-h and K H^(-1).  find_root (scipy's brentq) serves
+the scalar maps users supply to twopiece.ScaleTransform.
 """
 from __future__ import annotations
 
@@ -100,10 +101,16 @@ class LocationScale:
 
 @dataclass(frozen=True)
 class MatrixParams:
-    """Location vector and symmetric positive definite scale matrix."""
+    """Location vector and symmetric positive definite scale matrix, and the
+    one location-scale layer of the k-variate laws: one eigendecomposition
+    gives the principal root Sigma^(1/2) (root), its inverse (root_inv) and
+    log |Sigma|^(1/2) (half_log_det)."""
 
     mu_vec: np.ndarray
     sigma_mat: np.ndarray
+    root: np.ndarray = field(init=False, repr=False, compare=False)
+    root_inv: np.ndarray = field(init=False, repr=False, compare=False)
+    half_log_det: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mu = np.atleast_1d(np.asarray(self.mu_vec, dtype=float))
@@ -114,22 +121,35 @@ class MatrixParams:
             raise ValueError("mu_vec length must match sigma_mat dimension")
         if np.max(np.abs(sig - sig.T)) > 1e-12:
             raise ValueError("sigma_mat must be symmetric (tolerance 1e-12)")
-        if np.min(np.linalg.eigvalsh(sig)) <= 0.0:
+        vals, vecs = np.linalg.eigh(sig)
+        if np.min(vals) <= 0.0:
             raise ValueError("sigma_mat must be positive definite")
+        scales = np.sqrt(vals)
         object.__setattr__(self, "mu_vec", mu)
         object.__setattr__(self, "sigma_mat", sig)
+        object.__setattr__(self, "root", (vecs * scales) @ vecs.T)
+        object.__setattr__(self, "root_inv", (vecs / scales) @ vecs.T)
+        object.__setattr__(self, "half_log_det", float(np.log(scales).sum()))
 
     @property
     def k(self) -> int:
         return self.mu_vec.shape[0]
 
-    def cholesky(self) -> np.ndarray:
-        return np.linalg.cholesky(self.sigma_mat)
+    def density(self, x, g):
+        """|Sigma|^(-1/2) g(y) at y = Sigma^(-1/2)(x - mu), g mapping a stack
+        (n, k) of y to their (n,) densities: a point x (k,) gives a float, a
+        stack (n, k) an (n,) array.  y is a row sum, not a solve or a matrix
+        product, so each point's bits are its own whatever the stack."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim not in (1, 2) or x.shape[-1] != self.k:
+            raise ValueError(f"points must be {self.k}-vectors, got shape {x.shape}")
+        diff = np.atleast_2d(x) - self.mu_vec
+        out = g((diff[:, None, :] * self.root_inv).sum(axis=2)) * math.exp(-self.half_log_det)
+        return float(out[0]) if x.ndim == 1 else out
 
-    def sqrt_symmetric(self) -> np.ndarray:
-        """Principal (symmetric) square root of sigma_mat."""
-        vals, vecs = np.linalg.eigh(self.sigma_mat)
-        return (vecs * np.sqrt(vals)) @ vecs.T
+    def locate(self, y) -> np.ndarray:
+        """The points x = mu + Sigma^(1/2) y of a stack (n, k) of y."""
+        return self.mu_vec + y @ self.root.T
 
 
 class Located:
@@ -347,34 +367,21 @@ def normal_pdf(x, ls: LocationScale):
     return np.exp(-0.5 * z * z) / (SQRT_TWO_PI * ls.sigma)
 
 
-def student_pdf_k(x, mp: MatrixParams, nu: float):
-    """k-variate Student t density with location mu_vec and scale sigma_mat.
-
-    Evaluates
-        Gamma((nu+k)/2) / ((pi nu)^(k/2) Gamma(nu/2)) |Sigma|^(-1/2)
-            * (1 + ||Sigma^(-1/2)(x-mu)||^2 / nu)^(-(nu+k)/2)
-    for a single point or a stack of points in the trailing axis layout
-    (n, k).
-    """
+def _spherical_t_pdf(y, nu: float):
+    """The spherical Student t density at a stack (n, k) of points y,
+    Gamma((nu+k)/2) / ((pi nu)^(k/2) Gamma(nu/2)) (1 + ||y||^2 / nu)^(-(nu+k)/2)."""
     if not (np.isfinite(nu) and nu > 0.0):
         raise ValueError(f"nu must be positive, got {nu}")
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = np.atleast_2d(x)
-    k = mp.k
-    if pts.shape[1] != k:
-        raise ValueError(f"points have dimension {pts.shape[1]}, expected {k}")
-    chol = mp.cholesky()
-    diff = pts - mp.mu_vec
-    y = np.linalg.solve(chol, diff.T)
-    q = np.sum(y * y, axis=0)
-    log_det = 2.0 * np.sum(np.log(np.diag(chol)))
+    k = y.shape[1]
     log_c = (special.gammaln(0.5 * (nu + k)) - special.gammaln(0.5 * nu)
-             - 0.5 * k * math.log(math.pi * nu) - 0.5 * log_det)
-    out = np.exp(log_c - 0.5 * (nu + k) * np.log1p(q / nu))
-    if single:
-        return float(out[0])
-    return out
+             - 0.5 * k * math.log(math.pi * nu))
+    return np.exp(log_c - 0.5 * (nu + k) * np.log1p((y * y).sum(axis=1) / nu))
+
+
+def student_pdf_k(x, mp: MatrixParams, nu: float):
+    """k-variate Student t density with location mu_vec and scale sigma_mat,
+    at a point or a stack of points."""
+    return mp.density(x, lambda y: _spherical_t_pdf(y, nu))
 
 
 _TINY, _BIG = np.finfo(float).tiny, np.finfo(float).max
@@ -536,12 +543,14 @@ def golden_section_max(f, lo, hi, tol=1e-8, args=()):
     lo, hi and tol may be arrays, one bracket per row, searched at once:
     f(x, *args) maps an array holding one point per row still searching to
     their values, with args (per-row data along their last axis) cut to
-    those rows.  A row stops once its bracket is within its tol, and takes
-    the steps it would take alone.  A float bracket gives a float.
+    those rows.  A row stops once its bracket is within its tol, or within
+    four ulps of the larger end of its first bracket, since rounding keeps
+    a finer tol from ever being met, and takes the steps it would take
+    alone.  A float bracket gives a float.
     """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = np.atleast_1d(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
-    tol = np.broadcast_to(tol, a.shape)
+    tol = np.maximum(tol, 4.0 * np.spacing(np.maximum(np.abs(a), np.abs(b))))
     step = invphi * (b - a)
     c, d = b - step, a + step
     fc, fd = f(c, *args), f(d, *args)

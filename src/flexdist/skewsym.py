@@ -1,10 +1,11 @@
 """Skew-symmetric families: symmetric base times a skewing factor.
 
 Univariate densities take the form 2/sigma f(z) G(delta z) with
-z = (x - mu)/sigma; the k-variate form is
-2 |Sigma|^(-1/2) f(Sigma^(-1/2)(x - mu)) Pi(Sigma^(-1/2)(x - mu), delta).
-The skew-t variant feeds an inflated argument into a t CDF with nu + k
-degrees of freedom instead of a plain linear one.
+z = (x - mu)/sigma; the k-variate form is 2 |Sigma|^(-1/2) t_k(y) Pi(y)
+with y = Sigma^(-1/2)(x - mu), t_k the spherical t and the step from x to y
+held by base.MatrixParams.  The skew-t's Pi feeds an inflated argument into
+a t CDF with nu + k degrees of freedom instead of a plain linear one; the
+density and the one sign-flip sampler, _sign_flip_k, share it.
 
 The univariate skew-t CDF sums, at each point, that point's window of its
 normal-chi^2 scale mixture (_ScaleMixture) on the smaller tail.  Against
@@ -35,8 +36,8 @@ from .base import (
     normal_base,
     normal_logf,
     scalar_or_array,
+    _spherical_t_pdf,
     student_base,
-    student_pdf_k,
     t_logf,
 )
 
@@ -262,8 +263,9 @@ class SkewingFunction:
         delta = np.asarray(delta, dtype=float)
         if delta.ndim == 0:
             return self.base_cdf.cdf(delta * y)
-        # vector case: y is one k-vector or a stack (n, k)
-        return self.base_cdf.cdf(y @ delta)
+        # vector case: y is one k-vector or a stack (n, k); a row sum, not a
+        # matrix product, so each point's bits are its own
+        return self.base_cdf.cdf((y * delta).sum(axis=-1))
 
 
 def cdf_linear(base: SymmetricBase) -> SkewingFunction:
@@ -288,17 +290,18 @@ def skew_symmetric_pdf(x, p: SkewSymParams, pi: SkewingFunction):
     return 2.0 / p.loc.sigma * p.base.pdf(z) * pi.pi(z, p.delta)
 
 
-def skew_symmetric_pdf_k(x, mp: MatrixParams, nu: float, delta, pi: SkewingFunction):
-    """k-variate skew-symmetric density with a spherical t symmetric part."""
-    x = np.asarray(x, dtype=float)
+def _delta_k(delta, mp: MatrixParams) -> np.ndarray:
     delta = np.atleast_1d(np.asarray(delta, dtype=float))
-    if x.shape != (mp.k,) or delta.shape != (mp.k,):
-        raise ValueError("x and delta must be k-vectors matching mp")
-    root = mp.sqrt_symmetric()
-    y = np.linalg.solve(root, x - mp.mu_vec)
-    det_factor = 1.0 / math.sqrt(np.linalg.det(mp.sigma_mat))
-    f = student_pdf_k(y, MatrixParams(np.zeros(mp.k), np.eye(mp.k)), nu)
-    return 2.0 * det_factor * f * float(pi.pi(y, delta))
+    if delta.shape != (mp.k,):
+        raise ValueError("delta must be a k-vector matching mp")
+    return delta
+
+
+def skew_symmetric_pdf_k(x, mp: MatrixParams, nu: float, delta, pi: SkewingFunction):
+    """k-variate skew-symmetric density 2 |Sigma|^(-1/2) t_k(y) Pi(y, delta),
+    at a point or a stack of points."""
+    delta = _delta_k(delta, mp)
+    return mp.density(x, lambda y: 2.0 * _spherical_t_pdf(y, nu) * pi.pi(y, delta))
 
 
 def _skew_t_arg(z, nu, delta):
@@ -353,62 +356,44 @@ def skew_t_logf(z, nu, delta, grad=None):
     return val, d_z, d_nu, rho * zc * root
 
 
-def skew_t_pdf(x, mp: MatrixParams, nu: float, delta):
-    """k-variate skew-t density.
-
-    2 t_{mu,Sigma,nu}(x; k) T_{0,1,nu+k}(delta' s^(-1) (x-mu) w) where
-    s is the diagonal matrix with entries Sigma_ii^(1/2) and
-    w = sqrt((nu+k) / (||Sigma^(-1/2)(x-mu)||^2 + nu)).
-    """
-    x = np.asarray(x, dtype=float)
-    delta = np.atleast_1d(np.asarray(delta, dtype=float))
+def _skew_t_pi(mp: MatrixParams, nu: float, delta):
+    """The k-variate skew-t's skewing function in y = Sigma^(-1/2)(x - mu),
+    T_{nu+k}(delta' s^(-1) (x - mu) w) with s the diagonal matrix of the
+    Sigma_ii^(1/2) and w = sqrt((nu + k) / (||y||^2 + nu)); delta' s^(-1)
+    (x - mu) is lam'y with lam = Sigma^(1/2) s^(-1) delta."""
     k = mp.k
-    if x.shape != (k,) or delta.shape != (k,):
-        raise ValueError("x and delta must be k-vectors matching mp")
-    if not (np.isfinite(nu) and nu > 0.0):
-        raise ValueError(f"nu must be positive, got {nu}")
-    diff = x - mp.mu_vec
-    chol = mp.cholesky()
-    y = np.linalg.solve(chol, diff)
-    q = float(y @ y)
-    s_inv = 1.0 / np.sqrt(np.diag(mp.sigma_mat))
-    arg = float(delta @ (s_inv * diff)) * math.sqrt((nu + k) / (q + nu))
-    return 2.0 * student_pdf_k(x, mp, nu) * float(student_base(nu + k).cdf(arg))
+    lam = mp.root @ (_delta_k(delta, mp) / np.sqrt(np.diag(mp.sigma_mat)))
+    cdf = student_base(nu + k).cdf
+    return lambda y: cdf((y * lam).sum(axis=1) * np.sqrt((nu + k) / ((y * y).sum(axis=1) + nu)))
 
 
-def _sample_spherical_t(n: int, k: int, nu: float, rng: np.random.Generator):
-    g = rng.standard_normal((n, k))
-    chi = rng.chisquare(nu, n)
-    return g / np.sqrt(chi / nu)[:, None]
+def skew_t_pdf(x, mp: MatrixParams, nu: float, delta):
+    """k-variate skew-t density 2 |Sigma|^(-1/2) t_k(y) Pi(y), Pi from
+    _skew_t_pi, at a point or a stack of points."""
+    pi = _skew_t_pi(mp, nu, delta)
+    return mp.density(x, lambda y: 2.0 * _spherical_t_pdf(y, nu) * pi(y))
+
+
+def _sign_flip_k(n: int, mp: MatrixParams, nu: float, pi, rng: np.random.Generator):
+    """n draws of 2 |Sigma|^(-1/2) t_k(y) pi(y): a spherical t draw z, kept
+    where a uniform falls below pi(z) and negated elsewhere, then located."""
+    z = rng.standard_normal((n, mp.k)) / np.sqrt(rng.chisquare(nu, n) / nu)[:, None]
+    keep = rng.random(n) < pi(z)
+    return mp.locate(np.where(keep[:, None], z, -z))
 
 
 def sample_skew_symmetric_k(n: int, mp: MatrixParams, nu: float, delta,
                             pi: SkewingFunction,
                             rng: np.random.Generator) -> np.ndarray:
     """k-variate sign-flip sampler for the spherical-t skew-symmetric family."""
-    delta = np.atleast_1d(np.asarray(delta, dtype=float))
-    z = _sample_spherical_t(n, mp.k, nu, rng)
-    u = rng.random(n)
-    keep = u < np.atleast_1d(pi.pi(z, delta))
-    signed = np.where(keep[:, None], z, -z)
-    return mp.mu_vec + signed @ mp.sqrt_symmetric().T
+    delta = _delta_k(delta, mp)
+    return _sign_flip_k(n, mp, nu, lambda y: pi.pi(y, delta), rng)
 
 
 def sample_skew_t_k(n: int, mp: MatrixParams, nu: float, delta,
                     rng: np.random.Generator) -> np.ndarray:
     """Sign-flip sampler matching skew_t_pdf for any dimension."""
-    delta = np.atleast_1d(np.asarray(delta, dtype=float))
-    k = mp.k
-    root = mp.sqrt_symmetric()
-    z = _sample_spherical_t(n, k, nu, rng)
-    u = rng.random(n)
-    diff = z @ root.T
-    s_inv = 1.0 / np.sqrt(np.diag(mp.sigma_mat))
-    q = np.sum(z * z, axis=1)
-    arg = (diff * s_inv) @ delta * np.sqrt((nu + k) / (q + nu))
-    keep = u < student_base(nu + k).cdf(arg)
-    signed = np.where(keep[:, None], diff, -diff)
-    return mp.mu_vec + signed
+    return _sign_flip_k(n, mp, nu, _skew_t_pi(mp, nu, delta), rng)
 
 
 class _SkewLaw(Located):

@@ -6,7 +6,9 @@ directions.  The Tukey g-and-h and the K tail map only define H^(-1)
 analytically: their H is solved by base.solve_increasing, with Newton steps
 on the closed-form slope of H^(-1), and log H'(z) = -log (H^(-1))'(H(z)).
 TransformParams rides base.Located with the standard law of H^(-1)(Z), Z
-from the base.
+from the base.  transform_pdf_k rides base.MatrixParams: it maps each
+coordinate of y = Sigma^(-1/2)(x - mu) through its own H and takes the
+spherical t there.
 """
 from __future__ import annotations
 
@@ -25,8 +27,8 @@ from .base import (
     log1p_square,
     normal_logf,
     scalar_or_array,
+    _spherical_t_pdf,
     solve_increasing,
-    student_pdf_k,
 )
 
 GH_SMALL_G = 1e-8  # below this |g| the analytic g -> 0 limit branch is used
@@ -280,20 +282,21 @@ class TransformParams(Located):
         return self.tr.moment_order_bound(self.base)
 
 
-def transform_pdf_k(x, mp: MatrixParams, nu: float, transforms) -> float:
-    """Component-wise transformation density for a spherical t base.
-
-    Each coordinate of Sigma^(-1/2)(x - mu) passes through its own
-    one-dimensional map.
+def transform_pdf_k(x, mp: MatrixParams, nu: float, transforms):
+    """Component-wise transformation density for a spherical t base,
+    |Sigma|^(-1/2) t_k(H(y)) prod_j H_j'(y_j) with y = Sigma^(-1/2)(x - mu),
+    each coordinate through its own one-dimensional map H_j, at a point or
+    a stack of points.
     """
-    x = np.asarray(x, dtype=float)
     transforms = list(transforms)
-    if x.shape != (mp.k,) or len(transforms) != mp.k:
-        raise ValueError("x and transforms must match the dimension of mp")
-    root = mp.sqrt_symmetric()
-    y = np.linalg.solve(root, x - mp.mu_vec)
-    hy = np.array([tr.forward(v) for tr, v in zip(transforms, y)])
-    log_jac = sum(float(tr.log_jacobian(v)) for tr, v in zip(transforms, y))
-    det_factor = 1.0 / math.sqrt(np.linalg.det(mp.sigma_mat))
-    f = student_pdf_k(hy, MatrixParams(np.zeros(mp.k), np.eye(mp.k)), nu)
-    return det_factor * f * math.exp(log_jac)
+    if len(transforms) != mp.k:
+        raise ValueError("transforms must match the dimension of mp")
+
+    def g(y):
+        # contiguous columns, so a stack's ufunc loops are those of a point
+        cols = np.ascontiguousarray(y.T)
+        hy = np.column_stack([tr.forward(c) for tr, c in zip(transforms, cols)])
+        return _spherical_t_pdf(hy, nu) * np.exp(
+            sum(tr.log_jacobian(c) for tr, c in zip(transforms, cols)))
+
+    return mp.density(x, g)

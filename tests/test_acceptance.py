@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, trapezoid
 from scipy.stats import kstest
 
 from flexdist.base import (
@@ -124,7 +124,7 @@ def test_criterion_1_figure_reproduction(tmp_path):
             [[float(v) for v in ln.split(",")] for ln in lines[1:]]
         ).T
         assert np.array_equal(xs, GRID)
-        trapz = float(np.trapezoid(dens, xs))
+        trapz = float(trapezoid(dens, xs))
         window = float(dist.cdf(10.0) - dist.cdf(-10.0))
         # the grid integral must reproduce the window mass of the law itself,
         # and the law must integrate to 1 over the whole line

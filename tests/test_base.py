@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -6,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.integrate import trapezoid
 
 from flexdist import base
+from tests import subprocess_env
 
 # Frozen oracle values, computed once with mpmath at 40 digits.
 INV_SQRT_2PI = 0.3989422804014327          # 1/sqrt(2 pi)
@@ -69,15 +73,16 @@ def test_student_pdf_k_bivariate_at_origin():
 
 
 def test_student_pdf_k_normalization():
-    # nested 1d quadrature over the plane, moderate tolerance
+    # trapezoid mass in t over the plane mapped by x = tan(t), the grid
+    # evaluated as one stack of points
     mp2 = base.MatrixParams(np.zeros(2), np.array([[2.0, 0.5], [0.5, 1.0]]))
-
-    def inner(x0):
-        return base.integrate(
-            lambda x1: base.student_pdf_k(np.array([x0, x1]), mp2, 3.0),
-            -np.inf, np.inf, tol=1e-9)
-
-    total = base.integrate(inner, -np.inf, np.inf, tol=1e-6)
+    t = np.linspace(-0.5 * math.pi, 0.5 * math.pi, 201)
+    s = np.tan(t[1:-1])
+    x0, x1 = np.meshgrid(s, s, indexing="ij")
+    vals = np.zeros((t.size, t.size))
+    vals[1:-1, 1:-1] = (base.student_pdf_k(np.column_stack([x0.ravel(), x1.ravel()]), mp2, 3.0)
+                        .reshape(x0.shape) * np.outer(1.0 + s * s, 1.0 + s * s))
+    total = trapezoid(trapezoid(vals, t, axis=1), t)
     assert total == pytest.approx(1.0, abs=1e-4)
 
 
@@ -99,8 +104,26 @@ def test_matrix_params_validation():
         base.MatrixParams(np.zeros(2), np.array([[1.0, 0.3], [0.2, 1.0]]))
     with pytest.raises(ValueError):
         base.MatrixParams(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
-    with pytest.raises(ValueError):
-        base.student_pdf_k(np.zeros(3), base.MatrixParams(np.zeros(2), np.eye(2)), 2.0)
+    mp2 = base.MatrixParams(np.zeros(2), np.eye(2))
+    for x in (np.zeros(3), np.zeros((4, 3)), np.zeros((1, 2, 2)), 0.0):
+        with pytest.raises(ValueError):
+            base.student_pdf_k(x, mp2, 2.0)
+
+
+def test_matrix_params_root():
+    sig = np.array([[2.0, 0.5], [0.5, 1.0]])
+    mp2 = base.MatrixParams(np.array([1.0, -1.0]), sig)
+    assert np.allclose(mp2.root @ mp2.root, sig, rtol=0.0, atol=1e-15)
+    assert np.allclose(mp2.root_inv @ mp2.root, np.eye(2), rtol=0.0, atol=1e-15)
+    assert mp2.half_log_det == pytest.approx(0.5 * math.log(np.linalg.det(sig)), rel=1e-15)
+    # locate inverts the density's standardization; a point gives a float,
+    # a stack one value per point
+    y = np.array([[0.3, -2.0], [1.5, 0.25]])
+    spherical = base.MatrixParams(np.zeros(2), np.eye(2))
+    assert np.allclose(base.student_pdf_k(mp2.locate(y), mp2, 3.0),
+                       base.student_pdf_k(y, spherical, 3.0) / math.sqrt(np.linalg.det(sig)),
+                       rtol=1e-14, atol=0.0)
+    assert isinstance(base.student_pdf_k(np.zeros(2), mp2, 3.0), float)
 
 
 def test_integrate_normal_normalization():
@@ -257,6 +280,23 @@ def test_golden_section_max():
     for i in range(3):
         alone = base.golden_section_max(lambda x: -(x - centre[i]) ** 2, lo[i], hi[i], tol[i])
         assert rows[i] == alone
+
+
+def test_golden_section_max_stops_at_float_spacing():
+    # a tol below the float spacing at the bracket can never be met; the
+    # search must stop within a few ulps instead, and runs in a child under a
+    # timeout so that a search that never stops fails this test
+    code = ("import numpy as np; from flexdist import base; "
+            "f = lambda x, c: -(x - c) ** 2; "
+            "print(base.golden_section_max(lambda x: f(x, 1e9 + 0.25), 1e9 - 1.0, 1e9 + 1.0, 1e-12)); "
+            "rows = base.golden_section_max(f, np.array([1e9 - 1.0, 0.0]), np.array([1e9 + 1.0, 5.0]), "
+            "np.array([1e-12, 1e-8]), (np.array([1e9 + 0.25, 2.0]),)); "
+            "print(rows[1] == base.golden_section_max(lambda x: f(x, 2.0), 0.0, 5.0))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=subprocess_env(), timeout=60, check=True)
+    arg, same = out.stdout.split()
+    assert abs(float(arg) - (1e9 + 0.25)) < 1e-6
+    assert same == "True"
 
 
 def test_invert_cdf_matches_quantile():

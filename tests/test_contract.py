@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from flexdist import base, infer
+from flexdist import base, infer, skewsym, transform
 
 # one parameter set per family of infer._FAMILIES; the two-piece families
 # once under each scaling
@@ -194,3 +194,34 @@ def test_t_samplers_are_finite_and_seeded(family, nu, delta, seed):
     assert d.sample(0, base.make_rng(seed)).shape == (0,)
     with pytest.raises(ValueError):
         d.sample(-1, base.make_rng(seed))
+
+
+# the k-variate laws: each is |Sigma|^(-1/2) g(y) at y = Sigma^(-1/2)(x - mu)
+K_DENSITIES = {
+    "student_pdf_k": lambda mp, nu, delta: lambda x: base.student_pdf_k(x, mp, nu),
+    "skew_t_pdf": lambda mp, nu, delta: lambda x: skewsym.skew_t_pdf(x, mp, nu, delta),
+    "skew_symmetric_pdf_k": lambda mp, nu, delta: lambda x: skewsym.skew_symmetric_pdf_k(
+        x, mp, nu, delta, skewsym.cdf_linear(base.logistic_base())),
+    "transform_pdf_k": lambda mp, nu, delta: lambda x: transform.transform_pdf_k(
+        x, mp, nu, [transform.SasTransform(d, 1.5) if j % 2 else transform.GhTransform(d, 0.2)
+                    for j, d in enumerate(delta)]),
+}
+
+
+@pytest.mark.parametrize("name", K_DENSITIES)
+@given(data=st.data(), k=st.integers(1, 3), nu=st.floats(0.5, 50.0))
+@settings(max_examples=30, deadline=None)
+def test_k_density_stack_gives_each_point_its_own_bits(name, data, k, nu):
+    entries = st.floats(-2.0, 2.0)
+    a = np.array(data.draw(st.lists(entries, min_size=k * k, max_size=k * k))).reshape(k, k)
+    mp = base.MatrixParams(np.array(data.draw(st.lists(entries, min_size=k, max_size=k))),
+                           a @ a.T + 0.1 * np.eye(k))
+    delta = np.array(data.draw(st.lists(entries, min_size=k, max_size=k)))
+    x = np.array(data.draw(st.lists(st.lists(st.floats(-60.0, 60.0), min_size=k, max_size=k),
+                                    min_size=1, max_size=12)))
+    f = K_DENSITIES[name](mp, nu, delta)
+    alone = [f(point) for point in x]
+    assert all(isinstance(v, float) for v in alone)
+    stack = f(x)
+    assert stack.shape == (len(x),)
+    assert np.array_equal(stack, alone)

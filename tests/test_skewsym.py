@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
+from scipy.integrate import trapezoid
 
 from flexdist import base, skewsym
 from tests import subprocess_env
@@ -221,11 +222,10 @@ def test_skew_t_pdf_bivariate_normalization():
     for sig in (np.eye(2), np.array([[1.0, 0.6], [0.6, 2.0]])):
         mp2 = base.MatrixParams(np.zeros(2), sig)
         g = np.linspace(-14.0, 14.0, 101)
-        vals = np.array([
-            [skewsym.skew_t_pdf(np.array([xi, yj]), mp2, 4.0,
-                                np.array([1.0, -0.5]))
-             for yj in g] for xi in g])
-        mass = np.trapezoid(np.trapezoid(vals, g, axis=1), g)
+        xi, yj = np.meshgrid(g, g, indexing="ij")
+        vals = skewsym.skew_t_pdf(np.column_stack([xi.ravel(), yj.ravel()]), mp2, 4.0,
+                                  np.array([1.0, -0.5])).reshape(xi.shape)
+        mass = trapezoid(trapezoid(vals, g, axis=1), g)
         assert mass == pytest.approx(1.0, abs=2e-3)
 
 
@@ -312,6 +312,31 @@ def test_sample_skew_t_k_marginal_skew_sign():
                                 base.make_rng(37))
     first = x[:, 0] - x[:, 0].mean()
     assert np.mean(first ** 3) > 0.0
+
+
+@pytest.mark.parametrize("mu, sigma, nu, delta, seed",
+                         [(0.5, 2.0, 3.0, 2.0, 61), (0.0, 1.0, 8.0, -1.5, 62)])
+def test_sample_skew_t_k_at_k1_is_the_skew_t(mu, sigma, nu, delta, seed):
+    mp1 = base.MatrixParams(np.array([mu]), np.array([[sigma * sigma]]))
+    x = skewsym.sample_skew_t_k(50_000, mp1, nu, np.array([delta]), base.make_rng(seed))
+    res = stats.kstest(x[:, 0], skewsym.SkewT(mu, sigma, nu, delta).cdf)
+    assert res.pvalue > 0.01
+
+
+@pytest.mark.parametrize("nu, seed", [(3.0, 71), (10.0, 72)])
+def test_k_samplers_keep_the_quadratic_form_of_the_t(nu, seed):
+    # a sign flip leaves (x - mu)' Sigma^(-1) (x - mu) as it is, so at k = 2
+    # half of it follows the spherical t's F(2, nu) under both samplers
+    mp2 = base.MatrixParams(np.array([1.0, -1.0]), np.array([[2.0, 0.6], [0.6, 1.0]]))
+    delta = np.array([2.0, -1.0])
+    inv = np.linalg.inv(mp2.sigma_mat)
+    for x in (skewsym.sample_skew_t_k(40_000, mp2, nu, delta, base.make_rng(seed)),
+              skewsym.sample_skew_symmetric_k(40_000, mp2, nu, delta,
+                                              skewsym.cdf_linear(base.normal_base()),
+                                              base.make_rng(seed))):
+        d = x - mp2.mu_vec
+        res = stats.kstest(0.5 * np.einsum("ni,ij,nj->n", d, inv, d), stats.f(2, nu).cdf)
+        assert res.pvalue > 0.01
 
 
 def test_sfa_demo_skews_left():
