@@ -99,18 +99,18 @@ class LocationScale:
             raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatrixParams:
     """Location vector and symmetric positive definite scale matrix, and the
     one location-scale layer of the k-variate laws: one eigendecomposition
     gives the principal root Sigma^(1/2) (root), its inverse (root_inv) and
-    log |Sigma|^(1/2) (half_log_det)."""
+    log |Sigma|^(1/2) (half_log_det).  Equality is identity."""
 
     mu_vec: np.ndarray
     sigma_mat: np.ndarray
-    root: np.ndarray = field(init=False, repr=False, compare=False)
-    root_inv: np.ndarray = field(init=False, repr=False, compare=False)
-    half_log_det: float = field(init=False, repr=False, compare=False)
+    root: np.ndarray = field(init=False, repr=False)
+    root_inv: np.ndarray = field(init=False, repr=False)
+    half_log_det: float = field(init=False, repr=False)
 
     def __post_init__(self):
         mu = np.atleast_1d(np.asarray(self.mu_vec, dtype=float))

@@ -2,8 +2,11 @@
 
 Any object exposing pdf(x), cdf(x), quantile(p) and mode() can be fed to
 these measures, where quantile takes an array of levels (and may answer
-with one value for all of them); every family parameter record in the
-package implements that surface.  Skewness is the mode-based
+with one value for all of them).  Every law on base.Located implements that
+surface: the located bases, SkewNormal, SkewT, TransformParams and
+TwoPieceParams.  ScaleTransformed gives a pdf alone, so only moment takes
+it, and SkewSymParams holds only parameters, whose density is
+skewsym.skew_symmetric_pdf.  Skewness is the mode-based
 1 - 2 F(mode) functional, kurtosis an octile spread ratio, and raw
 moments come from quadrature with an explicit infinity flag for t-based
 tails.

@@ -3,9 +3,11 @@
 Univariate densities take the form 2/sigma f(z) G(delta z) with
 z = (x - mu)/sigma; the k-variate form is 2 |Sigma|^(-1/2) t_k(y) Pi(y)
 with y = Sigma^(-1/2)(x - mu), t_k the spherical t and the step from x to y
-held by base.MatrixParams.  The skew-t's Pi feeds an inflated argument into
-a t CDF with nu + k degrees of freedom instead of a plain linear one; the
-density and the one sign-flip sampler, _sign_flip_k, share it.
+held by base.MatrixParams.  The skewing cdf G is that of a SymmetricBase,
+passed where a density or sampler takes it; the k-variate Pi(y) = G(delta'y)
+and the skew-t's Pi, which feeds an inflated argument into a t CDF with
+nu + k degrees of freedom, are each built once and shared by the density and
+the one sign-flip sampler, _sign_flip_k.
 
 The univariate skew-t CDF sums, at each point, that point's window of its
 normal-chi^2 scale mixture (_ScaleMixture) on the smaller tail.  Against
@@ -250,29 +252,6 @@ class _ScaleMixture:
 
 
 @dataclass(frozen=True)
-class SkewingFunction:
-    """Pi(y, delta) = G(delta'y) for a symmetric univariate cdf G.
-
-    Satisfies Pi(y, delta) + Pi(-y, delta) = 1 and Pi(y, 0) = 1/2.
-    """
-
-    base_cdf: SymmetricBase
-
-    def pi(self, y, delta):
-        y = np.asarray(y, dtype=float)
-        delta = np.asarray(delta, dtype=float)
-        if delta.ndim == 0:
-            return self.base_cdf.cdf(delta * y)
-        # vector case: y is one k-vector or a stack (n, k); a row sum, not a
-        # matrix product, so each point's bits are its own
-        return self.base_cdf.cdf((y * delta).sum(axis=-1))
-
-
-def cdf_linear(base: SymmetricBase) -> SkewingFunction:
-    return SkewingFunction(base)
-
-
-@dataclass(frozen=True)
 class SkewSymParams:
     base: SymmetricBase
     loc: LocationScale
@@ -284,10 +263,11 @@ class SkewSymParams:
 
 
 @scalar_or_array
-def skew_symmetric_pdf(x, p: SkewSymParams, pi: SkewingFunction):
-    """Univariate skew-symmetric density 2/sigma f(z) Pi(z, delta)."""
+def skew_symmetric_pdf(x, p: SkewSymParams, skew: SymmetricBase):
+    """Univariate skew-symmetric density 2/sigma f(z) G(delta z), G the cdf
+    of skew."""
     z = (x - p.loc.mu) / p.loc.sigma
-    return 2.0 / p.loc.sigma * p.base.pdf(z) * pi.pi(z, p.delta)
+    return 2.0 / p.loc.sigma * p.base.pdf(z) * skew.cdf(p.delta * z)
 
 
 def _delta_k(delta, mp: MatrixParams) -> np.ndarray:
@@ -297,11 +277,17 @@ def _delta_k(delta, mp: MatrixParams) -> np.ndarray:
     return delta
 
 
-def skew_symmetric_pdf_k(x, mp: MatrixParams, nu: float, delta, pi: SkewingFunction):
-    """k-variate skew-symmetric density 2 |Sigma|^(-1/2) t_k(y) Pi(y, delta),
-    at a point or a stack of points."""
-    delta = _delta_k(delta, mp)
-    return mp.density(x, lambda y: 2.0 * _spherical_t_pdf(y, nu) * pi.pi(y, delta))
+def _linear_pi(skew: SymmetricBase, delta):
+    """Pi(y) = G(delta'y) at a stack (n, k) of y, G the cdf of skew; a row
+    sum, not a matrix product, so each point's bits are its own."""
+    return lambda y: skew.cdf((y * delta).sum(axis=1))
+
+
+def skew_symmetric_pdf_k(x, mp: MatrixParams, nu: float, delta, skew: SymmetricBase):
+    """k-variate skew-symmetric density 2 |Sigma|^(-1/2) t_k(y) G(delta'y),
+    G the cdf of skew, at a point or a stack of points."""
+    pi = _linear_pi(skew, _delta_k(delta, mp))
+    return mp.density(x, lambda y: 2.0 * _spherical_t_pdf(y, nu) * pi(y))
 
 
 def _skew_t_arg(z, nu, delta):
@@ -383,11 +369,10 @@ def _sign_flip_k(n: int, mp: MatrixParams, nu: float, pi, rng: np.random.Generat
 
 
 def sample_skew_symmetric_k(n: int, mp: MatrixParams, nu: float, delta,
-                            pi: SkewingFunction,
+                            skew: SymmetricBase,
                             rng: np.random.Generator) -> np.ndarray:
-    """k-variate sign-flip sampler for the spherical-t skew-symmetric family."""
-    delta = _delta_k(delta, mp)
-    return _sign_flip_k(n, mp, nu, lambda y: pi.pi(y, delta), rng)
+    """k-variate sign-flip sampler matching skew_symmetric_pdf_k."""
+    return _sign_flip_k(n, mp, nu, _linear_pi(skew, _delta_k(delta, mp)), rng)
 
 
 def sample_skew_t_k(n: int, mp: MatrixParams, nu: float, delta,
@@ -472,7 +457,7 @@ class SkewT(_SkewLaw):
         return SkewNormal(delta=self.delta)._draw(n, rng) / np.sqrt(v / self.nu)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SfaDemo:
     """Composite-error simulation output and the two competing fits."""
 

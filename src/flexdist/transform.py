@@ -1,14 +1,16 @@
 """Transformation families: Y = H^(-1)(X) for X drawn from a symmetric base.
 
 Three transformations are supported, and each has a density
-sigma^(-1) f(H(z)) H'(z).  The sinh-arcsinh map has closed forms in both
-directions.  The Tukey g-and-h and the K tail map only define H^(-1)
-analytically: their H is solved by base.solve_increasing, with Newton steps
-on the closed-form slope of H^(-1), and log H'(z) = -log (H^(-1))'(H(z)).
-TransformParams rides base.Located with the standard law of H^(-1)(Z), Z
-from the base.  transform_pdf_k rides base.MatrixParams: it maps each
-coordinate of y = Sigma^(-1/2)(x - mu) through its own H and takes the
-spherical t there.
+sigma^(-1) f(H(z)) H'(z).  Each map is one class, and its forward (H),
+inverse (H^(-1)) and log_jacobian (log H') are written there once; they
+take a float or an array, and the class checks its parameters once, at
+construction.  The sinh-arcsinh map has closed forms in both directions.
+The Tukey g-and-h and the K tail map only define H^(-1) analytically: their
+H is solved by base.solve_increasing, with Newton steps on the closed-form
+slope of H^(-1), and log H'(z) = -log (H^(-1))'(H(z)).  TransformParams
+rides base.Located with the standard law of H^(-1)(Z), Z from the base.
+transform_pdf_k rides base.MatrixParams: it maps each coordinate of
+y = Sigma^(-1/2)(x - mu) through its own H and takes the spherical t there.
 """
 from __future__ import annotations
 
@@ -36,33 +38,10 @@ GH_SMALL_G = 1e-8  # below this |g| the analytic g -> 0 limit branch is used
 _BIG = np.finfo(float).max
 
 
-@scalar_or_array
-def sas_forward(x, delta: float, eta: float):
-    """H(x) = sinh(eta * arcsinh(x) + delta); strictly increasing for eta > 0."""
-    if eta <= 0.0:
-        raise ValueError(f"eta must be positive, got {eta}")
-    return np.sinh(eta * np.arcsinh(x) + delta)
-
-
-@scalar_or_array
-def sas_inverse(x, delta: float, eta: float):
-    if eta <= 0.0:
-        raise ValueError(f"eta must be positive, got {eta}")
-    return np.sinh((np.arcsinh(x) - delta) / eta)
-
-
-def _sas_log_jacobian(u, x, eta):
+def _sas_log_slope(u, x, eta):
     # log eta + log cosh u - log(1 + x^2) / 2 at u = eta arcsinh(x) + delta
     au = np.abs(u)
     return np.log(eta) + (au + np.log1p(np.exp(-2.0 * au)) - math.log(2.0)) - 0.5 * log1p_square(x)
-
-
-@scalar_or_array
-def sas_log_jacobian(x, delta: float, eta: float):
-    """log H'(x) with H'(x) = eta cosh(eta arcsinh(x) + delta) / sqrt(1+x^2)."""
-    if eta <= 0.0:
-        raise ValueError(f"eta must be positive, got {eta}")
-    return _sas_log_jacobian(eta * np.arcsinh(x) + delta, x, eta)
 
 
 def sas_logf(z, delta, eta, *shapes, base=normal_logf, grad=None):
@@ -75,7 +54,7 @@ def sas_logf(z, delta, eta, *shapes, base=normal_logf, grad=None):
     y = np.sinh(u)
     f = base(y, *shapes, grad=None if grad is None else grad[2:])
     f, dy, *d_base = (f, None) if grad is None else f
-    val = f + _sas_log_jacobian(u, z, eta)
+    val = f + _sas_log_slope(u, z, eta)
     # at z = +-inf the log jacobian is inf - inf
     val[np.isinf(z)] = -np.inf
     if grad is None:
@@ -85,32 +64,6 @@ def sas_logf(z, delta, eta, *shapes, base=normal_logf, grad=None):
     r2 = 1.0 + z * z
     return (val, du * eta / np.sqrt(r2) - z / r2, du, du * asinh_z + 1.0 / eta,
             *d_base)
-
-
-@scalar_or_array
-def gh_inverse(x, g: float, h: float):
-    """Tukey's H^(-1)(x) = (1/g)(exp(gx) - 1) exp(hx^2/2), limit x exp(hx^2/2) at g=0."""
-    if h < 0.0:
-        raise ValueError(f"h must be nonnegative, got {h}")
-    with np.errstate(over="ignore"):
-        tail = np.exp(0.5 * h * x * x)
-        if abs(g) < GH_SMALL_G:
-            return x * tail
-        return np.expm1(g * x) / g * tail
-
-
-@scalar_or_array
-def k_inverse(x, eta: float):
-    """H^(-1)(x) = x (1+x^2)^eta; odd, increasing, pure tail inflation.
-    Where 1 + x^2 overflows, (1+x^2)^eta is exp(eta log1p_square(x))."""
-    if eta < 0.0:
-        raise ValueError(f"eta must be nonnegative, got {eta}")
-    with np.errstate(over="ignore"):
-        out = x * np.power(1.0 + x * x, eta)
-        far = np.isinf(out) & np.isfinite(x)
-        if far.any():
-            out[far] = x[far] * np.exp(eta * log1p_square(x[far]))
-    return out
 
 
 @dataclass(frozen=True)
@@ -126,14 +79,19 @@ class SasTransform:
         if not np.isfinite(self.delta):
             raise ValueError("delta must be finite")
 
+    @scalar_or_array
     def forward(self, x):
-        return sas_forward(x, self.delta, self.eta)
+        """H(x) = sinh(eta arcsinh(x) + delta), strictly increasing."""
+        return np.sinh(self.eta * np.arcsinh(x) + self.delta)
 
+    @scalar_or_array
     def inverse(self, x):
-        return sas_inverse(x, self.delta, self.eta)
+        return np.sinh((np.arcsinh(x) - self.delta) / self.eta)
 
+    @scalar_or_array
     def log_jacobian(self, x):
-        return sas_log_jacobian(x, self.delta, self.eta)
+        """log H'(x) with H'(x) = eta cosh(eta arcsinh(x) + delta) / sqrt(1 + x^2)."""
+        return _sas_log_slope(self.eta * np.arcsinh(x) + self.delta, x, self.eta)
 
     def logf(self, z, base: SymmetricBase):
         logf, shapes = base.log_density
@@ -194,8 +152,14 @@ class GhTransform(_InverseOnly):
         if not np.isfinite(self.g):
             raise ValueError("g must be finite")
 
+    @scalar_or_array
     def inverse(self, x):
-        return gh_inverse(x, self.g, self.h)
+        """Tukey's H^(-1)(x) = (1/g)(exp(gx) - 1) exp(hx^2/2), limit x exp(hx^2/2) at g = 0."""
+        with np.errstate(over="ignore"):
+            tail = np.exp(0.5 * self.h * x * x)
+            if abs(self.g) < GH_SMALL_G:
+                return x * tail
+            return np.expm1(self.g * x) / self.g * tail
 
     def log_inverse_slope(self, y):
         """log (H^(-1))'(y) = h y^2 / 2 + log(e^v + h y (e^v - 1) / g), v = g y,
@@ -234,8 +198,16 @@ class KTransform(_InverseOnly):
         if not (np.isfinite(self.eta) and self.eta >= 0.0):
             raise ValueError(f"eta must be nonnegative, got {self.eta}")
 
+    @scalar_or_array
     def inverse(self, x):
-        return k_inverse(x, self.eta)
+        """H^(-1)(x) = x (1+x^2)^eta; odd, increasing, pure tail inflation.
+        Where 1 + x^2 overflows, (1+x^2)^eta is exp(eta log1p_square(x))."""
+        with np.errstate(over="ignore"):
+            out = x * np.power(1.0 + x * x, self.eta)
+            far = np.isinf(out) & np.isfinite(x)
+            if far.any():
+                out[far] = x[far] * np.exp(self.eta * log1p_square(x[far]))
+        return out
 
     def log_inverse_slope(self, y):
         """log (H^(-1))'(y) = (eta - 1) log1p(y^2) + log1p((1 + 2 eta) y^2)."""

@@ -198,15 +198,10 @@ def arctan_tilt_transform(c: float) -> ScaleTransform:
     return ScaleTransform(h, name=f"arctan_tilt({c})")
 
 
-@scalar_or_array
-def scale_transformed_pdf(z, base: SymmetricBase, st: ScaleTransform):
-    """Density 2 f(H^(-1)(x)); normalization follows from the H condition."""
-    return 2.0 * base.pdf(np.array([st.inverse(v) for v in z]))
-
-
 @dataclass(frozen=True)
 class ScaleTransformed:
-    """Location-scale wrapper: standardizes to z = (x-mu)/sigma first."""
+    """The density 2 f(H^(-1)(z)) / sigma at z = (x - mu) / sigma;
+    normalization follows from the H condition."""
 
     base: SymmetricBase
     loc: LocationScale
@@ -215,4 +210,4 @@ class ScaleTransformed:
     @scalar_or_array
     def pdf(self, x):
         z = (x - self.loc.mu) / self.loc.sigma
-        return scale_transformed_pdf(z, self.base, self.st) / self.loc.sigma
+        return 2.0 * self.base.pdf(np.array([self.st.inverse(v) for v in z])) / self.loc.sigma

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.integrate import trapezoid
 
-from flexdist import base
+from flexdist import base, skewsym
 from tests import subprocess_env
 
 # Frozen oracle values, computed once with mpmath at 40 digits.
@@ -108,6 +108,16 @@ def test_matrix_params_validation():
     for x in (np.zeros(3), np.zeros((4, 3)), np.zeros((1, 2, 2)), 0.0):
         with pytest.raises(ValueError):
             base.student_pdf_k(x, mp2, 2.0)
+
+
+def test_array_records_compare_by_identity_and_hash():
+    # records holding arrays: == on the arrays would raise, so equality is
+    # identity, and the hash is the object's
+    for make in (lambda: base.MatrixParams(np.zeros(2), np.eye(2)),
+                 lambda: skewsym.SfaDemo(np.zeros(3), None, None)):
+        a, b = make(), make()
+        assert a == a and a != b
+        assert len({a, b, a}) == 2 and hash(a) == hash(a)
 
 
 def test_matrix_params_root():

@@ -66,6 +66,23 @@ def test_float_in_float_out_and_sample_sizes(d):
         d.sample(-1, base.make_rng(1))
 
 
+# the transformation maps, each at several parameters
+MAPS = [transform.SasTransform(0.0, 1.0), transform.SasTransform(-1.0, 0.5),
+        transform.SasTransform(0.8, 2.0), transform.GhTransform(0.5, 0.2),
+        transform.GhTransform(0.0, 0.3), transform.GhTransform(-1.0, 0.0),
+        transform.KTransform(0.0), transform.KTransform(0.5), transform.KTransform(2.0)]
+
+
+@pytest.mark.parametrize("method", ["forward", "inverse", "log_jacobian"])
+@pytest.mark.parametrize("tr", MAPS, ids=repr)
+def test_maps_give_a_float_the_bits_of_a_one_element_array(tr, method):
+    fn = getattr(tr, method)
+    for x in (-40.0, -1.0, -0.25, 0.0, 0.3, 2.0, 7.5, 1e30):
+        out, one = fn(x), fn(np.array([x]))
+        assert isinstance(out, float) and one.shape == (1,), (method, x)
+        assert np.float64(out).tobytes() == one[0].tobytes(), (method, x)
+
+
 @pytest.mark.parametrize("d, twin", TWIN_CASES)
 def test_location_scale_step_is_exact(d, twin):
     # every law is its (0, 1) twin through x = mu + sigma z, to the bit
@@ -201,7 +218,7 @@ K_DENSITIES = {
     "student_pdf_k": lambda mp, nu, delta: lambda x: base.student_pdf_k(x, mp, nu),
     "skew_t_pdf": lambda mp, nu, delta: lambda x: skewsym.skew_t_pdf(x, mp, nu, delta),
     "skew_symmetric_pdf_k": lambda mp, nu, delta: lambda x: skewsym.skew_symmetric_pdf_k(
-        x, mp, nu, delta, skewsym.cdf_linear(base.logistic_base())),
+        x, mp, nu, delta, base.logistic_base()),
     "transform_pdf_k": lambda mp, nu, delta: lambda x: transform.transform_pdf_k(
         x, mp, nu, [transform.SasTransform(d, 1.5) if j % 2 else transform.GhTransform(d, 0.2)
                     for j, d in enumerate(delta)]),

@@ -30,7 +30,6 @@ SKEW_T_TAILS = json.loads(
     (Path(__file__).with_name("skew_t_cdf_mpmath.json")).read_text())
 
 NORMAL = base.normal_base()
-PI_NORMAL = skewsym.cdf_linear(NORMAL)
 
 
 def _params(mu=0.0, sigma=1.0, delta=0.0):
@@ -38,29 +37,32 @@ def _params(mu=0.0, sigma=1.0, delta=0.0):
 
 
 def test_pi_identity_and_zero_delta():
-    for pi in (PI_NORMAL, skewsym.cdf_linear(base.student_base(3.0))):
+    # the skewing factor G(delta y) of a symmetric base's cdf G
+    for skew in (NORMAL, base.student_base(3.0)):
         for delta in (-5.0, -1.0, 0.0, 0.5, 2.0):
-            vals = pi.pi(GRID, delta) + pi.pi(-GRID, delta)
+            vals = skew.cdf(delta * GRID) + skew.cdf(-delta * GRID)
             assert np.max(np.abs(vals - 1.0)) < 1e-14
-        assert np.max(np.abs(pi.pi(GRID, 0.0) - 0.5)) < 1e-15
+        assert np.max(np.abs(skew.cdf(0.0 * GRID) - 0.5)) < 1e-15
 
 
 def test_pi_vector_delta_matches_inner_product():
-    pi = PI_NORMAL
-    y = np.array([0.3, -1.2])
+    # the k-variate factor G(delta'y), through the density at Sigma = I
+    mp = base.MatrixParams(np.zeros(2), np.eye(2))
+    y = np.array([[0.3, -1.2], [-2.0, 0.7]])
     delta = np.array([2.0, 0.5])
-    expected = NORMAL.cdf(float(y @ delta))
-    assert pi.pi(y, delta) == pytest.approx(expected, rel=1e-15)
+    pi = (skewsym.skew_symmetric_pdf_k(y, mp, 4.0, delta, NORMAL)
+          / (2.0 * base.student_pdf_k(y, mp, 4.0)))
+    assert pi == pytest.approx(NORMAL.cdf(y @ delta), rel=1e-15)
 
 
 def test_skew_symmetric_pdf_at_center_ignores_delta():
     for delta in (0.0, 1.0, -3.0, 17.0):
-        val = skewsym.skew_symmetric_pdf(0.0, _params(delta=delta), PI_NORMAL)
+        val = skewsym.skew_symmetric_pdf(0.0, _params(delta=delta), NORMAL)
         assert val == pytest.approx(PHI_0, abs=1e-15)
 
 
 def test_skew_symmetric_pdf_reduces_to_base_at_zero_delta():
-    vals = skewsym.skew_symmetric_pdf(GRID, _params(), PI_NORMAL)
+    vals = skewsym.skew_symmetric_pdf(GRID, _params(), NORMAL)
     # 2 f(z) * 1/2 is exact in floating point, so equality is bitwise
     assert np.array_equal(vals, NORMAL.pdf(GRID))
     ref = base.normal_pdf(GRID, base.LocationScale(0.0, 1.0))
@@ -68,7 +70,7 @@ def test_skew_symmetric_pdf_reduces_to_base_at_zero_delta():
 
 
 def test_skew_symmetric_pdf_oracle_point():
-    val = skewsym.skew_symmetric_pdf(1.0, _params(delta=1.0), PI_NORMAL)
+    val = skewsym.skew_symmetric_pdf(1.0, _params(delta=1.0), NORMAL)
     assert val == pytest.approx(SN_1_1, rel=1e-14)
 
 
@@ -77,7 +79,7 @@ def test_skew_normal_pdf_wrapper_consistency():
         for mu, sigma in ((0.0, 1.0), (1.5, 0.7)):
             direct = skewsym.SkewNormal(mu, sigma, delta).pdf(GRID)
             via = skewsym.skew_symmetric_pdf(
-                GRID, _params(mu, sigma, delta), PI_NORMAL)
+                GRID, _params(mu, sigma, delta), NORMAL)
             assert np.max(np.abs(direct - via)) < 1e-15
 
 
@@ -233,12 +235,10 @@ def test_skew_symmetric_pdf_k_matches_univariate():
     mp1 = base.MatrixParams(np.array([0.5]), np.array([[4.0]]))
     for x in (-1.0, 0.5, 2.0):
         kval = skewsym.skew_symmetric_pdf_k(
-            np.array([x]), mp1, 3.0, np.array([1.0]),
-            skewsym.cdf_linear(base.student_base(3.0)))
+            np.array([x]), mp1, 3.0, np.array([1.0]), base.student_base(3.0))
         p = skewsym.SkewSymParams(base.student_base(3.0),
                                   base.LocationScale(0.5, 2.0), 1.0)
-        uval = skewsym.skew_symmetric_pdf(
-            x, p, skewsym.cdf_linear(base.student_base(3.0)))
+        uval = skewsym.skew_symmetric_pdf(x, p, base.student_base(3.0))
         assert kval == pytest.approx(float(uval), rel=1e-12)
 
 
@@ -301,8 +301,7 @@ def test_multivariate_samplers_reproducible_and_shaped():
     assert a.shape == (400, 2)
     assert np.array_equal(a, b)
     c = skewsym.sample_skew_symmetric_k(
-        300, mp2, 4.0, delta, skewsym.cdf_linear(base.student_base(4.0)),
-        base.make_rng(9))
+        300, mp2, 4.0, delta, base.student_base(4.0), base.make_rng(9))
     assert c.shape == (300, 2)
 
 
@@ -331,8 +330,7 @@ def test_k_samplers_keep_the_quadratic_form_of_the_t(nu, seed):
     delta = np.array([2.0, -1.0])
     inv = np.linalg.inv(mp2.sigma_mat)
     for x in (skewsym.sample_skew_t_k(40_000, mp2, nu, delta, base.make_rng(seed)),
-              skewsym.sample_skew_symmetric_k(40_000, mp2, nu, delta,
-                                              skewsym.cdf_linear(base.normal_base()),
+              skewsym.sample_skew_symmetric_k(40_000, mp2, nu, delta, base.normal_base(),
                                               base.make_rng(seed))):
         d = x - mp2.mu_vec
         res = stats.kstest(0.5 * np.einsum("ni,ij,nj->n", d, inv, d), stats.f(2, nu).cdf)

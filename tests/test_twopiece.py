@@ -219,28 +219,24 @@ def test_moment_order_bound_passthrough():
 
 
 def test_half_slope_transform_density():
-    st = twopiece.half_slope_transform()
-    vals = twopiece.scale_transformed_pdf(GRID, NORMAL, st)
+    d = twopiece.ScaleTransformed(NORMAL, STD_LOC, twopiece.half_slope_transform())
+    vals = d.pdf(GRID)
     ref = 2.0 * NORMAL.pdf(2.0 * GRID)
     assert np.max(np.abs(vals - ref)) < 1e-13
-    mass = base.integrate(
-        lambda x: twopiece.scale_transformed_pdf(x, NORMAL, st),
-        -np.inf, np.inf, tol=1e-10)
+    mass = base.integrate(d.pdf, -np.inf, np.inf, tol=1e-10)
     assert mass == pytest.approx(1.0, abs=1e-8)
 
 
 def test_arctan_tilt_transform_normalizes():
     for c in (0.05, -0.2, 0.3):
-        st = twopiece.arctan_tilt_transform(c)
-        mass = base.integrate(
-            lambda x: twopiece.scale_transformed_pdf(x, NORMAL, st),
-            -12.0, 12.0, tol=1e-10)
+        d = twopiece.ScaleTransformed(NORMAL, STD_LOC, twopiece.arctan_tilt_transform(c))
+        mass = base.integrate(d.pdf, -12.0, 12.0, tol=1e-10)
         assert mass == pytest.approx(1.0, abs=1e-7), c
 
 
 def test_arctan_tilt_asymmetric():
-    st = twopiece.arctan_tilt_transform(0.3)
-    vals = twopiece.scale_transformed_pdf(GRID, NORMAL, st)
+    d = twopiece.ScaleTransformed(NORMAL, STD_LOC, twopiece.arctan_tilt_transform(0.3))
+    vals = d.pdf(GRID)
     assert np.max(np.abs(vals - vals[::-1])) > 1e-3
 
 
