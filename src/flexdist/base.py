@@ -23,9 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
-TWO_PI = 2.0 * math.pi
-SQRT_TWO_PI = math.sqrt(TWO_PI)
-LOG_SQRT_TWO_PI = 0.5 * math.log(TWO_PI)
+LOG_SQRT_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 HALF_PI = 0.5 * math.pi
 
 NORMAL = "normal"
@@ -358,13 +356,6 @@ class LocatedBase(Located):
 
     def moment_order_bound(self) -> float:
         return self.base.moment_order_bound()
-
-
-@scalar_or_array
-def normal_pdf(x, ls: LocationScale):
-    """Normal density with location mu and scale sigma."""
-    z = (x - ls.mu) / ls.sigma
-    return np.exp(-0.5 * z * z) / (SQRT_TWO_PI * ls.sigma)
 
 
 def _spherical_t_pdf(y, nu: float):

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import infer, skewsym
-from .base import BracketError, IntegrationError, NumericsError, make_rng
+from .base import NumericsError, make_rng
 
 
 class UsageError(Exception):
@@ -114,12 +114,17 @@ def _print_json(report: dict, output: str | None) -> None:
     _emit(json.dumps(report, indent=2) + "\n", output)
 
 
-def _curve_csv(dist, xs: np.ndarray) -> str:
-    dens = np.asarray(dist.pdf(xs), dtype=float)
-    lines = ["x,density"]
-    for x, d in zip(xs, dens):
-        lines.append(f"{float(x)!r},{float(d)!r}")
-    return "\n".join(lines) + "\n"
+def _reprs(values) -> list:
+    """The repr of each value as a float, from Python floats rather than
+    numpy scalars, which format several times slower."""
+    return list(map(repr, np.asarray(values, dtype=float).tolist()))
+
+
+def _curve_csv(dist, xs: np.ndarray, x_text=None) -> str:
+    """The density of dist on the grid xs as CSV; x_text, where given, is
+    _reprs(xs), so that curves on one grid format it once."""
+    rows = map(",".join, zip(x_text or _reprs(xs), _reprs(dist.pdf(xs))))
+    return "\n".join(["x,density", *rows]) + "\n"
 
 
 def _grid(args) -> np.ndarray:
@@ -180,8 +185,9 @@ def cmd_figures(args) -> int:
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     xs = np.linspace(-10.0, 10.0, 2001)
+    x_text = _reprs(xs)
     for name, dist in figure_curves():
-        (out / name).write_text(_curve_csv(dist, xs))
+        (out / name).write_text(_curve_csv(dist, xs, x_text))
         print(out / name)
     return 0
 
@@ -262,7 +268,7 @@ def cmd_sample(args) -> int:
     params = _family_params(args)
     dist = _distribution(args.family, params)
     draws = dist.sample(args.n, make_rng(_resolve_seed(args)))
-    text = "".join(f"{float(v)!r}\n" for v in draws)
+    text = "".join(v + "\n" for v in _reprs(draws))
     _emit(text, args.output)
     return 0
 
@@ -385,7 +391,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NumericsError, IntegrationError, BracketError) as exc:
+    except NumericsError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

@@ -16,16 +16,19 @@ their starts in one batch, and its observed statistic by the same row fit,
 run on the observed sample as a batch of one row.  Where two cores are
 usable and the problems are many, this process and a forked child draw the
 batches' halves from one work queue, with results bit-identical to one
-process's.  Each run's inverse-Hessian approximation starts from the
-diagonal of the inverse outer product of the per-observation scores at its
-start point (the BHHH matrix, Berndt, Hall, Hall & Hausman 1974): each
-coordinate's estimated sampling variance, which puts the very differently
-scaled coordinates on one footing.  Where that outer product is not finite
-or its condition number exceeds _OPG_COND, the run starts from the identity.
-The start points are structural (moment, quantile and frontier starts) and
-deterministic, so fits draw no random numbers.  Two families are fit
-exactly, without the optimizer: the normal family has a closed form, and the
-two-piece normal family an exact profile-likelihood path, where for fixed mu
+process's; in one process, the batches of a fit_families call run in one
+lockstep loop, each family's problems padded to the widest family's
+coordinates, so that each pass pays its bookkeeping once.  Each run's
+inverse-Hessian approximation starts from the diagonal of the inverse outer
+product of the per-observation scores at its start point (the BHHH matrix,
+Berndt, Hall, Hall & Hausman 1974): each coordinate's estimated sampling
+variance, which puts the very differently scaled coordinates on one footing.
+Where that outer product is not finite or its condition number exceeds
+_OPG_COND, the run starts from the identity.  The start points are
+structural (moment, quantile and frontier starts) and deterministic, so fits
+draw no random numbers.  Two families are fit exactly, without the
+optimizer: the normal family has a closed form, and the two-piece normal
+family an exact profile-likelihood path, where for fixed mu
 the optimal scale and asymmetry are closed-form, so the fit reduces to a
 one-dimensional search over mu, batched over the data rows.  A two-piece fit
 runs in ISF coordinates under either scaling: the scaling sets only the cap
@@ -194,7 +197,10 @@ def _batch_bfgs(fn, x0, h0, xatol, fatol, maxiter):
 
     x0 (m, d) holds each problem's start.  fn(T, rows) returns the values
     (k,) and scores (k, d) of parameter rows T (k, d) for problem indices
-    rows; a non-finite value or score counts as +inf.  h0 = (h, seeded) gives
+    rows, which come in ascending order; a non-finite value or score counts
+    as +inf.  maxiter caps each problem's iterations: an int, or an (m,)
+    array of per-problem caps, so that _lockstep can run several batches'
+    problems, each under its own cap, in one loop.  h0 = (h, seeded) gives
     each problem's initial inverse-Hessian approximation h (m, d, d), as
     _opg_seed returns it.  A seeded problem takes its first trial step at
     full length along -h g.  An unseeded one, whose h must be the identity,
@@ -211,9 +217,10 @@ def _batch_bfgs(fn, x0, h0, xatol, fatol, maxiter):
     that row alone, bit for bit (row sums, not einsum, which takes another
     path for a long row alone than in a batch): then a problem's result does
     not depend on its batch-mates, and _run_batches can run the problems
-    as two halves in two processes.  Returns per-problem best point, value,
-    iteration count and convergence flag; a counter added later must come
-    back in this tuple too, or the queue's child would drop it.
+    as two halves in two processes, or every family's problems in one loop.
+    Returns per-problem best point, value, iteration count and convergence
+    flag; a counter added later must come back in this tuple too, or the
+    queue's child would drop it.
     """
 
     def ev(t, rows):
@@ -227,12 +234,11 @@ def _batch_bfgs(fn, x0, h0, xatol, fatol, maxiter):
     f, g = ev(x, np.arange(m))
     h = np.array(h0[0], dtype=float)  # inverse-Hessian approximations
     fresh = ~h0[1]  # h is the identity, not yet scaled by an accepted step
-    active = np.isfinite(f)
     conv = np.zeros(m, dtype=bool)
     iters = np.zeros(m, dtype=int)
+    active = np.isfinite(f) & (iters < maxiter)
     stalls = np.zeros(m, dtype=int)  # consecutive steps lowering f by <= fatol
-    it = 0
-    while it < maxiter and active.any():
+    while active.any():
         rows = np.where(active)[0]
         gr = g[rows]
         p = -np.sum(h[rows] * gr[:, None, :], axis=2)
@@ -275,7 +281,6 @@ def _batch_bfgs(fn, x0, h0, xatol, fatol, maxiter):
             pending = pending[alpha[pending] * size[pending] > xatol]
 
         iters[rows] += 1
-        it += 1
         s = xt - x[rows]
         y = gt - gr
         sy = np.sum(s * y, axis=1)
@@ -319,6 +324,7 @@ def _batch_bfgs(fn, x0, h0, xatol, fatol, maxiter):
             * s[:, None, :]
         )
         fresh[r[scale]] = False
+        active &= iters < maxiter
 
     return x, f, iters, conv
 
@@ -363,14 +369,16 @@ def _run_batches(batches: Sequence[_Batch], n: int) -> list:
     Where _splits allows it, the batches run as one work queue in two
     processes (_queue).  A job is one parity half of one batch's problems,
     the even-numbered then the odd-numbered, in batch order, and each
-    batch's results merge by problem index.  A problem's arithmetic is its
-    own, so every result is bit-identical to the serial run's, which runs
-    each batch whole.
+    batch's results merge by problem index.  Otherwise they run in this
+    process, every batch's problems in one lockstep loop (_lockstep), so
+    that a pass of the loop pays its bookkeeping once for all the families
+    of a fit_families call.  A problem's arithmetic is its own, so every
+    result is bit-identical to its batch's own run.
     """
     jobs = [(i, np.arange(start, len(b.x0), 2))
             for i, b in enumerate(batches) for start in (0, 1) if start < len(b.x0)]
     if not _splits(len(jobs), n * sum(len(b.x0) for b in batches)):
-        return [b.run() for b in batches]
+        return _lockstep(batches)
     done = _queue([partial(batches[i].run, idx) for i, idx in jobs])
     merged = [None] * len(batches)
     for (i, idx), result in zip(jobs, done):
@@ -380,6 +388,46 @@ def _run_batches(batches: Sequence[_Batch], n: int) -> list:
         for out, a in zip(merged[i], result):
             out[idx] = a
     return merged
+
+
+def _lockstep(batches: Sequence[_Batch]) -> list:
+    """Each batch's _batch_bfgs result, from one _batch_bfgs run over the
+    problems of every batch.
+
+    Each problem is padded to the widest batch's width with inert
+    coordinates: start 0, identity seed and score 0, so a padded coordinate
+    never moves and its entries off the diagonal of h stay 0.  The kernel
+    hands each batch's rows, which _batch_bfgs passes in ascending order, to
+    that batch's fn on its own columns, and each problem keeps its batch's
+    iteration cap.  The padding adds only zeros to the optimizer's row sums,
+    so every result is bit-identical to its batch's own run.  The batches
+    share one pair of tolerances, as the batches of one FitConfig do.
+    """
+    if len(batches) < 2:
+        return [b.run() for b in batches]
+    ((xatol, fatol),) = {b[3:5] for b in batches}
+    sizes = [len(b.x0) for b in batches]
+    widths = [b.x0.shape[1] for b in batches]
+    starts = np.cumsum([0] + sizes)
+    d = max(widths)
+    x0 = np.zeros((starts[-1], d))
+    h = np.tile(np.eye(d), (starts[-1], 1, 1))
+    for b, k, lo, hi in zip(batches, widths, starts, starts[1:]):
+        x0[lo:hi, :k], h[lo:hi, :k, :k] = b.x0, b.h0[0]
+
+    def fn(t, rows):
+        f, g = np.empty(len(rows)), np.zeros((len(rows), d))
+        cuts = np.searchsorted(rows, starts)
+        for b, k, lo, i, j in zip(batches, widths, starts, cuts, cuts[1:]):
+            if i < j:
+                f[i:j], g[i:j, :k] = b.fn(t[i:j, :k], rows[i:j] - lo)
+        return f, g
+
+    seeded = np.concatenate([b.h0[1] for b in batches])
+    caps = np.repeat([b.maxiter for b in batches], sizes)
+    x, f, iters, conv = _batch_bfgs(fn, x0, (h, seeded), xatol, fatol, caps)
+    return [(x[lo:hi, :k], f[lo:hi], iters[lo:hi], conv[lo:hi])
+            for k, lo, hi in zip(widths, starts, starts[1:])]
 
 
 def _queue(jobs: Sequence[Callable]) -> list:
@@ -1238,9 +1286,10 @@ def _fit_rows(spec: _Family, w: np.ndarray, cfg: FitConfig, extra=()) -> _RowFit
 
 def _fit_sample(fits: Sequence[tuple], data, cfg: FitConfig) -> list:
     """Fit each (spec, extra_starts) of fits to one sample, every family's
-    BFGS problems in one work queue.  Returns, per entry, its FitResult or
-    the ValueError its fit raises: a sample too small for the family, or a
-    degenerate one.  A bad sample (empty or not finite) raises for all."""
+    BFGS problems in one _run_batches call.  Returns, per entry, its
+    FitResult or the ValueError its fit raises: a sample too small for the
+    family, or a degenerate one.  A bad sample (empty or not finite) raises
+    for all."""
     x = _as_data(data)
     n = x.size
     w, (e,), (m0,), (s0,) = _standardize(x[None, :])
@@ -1291,11 +1340,12 @@ def _check_families(families) -> None:
 def fit_families(families: Sequence[str], data, config: Optional[FitConfig] = None) -> dict:
     """Maximum-likelihood fits of several families to one sample.
 
-    Every family's optimizer problems run in one work queue, in two
-    processes where two cores are usable and the batch is large; each
-    result is bit-identical to fit_mle's.  Returns a dict from each family
-    to its FitResult, or to the ValueError fit_mle raises for it (a sample
-    too small for the family, or one with zero variance).  Data that are
+    Every family's optimizer problems run together: in one work queue in
+    two processes where two cores are usable and the batch is large, and
+    otherwise in one lockstep loop in this process; each result is
+    bit-identical to fit_mle's.  Returns a dict from each family to its
+    FitResult, or to the ValueError fit_mle raises for it (a sample too
+    small for the family, or one with zero variance).  Data that are
     empty or not finite raise ValueError.
     """
     _check_families(families)

@@ -42,13 +42,17 @@ def test_location_scale_validation():
         base.LocationScale(math.inf, 1.0)
 
 
+def _normal(ls):
+    return base.LocatedBase(base.normal_base(), ls)
+
+
 def test_normal_pdf_values():
     ls = base.LocationScale(0.0, 1.0)
-    assert base.normal_pdf(0.0, ls) == pytest.approx(INV_SQRT_2PI, abs=1e-15)
-    assert base.normal_pdf(1.0, ls) == pytest.approx(PHI_AT_1, abs=1e-15)
+    assert _normal(ls).pdf(0.0) == pytest.approx(INV_SQRT_2PI, abs=1e-15)
+    assert _normal(ls).pdf(1.0) == pytest.approx(PHI_AT_1, abs=1e-15)
     for sigma in (0.5, 2.0, 7.0):
         ls2 = base.LocationScale(3.0, sigma)
-        assert base.normal_pdf(3.0, ls2) == pytest.approx(
+        assert _normal(ls2).pdf(3.0) == pytest.approx(
             INV_SQRT_2PI / sigma, rel=1e-14)
 
 
@@ -63,7 +67,7 @@ def test_student_pdf_k_large_nu_approaches_normal():
     ls = base.LocationScale(0.0, 1.0)
     for x in (0.0, 1.0, 2.0):
         t_val = base.student_pdf_k(np.array([x]), mp1, 1e6)
-        assert abs(t_val - base.normal_pdf(x, ls)) < 1e-3
+        assert abs(t_val - _normal(ls).pdf(x)) < 1e-3
 
 
 def test_student_pdf_k_bivariate_at_origin():

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from flexdist import cli, infer
+from flexdist import base, cli, infer
 from tests import subprocess_env
 
 SQRT_TWO_THIRDS = 0.816496580927726  # sqrt(2/3), mpmath 40-digit
@@ -327,6 +327,21 @@ def test_sample_requires_count():
 def test_sample_negative_count():
     r = run("sample", "--family", "normal", "-n", "-3")
     assert r.returncode == 2
+
+
+def test_sample_zero_count_prints_nothing(capsys):
+    assert cli.main(["sample", "--family", "skew_t", "--nu", "2", "--delta", "2", "-n", "0"]) == 0
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("error", ["NumericsError", "IntegrationError", "BracketError"])
+def test_numerical_failures_exit_with_code_3(error, monkeypatch, capsys):
+    def fail(family, params):
+        raise getattr(base, error)("no bracket")
+
+    monkeypatch.setattr(infer, "distribution_for", fail)
+    assert cli.main(["curve", "--family", "normal"]) == 3
+    assert capsys.readouterr().err == "numerical failure: no bracket\n"
 
 
 def test_sample_fit_roundtrip_two_piece(tmp_path):

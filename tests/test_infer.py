@@ -1168,6 +1168,58 @@ def test_batch_bfgs_unseeded_problems_keep_the_identity_run():
     assert conv.all()
 
 
+def test_batch_bfgs_stops_each_problem_at_its_own_cap():
+    x0 = np.array([[-1.2, 1.0, 0.5], [2.0, -1.5, 3.0]])
+    h0 = (np.tile(np.eye(3), (2, 1, 1)), np.zeros(2, dtype=bool))
+    x, f, iters, conv = infer._batch_bfgs(_rosenbrock, x0, h0, 1e-10, 1e-14, np.array([3, 10]))
+    assert iters.tolist() == [3, 10]
+    assert not conv.any()
+    # each problem ends where a run under its cap alone ends
+    for i, cap in enumerate((3, 10)):
+        alone = infer._batch_bfgs(_rosenbrock, x0[i:i + 1], (h0[0][:1], h0[1][:1]),
+                                  1e-10, 1e-14, cap)
+        assert np.array_equal(alone[0][0], x[i]) and alone[1][0] == f[i]
+
+
+def _rosenbrock_batch(d, m, maxiter, seed):
+    """A _Batch of m Rosenbrock problems in d coordinates, every other one
+    seeded with a diagonal h, whose fn checks that it sees only its own
+    problems and columns, in ascending order."""
+    rng = base.make_rng(seed)
+
+    def fn(t, rows):
+        assert t.shape == (rows.size, d) and np.all(np.diff(rows) > 0)
+        assert rows.min() >= 0 and rows.max() < m
+        return _rosenbrock(t, rows)
+
+    seeded = np.arange(m) % 2 == 1
+    h = np.tile(np.eye(d), (m, 1, 1))
+    h[seeded] *= rng.uniform(0.05, 0.5, (int(seeded.sum()), 1, d))
+    return infer._Batch(fn, rng.uniform(-2.0, 2.0, (m, d)), (h, seeded), 1e-10, 1e-14, maxiter)
+
+
+def test_one_process_batches_run_in_one_loop_as_each_batch_alone(monkeypatch):
+    # the width-3 batch's cap of 12 stops its problems before they converge
+    batches = [_rosenbrock_batch(2, 3, 800, 90), _rosenbrock_batch(3, 4, 12, 91),
+               _rosenbrock_batch(4, 5, 1600, 92)]
+    alone = [infer._batch_bfgs(*b) for b in batches]
+    assert not alone[1][3].any() and (alone[1][2] == 12).all()
+    assert all(a[3].all() for a in (alone[0], alone[2]))
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1].shape)
+        return bfgs(*args)
+
+    bfgs = infer._batch_bfgs
+    monkeypatch.setattr(infer, "_batch_bfgs", counted)
+    together = infer._run_batches(batches, 1)
+    assert calls == [(12, 4)]
+    for mine, ref in zip(together, alone):
+        assert len(mine) == len(ref)
+        assert all(np.array_equal(a, b) for a, b in zip(mine, ref))
+
+
 # ------------------------- the dof difference only where the nu slope is not 0
 
 class _UnitSlopeNu:
@@ -1436,6 +1488,22 @@ def test_fits_run_serially_without_two_usable_cores(cores, monkeypatch):
     assert infer.fit_mle("skew_t", x).converged
     fits = infer.fit_families(infer.FAMILY_ORDER, x)
     assert all(isinstance(f, infer.FitResult) for f in fits.values())
+
+
+@pytest.mark.parametrize("n", [6, 200])
+@pytest.mark.parametrize("scaling", ["isf", "epsilon"])
+def test_one_loop_fit_families_equals_fit_mle(n, scaling, monkeypatch):
+    # without a fork, every family's problems run in one lockstep loop
+    def fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", fork, raising=False)
+    x = base.make_rng(81).gamma(2.0, size=n)
+    cfg = infer.FitConfig(scaling=scaling)
+    fits = infer.fit_families(infer.FAMILY_ORDER, x, cfg)
+    assert list(fits) == list(infer.FAMILY_ORDER)
+    for family in infer.FAMILY_ORDER:
+        assert fits[family] == infer.fit_mle(family, x, cfg), family
 
 
 def _claimed(path, i):

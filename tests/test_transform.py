@@ -87,7 +87,7 @@ def test_sas_transform_validation():
 def test_transform_pdf_identity_matches_normal():
     p = _sas_params(0.0, 1.0)
     vals = p.pdf(GRID)
-    ref = base.normal_pdf(GRID, STD_LOC)
+    ref = stats.norm.pdf(GRID)
     assert np.max(np.abs(vals - ref)) < 1e-14
 
 
