@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import infer, skewsym
+from . import infer
 from .base import NumericsError, make_rng
 
 
@@ -279,8 +279,7 @@ def cmd_sfa_demo(args) -> int:
     if args.sigma_v <= 0.0 or args.sigma_u <= 0.0:
         raise UsageError("--sigma-v and --sigma-u must be positive")
     seed = _resolve_seed(args)
-    demo = skewsym.sfa_composite_error_demo(args.n, args.sigma_v,
-                                            args.sigma_u, make_rng(seed))
+    demo = infer.sfa_composite_error_demo(args.n, args.sigma_v, args.sigma_u, make_rng(seed))
     normal, skew = demo.normal_fit, demo.skew_normal_fit
     preferred = skew if skew.aic < normal.aic else normal
     report = {"schema": "flexdist-sfa/1", "n": args.n,

@@ -16,13 +16,14 @@ their starts in one batch, and its observed statistic by the same row fit,
 run on the observed sample as a batch of one row.  Where two cores are
 usable and the problems are many, this process and a forked child draw the
 batches' halves from one work queue, with results bit-identical to one
-process's; in one process, the batches of a fit_families call run in one
-lockstep loop, each family's problems padded to the widest family's
-coordinates, so that each pass pays its bookkeeping once.  Each run's
-inverse-Hessian approximation starts from the diagonal of the inverse outer
-product of the per-observation scores at its start point (the BHHH matrix,
-Berndt, Hall, Hall & Hausman 1974): each coordinate's estimated sampling
-variance, which puts the very differently scaled coordinates on one footing.
+process's.  Either way a call's batches form one problem set, each family's
+problems padded to the widest family's coordinates: in one process it runs
+as one loop, so that each pass pays its bookkeeping once, and the queue's
+jobs are index sets of it.  Each run's inverse-Hessian approximation starts
+from the diagonal of the inverse outer product of the per-observation
+scores at its start point (the BHHH matrix, Berndt, Hall, Hall & Hausman
+1974): each coordinate's estimated sampling variance, which puts the very
+differently scaled coordinates on one footing.
 Where that outer product is not finite or its condition number exceeds
 _OPG_COND, the run starts from the identity.  The start points are
 structural (moment, quantile and frontier starts) and deterministic, so fits
@@ -92,6 +93,8 @@ __all__ = [
     "distribution_for",
     "model_select",
     "lr_test",
+    "SfaDemo",
+    "sfa_composite_error_demo",
 ]
 
 # the paper's central pair: the composed-error demo fits both families, and
@@ -199,10 +202,10 @@ def _batch_bfgs(fn, x0, h0, xatol, fatol, maxiter):
     (k,) and scores (k, d) of parameter rows T (k, d) for problem indices
     rows, which come in ascending order; a non-finite value or score counts
     as +inf.  maxiter caps each problem's iterations: an int, or an (m,)
-    array of per-problem caps, so that _lockstep can run several batches'
-    problems, each under its own cap, in one loop.  h0 = (h, seeded) gives
-    each problem's initial inverse-Hessian approximation h (m, d, d), as
-    _opg_seed returns it.  A seeded problem takes its first trial step at
+    array of per-problem caps, so that _run_batches can run several
+    batches' problems, each under its own cap, as one set.  h0 = (h, seeded)
+    gives each problem's initial inverse-Hessian approximation h (m, d, d),
+    as _opg_seed returns it.  A seeded problem takes its first trial step at
     full length along -h g.  An unseeded one, whose h must be the identity,
     caps its first trial step at max-norm _MAX_STEP and scales the identity
     by the curvature its first accepted step sees, as every problem does
@@ -216,8 +219,8 @@ def _batch_bfgs(fn, x0, h0, xatol, fatol, maxiter):
     own, as long as fn computes each parameter row's value and score from
     that row alone, bit for bit (row sums, not einsum, which takes another
     path for a long row alone than in a batch): then a problem's result does
-    not depend on its batch-mates, and _run_batches can run the problems
-    as two halves in two processes, or every family's problems in one loop.
+    not depend on its batch-mates, and _run_batches can run every family's
+    problems in one loop, or split them between two processes.
     Returns per-problem best point, value, iteration count and convergence
     flag; a counter added later must come back in this tuple too, or the
     queue's child would drop it.
@@ -345,73 +348,54 @@ def _splits(jobs: int, elements: int) -> bool:
 
 class _Batch(NamedTuple):
     """One _batch_bfgs call's arguments: its kernel, the problems' starts
-    x0 and seeds h0, and the stopping rule."""
+    x0 and seeds h0, and the stopping rule; maxiter is an int, or an (m,)
+    array of per-problem caps."""
 
     fn: Callable
     x0: np.ndarray
     h0: tuple
     xatol: float
     fatol: float
-    maxiter: int
+    maxiter: "int | np.ndarray"
 
-    def run(self, idx=None):
-        """_batch_bfgs over the problems idx, or over all of them."""
-        if idx is None:
-            return _batch_bfgs(*self)
+    def run(self, idx):
+        """_batch_bfgs over the problems idx, in ascending order, of a
+        batch with per-problem caps."""
         fn = self.fn
         return _batch_bfgs(lambda t, rows: fn(t, idx[rows]), self.x0[idx],
-                           (self.h0[0][idx], self.h0[1][idx]), *self[3:])
+                           (self.h0[0][idx], self.h0[1][idx]), self.xatol, self.fatol,
+                           self.maxiter[idx])
 
 
 def _run_batches(batches: Sequence[_Batch], n: int) -> list:
     """Each batch's _batch_bfgs result, in order; n points per problem.
 
-    Where _splits allows it, the batches run as one work queue in two
-    processes (_queue).  A job is one parity half of one batch's problems,
-    the even-numbered then the odd-numbered, in batch order, and each
-    batch's results merge by problem index.  Otherwise they run in this
-    process, every batch's problems in one lockstep loop (_lockstep), so
-    that a pass of the loop pays its bookkeeping once for all the families
-    of a fit_families call.  A problem's arithmetic is its own, so every
-    result is bit-identical to its batch's own run.
+    The batches' problems form one problem set.  Each problem is padded to
+    the widest batch's width with inert coordinates: start 0, identity seed
+    and score 0, so a padded coordinate never moves and its entries off the
+    diagonal of h stay 0.  Each problem keeps its batch's iteration cap, and
+    the set's kernel hands each batch's rows, which _batch_bfgs passes in
+    ascending order, to that batch's fn on its own columns.  Where _splits
+    allows it, the set runs as one work queue in two processes (_queue): a
+    job is one parity half of one batch's problems, the even-numbered then
+    the odd-numbered, in batch order, and its results land in the set's
+    arrays at its problems' places.  Otherwise the whole set runs in one
+    _batch_bfgs loop in this process, so that a pass of the loop pays its
+    bookkeeping once for all the families of a fit_families call.  The
+    padding adds only zeros to the optimizer's row sums, and a problem's
+    arithmetic is its own, so every result is bit-identical to its batch's
+    own run.  The batches share one pair of tolerances, as the batches of
+    one FitConfig do.
     """
-    jobs = [(i, np.arange(start, len(b.x0), 2))
-            for i, b in enumerate(batches) for start in (0, 1) if start < len(b.x0)]
-    if not _splits(len(jobs), n * sum(len(b.x0) for b in batches)):
-        return _lockstep(batches)
-    done = _queue([partial(batches[i].run, idx) for i, idx in jobs])
-    merged = [None] * len(batches)
-    for (i, idx), result in zip(jobs, done):
-        if merged[i] is None:
-            merged[i] = tuple(np.empty((len(batches[i].x0),) + a.shape[1:], dtype=a.dtype)
-                              for a in result)
-        for out, a in zip(merged[i], result):
-            out[idx] = a
-    return merged
-
-
-def _lockstep(batches: Sequence[_Batch]) -> list:
-    """Each batch's _batch_bfgs result, from one _batch_bfgs run over the
-    problems of every batch.
-
-    Each problem is padded to the widest batch's width with inert
-    coordinates: start 0, identity seed and score 0, so a padded coordinate
-    never moves and its entries off the diagonal of h stay 0.  The kernel
-    hands each batch's rows, which _batch_bfgs passes in ascending order, to
-    that batch's fn on its own columns, and each problem keeps its batch's
-    iteration cap.  The padding adds only zeros to the optimizer's row sums,
-    so every result is bit-identical to its batch's own run.  The batches
-    share one pair of tolerances, as the batches of one FitConfig do.
-    """
-    if len(batches) < 2:
-        return [b.run() for b in batches]
+    if not batches:
+        return []
     ((xatol, fatol),) = {b[3:5] for b in batches}
     sizes = [len(b.x0) for b in batches]
     widths = [b.x0.shape[1] for b in batches]
     starts = np.cumsum([0] + sizes)
-    d = max(widths)
-    x0 = np.zeros((starts[-1], d))
-    h = np.tile(np.eye(d), (starts[-1], 1, 1))
+    m, d = starts[-1], max(widths)
+    x0 = np.zeros((m, d))
+    h = np.tile(np.eye(d), (m, 1, 1))
     for b, k, lo, hi in zip(batches, widths, starts, starts[1:]):
         x0[lo:hi, :k], h[lo:hi, :k, :k] = b.x0, b.h0[0]
 
@@ -424,8 +408,19 @@ def _lockstep(batches: Sequence[_Batch]) -> list:
         return f, g
 
     seeded = np.concatenate([b.h0[1] for b in batches])
-    caps = np.repeat([b.maxiter for b in batches], sizes)
-    x, f, iters, conv = _batch_bfgs(fn, x0, (h, seeded), xatol, fatol, caps)
+    problems = _Batch(fn, x0, (h, seeded), xatol, fatol,
+                      np.repeat([b.maxiter for b in batches], sizes))
+    jobs = [np.arange(lo + start, hi, 2)
+            for lo, hi in zip(starts, starts[1:]) for start in (0, 1) if lo + start < hi]
+    if _splits(len(jobs), n * m):
+        done = _queue([partial(problems.run, idx) for idx in jobs])
+        result = [np.empty((m,) + a.shape[1:], dtype=a.dtype) for a in done[0]]
+        for idx, part in zip(jobs, done):
+            for out, a in zip(result, part):
+                out[idx] = a
+    else:
+        result = _batch_bfgs(*problems)
+    x, f, iters, conv = result
     return [(x[lo:hi, :k], f[lo:hi], iters[lo:hi], conv[lo:hi])
             for k, lo, hi in zip(widths, starts, starts[1:])]
 
@@ -772,8 +767,8 @@ class FitConfig:
     is a deterministic function of its data and config.  A run stops when a
     step's max-norm is at most xatol and it lowers the negative
     log-likelihood by at most fatol, when several steps in a row each lower
-    it by at most fatol, or after maxiter iterations (default 400 per free
-    parameter).  scaling, isf or epsilon, picks only the cap on the two-piece
+    it by at most fatol, or after maxiter iterations (at least 1; default
+    400 per free parameter).  scaling, isf or epsilon, picks only the cap on the two-piece
     asymmetry and the form of the reported sigma and delta: both scalings
     fit the same laws in the same ISF coordinates.
     """
@@ -787,6 +782,8 @@ class FitConfig:
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
+        if self.maxiter is not None and self.maxiter < 1:
+            raise ValueError("maxiter must be at least 1")
         if self.xatol <= 0.0 or self.fatol <= 0.0:
             raise ValueError("tolerances must be positive")
         if self.scaling not in _SCALINGS:
@@ -1340,9 +1337,9 @@ def _check_families(families) -> None:
 def fit_families(families: Sequence[str], data, config: Optional[FitConfig] = None) -> dict:
     """Maximum-likelihood fits of several families to one sample.
 
-    Every family's optimizer problems run together: in one work queue in
-    two processes where two cores are usable and the batch is large, and
-    otherwise in one lockstep loop in this process; each result is
+    Every family's optimizer problems run together as one problem set: in
+    one work queue in two processes where two cores are usable and the set
+    is large, and otherwise in one loop in this process; each result is
     bit-identical to fit_mle's.  Returns a dict from each family to its
     FitResult, or to the ValueError fit_mle raises for it (a sample too
     small for the family, or one with zero variance).  Data that are
@@ -1485,3 +1482,41 @@ def lr_test(
     exceed = int(np.count_nonzero(np.maximum(stats[ok], 0.0) >= observed))
     p_value = (1.0 + exceed) / (b + 1.0)
     return TestResult(statistic=observed, p_value=p_value, replicates=b, failures=failures)
+
+
+# ---------------------------------------------------------------------------
+# the composed-error demo
+
+
+@dataclass(frozen=True, eq=False)
+class SfaDemo:
+    """Composite-error simulation output and the two competing fits."""
+
+    sample: np.ndarray
+    normal_fit: FitResult
+    skew_normal_fit: FitResult
+
+    @property
+    def delta_hat(self) -> float:
+        return self.skew_normal_fit.params["delta"]
+
+    @property
+    def lr_statistic(self) -> float:
+        return max(2.0 * (self.skew_normal_fit.loglik - self.normal_fit.loglik), 0.0)
+
+
+def sfa_composite_error_demo(n: int, sigma_v: float, sigma_u: float,
+                             rng: np.random.Generator) -> SfaDemo:
+    """Simulate eps = V - U (V normal, U half-normal) and fit both models.
+
+    A positive inefficiency scale sigma_u drags the error left, so the
+    fitted skew-normal delta comes out negative.
+    """
+    if sigma_v <= 0.0 or sigma_u <= 0.0:
+        raise ValueError("sigma_v and sigma_u must be positive")
+    nb = normal_base()
+    v = sigma_v * nb.sample(n, rng)
+    u = sigma_u * np.abs(nb.sample(n, rng))
+    eps = v - u
+    null, alt = SKEW_NORMAL_PAIR
+    return SfaDemo(sample=eps, normal_fit=fit_mle(null, eps), skew_normal_fit=fit_mle(alt, eps))

@@ -455,41 +455,3 @@ class SkewT(_SkewLaw):
         """A skew-normal over sqrt(V / nu), V ~ chi^2_nu drawn first."""
         v = rng.chisquare(self.nu, n)
         return SkewNormal(delta=self.delta)._draw(n, rng) / np.sqrt(v / self.nu)
-
-
-@dataclass(frozen=True, eq=False)
-class SfaDemo:
-    """Composite-error simulation output and the two competing fits."""
-
-    sample: np.ndarray
-    normal_fit: "object"
-    skew_normal_fit: "object"
-
-    @property
-    def delta_hat(self) -> float:
-        return self.skew_normal_fit.params["delta"]
-
-    @property
-    def lr_statistic(self) -> float:
-        return max(2.0 * (self.skew_normal_fit.loglik - self.normal_fit.loglik), 0.0)
-
-
-def sfa_composite_error_demo(n: int, sigma_v: float, sigma_u: float,
-                             rng: np.random.Generator) -> SfaDemo:
-    """Simulate eps = V - U (V normal, U half-normal) and fit both models.
-
-    A positive inefficiency scale sigma_u drags the error left, so the
-    fitted skew-normal delta comes out negative.
-    """
-    if sigma_v <= 0.0 or sigma_u <= 0.0:
-        raise ValueError("sigma_v and sigma_u must be positive")
-    from . import infer
-
-    nb = normal_base()
-    v = sigma_v * nb.sample(n, rng)
-    u = sigma_u * np.abs(nb.sample(n, rng))
-    eps = v - u
-    null, alt = infer.SKEW_NORMAL_PAIR
-    normal_fit = infer.fit_mle(null, eps)
-    sn_fit = infer.fit_mle(alt, eps)
-    return SfaDemo(sample=eps, normal_fit=normal_fit, skew_normal_fit=sn_fit)

@@ -35,8 +35,8 @@ from flexdist.infer import (
     fit_mle,
     fit_mle_penalized_skew_normal,
     model_select,
+    sfa_composite_error_demo,
 )
-from flexdist.skewsym import sfa_composite_error_demo
 from flexdist.twopiece import (
     IsfScaling,
     EpsilonScaling,

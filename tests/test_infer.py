@@ -518,6 +518,10 @@ def test_fit_config_validation():
         infer.FitConfig(xatol=0.0)
     with pytest.raises(ValueError):
         infer.FitConfig(scaling="both")
+    # None means 400 per free parameter; a cap below 1 would return the start
+    for maxiter in (0, -3):
+        with pytest.raises(ValueError, match="maxiter"):
+            infer.FitConfig(maxiter=maxiter)
 
 
 def test_boundary_pathology_all_positive_sample():
@@ -1198,28 +1202,6 @@ def _rosenbrock_batch(d, m, maxiter, seed):
     return infer._Batch(fn, rng.uniform(-2.0, 2.0, (m, d)), (h, seeded), 1e-10, 1e-14, maxiter)
 
 
-def test_one_process_batches_run_in_one_loop_as_each_batch_alone(monkeypatch):
-    # the width-3 batch's cap of 12 stops its problems before they converge
-    batches = [_rosenbrock_batch(2, 3, 800, 90), _rosenbrock_batch(3, 4, 12, 91),
-               _rosenbrock_batch(4, 5, 1600, 92)]
-    alone = [infer._batch_bfgs(*b) for b in batches]
-    assert not alone[1][3].any() and (alone[1][2] == 12).all()
-    assert all(a[3].all() for a in (alone[0], alone[2]))
-    calls = []
-
-    def counted(*args):
-        calls.append(args[1].shape)
-        return bfgs(*args)
-
-    bfgs = infer._batch_bfgs
-    monkeypatch.setattr(infer, "_batch_bfgs", counted)
-    together = infer._run_batches(batches, 1)
-    assert calls == [(12, 4)]
-    for mine, ref in zip(together, alone):
-        assert len(mine) == len(ref)
-        assert all(np.array_equal(a, b) for a, b in zip(mine, ref))
-
-
 # ------------------------- the dof difference only where the nu slope is not 0
 
 class _UnitSlopeNu:
@@ -1374,6 +1356,41 @@ def _assert_no_children():
         os.waitpid(-1, os.WNOHANG)
 
 
+@pytest.mark.parametrize("queued", [False, pytest.param(True, marks=needs_fork)])
+def test_one_process_batches_run_in_one_loop_as_each_batch_alone(queued, monkeypatch, request):
+    # both branches run the one padded problem set: in one process as one
+    # loop, in the queue as one parity half of one batch per job
+    forks = request.getfixturevalue("forks") if queued else []
+    # the width-3 batch's cap of 12 stops its problems before they converge
+    batches = [_rosenbrock_batch(2, 3, 800, 90), _rosenbrock_batch(3, 4, 12, 91),
+               _rosenbrock_batch(4, 5, 1600, 92)]
+    alone = [infer._batch_bfgs(*b) for b in batches]
+    assert not alone[1][3].any() and (alone[1][2] == 12).all()
+    assert all(a[3].all() for a in (alone[0], alone[2]))
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1].shape)
+        return bfgs(*args)
+
+    bfgs = infer._batch_bfgs
+    monkeypatch.setattr(infer, "_batch_bfgs", counted)
+    together = infer._run_batches(batches, 1)
+    assert len(forks) == queued
+    if queued:
+        _assert_no_children()
+        # each of the six jobs this process claimed ran padded problems
+        assert all(shape in ((1, 4), (2, 4), (3, 4)) for shape in calls)
+    else:
+        assert calls == [(12, 4)]
+    for mine, ref in zip(together, alone):
+        assert len(mine) == len(ref)
+        assert all(np.array_equal(a, b) for a, b in zip(mine, ref))
+    # exact-only fits, such as the normal family's, plan no batch
+    assert infer._run_batches([], 200) == []
+    assert len(forks) == queued
+
+
 @needs_fork
 def test_split_fits_are_bit_identical_to_serial_fits(forks, monkeypatch):
     x = base.make_rng(71).gamma(2.0, size=10_000)
@@ -1493,7 +1510,7 @@ def test_fits_run_serially_without_two_usable_cores(cores, monkeypatch):
 @pytest.mark.parametrize("n", [6, 200])
 @pytest.mark.parametrize("scaling", ["isf", "epsilon"])
 def test_one_loop_fit_families_equals_fit_mle(n, scaling, monkeypatch):
-    # without a fork, every family's problems run in one lockstep loop
+    # without a fork, every family's problems run in one loop
     def fork():
         raise AssertionError("forked")
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scipy import special, stats
 from scipy.integrate import trapezoid
 
-from flexdist import base, skewsym
+from flexdist import base, infer, skewsym
 from tests import subprocess_env
 
 # Frozen oracle values, computed once with mpmath at 40 digits.
@@ -338,8 +338,7 @@ def test_k_samplers_keep_the_quadratic_form_of_the_t(nu, seed):
 
 
 def test_sfa_demo_skews_left():
-    demo = skewsym.sfa_composite_error_demo(10_000, 1.0, 1.0,
-                                            base.make_rng(7))
+    demo = infer.sfa_composite_error_demo(10_000, 1.0, 1.0, base.make_rng(7))
     assert demo.delta_hat < 0.0
     assert demo.sample.mean() < 0.0
     assert demo.skew_normal_fit.loglik >= demo.normal_fit.loglik - 1e-8
@@ -350,20 +349,18 @@ def test_sfa_demo_vanishing_inefficiency():
     # true delta = 0 sits at the singular point of the information matrix,
     # so delta_hat fluctuates on the n^(-1/6) scale; the seed is frozen and
     # the LR statistic is additionally checked against the chi2(1) 95% point
-    demo = skewsym.sfa_composite_error_demo(10_000, 1.0, 1e-6,
-                                            base.make_rng(15))
+    demo = infer.sfa_composite_error_demo(10_000, 1.0, 1e-6, base.make_rng(15))
     assert abs(demo.delta_hat) < 0.2
     for seed in (1, 7, 15):
-        d = skewsym.sfa_composite_error_demo(10_000, 1.0, 1e-6,
-                                             base.make_rng(seed))
+        d = infer.sfa_composite_error_demo(10_000, 1.0, 1e-6, base.make_rng(seed))
         assert d.lr_statistic < 3.84
 
 
 def test_sfa_demo_rejects_bad_scales():
     with pytest.raises(ValueError):
-        skewsym.sfa_composite_error_demo(100, 0.0, 1.0, base.make_rng(0))
+        infer.sfa_composite_error_demo(100, 0.0, 1.0, base.make_rng(0))
     with pytest.raises(ValueError):
-        skewsym.sfa_composite_error_demo(100, 1.0, -1.0, base.make_rng(0))
+        infer.sfa_composite_error_demo(100, 1.0, -1.0, base.make_rng(0))
 
 
 def test_skew_t_log_pdf_far_tail_matches_mpmath():
