@@ -4,8 +4,16 @@ For each family/parameter combination this tabulates the Arnold-Groeneveld
 skewness 1 - 2F(mode) and the octile kurtosis, illustrating that the two
 measures respond to different aspects of shape: tail weight moves the
 kurtosis column while leaving AG skewness at zero for symmetric members.
+
+    python scripts/shape_measures.py           # the table, at four decimals
+    python scripts/shape_measures.py --exact   # each row's mode, AG skewness
+                                               # and octile kurtosis as repr
+
+The --exact lines show whether two checkouts agree to the bit; put the
+checkout's src first on PYTHONPATH to measure it.
 """
 
+import argparse
 import sys
 
 from flexdist.infer import distribution_for
@@ -26,16 +34,25 @@ CATALOG = [
 ]
 
 
-def main():
-    print(f"{'family':<18}{'params':<38}{'AG skew':>10}{'oct kurt':>10}")
+def main(argv=()):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--exact", action="store_true",
+                        help="print each row's mode, AG skewness and octile kurtosis as repr")
+    exact = parser.parse_args(argv).exact
+    if not exact:
+        print(f"{'family':<18}{'params':<38}{'AG skew':>10}{'oct kurt':>10}")
     for family, params in CATALOG:
         d = distribution_for(family, params)
         shape = {k: v for k, v in params.items() if k not in ("mu", "sigma")}
         tag = ", ".join(f"{k}={v}" for k, v in shape.items()) or "-"
-        print(f"{family:<18}{tag:<38}"
-              f"{ag_skewness(d):>10.4f}{quantile_kurtosis(d):>10.4f}")
+        if exact:
+            print(family, tag, repr(d.mode()), repr(ag_skewness(d)),
+                  repr(quantile_kurtosis(d)), sep="\t")
+        else:
+            print(f"{family:<18}{tag:<38}"
+                  f"{ag_skewness(d):>10.4f}{quantile_kurtosis(d):>10.4f}")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

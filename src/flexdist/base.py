@@ -7,11 +7,12 @@ location-scale layer every univariate law rides, which maps x to
 z = (x - mu) / sigma and back, applies the scalar/array rule and checks the
 sample size; MatrixParams, its k-variate counterpart in
 y = Sigma^(-1/2)(x - mu); and the small numeric toolkit the rest of the
-package leans on: adaptive quadrature, golden-section maximization, seeded
+package leans on: adaptive quadrature, golden-section maximization, the
+laws' mode search (score_peak, the root of a score in asinh x), seeded
 generators, and root finding.  One batched solver, solve_increasing,
 inverts every increasing vectorized map: the skew families' cdf (through
 invert_cdf) and the g-and-h and K H^(-1).  find_root (scipy's brentq) serves
-the scalar maps users supply to twopiece.ScaleTransform.
+the scalar maps users supply to twopiece.ScaleTransform and the mode search.
 """
 from __future__ import annotations
 
@@ -155,10 +156,13 @@ class Located:
 
     A law class gives its location and scale as self.loc, its
     moment_order_bound() and its standard law through the hooks _logf, _cdf
-    and _quantile (array maps in z) and _draw(n, rng) (n standard draws); a
-    law whose mode is not mu also gives _mode_bracket, a bracket in z for
-    the golden-section search of its peak.  log_pdf, pdf, cdf and quantile
-    take a float or an array of points or levels, and a float gives a float.
+    and _quantile (array maps in z) and _draw(n, rng) (n standard draws).  A
+    law whose mode is not mu also gives _mode_bracket, a bracket of its peak
+    in a coordinate v of z, and _score(v), the slope in v of log f(z) at a
+    one-element array of v; v is z itself unless _mode_z maps it to z.  mode
+    takes the root of that score in asinh v (score_peak).  log_pdf, pdf, cdf
+    and quantile take a float or an array of points or levels, and a float
+    gives a float.
     """
 
     _mode_bracket = None
@@ -182,7 +186,11 @@ class Located:
         bracket = self._mode_bracket
         if bracket is None:
             return self.loc.mu
-        return self.loc.mu + self.loc.sigma * golden_section_max(self._logf, *bracket)
+        return self.loc.mu + self.loc.sigma * self._mode_z(score_peak(self._score, *bracket))
+
+    @staticmethod
+    def _mode_z(v):
+        return v
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """n draws, deterministic for a given generator."""
@@ -275,6 +283,15 @@ class SymmetricBase(Located):
 # Per-point log-densities at standardized z: log f(z), or given grad (one
 # row mask per shape) its partials in z and each shape too.  A distribution
 # passes float shapes; a fit, z (k, n) with (k, 1) columns of shapes and masks.
+
+
+_NO_ROWS = np.zeros((1, 1), dtype=bool)
+
+
+def z_score(logf, z, *shapes, **kwargs):
+    """The partial in z of logf(z, *shapes) at a one-element array z, from
+    its grad path: one row, asking for no shape's partial."""
+    return logf(z, *shapes, grad=(_NO_ROWS,) * len(shapes), **kwargs)[1]
 
 
 def log1p_square(z, nu=1.0):
@@ -537,10 +554,14 @@ def golden_section_max(f, lo, hi, tol=1e-8, args=()):
     those rows.  A row stops once its bracket is within its tol, or within
     four ulps of the larger end of its first bracket, since rounding keeps
     a finer tol from ever being met, and takes the steps it would take
-    alone.  A float bracket gives a float.
+    alone.  A float bracket gives a float; a bracket whose width hi - lo
+    overflows raises ValueError.
     """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = np.atleast_1d(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    with np.errstate(over="ignore"):
+        if not np.isfinite(b - a).all():
+            raise ValueError(f"bracket [{lo}, {hi}] is wider than the largest float")
     tol = np.maximum(tol, 4.0 * np.spacing(np.maximum(np.abs(a), np.abs(b))))
     step = invphi * (b - a)
     c, d = b - step, a + step
@@ -560,6 +581,27 @@ def golden_section_max(f, lo, hi, tol=1e-8, args=()):
         c, d = np.where(up, x, d), np.where(up, c, x)
         fc, fd = np.where(up, fx, fd), np.where(up, fc, fx)
     return float(argmax[0]) if np.ndim(lo) == 0 else argmax
+
+
+def score_peak(score, lo: float, hi: float, tol: float = 1e-15) -> float:
+    """The peak on [lo, hi] of a unimodal density: the root of its score
+    (the slope of its log) in u = asinh x, by find_root to tol in u.
+
+    score maps a one-element array of points to their scores.  A density
+    that falls (rises) across the whole bracket gives lo (hi).  The root is
+    taken of asinh of the score, whose slope in u varies far less than the
+    score's, and each end's score is taken once.
+    """
+    def slope(u):
+        return math.asinh(float(score(np.array([math.sinh(u)]))[0]))
+
+    a, b = math.asinh(lo), math.asinh(hi)
+    ends = {a: slope(a), b: slope(b)}
+    if ends[a] < 0.0:
+        return lo
+    if ends[b] > 0.0:
+        return hi
+    return math.sinh(find_root(lambda u: ends[u] if u in ends else slope(u), a, b, tol))
 
 
 # steps each target of solve_increasing may take

@@ -10,6 +10,7 @@ All floats are printed with repr, which round-trips to the same bits.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -315,7 +316,11 @@ def _add_output_flag(sub) -> None:
     sub.add_argument("--output", help="write to this file instead of stdout")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: it holds no environment
+    state (FLEXDIST_SEED is read when a command runs), and parse_args
+    leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="flexdist",
         description="Flexible distributions: density curves, fitting, "

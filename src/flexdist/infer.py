@@ -53,8 +53,8 @@ import pickle
 import signal
 import traceback
 import warnings
-from dataclasses import dataclass, replace
-from functools import partial
+from dataclasses import dataclass, field, replace
+from functools import cached_property, partial
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -567,10 +567,17 @@ class _LogBox:
 
     lo: float
     hi: float
+    log_lo: float = field(init=False, repr=False)
+    log_hi: float = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "log_lo", math.log(self.lo))
+        object.__setattr__(self, "log_hi", math.log(self.hi))
 
     def decode(self, t):
-        v = np.exp(np.clip(t, math.log(self.lo), math.log(self.hi)))
-        return v, np.where((t >= math.log(self.lo)) & (t <= math.log(self.hi)), v, 0.0)
+        # np.clip's bits, without its Python wrapper on the kernels' hot path
+        v = np.exp(np.minimum(np.maximum(t, self.log_lo), self.log_hi))
+        return v, np.where((t >= self.log_lo) & (t <= self.log_hi), v, 0.0)
 
     def encode(self, v):
         return np.log(np.clip(v, self.lo, self.hi))
@@ -578,7 +585,7 @@ class _LogBox:
     def at_cap(self, v) -> bool:
         # for a box symmetric on the log scale (lo = 1/hi), compared there,
         # where exp(log(cap)) may land an ulp inside the cap
-        return abs(math.log(v)) >= math.log(self.hi) - _FRONTIER_TOL
+        return abs(math.log(v)) >= self.log_hi - _FRONTIER_TOL
 
 
 @dataclass(frozen=True)
@@ -745,7 +752,7 @@ def _starts_two_piece(w, cfg, with_nu):
     sign = _skewness_sign(_third_moment(w))
     mu_c, ls_c, _ = _chase_start(w, sign)
     # log of the wide side's scale over sigma at the cap
-    wide = math.log(box.hi)
+    wide = box.log_hi
     out.append(_points(m, mu_c, ls_c - wide, *nu, sign * wide))
     return out
 
@@ -1031,9 +1038,14 @@ class _Family:
     def mle(self) -> bool:
         return self.logf is not None or self.exact is not None
 
-    def maps(self, cfg: FitConfig) -> list:
+    @cached_property
+    def _maps(self) -> dict:
+        return {scaling: tuple(box if s.map is _ISF else s.map for s in self.shapes)
+                for scaling, box in _ASYMMETRY.items()}
+
+    def maps(self, cfg: FitConfig) -> tuple:
         """Each shape's map; the two-piece asymmetry's box is cfg.scaling's."""
-        return [_ASYMMETRY[cfg.scaling] if s.map is _ISF else s.map for s in self.shapes]
+        return self._maps[cfg.scaling]
 
     def terms(self, t, w, cfg: FitConfig):
         """z (k, n) of data rows w under parameter rows t (k, d), logf(z) and
@@ -1071,7 +1083,7 @@ class _Family:
             if m is _EPSILON:
                 # epsilon's delta = tanh t and sigma = sigma_ISF cosh t, each
                 # from t itself: through exp(t), delta = 1e-146 would round to 0
-                u = np.clip(t[s.col], math.log(m.lo), math.log(m.hi))
+                u = np.clip(t[s.col], m.log_lo, m.log_hi)
                 out["sigma"], out[s.name] = float(out["sigma"] * np.cosh(u)), float(np.tanh(u))
             else:
                 out[s.name] = float(m.decode(t[s.col])[0])
@@ -1081,7 +1093,7 @@ class _Family:
         t = [float(params["mu"]), math.log(float(params["sigma"]))] + [0.0] * len(self.shapes)
         for s, m in zip(self.shapes, self.maps(cfg)):
             if m is _EPSILON:
-                u = float(np.clip(np.arctanh(params[s.name]), math.log(m.lo), math.log(m.hi)))
+                u = float(np.clip(np.arctanh(params[s.name]), m.log_lo, m.log_hi))
                 t[1], t[s.col] = t[1] - math.log(math.cosh(u)), u
             else:
                 t[s.col] = m.encode(params[s.name])
@@ -1236,13 +1248,9 @@ def _plan_rows(spec: _Family, w: np.ndarray, cfg: FitConfig, extra=()):
 
     def fn(t, rows):
         # parameter row i against data row rows[i], `per` rows at a time
-        val, score = (
-            np.concatenate(part)
-            for part in zip(
-                *(spec.nll(t[i : i + per], w[rows[i : i + per]], cfg)
-                  for i in range(0, len(rows), per))
-            )
-        )
+        parts = [spec.nll(t[i : i + per], w[rows[i : i + per]], cfg)
+                 for i in range(0, len(rows), per)]
+        val, score = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
         bad = (np.abs(t[:, 0]) > 1e6) | (np.abs(t[:, 1]) > 200.0)
         return np.where(bad, np.inf, val), score
 

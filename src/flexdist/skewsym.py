@@ -15,7 +15,8 @@ mpmath its absolute error is at most 1e-15, and the smaller tail keeps a
 relative error of 1e-14 down to 1e-30 and of 5e-14 down to 1e-300.  It
 takes 1e-3 <= nu <= 1e8.  SkewNormal and SkewT ride base.Located: they give
 their standard law in z, take its quantiles from one batched Newton solve,
-base.invert_cdf, and search for its mode over z in [-10, 10].
+base.invert_cdf, and take their mode from the root of the score in z over
+[-10, 10].
 """
 from __future__ import annotations
 
@@ -41,6 +42,7 @@ from .base import (
     _spherical_t_pdf,
     student_base,
     t_logf,
+    z_score,
 )
 
 # Gauss-Laguerre rule of the skew-normal CDF's lower tail
@@ -382,8 +384,8 @@ def sample_skew_t_k(n: int, mp: MatrixParams, nu: float, delta,
 
 
 class _SkewLaw(Located):
-    """A skew law with mu and sigma fields; its quantiles are solved and its
-    mode searched in z."""
+    """A skew law with mu and sigma fields; its quantiles are solved in z,
+    and its mode is the root of its kernel's score in z over [-10, 10]."""
 
     _mode_bracket = (-10.0, 10.0)
 
@@ -409,6 +411,9 @@ class SkewNormal(_SkewLaw):
 
     def _logf(self, z):
         return skew_normal_logf(z, self.delta)
+
+    def _score(self, z):
+        return z_score(skew_normal_logf, z, self.delta)
 
     def _cdf(self, z):
         return _sn_cdf(z, self.delta)
@@ -440,6 +445,10 @@ class SkewT(_SkewLaw):
 
     def _logf(self, z):
         return skew_t_logf(z, self.nu, self.delta)
+
+    def _score(self, z):
+        # no nu row, so no second stdtr pass
+        return z_score(skew_t_logf, z, self.nu, self.delta)
 
     @cached_property
     def _mixture(self) -> _ScaleMixture:

@@ -8,7 +8,8 @@ construction.  The sinh-arcsinh map has closed forms in both directions.
 The Tukey g-and-h and the K tail map only define H^(-1) analytically: their
 H is solved by base.solve_increasing, with Newton steps on the closed-form
 slope of H^(-1), and log H'(z) = -log (H^(-1))'(H(z)).  TransformParams
-rides base.Located with the standard law of H^(-1)(Z), Z from the base.
+rides base.Located with the standard law of H^(-1)(Z), Z from the base; its
+mode is searched in y = H(z), from the closed-form slope of log (H^(-1))'.
 transform_pdf_k rides base.MatrixParams: it maps each coordinate of
 y = Sigma^(-1/2)(x - mu) through its own H and takes the spherical t there.
 """
@@ -31,6 +32,7 @@ from .base import (
     scalar_or_array,
     _spherical_t_pdf,
     solve_increasing,
+    z_score,
 )
 
 GH_SMALL_G = 1e-8  # below this |g| the analytic g -> 0 limit branch is used
@@ -95,7 +97,15 @@ class SasTransform:
 
     def logf(self, z, base: SymmetricBase):
         logf, shapes = base.log_density
-        return sas_logf(z, self.delta, self.eta, *shapes, base=logf)
+        # where sinh(eta arcsinh(z) + delta) overflows, y is +-inf
+        with np.errstate(over="ignore"):
+            return sas_logf(z, self.delta, self.eta, *shapes, base=logf)
+
+    def d_log_inverse_slope(self, y):
+        """The slope in y of log (H^(-1))'(y), (tanh(w) / eta - y / r) / r with
+        w = (asinh y - delta) / eta and r = sqrt(1 + y^2); no term overflows."""
+        r = np.hypot(1.0, y)
+        return (np.tanh((np.arcsinh(y) - self.delta) / self.eta) / self.eta - y / r) / r
 
     def moment_order_bound(self, base: SymmetricBase) -> float:
         # H^(-1)(y) grows like |y|^(1 / eta)
@@ -174,6 +184,26 @@ class GhTransform(_InverseOnly):
             log_h = math.log(h) if h > 0.0 else -math.inf
             return 0.5 * h * y * y + np.logaddexp(v, log_h + log_b)
 
+    def d_log_inverse_slope(self, y):
+        """The slope in y of log_inverse_slope, h y + g + h N / D: with e =
+        exp(-|g y|) and q = (1 - e) / g, N / D is (q + y e) / (1 + h y q)
+        where g y >= 0 and (y - q) / (e - h y q) elsewhere, so no term
+        overflows; in the limit g -> 0, h y + 2 h y / (1 + h y^2)."""
+        g = 0.0 if abs(self.g) < GH_SMALL_G else self.g
+        h = self.h
+        if h == 0.0:
+            return np.full_like(y, g)
+        if g == 0.0:
+            v, e, q = 0.0, 1.0, y
+        else:
+            v = g * y
+            e = np.exp(-np.abs(v))
+            q = -np.expm1(-np.abs(v)) / g
+        with np.errstate(over="ignore", invalid="ignore"):
+            hyq = h * y * q
+            ratio = np.where(v >= 0.0, (q + y * e) / (1.0 + hyq), (y - q) / (e - hyq))
+            return h * y + g + h * ratio
+
     def moment_order_bound(self, base: SymmetricBase) -> float:
         # H^(-1)(y) grows like exp(h y^2 / 2 + |g y|): against a normal base
         # E exp(r h Y^2 / 2) diverges from r h = 1 on, against the logistic's
@@ -214,6 +244,13 @@ class KTransform(_InverseOnly):
         return ((self.eta - 1.0) * log1p_square(y)
                 + log1p_square(y, 1.0 / (1.0 + 2.0 * self.eta)))
 
+    def d_log_inverse_slope(self, y):
+        """The slope in y of log_inverse_slope; 0 where y^2 overflows."""
+        c = 1.0 + 2.0 * self.eta
+        with np.errstate(over="ignore"):
+            q = y * y
+        return y * ((self.eta - 1.0) / (1.0 + q) + c / (1.0 + c * q)) * 2.0
+
     def moment_order_bound(self, base: SymmetricBase) -> float:
         # H^(-1)(y) grows like |y|^(1 + 2 eta)
         return base.moment_order_bound() / (1.0 + 2.0 * self.eta)
@@ -240,15 +277,22 @@ class TransformParams(Located):
     def _draw(self, n, rng):
         return self.tr.inverse(self.base._draw(n, rng))
 
-    @property
-    def _mode_bracket(self):
-        # z = +-10, widened to H^(-1)(+-10) where the base's peak lies beyond
-        # them (SAS puts H^(-1)(0) at sinh(-delta / eta)), but held within
-        # +-1e7, where golden-section steps from the ends round by less than
-        # their tolerance 1e-8
+    # the mode is searched in y = H(z), where log f(z) = base logf(y) -
+    # log (H^(-1))'(y) is closed form: no step solves H, and the peak in y is
+    # O(1) however far out H^(-1) puts it in z.  Far out the density in y
+    # falls, and the bracket stops short of where the base kernels' y * y
+    # overflows.
+    _mode_bracket = (-1e150, 1e150)
+
+    def _score(self, y):
+        """The slope in y = H(z) of log f(z)."""
+        logf, shapes = self.base.log_density
+        return z_score(logf, y, *shapes) - self.tr.d_log_inverse_slope(y)
+
+    def _mode_z(self, y):
+        # a peak beyond the largest float is held at it
         with np.errstate(over="ignore"):
-            lo, hi = np.clip(self.tr.inverse(np.array([-10.0, 10.0])), -1e7, 1e7)
-        return min(-10.0, lo), max(10.0, hi)
+            return float(min(max(self.tr.inverse(y), -_BIG), _BIG))
 
     def moment_order_bound(self) -> float:
         return self.tr.moment_order_bound(self.base)

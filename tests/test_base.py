@@ -296,6 +296,23 @@ def test_golden_section_max():
         assert rows[i] == alone
 
 
+def test_golden_section_max_rejects_a_bracket_wider_than_the_floats():
+    # b - a overflows to inf, from which no step could find the peak
+    with pytest.raises(ValueError, match="wider than the largest float"):
+        base.golden_section_max(lambda x: -np.abs(x - 0.28), -8.99e307, 8.99e307)
+
+
+def test_score_peak():
+    # the root of the score of log f = -(x - c)^2 / 2, on brackets of any width
+    for c, lo, hi in ((2.0, 0.0, 5.0), (-1e12, -1e13, 1.0), (0.28, -1e300, 1e300)):
+        arg = base.score_peak(lambda x: c - x, lo, hi)
+        assert arg == pytest.approx(c, rel=1e-12, abs=1e-12)
+    # a density that only falls (rises) over the bracket peaks at its lower
+    # (upper) end
+    assert base.score_peak(lambda x: -np.ones_like(x), -1.0, 3.0) == -1.0
+    assert base.score_peak(lambda x: np.ones_like(x), -1.0, 1e300) == 1e300
+
+
 def test_golden_section_max_stops_at_float_spacing():
     # a tol below the float spacing at the bracket can never be met; the
     # search must stop within a few ulps instead, and runs in a child under a

@@ -59,6 +59,30 @@ def test_import_leaves_scipy_optimize_unloaded():
 # ---------------------------------------------------------------- curve
 
 
+def test_one_parser_serves_every_command(capsys, monkeypatch):
+    # main builds its parser once; subcommands run in a row print what a
+    # fresh parser's would, and FLEXDIST_SEED is read when a command runs
+    argvs = [["sample", "--family", "skew_normal", "--delta", "2", "-n", "5"],
+             ["curve", "--family", "t", "--nu", "5", "--points", "3"],
+             ["sample", "--family", "normal", "-n", "3"]]
+
+    def outputs():
+        out = []
+        for argv in argvs:
+            assert cli.main(argv) == 0
+            out.append(capsys.readouterr().out)
+        return out
+
+    monkeypatch.setenv("FLEXDIST_SEED", "11")
+    cached = outputs()
+    assert cli.build_parser() is cli.build_parser()
+    monkeypatch.setenv("FLEXDIST_SEED", "12")
+    assert outputs() != cached
+    monkeypatch.setenv("FLEXDIST_SEED", "11")
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert outputs() == cached
+
+
 def test_curve_default_grid():
     r = run("curve", "--family", "normal")
     assert r.returncode == 0

@@ -1,5 +1,7 @@
 """The distribution contract, as properties over the whole family table."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -102,6 +104,65 @@ def test_mode_far_from_zero(family, shape):
     # of mu cannot stall it
     d, twin = _law(family, shape, 1e9, 3.0), _law(family, shape, 0.0, 1.0)
     assert d.mode() == 1e9 + 3.0 * twin.mode()
+
+
+# the families whose mode is searched, each with the box its shapes are
+# drawn from: the fit's box for sas_normal; the transformation laws search
+# y = H(z), the skew laws z
+MODE_BOXES = {
+    "skew_normal": {"delta": st.floats(-200.0, 200.0)},
+    "skew_t": {"nu": st.floats(0.5, 200.0), "delta": st.floats(-200.0, 200.0)},
+    "sas_normal": {"delta": st.floats(-50.0, 50.0),
+                   "eta": st.floats(-3.0, 3.0).map(lambda t: 10.0 ** t)},
+    "gh_normal": {"g": st.floats(-3.0, 3.0), "h": st.floats(0.0, 1.0)},
+    "k_normal": {"eta": st.floats(0.0, 10.0)},
+}
+_ASINH_BIG = math.asinh(np.finfo(float).max)
+
+
+@pytest.mark.parametrize("family", sorted(MODE_BOXES))
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_mode_is_the_root_of_the_score(family, data):
+    shape = {name: data.draw(box, label=name) for name, box in MODE_BOXES[family].items()}
+    d = _law(family, shape, 0.0, 1.0)
+    m = d.mode()
+    u = math.asinh(d.tr.forward(m) if isinstance(d, transform.TransformParams) else m)
+    step = 1e-6 * max(1.0, abs(u))
+    below, above = (float(d._score(np.array([math.sinh(u + s)]))[0]) for s in (-step, step))
+    if abs(m) == np.finfo(float).max:
+        # a peak beyond the largest float is held at it: the density still
+        # rises toward it
+        assert min(below, above) * np.sign(m) > 0.0
+    else:
+        # the score, in the coordinate the search ran in, changes sign
+        assert below > 0.0 > above
+    # no point of a dense grid over three units of asinh z either side, held
+    # within the floats, has a larger log-density, beyond the rounding of
+    # its terms
+    um = math.asinh(m)
+    grid = np.sinh(np.linspace(max(um - 3.0, -_ASINH_BIG), min(um + 3.0, _ASINH_BIG), 6001))
+    best = np.max(d.log_pdf(grid))
+    assert d.log_pdf(m) >= best - 8.0 * np.finfo(float).eps * max(1.0, abs(best))
+
+
+@pytest.mark.parametrize("family, shape",
+                         [pytest.param(f, s, id=i) for f, s, i in LAWS if f in MODE_BOXES])
+def test_mode_takes_few_kernel_calls(family, shape, monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return base.z_score(*args, **kwargs)
+
+    def solve(*args):
+        raise AssertionError("the mode search solved H")
+
+    for module in (skewsym, transform):
+        monkeypatch.setattr(module, "z_score", counting)
+    monkeypatch.setattr(transform, "solve_increasing", solve)
+    _law(family, shape).mode()
+    assert 0 < len(calls) <= 16
 
 
 @pytest.mark.parametrize("d", CASES)

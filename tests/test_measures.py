@@ -221,3 +221,19 @@ def test_shape_measures_script_table(capsys):
     script = Path(__file__).resolve().parents[1] / "scripts" / "shape_measures.py"
     assert runpy.run_path(str(script))["main"]() == 0
     assert capsys.readouterr().out == SHAPE_TABLE
+
+
+def test_shape_measures_script_exact_rows(capsys):
+    # --exact prints each row's mode, AG skewness and octile kurtosis as repr
+    script = Path(__file__).resolve().parents[1] / "scripts" / "shape_measures.py"
+    assert runpy.run_path(str(script))["main"](["--exact"]) == 0
+    rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+    table = [line.split()[-2:] for line in SHAPE_TABLE.splitlines()[1:]]
+    assert len(rows) == len(table)
+    for (family, tag, mode, ag, kurt), (ag4, kurt4) in zip(rows, table):
+        assert f"{float(ag):.4f}" == ag4 and f"{float(kurt):.4f}" == kurt4
+    # the skew-normal at delta = 1: its mode and AG skewness to the oracles'
+    assert rows[3][:2] == ["skew_normal", "delta=1"]
+    assert float(rows[3][2]) == pytest.approx(SN1_MODE, rel=1e-13)
+    assert float(rows[3][3]) == pytest.approx(SN1_AG, rel=1e-12)
+

@@ -131,6 +131,33 @@ def test_gh_and_k_pdf_is_the_cdf_slope(tr):
                        (up[inside] - down[inside]) / (2.0 * h), rtol=1e-6)
 
 
+@pytest.mark.parametrize("tr", NUMERIC_INVERSES + [transform.GhTransform(-2.0, 0.7),
+                                                transform.GhTransform(1e-9, 0.4)], ids=repr)
+def test_gh_and_k_log_slope_derivative(tr):
+    # the closed-form slope of log (H^(-1))', which the mode search reads,
+    # against central differences, far out too
+    y = np.array([-30.0, -5.0, -1.0, -0.3, -1e-3, 0.0, 1e-3, 0.4, 1.0, 3.0, 7.0, 30.0])
+    h = 1e-6 * np.maximum(1.0, np.abs(y))
+    slope = (tr.log_inverse_slope(y + h) - tr.log_inverse_slope(y - h)) / (2.0 * h)
+    assert np.allclose(tr.d_log_inverse_slope(y), slope, rtol=1e-8, atol=1e-8)
+    # and no NaN where y^2 overflows
+    far = tr.d_log_inverse_slope(np.array([-1e300, 1e300]))
+    assert not np.isnan(far).any()
+
+
+@pytest.mark.parametrize("tr", [transform.SasTransform(0.0, 1.0), transform.SasTransform(-5.0, 0.1),
+                                transform.SasTransform(2.0, 3.0)], ids=repr)
+def test_sas_log_slope_derivative(tr):
+    # the closed-form slope of log (H^(-1))'(y) = -log H'(H^(-1)(y)) against
+    # central differences, and finite where y^2 overflows
+    y = np.array([-30.0, -3.0, -0.3, 0.0, 0.4, 1.0, 7.0, 30.0])
+    h = 1e-6 * np.maximum(1.0, np.abs(y))
+    log_slope = lambda v: -tr.log_jacobian(tr.inverse(v))  # noqa: E731
+    slope = (log_slope(y + h) - log_slope(y - h)) / (2.0 * h)
+    assert np.allclose(tr.d_log_inverse_slope(y), slope, rtol=1e-7, atol=1e-8)
+    assert np.isfinite(tr.d_log_inverse_slope(np.array([-1e300, 1e300]))).all()
+
+
 @pytest.mark.parametrize("tr", NUMERIC_INVERSES, ids=repr)
 def test_gh_and_k_pdf_normalizes(tr):
     p = transform.TransformParams(NORMAL, STD_LOC, tr)
@@ -480,6 +507,28 @@ def test_sas_mode_far_beyond_ten_scales(delta):
     z = (m - 0.3) / 1.7
     ag = 1.0 - 2.0 * stats.norm.cdf(np.sinh(0.5 * np.arcsinh(z) + delta))
     assert abs(ag) > 0.85 and np.sign(ag) == -np.sign(delta)
+
+
+# the peak of SAS(delta -5, eta 0.1) on a normal base, by mpmath at 50 digits
+SAS_FAR_MODE = 16000103137788.443
+SAS_FAR_LOG_PDF = -37.63881438581696
+# and of SAS(delta -50, eta 0.1)
+SAS_FARTHEST_MODE = 4.331513164097236e208
+
+
+def test_sas_mode_beyond_ten_million_scales():
+    # the peak lies far beyond +-1e7, where a bracket held within +-1e7
+    # would stop at its edge (log-density -111.9).  The search finds the
+    # peak in y = H(z) to about an ulp, and z = H^(-1)(y) scales its
+    # relative error by about 1 / eta = 10.
+    p = _sas_params(-5.0, 0.1)
+    m = p.mode()
+    assert m == pytest.approx(SAS_FAR_MODE, rel=1e-13)
+    assert p.log_pdf(m) == pytest.approx(SAS_FAR_LOG_PDF, rel=1e-14)
+    assert _sas_params(5.0, 0.1).mode() == pytest.approx(-m, rel=1e-13)
+    # out where z * z overflows, and past the largest float
+    assert _sas_params(-50.0, 0.1).mode() == pytest.approx(SAS_FARTHEST_MODE, rel=1e-12)
+    assert _sas_params(50.0, 1e-3).mode() == -np.finfo(float).max
 
 
 def test_transform_mode_and_moment_bound():
