@@ -11,23 +11,25 @@ location-scale step and the coordinate maps' slopes into analytic scores
 (the skew-t differences its one partial without a closed form).  One
 batched quasi-Newton optimizer (BFGS with a backtracking line search) drives
 the kernel: a fit runs all of its start points in one batch, fit_families
-runs every family's batch, and a bootstrap test refits all replicates and
-their starts in one batch, and its observed statistic by the same row fit,
-run on the observed sample as a batch of one row.  Where two cores are
-usable and the problems are many, this process and a forked child draw the
-batches' halves from one work queue, with results bit-identical to one
-process's.  Either way a call's batches form one problem set, each family's
-problems padded to the widest family's coordinates: in one process it runs
-as one loop, so that each pass pays its bookkeeping once, and the queue's
-jobs are index sets of it.  Each run's inverse-Hessian approximation starts
-from the diagonal of the inverse outer product of the per-observation
-scores at its start point (the BHHH matrix, Berndt, Hall, Hall & Hausman
-1974): each coordinate's estimated sampling variance, which puts the very
-differently scaled coordinates on one footing.
+runs every family's batch, and a bootstrap test refits the observed sample
+and its replicates, with all their starts, as rows of the same batches, the
+observed sample first.  Where two cores are usable and the problems are
+many, this process and a forked child draw the batches' halves from one
+work queue, with results bit-identical to one process's.  Either way a
+call's batches form one problem set, each family's problems padded to the
+widest family's coordinates: in one process it runs as one loop, so that
+each pass pays its bookkeeping once, and the queue's jobs are index sets of
+it.  Each run's inverse-Hessian approximation starts from the diagonal of
+the inverse outer product of the per-observation scores at its start point
+(the BHHH matrix, Berndt, Hall, Hall & Hausman 1974): each coordinate's
+estimated sampling variance, which puts the very differently scaled
+coordinates on one footing.
 Where that outer product is not finite or its condition number exceeds
-_OPG_COND, the run starts from the identity.  The start points are
-structural (moment, quantile and frontier starts) and deterministic, so fits
-draw no random numbers.  Two families are fit exactly, without the
+_OPG_COND, the run starts from the identity.  The seed is built in the
+process that runs the problem, from the kernel's one pass over the start
+points, whose row sums are also the run's start values and scores.  The
+start points are structural (moment, quantile and frontier starts) and
+deterministic, so fits draw no random numbers.  Two families are fit exactly, without the
 optimizer: the normal family has a closed form, and the two-piece normal
 family an exact profile-likelihood path, where for fixed mu
 the optimal scale and asymmetry are closed-form, so the fit reduces to a
@@ -195,48 +197,50 @@ def nelder_mead(fn, x0, steps, xatol=1e-8, fatol=1e-8, maxiter=400):
 # the quasi-Newton optimizer every fit runs
 
 
-def _batch_bfgs(fn, x0, h0, xatol, fatol, maxiter):
+def _batch_bfgs(fn, x0, start, xatol, fatol, maxiter):
     """BFGS with a backtracking line search over a batch of independent problems.
 
     x0 (m, d) holds each problem's start.  fn(T, rows) returns the values
     (k,) and scores (k, d) of parameter rows T (k, d) for problem indices
     rows, which come in ascending order; a non-finite value or score counts
     as +inf.  maxiter caps each problem's iterations: an int, or an (m,)
-    array of per-problem caps, so that _run_batches can run several
-    batches' problems, each under its own cap, as one set.  h0 = (h, seeded)
-    gives each problem's initial inverse-Hessian approximation h (m, d, d),
-    as _opg_seed returns it.  A seeded problem takes its first trial step at
-    full length along -h g.  An unseeded one, whose h must be the identity,
-    caps its first trial step at max-norm _MAX_STEP and scales the identity
-    by the curvature its first accepted step sees, as every problem does
-    after a restart from the identity: a problem restarts there when its
-    search direction points uphill or its line search fails away from a
-    wall.  A problem converges when an accepted step has max-norm at most
-    xatol and lowers the value by at most fatol, when _STALLS steps in a row
-    lower it by at most fatol (a flat ridge), or when neither its search
-    direction nor steepest descent holds a lower value at steps down to
-    xatol.  Converged problems are frozen.  Each problem's arithmetic is its
-    own, as long as fn computes each parameter row's value and score from
-    that row alone, bit for bit (row sums, not einsum, which takes another
-    path for a long row alone than in a batch): then a problem's result does
-    not depend on its batch-mates, and _run_batches can run every family's
-    problems in one loop, or split them between two processes.
+    array of per-problem caps, so that _run_batches can run several batches'
+    problems, each under its own cap, as one set.  start = (h, seeded, f0,
+    g0), as a _Batch's seed returns it, gives each problem's initial
+    inverse-Hessian approximation h (m, d, d), as _opg_seed builds it, and
+    fn's value f0 (m,) and score g0 (m, d) at x0, so that no start point is
+    evaluated twice.  A seeded problem takes its first trial step at full
+    length along -h g.  An unseeded one, whose h must be the identity, caps
+    its first trial step at max-norm _MAX_STEP and scales the identity by
+    the curvature its first accepted step sees, as every problem does after
+    a restart from the identity: a problem restarts there when its search
+    direction points uphill or its line search fails away from a wall.  A
+    problem converges when an accepted step has max-norm at most xatol and
+    lowers the value by at most fatol, when _STALLS steps in a row lower it
+    by at most fatol (a flat ridge), or when neither its search direction
+    nor steepest descent holds a lower value at steps down to xatol.
+    Converged problems are frozen.  Each problem's arithmetic is its own, as
+    long as fn computes each parameter row's value and score from that row
+    alone, bit for bit (row sums, not einsum, which takes another path for a
+    long row alone than in a batch): then a problem's result does not depend
+    on its batch-mates, and _run_batches can run every family's problems in
+    one loop, or split them between two processes.
     Returns per-problem best point, value, iteration count and convergence
     flag; a counter added later must come back in this tuple too, or the
     queue's child would drop it.
     """
 
-    def ev(t, rows):
-        f, g = fn(t, rows)
+    def clean(f, g):
         bad = ~(np.isfinite(f) & np.isfinite(g).all(axis=1))
         return np.where(bad, np.inf, f), np.where(bad[:, None], 0.0, g)
 
     x = np.array(x0, dtype=float)
     m, d = x.shape
     eye = np.eye(d)
-    f, g = ev(x, np.arange(m))
-    h = np.array(h0[0], dtype=float)  # inverse-Hessian approximations
-    fresh = ~h0[1]  # h is the identity, not yet scaled by an accepted step
+    h, seeded, f, g = start
+    f, g = clean(f, g)
+    h = np.array(h, dtype=float)  # inverse-Hessian approximations
+    fresh = ~seeded  # h is the identity, not yet scaled by an accepted step
     conv = np.zeros(m, dtype=bool)
     iters = np.zeros(m, dtype=int)
     active = np.isfinite(f) & (iters < maxiter)
@@ -271,7 +275,7 @@ def _batch_bfgs(fn, x0, h0, xatol, fatol, maxiter):
             r = rows[pending]
             a = alpha[pending]
             xt[pending] = x[r] + a[:, None] * p[pending]
-            ft[pending], gt[pending] = ev(xt[pending], r)
+            ft[pending], gt[pending] = clean(*fn(xt[pending], r))
             fa = ft[pending]
             ok = (fa < f[r]) & (fa <= f[r] + _ARMIJO * a * slope[pending])
             found[pending[ok]] = True
@@ -347,24 +351,25 @@ def _splits(jobs: int, elements: int) -> bool:
 
 
 class _Batch(NamedTuple):
-    """One _batch_bfgs call's arguments: its kernel, the problems' starts
-    x0 and seeds h0, and the stopping rule; maxiter is an int, or an (m,)
-    array of per-problem caps."""
+    """One batch of BFGS problems: its kernel fn, the problems' starts x0,
+    their seed, and the stopping rule; maxiter is an int, or an (m,) array
+    of per-problem caps.  seed(idx) returns _batch_bfgs's start for the
+    problems idx, in ascending order: (h, seeded, f0, g0), built where the
+    problems run."""
 
     fn: Callable
     x0: np.ndarray
-    h0: tuple
+    seed: Callable
     xatol: float
     fatol: float
     maxiter: "int | np.ndarray"
 
     def run(self, idx):
         """_batch_bfgs over the problems idx, in ascending order, of a
-        batch with per-problem caps."""
+        batch with per-problem caps, seeded here."""
         fn = self.fn
-        return _batch_bfgs(lambda t, rows: fn(t, idx[rows]), self.x0[idx],
-                           (self.h0[0][idx], self.h0[1][idx]), self.xatol, self.fatol,
-                           self.maxiter[idx])
+        return _batch_bfgs(lambda t, rows: fn(t, idx[rows]), self.x0[idx], self.seed(idx),
+                           self.xatol, self.fatol, self.maxiter[idx])
 
 
 def _run_batches(batches: Sequence[_Batch], n: int) -> list:
@@ -374,18 +379,20 @@ def _run_batches(batches: Sequence[_Batch], n: int) -> list:
     the widest batch's width with inert coordinates: start 0, identity seed
     and score 0, so a padded coordinate never moves and its entries off the
     diagonal of h stay 0.  Each problem keeps its batch's iteration cap, and
-    the set's kernel hands each batch's rows, which _batch_bfgs passes in
-    ascending order, to that batch's fn on its own columns.  Where _splits
-    allows it, the set runs as one work queue in two processes (_queue): a
-    job is one parity half of one batch's problems, the even-numbered then
-    the odd-numbered, in batch order, and its results land in the set's
-    arrays at its problems' places.  Otherwise the whole set runs in one
-    _batch_bfgs loop in this process, so that a pass of the loop pays its
-    bookkeeping once for all the families of a fit_families call.  The
-    padding adds only zeros to the optimizer's row sums, and a problem's
-    arithmetic is its own, so every result is bit-identical to its batch's
-    own run.  The batches share one pair of tolerances, as the batches of
-    one FitConfig do.
+    the set's kernel and seed hand each batch's problems, which come in
+    ascending order, to that batch's fn and seed on its own columns.  Where
+    _splits allows it, the set runs as one work queue in two processes
+    (_queue): a job is one parity half of one batch's problems, the
+    even-numbered then the odd-numbered, in batch order, which seeds its
+    own problems, and its results land in the set's arrays at its problems'
+    places.  Otherwise the whole set is seeded and runs in one _batch_bfgs
+    loop in this process, so that a pass of the loop pays its bookkeeping
+    once for all the families of a fit_families call.  Either way this
+    process evaluates no kernel before the jobs start.  The padding adds
+    only zeros to the optimizer's row sums, and a problem's arithmetic is
+    its own, so every result is bit-identical to its batch's own run.  The
+    batches share one pair of tolerances, as the batches of one FitConfig
+    do.
     """
     if not batches:
         return []
@@ -395,21 +402,31 @@ def _run_batches(batches: Sequence[_Batch], n: int) -> list:
     starts = np.cumsum([0] + sizes)
     m, d = starts[-1], max(widths)
     x0 = np.zeros((m, d))
-    h = np.tile(np.eye(d), (m, 1, 1))
     for b, k, lo, hi in zip(batches, widths, starts, starts[1:]):
-        x0[lo:hi, :k], h[lo:hi, :k, :k] = b.x0, b.h0[0]
+        x0[lo:hi, :k] = b.x0
+
+    def parts(rows):
+        # each batch with its width, its rows' places in rows, and their
+        # indices within the batch
+        cuts = np.searchsorted(rows, starts)
+        return [(b, k, slice(i, j), rows[i:j] - lo)
+                for b, k, lo, i, j in zip(batches, widths, starts, cuts, cuts[1:]) if i < j]
 
     def fn(t, rows):
         f, g = np.empty(len(rows)), np.zeros((len(rows), d))
-        cuts = np.searchsorted(rows, starts)
-        for b, k, lo, i, j in zip(batches, widths, starts, cuts, cuts[1:]):
-            if i < j:
-                f[i:j], g[i:j, :k] = b.fn(t[i:j, :k], rows[i:j] - lo)
+        for b, k, at, mine in parts(rows):
+            f[at], g[at, :k] = b.fn(t[at, :k], mine)
         return f, g
 
-    seeded = np.concatenate([b.h0[1] for b in batches])
-    problems = _Batch(fn, x0, (h, seeded), xatol, fatol,
-                      np.repeat([b.maxiter for b in batches], sizes))
+    def seed(idx):
+        p = len(idx)
+        h, seeded = np.tile(np.eye(d), (p, 1, 1)), np.empty(p, dtype=bool)
+        f, g = np.empty(p), np.zeros((p, d))
+        for b, k, at, mine in parts(idx):
+            h[at, :k, :k], seeded[at], f[at], g[at, :k] = b.seed(mine)
+        return h, seeded, f, g
+
+    problems = _Batch(fn, x0, seed, xatol, fatol, np.repeat([b.maxiter for b in batches], sizes))
     jobs = [np.arange(lo + start, hi, 2)
             for lo, hi in zip(starts, starts[1:]) for start in (0, 1) if lo + start < hi]
     if _splits(len(jobs), n * m):
@@ -419,7 +436,7 @@ def _run_batches(batches: Sequence[_Batch], n: int) -> list:
             for out, a in zip(result, part):
                 out[idx] = a
     else:
-        result = _batch_bfgs(*problems)
+        result = problems.run(np.arange(m))
     x, f, iters, conv = result
     return [(x[lo:hi, :k], f[lo:hi], iters[lo:hi], conv[lo:hi])
             for k, lo, hi in zip(widths, starts, starts[1:])]
@@ -435,13 +452,16 @@ def _queue(jobs: Sequence[Callable]) -> list:
     job runs exactly once and both processes stay busy until the last job
     (Graham's list scheduling).  A queue holds at most 255 jobs.  The child
     sends its results back through a second pipe, pickled whole, so a failed
-    pickle sends nothing.  The jobs must call no BLAS or LAPACK (_batch_bfgs
-    and the kernels are elementwise and row sums).  The child ends with
-    os._exit, so it never flushes inherited stdio or runs atexit handlers,
-    and never outlives the call: it is reaped on return, and killed and
-    reaped first where this process raises.  An exception in the child is
-    raised here, with the child's traceback as its cause; a child that sends
-    nothing raises ChildProcessError.
+    pickle sends nothing.  The jobs may call BLAS and LAPACK, as the BFGS
+    seeds' np.linalg.cond and inv do: numpy's bundled OpenBLAS stops its
+    thread pool at fork (pthread_atfork), so the child inherits no pool
+    thread's lock, and stacks of (k, d, d) matrices with d <= 4 never reach
+    its threaded paths.  The child ends with os._exit, so it never flushes
+    inherited stdio or runs atexit handlers, and never outlives the call: it
+    is reaped on return, and killed and reaped first where this process
+    raises.  An exception in the child is raised here, with the child's
+    traceback as its cause; a child that sends nothing raises
+    ChildProcessError.
     """
     if len(jobs) > 255:
         raise ValueError(f"a work queue holds at most 255 jobs, got {len(jobs)}")
@@ -453,8 +473,8 @@ def _queue(jobs: Sequence[Callable]) -> list:
     try:
         with warnings.catch_warnings():
             # Python 3.12 warns on fork in a process with other OS threads, as
-            # numpy's BLAS pool makes every process here; the child touches no
-            # lock those threads may hold, since it runs no BLAS
+            # numpy's BLAS pool makes every process here; OpenBLAS stops that
+            # pool at fork, so the child touches no lock its threads may hold
             warnings.filterwarnings(
                 "ignore", r"This process \(pid=\d+\) is multi-threaded", DeprecationWarning
             )
@@ -526,10 +546,11 @@ def _opg_seed(spec, w, t, rows, cfg):
     Each problem's scores S (n, d), one row per data point, are the partials
     in t of log sigma - logf(z) point by point (the penalty belongs to no
     point), from one pass of spec.terms over at most _BATCH_ELEMENTS points
-    at a time.  Returns (h, seeded): h (p, d, d) holds the diagonal of
-    (S'S)^-1, each coordinate's estimated sampling variance, where seeded,
-    and the identity where S'S is not finite or its condition number
-    exceeds _OPG_COND.
+    at a time; spec.sums of the same pass gives spec.nll's values f and
+    scores g at t, bit for bit.  Returns (h, seeded, f, g): h (p, d, d)
+    holds the diagonal of (S'S)^-1, each coordinate's estimated sampling
+    variance, where seeded, and the identity where S'S is not finite or its
+    condition number exceeds _OPG_COND.
 
     Only the diagonal is kept.  Far from the optimum the full (S'S)^-1 is a
     poor Hessian: on some samples its steps run onto the skew-normal's
@@ -538,20 +559,22 @@ def _opg_seed(spec, w, t, rows, cfg):
     """
     p, d = t.shape
     per = _rows_per_batch(w.shape[1])
-    opg = np.empty((p, d, d))
+    opg, f, g = np.empty((p, d, d)), np.empty(p), np.empty((p, d))
     for i in range(0, p, per):
         ti = t[i : i + per]
-        z, _, dz, parts, _, slopes = spec.terms(ti, w[rows[i : i + per]], cfg)
+        terms = spec.terms(ti, w[rows[i : i + per]], cfg)
+        z, _, dz, parts, _, slopes = terms
         score = np.empty(z.shape + (d,))
         score[..., 0], score[..., 1] = np.exp(-ti[:, 1:2]) * dz, 1.0 + dz * z
         for s, part, slope in zip(spec.shapes, parts, slopes):
             score[..., s.col] = -part * slope[:, None]
         opg[i : i + per] = np.einsum("kni,knj->kij", score, score)
+        f[i : i + per], g[i : i + per] = spec.sums(ti, terms)
     seeded = np.isfinite(opg).all(axis=(1, 2))
     seeded[seeded] = np.linalg.cond(opg[seeded]) <= _OPG_COND
     h = np.tile(np.eye(d), (p, 1, 1))
     h[seeded] *= np.diagonal(np.linalg.inv(opg[seeded]), axis1=1, axis2=2)[:, None, :]
-    return h, seeded
+    return h, seeded, f, g
 
 
 # ---------------------------------------------------------------------------
@@ -1061,8 +1084,12 @@ class _Family:
     def nll(self, t, w, cfg: FitConfig):
         """The values (k,) of n log sigma - sum logf(z) over each data row,
         plus the penalty, and the scores (k, d), their partials in t."""
-        z, logf, dz, d, values, slopes = self.terms(t, w, cfg)
-        val = w.shape[1] * t[:, 1] - logf.sum(axis=1)
+        return self.sums(t, self.terms(t, w, cfg))
+
+    def sums(self, t, terms):
+        """nll's values and scores of parameter rows t from their terms."""
+        z, logf, dz, d, values, slopes = terms
+        val = z.shape[1] * t[:, 1] - logf.sum(axis=1)
         g = [-p.sum(axis=1) for p in d]
         if self.penalty is not None:
             p, dp = self.penalty(*values)
@@ -1071,7 +1098,7 @@ class _Family:
         score[:, 0] = np.exp(-t[:, 1]) * dz.sum(axis=1)
         # a row sum, not einsum: einsum's path for a long row depends on the
         # row count, so a row's bits would depend on its batch-mates
-        score[:, 1] = w.shape[1] + (dz * z).sum(axis=1)
+        score[:, 1] = z.shape[1] + (dz * z).sum(axis=1)
         for s, gs, slope in zip(self.shapes, g, slopes):
             score[:, s.col] = gs * slope
         return val, score
@@ -1229,13 +1256,14 @@ def _plan_rows(spec: _Family, w: np.ndarray, cfg: FitConfig, extra=()):
 
     A family with an exact fitter runs it here.  The others get, for every
     row, the points in extra (each (m, d)) and then the first cfg.restarts
-    structural starts, as one batch of quasi-Newton problems (starts x
-    rows) seeded by _opg_seed at every start; the seeds' linear algebra runs
-    here, so the batch itself calls no BLAS.  Returns (batch, finish):
-    batch is the _Batch to run, None for an exact fit, and finish maps its
-    _batch_bfgs result to the _RowFits.  finish lets a stacked start's
-    other points bound its result from above, and each row keeps its first
-    best start.
+    structural starts, as one batch of quasi-Newton problems (starts x rows)
+    seeded by _opg_seed at every start.  The seed runs where its problems
+    run, in the process that draws their job, so the seeds' kernel pass and
+    linear algebra run in the two processes where a set splits, and no
+    kernel runs here.  Returns (batch, finish): batch is the _Batch to run,
+    None for an exact fit, and finish maps its _batch_bfgs result to the
+    _RowFits.  finish lets a stacked start's other points bound its result
+    from above, and each row keeps its first best start.
     """
     if spec.exact is not None:
         fits = spec.exact(w, cfg)
@@ -1246,13 +1274,21 @@ def _plan_rows(spec: _Family, w: np.ndarray, cfg: FitConfig, extra=()):
     d = spec.n_free
     per = _rows_per_batch(n)
 
+    def rejected(t, val):
+        # a start or step far outside the data's scale counts as +inf
+        return np.where((np.abs(t[:, 0]) > 1e6) | (np.abs(t[:, 1]) > 200.0), np.inf, val)
+
     def fn(t, rows):
         # parameter row i against data row rows[i], `per` rows at a time
         parts = [spec.nll(t[i : i + per], w[rows[i : i + per]], cfg)
                  for i in range(0, len(rows), per)]
         val, score = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
-        bad = (np.abs(t[:, 0]) > 1e6) | (np.abs(t[:, 1]) > 200.0)
-        return np.where(bad, np.inf, val), score
+        return rejected(t, val), score
+
+    def seed(idx):
+        t = x0[idx]
+        h, seeded, val, score = _opg_seed(spec, w, t, idx // k, cfg)
+        return h, seeded, rejected(t, val), score
 
     def finish(result):
         x, fun, iters, conv = result
@@ -1269,10 +1305,8 @@ def _plan_rows(spec: _Family, w: np.ndarray, cfg: FitConfig, extra=()):
 
     maxiter = cfg.maxiter if cfg.maxiter is not None else 400 * d
     rows = np.arange(m)
-    with np.errstate(all="ignore"):
-        x0 = np.stack([s if s.ndim == 2 else s[:, 0] for s in starts], axis=1).reshape(m * k, d)
-        h0 = _opg_seed(spec, w, x0, np.arange(m * k) // k, cfg)
-    return _Batch(lambda t, r: fn(t, r // k), x0, h0, cfg.xatol, cfg.fatol, maxiter), finish
+    x0 = np.stack([s if s.ndim == 2 else s[:, 0] for s in starts], axis=1).reshape(m * k, d)
+    return _Batch(lambda t, r: fn(t, r // k), x0, seed, cfg.xatol, cfg.fatol, maxiter), finish
 
 
 def _fit_planned(plans: Sequence[tuple], n: int) -> list:
@@ -1448,10 +1482,13 @@ def lr_test(
     The statistic is max(0, 2 * (loglik_alt - loglik_null)).  Its null
     distribution is estimated by refitting both families on b_reps samples
     drawn from the fitted null; p = (1 + #{boot >= observed}) / (b_reps + 1).
-    The observed sample is fit as the replicates are, as a batch of one row.
-    Each replicate gets an independent child generator spawned from rng, so
-    results are reproducible for a given seed and config.  Replicates are
-    refit in batches of bounded size.
+    The null is first fit to the observed sample alone, for the law the
+    replicates are drawn from; the observed statistic then comes from the
+    first row of the replicates' batched row fits, as each replicate's
+    does.  Each replicate gets an independent child generator spawned from
+    rng, so results are reproducible for a given seed and config.  The
+    observed sample and its replicates are refit in batches of bounded
+    size.
     """
     if (null_family, alt_family) not in NESTED_PAIRS:
         allowed = ", ".join(f"{a} < {b}" for a, b in sorted(NESTED_PAIRS))
@@ -1467,20 +1504,21 @@ def lr_test(
     gen = rng if rng is not None else make_rng(0)
     n = x.size
     specs = _FAMILIES[null_family], _FAMILIES[alt_family]
-    std = _standardize(x[None, :])
-    _, (e,), (m0,), (s0,) = std
+    w, (e,), (m0,), (s0,) = _standardize(x[None, :])
     for spec in specs:
         if (error := _sample_error(spec, n, s0)) is not None:
             raise error
-    stats, null = _lr_rows(*specs, std, cfg)
-    observed = max(0.0, float(stats[0]))
+    null = _fit_rows(specs[0], w, cfg)
     null_dist = distribution_for(null_family, _natural(specs[0], null.t[0], (e, m0, s0), cfg))
-    children = gen.spawn(b)
+    # row 0 is the observed sample, and row i > 0 the replicate drawn from children[i]
+    children = [None, *gen.spawn(b)]
     per = _rows_per_batch(n)
     stats = np.concatenate([
-        _lr_rows(*specs, _standardize(np.array([null_dist.sample(n, c) for c in chunk])), cfg)[0]
-        for chunk in (children[i : i + per] for i in range(0, b, per))
+        _lr_rows(*specs, _standardize(np.array(
+            [x if c is None else null_dist.sample(n, c) for c in children[i : i + per]])), cfg)[0]
+        for i in range(0, b + 1, per)
     ])
+    observed, stats = max(0.0, float(stats[0])), stats[1:]
     ok = np.isfinite(stats)
     failures = int(b - np.count_nonzero(ok))
     if failures > 0.05 * b:

@@ -53,7 +53,10 @@ def sas_logf(z, delta, eta, *shapes, base=normal_logf, grad=None):
     base's shapes."""
     asinh_z = np.arcsinh(z)
     u = eta * asinh_z + delta
-    y = np.sinh(u)
+    # past |u| ~ 710, y = sinh u is +-inf and the value -inf, a row the
+    # optimizer rejects
+    with np.errstate(over="ignore"):
+        y = np.sinh(u)
     f = base(y, *shapes, grad=None if grad is None else grad[2:])
     f, dy, *d_base = (f, None) if grad is None else f
     val = f + _sas_log_slope(u, z, eta)
@@ -62,7 +65,8 @@ def sas_logf(z, delta, eta, *shapes, base=normal_logf, grad=None):
     if grad is None:
         return val
     # the partial in u: y = sinh u and log cosh u both move with it
-    du = dy * np.cosh(u) + np.tanh(u)
+    with np.errstate(over="ignore"):
+        du = dy * np.cosh(u) + np.tanh(u)
     r2 = 1.0 + z * z
     return (val, du * eta / np.sqrt(r2) - z / r2, du, du * asinh_z + 1.0 / eta,
             *d_base)

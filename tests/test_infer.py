@@ -2,6 +2,8 @@ import json
 import math
 import os
 import signal
+import subprocess
+import sys
 import time
 import warnings
 from dataclasses import dataclass, fields, replace
@@ -13,6 +15,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from flexdist import base, cli, infer, skewsym, transform, twopiece
+from tests import subprocess_env
 
 # Frozen oracle values, computed once with mpmath at 40 digits.
 LOG_PHI_0 = -0.9189385332046728            # ln(1/sqrt(2 pi))
@@ -865,6 +868,40 @@ def test_lr_test_statistic_is_its_row_statistic(null, alt):
     assert res.statistic == max(0.0, float(stats[0]))
 
 
+def _lr_test_by_parts(data, null, alt, b, rng, cfg):
+    """lr_test from row fits run apart: the observed sample as a batch of
+    one row, then all the replicates as one batch."""
+    stats, nf = _lr_rows(null, alt, data[None, :], cfg)
+    observed = max(0.0, float(stats[0]))
+    _, (e,), (m0,), (s0,) = infer._standardize(data[None, :])
+    params = infer._natural(infer._FAMILIES[null], nf.t[0], (e, m0, s0), cfg)
+    dist = infer.distribution_for(null, params)
+    rows = np.array([dist.sample(data.size, c) for c in rng.spawn(b)])
+    boot = _lr_rows(null, alt, rows, cfg)[0]
+    ok = np.isfinite(boot)
+    exceed = np.count_nonzero(np.maximum(boot[ok], 0.0) >= observed)
+    return infer.TestResult(statistic=observed, p_value=(1.0 + exceed) / (b + 1.0),
+                            replicates=b, failures=int(b - np.count_nonzero(ok)))
+
+
+@pytest.mark.parametrize("null, alt", sorted(infer.NESTED_PAIRS))
+def test_lr_test_observed_row_rides_with_the_replicates(null, alt, monkeypatch):
+    # the observed sample is row 0 of the replicates' first batch; rows are
+    # independent, so the statistic and p-value keep the bits of fits run
+    # apart, however the rows are chunked
+    data = skewsym.SkewNormal(0.0, 1.0, 1.0).sample(200, base.make_rng(83))
+    cfg = infer.FitConfig()
+    got = {}
+    for b in (99, 199):
+        got[b] = infer.lr_test(data, null, alt, b, rng=base.make_rng(84), config=cfg)
+        assert got[b] == _lr_test_by_parts(data, null, alt, b, base.make_rng(84), cfg)
+    assert got[99].statistic == got[199].statistic
+    # 40 rows per batch: the 100 and 200 rows span three and five batches
+    monkeypatch.setattr(infer, "_BATCH_ELEMENTS", 40 * data.size)
+    for b in (99, 199):
+        assert infer.lr_test(data, null, alt, b, rng=base.make_rng(84), config=cfg) == got[b]
+
+
 def _first_fit_error(families, data):
     for family in families:
         try:
@@ -1132,7 +1169,7 @@ def test_opg_seed_matches_a_per_point_loop(family, monkeypatch):
     # three problems' points per kernel call, so the chunks split the rows
     monkeypatch.setattr(infer, "_BATCH_ELEMENTS", 3 * w.shape[1])
     with np.errstate(all="ignore"):
-        h, seeded = infer._opg_seed(spec, w, t, rows, cfg)
+        h, seeded, *_ = infer._opg_seed(spec, w, t, rows, cfg)
         ref = _opg_loop(spec, w, t, rows, cfg)
     # the frontier chase, the skew-t's third start and the two-piece's last,
     # sits where the asymmetry's score all but vanishes: its outer product is
@@ -1154,13 +1191,21 @@ def _rosenbrock(t, rows):
     return f, g
 
 
+def _identity_start(x0):
+    """_batch_bfgs's start for unseeded problems: the identity, and the
+    Rosenbrock value and score at x0."""
+    m, d = x0.shape
+    return (np.tile(np.eye(d), (m, 1, 1)), np.zeros(m, dtype=bool),
+            *_rosenbrock(x0, np.arange(m)))
+
+
 def test_batch_bfgs_unseeded_problems_keep_the_identity_run():
     # recorded from the optimizer before it took seeds, when every problem
     # started from the identity; the arithmetic is IEEE-exact, so the match
     # is bit for bit
     x0 = np.array([[-1.2, 1.0, 0.5], [0.0, 0.0, 0.0], [2.0, -1.5, 3.0]])
-    h0 = (np.tile(np.eye(3), (3, 1, 1)), np.zeros(3, dtype=bool))
-    x, f, iters, conv = infer._batch_bfgs(_rosenbrock, x0, h0, 1e-10, 1e-14, 2000)
+    x, f, iters, conv = infer._batch_bfgs(_rosenbrock, x0, _identity_start(x0),
+                                          1e-10, 1e-14, 2000)
     assert [[v.hex() for v in row] for row in x] == [
         ["0x1.ffffffffffe0dp-1", "0x1.ffffffffffd03p-1", "0x1.ffffffffffa13p-1"],
         ["0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000001p+0"],
@@ -1174,21 +1219,21 @@ def test_batch_bfgs_unseeded_problems_keep_the_identity_run():
 
 def test_batch_bfgs_stops_each_problem_at_its_own_cap():
     x0 = np.array([[-1.2, 1.0, 0.5], [2.0, -1.5, 3.0]])
-    h0 = (np.tile(np.eye(3), (2, 1, 1)), np.zeros(2, dtype=bool))
-    x, f, iters, conv = infer._batch_bfgs(_rosenbrock, x0, h0, 1e-10, 1e-14, np.array([3, 10]))
+    x, f, iters, conv = infer._batch_bfgs(_rosenbrock, x0, _identity_start(x0), 1e-10, 1e-14,
+                                          np.array([3, 10]))
     assert iters.tolist() == [3, 10]
     assert not conv.any()
     # each problem ends where a run under its cap alone ends
     for i, cap in enumerate((3, 10)):
-        alone = infer._batch_bfgs(_rosenbrock, x0[i:i + 1], (h0[0][:1], h0[1][:1]),
+        alone = infer._batch_bfgs(_rosenbrock, x0[i:i + 1], _identity_start(x0[i:i + 1]),
                                   1e-10, 1e-14, cap)
         assert np.array_equal(alone[0][0], x[i]) and alone[1][0] == f[i]
 
 
 def _rosenbrock_batch(d, m, maxiter, seed):
     """A _Batch of m Rosenbrock problems in d coordinates, every other one
-    seeded with a diagonal h, whose fn checks that it sees only its own
-    problems and columns, in ascending order."""
+    seeded with a diagonal h, whose fn and seed check that they see only
+    their own problems and columns, in ascending order."""
     rng = base.make_rng(seed)
 
     def fn(t, rows):
@@ -1196,10 +1241,15 @@ def _rosenbrock_batch(d, m, maxiter, seed):
         assert rows.min() >= 0 and rows.max() < m
         return _rosenbrock(t, rows)
 
+    def start(idx):
+        assert idx.size and np.all(np.diff(idx) > 0) and idx.min() >= 0 and idx.max() < m
+        return h[idx], seeded[idx], *fn(x0[idx], idx)
+
     seeded = np.arange(m) % 2 == 1
     h = np.tile(np.eye(d), (m, 1, 1))
     h[seeded] *= rng.uniform(0.05, 0.5, (int(seeded.sum()), 1, d))
-    return infer._Batch(fn, rng.uniform(-2.0, 2.0, (m, d)), (h, seeded), 1e-10, 1e-14, maxiter)
+    x0 = rng.uniform(-2.0, 2.0, (m, d))
+    return infer._Batch(fn, x0, start, 1e-10, 1e-14, maxiter)
 
 
 # ------------------------- the dof difference only where the nu slope is not 0
@@ -1296,6 +1346,22 @@ def test_skew_t_score_is_finite_wherever_its_value_is(data):
     assert np.isfinite(g).all() and np.isfinite(ref_g).all()
 
 
+def test_sas_kernel_rejects_overflowing_rows_without_a_warning():
+    # at eta = 1e3, sinh(eta asinh z + delta) overflows at |z| = 10, and on
+    # the grad path so do cosh there and, at |z| = 0.5, its product with the
+    # base's partial; every log-density is -inf, and each row's value +inf,
+    # which the optimizer rejects
+    spec, cfg = infer._FAMILIES["sas_normal"], infer.FitConfig()
+    t = np.array([[0.0, 0.0, t_delta, math.log(1e3)] for t_delta in (0.0, 0.3, -0.3)] * 2)
+    w = np.repeat([[10.0, 0.5], [-10.0, -0.5]], 3, axis=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f, g = spec.nll(t, w, cfg)
+        val = transform.sas_logf(w, 0.0, 1e3)
+    assert np.all(f == np.inf) and not np.isfinite(g).all(axis=1).any()
+    assert np.all(val == -np.inf)
+
+
 def test_bhhh_seed_cuts_optimizer_iterations():
     # iterations summed over the starts when every start began from the
     # identity: 103 (sas_normal) and 109 (skew_t) on this sample
@@ -1323,6 +1389,34 @@ def test_kernel_rows_do_not_depend_on_their_batch_mates(family, scaling):
     for i in range(4):
         fi, gi = spec.nll(t[i:i + 1], w[i:i + 1], cfg)
         assert fi.tobytes() == f[i:i + 1].tobytes() and gi.tobytes() == g[i:i + 1].tobytes(), i
+
+
+@pytest.mark.parametrize("family, scaling", [*BFGS_CASES, ("penalized", "isf")])
+def test_seed_start_is_the_kernel_at_the_start_points(family, scaling, monkeypatch):
+    # the seed's one pass over the start points gives fn's values and
+    # scores there, bit for bit, over any ascending index set
+    spec = (infer._PENALIZED_SKEW_NORMAL if family == "penalized"
+            else infer._FAMILIES[family])
+    cfg = infer.FitConfig(scaling=scaling)
+    rng = base.make_rng(85)
+    w = infer._standardize(np.array([rng.gamma(2.0, size=50), rng.standard_t(3.0, size=50),
+                                     rng.standard_normal(50)]))[0]
+    # a start far beyond the data's scale, which the kernel rejects
+    far = np.zeros((3, spec.n_free))
+    far[:, 0] = 2e6
+    batch, _ = infer._plan_rows(spec, w, cfg, [far])
+    # three problems' points per kernel call, so the chunks split the rows
+    monkeypatch.setattr(infer, "_BATCH_ELEMENTS", 3 * w.shape[1])
+    m, k = len(batch.x0), len(batch.x0) // 3
+    for idx in (np.arange(m), np.arange(1, m, 2), np.array([m - 1])):
+        with np.errstate(all="ignore"):
+            h, seeded, f0, g0 = batch.seed(idx)
+            f, g = batch.fn(batch.x0[idx], idx)
+        assert h.shape == (idx.size, spec.n_free, spec.n_free) and seeded.shape == idx.shape
+        assert f0.tobytes() == f.tobytes() and g0.tobytes() == g.tobytes()
+    # the far start is each data row's first problem
+    with np.errstate(all="ignore"):
+        assert np.all(batch.seed(np.arange(0, m, k))[2] == np.inf)
 
 
 @pytest.fixture
@@ -1364,7 +1458,8 @@ def test_one_process_batches_run_in_one_loop_as_each_batch_alone(queued, monkeyp
     # the width-3 batch's cap of 12 stops its problems before they converge
     batches = [_rosenbrock_batch(2, 3, 800, 90), _rosenbrock_batch(3, 4, 12, 91),
                _rosenbrock_batch(4, 5, 1600, 92)]
-    alone = [infer._batch_bfgs(*b) for b in batches]
+    alone = [infer._batch_bfgs(b.fn, b.x0, b.seed(np.arange(len(b.x0))), *b[3:])
+             for b in batches]
     assert not alone[1][3].any() and (alone[1][2] == 12).all()
     assert all(a[3].all() for a in (alone[0], alone[2]))
     calls = []
@@ -1488,6 +1583,103 @@ def test_a_forced_split_warns_nothing(forks):
         warnings.simplefilter("error")
         infer.fit_families(infer.FAMILY_ORDER, x)
     assert len(forks) == 1
+
+
+def _logged_terms(path, terms):
+    """_Family.terms that appends, per call, one line per parameter row to
+    path: the process, the family and the row's bits."""
+
+    def logged(self, t, w, cfg):
+        lines = "".join(f"{os.getpid()} {self.name} {row.tobytes().hex()}\n" for row in t)
+        fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+        try:
+            os.write(fd, lines.encode())
+        finally:
+            os.close(fd)
+        return terms(self, t, w, cfg)
+
+    return logged
+
+
+@pytest.mark.parametrize("queued", [False, pytest.param(True, marks=needs_fork)])
+def test_each_start_point_is_evaluated_once(queued, monkeypatch, tmp_path, request):
+    # the seed's kernel pass is the optimizer's start evaluation; once a set
+    # splits, the seeds run in the jobs, so this process runs no kernel pass
+    # before it forks
+    events = []
+    if queued:
+        request.getfixturevalue("forks")
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: (events.append("fork"), fork())[1])
+    else:
+        monkeypatch.setattr(infer, "_SPLIT_ELEMENTS", 1 << 62)
+    parent = os.getpid()
+    log = tmp_path / "rows"
+    logged = _logged_terms(log, infer._Family.terms)
+
+    def terms(self, t, w, cfg):
+        if os.getpid() == parent:
+            events.append("terms")
+        return logged(self, t, w, cfg)
+
+    x = base.make_rng(86).gamma(2.0, size=200)
+    monkeypatch.setattr(infer._Family, "terms", terms)
+    infer.fit_families(infer.FAMILY_ORDER, x)
+    w = infer._standardize(x[None, :])[0]
+    cfg = infer.FitConfig()
+    starts = [(f, row.tobytes().hex()) for f in infer.FAMILY_ORDER
+              if infer._FAMILIES[f].exact is None
+              for row in infer._plan_rows(infer._FAMILIES[f], w, cfg)[0].x0]
+    assert len(set(starts)) == len(starts) == 16
+    seen = [tuple(line.split()) for line in log.read_text().splitlines()]
+    counts = {}
+    for _, family, row in seen:
+        counts[family, row] = counts.get((family, row), 0) + 1
+    assert [counts.get(s, 0) for s in starts] == [1] * len(starts)
+    if queued:
+        assert events.count("fork") == 1 and "terms" not in events[:events.index("fork")]
+        # both processes ran kernel passes
+        assert len({pid for pid, _, _ in seen}) == 2
+    else:
+        assert "fork" not in events
+
+
+# warms OpenBLAS's thread pool, then runs fit_families at n = 10^4 split
+# and with _splits off; the seeds' LAPACK calls run in the forked child
+BLAS_POOL_GUARD = """
+import os
+import numpy as np
+from flexdist import base, infer
+
+forks = []
+fork = os.fork
+def counted():
+    pid = fork()
+    if pid:
+        forks.append(pid)
+    return pid
+os.fork = counted
+if len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2:
+    os.sched_getaffinity = lambda pid: {0, 1}
+a = np.random.default_rng(0).standard_normal((1000, 1000))
+assert np.isfinite(a @ a).all()
+x = base.make_rng(87).gamma(2.0, size=10_000)
+split = infer.fit_families(infer.FAMILY_ORDER, x)
+assert len(forks) == 1, forks
+infer._splits = lambda jobs, elements: False
+serial = infer.fit_families(infer.FAMILY_ORDER, x)
+assert len(forks) == 1, forks
+for family in infer.FAMILY_ORDER:
+    assert split[family] == serial[family], family
+"""
+
+
+@needs_fork
+def test_split_fits_keep_their_bits_beside_a_running_blas_pool():
+    env = {**subprocess_env(), "OPENBLAS_NUM_THREADS": "2"}
+    done = subprocess.run([sys.executable, "-c", BLAS_POOL_GUARD], env=env, timeout=300,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize("cores", ["one", "unknown"])
