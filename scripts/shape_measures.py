@@ -6,8 +6,9 @@ measures respond to different aspects of shape: tail weight moves the
 kurtosis column while leaving AG skewness at zero for symmetric members.
 
     python scripts/shape_measures.py           # the table, at four decimals
-    python scripts/shape_measures.py --exact   # each row's mode, AG skewness
-                                               # and octile kurtosis as repr
+    python scripts/shape_measures.py --exact   # each row's mode, AG skewness,
+                                               # octile kurtosis and first four
+                                               # raw moments as repr
 
 The --exact lines show whether two checkouts agree to the bit; put the
 checkout's src first on PYTHONPATH to measure it.
@@ -17,7 +18,7 @@ import argparse
 import sys
 
 from flexdist.infer import distribution_for
-from flexdist.measures import ag_skewness, quantile_kurtosis
+from flexdist.measures import ag_skewness, moment, quantile_kurtosis
 
 CATALOG = [
     ("normal", {"mu": 0, "sigma": 1}),
@@ -37,7 +38,8 @@ CATALOG = [
 def main(argv=()):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--exact", action="store_true",
-                        help="print each row's mode, AG skewness and octile kurtosis as repr")
+                        help="print each row's mode, AG skewness, octile kurtosis and "
+                             "raw moments of orders 1 to 4 (inf where one diverges) as repr")
     exact = parser.parse_args(argv).exact
     if not exact:
         print(f"{'family':<18}{'params':<38}{'AG skew':>10}{'oct kurt':>10}")
@@ -47,7 +49,8 @@ def main(argv=()):
         tag = ", ".join(f"{k}={v}" for k, v in shape.items()) or "-"
         if exact:
             print(family, tag, repr(d.mode()), repr(ag_skewness(d)),
-                  repr(quantile_kurtosis(d)), sep="\t")
+                  repr(quantile_kurtosis(d)), *(repr(moment(d, r)) for r in range(1, 5)),
+                  sep="\t")
         else:
             print(f"{family:<18}{tag:<38}"
                   f"{ag_skewness(d):>10.4f}{quantile_kurtosis(d):>10.4f}")

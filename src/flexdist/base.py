@@ -7,12 +7,12 @@ location-scale layer every univariate law rides, which maps x to
 z = (x - mu) / sigma and back, applies the scalar/array rule and checks the
 sample size; MatrixParams, its k-variate counterpart in
 y = Sigma^(-1/2)(x - mu); and the small numeric toolkit the rest of the
-package leans on: adaptive quadrature, golden-section maximization, the
-laws' mode search (score_peak, the root of a score in asinh x), seeded
-generators, and root finding.  One batched solver, solve_increasing,
-inverts every increasing vectorized map: the skew families' cdf (through
-invert_cdf) and the g-and-h and K H^(-1).  find_root (scipy's brentq) serves
-the scalar maps users supply to twopiece.ScaleTransform and the mode search.
+package leans on: adaptive quadrature batched over its ends, golden-section
+maximization, the laws' mode search (score_peak, the root of a score in
+asinh x), seeded generators, and root finding.  One batched solver,
+solve_increasing, inverts every increasing vectorized map: the skew laws'
+cdf (through invert_cdf), the g-and-h and K H^(-1), and the H^(-1) of
+twopiece.ScaleTransform.  find_root (scipy's brentq) serves the mode search.
 """
 from __future__ import annotations
 
@@ -245,6 +245,13 @@ class SymmetricBase(Located):
             w = special.betainc(0.5 * nu, 0.5, nu / (nu + z * z))
         return np.where(z >= 0.0, 1.0 - 0.5 * w, 0.5 * w)
 
+    def _log_cdf(self, z):
+        if self.kind == NORMAL:
+            return special.log_ndtr(z)
+        if self.kind == LOGISTIC:
+            return special.log_expit(z)
+        return log_stdtr(self.nu, z)
+
     def _quantile(self, q):
         if self.kind == NORMAL:
             return special.ndtri(q)
@@ -412,73 +419,60 @@ def log_stdtr(df, t):
         tail = cdf < _TINY
         if tail.any():
             k, a = (np.broadcast_to(v, cdf.shape)[tail] for v in (df, t))
-            x = k / (k + a * a)
+            with np.errstate(over="ignore"):
+                x = k / (k + a * a)
+            # where t * t overflows, log x is log df - 2 log|t| to the last bit
+            log_x = np.where(x > 0.0, np.log(x), np.log(k) - 2.0 * np.log(np.abs(a)))
             p = 0.5 * k
             out[tail] = (
-                p * np.log(x) + 0.5 * np.log1p(-x) - math.log(2.0) - np.log(p)
+                p * log_x + 0.5 * np.log1p(-x) - math.log(2.0) - np.log(p)
                 - special.betaln(p, 0.5) + np.log(special.hyp2f1(p + 0.5, 1.0, p + 1.0, x))
             )
     return out
 
 
 # ---------------------------------------------------------------------------
-# Quadrature: adaptive Gauss-Kronrod 7-15 with a tan substitution mapping
-# infinite ranges onto finite ones.  Used as the integration oracle by the
-# shape measures and by most normalization tests.
+# Quadrature: adaptive Gauss-Kronrod 7-15, batched over panels and ends, with
+# a tan substitution mapping infinite ranges onto finite ones.  Used as the
+# integration oracle by the shape measures and by most normalization tests,
+# and by the skew-symmetric laws' cdf.
 # ---------------------------------------------------------------------------
 
-_KRONROD_NODES = np.array([
-    -0.991455371120813, -0.949107912342759, -0.864864423359769,
-    -0.741531185599394, -0.586087235467691, -0.405845151377397,
-    -0.207784955007898, 0.0,
-    0.207784955007898, 0.405845151377397, 0.586087235467691,
-    0.741531185599394, 0.864864423359769, 0.949107912342759,
-    0.991455371120813,
-])
-_KRONROD_WEIGHTS = np.array([
-    0.022935322010529, 0.063092092629979, 0.104790010322250,
-    0.140653259715525, 0.169004726639267, 0.190350578064785,
-    0.204432940075298, 0.209482141084728,
-    0.204432940075298, 0.190350578064785, 0.169004726639267,
-    0.140653259715525, 0.104790010322250, 0.063092092629979,
-    0.022935322010529,
-])
-# Gauss-7 lives on Kronrod nodes 1, 3, 5, 7, 9, 11, 13.
-_GAUSS_WEIGHTS = np.array([
-    0.129484966168870, 0.279705391489277, 0.381830050505119,
-    0.417959183673469,
-    0.381830050505119, 0.279705391489277, 0.129484966168870,
-])
+# QUADPACK's qk15 rule, each constant the double nearest its 33-digit value
+# (15-digit constants left every integral 3e-15 relative short): the
+# Kronrod nodes from 1 down to 0 and their weights, and the Gauss-7 weights
+# of Kronrod nodes 1, 3, 5 and 7
+_NODES = np.array([0.9914553711208126, 0.9491079123427585, 0.8648644233597691, 0.7415311855993945,
+                   0.5860872354676911, 0.4058451513773972, 0.20778495500789848, 0.0])
+_WEIGHTS = np.array([0.022935322010529224, 0.06309209262997856, 0.10479001032225019,
+                     0.14065325971552592, 0.1690047266392679, 0.19035057806478542,
+                     0.20443294007529889, 0.20948214108472782])
+_GAUSS = np.array([0.1294849661688697, 0.27970539148927664, 0.3818300505051189,
+                   0.4179591836734694])
+_KRONROD_NODES = np.concatenate([-_NODES[:7], _NODES[::-1]])
+_KRONROD_WEIGHTS = np.concatenate([_WEIGHTS[:7], _WEIGHTS[::-1]])
+_GAUSS_WEIGHTS = np.concatenate([_GAUSS[:3], _GAUSS[::-1]])
 _GAUSS_SLICE = slice(1, 14, 2)
 
 
-def _gk_panel(f, a, b):
-    """One Gauss-Kronrod 7-15 panel: (integral, error estimate, integral of |f|)."""
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    fx = np.empty(15)
-    for i in range(15):
-        fx[i] = f(mid + half * _KRONROD_NODES[i])
-    k15 = half * float(np.dot(_KRONROD_WEIGHTS, fx))
-    g7 = half * float(np.dot(_GAUSS_WEIGHTS, fx[_GAUSS_SLICE]))
-    return k15, abs(k15 - g7), half * float(np.dot(_KRONROD_WEIGHTS, np.abs(fx)))
-
-
-def _wrap_infinite(f, a, b):
-    """Map f over (a, b) with infinite endpoints onto a finite t-interval by
-    x = c + tan(t), c = 0 over the whole line and the finite end otherwise."""
-    neg_inf = math.isinf(a) and a < 0
-    pos_inf = math.isinf(b) and b > 0
-    if not (neg_inf or pos_inf):
-        return f, a, b
-    c = 0.0 if neg_inf and pos_inf else (a if pos_inf else b)
-
-    def g(t):
-        s = math.tan(t)
-        fx = f(c + s)
-        return 0.0 if fx == 0.0 else fx * (1.0 + s * s)
-
-    return g, -HALF_PI if neg_inf else 0.0, HALF_PI if pos_inf else 0.0
+def _gk_panels(f, lo, hi, c, mapped, args, owner):
+    """Gauss-Kronrod 7-15 panels [lo, hi] in t, one per row, as one (5, n)
+    array: lo, hi, integral, error estimate, integral of |f|.  A mapped end
+    takes x = c + tan(t), and each panel's points take its end's (owner's)
+    args.  Row sums, not a matrix product, so each panel's bits are its own
+    whatever the batch."""
+    half = 0.5 * (hi - lo)
+    t = 0.5 * (lo + hi)[:, None] + half[:, None] * _KRONROD_NODES
+    m = mapped[owner][:, None]
+    s = np.tan(np.where(m, t, 0.0))
+    x = np.where(m, c[owner][:, None] + s, t)
+    at = np.repeat(owner, 15)
+    fx = np.asarray(f(x.ravel(), *(a[..., at] for a in args)), dtype=float).reshape(x.shape)
+    g = np.where(fx == 0.0, 0.0, fx * np.where(m, 1.0 + s * s, 1.0))
+    k15 = half * (g * _KRONROD_WEIGHTS).sum(axis=1)
+    g7 = half * (g[:, _GAUSS_SLICE] * _GAUSS_WEIGHTS).sum(axis=1)
+    mass = half * (np.abs(g) * _KRONROD_WEIGHTS).sum(axis=1)
+    return np.stack([lo, hi, k15, np.abs(k15 - g7), mass])
 
 
 # the relative error at which integrate stops whatever its tol: the panels'
@@ -487,44 +481,63 @@ def _wrap_infinite(f, a, b):
 _REL_FLOOR = 128.0 * np.finfo(float).eps
 
 
-def integrate(f, a: float, b: float, tol: float = 1e-10,
-              max_intervals: int = 2000) -> float:
-    """Adaptive quadrature of f over [a, b] to absolute tolerance tol, or to
-    _REL_FLOOR times the running integral of |f| where that is larger.
+def integrate(f, a, b, tol=1e-10, max_intervals: int = 2000, args=()):
+    """Adaptive Gauss-Kronrod 7-15 quadrature of f over [a, b], for a float
+    or a 1-d array of ends a and b, each end to absolute tolerance tol (a
+    float or one per end) or to _REL_FLOOR times its running integral of
+    |f|, where that is larger.
 
-    Infinite endpoints are handled by the substitution x = tan(t).  Raises
-    IntegrationError when the subdivision budget is exhausted before the
-    summed error estimate drops below that bound.
+    f(x, *args) maps a 1-d array of points to their values, with args (per
+    end data along their last axis) given at each point's end.  Each round
+    splits the panel of largest error estimate of every end still above its
+    bound, and evaluates all the new panels in one call.  An end takes the
+    steps it would take alone and sums its panels in a fixed order, so it
+    keeps the bits of its own float call whatever the batch.  Infinite ends
+    take x = c + tan(t), c the finite end or 0.  A float end gives a float.
+    Raises IntegrationError when an end has max_intervals panels and its
+    summed error estimate is still above its bound.
     """
-    if math.isnan(a) or math.isnan(b):
+    lo, hi = (np.atleast_1d(np.asarray(v, dtype=float)) for v in np.broadcast_arrays(a, b))
+    if np.isnan(lo).any() or np.isnan(hi).any():
         raise ValueError("integration endpoints must not be NaN")
-    if a == b:
-        return 0.0
-    if a > b:
-        return -integrate(f, b, a, tol=tol, max_intervals=max_intervals)
-    g, lo, hi = _wrap_infinite(f, a, b)
-    val, err, mass = _gk_panel(g, lo, hi)
-    pieces = [(err, lo, hi, val, mass)]
-    total_err, total_mass = err, mass
-    while total_err > (bound := max(tol, _REL_FLOOR * total_mass)):
-        if len(pieces) >= max_intervals:
-            raise IntegrationError(
-                f"quadrature stalled at error {total_err:.3e} > {bound:.3e} "
-                f"after {len(pieces)} intervals")
-        worst = max(range(len(pieces)), key=lambda i: pieces[i][0])
-        e0, lo0, hi0, _, m0 = pieces.pop(worst)
-        mid = 0.5 * (lo0 + hi0)
-        if mid <= lo0 or mid >= hi0:
-            raise IntegrationError(
-                "interval too small to subdivide further; "
-                f"residual error {total_err:.3e} > {bound:.3e}")
-        v1, e1, m1 = _gk_panel(g, lo0, mid)
-        v2, e2, m2 = _gk_panel(g, mid, hi0)
-        pieces.append((e1, lo0, mid, v1, m1))
-        pieces.append((e2, mid, hi0, v2, m2))
-        total_err += e1 + e2 - e0
-        total_mass += m1 + m2 - m0
-    return float(sum(p[3] for p in pieces))
+    sign = np.where(lo > hi, -1.0, 1.0)
+    # an end with a == b is one empty panel at 0
+    lo, hi = (np.where(lo == hi, 0.0, v) for v in (np.minimum(lo, hi), np.maximum(lo, hi)))
+    low, high = lo == -np.inf, hi == np.inf
+    mapped, ends, args = low | high, np.arange(lo.size), tuple(np.asarray(v) for v in args)
+    c = np.where(high, np.where(low, 0.0, lo), hi)
+    t0 = np.where(low, -HALF_PI, np.where(high, 0.0, lo))
+    t1 = np.where(high, HALF_PI, np.where(low, 0.0, hi))
+    # each end's panels, slot by slot along the last axis; an empty slot has error -1
+    panels = _gk_panels(f, t0, t1, c, mapped, args, ends)[:, :, None]
+    count = np.ones(lo.size, dtype=np.intp)
+    # each end's summed error estimate and integral of |f|
+    err, mass = panels[3, :, 0].copy(), panels[4, :, 0].copy()
+    while (rows := np.flatnonzero(err > (bound := np.maximum(tol, _REL_FLOOR * mass)))).size:
+        if (full := rows[count[rows] >= max_intervals]).size:
+            raise IntegrationError(f"quadrature stalled at error {err[full[0]]:.3e} > "
+                                   f"{bound[full[0]]:.3e} after {count[full[0]]} intervals")
+        slot = np.argmax(panels[3, rows], axis=1)
+        old = panels[:, rows, slot]
+        mid = 0.5 * (old[0] + old[1])
+        if (small := rows[(mid <= old[0]) | (mid >= old[1])]).size:
+            raise IntegrationError("interval too small to subdivide further; residual error "
+                                   f"{err[small[0]]:.3e} > {bound[small[0]]:.3e}")
+        if count[rows].max() == panels.shape[2]:
+            empty = np.zeros_like(panels)
+            empty[3] = -1.0
+            panels = np.concatenate([panels, empty], axis=2)
+        halves = _gk_panels(f, np.concatenate([old[0], mid]), np.concatenate([mid, old[1]]),
+                            c, mapped, args, np.concatenate([rows, rows]))
+        left, right = np.split(halves, 2, axis=1)
+        # the left half takes the split panel's slot, the right half a new one
+        panels[:, rows, slot], panels[:, rows, count[rows]] = left, right
+        err[rows] += left[3] + right[3] - old[3]
+        mass[rows] += left[4] + right[4] - old[4]
+        count[rows] += 1
+    # a sequential sum over each end's own slots, whatever the slots' number
+    out = sign * np.cumsum(panels[2], axis=1)[ends, count - 1]
+    return float(out[0]) if np.ndim(a) == 0 and np.ndim(b) == 0 else out
 
 
 def find_root(g, lo: float, hi: float, tol: float = 1e-12) -> float:

@@ -1,21 +1,16 @@
-"""Shape functionals over a unified distribution interface.
+"""Shape functionals of a univariate law.
 
-Any object exposing pdf(x), cdf(x), quantile(p) and mode() can be fed to
-these measures, where quantile takes an array of levels (and may answer
-with one value for all of them).  Every law on base.Located implements that
-surface: the located bases, SkewNormal, SkewT, TransformParams and
-TwoPieceParams.  ScaleTransformed gives a pdf alone, so only moment takes
-it, and SkewSymParams holds only parameters, whose density is
-skewsym.skew_symmetric_pdf.  Skewness is the mode-based
-1 - 2 F(mode) functional, kurtosis an octile spread ratio, and raw
-moments come from quadrature with an explicit infinity flag for t-based
-tails.
+A law here is any object with pdf(x), cdf(x), quantile(p), mode() and
+moment_order_bound(), whose quantile takes an array of levels (and may
+answer with one value for all of them); every law on base.Located has them
+all.  Skewness is the mode-based 1 - 2 F(mode) functional, kurtosis an
+octile spread ratio, and raw moments come from quadrature with an explicit
+infinity flag for t-based tails.
 """
 from __future__ import annotations
 
 import math
 import sys
-from typing import Protocol, runtime_checkable
 
 import numpy as np
 
@@ -27,23 +22,12 @@ from .transform import TransformParams
 _LOG_MAX = math.log(sys.float_info.max)
 
 
-@runtime_checkable
-class Distribution(Protocol):
-    def pdf(self, x): ...
-
-    def cdf(self, x): ...
-
-    def quantile(self, p): ...  # p: an array of levels
-
-    def mode(self) -> float: ...
-
-
-def ag_skewness(d: Distribution) -> float:
+def ag_skewness(d) -> float:
     """AG skewness 1 - 2 F(mode); zero for symmetric unimodal laws."""
     return 1.0 - 2.0 * float(d.cdf(d.mode()))
 
 
-def quantile_kurtosis(d: Distribution) -> float:
+def quantile_kurtosis(d) -> float:
     """Octile spread ratio ((q7-q5) + (q3-q1)) / (q6-q2), location/scale free.
 
     d.quantile is asked once, for the array of the seven octile levels.
@@ -55,7 +39,7 @@ def quantile_kurtosis(d: Distribution) -> float:
     return ((q[6] - q[4]) + (q[2] - q[0])) / spread
 
 
-def moment(d: Distribution, r: int, tol: float = 1e-8) -> float:
+def moment(d, r: int, tol: float = 1e-8) -> float:
     """Raw moment E[X^r] by quadrature.
 
     Returns math.inf (a value, never NaN and never an exception) when the
@@ -64,8 +48,7 @@ def moment(d: Distribution, r: int, tol: float = 1e-8) -> float:
     """
     if r < 1 or int(r) != r:
         raise ValueError(f"moment order must be a positive integer, got {r}")
-    bound = getattr(d, "moment_order_bound", None)
-    if bound is not None and r >= bound():
+    if r >= d.moment_order_bound():
         return math.inf
     if isinstance(d, TransformParams):
         return _transform_moment(d, r, tol)
@@ -88,15 +71,14 @@ def _transform_moment(d: TransformParams, r: int, tol: float) -> float:
     log_tol = math.log(tol)
 
     def term(y):
-        v = mu + sigma * d.tr.inverse(y)
-        if v == 0.0:
-            return 0.0
-        log_term = r * min(math.log(abs(v)), _LOG_MAX) + d.base.log_pdf(y)
-        if math.isinf(v) and log_term + 2.0 * math.log(abs(y)) < log_tol:
-            return 0.0
-        if math.isinf(v) or log_term > _LOG_MAX:
-            raise IntegrationError(f"moment of order {r}: the integrand overflows at y = {y!r}")
-        size = math.exp(log_term)
-        return -size if v < 0.0 and r % 2 else size
+        with np.errstate(over="ignore", divide="ignore"):
+            v = mu + sigma * d.tr.inverse(y)
+            log_term = r * np.minimum(np.log(np.abs(v)), _LOG_MAX) + d.base.log_pdf(y)
+            negligible = np.isinf(v) & (log_term + 2.0 * np.log(np.abs(y)) < log_tol)
+        if (bad := ~negligible & (np.isinf(v) | (log_term > _LOG_MAX))).any():
+            raise IntegrationError(
+                f"moment of order {r}: the integrand overflows at y = {float(y[bad][0])!r}")
+        size = np.where(negligible, 0.0, np.exp(log_term))
+        return np.where((v < 0.0) & (r % 2 == 1), -size, size)
 
     return integrate(term, -np.inf, np.inf, tol=tol)

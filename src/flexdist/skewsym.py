@@ -13,10 +13,13 @@ The univariate skew-t CDF sums, at each point, that point's window of its
 normal-chi^2 scale mixture (_ScaleMixture) on the smaller tail.  Against
 mpmath its absolute error is at most 1e-15, and the smaller tail keeps a
 relative error of 1e-14 down to 1e-30 and of 5e-14 down to 1e-300.  It
-takes 1e-3 <= nu <= 1e8.  SkewNormal and SkewT ride base.Located: they give
-their standard law in z, take its quantiles from one batched Newton solve,
-base.invert_cdf, and take their mode from the root of the score in z over
-[-10, 10].
+takes 1e-3 <= nu <= 1e8.  SkewNormal, SkewT and SkewSymmetric (any base and
+skewing cdf G) ride base.Located through _SkewSymmetricImage, as does
+twopiece.ScaleTransformed: each gives its standard law in z, takes its
+quantiles from one batched Newton solve, base.invert_cdf, draws by the one
+sign flip, _sign_flip (the skew-t as a skew-normal over sqrt(V / nu)), and
+takes its mode from the root of the score in z over [-10, 10].
+SkewSymmetric's cdf is a batched quadrature of its smaller tail.
 """
 from __future__ import annotations
 
@@ -34,11 +37,11 @@ from .base import (
     MatrixParams,
     NumericsError,
     SymmetricBase,
+    integrate,
     invert_cdf,
     log_stdtr,
     normal_base,
     normal_logf,
-    scalar_or_array,
     _spherical_t_pdf,
     student_base,
     t_logf,
@@ -67,6 +70,10 @@ _DOF_STEP = 1e-7
 _MIX_NU_MIN, _MIX_NU_MAX = 1e-3, 1e8
 # nodes x points that _ScaleMixture sums at once
 _MIX_BLOCK = 2 ** 20
+# _SkewSymmetricImage's cdf: the step of its difference quotient of log g,
+# in units of max(1, |v|), and its quadrature's tolerance
+_SLOPE_STEP = 1e-3
+_CDF_ULPS = 16.0
 _NORMAL = normal_base()
 
 
@@ -253,25 +260,6 @@ class _ScaleMixture:
         return out
 
 
-@dataclass(frozen=True)
-class SkewSymParams:
-    base: SymmetricBase
-    loc: LocationScale
-    delta: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.delta):
-            raise ValueError("delta must be finite")
-
-
-@scalar_or_array
-def skew_symmetric_pdf(x, p: SkewSymParams, skew: SymmetricBase):
-    """Univariate skew-symmetric density 2/sigma f(z) G(delta z), G the cdf
-    of skew."""
-    z = (x - p.loc.mu) / p.loc.sigma
-    return 2.0 / p.loc.sigma * p.base.pdf(z) * skew.cdf(p.delta * z)
-
-
 def _delta_k(delta, mp: MatrixParams) -> np.ndarray:
     delta = np.atleast_1d(np.asarray(delta, dtype=float))
     if delta.shape != (mp.k,):
@@ -383,17 +371,99 @@ def sample_skew_t_k(n: int, mp: MatrixParams, nu: float, delta,
     return _sign_flip_k(n, mp, nu, _skew_t_pi(mp, nu, delta), rng)
 
 
-class _SkewLaw(Located):
-    """A skew law with mu and sigma fields; its quantiles are solved in z,
-    and its mode is the root of its kernel's score in z over [-10, 10]."""
+def _sign_flip(base: SymmetricBase, pi, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n draws of 2 f(z) pi(z), f the density of base and pi(z) + pi(-z) = 1:
+    Z from base, kept where a uniform falls below pi(Z) and negated elsewhere."""
+    z = base._draw(n, rng)
+    return np.where(rng.random(n) < pi(z), z, -z)
 
+
+class _SkewSymmetricImage(Located):
+    """The law of z = H(W), H increasing (_forward, with _inverse its
+    inverse) and W of density g(w) = 2 f(w) pi(w), f the density of
+    self.base and pi(w) + pi(-w) = 1, given as _log_g and _pi; unless a
+    subclass maps, H is the identity, log g is _logf and the mode is the
+    root of the score in z over [-10, 10].  W draws by the sign flip, its
+    quantiles are solved in w, and |W| has the law of |Z|, Z from the base."""
+
+    _forward = _inverse = staticmethod(lambda v: v)
+    _log_g = property(lambda self: self._logf)
     _mode_bracket = (-10.0, 10.0)
+
+    def _w_cdf(self, w):
+        """F_W at array w, each point its own bits: its smaller tail, F(v) for
+        v <= 0 and 1 - F(v) above, integrated at x = v + d u, u <= 0, with
+        1 / |d| the slope of log g away from v (held at least 1 / max(1,
+        |v|)) and the integrand 1 at u = 0, as in _sn_cdf's tail rule, so a
+        far tail keeps its relative accuracy, to _CDF_ULPS ulps of |log g(v)|,
+        the rounding of log g itself."""
+        shape, w = w.shape, w.ravel()
+        out = np.heaviside(w, np.nan)  # 0 and 1 at -inf and +inf, NaN at NaN
+        live = np.flatnonzero(np.isfinite(w))
+        v = w[live]
+        top, wide, s = self._log_g(v), np.maximum(1.0, np.abs(v)), np.where(v > 0.0, -1.0, 1.0)
+        out[live] = s < 0.0  # where g(v) max(1, |v|) < e^-800, the tail is 0 in floats
+        live, v, top, wide, s = (a[top + np.log(wide) > -800.0] for a in (live, v, top, wide, s))
+        step = _SLOPE_STEP * wide
+        d = s / np.maximum((top - self._log_g(v - s * step)) / step, 1.0 / wide)
+        area = integrate(lambda u, v, d, top: np.exp(self._log_g(v + d * u) - top),
+                         np.full(v.shape, -np.inf), np.zeros(v.shape),
+                         tol=_CDF_ULPS * np.finfo(float).eps * np.maximum(1.0, -top),
+                         args=(v, d, top))
+        tail = np.exp(top + np.log(np.abs(d) * area))
+        out[live] = np.where(s < 0.0, 1.0 - tail, tail)
+        return out.reshape(shape)
+
+    def _cdf(self, z):
+        return self._w_cdf(self._inverse(z))
+
+    def _quantile(self, q):
+        w = invert_cdf(self._w_cdf, lambda w: np.exp(self._log_g(w)), q, 0.0, 1.0)
+        return self._forward(w)
+
+    def _draw(self, n, rng):
+        return self._forward(_sign_flip(self.base, self._pi, n, rng))
+
+    def moment_order_bound(self) -> float:
+        return self.base.moment_order_bound()
+
+
+class _SkewLaw(_SkewSymmetricImage):
+    """A skew law with mu and sigma fields, whose score is its kernel's."""
 
     def __post_init__(self):
         object.__setattr__(self, "loc", LocationScale(self.mu, self.sigma))
 
-    def _quantile(self, q):
-        return invert_cdf(self._cdf, lambda z: np.exp(self._logf(z)), q, 0.0, 1.0)
+
+@dataclass(frozen=True)
+class SkewSymmetric(_SkewSymmetricImage):
+    """The skew-symmetric law 2/sigma f(z) G(delta z) at z = (x - mu) /
+    sigma, f the density of base and G the cdf of skew."""
+
+    base: SymmetricBase
+    loc: LocationScale
+    delta: float
+    skew: SymmetricBase
+
+    def __post_init__(self):
+        if not np.isfinite(self.delta):
+            raise ValueError("delta must be finite")
+
+    def _logf(self, z):
+        # log 2 + log G(delta z), summed first, is 0 at delta = 0, where the
+        # sum is then log f(z) to the bit
+        out = self.base._logf(z) + (_LOG_TWO + self.skew._log_cdf(self.delta * z))
+        out[np.isinf(z)] = -np.inf  # where delta * z is NaN at delta = 0
+        return out
+
+    def _pi(self, z):
+        return self.skew._cdf(self.delta * z)
+
+    def _score(self, z):
+        logf, shapes = self.base.log_density
+        v = self.delta * z
+        tilt = np.exp(self.skew._logf(v) - self.skew._log_cdf(v))
+        return z_score(logf, z, *shapes) + self.delta * tilt
 
 
 @dataclass(frozen=True)
@@ -403,6 +473,7 @@ class SkewNormal(_SkewLaw):
     mu: float = 0.0
     sigma: float = 1.0
     delta: float = 0.0
+    base = _NORMAL
 
     def __post_init__(self):
         super().__post_init__()
@@ -415,16 +486,11 @@ class SkewNormal(_SkewLaw):
     def _score(self, z):
         return z_score(skew_normal_logf, z, self.delta)
 
-    def _cdf(self, z):
+    def _w_cdf(self, z):
         return _sn_cdf(z, self.delta)
 
-    def moment_order_bound(self) -> float:
-        return math.inf
-
-    def _draw(self, n, rng):
-        """Sign flip: Z standard normal, kept when U < Phi(delta Z)."""
-        z = _NORMAL._draw(n, rng)
-        return np.where(rng.random(n) < _NORMAL._cdf(self.delta * z), z, -z)
+    def _pi(self, z):
+        return _NORMAL._cdf(self.delta * z)
 
 
 @dataclass(frozen=True)
@@ -454,7 +520,7 @@ class SkewT(_SkewLaw):
     def _mixture(self) -> _ScaleMixture:
         return _ScaleMixture(self.nu, self.delta)
 
-    def _cdf(self, z):
+    def _w_cdf(self, z):
         return self._mixture.cdf(z)
 
     def moment_order_bound(self) -> float:

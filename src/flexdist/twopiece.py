@@ -5,12 +5,13 @@ f(s_r z) right of it, glued continuously at mu.  Epsilon scaling keeps
 a(delta) = 1; inverse scale factors (ISF) use s_l = delta = 1/s_r.  A
 separate construction rescales through a map H obeying H(x) - H(-x) = x,
 giving the density 2 f(H^(-1)(x)).  TwoPieceParams rides base.Located with
-the standard law a(delta) f(s z).
+the standard law a(delta) f(s z), and ScaleTransformed with the image under
+H of the skew-symmetric law 2 f(w) H'(w).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -19,10 +20,12 @@ from .base import (
     Located,
     LocationScale,
     SymmetricBase,
-    find_root,
+    log1p_square,
     normal_logf,
     scalar_or_array,
+    solve_increasing,
 )
+from .skewsym import _LOG_TWO, _SkewSymmetricImage
 
 EPSILON_EDGE = 1.0 - 1e-9  # |delta| at or beyond this is rejected
 
@@ -137,50 +140,49 @@ class TwoPieceParams(Located):
 
 @dataclass(frozen=True)
 class ScaleTransform:
-    """A map H with H(x) - H(-x) = x, validated at construction.
+    """A map H with H(x) - H(-x) = x and its slope H', both array maps; the
+    conditions H' > 0 and H'(x) + H'(-x) = 1 (the first differentiated) are
+    checked at construction.  H^(-1) is solved by base.solve_increasing with
+    Newton steps on H', so a linear H is inverted in one step."""
 
-    inv_func may supply a closed-form inverse; otherwise the inverse is
-    obtained by bracketed root finding (H is required to be strictly
-    increasing).
-    """
-
-    h_func: Callable[[float], float]
+    h_func: Callable[[np.ndarray], np.ndarray]
+    slope_func: Callable[[np.ndarray], np.ndarray]
     name: str = "custom"
-    inv_func: Callable[[float], float] | None = field(default=None)
 
     def __post_init__(self):
         self.check_condition(_CONDITION_GRID)
 
     def check_condition(self, grid) -> None:
+        """Raises ValueError where H or H' breaks its condition on grid, each
+        map evaluated in one call on grid and -grid."""
         grid = np.asarray(grid, dtype=float)
-        hx = np.array([self.h_func(g) for g in grid])
-        hneg = np.array([self.h_func(-g) for g in grid])
+        both = np.concatenate([grid, -grid])
+        hx, hneg = np.split(np.asarray(self.h_func(both), dtype=float), 2)
         gap = np.max(np.abs(hx - hneg - grid))
         if gap > 1e-10:
             raise ValueError(
                 f"scale transform '{self.name}' violates H(x)-H(-x)=x "
                 f"(max deviation {gap:.3e})")
-        if np.any(np.diff(hx) <= 0.0):
-            raise ValueError(f"scale transform '{self.name}' is not increasing")
+        slope = np.asarray(self.slope_func(both), dtype=float)
+        gap = np.max(np.abs(slope[:grid.size] + slope[grid.size:] - 1.0))
+        if not (slope > 0.0).all() or gap > 1e-10:
+            raise ValueError(f"scale transform '{self.name}' needs H' > 0 and "
+                             f"H'(x)+H'(-x)=1 (max deviation {gap:.3e})")
 
-    def inverse(self, y: float) -> float:
-        if self.inv_func is not None:
-            return self.inv_func(y)
-        lo, hi = -1.0, 1.0
-        for _ in range(200):
-            if self.h_func(lo) <= y <= self.h_func(hi):
-                break
-            if self.h_func(lo) > y:
-                lo *= 2.0
-            if self.h_func(hi) < y:
-                hi *= 2.0
-        return find_root(lambda t: self.h_func(t) - y, lo, hi)
+    @scalar_or_array
+    def inverse(self, y):
+        """H^(-1)(y); +-inf and NaN map to themselves."""
+        out = y.copy()
+        inside = np.isfinite(y)
+        out[inside] = solve_increasing(self.h_func, lambda w, h, t: (h - t) / self.slope_func(w),
+                                       y[inside], 0.0, 1.0)
+        return out
 
 
 def half_slope_transform() -> ScaleTransform:
     """H(x) = x/2; the symmetric member, density 2 f(2x)."""
-    return ScaleTransform(lambda x: 0.5 * x, name="half_slope",
-                          inv_func=lambda y: 2.0 * y)
+    return ScaleTransform(lambda x: 0.5 * x, lambda x: np.full(np.shape(x), 0.5),
+                          name="half_slope")
 
 
 def arctan_tilt_transform(c: float) -> ScaleTransform:
@@ -193,21 +195,37 @@ def arctan_tilt_transform(c: float) -> ScaleTransform:
         raise ValueError(f"|c| must be below 1/pi for monotonicity, got {c}")
 
     def h(x):
-        return 0.5 * x + c * (x * math.atan(x) - 0.5 * math.log1p(x * x))
+        return 0.5 * x + c * (x * np.arctan(x) - 0.5 * log1p_square(x))
 
-    return ScaleTransform(h, name=f"arctan_tilt({c})")
+    return ScaleTransform(h, lambda x: 0.5 + c * np.arctan(x), name=f"arctan_tilt({c})")
 
 
 @dataclass(frozen=True)
-class ScaleTransformed:
-    """The density 2 f(H^(-1)(z)) / sigma at z = (x - mu) / sigma;
-    normalization follows from the H condition."""
+class ScaleTransformed(_SkewSymmetricImage):
+    """The law of density 2 f(H^(-1)(z)) at z = (x - mu) / sigma, whose
+    normalization follows from the H condition: the image under H of W of
+    density 2 f(w) H'(w), the skew-symmetric law with pi = H'.  Its mode is
+    H(0), where H^(-1) meets the peak of f, and as 0 < H' < 1 its moments
+    exist where the base's do."""
 
     base: SymmetricBase
     loc: LocationScale
     st: ScaleTransform
 
-    @scalar_or_array
-    def pdf(self, x):
-        z = (x - self.loc.mu) / self.loc.sigma
-        return 2.0 * self.base.pdf(np.array([self.st.inverse(v) for v in z])) / self.loc.sigma
+    _pi = property(lambda self: self.st.slope_func)
+    _inverse = property(lambda self: self.st.inverse)
+
+    def _log_g(self, w):
+        return _LOG_TWO + self.base._logf(w) + np.log(self.st.slope_func(w))
+
+    def _logf(self, z):
+        return _LOG_TWO + self.base._logf(self.st.inverse(z))
+
+    def _forward(self, w):
+        # the quantiles' ends at levels 0 and 1 stay at -inf and +inf
+        inside = np.isfinite(w)
+        w[inside] = self.st.h_func(w[inside])
+        return w
+
+    def mode(self) -> float:
+        return self.loc.mu + self.loc.sigma * float(self.st.h_func(np.zeros(1))[0])

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
-from scipy.integrate import trapezoid
+from scipy import special, stats
+from scipy.integrate import quad, trapezoid
 
 from flexdist import base, infer
 from tests import subprocess_env
@@ -94,7 +94,7 @@ def test_student_pdf_k_univariate_normalization():
     for nu in (1.0, 2.0, 5.0):
         mp1 = base.MatrixParams(np.array([0.0]), np.array([[1.0]]))
         total = base.integrate(
-            lambda x: base.student_pdf_k(np.array([x]), mp1, nu),
+            lambda x: base.student_pdf_k(x[:, None], mp1, nu),
             -np.inf, np.inf, tol=1e-8)
         assert total == pytest.approx(1.0, abs=1e-6)
 
@@ -162,8 +162,8 @@ def test_integrate_finite_and_degenerate():
     assert base.integrate(lambda x: x * x, 0.0, 1.0, tol=1e-12) == pytest.approx(
         1.0 / 3.0, abs=1e-13)
     assert base.integrate(lambda x: x, 2.0, 2.0) == 0.0
-    fwd = base.integrate(math.exp, 0.0, 1.0, tol=1e-12)
-    rev = base.integrate(math.exp, 1.0, 0.0, tol=1e-12)
+    fwd = base.integrate(np.exp, 0.0, 1.0, tol=1e-12)
+    rev = base.integrate(np.exp, 1.0, 0.0, tol=1e-12)
     assert fwd == pytest.approx(-rev, rel=1e-14)
 
 
@@ -177,7 +177,7 @@ def test_integrate_half_infinite():
 
 def test_integrate_budget_exhaustion_raises():
     with pytest.raises(base.IntegrationError):
-        base.integrate(lambda x: math.sin(1.0 / (x + 1e-12)), 0.0, 1.0,
+        base.integrate(lambda x: np.sin(1.0 / (x + 1e-12)), 0.0, 1.0,
                        tol=1e-14, max_intervals=8)
 
 
@@ -187,6 +187,43 @@ def test_integrate_stops_at_a_relative_floor():
     nb = base.normal_base()
     val = base.integrate(lambda x: 1e12 * nb.pdf(x), -np.inf, np.inf, tol=1e-8)
     assert val == pytest.approx(1e12, rel=1e-13)
+
+
+def test_integrate_ends_keep_their_own_bits():
+    # an array of ends, with per-end data, gives each end the bits of its
+    # own float call, whatever the other ends
+    nb = base.normal_base()
+    a = np.array([-np.inf, -3.0, 0.0, 2.0, 5.0, -np.inf, 1.0])
+    b = np.array([np.inf, 1.0, np.inf, 2.0, -1.0, -2.0, 40.0])
+    scale = np.array([1.0, 0.5, 2.0, 3.0, 1e12, 1.0, 7.0])
+
+    def f(x, s):
+        return s * nb.pdf(x)
+
+    got = base.integrate(f, a, b, tol=1e-10, args=(scale,))
+    for i in range(a.size):
+        one = base.integrate(f, a[i], b[i], tol=1e-10, args=(scale[i:i + 1],))
+        assert isinstance(one, float) and got[i] == one, i
+        for rows in (np.arange(i + 1), np.arange(i, a.size)):
+            part = base.integrate(f, a[rows], b[rows], tol=1e-10, args=(scale[rows],))
+            assert part[rows == i][0] == one, (i, rows)
+    # each end stops at its own bound: the 1e12 end at its relative floor,
+    # far above tol, and the others at tol
+    exact = scale * (special.ndtr(b) - special.ndtr(a))
+    assert got[4] == pytest.approx(exact[4], rel=1e-13)
+    assert np.max(np.abs(np.delete(got - exact, 4))) <= 1e-10
+    # and each end's panel budget is its own: the easy ends meet theirs
+    # alone, and beside an end that exhausts its own the call raises
+    def wild(x):
+        return np.sin(1.0 / (x + 1e-12))
+
+    easy = base.integrate(wild, np.array([2.0, 4.0]), np.array([3.0, 5.0]), tol=1e-14,
+                          max_intervals=8)
+    assert easy == pytest.approx([quad(wild, 2.0, 3.0, epsabs=1e-14)[0],
+                                  quad(wild, 4.0, 5.0, epsabs=1e-14)[0]], abs=1e-13)
+    with pytest.raises(base.IntegrationError):
+        base.integrate(wild, np.array([2.0, 0.0, 4.0]), np.array([3.0, 1.0, 5.0]), tol=1e-14,
+                       max_intervals=8)
 
 
 def test_find_root_normal_median():

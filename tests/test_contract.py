@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from flexdist import base, infer, skewsym, transform
+from flexdist import base, infer, skewsym, transform, twopiece
 
 # one parameter set per family of infer._FAMILIES; the two-piece families
 # once under each scaling
@@ -35,11 +35,31 @@ def _law(family, shape, mu=MU, sigma=SIGMA):
     return infer.distribution_for(family, {"mu": mu, "sigma": sigma, **shape})
 
 
+def _skew_symmetric_laws(mu=MU, sigma=SIGMA):
+    """The laws no family fits: skew-symmetric laws over a skewing cdf G,
+    and transformations of scale, each the image under H of the
+    skew-symmetric law with pi = H'."""
+    loc = base.LocationScale(mu, sigma)
+    return {
+        "skew_symmetric-logistic-normal": skewsym.SkewSymmetric(
+            base.logistic_base(), loc, 2.0, base.normal_base()),
+        "skew_symmetric-t2-t3": skewsym.SkewSymmetric(
+            base.student_base(2.0), loc, -1.5, base.student_base(3.0)),
+        "scale_transformed-normal-arctan": twopiece.ScaleTransformed(
+            base.normal_base(), loc, twopiece.arctan_tilt_transform(0.25)),
+        "scale_transformed-t2-half": twopiece.ScaleTransformed(
+            base.student_base(2.0), loc, twopiece.half_slope_transform()),
+    }
+
+
 FAMILY_CASES = [pytest.param(family, _law(family, shape), id=i) for family, shape, i in LAWS]
-CASES = [pytest.param(p.values[1], id=p.id) for p in FAMILY_CASES]
+SKEW_SYMMETRIC_CASES = [pytest.param(d, id=i) for i, d in _skew_symmetric_laws().items()]
+CASES = [pytest.param(p.values[1], id=p.id) for p in FAMILY_CASES] + SKEW_SYMMETRIC_CASES
 # each law at (MU, SIGMA) with its twin at (0, 1)
 TWIN_CASES = [pytest.param(_law(family, shape), _law(family, shape, 0.0, 1.0), id=i)
-              for family, shape, i in LAWS]
+              for family, shape, i in LAWS] + [
+    pytest.param(d, twin, id=i) for (i, d), twin
+    in zip(_skew_symmetric_laws().items(), _skew_symmetric_laws(0.0, 1.0).values())]
 # every family the likelihood fits, under each scaling it takes
 MLE_CASES = [(family, scaling) for family in infer.FAMILY_ORDER if infer._FAMILIES[family].logf
              for scaling in (("isf", "epsilon") if infer._FAMILIES[family].scaled else ("isf",))]
@@ -249,6 +269,13 @@ def _ks_draws(i, family, shape):
     for i, (family, shape) in enumerate(REPRESENTATION_LAWS)])
 def test_sampler_ks_against_own_cdf(i, family, shape):
     d, x = _ks_draws(i, family, shape)
+    assert stats.kstest(x, d.cdf).pvalue > 1e-4
+
+
+@pytest.mark.parametrize("i, d", [pytest.param(i, p.values[0], id=p.id)
+                                  for i, p in enumerate(SKEW_SYMMETRIC_CASES)])
+def test_sign_flip_sampler_ks_against_own_cdf(i, d):
+    x = d.sample(KS_N, base.make_rng(4200 + i))
     assert stats.kstest(x, d.cdf).pvalue > 1e-4
 
 

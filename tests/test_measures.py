@@ -224,14 +224,22 @@ def test_shape_measures_script_table(capsys):
 
 
 def test_shape_measures_script_exact_rows(capsys):
-    # --exact prints each row's mode, AG skewness and octile kurtosis as repr
+    # --exact prints each row's mode, AG skewness, octile kurtosis and raw
+    # moments of orders 1 to 4 as repr
     script = Path(__file__).resolve().parents[1] / "scripts" / "shape_measures.py"
     assert runpy.run_path(str(script))["main"](["--exact"]) == 0
     rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
     table = [line.split()[-2:] for line in SHAPE_TABLE.splitlines()[1:]]
     assert len(rows) == len(table)
-    for (family, tag, mode, ag, kurt), (ag4, kurt4) in zip(rows, table):
+    for (family, tag, mode, ag, kurt, *moments), (ag4, kurt4) in zip(rows, table):
         assert f"{float(ag):.4f}" == ag4 and f"{float(kurt):.4f}" == kurt4
+        assert len(moments) == 4
+        # inf exactly from the order at which a t-based law's moments diverge
+        finite = [math.isfinite(float(m)) for m in moments]
+        assert finite == sorted(finite, reverse=True), (family, tag)
+    assert rows[0][:2] == ["normal", "-"]
+    assert float(rows[0][6]) == pytest.approx(1.0, rel=1e-14)
+    assert rows[2][:2] == ["t", "nu=2"] and rows[2][6:] == ["inf"] * 3
     # the skew-normal at delta = 1: its mode and AG skewness to the oracles'
     assert rows[3][:2] == ["skew_normal", "delta=1"]
     assert float(rows[3][2]) == pytest.approx(SN1_MODE, rel=1e-13)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scipy import special, stats
 from scipy.integrate import trapezoid
 
-from flexdist import base, infer, skewsym
+from flexdist import base, infer, skewsym, twopiece
 from tests import subprocess_env
 
 # Frozen oracle values, computed once with mpmath at 40 digits.
@@ -28,12 +28,16 @@ GRID = np.linspace(-6.0, 6.0, 49)
 # 1 - F(x) for x > 0, frozen from _skew_t_tail_mpmath below.
 SKEW_T_TAILS = json.loads(
     (Path(__file__).with_name("skew_t_cdf_mpmath.json")).read_text())
+# Rows (law, x, tail) of the smaller tails of _law_pair(law)[0], frozen
+# from _skew_symmetric_tail_mpmath below.
+SKEW_SYMMETRIC_TAILS = json.loads(
+    (Path(__file__).with_name("skew_symmetric_cdf_mpmath.json")).read_text())
 
 NORMAL = base.normal_base()
 
 
 def _params(mu=0.0, sigma=1.0, delta=0.0):
-    return skewsym.SkewSymParams(NORMAL, base.LocationScale(mu, sigma), delta)
+    return skewsym.SkewSymmetric(NORMAL, base.LocationScale(mu, sigma), delta, NORMAL)
 
 
 def test_pi_identity_and_zero_delta():
@@ -57,20 +61,20 @@ def test_pi_vector_delta_matches_inner_product():
 
 def test_skew_symmetric_pdf_at_center_ignores_delta():
     for delta in (0.0, 1.0, -3.0, 17.0):
-        val = skewsym.skew_symmetric_pdf(0.0, _params(delta=delta), NORMAL)
+        val = _params(delta=delta).pdf(0.0)
         assert val == pytest.approx(PHI_0, abs=1e-15)
 
 
 def test_skew_symmetric_pdf_reduces_to_base_at_zero_delta():
-    vals = skewsym.skew_symmetric_pdf(GRID, _params(), NORMAL)
-    # 2 f(z) * 1/2 is exact in floating point, so equality is bitwise
+    vals = _params().pdf(GRID)
+    # log 2 + log G(0) is exactly 0, so equality is bitwise
     assert np.array_equal(vals, NORMAL.pdf(GRID))
     ref = stats.norm.pdf(GRID)
     assert np.max(np.abs(vals / ref - 1.0)) < 5e-15
 
 
 def test_skew_symmetric_pdf_oracle_point():
-    val = skewsym.skew_symmetric_pdf(1.0, _params(delta=1.0), NORMAL)
+    val = _params(delta=1.0).pdf(1.0)
     assert val == pytest.approx(SN_1_1, rel=1e-14)
 
 
@@ -78,8 +82,7 @@ def test_skew_normal_pdf_wrapper_consistency():
     for delta in (0.0, 1.0, -2.5):
         for mu, sigma in ((0.0, 1.0), (1.5, 0.7)):
             direct = skewsym.SkewNormal(mu, sigma, delta).pdf(GRID)
-            via = skewsym.skew_symmetric_pdf(
-                GRID, _params(mu, sigma, delta), NORMAL)
+            via = _params(mu, sigma, delta).pdf(GRID)
             assert np.max(np.abs(direct - via)) < 1e-15
 
 
@@ -236,9 +239,9 @@ def test_skew_symmetric_pdf_k_matches_univariate():
     for x in (-1.0, 0.5, 2.0):
         kval = skewsym.skew_symmetric_pdf_k(
             np.array([x]), mp1, 3.0, np.array([1.0]), base.student_base(3.0))
-        p = skewsym.SkewSymParams(base.student_base(3.0),
-                                  base.LocationScale(0.5, 2.0), 1.0)
-        uval = skewsym.skew_symmetric_pdf(x, p, base.student_base(3.0))
+        p = skewsym.SkewSymmetric(base.student_base(3.0), base.LocationScale(0.5, 2.0), 1.0,
+                                  base.student_base(3.0))
+        uval = p.pdf(x)
         assert kval == pytest.approx(float(uval), rel=1e-12)
 
 
@@ -263,6 +266,19 @@ def test_sampler_seed_reproducibility():
     assert np.array_equal(a, b)
     with pytest.raises(ValueError):
         skewsym.SkewNormal(0.0, 1.0, 0.0).sample(-1, base.make_rng(0))
+
+
+def test_skew_symmetric_over_normal_g_is_the_skew_normal():
+    # a normal base with G = Phi is the skew-normal: one sign-flip sampler
+    # gives both the same draws, and the quadrature cdf meets _sn_cdf
+    for delta in (-3.0, 0.0, 2.0):
+        sn = skewsym.SkewNormal(0.4, 1.5, delta)
+        ss = _params(0.4, 1.5, delta)
+        assert np.array_equal(ss.sample(1000, base.make_rng(9)), sn.sample(1000, base.make_rng(9)))
+        np.testing.assert_allclose(ss.pdf(GRID), sn.pdf(GRID), rtol=1e-14, atol=0.0)
+        assert np.max(np.abs(ss.cdf(GRID) - sn.cdf(GRID))) <= 1e-15
+        assert ss.mode() == pytest.approx(sn.mode(), abs=1e-13)
+        assert ss.moment_order_bound() == math.inf
 
 
 def test_skew_normal_sample_ks_against_cdf():
@@ -449,6 +465,102 @@ def _skew_t_tail_mpmath(x, nu, delta):
         cuts = [1 + mpmath.mpf(j) / (n + 1) for j in (1, 4, 16)] + [2, 4, 16, 256, 65536]
         points = [-mpmath.inf] + [y * c for c in reversed(cuts)] + [y]
         return mpmath.quad(lambda v: pdf(v) / scale, points) * scale
+
+
+# the laws whose cdf is skewsym's smaller-tail quadrature, each with its
+# reflection, the law of -X, whose lower tail is the law's upper tail; and
+# the points of each in SKEW_SYMMETRIC_TAILS, whose tails reach 1e-30
+def _law_pair(name):
+    loc = base.LocationScale(0.0, 1.0)
+    if name == "logistic_normal":
+        return [skewsym.SkewSymmetric(base.logistic_base(), loc, d, NORMAL) for d in (2.0, -2.0)]
+    if name == "t2_t3":
+        return [skewsym.SkewSymmetric(base.student_base(2.0), loc, d, base.student_base(3.0))
+                for d in (-1.5, 1.5)]
+    if name == "normal_arctan":
+        # -H(-x) is the arctan tilt at -c
+        return [twopiece.ScaleTransformed(NORMAL, loc, twopiece.arctan_tilt_transform(c))
+                for c in (0.25, -0.25)]
+    return [twopiece.ScaleTransformed(base.student_base(2.0), loc,
+                                      twopiece.half_slope_transform())] * 2
+
+
+_CORE = [0.0, 0.2, -0.2, 1.0, -1.0, 3.0, -3.0]
+SKEW_SYMMETRIC_POINTS = {
+    "logistic_normal": _CORE + [8.0, -8.0, -5.0, -5.3, 20.0, 40.0, 68.5],
+    "t2_t3": _CORE + [8.0, -8.0, 1e3, -1e3, -1e6, -5e14, 1e5, 5e5],
+    "normal_arctan": _CORE + [-2.06, -5.0, 6.0, 8.0, 9.3],
+    "t2_half": _CORE + [8.0, -8.0, 1e6, -1e6, 3e14, -3e14],
+}
+
+
+def _skew_symmetric_tail_mpmath(name, x):
+    """F(x) for x <= 0 and 1 - F(x) for x > 0 of _law_pair(name)[0], at 40
+    digits: the lower tail of the law, or of its reflection at -x, in w =
+    H^(-1)(x) for a transformation of scale.  The density of W is
+    integrated over (-inf, w], split at w (1 + 1 / 64), w (1 + 1 / 8), 2 w,
+    16 w and 256 w, and scaled by its value at w so that mpmath's absolute
+    tolerance is a relative one."""
+    with mpmath.workdps(40):
+        y, sign = (mpmath.mpf(x), 1) if x <= 0 else (-mpmath.mpf(x), -1)
+        half = mpmath.mpf(1) / 2
+
+        def t_pdf(v, nu):
+            return (mpmath.gamma((nu + 1) / 2) / mpmath.gamma(nu / 2) / mpmath.sqrt(nu * mpmath.pi)
+                    * (1 + v * v / nu) ** (-(nu + 1) / 2))
+
+        def t_cdf(v, nu):
+            tail = mpmath.betainc(nu / 2, half, 0, nu / (nu + v * v), regularized=True) / 2
+            return tail if v < 0 else 1 - tail
+
+        def g(v):
+            if name == "logistic_normal":
+                logistic = mpmath.exp(-abs(v)) / (1 + mpmath.exp(-abs(v))) ** 2
+                return 2 * logistic * mpmath.ncdf(sign * 2 * v)
+            if name == "t2_t3":
+                return 2 * t_pdf(v, 2) * t_cdf(sign * -1.5 * v, 3)
+            if name == "normal_arctan":
+                return 2 * mpmath.npdf(v) * (half + sign * mpmath.mpf(0.25) * mpmath.atan(v))
+            return t_pdf(v, 2)
+
+        if name == "normal_arctan":
+            c = sign * mpmath.mpf(0.25)
+
+            def h(v):
+                return v / 2 + c * (v * mpmath.atan(v) - mpmath.log1p(v * v) / 2)
+
+            bracket = (-60 * abs(y) - 1, 60 * abs(y) + 1)
+            w = mpmath.findroot(lambda v: h(v) - y, bracket, solver="anderson")
+        else:
+            w = 2 * y if name == "t2_half" else y
+        if not w:
+            return mpmath.quad(g, [-mpmath.inf, -1, 0])
+        scale = g(w)
+        cuts = [w * k for k in (256, 16, 2)] + [w * (1 + mpmath.mpf(1) / k) for k in (8, 64)]
+        return mpmath.quad(lambda v: g(v) / scale, [-mpmath.inf, *cuts, w]) * scale
+
+
+def test_skew_symmetric_cdf_table_is_mpmath():
+    for name, x in (("logistic_normal", -5.3), ("t2_t3", 5e5), ("normal_arctan", -1.0)):
+        row = next(r for r in SKEW_SYMMETRIC_TAILS if r[:2] == [name, x])
+        assert float(_skew_symmetric_tail_mpmath(name, x)) == pytest.approx(row[2], rel=1e-15)
+
+
+def test_skew_symmetric_cdf_matches_mpmath():
+    # the cdf within 1e-14 everywhere, and the smaller tail, taken as the
+    # lower tail of the law or of its reflection, within 1e-11 relative
+    # down to 1e-30
+    assert len(SKEW_SYMMETRIC_TAILS) == sum(map(len, SKEW_SYMMETRIC_POINTS.values()))
+    for name in SKEW_SYMMETRIC_POINTS:
+        for side in (-1.0, 1.0):
+            tails = [r[2] for r in SKEW_SYMMETRIC_TAILS if r[0] == name and r[1] * side > 0.0]
+            assert 1e-30 <= min(t for t in tails if t >= 1e-30) <= 1e-28, (name, side)
+    for name, x, tail in SKEW_SYMMETRIC_TAILS:
+        law, reflected = _law_pair(name)
+        assert abs(law.cdf(x) - (tail if x <= 0.0 else 1.0 - tail)) <= 1e-14, (name, x)
+        if tail >= 1e-30:
+            got = (law if x <= 0.0 else reflected).cdf(-abs(x))
+            assert abs(got - tail) <= 1e-11 * tail, (name, x, got, tail)
 
 
 def test_skew_t_cdf_table_is_mpmath():

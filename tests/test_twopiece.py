@@ -1,10 +1,11 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import stats
 
-from flexdist import base, twopiece
+from flexdist import base, measures, twopiece
 
 # Frozen oracle values, computed once with mpmath at 40 digits.
 TP_ISF2_CDF_M1 = 0.009100052779271683      # (a/s_l) Phi(-2), a=0.8, s_l=2
@@ -241,29 +242,61 @@ def test_arctan_tilt_asymmetric():
 
 
 def test_scale_transform_derivative_condition():
-    # differentiating H(x) - H(-x) = x gives H'(x) + H'(-x) = 1
+    # differentiating H(x) - H(-x) = x gives H'(x) + H'(-x) = 1, and the
+    # slope each map gives is that of its H
     h = 1e-6
-    st = twopiece.arctan_tilt_transform(0.25)
-    for x in np.linspace(-4.0, 4.0, 17):
-        dpos = (st.h_func(x + h) - st.h_func(x - h)) / (2.0 * h)
-        dneg = (st.h_func(-x + h) - st.h_func(-x - h)) / (2.0 * h)
-        assert dpos + dneg == pytest.approx(1.0, abs=1e-6)
+    x = np.linspace(-4.0, 4.0, 17)
+    for st in (twopiece.arctan_tilt_transform(0.25), twopiece.arctan_tilt_transform(-0.3),
+               twopiece.half_slope_transform()):
+        central = (st.h_func(x + h) - st.h_func(x - h)) / (2.0 * h)
+        assert np.max(np.abs(st.slope_func(x) - central)) <= 1e-9, st.name
+        assert np.max(np.abs(st.slope_func(x) + st.slope_func(-x) - 1.0)) <= 1e-15, st.name
 
 
 def test_scale_transform_rejects_invalid_maps():
+    half = lambda x: np.full(np.shape(x), 0.5)  # noqa: E731
+    with pytest.raises(ValueError, match="H\\(x\\)-H\\(-x\\)=x"):
+        twopiece.ScaleTransform(lambda x: x, half)          # H(x)-H(-x) = 2x
+    with pytest.raises(ValueError, match="H\\(x\\)-H\\(-x\\)=x"):
+        twopiece.ScaleTransform(lambda x: 0.25 * x, half)   # gives x/2, not x
     with pytest.raises(ValueError):
-        twopiece.ScaleTransform(lambda x: x)          # H(x)-H(-x) = 2x
-    with pytest.raises(ValueError):
-        twopiece.ScaleTransform(lambda x: 0.25 * x)   # gives x/2, not x
-    with pytest.raises(ValueError):
-        twopiece.arctan_tilt_transform(0.5)           # breaks monotonicity
+        twopiece.arctan_tilt_transform(0.5)                 # breaks monotonicity
+    # the slope must be positive, and H'(x) + H'(-x) = 1
+    with pytest.raises(ValueError, match="needs H' > 0"):
+        twopiece.ScaleTransform(lambda x: 0.5 * x, lambda x: 0.5 + np.arctan(x))
+    with pytest.raises(ValueError, match="needs H' > 0"):
+        twopiece.ScaleTransform(lambda x: 0.5 * x, lambda x: np.full(np.shape(x), 0.6))
 
 
 def test_scale_transform_inverse_roundtrip():
     st = twopiece.arctan_tilt_transform(0.2)
     for x in (-3.0, -0.5, 0.0, 1.0, 4.0):
-        y = st.h_func(x)
-        assert st.inverse(y) == pytest.approx(x, abs=1e-9)
+        y = float(st.h_func(np.array([x]))[0])
+        assert st.inverse(y) == pytest.approx(x, abs=1e-14)
+    # a linear H is inverted exactly; +-inf and NaN map to themselves
+    y = np.array([-1e300, -3.7, -1e-300, 0.0, 0.1, 2.5, 1e3, 7e307])
+    assert np.array_equal(twopiece.half_slope_transform().inverse(y), 2.0 * y)
+    ends = st.inverse(np.array([-np.inf, np.inf, np.nan]))
+    assert ends[0] == -np.inf and ends[1] == np.inf and np.isnan(ends[2])
+
+
+@pytest.mark.parametrize("c", [0.25, -0.2, 0.3])
+def test_scale_transform_inverse_matches_mpmath(c):
+    st = twopiece.arctan_tilt_transform(c)
+    w = np.concatenate([np.linspace(-10.0, 10.0, 41), [-1e3, 1e3]])
+    y = st.h_func(w)
+    got = st.inverse(y)
+    with mpmath.workdps(40):
+        cm = mpmath.mpf(c)
+
+        def h(v):
+            return v / 2 + cm * (v * mpmath.atan(v) - mpmath.log1p(v * v) / 2)
+
+        # H' >= 1/2 - |c| pi / 2 > 0.02 brackets each root within 60 |y| + 1
+        ref = [mpmath.findroot(lambda v: h(v) - mpmath.mpf(t), (-60 * abs(t) - 1, 60 * abs(t) + 1),
+                               solver="anderson") for t in y]
+        err = [abs(g - r) / max(1, abs(r)) for g, r in zip(got, ref)]
+    assert max(err) <= 1e-14
 
 
 def test_scale_transformed_class_location_scale():
@@ -273,3 +306,20 @@ def test_scale_transformed_class_location_scale():
     assert float(d.pdf(2.0)) == pytest.approx(2.0 * PHI_0 / 3.0, rel=1e-14)
     mass = base.integrate(d.pdf, -np.inf, np.inf, tol=1e-10)
     assert mass == pytest.approx(1.0, abs=1e-8)
+
+
+def test_scale_transformed_is_a_located_law():
+    # X = H(W): its mode is H(0), its quantiles H of W's, and its moments
+    # those the base allows
+    d = twopiece.ScaleTransformed(NORMAL, base.LocationScale(2.0, 3.0),
+                                  twopiece.half_slope_transform())
+    p = np.array([0.0, 1e-12, 0.1, 0.5, 0.9, 1.0])
+    np.testing.assert_allclose(d.quantile(p), 2.0 + 1.5 * NORMAL.quantile(p),
+                               rtol=1e-14, atol=1e-14)
+    assert d.mode() == 2.0 and d.moment_order_bound() == math.inf
+    assert measures.moment(d, 2) == pytest.approx(4.0 + 2.25, rel=1e-12)
+    shifted = twopiece.ScaleTransform(lambda x: 0.5 * x + 1.0, lambda x: np.full(np.shape(x), 0.5))
+    assert twopiece.ScaleTransformed(NORMAL, STD_LOC, shifted).mode() == 1.0
+    t2 = twopiece.ScaleTransformed(base.student_base(2.0), STD_LOC,
+                                   twopiece.arctan_tilt_transform(0.2))
+    assert t2.moment_order_bound() == 2.0 and measures.moment(t2, 2) == math.inf
