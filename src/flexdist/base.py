@@ -8,7 +8,7 @@ z = (x - mu) / sigma and back, applies the scalar/array rule and checks the
 sample size; MatrixParams, its k-variate counterpart in
 y = Sigma^(-1/2)(x - mu); and the small numeric toolkit the rest of the
 package leans on: adaptive quadrature batched over its ends, golden-section
-maximization, the laws' mode search (score_peak, the root of a score in
+maximization (public; no fit uses it), the laws' mode search (score_peak, the root of a score in
 asinh x), seeded generators, and root finding.  One batched solver,
 solve_increasing, inverts every increasing vectorized map: the skew laws'
 cdf (through invert_cdf), the g-and-h and K H^(-1), and the H^(-1) of
@@ -319,13 +319,18 @@ def _log_t_norm(nu):
     20 on, where the two log-gammas of size a log a cancel, it is R(a) - log
     sqrt(2 pi) with the asymptotic series R(a) = sum over even n of (2^(1-n) -
     2) B_n / (n (n - 1) a^(n-1)) of log Gamma(a + 1/2) - log Gamma(a) - log(a) / 2."""
-    a = 0.5 * np.asarray(nu, dtype=float)
-    direct = special.gammaln(a + 0.5) - special.gammaln(a) - 0.5 * np.log(nu * math.pi)
-    if (a < 20.0).all():
-        return direct
+    nu = np.asarray(nu, dtype=float)
+    a = 0.5 * nu
+    near = a < 20.0
+    if near.all():
+        return special.gammaln(a + 0.5) - special.gammaln(a) - 0.5 * np.log(nu * math.pi)
+    if near.any():  # each form on its own rows only
+        out = np.empty(a.shape)
+        out[near], out[~near] = _log_t_norm(nu[near]), _log_t_norm(nu[~near])
+        return out
     b = 1.0 / (a * a)
     r = 1 / 192 + b * (-1 / 640 + b * (17 / 14336 + b * (-31 / 18432 + b * 691 / 180224)))
-    return np.where(a < 20.0, direct, (b * r - 1 / 8) / a - LOG_SQRT_TWO_PI)
+    return (b * r - 1 / 8) / a - LOG_SQRT_TWO_PI
 
 
 def normal_logf(z, grad=None):

@@ -33,7 +33,8 @@ deterministic, so fits draw no random numbers.  Two families are fit exactly, wi
 optimizer: the normal family has a closed form, and the two-piece normal
 family an exact profile-likelihood path, where for fixed mu
 the optimal scale and asymmetry are closed-form, so the fit reduces to a
-one-dimensional search over mu, batched over the data rows.  A two-piece fit
+one-dimensional search over mu (a grid, then a Newton refine), batched over
+the data rows.  A two-piece fit
 runs in ISF coordinates under either scaling: the scaling sets only the cap
 on the asymmetry and the form of the report.  nelder_mead, a thin adapter
 over scipy's Nelder-Mead simplex, is a public utility; no fit uses it.
@@ -67,7 +68,6 @@ from .base import (
     LocatedBase,
     LocationScale,
     NumericsError,
-    golden_section_max,
     logistic_base,
     logistic_logf,
     make_rng,
@@ -126,6 +126,9 @@ _FRONTIER_TOL = 1e-4
 # restart so a likelihood that increases all the way to the frontier is found
 # even when interior starts stall on the ridge.
 _CHASE_T = 170.0
+# relative margin, far above rounding, by which the skew-normal frontier must
+# fall below the null before a row skips the chase
+_FRONTIER_SLACK = 1e-9
 
 # the line search's sufficient-decrease constant, and its cap on the max-norm
 # (optimizer coordinates) of a trial step taken before any accepted step has
@@ -135,6 +138,9 @@ _MAX_STEP = 1.0
 # steps in a row that each lower the value by at most fatol before a fit
 # stops on a flat ridge
 _STALLS = 5
+
+# cap on a two-piece normal profile's Newton steps; its ulp rules stop it in a few
+_NEWTON_STEPS = 100
 
 # the constants of the penalized skew-normal fit's penalty c1*ln(1 + c2*delta^2)
 _PENALTY_C1 = 1.0
@@ -663,8 +669,9 @@ def _skew_normal_penalty(delta):
 # ---------------------------------------------------------------------------
 # structural start points for standardized data rows w (m, n): each entry is
 # an (m, d) array of points, or an (m, j, d) stack whose first point is run
-# and whose other points bound that run's result from above.  The skewed
-# starts take the rows' third moments g1 = mean(w^3), computed once per list.
+# and whose other points bound that run's result from above.  A row whose
+# point is NaN gets no run from that entry.  The skewed starts take the rows'
+# third moments g1 = mean(w^3), computed once per list.
 
 
 def _points(m: int, *cols):
@@ -713,18 +720,29 @@ def _starts_t(w, cfg):
 
 
 def _starts_skew_normal(w, cfg):
-    """The moment start floored by the null point, then the frontier chase.
+    """The moment start floored by the null point, then the frontier chase
+    where the frontier can beat the null.
 
     The first start runs from the method-of-moments point and ends no higher
     than the exact null point, so even a one-start fit never ends above the
     normal fit.  No run starts at the null itself: standardized data have
     sum(z) = 0, so the skew-normal score vanishes there and a
-    derivative-based run would never leave it.
+    derivative-based run would never leave it.  The frontier's supremum is
+    the half-normal at the chased extreme e: with mean m and variance s^2
+    (over n), n log 2 - n/2 log 2 pi (s^2 + (m - e)^2) - n/2, against the
+    null's -n/2 log 2 pi s^2 - n/2.  Where (m - e)^2 exceeds 3 s^2 by more
+    than rounding, the frontier lies below the null point the first start
+    already reaches, and the row gets no chase (a NaN point, which
+    _plan_rows leaves out).  The penalized fit shares the rule: its penalty
+    only lowers the frontier further.
     """
     m = w.shape[0]
     g1 = _third_moment(w)
     moment = _points(m, *_skew_normal_moment_start(g1))
     chase = _points(m, *_chase_start(w, _skewness_sign(g1)))
+    mean = w.mean(axis=1)
+    s2 = np.mean((w - mean[:, None]) ** 2, axis=1)
+    chase[(mean - chase[:, 0]) ** 2 > 3.0 * (1.0 + _FRONTIER_SLACK) * s2] = np.nan
     return [np.stack((moment, np.zeros((m, 3))), axis=1), chase]
 
 
@@ -825,8 +843,8 @@ class FitResult:
     """One fitted family.
 
     iterations counts optimizer iterations: quasi-Newton steps summed over
-    the fit's starts, golden-section evaluations on the two-piece normal
-    profile path, and 0 for the normal family's closed form.
+    the fit's starts, the Newton steps of the two-piece normal profile's
+    refine, and 0 for the normal family's closed form.
     """
 
     family: str
@@ -923,9 +941,19 @@ def _two_piece_rows(w: np.ndarray, cfg: FitConfig) -> _RowFits:
     clipped to the box of cfg.scaling's cap, and sigma^2 = (delta^2 L + R /
     delta^2) / n, both closed form.  All rows at once, the profile is
     maximized over each row's candidate grid (its data points, their
-    midpoints and its mean) and refined by golden-section search between the
-    best grid point's neighbours.  A row's iterations are its golden-section
-    evaluations.
+    midpoints and its mean), then refined between the best grid point's
+    neighbours, on the side where the profile rises from it.  No data point
+    lies inside that bracket, so L and R are quadratics in mu there, and the
+    profile's slope has the sign of -(delta^2 L' + R' / delta^2): with delta
+    inside its box this is the cube-root equation L' R^(2/3) + R' L^(2/3) = 0
+    over (L R)^(1/3), and with delta clipped it is linear in mu.  A
+    safeguarded Newton solve (a bisection step wherever Newton leaves the
+    bracket or the slope's slope is not positive) finds the root, with L and
+    R expanded about the grid point, so that a peak a few ulps from it is
+    resolved.  It stops on ulp rules: once the equation is within four ulps
+    of its terms' sizes, or a step or the bracket within four ulps of the
+    bracket's larger end.  Each row keeps the better of the grid point and
+    the root.  A row's iterations are its Newton steps.
     """
     m, n = w.shape
     per = _rows_per_batch(2 * n)
@@ -950,14 +978,30 @@ def _two_piece_rows(w: np.ndarray, cfg: FitConfig) -> _RowFits:
         return np.array([[below, n - above], [p1[rows, below], q1[rows, above]],
                          [p2[rows, below], q2[rows, above]]])
 
-    def profile(mu, count, total, squares):
-        # log-likelihood, delta and sigma^2 at mu; NaN where every point equals mu
-        left, right = np.maximum(squares - 2.0 * mu * total + count * mu * mu, 0.0)
+    def squares_at(mu, count, total, squares):
+        # L and R at mu
+        return squares - 2.0 * mu * total + count * mu * mu
+
+    def profile(sides):
+        # log-likelihood, delta and sigma^2 of L and R; NaN where both are 0
+        left, right = np.maximum(sides, 0.0)
         delta = np.minimum(np.maximum((right / left) ** (1.0 / 6.0), box.lo), box.hi)
         d2 = delta * delta
         var = (d2 * left + right / d2) / n
         ll = n * np.log(2.0 / (delta + 1.0 / delta)) - 0.5 * n * np.log(var)
         return ll - (0.5 * n + n * LOG_SQRT_TWO_PI), delta, var
+
+    def equation(h, value, tilt, count):
+        # L and R at best + h from their values and slopes at best, and
+        # delta^2 L' + R' / delta^2 there, with its slope in h and its rounding
+        sides = value + h * (tilt + count * h)
+        left, right = np.maximum(sides, 0.0)
+        dl, dr = tilt + 2.0 * count * h
+        root = (right / left) ** (1.0 / 6.0)
+        d2 = np.minimum(np.maximum(root, box.lo), box.hi) ** 2
+        curv = 2.0 * (count[0] * d2 + count[1] / d2) + np.where(
+            (root > box.lo) & (root < box.hi), (dl * d2 - dr / d2) * (dr / right - dl / left) / 3.0, 0.0)
+        return sides, d2 * dl + dr / d2, curv, 4.0 * np.spacing(np.abs(d2 * dl) + np.abs(dr / d2))
 
     # the grid, and each grid point's counts of data points below it and at
     # or below it: for a data point the start and the end of its run of ties
@@ -971,32 +1015,44 @@ def _two_piece_rows(w: np.ndarray, cfg: FitConfig) -> _RowFits:
     upto = np.concatenate((last, np.where(mids < xs[:, 1:], j[1:], last[:, 1:]),
                            np.count_nonzero(xs <= grid[:, -1:], axis=1, keepdims=True)), axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ll = profile(grid, *sums(below, upto))[0]
+        ll, delta, var = profile(squares_at(grid, *sums(below, upto)))
         i = np.argmax(ll, axis=1)
-        best, ll_best = grid[r, i], ll[r, i]
-        # no data point lies strictly between best and either neighbour, so in
-        # the bracket the points below mu are the first below[r, i] up to
-        # best and the first upto[r, i] beyond it, and those above mu the rest
+        best, ll, delta, var = grid[r, i], ll[r, i], delta[r, i], var[r, i]
         lo = np.max(np.where(grid < best[:, None], grid, xs[:, :1]), axis=1)
         hi = np.min(np.where(grid > best[:, None], grid, xs[:, -1:]), axis=1)
+        # no data point lies strictly between best and either neighbour, so
+        # below best the points below mu are the first below[r, i], and above
+        # it the first upto[r, i]: each side's L, R, slopes and counts at best
         k = np.column_stack((below[r, i], upto[r, i]))
-        sides = np.moveaxis(sums(k, k), -1, 0)
-
-        def bracketed(mu, best, sides):
-            # at mu = best, best itself lies on neither side
-            return profile(mu, *np.where([mu > best, mu >= best], sides[1], sides[0]))
-
-        def search(mu, rows, best, sides):
-            evals[rows] += 1
-            return bracketed(mu, best, sides)[0]
-
-        evals = np.zeros(m, dtype=int)
-        span = np.maximum(xs[:, -1] - xs[:, 0], 1e-12)
-        mu = golden_section_max(search, lo, hi, 1e-7 * span, (r, best, sides))
-        mu = np.where(bracketed(mu, best, sides)[0] < ll_best, best, mu)
-        ll, delta, var = bracketed(mu, best, sides)
+        count, total, squares = sums(k, k)
+        at = best[:, None]
+        left, right = np.moveaxis(np.array([squares_at(at, count, total, squares),
+                                            2.0 * (count * at - total), count]), -1, 0)
+        rise = equation(0.0, *right)[1] < 0.0
+        rows = np.flatnonzero(rise | (equation(0.0, *left)[1] > 0.0))
+        sides = np.where(rise, right, left)
+        a, b = np.where(rise, 0.0, lo - best), np.where(rise, hi - best, 0.0)
+        tol = 4.0 * np.spacing(np.maximum(np.abs(lo), np.abs(hi)))
+        h, steps = np.zeros(m), np.zeros(m, dtype=int)
+        _, psi, curv, _ = equation(0.0, *sides[..., rows])
+        while rows.size:
+            step = h[rows] - psi / curv
+            newton = (curv > 0.0) & (step > a[rows]) & (step < b[rows])
+            step = np.where(newton, step, 0.5 * (a[rows] + b[rows]))
+            moved = np.abs(step - h[rows])
+            h[rows], steps[rows] = step, steps[rows] + 1
+            _, psi, curv, noise = equation(step, *sides[..., rows])
+            a[rows] = np.where(psi < 0.0, step, a[rows])
+            b[rows] = np.where(psi > 0.0, step, b[rows])
+            live = ((np.abs(psi) > noise) & (moved > tol[rows]) & (b[rows] - a[rows] > tol[rows])
+                    & (steps[rows] < _NEWTON_STEPS))
+            rows, psi, curv = rows[live], psi[live], curv[live]
+        found = profile(equation(h, *sides)[0])
+        better = found[0] >= ll
+        ll, delta, var = (np.where(better, f, g) for f, g in zip(found, (ll, delta, var)))
+        mu = np.where(better, best + h, best)
         t = np.column_stack((mu, np.log(np.sqrt(var)), box.encode(delta)))
-    return _RowFits(t, -ll, evals, np.ones(m, dtype=bool))
+    return _RowFits(t, -ll, steps, np.ones(m, dtype=bool))
 
 
 # ---------------------------------------------------------------------------
@@ -1260,10 +1316,12 @@ def _plan_rows(spec: _Family, w: np.ndarray, cfg: FitConfig, extra=()):
     seeded by _opg_seed at every start.  The seed runs where its problems
     run, in the process that draws their job, so the seeds' kernel pass and
     linear algebra run in the two processes where a set splits, and no
-    kernel runs here.  Returns (batch, finish): batch is the _Batch to run,
-    None for an exact fit, and finish maps its _batch_bfgs result to the
-    _RowFits.  finish lets a stacked start's other points bound its result
-    from above, and each row keeps its first best start.
+    kernel runs here.  A start whose point is not finite is left out of the
+    batch, and finish counts it as +inf with no iterations.  Returns (batch,
+    finish): batch is the _Batch to run, None for an exact fit, and finish
+    maps its _batch_bfgs result to the _RowFits.  finish lets a stacked
+    start's other points bound its result from above, and each row keeps
+    its first best start.
     """
     if spec.exact is not None:
         fits = spec.exact(w, cfg)
@@ -1287,11 +1345,14 @@ def _plan_rows(spec: _Family, w: np.ndarray, cfg: FitConfig, extra=()):
 
     def seed(idx):
         t = x0[idx]
-        h, seeded, val, score = _opg_seed(spec, w, t, idx // k, cfg)
+        h, seeded, val, score = _opg_seed(spec, w, t, row[idx], cfg)
         return h, seeded, rejected(t, val), score
 
     def finish(result):
-        x, fun, iters, conv = result
+        x, fun, iters, conv = (np.full((m * k,) + a.shape[1:], fill, dtype=a.dtype)
+                               for a, fill in zip(result, (np.nan, np.inf, 0, False)))
+        for out, a in zip((x, fun, iters, conv), result):
+            out[live] = a
         x, fun = x.reshape(m, k, d), fun.reshape(m, k)
         with np.errstate(all="ignore"):
             for j, s in enumerate(starts):
@@ -1306,7 +1367,9 @@ def _plan_rows(spec: _Family, w: np.ndarray, cfg: FitConfig, extra=()):
     maxiter = cfg.maxiter if cfg.maxiter is not None else 400 * d
     rows = np.arange(m)
     x0 = np.stack([s if s.ndim == 2 else s[:, 0] for s in starts], axis=1).reshape(m * k, d)
-    return _Batch(lambda t, r: fn(t, r // k), x0, seed, cfg.xatol, cfg.fatol, maxiter), finish
+    live = np.isfinite(x0).all(axis=1)
+    x0, row = x0[live], np.flatnonzero(live) // k  # each problem's data row
+    return _Batch(lambda t, r: fn(t, row[r]), x0, seed, cfg.xatol, cfg.fatol, maxiter), finish
 
 
 def _fit_planned(plans: Sequence[tuple], n: int) -> list:

@@ -92,7 +92,10 @@ class SasTransform:
 
     @scalar_or_array
     def inverse(self, x):
-        return np.sinh((np.arcsinh(x) - self.delta) / self.eta)
+        # with a small eta, (asinh x - delta) / eta passes 710 inside the fit
+        # box, where H^(-1)(x) is +-inf as a float
+        with np.errstate(over="ignore"):
+            return np.sinh((np.arcsinh(x) - self.delta) / self.eta)
 
     @scalar_or_array
     def log_jacobian(self, x):

@@ -437,6 +437,25 @@ def _mp_log_t_cdf(df, t):
         return float(mpmath.log(mpmath.betainc(df / 2, 0.5, 0, x, regularized=True) / 2))
 
 
+def test_log_t_norm_takes_each_form_on_its_own_rows():
+    # nu straddles a = nu / 2 = 20, where the direct form hands over to the
+    # series; a mixed batch keeps the bits of both forms taken everywhere
+    nu = np.concatenate((np.linspace(0.5, 39.5, 40), [np.nextafter(40.0, 0.0), 40.0],
+                         [np.nextafter(40.0, 50.0)], np.linspace(40.5, 200.0, 50), [1e4, 1e8]))
+    a = 0.5 * nu
+    direct = special.gammaln(a + 0.5) - special.gammaln(a) - 0.5 * np.log(nu * math.pi)
+    b = 1.0 / (a * a)
+    r = 1 / 192 + b * (-1 / 640 + b * (17 / 14336 + b * (-31 / 18432 + b * 691 / 180224)))
+    ref = np.where(a < 20.0, direct, (b * r - 1 / 8) / a - base.LOG_SQRT_TWO_PI)
+    assert np.array_equal(base._log_t_norm(nu), ref)
+    # as the kernels pass it, one nu per parameter row
+    assert np.array_equal(base._log_t_norm(nu[:, None]), ref[:, None])
+    assert np.array_equal(base._log_t_norm(nu[::-1]), ref[::-1])
+    assert np.array_equal(base._log_t_norm(nu[:40]), ref[:40])
+    for v, want in zip(nu, ref):
+        assert base._log_t_norm(float(v)) == want
+
+
 def test_log_stdtr_lower_tail_matches_mpmath():
     # stdtr underflows at the first two points; at the third it does not
     for df, t in ((201.0, -800.0), (201.0, -476.4), (1e4, -46.95), (3.0, -1e5),

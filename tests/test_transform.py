@@ -75,6 +75,19 @@ def test_sas_jacobian_against_finite_differences():
         assert np.max(np.abs(numeric / analytic - 1.0)) < 1e-6
 
 
+def test_sas_inverse_overflows_without_a_warning():
+    # delta = 34, eta = 0.0047 lies inside the fit box, and there every
+    # quantile and draw is -inf as a float; the suite turns a RuntimeWarning
+    # into an error
+    p = _sas_params(34.0, 0.0047)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        q = p.quantile(np.array([1e-12, 0.5, 1.0 - 1e-12]))
+        draws = p.sample(100, base.make_rng(3))
+        assert p.quantile(0.5) == -math.inf
+    assert np.all(q == -math.inf) and np.all(draws == -math.inf)
+
+
 def test_sas_transform_validation():
     with pytest.raises(ValueError):
         transform.SasTransform(0.0, 0.0)
