@@ -10,10 +10,12 @@ as they were:
     python scripts/output_digest.py --src ../other/src   # another checkout
 
 The datasets are normal, t_3, skew-normal (delta = 4) and gamma(2) draws at
-n = 200 and n = 10^4, plus one all-positive sample on which the skew-normal
-and two-piece fits end at their frontier, and its reflection, the
-all-negative sample, on which the two-piece location lands on the sample
-maximum rather than the minimum.  The commands are ``fit --all`` under both
+n = 200 and n = 10^4, plus an all-positive sample at each size on which the
+skew-normal and two-piece fits end at their frontier, and its reflection,
+the all-negative sample, on which the two-piece location lands on the
+sample maximum rather than the minimum.  On the all-positive samples the
+half-t frontier can beat the interior fits, so both t-family frontier
+chases run there, after the first round of ``fit --all``.  The commands are ``fit --all`` under both
 two-piece scalings, ``fit --family F`` for every fittable family (both
 scalings where the family has them), and ``test`` for the four nested pairs
 at ``--reps 99`` on the n = 200 datasets.  The distribution layer follows:
@@ -67,8 +69,9 @@ def datasets() -> dict:
         out[f"t3_{n}"] = rng.standard_t(3.0, size=n)
         out[f"skew_normal_{n}"] = c * u0 + np.sqrt(1.0 - c * c) * u1
         out[f"gamma_{n}"] = rng.gamma(2.0, size=n)
-    out["positive_200"] = np.abs(rng.standard_normal(200)) + 0.1
-    out["negative_200"] = -out["positive_200"]
+    for n in (200, 10_000):
+        out[f"positive_{n}"] = np.abs(rng.standard_normal(n)) + 0.1
+        out[f"negative_{n}"] = -out[f"positive_{n}"]
     return out
 
 

@@ -389,12 +389,20 @@ class LocatedBase(Located):
 
 def _spherical_t_pdf(y, nu: float):
     """The spherical Student t density at a stack (n, k) of points y,
-    Gamma((nu+k)/2) / ((pi nu)^(k/2) Gamma(nu/2)) (1 + ||y||^2 / nu)^(-(nu+k)/2)."""
+    Gamma((nu+k)/2) / ((pi nu)^(k/2) Gamma(nu/2)) (1 + ||y||^2 / nu)^(-(nu+k)/2).
+
+    With a = nu / 2 and k = 2j or 2j + 1, Gamma(a + k/2) / Gamma(a) is the
+    product of a + i for even k, and of a + 1/2 + i times Gamma(a + 1/2) /
+    Gamma(a) for odd k, i < j.  So the constant is the sum of the logs of
+    (a + i) / (pi nu), or (a + 1/2 + i) / (pi nu) plus _log_t_norm(nu), with
+    no log-gammas to cancel at large nu."""
     if not (np.isfinite(nu) and nu > 0.0):
         raise ValueError(f"nu must be positive, got {nu}")
     k = y.shape[1]
-    log_c = (special.gammaln(0.5 * (nu + k)) - special.gammaln(0.5 * nu)
-             - 0.5 * k * math.log(math.pi * nu))
+    half = 0.5 * (k % 2)
+    log_c = sum(math.log((0.5 + (half + i) / nu) / math.pi) for i in range(k // 2))
+    if k % 2:
+        log_c += float(_log_t_norm(nu))
     return np.exp(log_c - 0.5 * (nu + k) * np.log1p((y * y).sum(axis=1) / nu))
 
 

@@ -29,7 +29,10 @@ _OPG_COND, the run starts from the identity.  The seed is built in the
 process that runs the problem, from the kernel's one pass over the start
 points, whose row sums are also the run's start values and scores.  The
 start points are structural (moment, quantile and frontier starts) and
-deterministic, so fits draw no random numbers.  Two families are fit exactly, without the
+deterministic, so fits draw no random numbers.  A fit runs in rounds, each
+one problem set: the t families' frontier chases run in a second round,
+and only on the data rows where a bound on the half-t frontier says that
+they can beat the best fit of the first.  Two families are fit exactly, without the
 optimizer: the normal family has a closed form, and the two-piece normal
 family an exact profile-likelihood path, where for fixed mu
 the optimal scale and asymmetry are closed-form, so the fit reduces to a
@@ -68,6 +71,7 @@ from .base import (
     LocatedBase,
     LocationScale,
     NumericsError,
+    _log_t_norm,
     logistic_base,
     logistic_logf,
     make_rng,
@@ -126,9 +130,16 @@ _FRONTIER_TOL = 1e-4
 # restart so a likelihood that increases all the way to the frontier is found
 # even when interior starts stall on the ridge.
 _CHASE_T = 170.0
-# relative margin, far above rounding, by which the skew-normal frontier must
-# fall below the null before a row skips the chase
+# relative margin, far above rounding, by which a frontier must fall below
+# the fit its row's other starts reach (the skew-normal's: its null point)
+# before the row skips the chase; at inf every chase runs
 _FRONTIER_SLACK = 1e-9
+# the half-t frontier bound's cells of log nu: the box's first split, and the
+# most cells it evaluates for one data row before it lets the chase run; and
+# the bins of log distance it pools a longer row into first
+_FRONTIER_SPLIT = 8
+_FRONTIER_CELLS = 256
+_FRONTIER_BINS = 1024
 
 # the line search's sufficient-decrease constant, and its cap on the max-norm
 # (optimizer coordinates) of a trial step taken before any accepted step has
@@ -231,9 +242,11 @@ def _batch_bfgs(fn, x0, start, xatol, fatol, maxiter):
     long row alone than in a batch): then a problem's result does not depend
     on its batch-mates, and _run_batches can run every family's problems in
     one loop, or split them between two processes.
-    Returns per-problem best point, value, iteration count and convergence
-    flag; a counter added later must come back in this tuple too, or the
-    queue's child would drop it.
+    Returns per-problem best point, value, iteration count, convergence
+    flag and kernel rows: the parameter rows fn evaluated for the problem,
+    plus one for its start point, which the seed evaluated.  A counter added
+    later must come back in this tuple too, or the queue's child would drop
+    it.
     """
 
     def clean(f, g):
@@ -249,6 +262,7 @@ def _batch_bfgs(fn, x0, start, xatol, fatol, maxiter):
     fresh = ~seeded  # h is the identity, not yet scaled by an accepted step
     conv = np.zeros(m, dtype=bool)
     iters = np.zeros(m, dtype=int)
+    kernel = np.ones(m, dtype=int)
     active = np.isfinite(f) & (iters < maxiter)
     stalls = np.zeros(m, dtype=int)  # consecutive steps lowering f by <= fatol
     while active.any():
@@ -282,6 +296,7 @@ def _batch_bfgs(fn, x0, start, xatol, fatol, maxiter):
             a = alpha[pending]
             xt[pending] = x[r] + a[:, None] * p[pending]
             ft[pending], gt[pending] = clean(*fn(xt[pending], r))
+            kernel[r] += 1
             fa = ft[pending]
             ok = (fa < f[r]) & (fa <= f[r] + _ARMIJO * a * slope[pending])
             found[pending[ok]] = True
@@ -339,7 +354,7 @@ def _batch_bfgs(fn, x0, start, xatol, fatol, maxiter):
         fresh[r[scale]] = False
         active &= iters < maxiter
 
-    return x, f, iters, conv
+    return x, f, iters, conv, kernel
 
 
 def _splits(jobs: int, elements: int) -> bool:
@@ -443,8 +458,8 @@ def _run_batches(batches: Sequence[_Batch], n: int) -> list:
                 out[idx] = a
     else:
         result = problems.run(np.arange(m))
-    x, f, iters, conv = result
-    return [(x[lo:hi, :k], f[lo:hi], iters[lo:hi], conv[lo:hi])
+    x, *rest = result
+    return [(x[lo:hi, :k], *(a[lo:hi] for a in rest))
             for k, lo, hi in zip(widths, starts, starts[1:])]
 
 
@@ -706,6 +721,179 @@ def _chase_start(w, sign):
     return mu_c, np.log(np.maximum(s_c, 1e-12)), sign * _CHASE_T
 
 
+def _half_t_profile(ly, count, kappa):
+    """Bounds on M = max over r of g(r) = -n r - kappa sum log(1 + y^2 e^-2r),
+    for rows of log distances ly (k, g), each value counted count (k, g)
+    times, n times in all, and kappa (k,).
+
+    g is concave in r.  With p = 1 / (1 + e^2r / y^2), its slope -n + 2
+    kappa sum p falls from -n + 2 kappa n+ to -n, n+ the count of y > 0, so
+    M is finite only where c = 2 kappa n+ / n exceeds 1.  The root lies in
+    [log min y + log(c - 1) / 2, log max y + log(c) / 2], over y > 0, where a
+    safeguarded Newton solve (a bisection step wherever Newton leaves the
+    bracket) finds it, started at the root of the small-y form of the slope.
+    It stops once the slope is within 1e-13 n of 0, or a step within four
+    ulps.  Returns (lower, upper, r): g at the last iterate r, and that plus
+    |slope| times the bracket's width, which concavity makes an upper bound;
+    both are +inf, and r NaN, where c <= 1.
+    """
+    n = count.sum(axis=1)
+    pos = (ly > -np.inf) & (count > 0)
+    c = 2.0 * kappa * np.where(pos, count, 0).sum(axis=1) / n
+    lower, upper, at = np.full(len(c), np.inf), np.full(len(c), np.inf), np.full(len(c), np.nan)
+    fin = np.flatnonzero(c > 1.0)
+    if not fin.size:
+        return lower, upper, at
+    ly, count, kappa, c, n, pos = ly[fin], count[fin], kappa[fin], c[fin], n[fin], pos[fin]
+    top = np.max(np.where(pos, ly, -np.inf), axis=1)
+    lo = np.min(np.where(pos, ly, np.inf), axis=1) + 0.5 * np.log(c - 1.0)
+    hi = top + 0.5 * np.log(c)
+    small = np.log((count * np.exp(2.0 * (ly - top[:, None]))).sum(axis=1))
+    r = np.clip(0.5 * (np.log(2.0 * kappa / n) + small) + top, lo, hi)
+    floor, done = np.maximum(count, 1), np.zeros(fin.size, dtype=bool)
+    for _ in range(_NEWTON_STEPS):
+        p = count / (1.0 + np.exp(2.0 * (r[:, None] - ly)))
+        slope = 2.0 * kappa * p.sum(axis=1) - n
+        curv = 4.0 * kappa * (p - p * p / floor).sum(axis=1)
+        lo, hi = np.where(slope > 0.0, r, lo), np.where(slope < 0.0, r, hi)
+        step = r + slope / curv
+        step = np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi))
+        done |= (np.abs(slope) <= 1e-13 * n) | (np.abs(step - r) <= 4.0 * np.spacing(np.abs(r)))
+        if done.all():
+            break
+        r = np.where(done, r, step)
+    lower[fin], slope = _half_t_g(ly, count, kappa, r)
+    upper[fin], at[fin] = lower[fin] + np.abs(slope) * (hi - lo), r
+    return lower, upper, at
+
+
+def _half_t_g(ly, count, kappa, r):
+    """_half_t_profile's g at each row's r, and its slope."""
+    n = count.sum(axis=1)
+    x = 2.0 * (ly - r[:, None])
+    # log(1 + e^x) and 1 / (1 + e^-x), from the exp of -|x| alone
+    e = np.exp(-np.abs(x))
+    slope = 2.0 * kappa * (count * np.where(x > 0.0, 1.0, e) / (1.0 + e)).sum(axis=1) - n
+    return -n * r - kappa * (count * (np.maximum(x, 0.0) + np.log1p(e))).sum(axis=1), slope
+
+
+def _pooled(ly):
+    """Rows of log distances ly (m, n) pooled into _FRONTIER_BINS bins of
+    equal width in log y, and a bin of the zeros: each bin's mean log y and
+    count, (m, _FRONTIER_BINS + 1) each.  The bins span each row's positive
+    log y, or its top 80 where they spread wider; a bin lower down takes
+    everything below.  In _half_t_profile, each point's term of g is concave
+    in its log y, so by Jensen's inequality the pooled rows' g lies above
+    the rows' own at every r, and so do their bounds."""
+    m, n = ly.shape
+    g = _FRONTIER_BINS
+    pos = ly > -np.inf
+    top = np.max(ly, axis=1, keepdims=True)
+    bottom = np.maximum(np.min(np.where(pos, ly, np.inf), axis=1, keepdims=True), top - 80.0)
+    width = np.maximum(top - bottom, 1e-300) / g
+    at = np.where(pos, 1 + np.clip(((np.where(pos, ly, bottom) - bottom) / width).astype(int),
+                                   0, g - 1), 0)
+    at += (g + 1) * np.arange(m)[:, None]
+    count = np.bincount(at.ravel(), minlength=m * (g + 1)).reshape(m, g + 1)
+    total = np.bincount(at.ravel(), np.where(pos, ly, 0.0).ravel(), minlength=m * (g + 1))
+    mean = total.reshape(m, g + 1) / np.maximum(count, 1)
+    mean[:, 0] = -np.inf
+    return mean, count
+
+
+@np.errstate(divide="ignore", over="ignore")  # log 0 at the extreme, exp far below the scale
+def _half_t_frontier(y, target):
+    """Bounds on each data row's half-t frontier, the supremum over sigma > 0
+    and nu in _NU's box of n log 2 + sum log t_nu(y / sigma) - n log sigma,
+    for rows of distances y (m, n) >= 0 from the chased extreme.
+
+    Write C for _log_t_norm, which increases on the box.  On a cell [a, b]
+    of nu, log t_nu(x) <= C(b) - (a + 1) / 2 log(1 + x^2 / b), and, since nu
+    log(1 + q / nu) increases in nu, log t_nu(x) <= C(b) - a (b + 1) / (2 b)
+    log(1 + x^2 / a).  Summed over the points, each bound's supremum over
+    sigma is n log 2 + n C(b) + n/2 log(beta) + M(kappa) with (kappa, beta)
+    its coefficient and divisor (_half_t_profile).  A cell's bound is the
+    first, or the smaller of the two where the first does not fall below
+    the target.  The first solve's lower value with the cell's a in place of
+    b is the exact profile at nu = a, a witness that the frontier reaches
+    it.  Rows of more than _FRONTIER_BINS points are bounded from
+    their _pooled bins, whose g lies above the points' own: where a pooled
+    witness reaches the target, the points' own g at its r is the witness.
+
+    Cells start as _FRONTIER_SPLIT equal parts of the box, and halve until,
+    for each row, every cell bounds below its target (the frontier cannot
+    reach it), a witness reaches it, or the next split would pass
+    _FRONTIER_CELLS cells.  Returns (upper, witness): the largest bound of
+    the row's last cells, an upper bound on its frontier, and its best
+    witness, a lower one.
+    """
+    ly = np.log(y)
+    ones = np.ones(ly.shape)
+    exact = y.shape[1] <= _FRONTIER_BINS
+    bins, count = (ly, ones) if exact else _pooled(ly)
+    m, n = ly.shape
+    head = n * math.log(2.0)
+    upper, witness, spent = np.full(m, -np.inf), np.full(m, -np.inf), np.zeros(m, dtype=int)
+    edges = np.linspace(_NU.log_lo, _NU.log_hi, _FRONTIER_SPLIT + 1)
+    owner = np.repeat(np.arange(m), _FRONTIER_SPLIT)
+    lo, hi = np.tile(edges[:-1], m), np.tile(edges[1:], m)
+
+    def chunks(f, rows, *args):
+        # f of the rows (indices into the first two args) and the other
+        # args, _rows_per_batch at a time
+        per = _rows_per_batch(args[0].shape[1])
+        return (np.concatenate(v) for v in zip(*(
+            f(*(a[rows[i : i + per]] for a in args[:2]), *(a[i : i + per] for a in args[2:]))
+            for i in range(0, rows.size, per))))
+
+    while owner.size:
+        a, b = np.exp(lo), np.exp(hi)
+        kappa = 0.5 * (a + 1.0)
+        low, up, at = chunks(_half_t_profile, owner, bins, count, kappa)
+        bound = head + n * _log_t_norm(b) + 0.5 * n * hi + up
+        high = np.flatnonzero(~(bound < target[owner]))
+        if high.size:
+            _, up, _ = chunks(_half_t_profile, owner[high], bins, count,
+                              0.5 * a[high] * (b[high] + 1.0) / b[high])
+            bound[high] = np.minimum(bound[high], head + n * _log_t_norm(b[high])
+                                     + 0.5 * n * lo[high] + up)
+        reach = head + n * _log_t_norm(a) + 0.5 * n * lo + low
+        if not exact:
+            ask = np.flatnonzero((reach >= target[owner]) & (reach < np.inf))
+            reach[reach < np.inf] = -np.inf
+            if ask.size:
+                own, _ = chunks(_half_t_g, owner[ask], ly, ones, kappa[ask], at[ask])
+                reach[ask] = head + n * _log_t_norm(a[ask]) + 0.5 * n * lo[ask] + own
+        np.maximum.at(witness, owner, reach)
+        spent += np.bincount(owner, minlength=m)
+        above = ~(bound < target[owner])
+        split = spent + 2 * np.bincount(owner[above], minlength=m)
+        done = (witness >= target) | (split > _FRONTIER_CELLS)
+        drop = ~above | done[owner]
+        np.maximum.at(upper, owner[drop], bound[drop])
+        owner, lo, hi = owner[~drop], lo[~drop], hi[~drop]
+        mid = 0.5 * (lo + hi)
+        owner = np.repeat(owner, 2)
+        lo, hi = np.stack((lo, mid), 1).ravel(), np.stack((mid, hi), 1).ravel()
+    return upper, witness
+
+
+def _frontier_can_win(w, e, loglik):
+    """Whether the half-t frontier at each data row's chased extreme e can
+    beat loglik, the best log-likelihood its other starts reached: False
+    only where _half_t_frontier bounds it below loglik by more than
+    _FRONTIER_SLACK, relative.  Every skew-t at delta -> +-inf, and every
+    two-piece t with all the data on one side of a mu at or beyond e, lies
+    below that frontier."""
+    target = loglik - _FRONTIER_SLACK * np.abs(loglik)
+    out = np.ones(len(e), dtype=bool)
+    ask = np.flatnonzero(target > -np.inf)
+    if ask.size:
+        upper, _ = _half_t_frontier(np.abs(w[ask] - e[ask, None]), target[ask])
+        out[ask] = ~(upper < target[ask])
+    return out
+
+
 def _starts_logistic(w, cfg):
     return [_points(w.shape[0], np.median(w, axis=1), math.log(0.551))]
 
@@ -747,6 +935,15 @@ def _starts_skew_normal(w, cfg):
 
 
 def _starts_skew_t(w, cfg):
+    """The symmetric start, two moment starts at nu = 5 and 2, and, third,
+    the frontier chase at nu = 5.
+
+    The moment starts take the skew-normal's method-of-moments point.  The
+    chase starts at the half-normal limit the ridge runs to, at the extreme
+    the skewness points away from; _plan_rows runs it in a second round,
+    only on the rows where _frontier_can_win says the half-t frontier there
+    can beat the other starts.
+    """
     m = w.shape[0]
     g1 = _third_moment(w)
     m0, ls0, td0 = _skew_normal_moment_start(g1)
@@ -781,6 +978,9 @@ def _starts_two_piece(w, cfg, with_nu):
     The chase puts mu at the sample extreme the skewness points away from
     and the asymmetry at its cap, so that the wide side holds all the data:
     the frontier optimum of samples like the all-positive one lies there.
+    The two-piece normal's exact profile takes no start.  The two-piece t's
+    chase runs in _plan_rows's second round, only on the rows where
+    _frontier_can_win says its half-t frontier can beat the quantile starts.
     """
     m = w.shape[0]
     box = _ASYMMETRY[cfg.scaling]
@@ -844,7 +1044,9 @@ class FitResult:
 
     iterations counts optimizer iterations: quasi-Newton steps summed over
     the fit's starts, the Newton steps of the two-piece normal profile's
-    refine, and 0 for the normal family's closed form.
+    refine, and 0 for the normal family's closed form.  A frontier chase
+    that the half-t bound rules out runs no step and adds none; the other
+    fields come from the starts that ran.
     """
 
     family: str
@@ -922,6 +1124,7 @@ class _RowFits(NamedTuple):
     nll: np.ndarray  # (m,) its negative log-likelihood in standardized units
     iterations: np.ndarray  # (m,) optimizer iterations summed over the row's starts
     converged: np.ndarray  # (m,) convergence flag of the best start
+    kernel_rows: np.ndarray  # (m,) kernel rows summed over the row's starts (_batch_bfgs)
 
 
 def _normal_rows(w: np.ndarray, cfg: FitConfig) -> _RowFits:
@@ -930,7 +1133,8 @@ def _normal_rows(w: np.ndarray, cfg: FitConfig) -> _RowFits:
     mu = w.mean(axis=1)
     ls = 0.5 * np.log(np.mean((w - mu[:, None]) ** 2, axis=1))
     nll = n * (LOG_SQRT_TWO_PI + ls + 0.5)
-    return _RowFits(np.column_stack((mu, ls)), nll, np.zeros(m, dtype=int), np.ones(m, dtype=bool))
+    none = np.zeros(m, dtype=int)
+    return _RowFits(np.column_stack((mu, ls)), nll, none, np.ones(m, dtype=bool), none)
 
 
 def _two_piece_rows(w: np.ndarray, cfg: FitConfig) -> _RowFits:
@@ -1052,7 +1256,7 @@ def _two_piece_rows(w: np.ndarray, cfg: FitConfig) -> _RowFits:
         ll, delta, var = (np.where(better, f, g) for f, g in zip(found, (ll, delta, var)))
         mu = np.where(better, best + h, best)
         t = np.column_stack((mu, np.log(np.sqrt(var)), box.encode(delta)))
-    return _RowFits(t, -ll, steps, np.ones(m, dtype=bool))
+    return _RowFits(t, -ll, steps, np.ones(m, dtype=bool), np.zeros(m, dtype=int))
 
 
 # ---------------------------------------------------------------------------
@@ -1087,7 +1291,9 @@ class _Family:
     logf is the family's per-point log-density, which the distribution
     built by make evaluates too: logf(z, *shapes) at standardized points z,
     the shapes in report order; a scaled family's is ISF's.  starts is
-    the optimizer's start list, and penalty, where set, a term of the
+    the optimizer's start list, and chase, where set, the index in it of
+    the half-t frontier chase, which _plan_rows runs in a second round where
+    the frontier can win; penalty, where set, is a term of the
     negative log-likelihood in the shapes.  exact, where set, fits every
     data row without the optimizer instead (the normal family, which has no
     logf, and the two-piece normal's profile).  boundary names the shape
@@ -1104,6 +1310,7 @@ class _Family:
     quantile_fit: Optional[Callable] = None
     exact: Optional[Callable] = None
     penalty: Optional[Callable] = None
+    chase: Optional[int] = None
 
     @property
     def n_free(self) -> int:
@@ -1201,7 +1408,7 @@ _FAMILIES = {f.name: f for f in (
             (_Shape("delta", _SKEW, 2),), skew_normal_logf, _starts_skew_normal, "delta"),
     _Family("skew_t", lambda loc, nu, delta: SkewT(loc.mu, loc.sigma, nu, delta),
             (_Shape("nu", _NU, 2), _Shape("delta", _SKEW, 3)), skew_t_logf, _starts_skew_t,
-            "delta"),
+            "delta", chase=2),
     _Family("sas_normal",
             lambda loc, delta, eta: TransformParams(normal_base(), loc, SasTransform(delta, eta)),
             (_Shape("delta", _SAS, 2), _Shape("eta", _ETA, 3)), sas_logf, _starts_sas, "delta"),
@@ -1210,7 +1417,7 @@ _FAMILIES = {f.name: f for f in (
     # reports delta before nu, but optimizes log nu before delta
     _Family("twopiece_t", _two_piece, (_Shape("delta", _ISF, 3), _Shape("nu", _NU, 2)),
             partial(two_piece_logf, base=t_logf), partial(_starts_two_piece, with_nu=True),
-            "delta"),
+            "delta", chase=3),
     _Family("gh_normal",
             lambda loc, g, h: TransformParams(normal_base(), loc, GhTransform(g, h)),
             (_Shape("g"), _Shape("h")), quantile_fit=fit_gh_quantile),
@@ -1308,29 +1515,32 @@ def _sample_error(spec: _Family, n: int, s0) -> Optional[ValueError]:
 
 
 def _plan_rows(spec: _Family, w: np.ndarray, cfg: FitConfig, extra=()):
-    """Plan the fit of spec to every standardized data row of w (m, n).
+    """Plan the fit of spec to every standardized data row of w (m, n), as a
+    generator of rounds that returns the rows' _RowFits.
 
-    A family with an exact fitter runs it here.  The others get, for every
-    row, the points in extra (each (m, d)) and then the first cfg.restarts
-    structural starts, as one batch of quasi-Newton problems (starts x rows)
-    seeded by _opg_seed at every start.  The seed runs where its problems
-    run, in the process that draws their job, so the seeds' kernel pass and
+    A family with an exact fitter runs it here and yields no round.  The
+    others get, for every row, the points in extra (each (m, d)) and then
+    the first cfg.restarts structural starts, as quasi-Newton problems
+    (starts x rows) seeded by _opg_seed at every start.  Each round yields
+    one _Batch and receives its _batch_bfgs result.  Round 1 runs every
+    start but the family's half-t frontier chase (spec.chase), where
+    cfg.restarts reaches it.  Round 2 runs the chase on the rows where
+    _frontier_can_win says the frontier can beat the best of round 1, and
+    is left out where no row's can.  The seed runs where its problems run,
+    in the process that draws their job, so the seeds' kernel pass and
     linear algebra run in the two processes where a set splits, and no
-    kernel runs here.  A start whose point is not finite is left out of the
-    batch, and finish counts it as +inf with no iterations.  Returns (batch,
-    finish): batch is the _Batch to run, None for an exact fit, and finish
-    maps its _batch_bfgs result to the _RowFits.  finish lets a stacked
-    start's other points bound its result from above, and each row keeps
-    its first best start.
+    kernel runs here.  A start that does not run (its point is not finite,
+    or a chase the bound rules out) counts as +inf with no iterations.  A
+    stacked start's other points bound its result from above, and each row
+    keeps its first best start in start order, whatever round ran it.
     """
     if spec.exact is not None:
-        fits = spec.exact(w, cfg)
-        return None, lambda result: fits
+        return spec.exact(w, cfg)
     m, n = w.shape
     starts = [*extra, *spec.starts(w, cfg)[: cfg.restarts]]
-    k = len(starts)
-    d = spec.n_free
+    k, d = len(starts), spec.n_free
     per = _rows_per_batch(n)
+    maxiter = cfg.maxiter if cfg.maxiter is not None else 400 * d
 
     def rejected(t, val):
         # a start or step far outside the data's scale counts as +inf
@@ -1343,42 +1553,71 @@ def _plan_rows(spec: _Family, w: np.ndarray, cfg: FitConfig, extra=()):
         val, score = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
         return rejected(t, val), score
 
-    def seed(idx):
-        t = x0[idx]
-        h, seeded, val, score = _opg_seed(spec, w, t, row[idx], cfg)
-        return h, seeded, rejected(t, val), score
-
-    def finish(result):
-        x, fun, iters, conv = (np.full((m * k,) + a.shape[1:], fill, dtype=a.dtype)
-                               for a, fill in zip(result, (np.nan, np.inf, 0, False)))
-        for out, a in zip((x, fun, iters, conv), result):
-            out[live] = a
-        x, fun = x.reshape(m, k, d), fun.reshape(m, k)
-        with np.errstate(all="ignore"):
-            for j, s in enumerate(starts):
-                for point in np.moveaxis(s[:, 1:], 1, 0) if s.ndim == 3 else ():
-                    val = fn(point, rows)[0]
-                    lower = val < fun[:, j]
-                    x[lower, j], fun[lower, j] = point[lower], val[lower]
-        best = np.argmin(fun, axis=1)
-        return _RowFits(x[rows, best], fun[rows, best], iters.reshape(m, k).sum(axis=1),
-                        conv.reshape(m, k)[rows, best])
-
-    maxiter = cfg.maxiter if cfg.maxiter is not None else 400 * d
-    rows = np.arange(m)
     x0 = np.stack([s if s.ndim == 2 else s[:, 0] for s in starts], axis=1).reshape(m * k, d)
+    # each problem's best point, value, iterations, convergence and kernel rows
+    out = (np.full((m * k, d), np.nan), np.full(m * k, np.inf), np.zeros(m * k, dtype=int),
+           np.zeros(m * k, dtype=bool), np.zeros(m * k, dtype=int))
+
+    def run(problems):
+        # one round of the problems (flat start x row indices), if any
+        if not problems.size:
+            return
+        row = problems // k  # each problem's data row
+
+        def seed(idx):
+            t = x0[problems[idx]]
+            h, seeded, val, score = _opg_seed(spec, w, t, row[idx], cfg)
+            return h, seeded, rejected(t, val), score
+
+        result = yield _Batch(lambda t, r: fn(t, row[r]), x0[problems], seed,
+                              cfg.xatol, cfg.fatol, maxiter)
+        for a, got in zip(out, result):
+            a[problems] = got
+
+    rows = np.arange(m)
+    chase = np.zeros((m, k), dtype=bool)
+    if spec.chase is not None and spec.chase < cfg.restarts:
+        chase[:, len(extra) + spec.chase] = True
+    chase = chase.ravel()
     live = np.isfinite(x0).all(axis=1)
-    x0, row = x0[live], np.flatnonzero(live) // k  # each problem's data row
-    return _Batch(lambda t, r: fn(t, row[r]), x0, seed, cfg.xatol, cfg.fatol, maxiter), finish
-
-
-def _fit_planned(plans: Sequence[tuple], n: int) -> list:
-    """The _RowFits of each (batch, finish) of _plan_rows, over data rows of
-    n points, every batch in one _run_batches call."""
-    batches = [b for b, _ in plans if b is not None]
+    yield from run(np.flatnonzero(live & ~chase))
+    x, fun = out[0].reshape(m, k, d), out[1].reshape(m, k)
     with np.errstate(all="ignore"):
-        results = iter(_run_batches(batches, n))
-    return [finish(None if b is None else next(results)) for b, finish in plans]
+        for j, s in enumerate(starts):
+            for point in np.moveaxis(s[:, 1:], 1, 0) if s.ndim == 3 else ():
+                val = fn(point, rows)[0]
+                lower = val < fun[:, j]
+                x[lower, j], fun[lower, j] = point[lower], val[lower]
+    if chase.any():
+        ask = np.flatnonzero(chase & live)
+        reached = -np.min(np.where(chase.reshape(m, k), np.inf, fun), axis=1)[ask // k]
+        yield from run(ask[_frontier_can_win(w[ask // k], x0[ask, 0], reached)])
+    best = np.argmin(fun, axis=1)
+    iters, conv, kernel = (a.reshape(m, k) for a in out[2:])
+    return _RowFits(x[rows, best], fun[rows, best], iters.sum(axis=1), conv[rows, best],
+                    kernel.sum(axis=1))
+
+
+def _fit_planned(plans: Sequence, n: int) -> list:
+    """The _RowFits each plan of _plan_rows returns, over data rows of n
+    points.  Round r of every plan still live runs as one _run_batches
+    call, so the families of one call share one loop or one queue per
+    round; a round in which no plan yields a batch makes no call."""
+    fits, sent, live = [None] * len(plans), [None] * len(plans), range(len(plans))
+    while live:
+        batches, waiting = [], []
+        for i in live:
+            try:
+                batches.append(plans[i].send(sent[i]))
+                waiting.append(i)
+            except StopIteration as stop:
+                fits[i] = stop.value
+        if batches:
+            with np.errstate(all="ignore"):
+                for i, result in zip(waiting, _run_batches(batches, n)):
+                    sent[i] = result
+        live = waiting
+    return fits
 
 
 def _fit_rows(spec: _Family, w: np.ndarray, cfg: FitConfig, extra=()) -> _RowFits:

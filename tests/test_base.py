@@ -489,6 +489,31 @@ def test_student_pdf_matches_mpmath_at_any_nu():
                 assert abs(got - ref) <= 1e-14 * ref, (nu, x)
 
 
+def test_student_pdf_k_at_k_1_is_the_univariate_t_at_any_nu():
+    # a constant from two cancelling log-gammas is 1.0e-8 off at nu = 1e8;
+    # the k-variate one builds on the univariate t's
+    mp1 = base.MatrixParams(np.array([0.0]), np.array([[1.0]]))
+    for nu in (0.5, 2.0, 200.0, 1e4, 1e6, 1e8):
+        for x in (0.0, 0.5, 3.0):
+            got = base.student_pdf_k(np.array([x]), mp1, nu)
+            ref = base.student_base(nu).pdf(x)
+            assert abs(got - ref) <= 1e-15 * ref, (nu, x)
+
+
+def test_student_pdf_k_bivariate_matches_mpmath_at_large_nu():
+    import mpmath
+
+    mp2 = base.MatrixParams(np.zeros(2), np.eye(2))
+    y = np.array([0.5, -1.25])
+    with mpmath.workdps(40):
+        for nu in (200.0, 1e4, 1e8):
+            n, r2 = mpmath.mpf(nu), mpmath.mpf(0.5) ** 2 + mpmath.mpf(1.25) ** 2
+            ref = (mpmath.gamma((n + 2) / 2) / (mpmath.pi * n * mpmath.gamma(n / 2))
+                   * (1 + r2 / n) ** (-(n + 2) / 2))
+            got = base.student_pdf_k(y, mp2, nu)
+            assert abs(got - ref) <= 1e-14 * ref, nu
+
+
 def test_student_log_pdf_is_finite_where_z_squared_overflows():
     t = base.student_base(0.5)
     with np.errstate(over="ignore"):

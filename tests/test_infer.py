@@ -703,6 +703,148 @@ def test_the_chase_still_runs_on_frontier_samples():
         assert plain.params["delta"] == pytest.approx(delta, abs=1e-4)
 
 
+T_CHASE_CASES = [("skew_t", "isf"), ("twopiece_t", "isf"), ("twopiece_t", "epsilon")]
+
+
+def _forced_chases(spec, w, cfg, monkeypatch):
+    """_fit_rows with every chase run, the rule's slack raised to inf."""
+    with monkeypatch.context() as mp:
+        mp.setattr(infer, "_FRONTIER_SLACK", math.inf)
+        return infer._fit_rows(spec, w, cfg)
+
+
+@pytest.mark.parametrize("family, scaling", T_CHASE_CASES)
+def test_a_skipped_t_chase_never_beats_the_other_starts(family, scaling, monkeypatch):
+    # where the half-t frontier bound lies below the first round's best fit,
+    # a chase run anyway ends no better than it, beyond 1e-9 relative; the
+    # rows that keep the chase keep every bit
+    spec, cfg = infer._FAMILIES[family], infer.FitConfig(scaling=scaling)
+    rows = 0
+    for n in (6, 50, 200, 500):
+        w = _chase_battery(n)
+        ruled = infer._fit_rows(spec, w, cfg)
+        forced = _forced_chases(spec, w, cfg, monkeypatch)
+        # a chase that runs costs at least its start point's kernel row
+        skip = ruled.kernel_rows < forced.kernel_rows
+        assert np.all(forced.nll[skip] >= ruled.nll[skip] - 1e-9 * np.abs(ruled.nll[skip])), n
+        for a, b in zip(ruled, forced):
+            assert np.array_equal(a[~skip], b[~skip]), n
+        assert np.all(ruled.iterations[skip] <= forced.iterations[skip])
+        # every all-positive row and its reflection keeps the chase, and from
+        # n = 50 on every normal row skips it
+        assert not skip[4::5].any() and (n < 50 or skip[0::5].all()), n
+        rows += len(w)
+    assert rows >= 200
+
+
+def _half_t_supremum(y):
+    """The half-t frontier of distances y, sup over sigma and nu in _NU's box
+    of n log 2 + sum log t_nu(y / sigma) - n log sigma, found numerically:
+    the best of L-BFGS-B runs over (log sigma, log nu) from several starts."""
+    from scipy.optimize import minimize
+
+    n = y.size
+
+    def nll(v):
+        with np.errstate(all="ignore"):
+            z = y * np.exp(-v[0])
+            val = -(n * math.log(2.0) + base.t_logf(z, math.exp(v[1])).sum() - n * v[0])
+        return val if np.isfinite(val) else 1e300
+
+    box = [(None, None), (infer._NU.log_lo, infer._NU.log_hi)]
+    pos = y[y > 0.0]
+    scales = (np.max(pos), np.sqrt(np.mean((pos / pos.max()) ** 2)) * pos.max(), np.median(pos))
+    return max(-minimize(nll, [math.log(s), math.log(nu)], method="L-BFGS-B", bounds=box).fun
+               for s in scales for nu in (0.6, 5.0, 150.0))
+
+
+@st.composite
+def _one_sided_samples(draw):
+    """Distances from a sample extreme: half-normal, half-t or exponential
+    draws, some of them tied at 0 with the extreme, at scales 1e-100 to
+    1e100."""
+    n = draw(st.integers(3, 2000))
+    law = draw(st.sampled_from(["half_normal", "half_t", "exponential"]))
+    nu = draw(st.floats(0.5, 200.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    y = {"half_normal": lambda: np.abs(rng.standard_normal(n)),
+         "half_t": lambda: np.abs(rng.standard_t(nu, size=n)),
+         "exponential": lambda: rng.exponential(size=n)}[law]()
+    y[: draw(st.integers(1, max(1, n // 4)))] = 0.0
+    return y * 10.0 ** draw(st.floats(-100.0, 100.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_one_sided_samples())
+def test_the_half_t_frontier_bound_is_never_below_the_frontier(y):
+    sup = _half_t_supremum(y)
+    tol = 1e-12 * (abs(sup) + y.size)
+    for target in (-math.inf, sup - 1e-6 * abs(sup), sup + 1e-6 * abs(sup), math.inf):
+        upper, witness = infer._half_t_frontier(y[None, :], np.array([target]))
+        # the bound holds whatever the target, which only says when to stop
+        assert upper[0] >= sup - tol, target
+        assert witness[0] <= upper[0], target
+
+
+def test_a_frontier_with_too_many_points_at_the_extreme_is_unbounded():
+    # with a third of the points at the extreme, the half-t at nu = 0.5 grows
+    # without bound as sigma -> 0, so no target rules the chase out
+    y = np.abs(base.make_rng(95).standard_normal(30))
+    y[:10] = 0.0
+    upper, witness = infer._half_t_frontier(y[None, :], np.array([1e300]))
+    assert upper[0] == witness[0] == math.inf
+    w = np.concatenate((np.zeros(10), y[10:]))[None, :]
+    assert infer._frontier_can_win(w, np.zeros(1), np.array([1e300])).all()
+
+
+def test_the_t_chases_still_run_on_frontier_samples(monkeypatch):
+    # the half-t frontier can win on these samples, so both t-family chases
+    # run, and each fit keeps every bit of a fit that runs every chase
+    data = _digest_datasets()
+    for x in (BOUNDARY_SAMPLE, data["positive_200"], data["negative_200"],
+              data["positive_10000"]):
+        w = infer._standardize(x[None, :])[0]
+        for family, scaling in T_CHASE_CASES:
+            spec, cfg = infer._FAMILIES[family], infer.FitConfig(scaling=scaling)
+            ruled = infer._fit_rows(spec, w, cfg)
+            forced = _forced_chases(spec, w, cfg, monkeypatch)
+            for a, b in zip(ruled, forced):
+                assert np.array_equal(a, b), (family, scaling, x.size)
+
+
+def _fit_workload_samples(size, monkeypatch):
+    """The first copy of each law of the benchmark's fit workload at one size
+    (large, n = 10^4, or small, n = 200), at seed 1, drawn as
+    perfbench/workloads.py draws them."""
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
+    import laws
+    import workloads
+
+    rng, out = workloads.rng_for(1, 1), []
+    for name, n, copies, _ in workloads.Fit.SIZES:
+        for law, p in workloads.Fit.LAWS:
+            for c in range(copies):
+                x = laws.stratified_draw(law, p, n, rng)
+                if name == size and c == 0:
+                    out.append(x)
+    return out
+
+
+@pytest.mark.parametrize("size", ["small", "large"])
+def test_fit_families_runs_one_round_where_no_chase_can_win(size, monkeypatch):
+    calls, verdicts = [], []
+    run, can_win = infer._run_batches, infer._frontier_can_win
+    monkeypatch.setattr(infer, "_run_batches", lambda *a: calls.append(1) or run(*a))
+    monkeypatch.setattr(infer, "_frontier_can_win",
+                        lambda *a: verdicts.append(can_win(*a)) or verdicts[-1])
+    for x in _fit_workload_samples(size, monkeypatch):
+        calls.clear()
+        infer.fit_families(infer.FAMILY_ORDER, x)
+        assert len(calls) == 1
+    # each sample's skew_t and twopiece_t rows asked, and no chase survived
+    assert len(verdicts) == 8 and not np.concatenate(verdicts).any()
+
+
 def test_fit_equivariance_under_affine_maps():
     data = skewsym.SkewNormal(1.0, 2.0, 1.5).sample(400, base.make_rng(5))
     fits = {fam: infer.fit_mle(fam, data) for fam in infer.FAMILY_ORDER}
@@ -1336,8 +1478,8 @@ def test_batch_bfgs_unseeded_problems_keep_the_identity_run():
     # started from the identity; the arithmetic is IEEE-exact, so the match
     # is bit for bit
     x0 = np.array([[-1.2, 1.0, 0.5], [0.0, 0.0, 0.0], [2.0, -1.5, 3.0]])
-    x, f, iters, conv = infer._batch_bfgs(_rosenbrock, x0, _identity_start(x0),
-                                          1e-10, 1e-14, 2000)
+    x, f, iters, conv, kernel = infer._batch_bfgs(_rosenbrock, x0, _identity_start(x0),
+                                                  1e-10, 1e-14, 2000)
     assert [[v.hex() for v in row] for row in x] == [
         ["0x1.ffffffffffe0dp-1", "0x1.ffffffffffd03p-1", "0x1.ffffffffffa13p-1"],
         ["0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000001p+0"],
@@ -1347,12 +1489,14 @@ def test_batch_bfgs_unseeded_problems_keep_the_identity_run():
         "0x1.7f4d680000000p-84", "0x1.9000000000000p-98", "0x1.831fe80000000p-85"]
     assert iters.tolist() == [57, 36, 57]
     assert conv.all()
+    # the start's evaluation, then at least one line-search trial a step
+    assert np.all(kernel > iters)
 
 
 def test_batch_bfgs_stops_each_problem_at_its_own_cap():
     x0 = np.array([[-1.2, 1.0, 0.5], [2.0, -1.5, 3.0]])
-    x, f, iters, conv = infer._batch_bfgs(_rosenbrock, x0, _identity_start(x0), 1e-10, 1e-14,
-                                          np.array([3, 10]))
+    x, f, iters, conv, _ = infer._batch_bfgs(_rosenbrock, x0, _identity_start(x0), 1e-10,
+                                             1e-14, np.array([3, 10]))
     assert iters.tolist() == [3, 10]
     assert not conv.any()
     # each problem ends where a run under its cap alone ends
@@ -1536,7 +1680,7 @@ def test_seed_start_is_the_kernel_at_the_start_points(family, scaling, monkeypat
     # a start far beyond the data's scale, which the kernel rejects
     far = np.zeros((3, spec.n_free))
     far[:, 0] = 2e6
-    batch, _ = infer._plan_rows(spec, w, cfg, [far])
+    batch = next(infer._plan_rows(spec, w, cfg, [far]))
     # three problems' points per kernel call, so the chunks split the rows
     monkeypatch.setattr(infer, "_BATCH_ELEMENTS", 3 * w.shape[1])
     m = len(batch.x0)
@@ -1676,6 +1820,30 @@ def test_split_fits_keep_their_bits_where_only_some_rows_chase(forks, monkeypatc
             assert np.array_equal(a, b)
 
 
+@needs_fork
+@pytest.mark.parametrize("family, scaling", T_CHASE_CASES)
+def test_split_t_fits_keep_their_bits_where_only_some_rows_chase(family, scaling, forks,
+                                                                 monkeypatch):
+    # the normal rows skip the t-family chase and the all-positive rows run
+    # it, in a second round with its own queue
+    rng = base.make_rng(74)
+    x = np.array([rng.standard_normal(200), np.abs(rng.standard_normal(200)) + 0.1,
+                  rng.standard_normal(200), -np.abs(rng.standard_normal(200)) - 0.1])
+    w = infer._standardize(x)[0]
+    spec, cfg = infer._FAMILIES[family], infer.FitConfig(scaling=scaling)
+    split = infer._fit_rows(spec, w, cfg)
+    assert len(forks) == 2
+    _assert_no_children()
+    with monkeypatch.context() as mp:
+        mp.setattr(infer, "_SPLIT_ELEMENTS", 1 << 62)
+        serial = infer._fit_rows(spec, w, cfg)
+        forced = _forced_chases(spec, w, cfg, mp)
+    assert len(forks) == 2
+    for a, b in zip(split, serial):
+        assert np.array_equal(a, b)
+    assert (split.kernel_rows < forced.kernel_rows).tolist() == [True, False, True, False]
+
+
 class _KernelFailure(Exception):
     pass
 
@@ -1765,7 +1933,9 @@ def _logged_terms(path, terms):
 def test_each_start_point_is_evaluated_once(queued, monkeypatch, tmp_path, request):
     # the seed's kernel pass is the optimizer's start evaluation; once a set
     # splits, the seeds run in the jobs, so this process runs no kernel pass
-    # before it forks
+    # before it forks.  Every chase runs (the rule's slack raised to inf), in
+    # a second round
+    monkeypatch.setattr(infer, "_FRONTIER_SLACK", math.inf)
     events = []
     if queued:
         request.getfixturevalue("forks")
@@ -1789,7 +1959,8 @@ def test_each_start_point_is_evaluated_once(queued, monkeypatch, tmp_path, reque
     cfg = infer.FitConfig()
     starts = [(f, row.tobytes().hex()) for f in infer.FAMILY_ORDER
               if infer._FAMILIES[f].exact is None
-              for row in infer._plan_rows(infer._FAMILIES[f], w, cfg)[0].x0]
+              for s in infer._FAMILIES[f].starts(w, cfg)[: cfg.restarts]
+              for row in (s if s.ndim == 2 else s[:, 0]) if np.isfinite(row).all()]
     assert len(set(starts)) == len(starts) == 16
     seen = [tuple(line.split()) for line in log.read_text().splitlines()]
     counts = {}
@@ -1797,9 +1968,10 @@ def test_each_start_point_is_evaluated_once(queued, monkeypatch, tmp_path, reque
         counts[family, row] = counts.get((family, row), 0) + 1
     assert [counts.get(s, 0) for s in starts] == [1] * len(starts)
     if queued:
-        assert events.count("fork") == 1 and "terms" not in events[:events.index("fork")]
-        # both processes ran kernel passes
-        assert len({pid for pid, _, _ in seen}) == 2
+        # one queue per round: the chases run in the second
+        assert events.count("fork") == 2 and "terms" not in events[:events.index("fork")]
+        # this process and each round's child ran kernel passes
+        assert len({pid for pid, _, _ in seen}) == 3
     else:
         assert "fork" not in events
 
@@ -1929,14 +2101,16 @@ def test_fit_all_forks_once_at_large_n_and_never_at_small_n(counted_forks, tmp_p
 @needs_fork
 @pytest.mark.parametrize("scaling", ["isf", "epsilon"])
 def test_fit_families_equals_fit_mle_queued_and_serial(scaling, forks, monkeypatch):
+    # on this sample the half-t frontier can beat the first round's fits,
+    # so the t-family chases run in a second round: one queue per round
     x = base.make_rng(79).gamma(2.0, size=300)
     cfg = infer.FitConfig(scaling=scaling)
     queued = infer.fit_families(infer.FAMILY_ORDER, x, cfg)
-    assert len(forks) == 1
+    assert len(forks) == 2
     _assert_no_children()
     monkeypatch.setattr(infer, "_SPLIT_ELEMENTS", 1 << 62)
     serial = infer.fit_families(infer.FAMILY_ORDER, x, cfg)
-    assert len(forks) == 1
+    assert len(forks) == 2
     assert list(queued) == list(serial) == list(infer.FAMILY_ORDER)
     for family in infer.FAMILY_ORDER:
         one = infer.fit_mle(family, x, cfg)
@@ -1957,12 +2131,15 @@ def test_fit_all_reports_are_byte_identical_queued_and_serial(n, scaling, forks,
         assert cli.main(argv) == 0
         return out.read_bytes()
 
+    # at n = 300 the t-family chases run in a second round (the half-t
+    # frontier can beat the first round's fits): one queue per round
+    rounds = 1 if n == 4 else 2
     queued = report("queued.json")
-    assert len(forks) == 1
+    assert len(forks) == rounds
     _assert_no_children()
     monkeypatch.setattr(infer, "_SPLIT_ELEMENTS", 1 << 62)
     assert report("serial.json") == queued
-    assert len(forks) == 1
+    assert len(forks) == rounds
     errors = json.loads(queued).get("errors", {})
     # the four-parameter families need five points
     assert list(errors) == (["skew_t", "sas_normal", "twopiece_t"] if n == 4 else [])
