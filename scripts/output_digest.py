@@ -4,7 +4,9 @@ Runs ``flexdist.cli.main`` in-process on fixed datasets and prints one
 digest per command, then a total over all of them.  Two checkouts whose
 totals agree wrote byte-identical reports, curves, draws, exit codes and
 error messages, so the script checks that a change left every result's bits
-as they were:
+as they were.  Each ``fit`` command gets a second digest, labelled
+``[no iterations]``, of its output with every fit's ``iterations`` field
+removed, so that a change which moves only iteration counts shows as such:
 
     python scripts/output_digest.py                      # this checkout
     python scripts/output_digest.py --src ../other/src   # another checkout
@@ -14,8 +16,9 @@ n = 200 and n = 10^4, plus an all-positive sample at each size on which the
 skew-normal and two-piece fits end at their frontier, and its reflection,
 the all-negative sample, on which the two-piece location lands on the
 sample maximum rather than the minimum.  On the all-positive samples the
-half-t frontier can beat the interior fits, so both t-family frontier
-chases run there, after the first round of ``fit --all``.  The commands are ``fit --all`` under both
+frontier can beat the interior fits, so the frontier chases of skew_normal,
+skew_t and twopiece_t run there, after the first round of ``fit --all``.
+The commands are ``fit --all`` under both
 two-piece scalings, ``fit --family F`` for every fittable family (both
 scalings where the family has them), and ``test`` for the four nested pairs
 at ``--reps 99`` on the n = 200 datasets.  The distribution layer follows:
@@ -31,6 +34,7 @@ import contextlib
 import hashlib
 import io
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -116,6 +120,11 @@ def run(cli, argv) -> bytes:
                       *(Path(f).read_text() for f in files)]).encode()
 
 
+def without_iterations(output: bytes) -> bytes:
+    """A fit command's output with each fit's "iterations" line removed."""
+    return re.sub(rb'\n *"iterations": \d+,?', b"", output)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--src", type=Path, default=Path(__file__).resolve().parents[1] / "src",
@@ -135,9 +144,14 @@ def main(argv=None) -> int:
         for name, x in samples.items():
             Path(f"{name}.txt").write_text("".join(f"{v!r}\n" for v in x.tolist()))
         for argv_ in commands(cli, samples):
-            digest = hashlib.sha256(run(cli, argv_)).hexdigest()
-            total.update(digest.encode())
-            print(digest, " ".join(argv_), flush=True)
+            output, label = run(cli, argv_), " ".join(argv_)
+            digests = [(output, label)]
+            if argv_[0] == "fit":
+                digests.append((without_iterations(output), label + " [no iterations]"))
+            for out, name in digests:
+                digest = hashlib.sha256(out).hexdigest()
+                total.update(digest.encode())
+                print(digest, name, flush=True)
     print(total.hexdigest(), "total")
     return 0
 

@@ -154,9 +154,10 @@ class MatrixParams:
 class Located:
     """A law in x = mu + sigma z over a standard law in z.
 
-    A law class gives its location and scale as self.loc, its
-    moment_order_bound() and its standard law through the hooks _logf, _cdf
-    and _quantile (array maps in z) and _draw(n, rng) (n standard draws).  A
+    A law class gives its location and scale as self.loc and its standard
+    law through the hooks _logf, _cdf and _quantile (array maps in z) and
+    _draw(n, rng) (n standard draws); moment_order_bound() is that of its
+    symmetric base self.base unless the class gives its own.  A
     law whose mode is not mu also gives _mode_bracket, a bracket of its peak
     in a coordinate v of z, and _score(v), the slope in v of log f(z) at a
     one-element array of v; v is z itself unless _mode_z maps it to z.  mode
@@ -191,6 +192,10 @@ class Located:
     @staticmethod
     def _mode_z(v):
         return v
+
+    def moment_order_bound(self) -> float:
+        """Moments of order >= this bound diverge (inf when all exist)."""
+        return self.base.moment_order_bound()
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """n draws, deterministic for a given generator."""
@@ -382,9 +387,6 @@ class LocatedBase(Located):
     _cdf = property(lambda self: self.base._cdf)
     _quantile = property(lambda self: self.base._quantile)
     _draw = property(lambda self: self.base._draw)
-
-    def moment_order_bound(self) -> float:
-        return self.base.moment_order_bound()
 
 
 def _spherical_t_pdf(y, nu: float):

@@ -30,9 +30,9 @@ process that runs the problem, from the kernel's one pass over the start
 points, whose row sums are also the run's start values and scores.  The
 start points are structural (moment, quantile and frontier starts) and
 deterministic, so fits draw no random numbers.  A fit runs in rounds, each
-one problem set: the t families' frontier chases run in a second round,
-and only on the data rows where a bound on the half-t frontier says that
-they can beat the best fit of the first.  Two families are fit exactly, without the
+one problem set: a family's frontier chase runs in a second round, only on
+the data rows where a bound on its frontier (a half-normal or half-t at a
+sample extreme) says that it can beat the best fit of the first.  Two families are fit exactly, without the
 optimizer: the normal family has a closed form, and the two-piece normal
 family an exact profile-likelihood path, where for fixed mu
 the optimal scale and asymmetry are closed-form, so the fit reduces to a
@@ -130,9 +130,9 @@ _FRONTIER_TOL = 1e-4
 # restart so a likelihood that increases all the way to the frontier is found
 # even when interior starts stall on the ridge.
 _CHASE_T = 170.0
-# relative margin, far above rounding, by which a frontier must fall below
-# the fit its row's other starts reach (the skew-normal's: its null point)
-# before the row skips the chase; at inf every chase runs
+# relative margin, far above rounding, by which a family's frontier bound
+# must fall below the best fit of its row's first round before the row
+# skips the chase; at inf every chase runs
 _FRONTIER_SLACK = 1e-9
 # the half-t frontier bound's cells of log nu: the box's first split, and the
 # most cells it evaluates for one data row before it lets the chase run; and
@@ -177,6 +177,16 @@ _OPG_COND = 1e12
 
 def _rows_per_batch(n: int) -> int:
     return max(1, _BATCH_ELEMENTS // n)
+
+
+def _by_rows(f, n, *arrays):
+    """f of the arrays' rows, at most _rows_per_batch(n) rows of n elements at
+    a time; f returns a tuple of arrays, joined here along their rows."""
+    per, m = _rows_per_batch(n), len(arrays[0])
+    if m <= per:
+        return f(*arrays)
+    parts = [f(*(a[i : i + per] for a in arrays)) for i in range(0, m, per)]
+    return tuple(map(np.concatenate, zip(*parts)))
 
 
 # ---------------------------------------------------------------------------
@@ -579,18 +589,17 @@ def _opg_seed(spec, w, t, rows, cfg):
     beyond it, and the fit ends at a worse local optimum.
     """
     p, d = t.shape
-    per = _rows_per_batch(w.shape[1])
-    opg, f, g = np.empty((p, d, d)), np.empty(p), np.empty((p, d))
-    for i in range(0, p, per):
-        ti = t[i : i + per]
-        terms = spec.terms(ti, w[rows[i : i + per]], cfg)
+
+    def chunk(ti, ri):
+        terms = spec.terms(ti, w[ri], cfg)
         z, _, dz, parts, _, slopes = terms
         score = np.empty(z.shape + (d,))
         score[..., 0], score[..., 1] = np.exp(-ti[:, 1:2]) * dz, 1.0 + dz * z
         for s, part, slope in zip(spec.shapes, parts, slopes):
             score[..., s.col] = -part * slope[:, None]
-        opg[i : i + per] = np.einsum("kni,knj->kij", score, score)
-        f[i : i + per], g[i : i + per] = spec.sums(ti, terms)
+        return np.einsum("kni,knj->kij", score, score), *spec.sums(ti, terms)
+
+    opg, f, g = _by_rows(chunk, w.shape[1], t, rows)
     seeded = np.isfinite(opg).all(axis=(1, 2))
     seeded[seeded] = np.linalg.cond(opg[seeded]) <= _OPG_COND
     h = np.tile(np.eye(d), (p, 1, 1))
@@ -684,9 +693,8 @@ def _skew_normal_penalty(delta):
 # ---------------------------------------------------------------------------
 # structural start points for standardized data rows w (m, n): each entry is
 # an (m, d) array of points, or an (m, j, d) stack whose first point is run
-# and whose other points bound that run's result from above.  A row whose
-# point is NaN gets no run from that entry.  The skewed starts take the rows'
-# third moments g1 = mean(w^3), computed once per list.
+# and whose other points bound that run's result from above.  The skewed
+# starts take the rows' third moments g1 = mean(w^3), computed once per list.
 
 
 def _points(m: int, *cols):
@@ -838,23 +846,18 @@ def _half_t_frontier(y, target):
     owner = np.repeat(np.arange(m), _FRONTIER_SPLIT)
     lo, hi = np.tile(edges[:-1], m), np.tile(edges[1:], m)
 
-    def chunks(f, rows, *args):
-        # f of the rows (indices into the first two args) and the other
-        # args, _rows_per_batch at a time
-        per = _rows_per_batch(args[0].shape[1])
-        return (np.concatenate(v) for v in zip(*(
-            f(*(a[rows[i : i + per]] for a in args[:2]), *(a[i : i + per] for a in args[2:]))
-            for i in range(0, rows.size, per))))
+    def profile(rows, kappa):
+        return _half_t_profile(bins[rows], count[rows], kappa)
 
     while owner.size:
         a, b = np.exp(lo), np.exp(hi)
         kappa = 0.5 * (a + 1.0)
-        low, up, at = chunks(_half_t_profile, owner, bins, count, kappa)
+        low, up, at = _by_rows(profile, bins.shape[1], owner, kappa)
         bound = head + n * _log_t_norm(b) + 0.5 * n * hi + up
         high = np.flatnonzero(~(bound < target[owner]))
         if high.size:
-            _, up, _ = chunks(_half_t_profile, owner[high], bins, count,
-                              0.5 * a[high] * (b[high] + 1.0) / b[high])
+            _, up, _ = _by_rows(profile, bins.shape[1], owner[high],
+                                0.5 * a[high] * (b[high] + 1.0) / b[high])
             bound[high] = np.minimum(bound[high], head + n * _log_t_norm(b[high])
                                      + 0.5 * n * lo[high] + up)
         reach = head + n * _log_t_norm(a) + 0.5 * n * lo + low
@@ -862,7 +865,8 @@ def _half_t_frontier(y, target):
             ask = np.flatnonzero((reach >= target[owner]) & (reach < np.inf))
             reach[reach < np.inf] = -np.inf
             if ask.size:
-                own, _ = chunks(_half_t_g, owner[ask], ly, ones, kappa[ask], at[ask])
+                own, _ = _by_rows(lambda rows, *args: _half_t_g(ly[rows], ones[rows], *args), n,
+                                  owner[ask], kappa[ask], at[ask])
                 reach[ask] = head + n * _log_t_norm(a[ask]) + 0.5 * n * lo[ask] + own
         np.maximum.at(witness, owner, reach)
         spent += np.bincount(owner, minlength=m)
@@ -878,18 +882,29 @@ def _half_t_frontier(y, target):
     return upper, witness
 
 
-def _frontier_can_win(w, e, loglik):
-    """Whether the half-t frontier at each data row's chased extreme e can
-    beat loglik, the best log-likelihood its other starts reached: False
-    only where _half_t_frontier bounds it below loglik by more than
-    _FRONTIER_SLACK, relative.  Every skew-t at delta -> +-inf, and every
-    two-piece t with all the data on one side of a mu at or beyond e, lies
-    below that frontier."""
+@np.errstate(divide="ignore")  # log 0 where every point sits at the extreme
+def _half_normal_frontier(y, target):
+    """_half_t_frontier's (upper, witness) for the half-normal, sup over sigma
+    of n log 2 + sum log phi(y / sigma) - n log sigma: n log 2 - n/2 log(2 pi
+    mean y^2) - n/2, exact, so both are that, whatever the target."""
+    n = y.shape[1]
+    sup = n * (math.log(2.0) - LOG_SQRT_TWO_PI - 0.5) - 0.5 * n * np.log(np.mean(y * y, axis=1))
+    return sup, sup
+
+
+def _frontier_can_win(bound, w, e, loglik):
+    """Whether the frontier at each data row's chased extreme e can beat
+    loglik, the best log-likelihood of the row's first round: False only
+    where bound, a family's chase, puts it below loglik by more than
+    _FRONTIER_SLACK, relative.  Every skew-normal at delta -> +-inf lies
+    below the half-normal frontier, and every skew-t there and every
+    two-piece t with all the data on one side of a mu at or beyond e below
+    the half-t one (_half_normal_frontier, _half_t_frontier)."""
     target = loglik - _FRONTIER_SLACK * np.abs(loglik)
     out = np.ones(len(e), dtype=bool)
     ask = np.flatnonzero(target > -np.inf)
     if ask.size:
-        upper, _ = _half_t_frontier(np.abs(w[ask] - e[ask, None]), target[ask])
+        upper, _ = bound(np.abs(w[ask] - e[ask, None]), target[ask])
         out[ask] = ~(upper < target[ask])
     return out
 
@@ -908,41 +923,30 @@ def _starts_t(w, cfg):
 
 
 def _starts_skew_normal(w, cfg):
-    """The moment start floored by the null point, then the frontier chase
-    where the frontier can beat the null.
+    """The moment start floored by the null point, then the frontier chase.
 
     The first start runs from the method-of-moments point and ends no higher
     than the exact null point, so even a one-start fit never ends above the
     normal fit.  No run starts at the null itself: standardized data have
     sum(z) = 0, so the skew-normal score vanishes there and a
-    derivative-based run would never leave it.  The frontier's supremum is
-    the half-normal at the chased extreme e: with mean m and variance s^2
-    (over n), n log 2 - n/2 log 2 pi (s^2 + (m - e)^2) - n/2, against the
-    null's -n/2 log 2 pi s^2 - n/2.  Where (m - e)^2 exceeds 3 s^2 by more
-    than rounding, the frontier lies below the null point the first start
-    already reaches, and the row gets no chase (a NaN point, which
-    _plan_rows leaves out).  The penalized fit shares the rule: its penalty
+    derivative-based run would never leave it.  The chase starts at the
+    half-normal limit the ridge runs to, at the extreme the skewness points
+    away from.  The penalized fit shares the chase and its bound: its penalty
     only lowers the frontier further.
     """
     m = w.shape[0]
     g1 = _third_moment(w)
     moment = _points(m, *_skew_normal_moment_start(g1))
     chase = _points(m, *_chase_start(w, _skewness_sign(g1)))
-    mean = w.mean(axis=1)
-    s2 = np.mean((w - mean[:, None]) ** 2, axis=1)
-    chase[(mean - chase[:, 0]) ** 2 > 3.0 * (1.0 + _FRONTIER_SLACK) * s2] = np.nan
     return [np.stack((moment, np.zeros((m, 3))), axis=1), chase]
 
 
 def _starts_skew_t(w, cfg):
-    """The symmetric start, two moment starts at nu = 5 and 2, and, third,
+    """The symmetric start, two moment starts at nu = 5 and 2, and, last,
     the frontier chase at nu = 5.
 
-    The moment starts take the skew-normal's method-of-moments point.  The
-    chase starts at the half-normal limit the ridge runs to, at the extreme
-    the skewness points away from; _plan_rows runs it in a second round,
-    only on the rows where _frontier_can_win says the half-t frontier there
-    can beat the other starts.
+    The moment starts take the skew-normal's method-of-moments point, and
+    the chase the skew-normal's chase point.
     """
     m = w.shape[0]
     g1 = _third_moment(w)
@@ -951,8 +955,8 @@ def _starts_skew_t(w, cfg):
     return [
         _points(m, 0.0, 0.0, math.log(5.0), 0.0),
         _points(m, m0, ls0, math.log(5.0), td0),
-        _points(m, mu_c, ls_c, math.log(5.0), td_c),
         _points(m, m0, ls0, math.log(2.0), td0),
+        _points(m, mu_c, ls_c, math.log(5.0), td_c),
     ]
 
 
@@ -978,9 +982,7 @@ def _starts_two_piece(w, cfg, with_nu):
     The chase puts mu at the sample extreme the skewness points away from
     and the asymmetry at its cap, so that the wide side holds all the data:
     the frontier optimum of samples like the all-positive one lies there.
-    The two-piece normal's exact profile takes no start.  The two-piece t's
-    chase runs in _plan_rows's second round, only on the rows where
-    _frontier_can_win says its half-t frontier can beat the quantile starts.
+    The two-piece normal's exact profile takes no start.
     """
     m = w.shape[0]
     box = _ASYMMETRY[cfg.scaling]
@@ -1011,14 +1013,16 @@ class FitConfig:
     """Optimizer settings shared by fit_mle and lr_test.
 
     restarts caps the number of optimizer starts taken from the front of
-    the family's structural start list; there are no random starts, so a fit
-    is a deterministic function of its data and config.  A run stops when a
+    the family's structural start list, whose last is a frontier chase where
+    the family has one; there are no random starts, so a fit is a
+    deterministic function of its data and config.  A run stops when a
     step's max-norm is at most xatol and it lowers the negative
     log-likelihood by at most fatol, when several steps in a row each lower
-    it by at most fatol, or after maxiter iterations (at least 1; default
-    400 per free parameter).  scaling, isf or epsilon, picks only the cap on the two-piece
-    asymmetry and the form of the reported sigma and delta: both scalings
-    fit the same laws in the same ISF coordinates.
+    it by at most fatol, or after maxiter iterations (default 400 per free
+    parameter).  restarts and maxiter are integers of at least 1, and the
+    tolerances are positive and finite.  scaling, isf or epsilon, picks only
+    the cap on the two-piece asymmetry and the form of the reported sigma
+    and delta: both scalings fit the same laws in the same ISF coordinates.
     """
 
     restarts: int = 5
@@ -1028,12 +1032,16 @@ class FitConfig:
     scaling: str = "isf"
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise ValueError("restarts must be at least 1")
-        if self.maxiter is not None and self.maxiter < 1:
-            raise ValueError("maxiter must be at least 1")
-        if self.xatol <= 0.0 or self.fatol <= 0.0:
-            raise ValueError("tolerances must be positive")
+        # a bool is an int to Python, and a NaN cap would stop every run at its start
+        for name, v in (("restarts", self.restarts),
+                        ("maxiter", 1 if self.maxiter is None else self.maxiter)):
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise TypeError(f"{name} must be an integer, got {v!r}")
+            if v < 1:
+                raise ValueError(f"{name} must be at least 1")
+        for name, v in (("xatol", self.xatol), ("fatol", self.fatol)):
+            if not (math.isfinite(v) and v > 0.0):
+                raise ValueError(f"{name} must be positive and finite")
         if self.scaling not in _SCALINGS:
             raise ValueError(f"unknown scaling {self.scaling!r}")
 
@@ -1045,8 +1053,8 @@ class FitResult:
     iterations counts optimizer iterations: quasi-Newton steps summed over
     the fit's starts, the Newton steps of the two-piece normal profile's
     refine, and 0 for the normal family's closed form.  A frontier chase
-    that the half-t bound rules out runs no step and adds none; the other
-    fields come from the starts that ran.
+    that its family's frontier bound rules out runs no step and adds none;
+    the other fields come from the starts that ran.
     """
 
     family: str
@@ -1138,6 +1146,11 @@ def _normal_rows(w: np.ndarray, cfg: FitConfig) -> _RowFits:
 
 
 def _two_piece_rows(w: np.ndarray, cfg: FitConfig) -> _RowFits:
+    """_two_piece_profile of every data row, at most _BATCH_ELEMENTS grid points at once."""
+    return _RowFits(*_by_rows(partial(_two_piece_profile, cfg=cfg), 2 * w.shape[1], w))
+
+
+def _two_piece_profile(w: np.ndarray, cfg: FitConfig) -> _RowFits:
     """Exact two-piece normal MLE of every data row via the profile likelihood in mu.
 
     For fixed mu, with L and R the sums of squared deviations of the points
@@ -1160,10 +1173,6 @@ def _two_piece_rows(w: np.ndarray, cfg: FitConfig) -> _RowFits:
     the root.  A row's iterations are its Newton steps.
     """
     m, n = w.shape
-    per = _rows_per_batch(2 * n)
-    if m > per:  # at most _BATCH_ELEMENTS grid points at once
-        parts = [_two_piece_rows(w[i : i + per], cfg) for i in range(0, m, per)]
-        return _RowFits(*map(np.concatenate, zip(*parts)))
     r, j = np.arange(m), np.arange(n)
     box = _ASYMMETRY[cfg.scaling]
     xs = np.sort(w, axis=1)
@@ -1290,15 +1299,15 @@ class _Family:
     plus the scaling where scaled.
     logf is the family's per-point log-density, which the distribution
     built by make evaluates too: logf(z, *shapes) at standardized points z,
-    the shapes in report order; a scaled family's is ISF's.  starts is
-    the optimizer's start list, and chase, where set, the index in it of
-    the half-t frontier chase, which _plan_rows runs in a second round where
-    the frontier can win; penalty, where set, is a term of the
-    negative log-likelihood in the shapes.  exact, where set, fits every
-    data row without the optimizer instead (the normal family, which has no
-    logf, and the two-piece normal's profile).  boundary names the shape
-    whose cap sets boundary_flag.  A family with a logf or an exact fitter
-    is fit by maximum likelihood (mle); quantile_fit is a letter-value fit.
+    the shapes in report order; a scaled family's is ISF's.  starts is the
+    optimizer's start list; chase, where set, makes its last start a
+    frontier chase and bounds that frontier (_plan_rows); penalty, where
+    set, is a term of the negative log-likelihood in the shapes.  exact,
+    where set, fits every data row without the optimizer (the normal
+    family, which has no logf, and the two-piece normal's profile).
+    boundary names the shape whose cap sets boundary_flag.  A family with a
+    logf or an exact fitter is fit by maximum likelihood (mle); quantile_fit
+    is a letter-value fit.
     """
 
     name: str
@@ -1310,7 +1319,7 @@ class _Family:
     quantile_fit: Optional[Callable] = None
     exact: Optional[Callable] = None
     penalty: Optional[Callable] = None
-    chase: Optional[int] = None
+    chase: Optional[Callable] = None
 
     @property
     def n_free(self) -> int:
@@ -1405,10 +1414,11 @@ _FAMILIES = {f.name: f for f in (
     _Family("t", lambda loc, nu: LocatedBase(student_base(nu), loc),
             (_Shape("nu", _NU, 2),), t_logf, _starts_t),
     _Family("skew_normal", lambda loc, delta: SkewNormal(loc.mu, loc.sigma, delta),
-            (_Shape("delta", _SKEW, 2),), skew_normal_logf, _starts_skew_normal, "delta"),
+            (_Shape("delta", _SKEW, 2),), skew_normal_logf, _starts_skew_normal, "delta",
+            chase=_half_normal_frontier),
     _Family("skew_t", lambda loc, nu, delta: SkewT(loc.mu, loc.sigma, nu, delta),
             (_Shape("nu", _NU, 2), _Shape("delta", _SKEW, 3)), skew_t_logf, _starts_skew_t,
-            "delta", chase=2),
+            "delta", chase=_half_t_frontier),
     _Family("sas_normal",
             lambda loc, delta, eta: TransformParams(normal_base(), loc, SasTransform(delta, eta)),
             (_Shape("delta", _SAS, 2), _Shape("eta", _ETA, 3)), sas_logf, _starts_sas, "delta"),
@@ -1417,7 +1427,7 @@ _FAMILIES = {f.name: f for f in (
     # reports delta before nu, but optimizes log nu before delta
     _Family("twopiece_t", _two_piece, (_Shape("delta", _ISF, 3), _Shape("nu", _NU, 2)),
             partial(two_piece_logf, base=t_logf), partial(_starts_two_piece, with_nu=True),
-            "delta", chase=3),
+            "delta", chase=_half_t_frontier),
     _Family("gh_normal",
             lambda loc, g, h: TransformParams(normal_base(), loc, GhTransform(g, h)),
             (_Shape("g"), _Shape("h")), quantile_fit=fit_gh_quantile),
@@ -1523,23 +1533,24 @@ def _plan_rows(spec: _Family, w: np.ndarray, cfg: FitConfig, extra=()):
     the first cfg.restarts structural starts, as quasi-Newton problems
     (starts x rows) seeded by _opg_seed at every start.  Each round yields
     one _Batch and receives its _batch_bfgs result.  Round 1 runs every
-    start but the family's half-t frontier chase (spec.chase), where
-    cfg.restarts reaches it.  Round 2 runs the chase on the rows where
-    _frontier_can_win says the frontier can beat the best of round 1, and
-    is left out where no row's can.  The seed runs where its problems run,
-    in the process that draws their job, so the seeds' kernel pass and
-    linear algebra run in the two processes where a set splits, and no
-    kernel runs here.  A start that does not run (its point is not finite,
-    or a chase the bound rules out) counts as +inf with no iterations.  A
-    stacked start's other points bound its result from above, and each row
-    keeps its first best start in start order, whatever round ran it.
+    start but a chased family's frontier chase, its last structural start,
+    where cfg.restarts reaches it.  Round 2 runs the chase on the rows where
+    _frontier_can_win, under the family's bound (spec.chase), says the
+    frontier can beat the best of round 1, and is left out where no row's
+    can.  The seed runs where its problems run, in the process that draws
+    their job, so the seeds' kernel pass and linear algebra run in the two
+    processes where a set splits, and no kernel runs here.  A chase the
+    bound rules out counts as +inf with no iterations.  A stacked start's
+    other points bound its result from above, and each row keeps its first
+    best start in start order, whatever round ran it.
     """
     if spec.exact is not None:
         return spec.exact(w, cfg)
     m, n = w.shape
-    starts = [*extra, *spec.starts(w, cfg)[: cfg.restarts]]
+    structural = spec.starts(w, cfg)
+    starts = [*extra, *structural[: cfg.restarts]]
     k, d = len(starts), spec.n_free
-    per = _rows_per_batch(n)
+    chased = spec.chase is not None and cfg.restarts >= len(structural)
     maxiter = cfg.maxiter if cfg.maxiter is not None else 400 * d
 
     def rejected(t, val):
@@ -1547,10 +1558,8 @@ def _plan_rows(spec: _Family, w: np.ndarray, cfg: FitConfig, extra=()):
         return np.where((np.abs(t[:, 0]) > 1e6) | (np.abs(t[:, 1]) > 200.0), np.inf, val)
 
     def fn(t, rows):
-        # parameter row i against data row rows[i], `per` rows at a time
-        parts = [spec.nll(t[i : i + per], w[rows[i : i + per]], cfg)
-                 for i in range(0, len(rows), per)]
-        val, score = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+        # parameter row i against data row rows[i]
+        val, score = _by_rows(lambda ti, ri: spec.nll(ti, w[ri], cfg), n, t, rows)
         return rejected(t, val), score
 
     x0 = np.stack([s if s.ndim == 2 else s[:, 0] for s in starts], axis=1).reshape(m * k, d)
@@ -1574,13 +1583,8 @@ def _plan_rows(spec: _Family, w: np.ndarray, cfg: FitConfig, extra=()):
         for a, got in zip(out, result):
             a[problems] = got
 
-    rows = np.arange(m)
-    chase = np.zeros((m, k), dtype=bool)
-    if spec.chase is not None and spec.chase < cfg.restarts:
-        chase[:, len(extra) + spec.chase] = True
-    chase = chase.ravel()
-    live = np.isfinite(x0).all(axis=1)
-    yield from run(np.flatnonzero(live & ~chase))
+    rows, problems = np.arange(m), np.arange(m * k).reshape(m, k)
+    yield from run(problems[:, : k - chased].ravel())
     x, fun = out[0].reshape(m, k, d), out[1].reshape(m, k)
     with np.errstate(all="ignore"):
         for j, s in enumerate(starts):
@@ -1588,10 +1592,9 @@ def _plan_rows(spec: _Family, w: np.ndarray, cfg: FitConfig, extra=()):
                 val = fn(point, rows)[0]
                 lower = val < fun[:, j]
                 x[lower, j], fun[lower, j] = point[lower], val[lower]
-    if chase.any():
-        ask = np.flatnonzero(chase & live)
-        reached = -np.min(np.where(chase.reshape(m, k), np.inf, fun), axis=1)[ask // k]
-        yield from run(ask[_frontier_can_win(w[ask // k], x0[ask, 0], reached)])
+    if chased:
+        chase = problems[:, -1]
+        yield from run(chase[_frontier_can_win(spec.chase, w, x0[chase, 0], -fun[:, :-1].min(1))])
     best = np.argmin(fun, axis=1)
     iters, conv, kernel = (a.reshape(m, k) for a in out[2:])
     return _RowFits(x[rows, best], fun[rows, best], iters.sum(axis=1), conv[rows, best],

@@ -424,9 +424,6 @@ class _SkewSymmetricImage(Located):
     def _draw(self, n, rng):
         return self._forward(_sign_flip(self.base, self._pi, n, rng))
 
-    def moment_order_bound(self) -> float:
-        return self.base.moment_order_bound()
-
 
 class _SkewLaw(_SkewSymmetricImage):
     """A skew law with mu and sigma fields, whose score is its kernel's."""

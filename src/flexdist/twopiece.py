@@ -127,9 +127,6 @@ class TwoPieceParams(Located):
         upper = -self.base._quantile(np.minimum((1.0 - q) * sr / a, 0.5)) / sr
         return np.where(q < left_mass, lower, upper)
 
-    def moment_order_bound(self) -> float:
-        return self.base.moment_order_bound()
-
     def _draw(self, n, rng):
         """Branch pick: side chosen by mass, magnitude from the half base."""
         left_mass, _ = side_masses(self.scheme)

@@ -590,6 +590,22 @@ def test_fit_config_validation():
     for maxiter in (0, -3):
         with pytest.raises(ValueError, match="maxiter"):
             infer.FitConfig(maxiter=maxiter)
+    # numpy integers are integers
+    cfg = infer.FitConfig(restarts=np.int64(1), maxiter=np.int32(50))
+    assert infer.fit_mle("logistic", BOUNDARY_SAMPLE, cfg).iterations > 0
+
+
+@pytest.mark.parametrize("name, value, error", [
+    ("xatol", math.nan, ValueError), ("fatol", math.inf, ValueError),
+    ("xatol", -math.inf, ValueError),
+    # a NaN cap stopped every run at its start, and a float restarts raised
+    # TypeError only once a fit sliced its start list
+    ("maxiter", math.nan, TypeError), ("maxiter", 10.0, TypeError), ("maxiter", True, TypeError),
+    ("restarts", 2.5, TypeError), ("restarts", 2.0, TypeError), ("restarts", True, TypeError),
+])
+def test_fit_config_rejects_bad_values(name, value, error):
+    with pytest.raises(error, match=name):
+        infer.FitConfig(**{name: value})
 
 
 def test_boundary_pathology_all_positive_sample():
@@ -639,13 +655,14 @@ def test_penalized_reports_unpenalized_loglik():
     assert pen.loglik == pytest.approx(ll, rel=1e-12)
 
 
-SKEW_NORMAL_SPECS = {"plain": infer._FAMILIES["skew_normal"],
-                     "penalized": infer._PENALIZED_SKEW_NORMAL}
+# every family with a frontier chase, under each scaling it takes, and the
+# penalized skew-normal fit, which inherits the skew-normal's chase
+CHASE_CASES = [("skew_normal", "isf"), ("penalized", "isf"), ("skew_t", "isf"),
+               ("twopiece_t", "isf"), ("twopiece_t", "epsilon")]
 
 
-def _skips_chase(spec, w):
-    """The rows whose frontier-chase start _starts_skew_normal leaves out."""
-    return np.isnan(spec.starts(w, infer.FitConfig())[1]).any(axis=1)
+def _chase_spec(family):
+    return infer._PENALIZED_SKEW_NORMAL if family == "penalized" else infer._FAMILIES[family]
 
 
 def _chase_battery(n):
@@ -659,66 +676,19 @@ def _chase_battery(n):
     return infer._standardize(np.concatenate((x, -x)))[0]
 
 
-@pytest.mark.parametrize("name", sorted(SKEW_NORMAL_SPECS))
-def test_a_skipped_chase_never_beats_the_other_starts(name, monkeypatch):
-    # where the half-normal frontier lies below the normal fit, a chase run
-    # anyway (the rule's slack raised to inf) ends no better than the best
-    # start the rule keeps; elsewhere the rule changes nothing
-    spec, cfg = SKEW_NORMAL_SPECS[name], infer.FitConfig()
-    for n in (6, 50, 200, 2000):
-        w = _chase_battery(n)
-        skip = _skips_chase(spec, w)
-        ruled = infer._fit_rows(spec, w, cfg)
-        with monkeypatch.context() as mp:
-            mp.setattr(infer, "_FRONTIER_SLACK", math.inf)
-            assert not _skips_chase(spec, w).any()
-            forced = infer._fit_rows(spec, w, cfg)
-        assert np.all(forced.nll[skip] >= ruled.nll[skip] - 1e-9), n
-        for a, b in zip(ruled[:2], forced[:2]):
-            assert np.array_equal(a[~skip], b[~skip]), n
-        assert np.array_equal(ruled.converged[~skip], forced.converged[~skip])
-        assert np.all(ruled.iterations[skip] < forced.iterations[skip])
-        # every all-positive row and its reflection runs the chase, and from
-        # n = 50 on every normal row skips it
-        assert not skip[4::5].any() and (n < 50 or skip[0::5].all()), n
-
-
-def _digest_datasets():
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "output_digest.py")
-    spec = importlib.util.spec_from_file_location("output_digest", path)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod.datasets()
-
-
-def test_the_chase_still_runs_on_frontier_samples():
-    data = _digest_datasets()
-    for x, delta in ((BOUNDARY_SAMPLE, -200.0), (data["positive_200"], 200.0),
-                     (data["negative_200"], -200.0)):
-        w = infer._standardize(x[None, :])[0]
-        for spec in SKEW_NORMAL_SPECS.values():
-            assert not _skips_chase(spec, w).any()
-        plain, pen = infer.fit_mle("skew_normal", x), infer.fit_mle_penalized_skew_normal(x)
-        assert plain.boundary_flag and not pen.boundary_flag
-        assert plain.params["delta"] == pytest.approx(delta, abs=1e-4)
-
-
-T_CHASE_CASES = [("skew_t", "isf"), ("twopiece_t", "isf"), ("twopiece_t", "epsilon")]
-
-
 def _forced_chases(spec, w, cfg, monkeypatch):
-    """_fit_rows with every chase run, the rule's slack raised to inf."""
+    """_fit_rows with every chase run, the gate's slack raised to inf."""
     with monkeypatch.context() as mp:
         mp.setattr(infer, "_FRONTIER_SLACK", math.inf)
         return infer._fit_rows(spec, w, cfg)
 
 
-@pytest.mark.parametrize("family, scaling", T_CHASE_CASES)
-def test_a_skipped_t_chase_never_beats_the_other_starts(family, scaling, monkeypatch):
-    # where the half-t frontier bound lies below the first round's best fit,
-    # a chase run anyway ends no better than it, beyond 1e-9 relative; the
-    # rows that keep the chase keep every bit
-    spec, cfg = infer._FAMILIES[family], infer.FitConfig(scaling=scaling)
+@pytest.mark.parametrize("family, scaling", CHASE_CASES)
+def test_a_skipped_chase_never_beats_the_other_starts(family, scaling, monkeypatch):
+    # where the family's frontier bound lies below the first round's best
+    # fit, a chase run anyway ends no better than it, beyond 1e-9 relative;
+    # the rows that keep the chase keep every bit
+    spec, cfg = _chase_spec(family), infer.FitConfig(scaling=scaling)
     rows = 0
     for n in (6, 50, 200, 500):
         w = _chase_battery(n)
@@ -735,6 +705,14 @@ def test_a_skipped_t_chase_never_beats_the_other_starts(family, scaling, monkeyp
         assert not skip[4::5].any() and (n < 50 or skip[0::5].all()), n
         rows += len(w)
     assert rows >= 200
+
+
+def _digest_datasets():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "output_digest.py")
+    spec = importlib.util.spec_from_file_location("output_digest", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod.datasets()
 
 
 def _half_t_supremum(y):
@@ -758,6 +736,24 @@ def _half_t_supremum(y):
                for s in scales for nu in (0.6, 5.0, 150.0))
 
 
+def _half_normal_supremum(y):
+    """The half-normal frontier of distances y, sup over sigma of n log 2 +
+    sum log phi(y / sigma) - n log sigma, found numerically: the best of
+    Brent runs over log sigma about several scales of the data."""
+    from scipy.optimize import minimize_scalar
+
+    n, pos = y.size, y[y > 0.0]
+
+    def nll(ls):
+        with np.errstate(all="ignore"):
+            val = -(n * math.log(2.0) + base.normal_logf(y * math.exp(-ls)).sum() - n * ls)
+        return val if np.isfinite(val) else 1e300
+
+    top = pos.max()
+    scales = (top, np.sqrt(np.mean((pos / top) ** 2)) * top, np.median(pos))
+    return max(-minimize_scalar(nll, bracket=(math.log(s) - 1.0, math.log(s))).fun for s in scales)
+
+
 @st.composite
 def _one_sided_samples(draw):
     """Distances from a sample extreme: half-normal, half-t or exponential
@@ -774,13 +770,16 @@ def _one_sided_samples(draw):
     return y * 10.0 ** draw(st.floats(-100.0, 100.0))
 
 
+@pytest.mark.parametrize("bound, supremum", [
+    (infer._half_t_frontier, _half_t_supremum), (infer._half_normal_frontier, _half_normal_supremum),
+], ids=["half_t", "half_normal"])
 @settings(max_examples=40, deadline=None)
-@given(_one_sided_samples())
-def test_the_half_t_frontier_bound_is_never_below_the_frontier(y):
-    sup = _half_t_supremum(y)
+@given(y=_one_sided_samples())
+def test_the_half_t_frontier_bound_is_never_below_the_frontier(bound, supremum, y):
+    sup = supremum(y)
     tol = 1e-12 * (abs(sup) + y.size)
     for target in (-math.inf, sup - 1e-6 * abs(sup), sup + 1e-6 * abs(sup), math.inf):
-        upper, witness = infer._half_t_frontier(y[None, :], np.array([target]))
+        upper, witness = bound(y[None, :], np.array([target]))
         # the bound holds whatever the target, which only says when to stop
         assert upper[0] >= sup - tol, target
         assert witness[0] <= upper[0], target
@@ -794,22 +793,27 @@ def test_a_frontier_with_too_many_points_at_the_extreme_is_unbounded():
     upper, witness = infer._half_t_frontier(y[None, :], np.array([1e300]))
     assert upper[0] == witness[0] == math.inf
     w = np.concatenate((np.zeros(10), y[10:]))[None, :]
-    assert infer._frontier_can_win(w, np.zeros(1), np.array([1e300])).all()
+    assert infer._frontier_can_win(infer._half_t_frontier, w, np.zeros(1), np.array([1e300])).all()
 
 
-def test_the_t_chases_still_run_on_frontier_samples(monkeypatch):
-    # the half-t frontier can win on these samples, so both t-family chases
-    # run, and each fit keeps every bit of a fit that runs every chase
+def test_the_chases_still_run_on_frontier_samples(monkeypatch):
+    # every family's frontier can win on these samples, so every chase runs,
+    # and each fit keeps every bit of a fit that runs every chase
     data = _digest_datasets()
-    for x in (BOUNDARY_SAMPLE, data["positive_200"], data["negative_200"],
-              data["positive_10000"]):
+    for x, delta in ((BOUNDARY_SAMPLE, -200.0), (data["positive_200"], 200.0),
+                     (data["negative_200"], -200.0), (data["positive_10000"], 200.0)):
         w = infer._standardize(x[None, :])[0]
-        for family, scaling in T_CHASE_CASES:
-            spec, cfg = infer._FAMILIES[family], infer.FitConfig(scaling=scaling)
+        for family, scaling in CHASE_CASES:
+            spec, cfg = _chase_spec(family), infer.FitConfig(scaling=scaling)
             ruled = infer._fit_rows(spec, w, cfg)
             forced = _forced_chases(spec, w, cfg, monkeypatch)
             for a, b in zip(ruled, forced):
                 assert np.array_equal(a, b), (family, scaling, x.size)
+        plain, pen = infer.fit_mle("skew_normal", x), infer.fit_mle_penalized_skew_normal(x)
+        # at n = 10^4 the penalty, under 10 nats at the cap, no longer keeps
+        # the penalized fit off the frontier
+        assert plain.boundary_flag and pen.boundary_flag == (x.size > 200)
+        assert plain.params["delta"] == pytest.approx(delta, abs=1e-4)
 
 
 def _fit_workload_samples(size, monkeypatch):
@@ -841,8 +845,9 @@ def test_fit_families_runs_one_round_where_no_chase_can_win(size, monkeypatch):
         calls.clear()
         infer.fit_families(infer.FAMILY_ORDER, x)
         assert len(calls) == 1
-    # each sample's skew_t and twopiece_t rows asked, and no chase survived
-    assert len(verdicts) == 8 and not np.concatenate(verdicts).any()
+    # each sample's skew_normal, skew_t and twopiece_t rows asked, and no
+    # chase survived
+    assert len(verdicts) == 12 and not np.concatenate(verdicts).any()
 
 
 def test_fit_equivariance_under_affine_maps():
@@ -1445,10 +1450,10 @@ def test_opg_seed_matches_a_per_point_loop(family, monkeypatch):
     with np.errstate(all="ignore"):
         h, seeded, *_ = infer._opg_seed(spec, w, t, rows, cfg)
         ref = _opg_loop(spec, w, t, rows, cfg)
-    # the frontier chase, the skew-t's third start and the two-piece's last,
-    # sits where the asymmetry's score all but vanishes: its outer product is
-    # singular and it keeps the identity
-    chase = np.arange(t.shape[0]) % k == (2 if family == "skew_t" else k - 1)
+    # the frontier chase, each family's last start, sits where the
+    # asymmetry's score all but vanishes: its outer product is singular and
+    # it keeps the identity
+    chase = np.arange(t.shape[0]) % k == k - 1
     assert np.array_equal(seeded, ~chase)
     eye = np.eye(spec.n_free)
     assert np.array_equal(h[chase], np.broadcast_to(eye, (chase.sum(), *eye.shape)))
@@ -1690,8 +1695,7 @@ def test_seed_start_is_the_kernel_at_the_start_points(family, scaling, monkeypat
             f, g = batch.fn(batch.x0[idx], idx)
         assert h.shape == (idx.size, spec.n_free, spec.n_free) and seeded.shape == idx.shape
         assert f0.tobytes() == f.tobytes() and g0.tobytes() == g.tobytes()
-    # the far start is each data row's first problem (a row may have fewer
-    # problems than another: the normal row runs no skew-normal chase)
+    # the far start is each data row's first problem
     far_starts = np.flatnonzero(batch.x0[:, 0] == 2e6)
     assert far_starts.size == 3
     with np.errstate(all="ignore"):
@@ -1768,16 +1772,20 @@ def test_one_process_batches_run_in_one_loop_as_each_batch_alone(queued, monkeyp
 @needs_fork
 def test_split_fits_are_bit_identical_to_serial_fits(forks, monkeypatch):
     x = base.make_rng(71).gamma(2.0, size=10_000)
+    # the skew-normal's chase cannot win here, so its first round holds one
+    # start, as the logistic fit's does; an extra start gives it a second
+    # problem, and a half to split off
+    extra = {"skew_normal": [{"mu": 2.0, "sigma": 1.5, "delta": 2.0}]}
     for family, scaling in BFGS_CASES:
         cfg = infer.FitConfig(scaling=scaling)
         forks.clear()
-        split = infer.fit_mle(family, x, cfg)
+        split = infer.fit_mle(family, x, cfg, extra.get(family))
         # the logistic fit runs one start, which has no half to split off
         assert len(forks) == (family != "logistic")
         _assert_no_children()
         with monkeypatch.context() as mp:
             mp.setattr(infer, "_SPLIT_ELEMENTS", 1 << 62)
-            serial = infer.fit_mle(family, x, cfg)
+            serial = infer.fit_mle(family, x, cfg, extra.get(family))
         assert len(forks) == (family != "logistic")
         assert split == serial, (family, scaling)
 
@@ -1798,30 +1806,32 @@ def test_split_lr_tests_are_identical_to_serial_tests(null, alt, forks, monkeypa
 @needs_fork
 def test_split_fits_keep_their_bits_where_only_some_rows_chase(forks, monkeypatch):
     # the normal rows skip the skew-normal chase and the frontier rows run
-    # it, so the set's problems are no longer starts x rows
+    # it, in a second round with its own queue
     rng = base.make_rng(74)
     x = np.array([rng.standard_normal(200), np.abs(rng.standard_normal(200)) + 0.1,
                   rng.gamma(2.0, size=200), rng.standard_normal(200),
                   -np.abs(rng.standard_normal(200)) - 0.1, rng.standard_normal(200)])
     w = infer._standardize(x)[0]
     cfg = infer.FitConfig()
-    for spec in SKEW_NORMAL_SPECS.values():
-        skip = _skips_chase(spec, w)
-        assert skip.any() and not skip.all()
+    for family in ("skew_normal", "penalized"):
+        spec = _chase_spec(family)
         forks.clear()
         split = infer._fit_rows(spec, w, cfg)
-        assert len(forks) == 1
+        assert len(forks) == 2
         _assert_no_children()
         with monkeypatch.context() as mp:
             mp.setattr(infer, "_SPLIT_ELEMENTS", 1 << 62)
             serial = infer._fit_rows(spec, w, cfg)
-        assert len(forks) == 1
+            forced = _forced_chases(spec, w, cfg, mp)
+        assert len(forks) == 2
         for a, b in zip(split, serial):
             assert np.array_equal(a, b)
+        skip = split.kernel_rows < forced.kernel_rows
+        assert skip.any() and not skip.all() and not skip[[1, 4]].any()
 
 
 @needs_fork
-@pytest.mark.parametrize("family, scaling", T_CHASE_CASES)
+@pytest.mark.parametrize("family, scaling", CHASE_CASES[2:])
 def test_split_t_fits_keep_their_bits_where_only_some_rows_chase(family, scaling, forks,
                                                                  monkeypatch):
     # the normal rows skip the t-family chase and the all-positive rows run
@@ -1960,7 +1970,7 @@ def test_each_start_point_is_evaluated_once(queued, monkeypatch, tmp_path, reque
     starts = [(f, row.tobytes().hex()) for f in infer.FAMILY_ORDER
               if infer._FAMILIES[f].exact is None
               for s in infer._FAMILIES[f].starts(w, cfg)[: cfg.restarts]
-              for row in (s if s.ndim == 2 else s[:, 0]) if np.isfinite(row).all()]
+              for row in (s if s.ndim == 2 else s[:, 0])]
     assert len(set(starts)) == len(starts) == 16
     seen = [tuple(line.split()) for line in log.read_text().splitlines()]
     counts = {}
