@@ -16,7 +16,7 @@ import time
 
 import numpy as np
 
-from flexdist.infer import FitConfig, lr_test
+from flexdist.infer import NESTED_PAIRS, FitConfig, lr_test
 
 # loose optimizer tolerances: each replicate is refit hundreds of times and
 # the LR statistic only needs ~1e-3 accuracy to rank against its bootstrap
@@ -40,7 +40,7 @@ def rejection_rate(alt, n, reps, boot, alpha, seed, config=FAST, progress=None):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--alt", default="skew_normal",
-                    choices=["skew_normal", "sas_normal", "twopiece_normal"])
+                    choices=sorted(alt for null, alt in NESTED_PAIRS if null == "normal"))
     ap.add_argument("--n", type=int, default=200, help="sample size per replicate")
     ap.add_argument("--reps", type=int, default=500, help="Monte Carlo replicates")
     ap.add_argument("--boot", type=int, default=500, help="bootstrap refits per test")

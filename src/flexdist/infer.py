@@ -13,17 +13,18 @@ batched quasi-Newton optimizer (BFGS with a backtracking line search) drives
 the kernel: a fit runs all of its start points in one batch, fit_families
 runs every family's batch, and a bootstrap test refits the observed sample
 and its replicates, with all their starts, as rows of the same batches, the
-observed sample first.  Where two cores are usable and the problems are
-many, this process and a forked child draw the batches' halves from one
-work queue, with results bit-identical to one process's.  Either way a
-call's batches form one problem set, each family's problems padded to the
-widest family's coordinates: in one process it runs as one loop, so that
-each pass pays its bookkeeping once, and the queue's jobs are index sets of
-it.  Each run's inverse-Hessian approximation starts from the diagonal of
-the inverse outer product of the per-observation scores at its start point
-(the BHHH matrix, Berndt, Hall, Hall & Hausman 1974): each coordinate's
-estimated sampling variance, which puts the very differently scaled
-coordinates on one footing.
+observed sample first; where the optimizer fits the null, the alternative's
+first start is the null's fit, at coordinate 0 of the shapes the null
+lacks.  Where two cores are usable and the problems are many, this process
+and a forked child draw the batches' halves from one work queue, with
+results bit-identical to one process's.  Either way a call's batches form one
+problem set, each family's problems padded to the widest family's
+coordinates: in one process it runs as one loop, so that each pass pays its
+bookkeeping once, and the queue's jobs are index sets of it.  Each run's
+inverse-Hessian approximation starts from the diagonal of the inverse outer
+product of the per-observation scores at its start point (the BHHH matrix,
+Berndt, Hall, Hall & Hausman 1974): each coordinate's estimated sampling
+variance, which puts the very differently scaled coordinates on one footing.
 Where that outer product is not finite or its condition number exceeds
 _OPG_COND, the run starts from the identity.  The seed is built in the
 process that runs the problem, from the kernel's one pass over the start
@@ -32,14 +33,14 @@ start points are structural (moment, quantile and frontier starts) and
 deterministic, so fits draw no random numbers.  A fit runs in rounds, each
 one problem set: a family's frontier chase runs in a second round, only on
 the data rows where a bound on its frontier (a half-normal or half-t at a
-sample extreme) says that it can beat the best fit of the first.  Two families are fit exactly, without the
-optimizer: the normal family has a closed form, and the two-piece normal
-family an exact profile-likelihood path, where for fixed mu
-the optimal scale and asymmetry are closed-form, so the fit reduces to a
-one-dimensional search over mu (a grid, then a Newton refine), batched over
-the data rows.  A two-piece fit
-runs in ISF coordinates under either scaling: the scaling sets only the cap
-on the asymmetry and the form of the report.  nelder_mead, a thin adapter
+sample extreme) says that it can beat the best fit of the first.  Two
+families are fit exactly, without the optimizer: the normal family has a
+closed form, and the two-piece normal family an exact profile-likelihood
+path, where for fixed mu the optimal scale and asymmetry are closed-form,
+so the fit reduces to a one-dimensional search over mu (a grid, then a
+Newton refine), batched over the data rows.  A two-piece fit runs in ISF
+coordinates under either scaling: the scaling sets only the cap on the
+asymmetry and the form of the report.  nelder_mead, a thin adapter
 over scipy's Nelder-Mead simplex, is a public utility; no fit uses it.
 
 One table, _FAMILIES, describes every family, the eight fit by maximum
@@ -47,9 +48,9 @@ likelihood and gh_normal and k_normal.  An entry holds the family's shape
 parameters in report order, each with the map between its optimizer
 coordinate and its natural value (a clipped log box or a capped tanh), the
 distribution constructor, the log-density and starts, the exact fitter where
-there is one, and the shape whose cap sets boundary_flag.  distribution_for,
-FAMILY_ORDER, the generic decode, encode and boundary rule, and the CLI's
-family flags all read it.
+there is one, the shape whose cap sets boundary_flag, and the family it
+nests.  distribution_for, FAMILY_ORDER, NESTED_PAIRS, the generic decode,
+encode and boundary rule, and the CLI's family flags all read it.
 """
 
 import contextlib
@@ -106,20 +107,6 @@ __all__ = [
 # the paper's central pair: the composed-error demo fits both families, and
 # the penalized fit is the skew-normal's
 SKEW_NORMAL_PAIR = ("normal", "skew_normal")
-
-NESTED_PAIRS = frozenset(
-    {
-        SKEW_NORMAL_PAIR,
-        ("normal", "sas_normal"),
-        ("normal", "twopiece_normal"),
-        ("t", "skew_t"),
-    }
-)
-
-# pairs whose alternative gets the fitted null at delta = 0 as an extra start;
-# for the other pairs the alternative's own first start already sits at the
-# normal MLE after standardization, or the alternative is fit exactly
-_EMBEDDED_PAIRS = frozenset({("t", "skew_t")})
 
 # slope at the origin of the capped tanh maps (see _TanhCap)
 _MAP_SLOPE = 10.0
@@ -1307,7 +1294,9 @@ class _Family:
     family, which has no logf, and the two-piece normal's profile).
     boundary names the shape whose cap sets boundary_flag.  A family with a
     logf or an exact fitter is fit by maximum likelihood (mle); quantile_fit
-    is a letter-value fit.
+    is a letter-value fit.  nests, where set, is the null lr_test takes
+    against this family: the family it equals where its other coordinates
+    are 0, where every map puts its symmetric value (delta = 0, eta = 1).
     """
 
     name: str
@@ -1320,6 +1309,7 @@ class _Family:
     exact: Optional[Callable] = None
     penalty: Optional[Callable] = None
     chase: Optional[Callable] = None
+    nests: Optional[str] = None
 
     @property
     def n_free(self) -> int:
@@ -1415,15 +1405,17 @@ _FAMILIES = {f.name: f for f in (
             (_Shape("nu", _NU, 2),), t_logf, _starts_t),
     _Family("skew_normal", lambda loc, delta: SkewNormal(loc.mu, loc.sigma, delta),
             (_Shape("delta", _SKEW, 2),), skew_normal_logf, _starts_skew_normal, "delta",
-            chase=_half_normal_frontier),
+            chase=_half_normal_frontier, nests="normal"),
     _Family("skew_t", lambda loc, nu, delta: SkewT(loc.mu, loc.sigma, nu, delta),
             (_Shape("nu", _NU, 2), _Shape("delta", _SKEW, 3)), skew_t_logf, _starts_skew_t,
-            "delta", chase=_half_t_frontier),
+            "delta", chase=_half_t_frontier, nests="t"),
     _Family("sas_normal",
             lambda loc, delta, eta: TransformParams(normal_base(), loc, SasTransform(delta, eta)),
-            (_Shape("delta", _SAS, 2), _Shape("eta", _ETA, 3)), sas_logf, _starts_sas, "delta"),
+            (_Shape("delta", _SAS, 2), _Shape("eta", _ETA, 3)), sas_logf, _starts_sas, "delta",
+            nests="normal"),
     _Family("twopiece_normal", _two_piece, (_Shape("delta", _ISF, 2),), two_piece_logf,
-            partial(_starts_two_piece, with_nu=False), "delta", exact=_two_piece_rows),
+            partial(_starts_two_piece, with_nu=False), "delta", exact=_two_piece_rows,
+            nests="normal"),
     # reports delta before nu, but optimizes log nu before delta
     _Family("twopiece_t", _two_piece, (_Shape("delta", _ISF, 3), _Shape("nu", _NU, 2)),
             partial(two_piece_logf, base=t_logf), partial(_starts_two_piece, with_nu=True),
@@ -1436,6 +1428,8 @@ _FAMILIES = {f.name: f for f in (
 )}
 
 FAMILY_ORDER = tuple(name for name, f in _FAMILIES.items() if f.mle)
+
+NESTED_PAIRS = frozenset((f.nests, name) for name, f in _FAMILIES.items() if f.nests)
 
 _PENALIZED_SKEW_NORMAL = replace(_FAMILIES[SKEW_NORMAL_PAIR[1]], penalty=_skew_normal_penalty)
 
@@ -1496,13 +1490,6 @@ def _standardize(x):
     return w, e, m0, s0
 
 
-def _to_w_units(params: dict, e, m0, s0) -> dict:
-    out = dict(params)
-    out["mu"] = (float(np.ldexp(params["mu"], -e)) - m0) / s0
-    out["sigma"] = float(np.ldexp(params["sigma"], -e)) / s0
-    return out
-
-
 def _natural(spec: _Family, t, units, cfg: FitConfig) -> dict:
     """Natural parameters of a data row's coordinates t and units (e, m0, s0)."""
     e, m0, s0 = units
@@ -1512,6 +1499,14 @@ def _natural(spec: _Family, t, units, cfg: FitConfig) -> dict:
     if spec.scaled:
         params["scaling"] = cfg.scaling
     return params
+
+
+def _start(spec: _Family, params: dict, units, cfg: FitConfig) -> np.ndarray:
+    """spec's optimizer coordinates of params, in natural units, on a data
+    row standardized with units (e, m0, s0): the inverse of _natural."""
+    e, m0, s0 = units
+    return spec.encode({**params, "mu": (float(np.ldexp(params["mu"], -e)) - m0) / s0,
+                        "sigma": float(np.ldexp(params["sigma"], -e)) / s0}, cfg)
 
 
 def _sample_error(spec: _Family, n: int, s0) -> Optional[ValueError]:
@@ -1641,7 +1636,7 @@ def _fit_sample(fits: Sequence[tuple], data, cfg: FitConfig) -> list:
     for spec, extra_starts in fits:
         error = _sample_error(spec, n, s0)
         if error is None:
-            extra = [spec.encode(_to_w_units(p, e, m0, s0), cfg)[None, :] for p in extra_starts]
+            extra = [_start(spec, p, (e, m0, s0), cfg)[None, :] for p in extra_starts]
             plans.append(_plan_rows(spec, w, cfg, extra))
         out.append(spec if error is None else error)
     rows = iter(_fit_planned(plans, n))
@@ -1718,9 +1713,11 @@ def fit_mle(
 def fit_mle_penalized_skew_normal(data, config: Optional[FitConfig] = None) -> FitResult:
     """Skew-normal fit with the penalty c1*ln(1 + c2*delta^2) on the loglik.
 
-    The penalty keeps the asymmetry estimate finite on samples where plain
-    maximum likelihood runs to the frontier.  The reported loglik (and the
-    criteria built from it) is the unpenalized value at the penalized optimum.
+    On small frontier samples, such as criterion 8's six all-positive
+    points, the penalty keeps delta finite and unflagged; under 10 nats at
+    the _SKEW cap and not growing with n, it can leave a large sample's on
+    the cap, flagged.  The reported loglik (and the criteria built from it)
+    is the unpenalized value at the penalized optimum.
     """
     cfg = config if config is not None else FitConfig()
     return _fit(_PENALIZED_SKEW_NORMAL, data, cfg)
@@ -1755,23 +1752,25 @@ def model_select(fits: Sequence[FitResult], criterion: str = "aic"):
 # bootstrap-calibrated likelihood-ratio test
 
 
-def _lr_rows(null_spec, alt_spec, std, cfg):
-    """LR statistics 2 (loglik_alt - loglik_null) of each data row, and the
-    null's _RowFits, from std, _standardize's (w, e, m0, s0) of the rows.
+def _lr_rows(null_spec, alt_spec, rows, cfg):
+    """LR statistics 2 (loglik_alt - loglik_null) of each data row of rows (m, n).
 
     Both families are fit on the same standardized rows, so the scale terms
-    cancel from the statistic.  NaN marks a row whose refit failed.  An
-    embedded pair's null start takes fit_mle's path: natural units, delta 0,
-    and back.
+    cancel from the statistic.  NaN marks a row whose refit failed.  Where
+    the optimizer fits the null, the alternative's first start is the
+    null's fit with the alternative's other coordinates at 0, where it
+    nests the null, made as fit_mle makes an extra start.  An exactly fit
+    null is the normal, whose standardized fit, the zero point, is
+    sas_normal's first start and skew_normal's floor; twopiece_normal is exact.
     """
-    w, *units = std
+    w, *units = _standardize(rows)
     null = _fit_rows(null_spec, w, cfg)
-    extra = [np.array([
-        alt_spec.encode(_to_w_units({**_natural(null_spec, t, u, cfg), "delta": 0.0}, *u), cfg)
-        for t, u in zip(null.t, zip(*units))
-    ])] if (null_spec.name, alt_spec.name) in _EMBEDDED_PAIRS else []
+    nested = alt_spec.decode(np.zeros(alt_spec.n_free), cfg)
+    extra = [] if null_spec.exact is not None else [np.array([
+        _start(alt_spec, {**nested, **_natural(null_spec, t, u, cfg)}, u, cfg)
+        for t, u in zip(null.t, zip(*units))])]
     alt = _fit_rows(alt_spec, w, cfg, extra)
-    return np.where(units[2] > 0.0, 2.0 * (null.nll - alt.nll), np.nan), null
+    return np.where(units[2] > 0.0, 2.0 * (null.nll - alt.nll), np.nan)
 
 
 def lr_test(
@@ -1819,8 +1818,8 @@ def lr_test(
     children = [None, *gen.spawn(b)]
     per = _rows_per_batch(n)
     stats = np.concatenate([
-        _lr_rows(*specs, _standardize(np.array(
-            [x if c is None else null_dist.sample(n, c) for c in children[i : i + per]])), cfg)[0]
+        _lr_rows(*specs, np.array(
+            [x if c is None else null_dist.sample(n, c) for c in children[i : i + per]]), cfg)
         for i in range(0, b + 1, per)
     ])
     observed, stats = max(0.0, float(stats[0])), stats[1:]

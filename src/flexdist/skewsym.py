@@ -392,11 +392,13 @@ class _SkewSymmetricImage(Located):
 
     def _w_cdf(self, w):
         """F_W at array w, each point its own bits: its smaller tail, F(v) for
-        v <= 0 and 1 - F(v) above, integrated at x = v + d u, u <= 0, with
-        1 / |d| the slope of log g away from v (held at least 1 / max(1,
-        |v|)) and the integrand 1 at u = 0, as in _sn_cdf's tail rule, so a
-        far tail keeps its relative accuracy, to _CDF_ULPS ulps of |log g(v)|,
-        the rounding of log g itself."""
+        v <= 0 and 1 - F(v) above, integrated at x = v - d expm1(r), r >= 0,
+        with 1 / |d| the slope of log g away from v (held at least 1 / max(1,
+        |v|)) and the integrand e^r g(x) / g(v), 1 at r = 0, as in _sn_cdf's
+        tail rule, so a far tail keeps its relative accuracy, to _CDF_ULPS
+        ulps of |log g(v)|, the rounding of log g itself.  The map in r turns
+        a power tail |x|^-(nu + 1) into the decay e^(-nu r), with no endpoint
+        singularity for any nu > 0; x past the float range reads g = 0."""
         shape, w = w.shape, w.ravel()
         out = np.heaviside(w, np.nan)  # 0 and 1 at -inf and +inf, NaN at NaN
         live = np.flatnonzero(np.isfinite(w))
@@ -406,8 +408,15 @@ class _SkewSymmetricImage(Located):
         live, v, top, wide, s = (a[top + np.log(wide) > -800.0] for a in (live, v, top, wide, s))
         step = _SLOPE_STEP * wide
         d = s / np.maximum((top - self._log_g(v - s * step)) / step, 1.0 / wide)
-        area = integrate(lambda u, v, d, top: np.exp(self._log_g(v + d * u) - top),
-                         np.full(v.shape, -np.inf), np.zeros(v.shape),
+
+        def scaled_g(r, v, d, top):
+            with np.errstate(over="ignore"):  # expm1 past the float range
+                x = v - d * np.expm1(r)
+            out, inside = np.zeros(r.shape), np.isfinite(x)
+            out[inside] = np.exp(self._log_g(x[inside]) - top[inside] + r[inside])
+            return out
+
+        area = integrate(scaled_g, np.zeros(v.shape), np.full(v.shape, np.inf),
                          tol=_CDF_ULPS * np.finfo(float).eps * np.maximum(1.0, -top),
                          args=(v, d, top))
         tail = np.exp(top + np.log(np.abs(d) * area))

@@ -214,6 +214,32 @@ def test_cdf_contract(d, points):
     assert np.all(np.diff(d.cdf(grid)) >= 0.0)
 
 
+# a skew-symmetric law over G = Phi and the half-slope transformation of
+# scale on a t base, at any nu down to 1/4: the smaller tail of each falls
+# as slowly as |x|^-nu, and its quadrature still resolves it
+T_BASED_LAWS = {
+    "skew_symmetric-t-normal": lambda f, loc: skewsym.SkewSymmetric(
+        f, loc, 2.0, base.normal_base()),
+    "scale_transformed-t-half": lambda f, loc: twopiece.ScaleTransformed(
+        f, loc, twopiece.half_slope_transform()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(T_BASED_LAWS))
+@given(nu=st.floats(0.25, 200.0), points=POINTS,
+       far=st.lists(st.floats(-1e150, 1e150), max_size=4), levels=LEVELS)
+@settings(max_examples=40, deadline=None)
+def test_cdf_and_quantile_contract_on_t_bases(name, nu, points, far, levels):
+    d = T_BASED_LAWS[name](base.student_base(nu), base.LocationScale(MU, SIGMA))
+    x = np.array(points + far)
+    assert np.array_equal(d.cdf(x), [d.cdf(float(v)) for v in x])
+    assert np.all(np.diff(d.cdf(np.unique(np.round(x, 6)))) >= 0.0)
+    p = np.array(levels)
+    q = d.quantile(p)
+    assert np.array_equal(q, [d.quantile(float(v)) for v in p])
+    assert np.max(np.abs(d.cdf(q) - p)) <= 1e-10
+
+
 @pytest.mark.parametrize("family, scaling", MLE_CASES)
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)

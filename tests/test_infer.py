@@ -46,13 +46,30 @@ def test_log_likelihood_three_point_oracle():
     assert val == pytest.approx(LL_THREE_POINTS, abs=1e-13)
 
 
-def test_log_likelihood_skew_normal_delta_zero_matches_normal():
-    rng = base.make_rng(3)
-    data = rng.standard_normal(200) * 1.7 + 0.4
-    ll_n = infer.log_likelihood("normal", {"mu": 0.4, "sigma": 1.7}, data)
-    ll_s = infer.log_likelihood("skew_normal",
-                                {"mu": 0.4, "sigma": 1.7, "delta": 0.0}, data)
-    assert ll_s == pytest.approx(ll_n, rel=1e-14)
+# each nested pair, with both scalings where the alternative is a two-piece
+NESTINGS = [(null, alt, scaling) for null, alt in sorted(infer.NESTED_PAIRS)
+            for scaling in (("isf", "epsilon") if infer._FAMILIES[alt].scaled else ("isf",))]
+
+
+@pytest.mark.parametrize("null, alt, scaling", NESTINGS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_nested_pairs_nest(null, alt, scaling, data):
+    # the alternative at coordinate 0 of the shapes the null lacks, where
+    # lr_test embeds the null's fit, has the null's log-density, at points
+    # near the location and out to +-1e150
+    cfg = infer.FitConfig(scaling=scaling)
+    params = {"mu": data.draw(st.floats(-1e3, 1e3)), "sigma": data.draw(st.floats(1e-3, 1e3))}
+    if null == "t":
+        params["nu"] = data.draw(st.floats(infer._NU.lo, infer._NU.hi))
+    spec = infer._FAMILIES[alt]
+    nested = {**spec.decode(np.zeros(spec.n_free), cfg), **params, "scaling": scaling}
+    near = data.draw(st.lists(st.floats(-40.0, 40.0), min_size=1, max_size=10))
+    far = data.draw(st.lists(st.floats(-1e150, 1e150), min_size=1, max_size=10))
+    x = np.array([params["mu"] + params["sigma"] * z for z in near] + far)
+    want = infer.distribution_for(null, params).log_pdf(x)
+    np.testing.assert_allclose(infer.distribution_for(alt, nested).log_pdf(x), want,
+                               rtol=1e-13, atol=0.0)
 
 
 def test_log_likelihood_underflow_propagates_minus_inf():
@@ -1115,8 +1132,7 @@ def test_lr_test_chunked_replicates_match(null, alt, monkeypatch):
 
 
 def _lr_rows(null, alt, rows, cfg):
-    return infer._lr_rows(infer._FAMILIES[null], infer._FAMILIES[alt],
-                          infer._standardize(rows), cfg)
+    return infer._lr_rows(infer._FAMILIES[null], infer._FAMILIES[alt], rows, cfg)
 
 
 @pytest.mark.parametrize("null, alt", sorted(infer.NESTED_PAIRS))
@@ -1127,7 +1143,7 @@ def test_lr_rows_match_fit_mle_per_replicate(null, alt):
     nf = infer.fit_mle(null, data, FAST)
     dist = infer.distribution_for(null, nf.params)
     rows = np.array([dist.sample(data.size, c) for c in base.make_rng(49).spawn(99)])
-    stats, _ = _lr_rows(null, alt, rows, FAST)
+    stats = _lr_rows(null, alt, rows, FAST)
     for xb, stat in zip(rows, stats):
         nb = infer.fit_mle(null, xb, FAST)
         ab = infer.fit_mle(alt, xb, FAST, extra_starts=_embed(null, alt, nb.params))
@@ -1140,20 +1156,26 @@ def test_lr_test_statistic_is_its_row_statistic(null, alt):
     # boot >= observed compares numbers computed the same way
     data = base.make_rng(4).standard_normal(200)
     res = infer.lr_test(data, null, alt, 99, rng=base.make_rng(5))
-    stats, _ = _lr_rows(null, alt, data[None, :], infer.FitConfig())
+    stats = _lr_rows(null, alt, data[None, :], infer.FitConfig())
     assert res.statistic == max(0.0, float(stats[0]))
+
+
+def test_lr_rows_embedded_start_keeps_t_skew_t_statistic_non_negative():
+    # on this Cauchy row skew_t's own starts end 18 nats below the t fit, nu
+    # on its floor; its first start, the t fit at delta = 0, keeps the
+    # statistic at or above 0
+    row = np.random.default_rng([7, 200, 1]).standard_t(1.0, size=(100, 200))[13]
+    (stat,) = _lr_rows("t", "skew_t", row[None, :], infer.FitConfig())
+    assert stat >= 0.0
 
 
 def _lr_test_by_parts(data, null, alt, b, rng, cfg):
     """lr_test from row fits run apart: the observed sample as a batch of
     one row, then all the replicates as one batch."""
-    stats, nf = _lr_rows(null, alt, data[None, :], cfg)
-    observed = max(0.0, float(stats[0]))
-    _, (e,), (m0,), (s0,) = infer._standardize(data[None, :])
-    params = infer._natural(infer._FAMILIES[null], nf.t[0], (e, m0, s0), cfg)
-    dist = infer.distribution_for(null, params)
+    observed = max(0.0, float(_lr_rows(null, alt, data[None, :], cfg)[0]))
+    dist = infer.distribution_for(null, infer.fit_mle(null, data, cfg).params)
     rows = np.array([dist.sample(data.size, c) for c in rng.spawn(b)])
-    boot = _lr_rows(null, alt, rows, cfg)[0]
+    boot = _lr_rows(null, alt, rows, cfg)
     ok = np.isfinite(boot)
     exceed = np.count_nonzero(np.maximum(boot[ok], 0.0) >= observed)
     return infer.TestResult(statistic=observed, p_value=(1.0 + exceed) / (b + 1.0),

@@ -467,22 +467,26 @@ def _skew_t_tail_mpmath(x, nu, delta):
         return mpmath.quad(lambda v: pdf(v) / scale, points) * scale
 
 
-# the laws whose cdf is skewsym's smaller-tail quadrature, each with its
-# reflection, the law of -X, whose lower tail is the law's upper tail; and
-# the points of each in SKEW_SYMMETRIC_TAILS, whose tails reach 1e-30
+# the laws whose cdf is skewsym's smaller-tail quadrature, each named
+# base_tilt: its symmetric base (logistic, normal, or t<nu>) and its skewing
+# (a normal or t3 cdf, or the arctan or half-slope transformation of scale);
+# each comes with its reflection, the law of -X, whose lower tail is the
+# law's upper tail; and the points of each in SKEW_SYMMETRIC_TAILS, whose
+# tails reach 1e-30
 def _law_pair(name):
     loc = base.LocationScale(0.0, 1.0)
-    if name == "logistic_normal":
-        return [skewsym.SkewSymmetric(base.logistic_base(), loc, d, NORMAL) for d in (2.0, -2.0)]
-    if name == "t2_t3":
-        return [skewsym.SkewSymmetric(base.student_base(2.0), loc, d, base.student_base(3.0))
-                for d in (-1.5, 1.5)]
-    if name == "normal_arctan":
+    sym, tilt = name.split("_")
+    f = (base.logistic_base() if sym == "logistic" else NORMAL if sym == "normal"
+         else base.student_base(float(sym[1:])))
+    if tilt == "normal":
+        return [skewsym.SkewSymmetric(f, loc, d, NORMAL) for d in (2.0, -2.0)]
+    if tilt == "t3":
+        return [skewsym.SkewSymmetric(f, loc, d, base.student_base(3.0)) for d in (-1.5, 1.5)]
+    if tilt == "arctan":
         # -H(-x) is the arctan tilt at -c
-        return [twopiece.ScaleTransformed(NORMAL, loc, twopiece.arctan_tilt_transform(c))
+        return [twopiece.ScaleTransformed(f, loc, twopiece.arctan_tilt_transform(c))
                 for c in (0.25, -0.25)]
-    return [twopiece.ScaleTransformed(base.student_base(2.0), loc,
-                                      twopiece.half_slope_transform())] * 2
+    return [twopiece.ScaleTransformed(f, loc, twopiece.half_slope_transform())] * 2
 
 
 _CORE = [0.0, 0.2, -0.2, 1.0, -1.0, 3.0, -3.0]
@@ -491,6 +495,11 @@ SKEW_SYMMETRIC_POINTS = {
     "t2_t3": _CORE + [8.0, -8.0, 1e3, -1e3, -1e6, -5e14, 1e5, 5e5],
     "normal_arctan": _CORE + [-2.06, -5.0, 6.0, 8.0, 9.3],
     "t2_half": _CORE + [8.0, -8.0, 1e6, -1e6, 3e14, -3e14],
+    # t bases with nu <= 1/2, whose tails fall as slowly as |x|^-(nu + 1)
+    "t0.25_normal": _CORE + [8.0, -8.0, -5.0, -5.3, 50.0, 1e6, 1e116],
+    "t0.5_normal": _CORE + [8.0, -8.0, -5.0, -5.3, 50.0, 1e6, 1e57],
+    "t0.25_half": _CORE + [8.0, -8.0, 50.0, -50.0, 1e6, -1e6, 1e116, -1e116],
+    "t0.5_half": _CORE + [8.0, -8.0, 50.0, -50.0, 1e6, -1e6, 1e57, -1e57],
 }
 
 
@@ -500,7 +509,10 @@ def _skew_symmetric_tail_mpmath(name, x):
     H^(-1)(x) for a transformation of scale.  The density of W is
     integrated over (-inf, w], split at w (1 + 1 / 64), w (1 + 1 / 8), 2 w,
     16 w and 256 w, and scaled by its value at w so that mpmath's absolute
-    tolerance is a relative one."""
+    tolerance is a relative one.  Below c = min(256 w, -1) it is integrated
+    in s = log(v / c), to s = 512, where a power tail |v|^-(nu + 1) decays
+    as e^(-nu s), which mpmath resolves down to nu = 1/4."""
+    sym, tilt = name.split("_")
     with mpmath.workdps(40):
         y, sign = (mpmath.mpf(x), 1) if x <= 0 else (-mpmath.mpf(x), -1)
         half = mpmath.mpf(1) / 2
@@ -513,17 +525,28 @@ def _skew_symmetric_tail_mpmath(name, x):
             tail = mpmath.betainc(nu / 2, half, 0, nu / (nu + v * v), regularized=True) / 2
             return tail if v < 0 else 1 - tail
 
-        def g(v):
-            if name == "logistic_normal":
-                logistic = mpmath.exp(-abs(v)) / (1 + mpmath.exp(-abs(v))) ** 2
-                return 2 * logistic * mpmath.ncdf(sign * 2 * v)
-            if name == "t2_t3":
-                return 2 * t_pdf(v, 2) * t_cdf(sign * -1.5 * v, 3)
-            if name == "normal_arctan":
-                return 2 * mpmath.npdf(v) * (half + sign * mpmath.mpf(0.25) * mpmath.atan(v))
-            return t_pdf(v, 2)
+        def f(v):
+            if sym == "logistic":
+                return mpmath.exp(-abs(v)) / (1 + mpmath.exp(-abs(v))) ** 2
+            return mpmath.npdf(v) if sym == "normal" else t_pdf(v, mpmath.mpf(sym[1:]))
 
-        if name == "normal_arctan":
+        def g(v):
+            if tilt == "normal":
+                # mpmath's erfc overflows below -1e155, where the factor is 0
+                a = sign * 2 * v
+                return 2 * f(v) * mpmath.ncdf(a) if a > -1e150 else mpmath.mpf(0)
+            if tilt == "t3":
+                return 2 * f(v) * t_cdf(sign * -1.5 * v, 3)
+            if tilt == "arctan":
+                return 2 * f(v) * (half + sign * mpmath.mpf(0.25) * mpmath.atan(v))
+            return f(v)
+
+        def below(c, scale):
+            # past s = 512 a tail at nu >= 1/4 has less than e^-128 of its mass
+            return mpmath.quad(lambda s: -c * mpmath.exp(s) * g(c * mpmath.exp(s)) / scale,
+                               [0, 1, 4, 16, 64, 512])
+
+        if tilt == "arctan":
             c = sign * mpmath.mpf(0.25)
 
             def h(v):
@@ -532,12 +555,11 @@ def _skew_symmetric_tail_mpmath(name, x):
             bracket = (-60 * abs(y) - 1, 60 * abs(y) + 1)
             w = mpmath.findroot(lambda v: h(v) - y, bracket, solver="anderson")
         else:
-            w = 2 * y if name == "t2_half" else y
-        if not w:
-            return mpmath.quad(g, [-mpmath.inf, -1, 0])
+            w = 2 * y if tilt == "half" else y
         scale = g(w)
         cuts = [w * k for k in (256, 16, 2)] + [w * (1 + mpmath.mpf(1) / k) for k in (8, 64)]
-        return mpmath.quad(lambda v: g(v) / scale, [-mpmath.inf, *cuts, w]) * scale
+        far = min(cuts[0], -1)
+        return (below(far, scale) + mpmath.quad(lambda v: g(v) / scale, [far, *cuts, w])) * scale
 
 
 def test_skew_symmetric_cdf_table_is_mpmath():
