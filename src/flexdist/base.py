@@ -163,21 +163,31 @@ class Located:
     one-element array of v; v is z itself unless _mode_z maps it to z.  mode
     takes the root of that score in asinh v (score_peak).  log_pdf, pdf, cdf
     and quantile take a float or an array of points or levels, and a float
-    gives a float.
+    gives a float.  Every density vanishes at +-inf: _logf and _cdf see finite z only.
     """
 
     _mode_bracket = None
 
     @scalar_or_array
     def log_pdf(self, x):
-        return self._logf((x - self.loc.mu) / self.loc.sigma) - math.log(self.loc.sigma)
+        return self._at_finite(self._logf, x, -np.inf, -np.inf) - math.log(self.loc.sigma)
 
     def pdf(self, x):
         return np.exp(self.log_pdf(x))
 
     @scalar_or_array
     def cdf(self, x):
-        return self._cdf((x - self.loc.mu) / self.loc.sigma)
+        return self._at_finite(self._cdf, x, 0.0, 1.0)
+
+    def _at_finite(self, fn, x, below, above):
+        """fn at the finite z = (x - mu) / sigma; below at z = -inf, above at +inf, NaN at NaN."""
+        z = (x - self.loc.mu) / self.loc.sigma
+        finite = np.isfinite(z)
+        if finite.all():
+            return fn(z)
+        out = np.where(z < 0.0, below, np.where(z > 0.0, above, np.nan))
+        out[finite] = fn(z[finite])
+        return out
 
     @scalar_or_array
     def quantile(self, p):

@@ -143,43 +143,33 @@ def cmd_curve(args) -> int:
     return 0
 
 
+# each figure panel: its file name pattern, family, fixed parameters and the
+# parameter sets of its curves
+_FIGURES = [
+    ("fig1_left_skew_normal_delta{delta:g}.csv", "skew_normal", {},
+     [{"delta": d} for d in (0.0, 1.0, 2.0, 5.0)]),
+    ("fig1_right_skew_t_nu2_delta{delta:g}.csv", "skew_t", {"nu": 2.0},
+     [{"delta": d} for d in (0.0, 1.0, 2.0, 5.0)]),
+    ("fig2_left_sas_normal_delta{delta:g}_eta{eta:g}.csv", "sas_normal", {},
+     [{"delta": d, "eta": e} for d, e in ((0.0, 1.0), (-0.5, 0.5), (-1.0, 0.5), (-1.5, 0.5))]),
+    ("fig2_right_sas_normal_delta{delta:g}_eta{eta:g}.csv", "sas_normal", {},
+     [{"delta": d, "eta": e} for d, e in ((0.0, 1.0), (-0.5, 0.5), (-1.0, 1.0), (-1.5, 1.5))]),
+    ("fig3_left_isf_skew_normal_delta{delta:g}.csv", "twopiece_normal", {"scaling": "isf"},
+     [{"delta": d} for d in (1.0, 2.0, 3.0, 10.0)]),
+    ("fig3_right_epsilon_skew_t_nu2_delta{delta:g}.csv", "twopiece_t",
+     {"nu": 2.0, "scaling": "epsilon"}, [{"delta": d} for d in (0.0, 0.1, 0.5, 0.9)]),
+]
+
+
 def figure_curves():
     """(filename, distribution) for every captioned curve of the figures.
 
     Both panels of the second figure repeat two parameter pairs, so 24
     files cover 22 distinct parameter sets.
     """
-    curves = []
-    for d in (0, 1, 2, 5):
-        curves.append((f"fig1_left_skew_normal_delta{d}.csv",
-                       _distribution("skew_normal",
-                                     {"mu": 0.0, "sigma": 1.0,
-                                      "delta": float(d)})))
-    for d in (0, 1, 2, 5):
-        curves.append((f"fig1_right_skew_t_nu2_delta{d}.csv",
-                       _distribution("skew_t",
-                                     {"mu": 0.0, "sigma": 1.0, "nu": 2.0,
-                                      "delta": float(d)})))
-    panels = {"left": [(0.0, 1.0), (-0.5, 0.5), (-1.0, 0.5), (-1.5, 0.5)],
-              "right": [(0.0, 1.0), (-0.5, 0.5), (-1.0, 1.0), (-1.5, 1.5)]}
-    for side, pairs in panels.items():
-        for delta, eta in pairs:
-            name = f"fig2_{side}_sas_normal_delta{delta:g}_eta{eta:g}.csv"
-            curves.append((name,
-                           _distribution("sas_normal",
-                                         {"mu": 0.0, "sigma": 1.0,
-                                          "delta": delta, "eta": eta})))
-    for d in (1, 2, 3, 10):
-        curves.append((f"fig3_left_isf_skew_normal_delta{d}.csv",
-                       _distribution("twopiece_normal",
-                                     {"mu": 0.0, "sigma": 1.0,
-                                      "delta": float(d), "scaling": "isf"})))
-    for d in (0.0, 0.1, 0.5, 0.9):
-        curves.append((f"fig3_right_epsilon_skew_t_nu2_delta{d:g}.csv",
-                       _distribution("twopiece_t",
-                                     {"mu": 0.0, "sigma": 1.0, "nu": 2.0,
-                                      "delta": d, "scaling": "epsilon"})))
-    return curves
+    return [(name.format(**curve),
+             _distribution(family, {"mu": 0.0, "sigma": 1.0, **fixed, **curve}))
+            for name, family, fixed, curves in _FIGURES for curve in curves]
 
 
 def cmd_figures(args) -> int:

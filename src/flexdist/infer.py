@@ -48,9 +48,9 @@ likelihood and gh_normal and k_normal.  An entry holds the family's shape
 parameters in report order, each with the map between its optimizer
 coordinate and its natural value (a clipped log box or a capped tanh), the
 distribution constructor, the log-density and starts, the exact fitter where
-there is one, the shape whose cap sets boundary_flag, and the family it
-nests.  distribution_for, FAMILY_ORDER, NESTED_PAIRS, the generic decode,
-encode and boundary rule, and the CLI's family flags all read it.
+there is one, and the family it nests.  distribution_for, FAMILY_ORDER,
+NESTED_PAIRS, the generic decode, encode and boundary rule (the cap of the
+shape named delta), and the CLI's family flags all read it.
 """
 
 import contextlib
@@ -1292,7 +1292,7 @@ class _Family:
     set, is a term of the negative log-likelihood in the shapes.  exact,
     where set, fits every data row without the optimizer (the normal
     family, which has no logf, and the two-piece normal's profile).
-    boundary names the shape whose cap sets boundary_flag.  A family with a
+    boundary_flag reads the cap of the shape named delta.  A family with a
     logf or an exact fitter is fit by maximum likelihood (mle); quantile_fit
     is a letter-value fit.  nests, where set, is the null lr_test takes
     against this family: the family it equals where its other coordinates
@@ -1304,7 +1304,6 @@ class _Family:
     shapes: tuple = ()
     logf: Optional[Callable] = None
     starts: Optional[Callable] = None
-    boundary: Optional[str] = None
     quantile_fit: Optional[Callable] = None
     exact: Optional[Callable] = None
     penalty: Optional[Callable] = None
@@ -1389,10 +1388,10 @@ class _Family:
         return np.array(t)
 
     def at_boundary(self, params: dict, cfg: FitConfig) -> bool:
-        if self.boundary is None:
+        m = next((m for s, m in zip(self.shapes, self.maps(cfg)) if s.name == "delta"), None)
+        if m is None:
             return False
-        m = next(m for s, m in zip(self.shapes, self.maps(cfg)) if s.name == self.boundary)
-        delta = params[self.boundary]
+        delta = params["delta"]
         # epsilon's delta against 1, the edge of its domain, not against its cap
         return 1.0 - abs(delta) <= _FRONTIER_TOL if m is _EPSILON else m.at_cap(delta)
 
@@ -1404,22 +1403,21 @@ _FAMILIES = {f.name: f for f in (
     _Family("t", lambda loc, nu: LocatedBase(student_base(nu), loc),
             (_Shape("nu", _NU, 2),), t_logf, _starts_t),
     _Family("skew_normal", lambda loc, delta: SkewNormal(loc.mu, loc.sigma, delta),
-            (_Shape("delta", _SKEW, 2),), skew_normal_logf, _starts_skew_normal, "delta",
+            (_Shape("delta", _SKEW, 2),), skew_normal_logf, _starts_skew_normal,
             chase=_half_normal_frontier, nests="normal"),
     _Family("skew_t", lambda loc, nu, delta: SkewT(loc.mu, loc.sigma, nu, delta),
             (_Shape("nu", _NU, 2), _Shape("delta", _SKEW, 3)), skew_t_logf, _starts_skew_t,
-            "delta", chase=_half_t_frontier, nests="t"),
+            chase=_half_t_frontier, nests="t"),
     _Family("sas_normal",
             lambda loc, delta, eta: TransformParams(normal_base(), loc, SasTransform(delta, eta)),
-            (_Shape("delta", _SAS, 2), _Shape("eta", _ETA, 3)), sas_logf, _starts_sas, "delta",
+            (_Shape("delta", _SAS, 2), _Shape("eta", _ETA, 3)), sas_logf, _starts_sas,
             nests="normal"),
     _Family("twopiece_normal", _two_piece, (_Shape("delta", _ISF, 2),), two_piece_logf,
-            partial(_starts_two_piece, with_nu=False), "delta", exact=_two_piece_rows,
-            nests="normal"),
+            partial(_starts_two_piece, with_nu=False), exact=_two_piece_rows, nests="normal"),
     # reports delta before nu, but optimizes log nu before delta
     _Family("twopiece_t", _two_piece, (_Shape("delta", _ISF, 3), _Shape("nu", _NU, 2)),
             partial(two_piece_logf, base=t_logf), partial(_starts_two_piece, with_nu=True),
-            "delta", chase=_half_t_frontier),
+            chase=_half_t_frontier),
     _Family("gh_normal",
             lambda loc, g, h: TransformParams(normal_base(), loc, GhTransform(g, h)),
             (_Shape("g"), _Shape("h")), quantile_fit=fit_gh_quantile),
@@ -1509,12 +1507,12 @@ def _start(spec: _Family, params: dict, units, cfg: FitConfig) -> np.ndarray:
                         "sigma": float(np.ldexp(params["sigma"], -e)) / s0}, cfg)
 
 
-def _sample_error(spec: _Family, n: int, s0) -> Optional[ValueError]:
-    """fit_mle's ValueError, if any, on n points with standardizing scale s0."""
-    if n < spec.n_free + 1:
+def _sample_error(spec: _Family, x: np.ndarray) -> Optional[ValueError]:
+    """fit_mle's ValueError, if any, on the sample x."""
+    if x.size < spec.n_free + 1:
         return ValueError(
-            f"{spec.name} fit needs at least {spec.n_free + 1} observations, got {n}")
-    if s0 == 0.0:
+            f"{spec.name} fit needs at least {spec.n_free + 1} observations, got {x.size}")
+    if x.min() == x.max():
         return ValueError("degenerate sample: zero variance")
     return None
 
@@ -1634,7 +1632,7 @@ def _fit_sample(fits: Sequence[tuple], data, cfg: FitConfig) -> list:
     w, (e,), (m0,), (s0,) = _standardize(x[None, :])
     out, plans = [], []
     for spec, extra_starts in fits:
-        error = _sample_error(spec, n, s0)
+        error = _sample_error(spec, x)
         if error is None:
             extra = [_start(spec, p, (e, m0, s0), cfg)[None, :] for p in extra_starts]
             plans.append(_plan_rows(spec, w, cfg, extra))
@@ -1808,12 +1806,10 @@ def lr_test(
     gen = rng if rng is not None else make_rng(0)
     n = x.size
     specs = _FAMILIES[null_family], _FAMILIES[alt_family]
-    w, (e,), (m0,), (s0,) = _standardize(x[None, :])
     for spec in specs:
-        if (error := _sample_error(spec, n, s0)) is not None:
+        if (error := _sample_error(spec, x)) is not None:
             raise error
-    null = _fit_rows(specs[0], w, cfg)
-    null_dist = distribution_for(null_family, _natural(specs[0], null.t[0], (e, m0, s0), cfg))
+    null_dist = distribution_for(null_family, _fit(specs[0], x, cfg).params)
     # row 0 is the observed sample, and row i > 0 the replicate drawn from children[i]
     children = [None, *gen.spawn(b)]
     per = _rows_per_batch(n)

@@ -215,15 +215,13 @@ class _ScaleMixture:
         return self.lattices[delta]
 
     def cdf(self, z):
-        """F at standardized points z, point by point, summed over the points
+        """F at finite standardized points z, point by point, summed over the points
         of one tail and one node at r = 0 at a time.  A node's r is k h - f,
         log|y| = m h + f, and log g(r) = log g(0) - g_k - q_k expm1(-2 f) -
         (nu/2)(e^-2f - 1 + 2 f) keeps its digits where r is near 0."""
-        # 0 and 1 at -inf and +inf, NaN at NaN
-        out = np.heaviside(z, np.nan)
+        out = np.full(z.shape, 0.5 - math.atan(self.delta) / math.pi)
         a = np.abs(z)
-        out[a < self.flat] = 0.5 - math.atan(self.delta) / math.pi
-        live = np.flatnonzero((a >= self.flat) & (a < np.inf))
+        live = np.flatnonzero(a >= self.flat)
         if not live.size:
             return out
         log_y = np.log(a.ravel()[live])
@@ -293,11 +291,12 @@ def _skew_t_arg(z, nu, delta):
 
 def skew_normal_logf(z, delta, grad=None):
     """log 2 phi(z) Phi(delta z)."""
-    s = delta * z
-    log_cdf = special.log_ndtr(s)
-    val = _LOG_TWO + normal_logf(z) + log_cdf
-    # at z = +-inf, delta * z is NaN when delta = 0
-    val[np.isinf(z)] = -np.inf
+    # past |z| ~ 1e154 the value lies below the floats: delta * z or the sum
+    # overflows on the way to its -inf
+    with np.errstate(over="ignore"):
+        s = delta * z
+        log_cdf = special.log_ndtr(s)
+        val = _LOG_TWO + normal_logf(z) + log_cdf
     if grad is None:
         return val
     # the Mills ratio phi(s) / Phi(s), taken through log_ndtr so it stays
@@ -399,13 +398,13 @@ class _SkewSymmetricImage(Located):
         ulps of |log g(v)|, the rounding of log g itself.  The map in r turns
         a power tail |x|^-(nu + 1) into the decay e^(-nu r), with no endpoint
         singularity for any nu > 0; x past the float range reads g = 0."""
-        shape, w = w.shape, w.ravel()
-        out = np.heaviside(w, np.nan)  # 0 and 1 at -inf and +inf, NaN at NaN
-        live = np.flatnonzero(np.isfinite(w))
-        v = w[live]
+        shape, v = w.shape, w.ravel()
         top, wide, s = self._log_g(v), np.maximum(1.0, np.abs(v)), np.where(v > 0.0, -1.0, 1.0)
-        out[live] = s < 0.0  # where g(v) max(1, |v|) < e^-800, the tail is 0 in floats
-        live, v, top, wide, s = (a[top + np.log(wide) > -800.0] for a in (live, v, top, wide, s))
+        # where g(v) max(1, |v|) < e^-800, the tail is 0 in floats; so at v =
+        # +-inf, where H^(-1) of a z near the float range overflows
+        out = (s < 0.0).astype(float)
+        live = np.flatnonzero(top > -800.0 - np.log(wide))
+        v, top, wide, s = (a[live] for a in (v, top, wide, s))
         step = _SLOPE_STEP * wide
         d = s / np.maximum((top - self._log_g(v - s * step)) / step, 1.0 / wide)
 
@@ -457,10 +456,10 @@ class SkewSymmetric(_SkewSymmetricImage):
 
     def _logf(self, z):
         # log 2 + log G(delta z), summed first, is 0 at delta = 0, where the
-        # sum is then log f(z) to the bit
-        out = self.base._logf(z) + (_LOG_TWO + self.skew._log_cdf(self.delta * z))
-        out[np.isinf(z)] = -np.inf  # where delta * z is NaN at delta = 0
-        return out
+        # sum is then log f(z) to the bit; far out, delta * z or the sum may
+        # overflow on the way to the value's limit
+        with np.errstate(over="ignore"):
+            return self.base._logf(z) + (_LOG_TWO + self.skew._log_cdf(self.delta * z))
 
     def _pi(self, z):
         return self.skew._cdf(self.delta * z)

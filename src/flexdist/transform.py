@@ -60,8 +60,6 @@ def sas_logf(z, delta, eta, *shapes, base=normal_logf, grad=None):
     f = base(y, *shapes, grad=None if grad is None else grad[2:])
     f, dy, *d_base = (f, None) if grad is None else f
     val = f + _sas_log_slope(u, z, eta)
-    # at z = +-inf the log jacobian is inf - inf
-    val[np.isinf(z)] = -np.inf
     if grad is None:
         return val
     # the partial in u: y = sinh u and log cosh u both move with it
@@ -151,7 +149,7 @@ class _InverseOnly:
     def logf(self, z, base: SymmetricBase):
         y = self.forward(z)
         out = base._logf(y) - self.log_inverse_slope(y)
-        # H is +-inf at z = +-inf and beyond the end of a bounded support
+        # H is +-inf beyond the end of a bounded support
         out[np.isinf(y)] = -np.inf
         return out
 

@@ -53,6 +53,15 @@ def _skew_symmetric_laws(mu=MU, sigma=SIGMA):
 
 
 FAMILY_CASES = [pytest.param(family, _law(family, shape), id=i) for family, shape, i in LAWS]
+# the symmetric members, where a skewing or tail term at z = +-inf is 0 * inf
+# or inf - inf: skew_normal, skew_t, sas_normal (eta = 1) and SkewSymmetric
+# at delta = 0, and k_normal at eta = 0
+SYMMETRIC_CASES = [
+    pytest.param(_law(family, shape), id=f"{family}-symmetric") for family, shape in (
+        ("skew_normal", {"delta": 0.0}), ("skew_t", {"nu": 2.0, "delta": 0.0}),
+        ("sas_normal", {"delta": 0.0, "eta": 1.0}), ("k_normal", {"eta": 0.0}))] + [
+    pytest.param(skewsym.SkewSymmetric(d.base, d.loc, 0.0, d.skew), id=f"{i}-symmetric")
+    for i, d in _skew_symmetric_laws().items() if isinstance(d, skewsym.SkewSymmetric)]
 SKEW_SYMMETRIC_CASES = [pytest.param(d, id=i) for i, d in _skew_symmetric_laws().items()]
 CASES = [pytest.param(p.values[1], id=p.id) for p in FAMILY_CASES] + SKEW_SYMMETRIC_CASES
 # each law at (MU, SIGMA) with its twin at (0, 1)
@@ -110,12 +119,23 @@ def test_location_scale_step_is_exact(d, twin):
     # every law is its (0, 1) twin through x = mu + sigma z, to the bit
     x = np.linspace(-12.0, 12.0, 49)
     z = (x - MU) / SIGMA
-    with np.errstate(all="ignore"):
-        assert np.array_equal(d.log_pdf(x), twin.log_pdf(z) - np.log(SIGMA))
+    assert np.array_equal(d.log_pdf(x), twin.log_pdf(z) - np.log(SIGMA))
     assert np.array_equal(d.cdf(x), twin.cdf(z))
     p = np.linspace(0.0, 1.0, 21)
     assert np.array_equal(d.quantile(p), MU + SIGMA * twin.quantile(p))
     assert d.mode() == MU + SIGMA * twin.mode()
+
+
+@pytest.mark.parametrize("d", CASES + SYMMETRIC_CASES)
+def test_non_finite_points_give_the_limits(d):
+    # the limits of a density that vanishes at +-inf, and NaN at NaN, through
+    # the array and the float calls, with no RuntimeWarning on the way
+    x = (-np.inf, np.nan, np.inf)
+    for method, want in (("log_pdf", [-np.inf, np.nan, -np.inf]), ("pdf", [0.0, np.nan, 0.0]),
+                         ("cdf", [0.0, np.nan, 1.0])):
+        fn = getattr(d, method)
+        assert np.array_equal(fn(np.array(x)), want, equal_nan=True), method
+        assert np.array_equal([fn(v) for v in x], want, equal_nan=True), method
 
 
 @pytest.mark.parametrize("family, shape", [pytest.param(f, s, id=i) for f, s, i in LAWS])
@@ -263,9 +283,8 @@ def test_one_density(family, scaling, data):
 @settings(max_examples=40, deadline=None)
 def test_log_pdf_is_finite_where_the_density_is_positive(family, d, e, sign):
     x = sign * 10.0 ** e
-    with np.errstate(all="ignore"):
-        out = d.log_pdf(np.array([x, -x]))
-        assert np.array_equal(out, [d.log_pdf(x), d.log_pdf(-x)])
+    out = d.log_pdf(np.array([x, -x]))
+    assert np.array_equal(out, [d.log_pdf(x), d.log_pdf(-x)])
     if abs(x) <= FINITE_TO.get(family, 1e300):
         assert np.isfinite(out).all()
     else:
