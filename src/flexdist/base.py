@@ -12,7 +12,8 @@ maximization (public; no fit uses it), the laws' mode search (score_peak, the ro
 asinh x), seeded generators, and root finding.  One batched solver,
 solve_increasing, inverts every increasing vectorized map: the skew laws'
 cdf (through invert_cdf), the g-and-h and K H^(-1), and the H^(-1) of
-twopiece.ScaleTransform.  find_root (scipy's brentq) serves the mode search.
+twopiece.ScaleTransform, with one rule: a target at or past an end of the
+map's range gives +-inf.  find_root (scipy's brentq) serves the mode search.
 """
 from __future__ import annotations
 
@@ -181,7 +182,8 @@ class Located:
 
     def _at_finite(self, fn, x, below, above):
         """fn at the finite z = (x - mu) / sigma; below at z = -inf, above at +inf, NaN at NaN."""
-        z = (x - self.loc.mu) / self.loc.sigma
+        with np.errstate(over="ignore"):  # a z past the largest float is +-inf
+            z = (x - self.loc.mu) / self.loc.sigma
         finite = np.isfinite(z)
         if finite.all():
             return fn(z)
@@ -191,7 +193,9 @@ class Located:
 
     @scalar_or_array
     def quantile(self, p):
-        return self.loc.mu + self.loc.sigma * self._quantile(quantile_levels(p))
+        z = self._quantile(quantile_levels(p))
+        with np.errstate(over="ignore"):  # one past the largest float is +-inf
+            return self.loc.mu + self.loc.sigma * z
 
     def mode(self) -> float:
         bracket = self._mode_bracket
@@ -275,8 +279,8 @@ class SymmetricBase(Located):
                 return special.logit(q)
         nu = self.nu
         tail = np.where(q < 0.5, q, 1.0 - q)
-        # Student t quantile through the inverse regularized beta.
-        with np.errstate(divide="ignore"):
+        # the t quantile through the inverse regularized beta, +-inf past the largest float
+        with np.errstate(divide="ignore", over="ignore"):
             w = special.betaincinv(0.5 * nu, 0.5, 2.0 * tail)
             mag = np.sqrt(nu * (1.0 - w) / np.where(w > 0.0, w, 1.0))
             mag = np.where(w == 0.0, np.inf, mag)
@@ -657,8 +661,10 @@ def midpoint(lo, hi):
         return np.where(wide, np.sign(lo) * np.sqrt(a) * np.sqrt(b), 0.5 * (lo + hi))
 
 
-def solve_increasing(fn, newton, target, x0: float, scale: float):
-    """x with fn(x) = t for each t of a 1-d array target, fn increasing.
+def solve_increasing(fn, newton, target, x0: float, scale: float, ends=(-math.inf, math.inf)):
+    """x with fn(x) = t for each t of an array target of any shape, fn
+    increasing over its range ends: a t at or below ends[0] gives -inf, one
+    at or above ends[1] +inf and a NaN NaN; fn sees only the other targets.
 
     fn maps an array of points to their values point by point, and
     newton(x, fn(x), t) gives the Newton step that x - step takes, so each
@@ -671,14 +677,15 @@ def solve_increasing(fn, newton, target, x0: float, scale: float):
     still moving after _INVERT_STEPS steps raises NumericsError.
     """
     t = np.asarray(target, dtype=float)
-    out, idx = np.empty_like(t), np.arange(t.size)
-    x = np.full(t.shape, float(x0))
+    out = np.where(t <= ends[0], -np.inf, np.where(t >= ends[1], np.inf, np.nan)).ravel()
+    idx = np.flatnonzero((ends[0] < t) & (t < ends[1]))
+    t = t.ravel()[idx]
+    x, span = np.full(t.shape, float(x0)), np.full(t.shape, float(scale))
     lo, hi = np.full(t.shape, -np.inf), np.full(t.shape, np.inf)
-    span = np.full(t.shape, float(scale))
     eps = 4.0 * np.finfo(float).eps
     for _ in range(_INVERT_STEPS):
         if not idx.size:
-            return out
+            break
         f = fn(x)
         err = f - t
         lo, hi = np.where(err < 0.0, x, lo), np.where(err > 0.0, x, hi)
@@ -709,23 +716,18 @@ def solve_increasing(fn, newton, target, x0: float, scale: float):
         x = new
     if idx.size:
         raise NumericsError(f"targets {t} did not converge in {_INVERT_STEPS} steps")
-    return out
+    return out.reshape(np.shape(target))
 
 
 def invert_cdf(cdf, pdf, p, x0: float, scale: float):
-    """Quantiles of a continuous law: cdf(x) = p by solve_increasing, cdf and
-    pdf array maps.  Levels 0, 1 and NaN follow quantile_levels.  The Newton
-    step solves log F(x) = log p for p <= 1/2, and log(1 - F(x)) = log(1 - p)
-    above, so that a far tail level is reached in a few steps."""
-    levels = quantile_levels(p)
-    flat = levels.ravel()
-    out = np.where(flat == 0.0, -np.inf, np.where(flat == 1.0, np.inf, np.nan))
-    inside = (flat > 0.0) & (flat < 1.0)
+    """Quantiles of a continuous law: cdf(x) = p by solve_increasing over the
+    cdf's range (0, 1), cdf and pdf array maps, so levels 0, 1 and NaN follow
+    quantile_levels.  The Newton step solves log F(x) = log p for p <= 1/2 and
+    log(1 - F(x)) = log(1 - p) above: a far tail level takes a few steps."""
 
     def newton(x, f, q):
         upper = q > 0.5
         tail, level = np.where(upper, 1.0 - f, f), np.where(upper, 1.0 - q, q)
         return np.where(upper, -tail, tail) * np.log(tail / level) / pdf(x)
 
-    out[inside] = solve_increasing(cdf, newton, flat[inside], x0, scale)
-    return out.reshape(levels.shape)
+    return solve_increasing(cdf, newton, quantile_levels(p), x0, scale, (0.0, 1.0))

@@ -86,7 +86,8 @@ class SasTransform:
     @scalar_or_array
     def forward(self, x):
         """H(x) = sinh(eta arcsinh(x) + delta), strictly increasing."""
-        return np.sinh(self.eta * np.arcsinh(x) + self.delta)
+        with np.errstate(over="ignore"):  # +-inf past the largest float
+            return np.sinh(self.eta * np.arcsinh(x) + self.delta)
 
     @scalar_or_array
     def inverse(self, x):
@@ -102,9 +103,7 @@ class SasTransform:
 
     def logf(self, z, base: SymmetricBase):
         logf, shapes = base.log_density
-        # where sinh(eta arcsinh(z) + delta) overflows, y is +-inf
-        with np.errstate(over="ignore"):
-            return sas_logf(z, self.delta, self.eta, *shapes, base=logf)
+        return sas_logf(z, self.delta, self.eta, *shapes, base=logf)
 
     def d_log_inverse_slope(self, y):
         """The slope in y of log (H^(-1))'(y), (tanh(w) / eta - y / r) / r with
@@ -123,13 +122,9 @@ class _InverseOnly:
 
     @scalar_or_array
     def forward(self, x):
-        # +-inf and NaN map to themselves, and a target at or beyond the end
-        # of a bounded H^(-1) to +-inf; the rest are solved from 0
-        top, bottom = self.inverse(np.array([_BIG, -_BIG]))
-        out = np.where(x >= top, np.inf, np.where(x <= bottom, -np.inf, np.nan))
-        inside = (bottom < x) & (x < top)
-        out[inside] = solve_increasing(self.inverse, self._newton, x[inside], 0.0, 1.0)
-        return out
+        # from 0; H's domain is H^(-1)'s range, its values at the largest floats
+        return solve_increasing(self.inverse, self._newton, x, 0.0, 1.0,
+                                self.inverse([-_BIG, _BIG]))
 
     def _newton(self, y, v, t):
         # the step toward v = H^(-1)(y) = t: where v and t share a sign, on

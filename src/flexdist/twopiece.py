@@ -82,7 +82,8 @@ def two_piece_logf(z, delta, *shapes, scaling="isf", base=normal_logf, grad=None
     s_l, s_r, a = scales(delta, scaling)
     left = z < 0.0
     s = np.where(left, s_l, s_r)
-    v = s * z
+    with np.errstate(over="ignore"):  # +-inf past the largest float
+        v = s * z
     f = base(v, *shapes, grad=None if grad is None else grad[1:])
     if grad is None:
         return np.log(a) + f
@@ -115,8 +116,10 @@ class TwoPieceParams(Located):
     def _cdf(self, z):
         sl, sr, a = self.scheme.s_left, self.scheme.s_right, self.scheme.a
         left_mass, _ = side_masses(self.scheme)
-        below = (a / sl) * self.base._cdf(sl * z)
-        above = left_mass + (a / sr) * (self.base._cdf(sr * z) - 0.5)
+        with np.errstate(over="ignore"):  # +-inf past the largest float
+            left, right = sl * z, sr * z
+        below = (a / sl) * self.base._cdf(left)
+        above = left_mass + (a / sr) * (self.base._cdf(right) - 0.5)
         return np.where(z < 0.0, below, above)
 
     def _quantile(self, q):
@@ -169,11 +172,8 @@ class ScaleTransform:
     @scalar_or_array
     def inverse(self, y):
         """H^(-1)(y); +-inf and NaN map to themselves."""
-        out = y.copy()
-        inside = np.isfinite(y)
-        out[inside] = solve_increasing(self.h_func, lambda w, h, t: (h - t) / self.slope_func(w),
-                                       y[inside], 0.0, 1.0)
-        return out
+        return solve_increasing(self.h_func, lambda w, h, t: (h - t) / self.slope_func(w),
+                                y, 0.0, 1.0)
 
 
 def half_slope_transform() -> ScaleTransform:
@@ -183,16 +183,17 @@ def half_slope_transform() -> ScaleTransform:
 
 
 def arctan_tilt_transform(c: float) -> ScaleTransform:
-    """H(x) = x/2 + c (x arctan x - ln(1+x^2)/2); valid for |c| < 1/pi.
+    """H(x) = x (1/2 + c arctan x) - (c/2) ln(1+x^2); valid for |c| < 1/pi.
 
-    The added term is even, so the defining condition holds identically;
-    H'(x) = 1/2 + c arctan(x) stays positive under the bound on c.
+    The added term c (x arctan x - ln(1+x^2)/2) is even, so the defining
+    condition holds identically; H'(x) = 1/2 + c arctan(x) lies in (0, 1)
+    under the bound on c, and so H, with H' as its first factor, is finite.
     """
     if abs(c) >= 1.0 / math.pi:
         raise ValueError(f"|c| must be below 1/pi for monotonicity, got {c}")
 
     def h(x):
-        return 0.5 * x + c * (x * np.arctan(x) - 0.5 * log1p_square(x))
+        return x * (0.5 + c * np.arctan(x)) - 0.5 * c * log1p_square(x)
 
     return ScaleTransform(h, lambda x: 0.5 + c * np.arctan(x), name=f"arctan_tilt({c})")
 

@@ -405,6 +405,41 @@ def test_invert_cdf_nan_and_unconverged_levels():
         base.invert_cdf(nb.cdf, nb.pdf, 0.3, 1e100, 1e-100)
 
 
+def test_solve_increasing_holds_the_rule_at_its_ends():
+    # tanh's range is (-1, 1): a target at or beyond an end gives -+inf and a
+    # NaN gives NaN, in a target of any shape and layout, and fn sees only
+    # the rest
+    seen = []
+
+    def fn(x):
+        seen.append(x.size)
+        return np.tanh(x)
+
+    def newton(x, f, t):
+        return (f - t) / (1.0 - f * f)
+
+    target = np.array([[-1.0, np.nan, 3.0], [-2.0, 0.9, 0.25], [-0.5, 1.0, -0.999]]).T
+    x = base.solve_increasing(fn, newton, target, 0.0, 1.0, (-1.0, 1.0))
+    assert x.shape == target.shape
+    inside = np.abs(target) < 1.0
+    assert np.array_equal(x[~inside], [-np.inf, -np.inf, np.nan, np.inf, np.inf], equal_nan=True)
+    assert np.max(np.abs(np.tanh(x[inside]) - target[inside])) <= 2.0 * np.finfo(float).eps
+    # each element gets the bits of its own scalar call
+    for t, v in zip(target.ravel(), x.ravel()):
+        one = base.solve_increasing(np.tanh, newton, t, 0.0, 1.0, (-1.0, 1.0))
+        assert one.shape == () and one.tobytes() == v.tobytes()
+    # fn evaluates just what a solve of the targets inside the ends does
+    calls = seen.copy()
+    seen.clear()
+    base.solve_increasing(fn, newton, target[inside], 0.0, 1.0, (-1.0, 1.0))
+    assert calls == seen
+    # the default ends, the whole line: +-inf and NaN map to themselves with
+    # no evaluation
+    seen.clear()
+    x = base.solve_increasing(fn, newton, np.array([np.inf, np.nan, -np.inf]), 0.0, 1.0)
+    assert np.array_equal(x, [np.inf, np.nan, -np.inf], equal_nan=True) and not seen
+
+
 @given(st.floats(-30.0, 30.0))
 def test_pdf_symmetry_property(x):
     for b in (base.normal_base(), base.student_base(3.0), base.logistic_base()):

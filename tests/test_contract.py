@@ -1,5 +1,6 @@
 """The distribution contract, as properties over the whole family table."""
 
+import itertools
 import math
 
 import numpy as np
@@ -289,6 +290,56 @@ def test_log_pdf_is_finite_where_the_density_is_positive(family, d, e, sign):
         assert np.isfinite(out).all()
     else:
         assert not np.isnan(out).any() and (out < np.inf).all()
+
+
+# shapes across each family's fit box: each box's ends and its symmetric
+# value (1 in a log box, 0 under a tanh cap; epsilon's delta is tanh of the
+# log of its ISF ratio), and these grids where no fit boxes a shape
+EDGE_GRIDS = {"g": (-3.0, 0.0, 3.0), "h": (0.0, 0.5, 1.0), "eta": (0.0, 1.0, 10.0)}
+
+
+def _box_grid(name, box):
+    if box is None:
+        return EDGE_GRIDS[name]
+    if isinstance(box, infer._TanhCap):
+        return (-box.cap, 0.0, box.cap)
+    grid = (box.lo, 1.0, box.hi)
+    return tuple(math.tanh(math.log(v)) for v in grid) if box is infer._EPSILON else grid
+
+
+def _edge_cases():
+    for family, spec in infer._FAMILIES.items():
+        names = [s.name for s in spec.shapes]
+        for scaling, boxes in spec._maps.items() if spec.scaled else [("", spec._maps["isf"])]:
+            for values in itertools.product(*map(_box_grid, names, boxes)):
+                shape = dict(zip(names, values), **({"scaling": scaling} if scaling else {}))
+                yield pytest.param(_law(family, shape), id="-".join(
+                    [family, *(f"{v:g}" for v in values), scaling]).rstrip("-"))
+
+
+EDGE_CASES = [*_edge_cases(), *SKEW_SYMMETRIC_CASES,
+              pytest.param(_law("normal", {}, MU, 0.5), id="normal-sigma0.5")]
+EDGE_E = np.arange(-300.0, 308.26, 0.25)
+EDGE_POINTS = np.concatenate([-10.0 ** EDGE_E, 10.0 ** EDGE_E])
+EDGE_LEVELS = np.concatenate([10.0 ** -np.arange(300.0, 0.0, -2.0),
+                              1.0 - 10.0 ** -np.arange(1.0, 15.5, 1.0)])
+
+
+@pytest.mark.parametrize("d", EDGE_CASES)
+def test_no_warning_at_the_float_range_edge(d):
+    # log_pdf and cdf out to the largest floats and quantile out to levels
+    # 1e-300 and 1 - 1e-15 raise no RuntimeWarning (the suite's filter makes
+    # one an error) and give no NaN, over the whole fit box
+    for out in (d.log_pdf(EDGE_POINTS), d.cdf(EDGE_POINTS), d.quantile(EDGE_LEVELS)):
+        assert not np.isnan(out).any()
+
+
+def test_a_quantile_past_the_largest_float_is_inf():
+    # g-and-h's H^(-1) at g = -3, h = 1 puts this level's standard quantile
+    # within the floats, at -1.6e308, and mu + sigma z beyond them
+    d = _law("gh_normal", {"g": -3.0, "h": 1.0})
+    assert math.isfinite(d._quantile(np.array([10.0 ** -265.25]))[0])
+    assert d.quantile(10.0 ** -265.25) == -np.inf
 
 
 # the laws sampled from the t's representation Z / sqrt(V / nu), one fixed
