@@ -1364,6 +1364,17 @@ class _Family:
             score[:, s.col] = gs * slope
         return val, score
 
+    def on_edge(self, t, cfg: FitConfig) -> np.ndarray:
+        """Whether each parameter row of t (k, d) holds a shape within
+        _FRONTIER_TOL of an end of its box, or beyond it, where the shape's
+        slope is 0."""
+        out = np.zeros(len(t), dtype=bool)
+        for s, m in zip(self.shapes, self.maps(cfg)):
+            if isinstance(m, _LogBox):
+                out |= ((t[:, s.col] <= m.log_lo + _FRONTIER_TOL)
+                        | (t[:, s.col] >= m.log_hi - _FRONTIER_TOL))
+        return out
+
     def decode(self, t, cfg: FitConfig) -> dict:
         """Natural parameters, in report order, of optimizer coordinates t."""
         out = {"mu": float(t[0]), "sigma": float(_sigma_of(t[1]))}
@@ -1517,7 +1528,7 @@ def _sample_error(spec: _Family, x: np.ndarray) -> Optional[ValueError]:
     return None
 
 
-def _plan_rows(spec: _Family, w: np.ndarray, cfg: FitConfig, extra=()):
+def _plan_rows(spec: _Family, w: np.ndarray, cfg: FitConfig, extra=(), first_only=None):
     """Plan the fit of spec to every standardized data row of w (m, n), as a
     generator of rounds that returns the rows' _RowFits.
 
@@ -1527,15 +1538,21 @@ def _plan_rows(spec: _Family, w: np.ndarray, cfg: FitConfig, extra=()):
     (starts x rows) seeded by _opg_seed at every start.  Each round yields
     one _Batch and receives its _batch_bfgs result.  Round 1 runs every
     start but a chased family's frontier chase, its last structural start,
-    where cfg.restarts reaches it.  Round 2 runs the chase on the rows where
-    _frontier_can_win, under the family's bound (spec.chase), says the
-    frontier can beat the best of round 1, and is left out where no row's
-    can.  The seed runs where its problems run, in the process that draws
-    their job, so the seeds' kernel pass and linear algebra run in the two
-    processes where a set splits, and no kernel runs here.  A chase the
-    bound rules out counts as +inf with no iterations.  A stacked start's
-    other points bound its result from above, and each row keeps its first
-    best start in start order, whatever round ran it.
+    where cfg.restarts reaches it; a row first_only marks, an (m,) boolean
+    mask, runs only its first start there.  Round 2 runs the chase on the
+    rows where _frontier_can_win, under the family's bound (spec.chase),
+    says the frontier can beat the best of round 1.  It also runs round 1's
+    other starts on each first_only row whose first start failed, or began
+    or ended with a shape at an end of its box (_Family.on_edge): the
+    shape's slope drops to 0 there, and such a run can stop short of the
+    row's best, as the skew-t's does with nu at 0.5 or 200.  A round with
+    no problem is left out.  The seed runs where its problems run, in the
+    process that draws their job, so the seeds' kernel pass and linear
+    algebra run in the two processes where a set splits, and no kernel
+    runs here.  A start that does not run, such as a chase the bound rules
+    out, counts as +inf with no iterations.  A stacked start's other points
+    bound its result from above where it runs, and each row keeps its
+    first best start in start order, whatever round ran it.
     """
     if spec.exact is not None:
         return spec.exact(w, cfg)
@@ -1561,7 +1578,7 @@ def _plan_rows(spec: _Family, w: np.ndarray, cfg: FitConfig, extra=()):
            np.zeros(m * k, dtype=bool), np.zeros(m * k, dtype=int))
 
     def run(problems):
-        # one round of the problems (flat start x row indices), if any
+        # one round of the problems (flat start x row indices, ascending), if any
         if not problems.size:
             return
         row = problems // k  # each problem's data row
@@ -1575,19 +1592,28 @@ def _plan_rows(spec: _Family, w: np.ndarray, cfg: FitConfig, extra=()):
                               cfg.xatol, cfg.fatol, maxiter)
         for a, got in zip(out, result):
             a[problems] = got
+        with np.errstate(all="ignore"):
+            for j, s in enumerate(starts):
+                mine = problems[problems % k == j]
+                if s.ndim == 3 and mine.size:
+                    for point in np.moveaxis(s[mine // k, 1:], 1, 0):
+                        val = fn(point, mine // k)[0]
+                        lower = val < out[1][mine]
+                        out[0][mine[lower]], out[1][mine[lower]] = point[lower], val[lower]
 
     rows, problems = np.arange(m), np.arange(m * k).reshape(m, k)
-    yield from run(problems[:, : k - chased].ravel())
+    lone = np.zeros(m, dtype=bool) if first_only is None else first_only
+    first = problems[:, : k - chased]  # round 1's starts
+    yield from run(first[~lone[:, None] | (np.arange(k - chased) == 0)])
     x, fun = out[0].reshape(m, k, d), out[1].reshape(m, k)
-    with np.errstate(all="ignore"):
-        for j, s in enumerate(starts):
-            for point in np.moveaxis(s[:, 1:], 1, 0) if s.ndim == 3 else ():
-                val = fn(point, rows)[0]
-                lower = val < fun[:, j]
-                x[lower, j], fun[lower, j] = point[lower], val[lower]
+    redo = lone & (spec.on_edge(x0[first[:, 0]], cfg) | spec.on_edge(x[:, 0], cfg)
+                   | ~np.isfinite(fun[:, 0]))
+    again = first[redo, 1:].ravel()
     if chased:
         chase = problems[:, -1]
-        yield from run(chase[_frontier_can_win(spec.chase, w, x0[chase, 0], -fun[:, :-1].min(1))])
+        gate = _frontier_can_win(spec.chase, w, x0[chase, 0], -fun[:, :-1].min(1))
+        again = np.sort(np.concatenate([again, chase[gate]]))
+    yield from run(again)
     best = np.argmin(fun, axis=1)
     iters, conv, kernel = (a.reshape(m, k) for a in out[2:])
     return _RowFits(x[rows, best], fun[rows, best], iters.sum(axis=1), conv[rows, best],
@@ -1616,9 +1642,9 @@ def _fit_planned(plans: Sequence, n: int) -> list:
     return fits
 
 
-def _fit_rows(spec: _Family, w: np.ndarray, cfg: FitConfig, extra=()) -> _RowFits:
+def _fit_rows(spec: _Family, w: np.ndarray, cfg: FitConfig, extra=(), first_only=None) -> _RowFits:
     """Fit spec to every standardized data row of w (m, n) at once."""
-    return _fit_planned([_plan_rows(spec, w, cfg, extra)], w.shape[1])[0]
+    return _fit_planned([_plan_rows(spec, w, cfg, extra, first_only)], w.shape[1])[0]
 
 
 def _fit_sample(fits: Sequence[tuple], data, cfg: FitConfig) -> list:
@@ -1750,24 +1776,35 @@ def model_select(fits: Sequence[FitResult], criterion: str = "aic"):
 # bootstrap-calibrated likelihood-ratio test
 
 
-def _lr_rows(null_spec, alt_spec, rows, cfg):
+def _lr_rows(null_spec, alt_spec, rows, cfg, replicate):
     """LR statistics 2 (loglik_alt - loglik_null) of each data row of rows (m, n).
 
     Both families are fit on the same standardized rows, so the scale terms
     cancel from the statistic.  NaN marks a row whose refit failed.  Where
     the optimizer fits the null, the alternative's first start is the
     null's fit with the alternative's other coordinates at 0, where it
-    nests the null, made as fit_mle makes an extra start.  An exactly fit
-    null is the normal, whose standardized fit, the zero point, is
-    sas_normal's first start and skew_normal's floor; twopiece_normal is exact.
+    nests the null, made as fit_mle makes an extra start.  The rows the
+    (m,) boolean mask replicate marks are drawn from a fitted null, so that
+    start already ends at their best: they run it alone, with the gated
+    frontier chase, and the other starts only where it fails or meets an
+    end of nu's box (_plan_rows's first_only).  The other rows run every
+    start, as fit_mle does.  An
+    exactly fit null is the normal, whose standardized fit, the zero point,
+    is sas_normal's first start and skew_normal's floor, and whose rows run
+    every start: the skew-normal's information is singular at the null
+    (Hallin & Ley 2012), and on a ridge of sas_normal's likelihood that
+    start alone can stop short of the best by more than 1e-7 nats;
+    twopiece_normal is exact.
     """
     w, *units = _standardize(rows)
     null = _fit_rows(null_spec, w, cfg)
-    nested = alt_spec.decode(np.zeros(alt_spec.n_free), cfg)
-    extra = [] if null_spec.exact is not None else [np.array([
-        _start(alt_spec, {**nested, **_natural(null_spec, t, u, cfg)}, u, cfg)
-        for t, u in zip(null.t, zip(*units))])]
-    alt = _fit_rows(alt_spec, w, cfg, extra)
+    if null_spec.exact is not None:
+        alt = _fit_rows(alt_spec, w, cfg)
+    else:
+        nested = alt_spec.decode(np.zeros(alt_spec.n_free), cfg)
+        extra = [np.array([_start(alt_spec, {**nested, **_natural(null_spec, t, u, cfg)}, u, cfg)
+                           for t, u in zip(null.t, zip(*units))])]
+        alt = _fit_rows(alt_spec, w, cfg, extra, replicate)
     return np.where(units[2] > 0.0, 2.0 * (null.nll - alt.nll), np.nan)
 
 
@@ -1787,10 +1824,16 @@ def lr_test(
     The null is first fit to the observed sample alone, for the law the
     replicates are drawn from; the observed statistic then comes from the
     first row of the replicates' batched row fits, as each replicate's
-    does.  Each replicate gets an independent child generator spawned from
-    rng, so results are reproducible for a given seed and config.  The
-    observed sample and its replicates are refit in batches of bounded
-    size.
+    does.  The observed row runs every start of the alternative, as
+    fit_mle does.  Where the optimizer fits the null (t < skew_t), a
+    replicate runs only the alternative's start at the nested null fit,
+    plus the gated frontier chase: drawn from the fitted null, its best lies
+    at that start's end.  It runs the other starts too where that start
+    fails or meets an end of nu's box, where its run can stop short
+    (_plan_rows).  Each replicate gets an independent child
+    generator spawned from rng, so results are reproducible for a given
+    seed and config.  The observed sample and its replicates are refit in
+    batches of bounded size.
     """
     if (null_family, alt_family) not in NESTED_PAIRS:
         allowed = ", ".join(f"{a} < {b}" for a, b in sorted(NESTED_PAIRS))
@@ -1814,9 +1857,9 @@ def lr_test(
     children = [None, *gen.spawn(b)]
     per = _rows_per_batch(n)
     stats = np.concatenate([
-        _lr_rows(*specs, np.array(
-            [x if c is None else null_dist.sample(n, c) for c in children[i : i + per]]), cfg)
-        for i in range(0, b + 1, per)
+        _lr_rows(*specs, np.array([x if c is None else null_dist.sample(n, c) for c in chunk]),
+                 cfg, np.array([c is not None for c in chunk]))
+        for chunk in (children[i : i + per] for i in range(0, b + 1, per))
     ])
     observed, stats = max(0.0, float(stats[0])), stats[1:]
     ok = np.isfinite(stats)

@@ -29,6 +29,7 @@ from flexdist.base import (
 )
 from flexdist.cli import figure_curves
 from flexdist.infer import (
+    NESTED_PAIRS,
     FitConfig,
     distribution_for,
     fit_gh_quantile,
@@ -290,14 +291,15 @@ def test_criterion_6_lr_test_size():
           f"at nominal 5%; {elapsed:.0f}s")
 
 
-@pytest.mark.parametrize("alt", ["skew_normal", "sas_normal", "twopiece_normal"])
+@pytest.mark.parametrize("alt", sorted(alt for _, alt in NESTED_PAIRS))
 def test_lr_size_study_script_runs(alt, capsys):
     # criterion 6's script end to end through its command line, at a size
-    # the quick loop affords
+    # the quick loop affords, for every nested pair
     study = _load_lr_size_study()
     assert study.main(["--alt", alt, "--reps", "4", "--boot", "99"]) == 0
     out = capsys.readouterr().out
-    assert f"normal vs {alt}: n=200 reps=4 B=99" in out
+    (null,) = (null for null, a in NESTED_PAIRS if a == alt)
+    assert f"{null} vs {alt}: n=200 reps=4 B=99" in out
     assert "rejection rate" in out
 
 

@@ -1131,23 +1131,94 @@ def test_lr_test_chunked_replicates_match(null, alt, monkeypatch):
     assert chunked == whole
 
 
-def _lr_rows(null, alt, rows, cfg):
-    return infer._lr_rows(infer._FAMILIES[null], infer._FAMILIES[alt], rows, cfg)
+def _lr_rows(null, alt, rows, cfg, replicate):
+    """infer._lr_rows with every row a replicate, or none."""
+    return infer._lr_rows(infer._FAMILIES[null], infer._FAMILIES[alt], rows, cfg,
+                          np.full(len(rows), replicate))
 
 
-@pytest.mark.parametrize("null, alt", sorted(infer.NESTED_PAIRS))
-def test_lr_rows_match_fit_mle_per_replicate(null, alt):
+def _check_lr_rows_against_fit_mle(null, alt, replicate):
     # each replicate's embedded null start reaches the optimizer as a fit_mle
     # refit builds it, so the loose config's early stops agree
     data = skewsym.SkewNormal(0.0, 1.0, 1.0).sample(60, base.make_rng(48))
     nf = infer.fit_mle(null, data, FAST)
     dist = infer.distribution_for(null, nf.params)
     rows = np.array([dist.sample(data.size, c) for c in base.make_rng(49).spawn(99)])
-    stats = _lr_rows(null, alt, rows, FAST)
+    stats = _lr_rows(null, alt, rows, FAST, replicate)
     for xb, stat in zip(rows, stats):
         nb = infer.fit_mle(null, xb, FAST)
         ab = infer.fit_mle(alt, xb, FAST, extra_starts=_embed(null, alt, nb.params))
         assert abs(stat - 2.0 * (ab.loglik - nb.loglik)) <= 1e-9
+
+
+@pytest.mark.parametrize("null, alt", sorted(infer.NESTED_PAIRS))
+def test_lr_rows_match_fit_mle_per_replicate(null, alt):
+    # rows run as the observed one, with fit_mle's whole start list
+    _check_lr_rows_against_fit_mle(null, alt, replicate=False)
+
+
+@pytest.mark.parametrize("null, alt", sorted(
+    pair for pair in infer.NESTED_PAIRS if infer._FAMILIES[pair[0]].exact is not None))
+def test_lr_rows_replicate_path_matches_fit_mle_under_exact_nulls(null, alt):
+    # an exactly fit null gives the alternative no embedded start, so its
+    # replicate rows run every start too
+    _check_lr_rows_against_fit_mle(null, alt, replicate=True)
+
+
+@pytest.mark.parametrize("nu", [0.7, 1.0, 5.0])
+@pytest.mark.parametrize("n", [50, 200])
+def test_lr_rows_t_skew_t_replicates_keep_the_full_list_statistic(nu, n):
+    # a replicate runs only skew_t's start at the t fit, plus the gated
+    # chase: on rows drawn from the null it ends where every start does
+    rows = np.random.default_rng([37, n, int(10 * nu)]).standard_t(nu, size=(20, n))
+    cfg = infer.FitConfig()
+    alone = _lr_rows("t", "skew_t", rows, cfg, replicate=True)
+    full = _lr_rows("t", "skew_t", rows, cfg, replicate=False)
+    assert np.all(np.isfinite(alone)) and np.all(np.isfinite(full))
+    assert np.all(alone >= full - 1e-6), np.min(alone - full)
+
+
+@pytest.mark.parametrize("seed, nu, n, k, i", [
+    (37, 1.0, 50, 0, 25),  # ends below the nu floor, 0.082 nats short
+    (45, 0.7, 50, 0, 11),  # starts on the nu floor, ends inside, 0.12 nats short
+    (37, 30.0, 200, 0, 2),  # runs past the nu cap, 0.011 nats short
+])
+def test_lr_rows_t_skew_t_replicate_reruns_its_starts_at_the_nu_box_ends(seed, nu, n, k, i):
+    # replicates drawn as lr_test draws them, from the t fit to a t sample:
+    # skew_t's start at the t fit alone stops short of the row's best where
+    # nu's slope drops to 0 at an end of its box, so those rows run skew_t's
+    # other starts in round 2 and end where the whole start list does
+    x = np.random.default_rng([seed, n, int(10 * nu), k]).standard_t(nu, size=n)
+    dist = infer.distribution_for("t", infer.fit_mle("t", x).params)
+    child = np.random.default_rng([seed + 1, n, int(10 * nu), k]).spawn(i + 1)[i]
+    row = dist.sample(n, child)[None, :]
+    cfg = infer.FitConfig()
+    alone = _lr_rows("t", "skew_t", row, cfg, replicate=True)
+    assert alone == _lr_rows("t", "skew_t", row, cfg, replicate=False)
+
+
+def test_plan_rows_first_only_rows_run_their_first_start_alone_in_round_1():
+    spec = infer._FAMILIES["skew_t"]
+    w = infer._standardize(base.make_rng(37).standard_t(4.0, size=(3, 100)))[0]
+    first = np.zeros((3, spec.n_free))
+    batch = next(infer._plan_rows(spec, w, infer.FitConfig(), [first],
+                                  np.array([False, True, False])))
+    # rows 0 and 2 run the extra start and the three structural starts (the
+    # chase waits for round 2), row 1 only the extra start
+    assert len(batch.x0) == 4 + 1 + 4
+    assert np.array_equal(batch.x0[4], first[1])
+
+
+def test_plan_rows_first_only_rows_whose_first_start_fails_run_the_others():
+    spec = infer._FAMILIES["skew_t"]
+    w = infer._standardize(base.make_rng(37).standard_t(4.0, size=(2, 100)))[0]
+    # a start far beyond the data's scale, which the kernel rejects
+    far = np.zeros((2, spec.n_free))
+    far[:, 0] = 2e6
+    cfg = infer.FitConfig()
+    lone = infer._fit_rows(spec, w, cfg, [far], np.array([True, True]))
+    assert np.array_equal(lone.nll, infer._fit_rows(spec, w, cfg, [far]).nll)
+    assert np.all(np.isfinite(lone.nll))
 
 
 @pytest.mark.parametrize("null, alt", sorted(infer.NESTED_PAIRS))
@@ -1156,7 +1227,7 @@ def test_lr_test_statistic_is_its_row_statistic(null, alt):
     # boot >= observed compares numbers computed the same way
     data = base.make_rng(4).standard_normal(200)
     res = infer.lr_test(data, null, alt, 99, rng=base.make_rng(5))
-    stats = _lr_rows(null, alt, data[None, :], infer.FitConfig())
+    stats = _lr_rows(null, alt, data[None, :], infer.FitConfig(), replicate=False)
     assert res.statistic == max(0.0, float(stats[0]))
 
 
@@ -1165,17 +1236,17 @@ def test_lr_rows_embedded_start_keeps_t_skew_t_statistic_non_negative():
     # on its floor; its first start, the t fit at delta = 0, keeps the
     # statistic at or above 0
     row = np.random.default_rng([7, 200, 1]).standard_t(1.0, size=(100, 200))[13]
-    (stat,) = _lr_rows("t", "skew_t", row[None, :], infer.FitConfig())
+    (stat,) = _lr_rows("t", "skew_t", row[None, :], infer.FitConfig(), replicate=False)
     assert stat >= 0.0
 
 
 def _lr_test_by_parts(data, null, alt, b, rng, cfg):
     """lr_test from row fits run apart: the observed sample as a batch of
     one row, then all the replicates as one batch."""
-    observed = max(0.0, float(_lr_rows(null, alt, data[None, :], cfg)[0]))
+    observed = max(0.0, float(_lr_rows(null, alt, data[None, :], cfg, replicate=False)[0]))
     dist = infer.distribution_for(null, infer.fit_mle(null, data, cfg).params)
     rows = np.array([dist.sample(data.size, c) for c in rng.spawn(b)])
-    boot = _lr_rows(null, alt, rows, cfg)
+    boot = _lr_rows(null, alt, rows, cfg, replicate=True)
     ok = np.isfinite(boot)
     exceed = np.count_nonzero(np.maximum(boot[ok], 0.0) >= observed)
     return infer.TestResult(statistic=observed, p_value=(1.0 + exceed) / (b + 1.0),
